@@ -32,7 +32,6 @@ from .circle import (
 from .classify import (
     ClassVerdict,
     b_bounded_split,
-    build_dli_counterexample,
     check_b_bounded,
     check_strongly_non_dli,
     check_weakly_dli_condition,
@@ -60,7 +59,6 @@ from .density import (
     union,
 )
 from .errors import (
-    CertificationError,
     CircleLabError,
     HorizonError,
     PreconditionError,

@@ -454,10 +454,6 @@ def norm_bound(J: BoundInterval) -> BoundInterval:
     return BoundInterval(min(f_lo, f_hi), hi)
 
 
-def _fraction_mod1(value: Fraction) -> Fraction:
-    return value - (value.numerator // value.denominator)
-
-
 def mult_frac_bound(x: CirclePoint, k: int, r: int, t: int = 8,
                     cap: int | None = None) -> BoundInterval:
     """Enclosure of {r * a_k * x} for any positive multiplier r.
@@ -471,28 +467,7 @@ def mult_frac_bound(x: CirclePoint, k: int, r: int, t: int = 8,
         raise PreconditionError(f"term index must be >= 0, got {k}")
     if r < 1:
         raise PreconditionError(f"multiplier must be >= 1, got {r}")
-    if x.finite_support_max() is not None:
-        v = _fraction_mod1(r * frac_exact(x, k + 1))
-        return BoundInterval(v, v)
-    if cap is None:
-        cap = default_depth_cap()
-    depth = max(t, 0)
-    known = x.rule.known_upto
-    max_depth = cap if known is None else min(cap, known - (k + 1))
-    if max_depth < 0:
-        return BoundInterval(_ZERO, _ONE, undecided=True)
-    depth = min(depth, max_depth)
-    while True:
-        num, den = _window(x, k + 1, depth)
-        p = r * num
-        q = p // den
-        # the true value sits in [p/den, (p + r)/den) half-open
-        if p + r - 1 < (q + 1) * den:
-            return BoundInterval(Fraction(p - q * den, den),
-                                 Fraction(p + r - q * den, den))
-        if depth >= max_depth:
-            return BoundInterval(_ZERO, _ONE, undecided=True)
-        depth = min(max(2 * depth, 1), max_depth)
+    return EnclosureCache(x, depth=t, cap=cap).interval(k, r)
 
 
 def derived_frac_bound(x: CirclePoint, i: int, t: int = 8,
@@ -549,25 +524,53 @@ class EnclosureCache:
             return self.cap
         return min(self.cap, known - (k + 1))
 
+    def _refine(self, k: int, r: int, band: tuple[int, int, int, int] | None = None):
+        """Pin {r * a_k * x}; the one refinement loop behind every enclosure.
+
+        Returns (window, side). ``window`` is (lo, hi, den) with the value in
+        [lo, hi] / den: hi = lo for an exact point, hi = lo + r for a digit
+        window. It is None when no window within the cap fits one unit
+        interval. Given ``band`` = (ln, ld, hn, hd), the closed band
+        [ln/ld, hn/hd], the window deepens until it lies inside the band
+        (side "in") or is clear of it ("out"); otherwise side is "undecided".
+        """
+        if self.exact_mode:
+            y = self._exact_value(k)
+            num, den, width = y.numerator, y.denominator, 0
+            depth = max_depth = 0
+        else:
+            max_depth = self._max_depth(k)
+            if max_depth < 0:
+                return None, "undecided"
+            depth = min(self.depth, max_depth)
+            width = r
+        while True:
+            if width:  # an exact value is its own final window
+                num, den, depth = self._window_at(k, depth)
+            lo = r * num % den
+            hi = lo + width
+            # the value sits in [lo, lo + r) / den half-open, so hi == den
+            # still fits below the next integer
+            window = (lo, hi, den) if hi <= den else None
+            if window is not None:
+                if band is None:
+                    return window, "undecided"
+                ln, ld, hn, hd = band
+                if lo * ld >= ln * den and hi * hd <= hn * den:
+                    return window, "in"
+                if hi * ld < ln * den or lo * hd > hn * den:
+                    return window, "out"
+            if depth >= max_depth:
+                return window, "undecided"
+            depth = min(max(2 * depth, 1), max_depth)
+
     def interval(self, k: int, r: int) -> BoundInterval:
         """Enclosure of {r * a_k * x}, refined as far as the cap allows."""
-        if self.exact_mode:
-            v = _fraction_mod1(r * self._exact_value(k))
-            return BoundInterval(v, v)
-        max_depth = self._max_depth(k)
-        if max_depth < 0:
+        window, _ = self._refine(k, r)
+        if window is None:
             return BoundInterval(_ZERO, _ONE, undecided=True)
-        depth = min(self.depth, max_depth)
-        while True:
-            num, den, depth = self._window_at(k, depth)
-            p = r * num
-            q = p // den
-            if p + r - 1 < (q + 1) * den:
-                return BoundInterval(Fraction(p - q * den, den),
-                                     Fraction(p + r - q * den, den))
-            if depth >= max_depth:
-                return BoundInterval(_ZERO, _ONE, undecided=True)
-            depth = min(max(2 * depth, 1), max_depth)
+        lo, hi, den = window
+        return BoundInterval(Fraction(lo, den), Fraction(hi, den))
 
     def band_verdict(self, k: int, r: int, band_lo: Fraction, band_hi: Fraction) -> str:
         """Classify {r * a_k * x} against the closed band [band_lo, band_hi].
@@ -576,29 +579,9 @@ class EnclosureCache:
         when it is disjoint from the band, else "undecided". Conservative at
         exact band edges for infinite-support points; exact otherwise.
         """
-        if self.exact_mode:
-            v = _fraction_mod1(r * self._exact_value(k))
-            return "in" if band_lo <= v <= band_hi else "out"
-        max_depth = self._max_depth(k)
-        if max_depth < 0:
-            return "undecided"
-        ln, ld = band_lo.numerator, band_lo.denominator
-        hn, hd = band_hi.numerator, band_hi.denominator
-        depth = min(self.depth, max_depth)
-        while True:
-            num, den, depth = self._window_at(k, depth)
-            p = r * num
-            q = p // den
-            if p + r - 1 < (q + 1) * den:
-                flo = p - q * den
-                fhi = flo + r
-                if flo * ld >= ln * den and fhi * hd <= hn * den:
-                    return "in"
-                if fhi * ld < ln * den or flo * hd > hn * den:
-                    return "out"
-            if depth >= max_depth:
-                return "undecided"
-            depth = min(max(2 * depth, 1), max_depth)
+        band = (band_lo.numerator, band_lo.denominator,
+                band_hi.numerator, band_hi.denominator)
+        return self._refine(k, r, band)[1]
 
 
 # ===== Digit-rule parsing ====================================================

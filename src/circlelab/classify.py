@@ -18,14 +18,13 @@ from fractions import Fraction
 
 from .density import FiniteNatSet, NatSet, prefix_density
 from .errors import PreconditionError
-from .sequences import ArithSeq, RatioSpec
+from .sequences import ArithSeq
 
 __all__ = [
     "ClassVerdict",
     "check_b_bounded",
     "check_strongly_non_dli",
     "check_weakly_dli_condition",
-    "build_dli_counterexample",
     "witness_recursion",
     "weakly_dli_witness_set",
     "b_bounded_split",
@@ -148,17 +147,6 @@ def check_weakly_dli_condition(seq: ArithSeq, horizon: int,
             notes=["trace bounded away from 0 over the last decade"],
         )
     return ClassVerdict("weakly-dli-condition", horizon, INCONCLUSIVE, trace=trace)
-
-
-def build_dli_counterexample(jmax: int) -> RatioSpec:
-    """Ratios whose block boundaries enumerate the cube-gap set of density 1.
-
-    With the set enumerated as 1 = e_0 < e_1 < ..., choosing b_{k+1} =
-    e_{k+1} - e_k + 1 makes boundary(k) = e_k, so lifting any block-index set
-    lands exactly on the chosen target set. The returned spec covers jmax
-    blocks and then continues with ratio 2.
-    """
-    return RatioSpec.blocks(jmax)
 
 
 def witness_recursion(seq: ArithSeq, jmax: int, scan_limit: int = 10**6):

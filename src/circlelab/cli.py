@@ -26,7 +26,7 @@ from .density import lift, parse_set_expr
 from .errors import CircleLabError, PreconditionError, SpecParseError
 from .membership import convergence_verdict, finite_support_member, statistical_scan
 from .sequences import ArithSeq, RatioSpec
-from .suites import run_suite
+from .suites import plainify, run_suite
 from .witness import (
     arbault_witness,
     bad_interval_family,
@@ -36,19 +36,6 @@ from .witness import (
     nonmembership_partition,
 )
 from . import __version__
-
-
-def plainify(value):
-    """Reduce to JSON-safe exact data: fractions become 'p/q', no floats."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        raise PreconditionError("floats are not allowed in reports")
-    if isinstance(value, dict):
-        return {str(k): plainify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plainify(v) for v in value]
-    return value
 
 
 def canonical_json(obj) -> bytes:
@@ -166,11 +153,10 @@ def _cmd_classify(params: dict):
             seq, int(params.get("horizon", 1000)),
             Fraction(str(params.get("threshold", "1/100"))))
     elif check == "witness-set":
-        a_set = weakly_dli_witness_set(seq, int(params.get("jmax", 8)),
-                                       int(params.get("scan_limit", 10 ** 6)))
-        elems = list(a_set.iter_upto(a_set.to_intervals()[-1][1]))
         u, trace = witness_recursion(seq, int(params.get("jmax", 8)),
                                      int(params.get("scan_limit", 10 ** 6)))
+        # the witness set is {u_j + 1}; u is strictly increasing
+        elems = [v + 1 for v in u]
         report = {"check": check, "elements": elems, "recursion": u,
                   "trace": plainify(trace)}
         return ",".join(str(e) for e in elems), report, None

@@ -28,8 +28,3 @@ class HorizonError(CircleLabError, LookupError):
 
     exit_code = 4
 
-
-class CertificationError(CircleLabError):
-    """A verification suite found a counterexample."""
-
-    exit_code = 5

@@ -11,7 +11,6 @@ arithmetic terms a_k and block boundaries n_k from 0.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from pathlib import Path
 
@@ -51,18 +50,15 @@ class _BlockRatios:
         self._elems = _cube_block_elements(jmax)
         self._prev = next(self._elems)
         self._done = False
-        self._lock = threading.Lock()
 
     def term(self, n: int) -> int:
-        if not self._done and n > len(self._vals):
-            with self._lock:
-                while not self._done and n > len(self._vals):
-                    e = next(self._elems, None)
-                    if e is None:
-                        self._done = True
-                        break
-                    self._vals.append(e - self._prev + 1)
-                    self._prev = e
+        while not self._done and n > len(self._vals):
+            e = next(self._elems, None)
+            if e is None:
+                self._done = True
+                break
+            self._vals.append(e - self._prev + 1)
+            self._prev = e
         if n <= len(self._vals):
             return self._vals[n - 1]
         return 2
@@ -122,7 +118,13 @@ class RatioSpec:
 
     @classmethod
     def blocks(cls, jmax: int) -> "RatioSpec":
-        """Ratios realizing the cube-gap block set for jmax blocks, tail 2."""
+        """Ratios whose block boundaries enumerate the cube-gap set of density 1.
+
+        With the set enumerated as 1 = e_0 < e_1 < ..., choosing b_{k+1} =
+        e_{k+1} - e_k + 1 makes boundary(k) = e_k, so lifting any block-index
+        set lands exactly on the chosen target set. The spec covers jmax
+        blocks and then continues with ratio 2.
+        """
         return cls("blocks", jmax=jmax)
 
     def term(self, n: int) -> int:
@@ -249,46 +251,36 @@ def _parse_ratio_file(path: Path) -> RatioSpec:
 class ArithSeq:
     """Memoized exact terms of a_0 = 1, a_k = b_k * a_{k-1}.
 
-    Concurrent readers are safe: memo extension happens under a lock and is
-    idempotent, so a reader sees either an absent or a fully computed value.
+    Ratios and terms are computed on first access and kept for the life of
+    the object.
     """
 
     def __init__(self, spec: RatioSpec):
         self.spec = spec
         self._terms = [1]
         self._ratios: list[int] = []
-        # term() extends the memo under the lock and calls ratio(), which
-        # locks again; reentrancy keeps that safe
-        self._lock = threading.RLock()
         self._derived: DerivedSeq | None = None
 
     def ratio(self, n: int) -> int:
         """b_n for n >= 1."""
         if n < 1:
             raise PreconditionError(f"ratio index must be >= 1, got {n}")
-        if n > len(self._ratios):
-            with self._lock:
-                while n > len(self._ratios):
-                    self._ratios.append(self.spec.term(len(self._ratios) + 1))
+        while n > len(self._ratios):
+            self._ratios.append(self.spec.term(len(self._ratios) + 1))
         return self._ratios[n - 1]
 
     def term(self, k: int) -> int:
         """a_k for k >= 0."""
         if k < 0:
             raise PreconditionError(f"term index must be >= 0, got {k}")
-        if k >= len(self._terms):
-            with self._lock:
-                while k >= len(self._terms):
-                    j = len(self._terms)
-                    self._terms.append(self._terms[-1] * self.ratio(j))
+        while k >= len(self._terms):
+            self._terms.append(self._terms[-1] * self.ratio(len(self._terms)))
         return self._terms[k]
 
     @property
     def derived(self) -> "DerivedSeq":
         if self._derived is None:
-            with self._lock:
-                if self._derived is None:
-                    self._derived = DerivedSeq(self)
+            self._derived = DerivedSeq(self)
         return self._derived
 
     def describe(self) -> str:
@@ -304,27 +296,25 @@ class DerivedSeq:
     def __init__(self, base: ArithSeq):
         self.base = base
         self._bounds = [1]
-        self._lock = threading.Lock()
+
+    def _grow(self) -> None:
+        """Append the next boundary n_j = n_{j-1} + b_j - 1."""
+        bounds = self._bounds
+        bounds.append(bounds[-1] + self.base.ratio(len(bounds)) - 1)
 
     def boundary(self, k: int) -> int:
         """n_k, the derived index of a_k itself (n_0 = 1)."""
         if k < 0:
             raise PreconditionError(f"boundary index must be >= 0, got {k}")
-        if k >= len(self._bounds):
-            with self._lock:
-                while k >= len(self._bounds):
-                    j = len(self._bounds)
-                    self._bounds.append(self._bounds[-1] + self.base.ratio(j) - 1)
+        while k >= len(self._bounds):
+            self._grow()
         return self._bounds[k]
 
     def _block_index(self, i: int) -> int:
         if i < 1:
             raise PreconditionError(f"derived index must be >= 1, got {i}")
-        if self._bounds[-1] <= i:
-            with self._lock:
-                while self._bounds[-1] <= i:
-                    j = len(self._bounds)
-                    self._bounds.append(self._bounds[-1] + self.base.ratio(j) - 1)
+        while self._bounds[-1] <= i:
+            self._grow()
         return bisect_right(self._bounds, i) - 1
 
     def decompose(self, i: int) -> tuple[int, int]:

@@ -28,7 +28,20 @@ from .membership import convergence_verdict, statistical_scan
 from .sequences import ArithSeq, RatioSpec
 from .witness import arbault_witness, continuum_family_point
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["SUITES", "plainify", "run_suite"]
+
+
+def plainify(value):
+    """Reduce to JSON-safe exact data: fractions become 'p/q', no floats."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        raise PreconditionError("floats are not allowed in reports")
+    if isinstance(value, dict):
+        return {str(k): plainify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plainify(v) for v in value]
+    return value
 
 
 def _seq(spec_text: str) -> ArithSeq:
@@ -102,7 +115,7 @@ def lift_algebra(params: dict | None = None) -> dict:
             identities += 1
         if counterexample:
             break
-    return {"suite": "lift-algebra", "params": _plain(p), "identities": identities,
+    return {"suite": "lift-algebra", "params": plainify(p), "identities": identities,
             "pass": counterexample is None, "counterexample": counterexample}
 
 
@@ -137,7 +150,7 @@ def tail_bound(params: dict | None = None) -> dict:
                 break
         if counterexample:
             break
-    return {"suite": "tail-bound", "params": _plain(p), "rows": rows,
+    return {"suite": "tail-bound", "params": plainify(p), "rows": rows,
             "max_ratio": str(max_ratio), "pass": counterexample is None,
             "counterexample": counterexample}
 
@@ -177,7 +190,7 @@ def recursion(params: dict | None = None) -> dict:
                 break
         if counterexample:
             break
-    return {"suite": "recursion", "params": _plain(p), "checks": checks,
+    return {"suite": "recursion", "params": plainify(p), "checks": checks,
             "pass": counterexample is None, "counterexample": counterexample}
 
 
@@ -189,10 +202,10 @@ def snd_density(params: dict | None = None) -> dict:
     alpha = Fraction(p["alpha"])
     verdict = check_strongly_non_dli(seq, alpha, int(p["horizon"]))
     if not verdict.holds:
-        return {"suite": "snd-density", "params": _plain(p), "pass": False,
+        return {"suite": "snd-density", "params": plainify(p), "pass": False,
                 "counterexample": {"kind": "growth-condition",
                                    "verdict": verdict.verdict,
-                                   "witness": _plain(verdict.witness)}}
+                                   "witness": plainify(verdict.witness)}}
     rng = random.Random(int(p["seed"]))
     floor = Fraction(str(p["floor"]))
     min_density = None
@@ -211,7 +224,7 @@ def snd_density(params: dict | None = None) -> dict:
             counterexample = {"kind": "density", "a": elems, "N": horizon,
                               "density": str(dens), "floor": str(floor)}
             break
-    return {"suite": "snd-density", "params": _plain(p),
+    return {"suite": "snd-density", "params": plainify(p),
             "density_floor": str(alpha / (alpha + 1)),
             "densities": densities,
             "min_density": str(min_density) if min_density is not None else None,
@@ -239,7 +252,7 @@ def wdli_shrink(params: dict | None = None) -> dict:
     elif not last_ok:
         counterexample = {"kind": "last-bound", "hi": str(his[-1]),
                           "bound": str(p["last_bound"])}
-    return {"suite": "wdli-shrink", "params": _plain(p),
+    return {"suite": "wdli-shrink", "params": plainify(p),
             "witness_set": list(a_set.iter_upto(a_set.to_intervals()[-1][1])),
             "support": x.rule.describe(),
             "bounds": [{"N": e.N, "lo": str(e.lo), "hi": str(e.hi),
@@ -272,7 +285,7 @@ def coincidence(params: dict | None = None) -> dict:
         elif any(v < floor / 2 for v in los[1:]):
             counterexample = {"kind": "floor-decay",
                               "bounds": [str(v) for v in los]}
-    return {"suite": "coincidence", "params": _plain(p),
+    return {"suite": "coincidence", "params": plainify(p),
             "floor": str(los[0]),
             "bounds": [{"N": e.N, "lo": str(e.lo), "hi": str(e.hi),
                         "undecided": e.undecided_count} for e in scan.estimates],
@@ -295,19 +308,8 @@ def arbault(params: dict | None = None) -> dict:
     elif rep.extras.get("existence_failures"):
         counterexample = {"kind": "existence-failure",
                           "count": rep.extras["existence_failures"]}
-    return {"suite": "arbault", "params": _plain(p), "report": rep.to_report(),
+    return {"suite": "arbault", "params": plainify(p), "report": rep.to_report(),
             "pass": counterexample is None, "counterexample": counterexample}
-
-
-def _plain(value):
-    """Fractions to 'p/q' strings, tuples to lists, recursively."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 SUITES = {

@@ -140,6 +140,18 @@ def continuum_exceptional_set(a_set: NatSet, m: int, seq: ArithSeq) -> IntervalN
 # ===== Escape-band certification ============================================
 
 
+_LABELS = {"in": "certified", "out": "violation", "undecided": "undecided"}
+
+
+def _cert_row(cache: EnclosureCache, index: int, k: int, r: int,
+              band_lo: Fraction, band_hi: Fraction) -> CertRow:
+    """Judge {r * a_k * x} against the closed band; the row keeps its enclosure."""
+    verdict = cache.band_verdict(k, r, band_lo, band_hi)
+    # reads the window band_verdict just refined; no further refinement
+    enc = cache.interval(k, r)
+    return CertRow(index, enc.lo, enc.hi, _LABELS[verdict])
+
+
 class Partition(NamedTuple):
     """The digit-size partition of the working index set."""
 
@@ -278,10 +290,7 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
     rows = []
     for i in bad.iter_upto(horizon):
         k, r = derived.decompose(i)
-        verdict = cache.band_verdict(k, r, band_lo, band_hi)
-        enc = cache.interval(k, r)
-        label = {"in": "certified", "out": "violation", "undecided": "undecided"}[verdict]
-        rows.append(CertRow(i, enc.lo, enc.hi, label))
+        rows.append(_cert_row(cache, i, k, r, band_lo, band_hi))
     report = WitnessReport(
         name="escape-band",
         params={"case": case, "m0": m0, "n0": n0, "depth": t, "horizon": horizon,
@@ -377,14 +386,7 @@ def arbault_witness(seq: ArithSeq, u_list: Sequence[int], rows: int = 20,
         e_check = b - m * c
         if not 1 <= e_check <= m - 1:
             existence_failures += 1
-        enc = cache.interval(k, v)
-        if enc.undecided:
-            verdict = "undecided"
-        elif band_lo <= enc.lo and enc.hi <= band_hi:
-            verdict = "certified"
-        else:
-            verdict = "violation"
-        out_rows.append(CertRow(pick + 1, enc.lo, enc.hi, verdict))
+        out_rows.append(_cert_row(cache, pick + 1, k, v, band_lo, band_hi))
     report = WitnessReport(
         name="aligned-digit-witness",
         params={"rows": rows, "depth": depth, "band_lo": band_lo,

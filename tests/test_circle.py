@@ -269,19 +269,56 @@ def test_cache_verdicts_are_order_independent():
     assert verdicts_fwd == list(reversed(verdicts_bwd))
 
 
-def test_cache_band_verdict_agrees_with_truth():
-    value = Fraction(1, 3)
-    x = digits_from_rational(value, POW2, horizon=60)
-    cache = EnclosureCache(x, depth=4)
-    lo, hi = Fraction(1, 8), Fraction(7, 8)
-    for k in range(6):
-        for r in range(1, POW2.ratio(k + 1)):
-            v = cache.band_verdict(k, r, lo, hi)
-            truth = mod1(r * POW2.term(k) * value)
-            if v == "in":
-                assert lo <= truth <= hi
-            elif v == "out":
-                assert truth < lo or truth > hi
+_SPECS = {text: ArithSeq(RatioSpec.parse(text))
+          for text in ("const:2", "const:3", "linear:1", "pow:2")}
+
+
+@st.composite
+def bands(draw):
+    q = draw(st.integers(1, 32))
+    ends = sorted(Fraction(draw(st.integers(0, q)), q) for _ in range(2))
+    return ends[0], ends[1]
+
+
+@given(spec=st.sampled_from(sorted(_SPECS)), q=st.integers(2, 500),
+       p_seed=st.integers(0, 10 ** 6), horizon=st.integers(4, 48),
+       rows=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4096)),
+                     min_size=1, max_size=8),
+       depth=st.integers(0, 8), cap=st.integers(0, 24), band=bands(),
+       pin_edge=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
+                                              depth, cap, band, pin_edge):
+    # differential check of the shared refinement kernel: a scan-style shared
+    # cache and a fresh per-call enclosure against the exact Fraction value
+    seq = _SPECS[spec]
+    value = Fraction(p_seed % q, q)
+    x = parse_point(f"rat:{value.numerator}/{value.denominator}", seq, horizon)
+    lo, hi = band
+    if pin_edge:
+        # a band edge on the first row's exact value probes the closed edges
+        k, r = rows[0]
+        lo, hi = sorted((mod1(r * seq.term(k) * value), hi))
+    shared = EnclosureCache(x, depth=depth, cap=cap)
+    for k, r in rows:
+        truth = mod1(r * seq.term(k) * value)
+        v = shared.band_verdict(k, r, lo, hi)
+        if v == "in":
+            assert lo <= truth <= hi
+        elif v == "out":
+            assert truth < lo or truth > hi
+        else:
+            assert v == "undecided" and not shared.exact_mode
+        fresh = mult_frac_bound(x, k, r, t=depth, cap=cap)
+        for J in (shared.interval(k, r), fresh):
+            if not J.undecided:
+                assert J.lo <= truth <= J.hi
+        if fresh.undecided:
+            continue
+        if lo <= fresh.lo and fresh.hi <= hi:
+            assert v != "out"
+        elif fresh.hi < lo or fresh.lo > hi:
+            assert v != "in"
 
 
 def test_cache_refinement_only_deepens():

@@ -9,7 +9,6 @@ from circlelab.classify import (
     HOLDS,
     INCONCLUSIVE,
     b_bounded_split,
-    build_dli_counterexample,
     check_b_bounded,
     check_strongly_non_dli,
     check_weakly_dli_condition,
@@ -18,7 +17,7 @@ from circlelab.classify import (
 )
 from circlelab.density import FiniteNatSet, evens
 from circlelab.errors import PreconditionError
-from circlelab.sequences import ArithSeq, RatioSpec
+from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -109,9 +108,14 @@ def test_weakly_dli_condition_needs_decade():
 
 
 def test_dli_counterexample_spec():
-    spec = build_dli_counterexample(6)
-    assert spec == RatioSpec.blocks(6)
+    spec = RatioSpec.blocks(6)
     assert spec.eventually_two()
+    # boundary(k) = e_k: the block boundaries enumerate the cube-gap set
+    elems = []
+    for _, (g, h) in zip(range(6), cube_block_edges()):
+        elems.extend(range(g, h + 1))
+    derived = ArithSeq(spec).derived
+    assert [derived.boundary(k) for k in range(len(elems))] == elems
 
 
 # ----- witness recursion -----------------------------------------------------

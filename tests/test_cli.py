@@ -59,6 +59,25 @@ def test_classify_terse(capsys):
     assert out.out == "2,5,9,17,32,55,90,139\n"
 
 
+def test_witness_set_runs_recursion_once(capsys, monkeypatch):
+    import circlelab.classify
+    import circlelab.cli
+
+    real = circlelab.classify.witness_recursion
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circlelab.classify, "witness_recursion", counted)
+    monkeypatch.setattr(circlelab.cli, "witness_recursion", counted)
+    out = capture(capsys, "classify", "--spec", "linear:1", "--check",
+                  "witness-set", "--jmax", "8")
+    assert out.out == "2,5,9,17,32,55,90,139\n"
+    assert len(calls) == 1
+
+
 def test_classify_failing_check_still_exits_zero(capsys):
     # a verdict is an answer, not an error
     out = capture(capsys, "classify", "--spec", "const:2", "--check", "snd")
