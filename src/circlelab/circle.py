@@ -566,11 +566,7 @@ class EnclosureCache:
 
     def interval(self, k: int, r: int) -> BoundInterval:
         """Enclosure of {r * a_k * x}, refined as far as the cap allows."""
-        window, _ = self._refine(k, r)
-        if window is None:
-            return BoundInterval(_ZERO, _ONE, undecided=True)
-        lo, hi, den = window
-        return BoundInterval(Fraction(lo, den), Fraction(hi, den))
+        return _enclosure(self._refine(k, r)[0])
 
     def band_verdict(self, k: int, r: int, band_lo: Fraction, band_hi: Fraction) -> str:
         """Classify {r * a_k * x} against the closed band [band_lo, band_hi].
@@ -579,9 +575,146 @@ class EnclosureCache:
         when it is disjoint from the band, else "undecided". Conservative at
         exact band edges for infinite-support points; exact otherwise.
         """
-        band = (band_lo.numerator, band_lo.denominator,
-                band_hi.numerator, band_hi.denominator)
-        return self._refine(k, r, band)[1]
+        return self._refine(k, r, _band(band_lo, band_hi))[1]
+
+    def judge(self, k: int, r: int, band_lo: Fraction,
+              band_hi: Fraction) -> tuple[BoundInterval, str]:
+        """``band_verdict`` together with the enclosure it was judged on.
+
+        One refinement yields both; the enclosure equals what ``interval``
+        returns right after ``band_verdict``.
+        """
+        window, side = self._refine(k, r, _band(band_lo, band_hi))
+        return _enclosure(window), side
+
+    def band_counts(self, k: int, r0: int, r1: int, band_lo: Fraction,
+                    band_hi: Fraction) -> tuple[int, int, list[int]]:
+        """Verdicts of the rows r0..r1 of block k against [band_lo, band_hi].
+
+        Returns (n_in, n_out, the undecided r in increasing order), exactly
+        what ``band_verdict`` row by row would give, for a band inside
+        [0, 1). One window num/den serves the block; with
+        lo_r = r * num mod den, the widest row's width w (r1, or 0 for an
+        exact point) and [A, B] the integers of den * [band_lo, band_hi], a
+        row is certainly in when lo_r lies in [A, B - w] and certainly out
+        when it lies in [0, A - 1 - w] or [B + 1, den - w]. Enclosures nest
+        under refinement, so these verdicts are final. The in rows and the
+        rows of the three edge strips left over are counted with floor sums;
+        the edge rows are listed exactly and judged by ``band_verdict``;
+        every other row is out.
+        """
+        if self.exact_mode:
+            y = self._exact_value(k)
+            num, den, w = y.numerator, y.denominator, 0
+        else:
+            max_depth = self._max_depth(k)
+            if max_depth < 0:
+                return 0, 0, list(range(r0, r1 + 1))
+            num, den, _ = self._window_at(k, min(self.depth, max_depth))
+            w = r1
+        A = -(-band_lo.numerator * den // band_lo.denominator)
+        B = band_hi.numerator * den // band_hi.denominator
+        # cuts of [0, den]: out | edge | in | edge | out | edge
+        cuts = (max(A - w, 0), A, max(B - w + 1, A), B + 1,
+                min(max(den - w + 1, B + 1), den), den)
+        # g[j] = sum over the rows of floor((r * num - cuts[j]) / den), so
+        # g[j] - g[j + 1] counts the rows with cuts[j] <= lo_r < cuts[j + 1]
+        n, base = r1 - r0 + 1, num * r0
+        g = [_floor_sum(n, den, num, base - c) for c in cuts]
+        n_in = g[1] - g[2]
+        edge = []
+        for j in (0, 2, 4):
+            if g[j] > g[j + 1]:
+                edge += _hits(num, den, cuts[j], cuts[j + 1] - 1, r0, g[j] - g[j + 1])
+        edge.sort()
+        undecided = []
+        for r in edge:
+            side = self.band_verdict(k, r, band_lo, band_hi)
+            if side == "in":
+                n_in += 1
+            elif side == "undecided":
+                undecided.append(r)
+        return n_in, n - n_in - len(undecided), undecided
+
+
+def _band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
+    return (band_lo.numerator, band_lo.denominator,
+            band_hi.numerator, band_hi.denominator)
+
+
+def _enclosure(window: tuple[int, int, int] | None) -> BoundInterval:
+    """The BoundInterval of a kernel window; None is the undecided [0, 1]."""
+    if window is None:
+        return BoundInterval(_ZERO, _ONE, undecided=True)
+    lo, hi, den = window
+    return BoundInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+# ===== Lattice points of r * a mod m ==========================================
+# The batched scan counts and lists the rows r with a * r mod m in an interval.
+# Counting uses the Euclid-style floor sum of the AtCoder Library
+# (atcoder/math.hpp, floor_sum_unsigned); each routine takes O(log m) steps.
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1, any a and b."""
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            q, a = divmod(a, m)
+            total += q * (n * (n - 1) // 2)
+        if not 0 <= b < m:
+            q, b = divmod(b, m)
+            total += q * n
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        # count the lattice points under the line with the axes swapped
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _least_hit(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Least x >= 0 with lo <= a*x mod m <= hi (0 <= lo <= hi < m), or None.
+
+    Unless a multiple of a lands in [lo, hi], the interval lies strictly
+    between two multiples of a. Then a*x - m*y lands in it exactly for the
+    least y >= 0 with (m*y mod a) in [-hi mod a, -lo mod a], and x is
+    ceil((lo + m*y) / a): the same problem for the pair (a, m mod a).
+    """
+    frames = []
+    while True:
+        a %= m
+        if lo == 0:
+            x = 0
+            break
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        frames.append((a, m, lo))
+        a, m, lo, hi = m, a, -hi % a, -lo % a
+    for a, m, lo in reversed(frames):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
+def _hits(a: int, m: int, lo: int, hi: int, r: int, count: int) -> list[int]:
+    """The first ``count`` r' >= r with lo <= a*r' mod m <= hi, increasing.
+
+    Needs 0 <= lo <= hi < m and at least ``count`` such r'; with the count
+    known in advance, no search runs past the last hit.
+    """
+    out = []
+    for _ in range(count):
+        s = a * r % m
+        if not lo <= s <= hi:
+            # s lies outside [lo, hi], so the interval shifted by -s does not wrap
+            r += _least_hit(a, m, (lo - s) % m, (hi - s) % m)
+        out.append(r)
+        r += 1
+    return out
 
 
 # ===== Digit-rule parsing ====================================================

@@ -54,11 +54,35 @@ def _point_of(params: dict, seq: ArithSeq) -> CirclePoint:
     rule = params.get("x")
     if not rule:
         raise SpecParseError("--x is required")
-    return parse_point(str(rule), seq, int(params.get("expand", 256)))
+    return parse_point(str(rule), seq, _int(params, "expand", 256))
 
 
-def _ints(text) -> list[int]:
-    return [int(v) for v in str(text).split(",") if v.strip()]
+def _int(params: dict, key: str, default) -> int:
+    """params[key] (or the default) as an int; SpecParseError when it is not one."""
+    raw = params.get(key, default)
+    try:
+        return int(str(raw))
+    except ValueError as exc:
+        raise SpecParseError(f"{key} must be an integer, got {raw!r}") from exc
+
+
+def _frac(params: dict, key: str, default) -> Fraction:
+    """params[key] (or the default) as a Fraction; SpecParseError when it is not one."""
+    raw = params.get(key, default)
+    try:
+        return Fraction(str(raw))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecParseError(f"{key} must be a fraction p/q, got {raw!r}") from exc
+
+
+def _ints(params: dict, key: str, default) -> list[int]:
+    """params[key] (or the default) as a comma-separated list of ints."""
+    raw = params.get(key, default)
+    try:
+        return [int(v) for v in str(raw).split(",") if v.strip()]
+    except ValueError as exc:
+        raise SpecParseError(
+            f"{key} must be comma-separated integers, got {raw!r}") from exc
 
 
 def _runs(values) -> str:
@@ -81,7 +105,7 @@ def _runs(values) -> str:
 def _cmd_seq(params: dict):
     seq = _seq_of(params)
     kind = str(params.get("kind", "d"))
-    count = int(params.get("count", 10))
+    count = _int(params, "count", 10)
     if count < 1:
         raise PreconditionError("--count must be >= 1")
     if kind == "d":
@@ -105,7 +129,7 @@ def _cmd_lift(params: dict):
         raise SpecParseError("--set is required")
     s = parse_set_expr(str(expr), seq)
     lifted = lift(s, seq.derived)
-    horizon = int(params.get("horizon", 1000))
+    horizon = _int(params, "horizon", 1000)
     try:
         intervals = lifted.to_intervals()
         clipped = False
@@ -126,11 +150,10 @@ def _cmd_lift(params: dict):
 def _cmd_scan(params: dict):
     seq = _seq_of(params)
     x = _point_of(params, seq)
-    eps = Fraction(str(params.get("eps", "1/10")))
-    horizons = _ints(params.get("horizons", "1000"))
-    cap = params.get("cap")
-    scan = statistical_scan(x, eps, horizons, int(params.get("depth", 8)),
-                            int(cap) if cap is not None else None)
+    eps = _frac(params, "eps", "1/10")
+    horizons = _ints(params, "horizons", "1000")
+    cap = _int(params, "cap", None) if params.get("cap") is not None else None
+    scan = statistical_scan(x, eps, horizons, _int(params, "depth", 8), cap)
     verdict = convergence_verdict(scan)
     terse = "\n".join(f"{e.lo},{e.hi}" for e in scan.estimates)
     report = scan.to_report()
@@ -143,18 +166,18 @@ def _cmd_classify(params: dict):
     check = str(params.get("check", ""))
     if check == "b-bounded":
         s = parse_set_expr(str(params.get("set", "all")), seq)
-        v = check_b_bounded(seq, s, int(params.get("bound", 2)),
-                            int(params.get("horizon", 100)))
+        v = check_b_bounded(seq, s, _int(params, "bound", 2),
+                            _int(params, "horizon", 100))
     elif check == "snd":
-        v = check_strongly_non_dli(seq, Fraction(str(params.get("alpha", 1))),
-                                   int(params.get("horizon", 30)))
+        v = check_strongly_non_dli(seq, _frac(params, "alpha", 1),
+                                   _int(params, "horizon", 30))
     elif check == "wdli":
         v = check_weakly_dli_condition(
-            seq, int(params.get("horizon", 1000)),
-            Fraction(str(params.get("threshold", "1/100"))))
+            seq, _int(params, "horizon", 1000),
+            _frac(params, "threshold", "1/100"))
     elif check == "witness-set":
-        u, trace = witness_recursion(seq, int(params.get("jmax", 8)),
-                                     int(params.get("scan_limit", 10 ** 6)))
+        u, trace = witness_recursion(seq, _int(params, "jmax", 8),
+                                     _int(params, "scan_limit", 10 ** 6))
         # the witness set is {u_j + 1}; u is strictly increasing
         elems = [v + 1 for v in u]
         report = {"check": check, "elements": elems, "recursion": u,
@@ -174,13 +197,13 @@ def _cmd_witness(params: dict):
     seq = _seq_of(params)
     op = str(params.get("op", ""))
     if op == "factor":
-        u = int(params.get("u", 0))
+        u = _int(params, "u", 0)
         k, v = factor_u(u, seq)
         return f"{k},{v}", {"op": op, "u": u, "k": k, "v": v}, None
     if op == "factor-batch":
-        rng = random.Random(int(params.get("seed", 907)))
-        trials = int(params.get("trials", 500))
-        umax = int(params.get("umax", 10 ** 9))
+        rng = random.Random(_int(params, "seed", 907))
+        trials = _int(params, "trials", 500)
+        umax = _int(params, "umax", 10 ** 9)
         rows = []
         bad = None
         for _ in range(trials):
@@ -195,9 +218,9 @@ def _cmd_witness(params: dict):
         terse = f"ok={sum(1 for r in rows if r['ok'])}/{trials}"
         return terse, report, None if bad is None else f"factorization failed: {bad}"
     if op == "family":
-        a_set = weakly_dli_witness_set(seq, int(params.get("jmax", 8)),
-                                       int(params.get("scan_limit", 10 ** 6)))
-        zeta = tuple(_ints(params.get("zeta", "0,1,0")))
+        a_set = weakly_dli_witness_set(seq, _int(params, "jmax", 8),
+                                       _int(params, "scan_limit", 10 ** 6))
+        zeta = tuple(_ints(params, "zeta", "0,1,0"))
         x = continuum_family_point(a_set, zeta, seq)
         support = [n for n in range(1, (x.finite_support_max() or 0) + 1)
                    if x.digit(n)]
@@ -206,10 +229,10 @@ def _cmd_witness(params: dict):
         return ",".join(str(n) for n in support), report, None
     if op == "partition":
         x = _point_of(params, seq)
-        part = nonmembership_partition(x, int(params.get("m0", 10)),
-                                       int(params.get("n0", 13)),
-                                       int(params.get("blocks", 14)))
-        h = int(params.get("blocks", 14))
+        part = nonmembership_partition(x, _int(params, "m0", 10),
+                                       _int(params, "n0", 13),
+                                       _int(params, "blocks", 14))
+        h = _int(params, "blocks", 14)
         report = {"op": op, "branch": part.branch,
                   "a1": list(part.a1.iter_upto(h)),
                   "a2": list(part.a2.iter_upto(h)),
@@ -219,18 +242,18 @@ def _cmd_witness(params: dict):
         return terse, report, None
     if op == "escape":
         x = _point_of(params, seq)
-        m0 = int(params.get("m0", 10))
-        n0 = int(params.get("n0", 13))
-        blocks = int(params.get("blocks", 14))
+        m0 = _int(params, "m0", 10)
+        n0 = _int(params, "n0", 13)
+        blocks = _int(params, "blocks", 14)
         case = str(params.get("case", "small"))
         part = nonmembership_partition(x, m0, n0, blocks)
         branch = part.a1 if case == "small" else part.a2
         horizon = params.get("horizon")
-        n_limit = (int(horizon) if horizon is not None
+        n_limit = (_int(params, "horizon", None) if horizon is not None
                    else seq.derived.boundary(blocks) - 1)
         bad = bad_interval_family(x, branch, case, m0, n0, n_limit)
         rep = certify_nonmembership(x, bad, case, m0, n0,
-                                    int(params.get("depth", 8)), n_limit)
+                                    _int(params, "depth", 8), n_limit)
         certified_fraction = Fraction(rep.certified, n_limit)
         branch_density = Fraction(
             lift(branch, seq.derived).count_upto(n_limit), n_limit)
@@ -248,14 +271,13 @@ def _cmd_witness(params: dict):
             fail = f"certification produced {rep.violations} violation rows"
         return terse, doc, fail
     if op == "aligned":
-        count = int(params.get("count", 60))
-        u_param = params.get("u_list")
-        if u_param is not None:
-            u_list = _ints(u_param)
+        count = _int(params, "count", 60)
+        if params.get("u_list") is not None:
+            u_list = _ints(params, "u_list", None)
         else:
             u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, count + 1)]
-        rep = arbault_witness(seq, u_list, rows=int(params.get("rows", 20)),
-                              depth=int(params.get("depth", 8)))
+        rep = arbault_witness(seq, u_list, rows=_int(params, "rows", 20),
+                              depth=_int(params, "depth", 8))
         doc = rep.to_report()
         doc["op"] = op
         terse = (f"certified={rep.certified},violations={rep.violations},"
@@ -298,12 +320,22 @@ _HANDLERS = {
 }
 
 
+def _params_of(config) -> dict:
+    """A copy of the params of a config, both checked to be JSON objects."""
+    if not isinstance(config, dict):
+        raise SpecParseError("a config must be a JSON object")
+    params = config.get("params") or {}
+    if not isinstance(params, dict):
+        raise SpecParseError("config params must be a JSON object")
+    return dict(params)
+
+
 def run_config(config: dict):
     """Dispatch a config dict; returns (terse, report, fail_message)."""
+    params = _params_of(config)
     sub = config.get("subcommand")
     if sub not in _HANDLERS:
         raise SpecParseError(f"unknown subcommand {sub!r}")
-    params = dict(config.get("params") or {})
     return _HANDLERS[sub](params)
 
 
@@ -408,14 +440,17 @@ def main(argv=None) -> int:
     try:
         file_cfg = {}
         if args.config:
-            with open(args.config, "r", encoding="ascii") as fh:
-                file_cfg = json.load(fh)
+            try:
+                with open(args.config, "r", encoding="ascii") as fh:
+                    file_cfg = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise SpecParseError(f"cannot read config {args.config}: {exc}") from exc
         if args.subcommand == "run":
             if not file_cfg:
                 raise SpecParseError("run needs --config")
             config = file_cfg
         else:
-            params = dict(file_cfg.get("params") or {})
+            params = _params_of(file_cfg)
             for key, val in vars(args).items():
                 if key in _META or val is None:
                     continue

@@ -87,7 +87,12 @@ class NatSet:
         return NotImplemented
 
     def __hash__(self):
-        return id(self)
+        # equal sets hash alike: by intervals when __eq__ compares them,
+        # by identity where __eq__ falls back to it
+        try:
+            return hash(self.to_intervals())
+        except PreconditionError:
+            return id(self)
 
 
 def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

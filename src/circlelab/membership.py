@@ -113,10 +113,11 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
                      cap: Optional[int] = None) -> ScanResult:
     """Count i <= N with ||d_i x|| >= eps, three-way, at each horizon.
 
-    One pass over derived indices; the enclosure for a block is shared by
-    all its rows and refined only when a verdict stays undecided, up to the
-    cap. Counts are monotone under refinement, so bounds at successive
-    horizons come from the same pass.
+    One pass over derived indices, one block segment at a time: the rows of
+    a block between horizons are counted together by
+    ``EnclosureCache.band_counts``, which refines only the rows near a band
+    edge, up to the cap. Counts are monotone under refinement, so bounds at
+    successive horizons come from the same pass.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
@@ -145,16 +146,16 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
                 n_out += N - i + 1
                 i = N + 1
                 break
-            k, r = derived.decompose(i)
-            v = cache.band_verdict(k, r, band_lo, band_hi)
-            if v == "in":
-                n_in += 1
-            elif v == "out":
-                n_out += 1
-            else:
-                n_und += 1
-                result.undecided_rows.append(i)
-            i += 1
+            k, r0 = derived.decompose(i)
+            end = min(N, derived.boundary(k + 1) - 1)
+            seg_in, seg_out, undecided = cache.band_counts(
+                k, r0, r0 + end - i, band_lo, band_hi)
+            n_in += seg_in
+            n_out += seg_out
+            if undecided:
+                n_und += len(undecided)
+                result.undecided_rows.extend(i - r0 + r for r in undecided)
+            i = end + 1
         result.estimates.append(DensityEstimate(N, n_in, n_out, n_und))
     return result
 

@@ -146,9 +146,7 @@ _LABELS = {"in": "certified", "out": "violation", "undecided": "undecided"}
 def _cert_row(cache: EnclosureCache, index: int, k: int, r: int,
               band_lo: Fraction, band_hi: Fraction) -> CertRow:
     """Judge {r * a_k * x} against the closed band; the row keeps its enclosure."""
-    verdict = cache.band_verdict(k, r, band_lo, band_hi)
-    # reads the window band_verdict just refined; no further refinement
-    enc = cache.interval(k, r)
+    enc, verdict = cache.judge(k, r, band_lo, band_hi)
     return CertRow(index, enc.lo, enc.hi, _LABELS[verdict])
 
 

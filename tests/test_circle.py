@@ -300,9 +300,12 @@ def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
         k, r = rows[0]
         lo, hi = sorted((mod1(r * seq.term(k) * value), hi))
     shared = EnclosureCache(x, depth=depth, cap=cap)
+    judged = EnclosureCache(x, depth=depth, cap=cap)
     for k, r in rows:
         truth = mod1(r * seq.term(k) * value)
         v = shared.band_verdict(k, r, lo, hi)
+        # one refinement gives the verdict and the enclosure interval re-reads
+        assert judged.judge(k, r, lo, hi) == (shared.interval(k, r), v)
         if v == "in":
             assert lo <= truth <= hi
         elif v == "out":

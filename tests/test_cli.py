@@ -145,6 +145,28 @@ def test_unknown_verify_tag():
     run_cli("verify", "no-such-suite", expect=3)
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--spec", "linear:1", "--x", "rat:1/6", "--eps", "abc"),
+    ("scan", "--spec", "linear:1", "--x", "rat:1/6", "--eps", "1/0"),
+    ("scan", "--spec", "linear:1", "--x", "rat:1/6", "--horizons", "10,x"),
+    ("scan", "--spec", "linear:1", "--x", "rat:1/6", "--cap", "deep"),
+    ("seq", "--spec", "linear:1", "--count", "abc"),
+    ("witness", "--spec", "linear:1", "--op", "aligned", "--u-list", "3,a"),
+])
+def test_bad_numbers_exit_2(capsys, argv):
+    assert "must be" in capture(capsys, *argv, expect=2).err
+
+
+@pytest.mark.parametrize("text", ["[1]", '{"subcommand": ', '"scan"',
+                                  '{"subcommand": "scan", "params": [1]}'])
+def test_bad_config_files_exit_2(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    capture(capsys, "run", "--config", str(cfg), expect=2)
+    capture(capsys, "scan", "--config", str(cfg), expect=2)
+    capture(capsys, "run", "--config", str(tmp_path / "missing.json"), expect=2)
+
+
 def test_unknown_subcommand_usage_error():
     proc = subprocess.run(CLI + ["frobnicate"], capture_output=True, text=True)
     assert proc.returncode == 2  # argparse usage failure

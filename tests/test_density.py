@@ -53,6 +53,11 @@ def test_interval_set_merges_and_counts():
 
 def test_finite_equals_interval_form():
     assert FiniteNatSet([1, 2, 3]) == IntervalNatSet([(1, 3)])
+    # equal sets hash alike, so a set of NatSets keeps one of them
+    assert len({FiniteNatSet([1, 2, 3]), IntervalNatSet([(1, 3)])}) == 1
+    assert len({FiniteNatSet([1, 3]), IntervalNatSet([(1, 3)])}) == 2
+    lazy = LazyIntervalNatSet(lambda: iter([(1, 3)]))
+    assert len({lazy, lazy, IntervalNatSet([(1, 3)])}) == 2
     assert FiniteNatSet([1, 3]) != IntervalNatSet([(1, 3)])
 
 

@@ -3,8 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from circlelab.circle import parse_point
+from circlelab.circle import (
+    EnclosureCache,
+    _floor_sum,
+    _hits,
+    _least_hit,
+    parse_point,
+)
 from circlelab.classify import weakly_dli_witness_set
 from circlelab.density import DensityEstimate
 from circlelab.errors import PreconditionError
@@ -123,6 +130,109 @@ def test_scan_report_shape():
     assert doc["eps"] == "1/10"
     assert doc["bounds"][0]["lo"] == "3/100"
     assert doc["spec"] == "linear:1"
+
+
+# ----- batched scan against the row-by-row scan ---------------------------------
+
+def per_row_scan(x, eps, horizons, depth=8, cap=None):
+    """The row-by-row scan: one band_verdict per derived index, shared cache."""
+    cache = EnclosureCache(x, depth=depth, cap=cap)
+    derived = x.seq.derived
+    tally = {"in": 0, "out": 0, "undecided": 0}
+    estimates, undecided = [], []
+    i = 1
+    for N in sorted(set(horizons)):
+        while i <= N:
+            k, r = derived.decompose(i)
+            verdict = cache.band_verdict(k, r, eps, 1 - eps)
+            tally[verdict] += 1
+            if verdict == "undecided":
+                undecided.append(i)
+            i += 1
+        estimates.append((N, tally["in"], tally["out"], tally["undecided"]))
+    return estimates, undecided
+
+
+def counts(scan):
+    return [(e.N, e.in_count, e.out_count, e.undecided_count)
+            for e in scan.estimates]
+
+
+_SCAN_SPECS = ("const:2", "const:3", "linear:1", "pow:2", "pow:3")
+
+
+@st.composite
+def scan_points(draw):
+    """A spec and a point on it: infinite, capped, exact or finite digits."""
+    seq = ArithSeq(RatioSpec.parse(draw(st.sampled_from(_SCAN_SPECS))))
+    form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
+                                 "exact", "finite")))
+    if form == "rat":
+        q = draw(st.integers(2, 400))
+        p = draw(st.integers(1, q - 1))
+        return parse_point(f"rat:{p}/{q}", seq, draw(st.integers(1, 24)))
+    if form == "exact":
+        q = seq.term(draw(st.integers(1, 4)))
+        return parse_point(f"exact:{draw(st.integers(0, q - 1))}/{q}", seq)
+    if form == "finite":
+        digits = [draw(st.integers(0, seq.ratio(n) - 1))
+                  for n in range(1, draw(st.integers(0, 6)) + 1)]
+        return parse_point("finite:[" + ",".join(map(str, digits)) + "]", seq)
+    try:
+        return parse_point(form, seq)
+    except PreconditionError:  # ones-on:all is non-canonical under const:2
+        assume(False)
+
+
+@given(x=scan_points(), q=st.integers(3, 40), depth=st.integers(0, 8),
+       cap=st.integers(0, 12),
+       horizons=st.lists(st.integers(1, 1500), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_batched_scan_matches_per_row_scan(x, q, depth, cap, horizons):
+    eps = Fraction(1, q)
+    scan = statistical_scan(x, eps, horizons, depth, cap)
+    want, undecided = per_row_scan(x, eps, horizons, depth, cap)
+    assert counts(scan) == want
+    assert scan.undecided_rows == undecided
+
+
+def test_batched_scan_refines_edge_rows():
+    # start depth 0 leaves many rows near a band edge at the first window
+    x = parse_point("rat:5/7", POW2, horizon=30)
+    scan = statistical_scan(x, Fraction(1, 3), [40, 3000], depth=0, cap=6)
+    want, undecided = per_row_scan(x, Fraction(1, 3), [40, 3000], depth=0, cap=6)
+    assert counts(scan) == want and scan.undecided_rows == undecided
+    assert 0 < len(undecided) < 3000
+
+
+def test_pow2_scan_reaches_huge_horizon():
+    x = parse_point("ones-on:all", POW2)
+    eps = Fraction(1, 8)
+    horizons = [100, 5000, 10 ** 12]
+    scan = statistical_scan(x, eps, horizons)
+    for e in scan.estimates:
+        assert e.in_count + e.out_count + e.undecided_count == e.N
+    want, _ = per_row_scan(x, eps, horizons[:2])
+    assert counts(scan)[:2] == want
+
+
+@given(n=st.integers(0, 40), m=st.integers(1, 60), a=st.integers(-200, 200),
+       b=st.integers(-200, 200))
+@settings(max_examples=300, deadline=None)
+def test_floor_sum_matches_brute_force(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@given(m=st.integers(1, 80), a=st.integers(0, 200), lo=st.integers(0, 79),
+       width=st.integers(0, 79), r=st.integers(0, 100))
+@settings(max_examples=300, deadline=None)
+def test_hit_search_matches_brute_force(m, a, lo, width, r):
+    lo = lo % m
+    hi = min(lo + width, m - 1)
+    hits = [x for x in range(2 * m) if lo <= a * x % m <= hi]
+    assert _least_hit(a, m, lo, hi) == (hits[0] if hits else None)
+    want = [x for x in range(r, r + 2 * m) if lo <= a * x % m <= hi]
+    assert _hits(a, m, lo, hi, r, len(want)) == want
 
 
 # ----- convergence heuristics --------------------------------------------------
