@@ -22,6 +22,7 @@ from typing import Iterable, Mapping
 
 from .density import FiniteNatSet, NatSet, PredicateNatSet, parse_set_expr
 from .errors import HorizonError, PreconditionError, SpecParseError
+from .parse import enclosed, fraction, integer, integers
 from .sequences import ArithSeq
 
 __all__ = [
@@ -52,11 +53,15 @@ _HALF = Fraction(1, 2)
 
 
 def default_depth_cap() -> int:
-    """Refinement depth cap for undecided multiplications; env-overridable."""
-    raw = os.environ.get("CIRCLELAB_DEPTH_CAP", "")
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return 64
+    """Refinement depth cap for undecided multiplications.
+
+    CIRCLELAB_DEPTH_CAP when it holds a positive integer, else 64.
+    """
+    try:
+        cap = integer(os.environ.get("CIRCLELAB_DEPTH_CAP", ""), "CIRCLELAB_DEPTH_CAP")
+    except SpecParseError:
+        return 64
+    return cap if cap > 0 else 64
 
 
 @dataclass(frozen=True)
@@ -731,15 +736,7 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
     text = text.strip()
     if text.startswith("rat:") or text.startswith("exact:"):
         strict = text.startswith("exact:")
-        body = text.partition(":")[2]
-        if "/" in body:
-            p, _, q = body.partition("/")
-        else:
-            p, q = body, "1"
-        try:
-            value = Fraction(int(p), int(q))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecParseError(f"bad rational {body!r}") from exc
+        value = fraction(text.partition(":")[2], "a rational point")
         x = digits_from_rational(value, seq, horizon)
         if strict and x.finite_support_max() is None:
             raise HorizonError(
@@ -749,32 +746,19 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
             )
         return x
     if text.startswith("finite:"):
-        body = text[7:].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise SpecParseError("finite digits must be bracketed, e.g. finite:[0,1,1]")
-        inner = body[1:-1].strip()
-        try:
-            digits = [int(v) for v in inner.split(",")] if inner else []
-        except ValueError as exc:
-            raise SpecParseError(f"bad digit list {body!r}") from exc
+        digits = integers(enclosed(text[7:], "[]", "finite digits"), "finite digits")
         return CirclePoint(seq, FiniteDigits(digits))
     if text.startswith("ones-on:"):
         support = parse_set_expr(text[8:], seq)
         return CirclePoint(seq, IndicatorDigits(support))
     if text.startswith("floor-div:m="):
-        body = text[12:].strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise SpecParseError("floor-div needs the form floor-div:m={n:m,...}")
-        inner = body[1:-1].strip()
+        inner = enclosed(text[12:], "{}", "floor-div divisors")
         divisors = {}
-        if inner:
+        if inner.strip():
             for pair in inner.split(","):
                 key, sep, val = pair.partition(":")
                 if not sep:
-                    raise SpecParseError(f"bad divisor entry {pair!r}")
-                try:
-                    divisors[int(key)] = int(val)
-                except ValueError as exc:
-                    raise SpecParseError(f"bad divisor entry {pair!r}") from exc
+                    raise SpecParseError(f"divisor entry {pair!r} must be n:m")
+                divisors[integer(key, "a divisor index")] = integer(val, "a divisor")
         return CirclePoint(seq, FloorDivDigits(divisors))
     raise SpecParseError(f"unrecognized digit rule {text!r}")

@@ -25,6 +25,7 @@ from .classify import (
 from .density import lift, parse_set_expr
 from .errors import CircleLabError, PreconditionError, SpecParseError
 from .membership import convergence_verdict, finite_support_member, statistical_scan
+from .parse import fraction, integer, integers
 from .sequences import ArithSeq, RatioSpec
 from .suites import plainify, run_suite
 from .witness import (
@@ -59,30 +60,17 @@ def _point_of(params: dict, seq: ArithSeq) -> CirclePoint:
 
 def _int(params: dict, key: str, default) -> int:
     """params[key] (or the default) as an int; SpecParseError when it is not one."""
-    raw = params.get(key, default)
-    try:
-        return int(str(raw))
-    except ValueError as exc:
-        raise SpecParseError(f"{key} must be an integer, got {raw!r}") from exc
+    return integer(str(params.get(key, default)), key)
 
 
 def _frac(params: dict, key: str, default) -> Fraction:
     """params[key] (or the default) as a Fraction; SpecParseError when it is not one."""
-    raw = params.get(key, default)
-    try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecParseError(f"{key} must be a fraction p/q, got {raw!r}") from exc
+    return fraction(str(params.get(key, default)), key)
 
 
 def _ints(params: dict, key: str, default) -> list[int]:
     """params[key] (or the default) as a comma-separated list of ints."""
-    raw = params.get(key, default)
-    try:
-        return [int(v) for v in str(raw).split(",") if v.strip()]
-    except ValueError as exc:
-        raise SpecParseError(
-            f"{key} must be comma-separated integers, got {raw!r}") from exc
+    return integers(str(params.get(key, default)), key)
 
 
 def _runs(values) -> str:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import HorizonError, PreconditionError, SpecParseError
+from .parse import enclosed, integer, integers
 from .sequences import ArithSeq, DerivedSeq, RatioSpec, cube_block_edges
 
 __all__ = [
@@ -441,21 +442,22 @@ def translate(s: NatSet, m: int) -> NatSet:
 
 
 def _lazy_edges(s: LazyIntervalNatSet) -> Iterator[tuple[int, int]]:
-    # Walk the materialized prefix and keep pulling. Only the trailing cached
-    # interval can still grow by adjacency merging, so it is yielded only once
-    # a later interval exists or the family is exhausted.
-    i = 0
+    # Walk the materialized prefix and keep pulling. The trailing cached
+    # interval can still grow by adjacency merging, so each growth is yielded
+    # as a new adjacent piece (consumers merge them again); an unbounded run
+    # is thus walked piece by piece instead of waited for.
+    i = done = 0  # s._ivals[:i] and every member <= done are yielded
     while True:
-        while i < len(s._ivals) - 1:
-            yield s._ivals[i]
+        while i < len(s._ivals):
+            lo, hi = s._ivals[i]
+            if hi > done:
+                yield max(lo, done + 1), hi
+                done = hi
             i += 1
         if s._exhausted:
-            if i < len(s._ivals):
-                yield s._ivals[i]
-                i += 1
             return
-        last_hi = s._ivals[-1][1] if s._ivals else 0
-        s._extend_to(last_hi + 1)
+        i = max(i - 1, 0)  # the trailing interval can still grow
+        s._extend_to(done + 1)
 
 
 def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
@@ -482,18 +484,13 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
     src = s
 
     def factory():
-        run_lo = None
+        # one block per member; LazyIntervalNatSet merges adjacent blocks, and
+        # a set with an unbounded run (such as all) still answers every query
         k = 1
         while src.horizon is None or k <= src.horizon:
             if k in src:
-                if run_lo is None:
-                    run_lo = k
-            elif run_lo is not None:
-                yield derived.boundary(run_lo - 1), derived.boundary(k - 1) - 1
-                run_lo = None
+                yield derived.boundary(k - 1), derived.boundary(k) - 1
             k += 1
-        if run_lo is not None:
-            yield derived.boundary(run_lo - 1), derived.boundary(k - 1) - 1
         if src.horizon is not None:
             raise HorizonError(
                 f"lift of {src.name} is only decided up to derived index "
@@ -551,32 +548,18 @@ def parse_set_expr(text: str, seq: ArithSeq | None = None) -> NatSet:
     if text == "blocks:cube-gap":
         return cube_gap_blocks()
     if text.startswith("fin:"):
-        body = text[4:].strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise SpecParseError(f"finite set must be braced, got {text!r}")
-        inner = body[1:-1].strip()
-        try:
-            elems = [int(v) for v in inner.split(",")] if inner else []
-        except ValueError as exc:
-            raise SpecParseError(f"bad finite set {text!r}") from exc
+        elems = integers(enclosed(text[4:], "{}", "a finite set"), "a finite set")
         try:
             return FiniteNatSet(elems)
         except PreconditionError as exc:
             raise SpecParseError(str(exc)) from exc
     if text.startswith("ivl:"):
-        parts = text[4:].split("+")
         ivals = []
-        for part in parts:
-            part = part.strip()
-            if not (part.startswith("[") and part.endswith("]")):
-                raise SpecParseError(f"bad interval {part!r} in {text!r}")
-            try:
-                lo, hi = (int(v) for v in part[1:-1].split(","))
-            except ValueError as exc:
-                raise SpecParseError(f"bad interval {part!r}") from exc
-            if lo > hi:
-                raise SpecParseError(f"interval {part!r} is empty or reversed")
-            ivals.append((lo, hi))
+        for part in text[4:].split("+"):
+            bounds = integers(enclosed(part, "[]", "an interval"), "an interval")
+            if len(bounds) != 2 or bounds[0] > bounds[1]:
+                raise SpecParseError(f"interval {part.strip()!r} must be [lo,hi], lo <= hi")
+            ivals.append(tuple(bounds))
         try:
             return IntervalNatSet(ivals)
         except PreconditionError as exc:
@@ -590,10 +573,7 @@ def parse_set_expr(text: str, seq: ArithSeq | None = None) -> NatSet:
         inner, sep, amount = body.rpartition(",")
         if not sep:
             raise SpecParseError("shift needs the form shift(<expr>,M)")
-        try:
-            m = int(amount.strip())
-        except ValueError as exc:
-            raise SpecParseError(f"bad shift amount in {text!r}") from exc
+        m = integer(amount, "a shift amount")
         if m < 0:
             raise SpecParseError("shift amount must be >= 0")
         return translate(parse_set_expr(inner, seq), m)

@@ -1,0 +1,60 @@
+"""Tokens shared by the mini-languages and the numeric parameters.
+
+Every number read from a ratio spec, a ratio file, a set expression, a
+digit rule, a command-line or suite parameter or the environment goes
+through these helpers, and every malformed token raises SpecParseError
+here. An integer is an optional ``-`` followed by ASCII digits; a fraction
+is an integer ``P`` or ``P/Q`` with ``Q`` ASCII digits, not 0. Whitespace
+around a token is ignored.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+
+from .errors import SpecParseError
+
+_INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
+_FRACTION = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def integer(text: str, what: str) -> int:
+    """The integer spelled by ``text``; ``what`` names it in the error."""
+    m = _INTEGER.fullmatch(text)
+    if m:
+        try:
+            return int(m[1])
+        except ValueError:  # more digits than Python converts from a str
+            pass
+    raise SpecParseError(f"{what} must be an integer, got {text!r}")
+
+
+def fraction(text: str, what: str) -> Fraction:
+    """The fraction spelled ``P`` or ``P/Q`` by ``text``."""
+    m = _FRACTION.fullmatch(text)
+    if m:
+        try:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecParseError(f"{what} must be a fraction p/q, got {text!r}")
+
+
+def integers(text: str, what: str) -> list[int]:
+    """A comma-separated list of integers; blank text is the empty list."""
+    if not text.strip():
+        return []
+    try:
+        return [integer(item, what) for item in text.split(",")]
+    except SpecParseError:
+        raise SpecParseError(
+            f"{what} must be comma-separated integers, got {text!r}") from None
+
+
+def enclosed(text: str, brackets: str, what: str) -> str:
+    """The inside of ``text`` wrapped in ``brackets`` ("[]" or "{}")."""
+    text = text.strip()
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise SpecParseError(f"{what} must be wrapped in {brackets}, got {text!r}")
+    return text[1:-1]

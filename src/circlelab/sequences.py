@@ -15,6 +15,7 @@ from bisect import bisect_right
 from pathlib import Path
 
 from .errors import PreconditionError, SpecParseError
+from .parse import enclosed, integer, integers
 
 __all__ = ["RatioSpec", "ArithSeq", "DerivedSeq", "cube_block_edges"]
 
@@ -190,59 +191,54 @@ class RatioSpec:
         ``dlictrex`` or ``dlictrex:JMAX``, and the round-trip form
         ``explicit:[v1,v2,...];tail=<spec>``.
         """
-        text = text.strip()
-        try:
-            if text.startswith("const:"):
-                return cls.constant(_parse_int(text[6:]))
-            if text.startswith("linear:"):
-                return cls.linear(_parse_int(text[7:]))
-            if text.startswith("pow:"):
-                return cls.power(_parse_int(text[4:]))
-            if text == "dlictrex":
-                return cls.blocks(20)
-            if text.startswith("dlictrex:"):
-                return cls.blocks(_parse_int(text[9:]))
-            if text.startswith("file:"):
-                return _parse_ratio_file(Path(text[5:]))
-            if text.startswith("explicit:"):
-                return _parse_explicit(text[9:])
-        except PreconditionError as exc:
-            raise SpecParseError(f"invalid ratio spec {text!r}: {exc}") from exc
-        raise SpecParseError(f"unrecognized ratio spec {text!r}")
+        return _parse_spec(text, frozenset())
 
 
-def _parse_int(text: str) -> int:
+# spec prefix -> constructor of the kinds with one integer parameter
+_INT_KINDS = {"const": RatioSpec.constant, "linear": RatioSpec.linear,
+              "pow": RatioSpec.power, "dlictrex": RatioSpec.blocks}
+
+
+def _parse_spec(text: str, reading: frozenset) -> RatioSpec:
+    """RatioSpec.parse, knowing the ratio files already being read."""
     text = text.strip()
-    if not text or not (text.isdigit() or (text[0] == "-" and text[1:].isdigit())):
-        raise SpecParseError(f"expected an integer, got {text!r}")
-    return int(text)
+    kind, sep, body = text.partition(":")
+    try:
+        if sep and kind in _INT_KINDS:
+            return _INT_KINDS[kind](integer(body, f"the {kind}: parameter"))
+        if text == "dlictrex":
+            return RatioSpec.blocks(20)
+        if kind == "file" and sep:
+            return _parse_ratio_file(Path(body), reading)
+        if kind == "explicit" and sep:
+            head, sep, tail = body.partition(";tail=")
+            if not sep:
+                raise SpecParseError("explicit spec needs ';tail=<spec>'")
+            values = integers(enclosed(head, "[]", "explicit values"), "explicit values")
+            return RatioSpec.explicit(values, _parse_spec(tail, reading))
+    except PreconditionError as exc:
+        raise SpecParseError(f"invalid ratio spec {text!r}: {exc}") from exc
+    raise SpecParseError(f"unrecognized ratio spec {text!r}")
 
 
-def _parse_explicit(body: str) -> RatioSpec:
-    head, sep, tail = body.partition(";tail=")
-    if not sep:
-        raise SpecParseError("explicit spec needs ';tail=<spec>'")
-    head = head.strip()
-    if not (head.startswith("[") and head.endswith("]")):
-        raise SpecParseError("explicit values must be bracketed, e.g. explicit:[2,3]")
-    inner = head[1:-1].strip()
-    values = [_parse_int(v) for v in inner.split(",")] if inner else []
-    return RatioSpec.explicit(values, RatioSpec.parse(tail))
-
-
-def _parse_ratio_file(path: Path) -> RatioSpec:
-    if not path.exists():
-        raise SpecParseError(f"ratio file {path} does not exist")
+def _parse_ratio_file(path: Path, reading: frozenset) -> RatioSpec:
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(f"cannot read ratio file {path}: {exc}") from exc
+    key = path.resolve()
+    if key in reading:
+        raise SpecParseError(f"ratio file {path} leads back to itself through 'tail:'")
     values: list[int] = []
     tail = None
-    for raw in path.read_text().splitlines():
+    for number, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("tail:"):
-            tail = RatioSpec.parse(line[5:])
+            tail = _parse_spec(line[5:], reading | {key})
             continue
-        values.append(_parse_int(line))
+        values.append(integer(line, f"line {number} of ratio file {path}"))
     if tail is None:
         raise SpecParseError(f"ratio file {path} must declare a 'tail:<spec>' line")
     return RatioSpec.explicit(values, tail)

@@ -24,6 +24,7 @@ from .circle import (
 from .classify import check_strongly_non_dli, weakly_dli_witness_set
 from .density import FiniteNatSet, full_set, lift, set_algebra
 from .errors import PreconditionError
+from .parse import fraction, integer, integers
 from .membership import convergence_verdict, statistical_scan
 from .sequences import ArithSeq, RatioSpec
 from .witness import arbault_witness, continuum_family_point
@@ -54,10 +55,16 @@ def _spec_list(value) -> list[str]:
     return [str(s) for s in value]
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, str):
-        return [int(s) for s in value.split(",") if s.strip()]
-    return [int(v) for v in value]
+def _int(p: dict, key: str) -> int:
+    return integer(str(p[key]), key)
+
+
+def _frac(p: dict, key: str) -> Fraction:
+    return fraction(str(p[key]), key)
+
+
+def _ints(p: dict, key: str) -> list[int]:
+    return integers(str(p[key]), key)
 
 
 def _mod1(y: Fraction) -> Fraction:
@@ -77,8 +84,8 @@ def lift_algebra(params: dict | None = None) -> dict:
     """Exact commutation of lifting with union/intersection/difference."""
     p = _merge({"specs": "linear:1,pow:2,const:2", "pairs": 200,
                 "lo": 1, "hi": 50, "max_size": 10, "seed": 1789}, params)
-    rng = random.Random(int(p["seed"]))
-    lo, hi = int(p["lo"]), int(p["hi"])
+    rng = random.Random(_int(p, "seed"))
+    lo, hi = _int(p, "lo"), _int(p, "hi")
     identities = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
@@ -92,9 +99,9 @@ def lift_algebra(params: dict | None = None) -> dict:
             identities += 1
         if counterexample:
             break
-        for _ in range(int(p["pairs"])):
-            a = sorted(rng.sample(range(lo, hi + 1), rng.randint(0, int(p["max_size"]))))
-            b = sorted(rng.sample(range(lo, hi + 1), rng.randint(0, int(p["max_size"]))))
+        for _ in range(_int(p, "pairs")):
+            a = sorted(rng.sample(range(lo, hi + 1), rng.randint(0, _int(p, "max_size"))))
+            b = sorted(rng.sample(range(lo, hi + 1), rng.randint(0, _int(p, "max_size"))))
             sa, sb = FiniteNatSet(a), FiniteNatSet(b)
             la, lb = lift(sa, seq.derived), lift(sb, seq.derived)
             for op in ("union", "intersect", "difference"):
@@ -123,17 +130,17 @@ def tail_bound(params: dict | None = None) -> dict:
     """Window tail bound never exceeds 1/a_{j-1} and dominates the true tail."""
     p = _merge({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
                 "qmax": 10 ** 6, "seed": 421}, params)
-    rng = random.Random(int(p["seed"]))
+    rng = random.Random(_int(p, "seed"))
     max_ratio = Fraction(0)
     rows = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
-        for _ in range(int(p["trials"])):
-            q = rng.randint(2, int(p["qmax"]))
+        for _ in range(_int(p, "trials")):
+            q = rng.randint(2, _int(p, "qmax"))
             value = Fraction(rng.randint(1, q - 1), q)
             x = digits_from_rational(value, seq)
-            for j in range(1, int(p["jmax"]) + 1):
+            for j in range(1, _int(p, "jmax") + 1):
                 a = seq.term(j - 1)
                 ub = tail_upper_bound(x, j)
                 true_tail = _mod1(a * value) / a
@@ -159,19 +166,19 @@ def recursion(params: dict | None = None) -> dict:
     """Window identity: exact value inside every enclosure, exact widths, nesting."""
     p = _merge({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
                 "max_len": 10, "seed": 97}, params)
-    rng = random.Random(int(p["seed"]))
+    rng = random.Random(_int(p, "seed"))
     checks = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
-        for _ in range(int(p["trials"])):
-            length = rng.randint(1, int(p["max_len"]))
+        for _ in range(_int(p, "trials")):
+            length = rng.randint(1, _int(p, "max_len"))
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
             x = CirclePoint(seq, FiniteDigits(digits))
             for n in range(1, length + 3):
                 exact = frac_exact(x, n)
                 prev = None
-                for t in range(int(p["tmax"]) + 1):
+                for t in range(_int(p, "tmax") + 1):
                     bi = frac_bound(x, n, t)
                     width = Fraction(1, math.prod(
                         seq.ratio(j) for j in range(n, n + t + 1)))
@@ -199,21 +206,21 @@ def snd_density(params: dict | None = None) -> dict:
     p = _merge({"spec": "pow:2", "alpha": 1, "horizon": 30, "trials": 20,
                 "kmax": 12, "floor": "45/100", "seed": 3571}, params)
     seq = _seq(str(p["spec"]))
-    alpha = Fraction(p["alpha"])
-    verdict = check_strongly_non_dli(seq, alpha, int(p["horizon"]))
+    alpha = _frac(p, "alpha")
+    verdict = check_strongly_non_dli(seq, alpha, _int(p, "horizon"))
     if not verdict.holds:
         return {"suite": "snd-density", "params": plainify(p), "pass": False,
                 "counterexample": {"kind": "growth-condition",
                                    "verdict": verdict.verdict,
                                    "witness": plainify(verdict.witness)}}
-    rng = random.Random(int(p["seed"]))
-    floor = Fraction(str(p["floor"]))
+    rng = random.Random(_int(p, "seed"))
+    floor = _frac(p, "floor")
     min_density = None
     counterexample = None
     densities = []
-    for _ in range(int(p["trials"])):
+    for _ in range(_int(p, "trials")):
         size = rng.randint(1, 6)
-        elems = sorted(rng.sample(range(1, int(p["kmax"]) + 1), size))
+        elems = sorted(rng.sample(range(1, _int(p, "kmax") + 1), size))
         horizon = seq.derived.boundary(max(elems)) - 1
         lifted = lift(FiniteNatSet(elems), seq.derived)
         dens = Fraction(lifted.count_upto(horizon), horizon)
@@ -237,14 +244,14 @@ def wdli_shrink(params: dict | None = None) -> dict:
                 "horizons": "1000,10000,100000", "depth": 8,
                 "last_bound": "1/20", "scan_limit": 10 ** 6}, params)
     seq = _seq(str(p["spec"]))
-    a_set = weakly_dli_witness_set(seq, int(p["jmax"]), int(p["scan_limit"]))
-    zeta = tuple(_int_list(p["zeta"]))
+    a_set = weakly_dli_witness_set(seq, _int(p, "jmax"), _int(p, "scan_limit"))
+    zeta = tuple(_ints(p, "zeta"))
     x = continuum_family_point(a_set, zeta, seq)
-    scan = statistical_scan(x, Fraction(str(p["eps"])), _int_list(p["horizons"]),
-                            int(p["depth"]))
+    scan = statistical_scan(x, _frac(p, "eps"), _ints(p, "horizons"),
+                            _int(p, "depth"))
     his = [e.hi for e in scan.estimates]
     strict = all(u > v for u, v in zip(his, his[1:]))
-    last_ok = his[-1] <= Fraction(str(p["last_bound"]))
+    last_ok = his[-1] <= _frac(p, "last_bound")
     counterexample = None
     if not strict:
         counterexample = {"kind": "not-strictly-decreasing",
@@ -267,18 +274,18 @@ def coincidence(params: dict | None = None) -> dict:
                 "depth": 32, "floor": None, "max_undecided": "1/20"}, params)
     seq = _seq(str(p["spec"]))
     x = CirclePoint(seq, IndicatorDigits(full_set()))
-    scan = statistical_scan(x, Fraction(str(p["eps"])), _int_list(p["horizons"]),
-                            int(p["depth"]))
+    scan = statistical_scan(x, _frac(p, "eps"), _ints(p, "horizons"),
+                            _int(p, "depth"))
     los = [e.lo for e in scan.estimates]
     und = [Fraction(e.undecided_count, e.N) for e in scan.estimates]
-    max_und = Fraction(str(p["max_undecided"]))
+    max_und = _frac(p, "max_undecided")
     counterexample = None
     if los[0] == 0:
         counterexample = {"kind": "zero-floor"}
     elif any(u > max_und for u in und):
         counterexample = {"kind": "undecided", "fractions": [str(u) for u in und]}
     elif p["floor"] is not None:
-        floor = Fraction(str(p["floor"]))
+        floor = _frac(p, "floor")
         if los[0] != floor:
             counterexample = {"kind": "floor-drift", "measured": str(los[0]),
                               "frozen": str(floor)}
@@ -297,11 +304,11 @@ def arbault(params: dict | None = None) -> dict:
     """Aligned-digit witness rows certified inside [1/4, 7/8], no failures."""
     p = _merge({"spec": "linear:1", "count": 60, "rows": 20, "depth": 8}, params)
     seq = _seq(str(p["spec"]))
-    u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, int(p["count"]) + 1)]
-    rep = arbault_witness(seq, u_list, rows=int(p["rows"]), depth=int(p["depth"]))
+    u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, _int(p, "count") + 1)]
+    rep = arbault_witness(seq, u_list, rows=_int(p, "rows"), depth=_int(p, "depth"))
     counterexample = None
     bad = [row for row in rep.rows if row.verdict != "certified"]
-    if len(rep.rows) < int(p["rows"]):
+    if len(rep.rows) < _int(p, "rows"):
         counterexample = {"kind": "too-few-rows", "got": len(rep.rows)}
     elif bad:
         counterexample = {"kind": bad[0].verdict, "row": bad[0].to_report()}

@@ -243,8 +243,9 @@ def test_mult_bound_validation():
 def test_depth_cap_env_override(monkeypatch):
     monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", "17")
     assert default_depth_cap() == 17
-    monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", "junk")
-    assert default_depth_cap() == 64
+    for junk in ("junk", "²", "٣", "0", "-5"):
+        monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", junk)
+        assert default_depth_cap() == 64
 
 
 # ----- shared evaluation cache ----------------------------------------------
@@ -356,7 +357,9 @@ def test_parse_point_exact_requires_termination():
 
 def test_parse_point_errors():
     for bad in ("rat:1/0", "rat:x", "finite:0,1", "finite:[a]",
-                "floor-div:m=3", "floor-div:m={3-2}", "mystery:1"):
+                "floor-div:m=3", "floor-div:m={3-2}", "mystery:1", "rat:1/-2",
+                "rat:1 / 6", "rat:0.5", "finite:[0,]", "floor-div:m={3:2,}",
+                "floor-div:m={٣:2}"):
         with pytest.raises(SpecParseError):
             parse_point(bad, LINEAR1)
 

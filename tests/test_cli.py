@@ -152,9 +152,37 @@ def test_unknown_verify_tag():
     ("scan", "--spec", "linear:1", "--x", "rat:1/6", "--cap", "deep"),
     ("seq", "--spec", "linear:1", "--count", "abc"),
     ("witness", "--spec", "linear:1", "--op", "aligned", "--u-list", "3,a"),
+    # tokens that only some of the number parsers used to accept
+    ("seq", "--spec", "linear:1", "--count", "1_0"),
+    ("seq", "--spec", "linear:1", "--count", "٣"),
+    ("seq", "--spec", "const:+3"),
+    ("scan", "--spec", "linear:1", "--x", "rat:1/6", "--eps", "0.1"),
+    ("scan", "--spec", "linear:1", "--x", "rat:1/6", "--horizons", "1000,"),
+    ("scan", "--spec", "linear:1", "--x", "rat:1/-2"),
+    ("lift", "--spec", "linear:1", "--set", "fin:{+3}"),
+    ("verify", "coincidence", "--param", "eps=0.1"),
 ])
 def test_bad_numbers_exit_2(capsys, argv):
     assert "must be" in capture(capsys, *argv, expect=2).err
+
+
+def test_former_tracebacks_exit_2(capsys, tmp_path):
+    own = tmp_path / "own.txt"
+    own.write_text(f"3\ntail:file:{own}\n")
+    for argv in (("seq", "--spec", "const:²"),
+                 ("seq", "--spec", f"file:{tmp_path}"),
+                 ("seq", "--spec", f"file:{own}"),
+                 ("verify", "recursion", "--param", "trials=abc")):
+        assert capture(capsys, *argv, expect=2).err.startswith("error:")
+
+
+def test_junk_depth_cap_falls_back_to_64(capsys, monkeypatch):
+    argv = ("scan", "--spec", "pow:2", "--x", "ones-on:all", "--eps", "1/8",
+            "--horizons", "1000")
+    monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", "64")
+    want = capture(capsys, *argv).out
+    monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", "²")
+    assert capture(capsys, *argv).out == want
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"subcommand": ', '"scan"',

@@ -198,6 +198,32 @@ def test_lift_predicate_set_and_horizon():
         lifted.count_upto(cap + 1)
 
 
+def test_lift_and_shift_of_unbounded_runs():
+    """A set with an endless run answers queries instead of walking the run."""
+    d = LINEAR1.derived
+
+    def block_of(n):
+        return d.decompose(n)[0] + 1
+
+    tail = PredicateNatSet(lambda n: n >= 4, name="from-4")
+    cases = [
+        (lift(full_set(), d), lambda n: True),
+        (lift(tail, d), lambda n: block_of(n) >= 4),
+        (lift(lift(tail, d), d), lambda n: block_of(block_of(n)) >= 4),
+        (translate(lift(tail, d), 3), lambda n: block_of(n + 3) >= 4),
+    ]
+    for s, member in cases:
+        assert [n in s for n in range(1, 200)] == [member(n) for n in range(1, 200)]
+        assert s.count_upto(150) == sum(member(n) for n in range(1, 151))
+    assert list(parse_set_expr("lift(all)", LINEAR1).iter_upto(5)) == [1, 2, 3, 4, 5]
+    # a source read ahead between two pulls of its lift loses no interval
+    src, ref = cube_gap_blocks(), cube_gap_blocks()
+    lifted = lift(src, d)
+    for n in range(1, 400, 7):
+        assert (n in lifted) == (block_of(n) in ref)
+        src.count_upto(3 * n)
+
+
 # ----- densities -------------------------------------------------------------
 
 def test_prefix_density_values():
@@ -252,7 +278,8 @@ def test_parse_set_expr_nested():
 
 def test_parse_set_expr_errors():
     for bad in ("fin:1,2", "fin:{1,x}", "ivl:[4]", "ivl:[6,4]", "mystery",
-                "shift(evens)", "shift(evens,x)", "fin:{0}"):
+                "shift(evens)", "shift(evens,x)", "fin:{0}", "fin:{3,}",
+                "ivl:[1,2,3]", "fin:{1_0}", "shift(evens,²)"):
         with pytest.raises(SpecParseError):
             parse_set_expr(bad)
     with pytest.raises(SpecParseError):

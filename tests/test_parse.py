@@ -1,0 +1,140 @@
+"""The token layer, and a fuzz test of every parser that reads user text."""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from circlelab.circle import parse_point
+from circlelab.cli import run_config
+from circlelab.density import parse_set_expr
+from circlelab.errors import CircleLabError, SpecParseError
+from circlelab.parse import enclosed, fraction, integer, integers
+from circlelab.sequences import ArithSeq, RatioSpec
+
+LINEAR1 = ArithSeq(RatioSpec.linear(1))
+
+# accepted by some of the parsers this layer replaced, by none now
+MIXED_TOKENS = ("1_0", "٣", "²", "+3", "0.1", "1e3", "")
+
+
+def test_integer_tokens():
+    assert integer("17", "n") == 17
+    assert integer(" -4\n", "n") == -4
+    assert integer("007", "n") == 7
+    for bad in MIXED_TOKENS + ("- 4", "4-", "x", "1/2", "9" * 5000):
+        with pytest.raises(SpecParseError, match="n must be an integer"):
+            integer(bad, "n")
+
+
+def test_fraction_tokens():
+    assert fraction("1/10", "eps") == Fraction(1, 10)
+    assert fraction(" -6/4 ", "eps") == Fraction(-3, 2)
+    assert fraction("5", "eps") == 5
+    for bad in MIXED_TOKENS + ("1/0", "1/-2", "1 / 2", "1/", "/2", "1/2/3"):
+        with pytest.raises(SpecParseError, match="eps must be a fraction"):
+            fraction(bad, "eps")
+
+
+def test_integer_lists():
+    assert integers("1, 2 ,3", "h") == [1, 2, 3]
+    assert integers("  ", "h") == []
+    for bad in ("1000,", ",1", "1,,2", "1;2", "1,٣"):
+        with pytest.raises(SpecParseError, match="h must be comma-separated"):
+            integers(bad, "h")
+
+
+def test_enclosed():
+    assert enclosed(" [1,2] ", "[]", "v") == "1,2"
+    assert enclosed("{}", "{}", "v") == ""
+    for bad in ("[1,2", "1,2]", "{1}", "[", "]", ""):
+        with pytest.raises(SpecParseError, match=r"v must be wrapped in \[\]"):
+            enclosed(bad, "[]", "v")
+
+
+# ----- fuzz: only CircleLabError crosses the input boundary -------------------
+# Integers stay below 1000 and lift( is never nested, so that no input asks for
+# unbounded work (lifting fin:{10^9}, or lifting twice, walks too many block
+# boundaries). "file:" is never built, because it could name a device.
+
+def _one_lift(text):
+    return text.count("lift(") <= 1
+
+
+PIECES = ("const:", "linear:", "pow:", "dlictrex", "dlictrex:", "explicit:",
+          ";tail=", "fin:", "ivl:", "evens", "squares", "all", "blocks:cube-gap",
+          "lift(", "shift(", "rat:", "exact:", "finite:", "ones-on:",
+          "floor-div:m=", "[", "]", "{", "}", "(", ")", ",", ":", "/", "+",
+          "-", " ", "²", "٣", "_")
+NUM = st.one_of(st.integers(0, 999).map(str),
+                st.sampled_from(("", " ", "-1", "²", "٣", "1_0", "+3", "0.5", "x")))
+NUMS = st.lists(NUM, max_size=4).map(",".join)
+PAIRS = st.lists(st.tuples(NUM, NUM), min_size=1, max_size=3)
+
+SPECS = st.recursive(
+    st.one_of(st.just("dlictrex"),
+              st.tuples(st.sampled_from(("const", "linear", "pow", "dlictrex")),
+                        NUM).map(":".join)),
+    lambda tail: st.tuples(NUMS, tail).map("explicit:[{0[0]}];tail={0[1]}".format),
+    max_leaves=3)
+SETS = st.recursive(
+    st.one_of(st.sampled_from(("evens", "squares", "all", "blocks:cube-gap")),
+              NUMS.map("fin:{{{}}}".format),
+              PAIRS.map(lambda ps: "ivl:" + "+".join(f"[{a},{b}]" for a, b in ps))),
+    lambda inner: st.one_of(inner.map("lift({})".format),
+                            st.tuples(inner, NUM).map("shift({0[0]},{0[1]})".format)),
+    max_leaves=3).filter(_one_lift)
+POINTS = st.one_of(
+    st.tuples(st.sampled_from(("rat", "exact")), NUM, NUM).map("{0[0]}:{0[1]}/{0[2]}".format),
+    NUMS.map("finite:[{}]".format),
+    SETS.map("ones-on:{}".format),
+    PAIRS.map(lambda ps: "floor-div:m={" + ",".join(f"{a}:{b}" for a, b in ps) + "}"))
+SHAPED = st.one_of(SPECS, SETS, POINTS, NUMS)
+NOISE = st.lists(st.one_of(st.sampled_from(PIECES), NUM), max_size=10).map("".join)
+SPLICED = st.tuples(SHAPED, st.integers(0, 30), st.sampled_from(PIECES)).map(
+    lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+TEXT = st.one_of(SHAPED, NOISE, SPLICED).filter(
+    lambda s: re.search(r"[0-9]{4}", s) is None and _one_lift(s))
+
+
+def _value(*valid):
+    return st.one_of(st.sampled_from(valid), TEXT)
+
+
+def _config(sub, **params):
+    return st.fixed_dictionaries(
+        {"subcommand": st.just(sub),
+         "params": st.fixed_dictionaries({"spec": st.just("linear:1"), **params})})
+
+
+CONFIGS = st.one_of(
+    _config("seq", kind=st.sampled_from("abdn"), count=_value("7")),
+    _config("lift", set=st.one_of(SETS, TEXT), horizon=_value("50")),
+    _config("scan", x=st.one_of(POINTS, TEXT), eps=_value("1/10", "1/3"),
+            horizons=_value("100", "50,200"), depth=_value("8"),
+            cap=_value("12"), expand=_value("32")),
+    _config("classify", check=st.just("snd"), alpha=_value("1", "1/2"),
+            horizon=_value("30")),
+    _config("witness", op=st.just("factor"), u=_value("48")),
+    _config("verify", tag=st.just("recursion"),
+            param=st.tuples(_value("1"), _value("97")).map(
+                lambda t: [f"trials={t[0]}", f"seed={t[1]}"])),
+)
+
+
+def _only_library_errors(call, *args):
+    try:
+        call(*args)
+    except CircleLabError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXT, st.integers(1, 32), CONFIGS)
+def test_parsers_raise_only_library_errors(text, horizon, config):
+    _only_library_errors(RatioSpec.parse, text)
+    _only_library_errors(parse_set_expr, text)
+    _only_library_errors(parse_set_expr, text, LINEAR1)
+    _only_library_errors(parse_point, text, LINEAR1, horizon)
+    _only_library_errors(run_config, config)

@@ -170,7 +170,8 @@ def test_parse_describe_round_trip(text):
 def test_parse_defaults_and_errors():
     assert RatioSpec.parse("dlictrex") == RatioSpec.blocks(20)
     for bad in ("nope:3", "const:", "const:x", "linear:0", "explicit:[2]",
-                "explicit:2;tail=const:2", "file:/no/such/ratios"):
+                "explicit:2;tail=const:2", "file:/no/such/ratios", "const:²",
+                "const:٣", "const:1_0", "const:+3", "explicit:[2,];tail=const:2"):
         with pytest.raises(SpecParseError):
             RatioSpec.parse(bad)
 
@@ -180,6 +181,31 @@ def test_parse_ratio_file(tmp_path):
     path.write_text("# header\n3\n4\n\ntail:const:2\n")
     spec = RatioSpec.parse(f"file:{path}")
     assert spec == RatioSpec.explicit([3, 4], RatioSpec.constant(2))
+
+
+def test_ratio_file_read_errors(tmp_path):
+    undecodable = tmp_path / "latin.txt"
+    undecodable.write_bytes(b"3\n\xff\xfe\ntail:const:2\n")
+    for path in (tmp_path, undecodable, tmp_path / "missing.txt"):
+        with pytest.raises(SpecParseError):
+            RatioSpec.parse(f"file:{path}")
+
+
+def test_ratio_file_cycles(tmp_path):
+    own = tmp_path / "own.txt"
+    own.write_text(f"3\ntail:file:{own}\n")
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text(f"3\ntail:explicit:[4];tail=file:{second}\n")
+    second.write_text(f"5\ntail:file:{first}\n")
+    for path in (own, first, second):
+        with pytest.raises(SpecParseError, match="leads back to itself"):
+            RatioSpec.parse(f"file:{path}")
+    # a chain of files that ends is not a cycle
+    leaf = tmp_path / "leaf.txt"
+    leaf.write_text("9\n4\ntail:const:2\n")  # read from index 2 on
+    own.write_text(f"3\ntail:file:{leaf}\n")
+    spec = RatioSpec.parse(f"file:{own}")
+    assert [spec.term(n) for n in range(1, 5)] == [3, 4, 2, 2]
 
 
 def test_block_spec_boundaries_enumerate_cube_gap_set():
