@@ -25,7 +25,7 @@ from .classify import (
 from .density import lift, parse_set_expr
 from .errors import CircleLabError, PreconditionError, SpecParseError
 from .membership import convergence_verdict, finite_support_member, statistical_scan
-from .parse import fraction, integer, integers
+from .parse import frac_param, int_param, ints_param, merge_params
 from .sequences import ArithSeq, RatioSpec
 from .suites import plainify, run_suite
 from .witness import (
@@ -44,33 +44,16 @@ def canonical_json(obj) -> bytes:
                        separators=(",", ":")) + "\n").encode("ascii")
 
 
-def _seq_of(params: dict) -> ArithSeq:
-    spec = params.get("spec")
-    if not spec:
+def _seq_of(p: dict) -> ArithSeq:
+    if not p["spec"]:
         raise SpecParseError("--spec is required")
-    return ArithSeq(RatioSpec.parse(str(spec)))
+    return ArithSeq(RatioSpec.parse(str(p["spec"])))
 
 
-def _point_of(params: dict, seq: ArithSeq) -> CirclePoint:
-    rule = params.get("x")
-    if not rule:
+def _point_of(p: dict, seq: ArithSeq) -> CirclePoint:
+    if not p["x"]:
         raise SpecParseError("--x is required")
-    return parse_point(str(rule), seq, _int(params, "expand", 256))
-
-
-def _int(params: dict, key: str, default) -> int:
-    """params[key] (or the default) as an int; SpecParseError when it is not one."""
-    return integer(str(params.get(key, default)), key)
-
-
-def _frac(params: dict, key: str, default) -> Fraction:
-    """params[key] (or the default) as a Fraction; SpecParseError when it is not one."""
-    return fraction(str(params.get(key, default)), key)
-
-
-def _ints(params: dict, key: str, default) -> list[int]:
-    """params[key] (or the default) as a comma-separated list of ints."""
-    return integers(str(params.get(key, default)), key)
+    return parse_point(str(p["x"]), seq, int_param(p, "expand"))
 
 
 def _runs(values) -> str:
@@ -86,14 +69,15 @@ def _runs(values) -> str:
     return "+".join(f"[{a},{b}]" if a != b else f"[{a},{a}]" for a, b in runs)
 
 
-# ===== Subcommand handlers ===================================================
-# Each takes the params dict and returns (terse, report, fail_message).
+# ===== Operation handlers ====================================================
+# Each takes its operation's params, merged over the defaults declared in
+# OPS, and returns (terse, report, fail_message).
 
 
-def _cmd_seq(params: dict):
-    seq = _seq_of(params)
-    kind = str(params.get("kind", "d"))
-    count = _int(params, "count", 10)
+def _cmd_seq(p: dict):
+    seq = _seq_of(p)
+    kind = str(p["kind"])
+    count = int_param(p, "count")
     if count < 1:
         raise PreconditionError("--count must be >= 1")
     if kind == "d":
@@ -110,14 +94,14 @@ def _cmd_seq(params: dict):
     return terse, {"kind": kind, "count": count, "values": values}, None
 
 
-def _cmd_lift(params: dict):
-    seq = _seq_of(params)
-    expr = params.get("set")
+def _cmd_lift(p: dict):
+    seq = _seq_of(p)
+    expr = p["set"]
     if not expr:
         raise SpecParseError("--set is required")
     s = parse_set_expr(str(expr), seq)
     lifted = lift(s, seq.derived)
-    horizon = _int(params, "horizon", 1000)
+    horizon = int_param(p, "horizon")
     try:
         intervals = lifted.to_intervals()
         clipped = False
@@ -135,13 +119,13 @@ def _cmd_lift(params: dict):
     return terse, report, None
 
 
-def _cmd_scan(params: dict):
-    seq = _seq_of(params)
-    x = _point_of(params, seq)
-    eps = _frac(params, "eps", "1/10")
-    horizons = _ints(params, "horizons", "1000")
-    cap = _int(params, "cap", None) if params.get("cap") is not None else None
-    scan = statistical_scan(x, eps, horizons, _int(params, "depth", 8), cap)
+def _cmd_scan(p: dict):
+    seq = _seq_of(p)
+    x = _point_of(p, seq)
+    eps = frac_param(p, "eps")
+    horizons = ints_param(p, "horizons")
+    cap = int_param(p, "cap") if p["cap"] is not None else None
+    scan = statistical_scan(x, eps, horizons, int_param(p, "depth"), cap)
     verdict = convergence_verdict(scan)
     terse = "\n".join(f"{e.lo},{e.hi}" for e in scan.estimates)
     report = scan.to_report()
@@ -149,141 +133,161 @@ def _cmd_scan(params: dict):
     return terse, report, None
 
 
-def _cmd_classify(params: dict):
-    seq = _seq_of(params)
-    check = str(params.get("check", ""))
-    if check == "b-bounded":
-        s = parse_set_expr(str(params.get("set", "all")), seq)
-        v = check_b_bounded(seq, s, _int(params, "bound", 2),
-                            _int(params, "horizon", 100))
-    elif check == "snd":
-        v = check_strongly_non_dli(seq, _frac(params, "alpha", 1),
-                                   _int(params, "horizon", 30))
-    elif check == "wdli":
-        v = check_weakly_dli_condition(
-            seq, _int(params, "horizon", 1000),
-            _frac(params, "threshold", "1/100"))
-    elif check == "witness-set":
-        u, trace = witness_recursion(seq, _int(params, "jmax", 8),
-                                     _int(params, "scan_limit", 10 ** 6))
-        # the witness set is {u_j + 1}; u is strictly increasing
-        elems = [v + 1 for v in u]
-        report = {"check": check, "elements": elems, "recursion": u,
-                  "trace": plainify(trace)}
-        return ",".join(str(e) for e in elems), report, None
-    elif check == "member":
-        x = _point_of(params, seq)
-        mv = finite_support_member(x)
-        return mv.status, {"check": check, **mv.to_report()}, None
-    else:
-        raise SpecParseError(
-            "--check must be one of b-bounded, snd, wdli, witness-set, member")
-    return v.verdict, {"check": check, **plainify(v.to_report())}, None
+def _verdict(p: dict, v):
+    return v.verdict, {"check": p["check"], **plainify(v.to_report())}, None
 
 
-def _cmd_witness(params: dict):
-    seq = _seq_of(params)
-    op = str(params.get("op", ""))
-    if op == "factor":
-        u = _int(params, "u", 0)
+def _check_b_bounded(p: dict):
+    seq = _seq_of(p)
+    s = parse_set_expr(str(p["set"]), seq)
+    return _verdict(p, check_b_bounded(seq, s, int_param(p, "bound"),
+                                       int_param(p, "horizon")))
+
+
+def _check_snd(p: dict):
+    seq = _seq_of(p)
+    return _verdict(p, check_strongly_non_dli(seq, frac_param(p, "alpha"),
+                                              int_param(p, "horizon")))
+
+
+def _check_wdli(p: dict):
+    seq = _seq_of(p)
+    return _verdict(p, check_weakly_dli_condition(
+        seq, int_param(p, "horizon"), frac_param(p, "threshold")))
+
+
+def _check_witness_set(p: dict):
+    seq = _seq_of(p)
+    u, trace = witness_recursion(seq, int_param(p, "jmax"),
+                                 int_param(p, "scan_limit"))
+    # the witness set is {u_j + 1}; u is strictly increasing
+    elems = [v + 1 for v in u]
+    report = {"check": p["check"], "elements": elems, "recursion": u,
+              "trace": plainify(trace)}
+    return ",".join(str(e) for e in elems), report, None
+
+
+def _check_member(p: dict):
+    seq = _seq_of(p)
+    mv = finite_support_member(_point_of(p, seq))
+    return mv.status, {"check": p["check"], **mv.to_report()}, None
+
+
+def _witness_factor(p: dict):
+    seq = _seq_of(p)
+    u = int_param(p, "u")
+    k, v = factor_u(u, seq)
+    return f"{k},{v}", {"op": p["op"], "u": u, "k": k, "v": v}, None
+
+
+def _witness_factor_batch(p: dict):
+    seq = _seq_of(p)
+    rng = random.Random(int_param(p, "seed"))
+    trials = int_param(p, "trials")
+    umax = int_param(p, "umax")
+    if umax < 1:
+        raise PreconditionError("--umax must be >= 1")
+    rows = []
+    bad = None
+    for _ in range(trials):
+        u = rng.randint(1, umax)
         k, v = factor_u(u, seq)
-        return f"{k},{v}", {"op": op, "u": u, "k": k, "v": v}, None
-    if op == "factor-batch":
-        rng = random.Random(_int(params, "seed", 907))
-        trials = _int(params, "trials", 500)
-        umax = _int(params, "umax", 10 ** 9)
-        rows = []
-        bad = None
-        for _ in range(trials):
-            u = rng.randint(1, umax)
-            k, v = factor_u(u, seq)
-            ok = (u == seq.term(k) * v) and (v % seq.ratio(k + 1) != 0)
-            rows.append({"u": u, "k": k, "v": v, "ok": ok})
-            if not ok and bad is None:
-                bad = rows[-1]
-        report = {"op": op, "trials": trials, "umax": umax,
-                  "all_ok": bad is None, "rows": rows[:50], "bad": bad}
-        terse = f"ok={sum(1 for r in rows if r['ok'])}/{trials}"
-        return terse, report, None if bad is None else f"factorization failed: {bad}"
-    if op == "family":
-        a_set = weakly_dli_witness_set(seq, _int(params, "jmax", 8),
-                                       _int(params, "scan_limit", 10 ** 6))
-        zeta = tuple(_ints(params, "zeta", "0,1,0"))
-        x = continuum_family_point(a_set, zeta, seq)
-        support = [n for n in range(1, (x.finite_support_max() or 0) + 1)
-                   if x.digit(n)]
-        report = {"op": op, "zeta": list(zeta), "support": support,
-                  "point": x.describe()}
-        return ",".join(str(n) for n in support), report, None
-    if op == "partition":
-        x = _point_of(params, seq)
-        part = nonmembership_partition(x, _int(params, "m0", 10),
-                                       _int(params, "n0", 13),
-                                       _int(params, "blocks", 14))
-        h = _int(params, "blocks", 14)
-        report = {"op": op, "branch": part.branch,
-                  "a1": list(part.a1.iter_upto(h)),
-                  "a2": list(part.a2.iter_upto(h)),
-                  "a3": list(part.a3.iter_upto(h))}
-        terse = (f"branch={part.branch},a1={part.a1.count_upto(h)},"
-                 f"a2={part.a2.count_upto(h)},a3={part.a3.count_upto(h)}")
-        return terse, report, None
-    if op == "escape":
-        x = _point_of(params, seq)
-        m0 = _int(params, "m0", 10)
-        n0 = _int(params, "n0", 13)
-        blocks = _int(params, "blocks", 14)
-        case = str(params.get("case", "small"))
-        part = nonmembership_partition(x, m0, n0, blocks)
-        branch = part.a1 if case == "small" else part.a2
-        horizon = params.get("horizon")
-        n_limit = (_int(params, "horizon", None) if horizon is not None
-                   else seq.derived.boundary(blocks) - 1)
-        bad = bad_interval_family(x, branch, case, m0, n0, n_limit)
-        rep = certify_nonmembership(x, bad, case, m0, n0,
-                                    _int(params, "depth", 8), n_limit)
-        certified_fraction = Fraction(rep.certified, n_limit)
-        branch_density = Fraction(
-            lift(branch, seq.derived).count_upto(n_limit), n_limit)
-        doc = rep.to_report()
-        failures = [r for r in doc["rows"] if r["verdict"] != "certified"]
-        doc["rows"] = doc["rows"][:200]
-        doc["failures"] = failures
-        doc.update({"op": op, "horizon": n_limit,
-                    "certified_fraction": str(certified_fraction),
-                    "branch_density": str(branch_density)})
-        terse = (f"certified={rep.certified},violations={rep.violations},"
-                 f"undecided={rep.undecided}")
-        fail = None
-        if rep.violations:
-            fail = f"certification produced {rep.violations} violation rows"
-        return terse, doc, fail
-    if op == "aligned":
-        count = _int(params, "count", 60)
-        if params.get("u_list") is not None:
-            u_list = _ints(params, "u_list", None)
-        else:
-            u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, count + 1)]
-        rep = arbault_witness(seq, u_list, rows=_int(params, "rows", 20),
-                              depth=_int(params, "depth", 8))
-        doc = rep.to_report()
-        doc["op"] = op
-        terse = (f"certified={rep.certified},violations={rep.violations},"
-                 f"undecided={rep.undecided},"
-                 f"skipped={rep.extras.get('skipped', 0)}")
-        fail = None
-        if rep.violations or rep.undecided:
-            fail = "aligned-digit rows failed certification"
-        return terse, doc, fail
-    raise SpecParseError(
-        "--op must be one of factor, factor-batch, family, partition, "
-        "escape, aligned")
+        ok = (u == seq.term(k) * v) and (v % seq.ratio(k + 1) != 0)
+        rows.append({"u": u, "k": k, "v": v, "ok": ok})
+        if not ok and bad is None:
+            bad = rows[-1]
+    report = {"op": p["op"], "trials": trials, "umax": umax,
+              "all_ok": bad is None, "rows": rows[:50], "bad": bad}
+    terse = f"ok={sum(1 for r in rows if r['ok'])}/{trials}"
+    return terse, report, None if bad is None else f"factorization failed: {bad}"
 
 
-def _cmd_verify(params: dict):
-    tag = str(params.get("tag", ""))
+def _witness_family(p: dict):
+    seq = _seq_of(p)
+    a_set = weakly_dli_witness_set(seq, int_param(p, "jmax"),
+                                   int_param(p, "scan_limit"))
+    zeta = tuple(ints_param(p, "zeta"))
+    x = continuum_family_point(a_set, zeta, seq)
+    support = [n for n in range(1, (x.finite_support_max() or 0) + 1)
+               if x.digit(n)]
+    report = {"op": p["op"], "zeta": list(zeta), "support": support,
+              "point": x.describe()}
+    return ",".join(str(n) for n in support), report, None
+
+
+def _witness_partition(p: dict):
+    seq = _seq_of(p)
+    x = _point_of(p, seq)
+    h = int_param(p, "blocks")
+    part = nonmembership_partition(x, int_param(p, "m0"), int_param(p, "n0"), h)
+    report = {"op": p["op"], "branch": part.branch,
+              "a1": list(part.a1.iter_upto(h)),
+              "a2": list(part.a2.iter_upto(h)),
+              "a3": list(part.a3.iter_upto(h))}
+    terse = (f"branch={part.branch},a1={part.a1.count_upto(h)},"
+             f"a2={part.a2.count_upto(h)},a3={part.a3.count_upto(h)}")
+    return terse, report, None
+
+
+def _witness_escape(p: dict):
+    seq = _seq_of(p)
+    x = _point_of(p, seq)
+    m0 = int_param(p, "m0")
+    n0 = int_param(p, "n0")
+    blocks = int_param(p, "blocks")
+    case = str(p["case"])
+    part = nonmembership_partition(x, m0, n0, blocks)
+    branch = part.a1 if case == "small" else part.a2
+    n_limit = (int_param(p, "horizon") if p["horizon"] is not None
+               else seq.derived.boundary(blocks) - 1)
+    bad = bad_interval_family(x, branch, case, m0, n0, n_limit)
+    rep = certify_nonmembership(x, bad, case, m0, n0, int_param(p, "depth"),
+                                n_limit)
+    certified_fraction = Fraction(rep.certified, n_limit)
+    branch_density = Fraction(
+        lift(branch, seq.derived).count_upto(n_limit), n_limit)
+    doc = rep.to_report()
+    failures = [r for r in doc["rows"] if r["verdict"] != "certified"]
+    doc["rows"] = doc["rows"][:200]
+    doc["failures"] = failures
+    doc.update({"op": p["op"], "horizon": n_limit,
+                "certified_fraction": str(certified_fraction),
+                "branch_density": str(branch_density)})
+    terse = (f"certified={rep.certified},violations={rep.violations},"
+             f"undecided={rep.undecided}")
+    fail = None
+    if rep.violations:
+        fail = f"certification produced {rep.violations} violation rows"
+    return terse, doc, fail
+
+
+def _witness_aligned(p: dict):
+    seq = _seq_of(p)
+    count = int_param(p, "count")
+    if p["u_list"] is not None:
+        u_list = ints_param(p, "u_list")
+    else:
+        u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, count + 1)]
+    rep = arbault_witness(seq, u_list, rows=int_param(p, "rows"),
+                          depth=int_param(p, "depth"))
+    doc = rep.to_report()
+    doc["op"] = p["op"]
+    terse = (f"certified={rep.certified},violations={rep.violations},"
+             f"undecided={rep.undecided},"
+             f"skipped={rep.extras.get('skipped', 0)}")
+    fail = None
+    if rep.violations or rep.undecided:
+        fail = "aligned-digit rows failed certification"
+    return terse, doc, fail
+
+
+def _cmd_verify(p: dict):
+    tag = str(p["tag"])
+    entries = p["param"] or []
+    if not isinstance(entries, list):  # a config may give one entry bare
+        entries = [entries]
     overrides = {}
-    for entry in params.get("param") or []:
+    for entry in entries:
         key, sep, val = str(entry).partition("=")
         if not sep:
             raise SpecParseError(f"--param needs key=value, got {entry!r}")
@@ -298,13 +302,48 @@ def _cmd_verify(params: dict):
     return terse, report, fail
 
 
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "lift": _cmd_lift,
-    "scan": _cmd_scan,
-    "classify": _cmd_classify,
-    "witness": _cmd_witness,
-    "verify": _cmd_verify,
+# ===== The operation table ===================================================
+# (subcommand, operation) -> (handler, params with their defaults; None =
+# unset). Every param is read from its flag or config key; a key that the
+# chosen operation does not declare is refused (exit 3).
+
+_POINT = {"spec": None, "x": None, "expand": 256}
+_PARTITION = {**_POINT, "m0": 10, "n0": 13, "blocks": 14}
+
+OPS = {
+    ("seq", None): (_cmd_seq, {"spec": None, "kind": "d", "count": 10}),
+    ("lift", None): (_cmd_lift, {"spec": None, "set": None, "horizon": 1000}),
+    ("scan", None): (_cmd_scan, {**_POINT, "eps": "1/10", "horizons": "1000",
+                                 "depth": 8, "cap": None}),
+    ("classify", "b-bounded"): (_check_b_bounded, {"spec": None, "set": "all",
+                                                   "bound": 2, "horizon": 100}),
+    ("classify", "snd"): (_check_snd, {"spec": None, "alpha": 1, "horizon": 30}),
+    ("classify", "wdli"): (_check_wdli, {"spec": None, "horizon": 1000,
+                                         "threshold": "1/100"}),
+    ("classify", "witness-set"): (_check_witness_set, {
+        "spec": None, "jmax": 8, "scan_limit": 10 ** 6}),
+    ("classify", "member"): (_check_member, _POINT),
+    ("witness", "factor"): (_witness_factor, {"spec": None, "u": 0}),
+    ("witness", "factor-batch"): (_witness_factor_batch, {
+        "spec": None, "seed": 907, "trials": 500, "umax": 10 ** 9}),
+    ("witness", "family"): (_witness_family, {
+        "spec": None, "jmax": 8, "scan_limit": 10 ** 6, "zeta": "0,1,0"}),
+    ("witness", "partition"): (_witness_partition, _PARTITION),
+    ("witness", "escape"): (_witness_escape, {
+        **_PARTITION, "case": "small", "depth": 8, "horizon": None}),
+    ("witness", "aligned"): (_witness_aligned, {
+        "spec": None, "u_list": None, "count": 60, "rows": 20, "depth": 8}),
+    ("verify", None): (_cmd_verify, {"tag": None, "param": None}),
+}
+
+# subcommand -> (help, the param that names its operation, if it has several)
+SUBCOMMANDS = {
+    "seq": ("list sequence values", None),
+    "lift": ("lift an index set to derived indices", None),
+    "scan": ("certified escape-density scan", None),
+    "classify": ("ratio growth classification checks", "check"),
+    "witness": ("constructive witness operations", "op"),
+    "verify": ("run a named verification suite", None),
 }
 
 
@@ -322,9 +361,19 @@ def run_config(config: dict):
     """Dispatch a config dict; returns (terse, report, fail_message)."""
     params = _params_of(config)
     sub = config.get("subcommand")
-    if sub not in _HANDLERS:
+    if not isinstance(sub, str) or sub not in SUBCOMMANDS:
         raise SpecParseError(f"unknown subcommand {sub!r}")
-    return _HANDLERS[sub](params)
+    pick = SUBCOMMANDS[sub][1]
+    name = pick and str(params.get(pick, ""))
+    if (sub, name) not in OPS:
+        names = ", ".join(op for s, op in OPS if s == sub)
+        raise SpecParseError(f"--{pick} must be one of {names}")
+    handler, defaults = OPS[sub, name]
+    what = sub
+    if pick:
+        defaults = {pick: name, **defaults}
+        what = f"{sub} --{pick} {name}"
+    return handler(merge_params(defaults, params, what))
 
 
 def envelope_bytes(config: dict) -> bytes:
@@ -347,75 +396,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "characterized by vanishing multiples")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("seq", help="list sequence values")
-    p.add_argument("--spec")
-    p.add_argument("--kind", choices=("a", "b", "d", "n"))
-    p.add_argument("--count")
-    _add_common(p)
-
-    p = subs.add_parser("lift", help="lift an index set to derived indices")
-    p.add_argument("--spec")
-    p.add_argument("--set")
-    p.add_argument("--horizon")
-    _add_common(p)
-
-    p = subs.add_parser("scan", help="certified escape-density scan")
-    p.add_argument("--spec")
-    p.add_argument("--x")
-    p.add_argument("--eps")
-    p.add_argument("--horizons")
-    p.add_argument("--depth")
-    p.add_argument("--cap")
-    p.add_argument("--expand")
-    _add_common(p)
-
-    p = subs.add_parser("classify", help="ratio growth classification checks")
-    p.add_argument("--spec")
-    p.add_argument("--check")
-    p.add_argument("--set")
-    p.add_argument("--bound")
-    p.add_argument("--alpha")
-    p.add_argument("--threshold")
-    p.add_argument("--horizon")
-    p.add_argument("--jmax")
-    p.add_argument("--scan-limit", dest="scan_limit")
-    p.add_argument("--x")
-    p.add_argument("--expand")
-    _add_common(p)
-
-    p = subs.add_parser("witness", help="constructive witness operations")
-    p.add_argument("--spec")
-    p.add_argument("--op")
-    p.add_argument("--u")
-    p.add_argument("--u-list", dest="u_list")
-    p.add_argument("--trials")
-    p.add_argument("--umax")
-    p.add_argument("--seed")
-    p.add_argument("--jmax")
-    p.add_argument("--scan-limit", dest="scan_limit")
-    p.add_argument("--zeta")
-    p.add_argument("--x")
-    p.add_argument("--expand")
-    p.add_argument("--m0")
-    p.add_argument("--n0")
-    p.add_argument("--blocks")
-    p.add_argument("--case")
-    p.add_argument("--depth")
-    p.add_argument("--horizon")
-    p.add_argument("--count")
-    p.add_argument("--rows")
-    _add_common(p)
-
-    p = subs.add_parser("verify", help="run a named verification suite")
-    p.add_argument("tag")
-    p.add_argument("--param", action="append",
-                   help="suite parameter override key=value, repeatable")
-    _add_common(p)
-
-    p = subs.add_parser("run", help="execute a serialized config")
-    _add_common(p)
-
+    for sub, (help_text, pick) in SUBCOMMANDS.items():
+        p = subs.add_parser(sub, help=help_text)
+        keys = [pick] if pick else []
+        for (s, _), (_, defaults) in OPS.items():
+            keys += [key for key in defaults if s == sub and key not in keys]
+        for key in keys:
+            if key == "tag":
+                p.add_argument("tag")
+            elif key == "param":
+                p.add_argument("--param", action="append",
+                               help="suite parameter override key=value, repeatable")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key)
+        _add_common(p)
+    _add_common(subs.add_parser("run", help="execute a serialized config"))
     return parser
 
 

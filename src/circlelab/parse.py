@@ -6,6 +6,10 @@ through these helpers, and every malformed token raises SpecParseError
 here. An integer is an optional ``-`` followed by ASCII digits; a fraction
 is an integer ``P`` or ``P/Q`` with ``Q`` ASCII digits, not 0. Whitespace
 around a token is ignored.
+
+A parameter dict (the params of a command-line operation or of a suite) is
+built by ``merge_params`` from the declared defaults and read by
+``int_param``, ``frac_param`` and ``ints_param``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import SpecParseError
+from .errors import PreconditionError, SpecParseError
 
 _INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
 _FRACTION = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
@@ -58,3 +62,25 @@ def enclosed(text: str, brackets: str, what: str) -> str:
     if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
         raise SpecParseError(f"{what} must be wrapped in {brackets}, got {text!r}")
     return text[1:-1]
+
+
+def merge_params(defaults: dict, params: dict | None, what: str) -> dict:
+    """``params`` over ``defaults``; a key ``defaults`` lacks is a PreconditionError."""
+    out = dict(defaults)
+    for key, val in (params or {}).items():
+        if key not in defaults:
+            raise PreconditionError(f"{what} does not read {key!r}")
+        out[key] = val
+    return out
+
+
+def int_param(p: dict, key: str) -> int:
+    return integer(str(p[key]), key)
+
+
+def frac_param(p: dict, key: str) -> Fraction:
+    return fraction(str(p[key]), key)
+
+
+def ints_param(p: dict, key: str) -> list[int]:
+    return integers(str(p[key]), key)

@@ -72,50 +72,45 @@ class RatioSpec:
     blocks) or by parsing a spec string such as ``linear:1`` or ``pow:2``.
     """
 
-    def __init__(self, kind: str, **params):
-        self.kind = kind
-        self.params = params
-        if kind == "constant":
-            if params["value"] < 2:
-                raise PreconditionError("constant ratio must be >= 2")
-        elif kind == "linear":
-            if params["offset"] < 1:
-                raise PreconditionError("linear offset must be >= 1 so that b_1 >= 2")
-        elif kind == "power":
-            if params["base"] < 2:
-                raise PreconditionError("power base must be >= 2")
-        elif kind == "explicit":
-            values = tuple(params["values"])
-            if any(v < 2 for v in values):
-                raise PreconditionError("every explicit ratio must be >= 2")
-            if not isinstance(params["tail"], RatioSpec):
-                raise PreconditionError("explicit spec needs a tail rule")
-            self.params = {"values": values, "tail": params["tail"]}
-        elif kind == "blocks":
-            if params["jmax"] < 2:
-                raise PreconditionError("block construction needs jmax >= 2")
-            self._blocks = _BlockRatios(params["jmax"])
-        else:
-            raise PreconditionError(f"unknown ratio kind {kind!r}")
+    def __init__(self, text: str, rule, eventually_two: bool):
+        """The spec string ``describe`` returns, the rule n -> b_n, and
+        whether b_n = 2 for all large n. Each classmethod checks its input."""
+        self._text = text
+        self._rule = rule
+        self._two = eventually_two
 
     @classmethod
     def constant(cls, value: int) -> "RatioSpec":
-        return cls("constant", value=value)
+        if value < 2:
+            raise PreconditionError("constant ratio must be >= 2")
+        return cls(f"const:{value}", lambda n: value, value == 2)
 
     @classmethod
     def linear(cls, offset: int) -> "RatioSpec":
         """b_n = n + offset."""
-        return cls("linear", offset=offset)
+        if offset < 1:
+            raise PreconditionError("linear offset must be >= 1 so that b_1 >= 2")
+        return cls(f"linear:{offset}", lambda n: n + offset, False)
 
     @classmethod
     def power(cls, base: int) -> "RatioSpec":
         """b_n = base ** n."""
-        return cls("power", base=base)
+        if base < 2:
+            raise PreconditionError("power base must be >= 2")
+        return cls(f"pow:{base}", lambda n: base ** n, False)
 
     @classmethod
     def explicit(cls, values, tail: "RatioSpec") -> "RatioSpec":
         """A finite ratio list followed by a declared tail rule (evaluated at the absolute index)."""
-        return cls("explicit", values=tuple(values), tail=tail)
+        values = tuple(values)
+        if any(v < 2 for v in values):
+            raise PreconditionError("every explicit ratio must be >= 2")
+        if not isinstance(tail, RatioSpec):
+            raise PreconditionError("explicit spec needs a tail rule")
+        head = ",".join(str(v) for v in values)
+        return cls(f"explicit:[{head}];tail={tail.describe()}",
+                   lambda n: values[n - 1] if n <= len(values) else tail.term(n),
+                   tail.eventually_two())
 
     @classmethod
     def blocks(cls, jmax: int) -> "RatioSpec":
@@ -126,50 +121,21 @@ class RatioSpec:
         set lands exactly on the chosen target set. The spec covers jmax
         blocks and then continues with ratio 2.
         """
-        return cls("blocks", jmax=jmax)
+        if jmax < 2:
+            raise PreconditionError("block construction needs jmax >= 2")
+        return cls(f"dlictrex:{jmax}", _BlockRatios(jmax).term, True)
 
     def term(self, n: int) -> int:
         if n < 1:
             raise PreconditionError(f"ratio index must be >= 1, got {n}")
-        kind = self.kind
-        if kind == "constant":
-            return self.params["value"]
-        if kind == "linear":
-            return n + self.params["offset"]
-        if kind == "power":
-            return self.params["base"] ** n
-        if kind == "explicit":
-            values = self.params["values"]
-            if n <= len(values):
-                return values[n - 1]
-            return self.params["tail"].term(n)
-        return self._blocks.term(n)
+        return self._rule(n)
 
     def eventually_two(self) -> bool:
         """True when b_n = 2 for all large n (decidable for every kind)."""
-        if self.kind == "constant":
-            return self.params["value"] == 2
-        if self.kind == "explicit":
-            return self.params["tail"].eventually_two()
-        # linear and power ratios grow without bound; block joins recur with
-        # join ratio j + 1, so ratios above 2 appear infinitely often there
-        # only within the enumerated blocks -- past them the tail is 2.
-        if self.kind == "blocks":
-            return True
-        return False
+        return self._two
 
     def describe(self) -> str:
-        kind = self.kind
-        if kind == "constant":
-            return f"const:{self.params['value']}"
-        if kind == "linear":
-            return f"linear:{self.params['offset']}"
-        if kind == "power":
-            return f"pow:{self.params['base']}"
-        if kind == "blocks":
-            return f"dlictrex:{self.params['jmax']}"
-        values = ",".join(str(v) for v in self.params["values"])
-        return f"explicit:[{values}];tail={self.params['tail'].describe()}"
+        return self._text
 
     def __eq__(self, other):
         if not isinstance(other, RatioSpec):

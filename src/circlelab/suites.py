@@ -24,7 +24,7 @@ from .circle import (
 from .classify import check_strongly_non_dli, weakly_dli_witness_set
 from .density import FiniteNatSet, full_set, lift, set_algebra
 from .errors import PreconditionError
-from .parse import fraction, integer, integers
+from .parse import frac_param, int_param, ints_param, merge_params
 from .membership import convergence_verdict, statistical_scan
 from .sequences import ArithSeq, RatioSpec
 from .witness import arbault_witness, continuum_family_point
@@ -55,37 +55,32 @@ def _spec_list(value) -> list[str]:
     return [str(s) for s in value]
 
 
-def _int(p: dict, key: str) -> int:
-    return integer(str(p[key]), key)
+def _draw(rng: random.Random, p: dict, key: str, low: int) -> int:
+    """rng.randint(low, p[key]); PreconditionError when p[key] < low."""
+    high = int_param(p, key)
+    if high < low:
+        raise PreconditionError(f"{key} must be >= {low}, got {high}")
+    return rng.randint(low, high)
 
 
-def _frac(p: dict, key: str) -> Fraction:
-    return fraction(str(p[key]), key)
-
-
-def _ints(p: dict, key: str) -> list[int]:
-    return integers(str(p[key]), key)
+def _sample(rng: random.Random, population: range, k: int) -> list[int]:
+    """rng.sample; PreconditionError when k values cannot be drawn."""
+    if k > len(population):
+        raise PreconditionError(f"cannot draw {k} of {len(population)} values")
+    return rng.sample(population, k)
 
 
 def _mod1(y: Fraction) -> Fraction:
     return y - (y.numerator // y.denominator)
 
 
-def _merge(defaults: dict, params: dict | None) -> dict:
-    out = dict(defaults)
-    for key, val in (params or {}).items():
-        if key not in defaults:
-            raise PreconditionError(f"unknown suite parameter {key!r}")
-        out[key] = val
-    return out
-
-
 def lift_algebra(params: dict | None = None) -> dict:
     """Exact commutation of lifting with union/intersection/difference."""
-    p = _merge({"specs": "linear:1,pow:2,const:2", "pairs": 200,
-                "lo": 1, "hi": 50, "max_size": 10, "seed": 1789}, params)
-    rng = random.Random(_int(p, "seed"))
-    lo, hi = _int(p, "lo"), _int(p, "hi")
+    p = merge_params({"specs": "linear:1,pow:2,const:2", "pairs": 200,
+                      "lo": 1, "hi": 50, "max_size": 10, "seed": 1789},
+                     params, "suite lift-algebra")
+    rng = random.Random(int_param(p, "seed"))
+    lo, hi = int_param(p, "lo"), int_param(p, "hi")
     identities = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
@@ -99,9 +94,9 @@ def lift_algebra(params: dict | None = None) -> dict:
             identities += 1
         if counterexample:
             break
-        for _ in range(_int(p, "pairs")):
-            a = sorted(rng.sample(range(lo, hi + 1), rng.randint(0, _int(p, "max_size"))))
-            b = sorted(rng.sample(range(lo, hi + 1), rng.randint(0, _int(p, "max_size"))))
+        for _ in range(int_param(p, "pairs")):
+            a = sorted(_sample(rng, range(lo, hi + 1), _draw(rng, p, "max_size", 0)))
+            b = sorted(_sample(rng, range(lo, hi + 1), _draw(rng, p, "max_size", 0)))
             sa, sb = FiniteNatSet(a), FiniteNatSet(b)
             la, lb = lift(sa, seq.derived), lift(sb, seq.derived)
             for op in ("union", "intersect", "difference"):
@@ -128,19 +123,19 @@ def lift_algebra(params: dict | None = None) -> dict:
 
 def tail_bound(params: dict | None = None) -> dict:
     """Window tail bound never exceeds 1/a_{j-1} and dominates the true tail."""
-    p = _merge({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
-                "qmax": 10 ** 6, "seed": 421}, params)
-    rng = random.Random(_int(p, "seed"))
+    p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
+                      "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
+    rng = random.Random(int_param(p, "seed"))
     max_ratio = Fraction(0)
     rows = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
-        for _ in range(_int(p, "trials")):
-            q = rng.randint(2, _int(p, "qmax"))
+        for _ in range(int_param(p, "trials")):
+            q = _draw(rng, p, "qmax", 2)
             value = Fraction(rng.randint(1, q - 1), q)
             x = digits_from_rational(value, seq)
-            for j in range(1, _int(p, "jmax") + 1):
+            for j in range(1, int_param(p, "jmax") + 1):
                 a = seq.term(j - 1)
                 ub = tail_upper_bound(x, j)
                 true_tail = _mod1(a * value) / a
@@ -164,21 +159,21 @@ def tail_bound(params: dict | None = None) -> dict:
 
 def recursion(params: dict | None = None) -> dict:
     """Window identity: exact value inside every enclosure, exact widths, nesting."""
-    p = _merge({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
-                "max_len": 10, "seed": 97}, params)
-    rng = random.Random(_int(p, "seed"))
+    p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
+                      "max_len": 10, "seed": 97}, params, "suite recursion")
+    rng = random.Random(int_param(p, "seed"))
     checks = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
-        for _ in range(_int(p, "trials")):
-            length = rng.randint(1, _int(p, "max_len"))
+        for _ in range(int_param(p, "trials")):
+            length = _draw(rng, p, "max_len", 1)
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
             x = CirclePoint(seq, FiniteDigits(digits))
             for n in range(1, length + 3):
                 exact = frac_exact(x, n)
                 prev = None
-                for t in range(_int(p, "tmax") + 1):
+                for t in range(int_param(p, "tmax") + 1):
                     bi = frac_bound(x, n, t)
                     width = Fraction(1, math.prod(
                         seq.ratio(j) for j in range(n, n + t + 1)))
@@ -203,24 +198,25 @@ def recursion(params: dict | None = None) -> dict:
 
 def snd_density(params: dict | None = None) -> dict:
     """Density floor for lifted finite sets under the growth condition."""
-    p = _merge({"spec": "pow:2", "alpha": 1, "horizon": 30, "trials": 20,
-                "kmax": 12, "floor": "45/100", "seed": 3571}, params)
+    p = merge_params({"spec": "pow:2", "alpha": 1, "horizon": 30, "trials": 20,
+                      "kmax": 12, "floor": "45/100", "seed": 3571},
+                     params, "suite snd-density")
     seq = _seq(str(p["spec"]))
-    alpha = _frac(p, "alpha")
-    verdict = check_strongly_non_dli(seq, alpha, _int(p, "horizon"))
+    alpha = frac_param(p, "alpha")
+    verdict = check_strongly_non_dli(seq, alpha, int_param(p, "horizon"))
     if not verdict.holds:
         return {"suite": "snd-density", "params": plainify(p), "pass": False,
                 "counterexample": {"kind": "growth-condition",
                                    "verdict": verdict.verdict,
                                    "witness": plainify(verdict.witness)}}
-    rng = random.Random(_int(p, "seed"))
-    floor = _frac(p, "floor")
+    rng = random.Random(int_param(p, "seed"))
+    floor = frac_param(p, "floor")
     min_density = None
     counterexample = None
     densities = []
-    for _ in range(_int(p, "trials")):
+    for _ in range(int_param(p, "trials")):
         size = rng.randint(1, 6)
-        elems = sorted(rng.sample(range(1, _int(p, "kmax") + 1), size))
+        elems = sorted(_sample(rng, range(1, int_param(p, "kmax") + 1), size))
         horizon = seq.derived.boundary(max(elems)) - 1
         lifted = lift(FiniteNatSet(elems), seq.derived)
         dens = Fraction(lifted.count_upto(horizon), horizon)
@@ -240,18 +236,19 @@ def snd_density(params: dict | None = None) -> dict:
 
 def wdli_shrink(params: dict | None = None) -> dict:
     """Escape-set upper bounds shrink along horizons for a family point."""
-    p = _merge({"spec": "linear:1", "jmax": 8, "zeta": "0,1,0", "eps": "1/10",
-                "horizons": "1000,10000,100000", "depth": 8,
-                "last_bound": "1/20", "scan_limit": 10 ** 6}, params)
+    p = merge_params({"spec": "linear:1", "jmax": 8, "zeta": "0,1,0", "eps": "1/10",
+                      "horizons": "1000,10000,100000", "depth": 8,
+                      "last_bound": "1/20", "scan_limit": 10 ** 6},
+                     params, "suite wdli-shrink")
     seq = _seq(str(p["spec"]))
-    a_set = weakly_dli_witness_set(seq, _int(p, "jmax"), _int(p, "scan_limit"))
-    zeta = tuple(_ints(p, "zeta"))
+    a_set = weakly_dli_witness_set(seq, int_param(p, "jmax"), int_param(p, "scan_limit"))
+    zeta = tuple(ints_param(p, "zeta"))
     x = continuum_family_point(a_set, zeta, seq)
-    scan = statistical_scan(x, _frac(p, "eps"), _ints(p, "horizons"),
-                            _int(p, "depth"))
+    scan = statistical_scan(x, frac_param(p, "eps"), ints_param(p, "horizons"),
+                            int_param(p, "depth"))
     his = [e.hi for e in scan.estimates]
     strict = all(u > v for u, v in zip(his, his[1:]))
-    last_ok = his[-1] <= _frac(p, "last_bound")
+    last_ok = his[-1] <= frac_param(p, "last_bound")
     counterexample = None
     if not strict:
         counterexample = {"kind": "not-strictly-decreasing",
@@ -270,22 +267,23 @@ def wdli_shrink(params: dict | None = None) -> dict:
 
 def coincidence(params: dict | None = None) -> dict:
     """Scan of the all-ones point: positive escape floor that persists."""
-    p = _merge({"spec": "pow:2", "eps": "1/8", "horizons": "1000,10000,100000",
-                "depth": 32, "floor": None, "max_undecided": "1/20"}, params)
+    p = merge_params({"spec": "pow:2", "eps": "1/8", "horizons": "1000,10000,100000",
+                      "depth": 32, "floor": None, "max_undecided": "1/20"},
+                     params, "suite coincidence")
     seq = _seq(str(p["spec"]))
     x = CirclePoint(seq, IndicatorDigits(full_set()))
-    scan = statistical_scan(x, _frac(p, "eps"), _ints(p, "horizons"),
-                            _int(p, "depth"))
+    scan = statistical_scan(x, frac_param(p, "eps"), ints_param(p, "horizons"),
+                            int_param(p, "depth"))
     los = [e.lo for e in scan.estimates]
     und = [Fraction(e.undecided_count, e.N) for e in scan.estimates]
-    max_und = _frac(p, "max_undecided")
+    max_und = frac_param(p, "max_undecided")
     counterexample = None
     if los[0] == 0:
         counterexample = {"kind": "zero-floor"}
     elif any(u > max_und for u in und):
         counterexample = {"kind": "undecided", "fractions": [str(u) for u in und]}
     elif p["floor"] is not None:
-        floor = _frac(p, "floor")
+        floor = frac_param(p, "floor")
         if los[0] != floor:
             counterexample = {"kind": "floor-drift", "measured": str(los[0]),
                               "frozen": str(floor)}
@@ -302,13 +300,14 @@ def coincidence(params: dict | None = None) -> dict:
 
 def arbault(params: dict | None = None) -> dict:
     """Aligned-digit witness rows certified inside [1/4, 7/8], no failures."""
-    p = _merge({"spec": "linear:1", "count": 60, "rows": 20, "depth": 8}, params)
+    p = merge_params({"spec": "linear:1", "count": 60, "rows": 20, "depth": 8},
+                     params, "suite arbault")
     seq = _seq(str(p["spec"]))
-    u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, _int(p, "count") + 1)]
-    rep = arbault_witness(seq, u_list, rows=_int(p, "rows"), depth=_int(p, "depth"))
+    u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, int_param(p, "count") + 1)]
+    rep = arbault_witness(seq, u_list, rows=int_param(p, "rows"), depth=int_param(p, "depth"))
     counterexample = None
     bad = [row for row in rep.rows if row.verdict != "certified"]
-    if len(rep.rows) < _int(p, "rows"):
+    if len(rep.rows) < int_param(p, "rows"):
         counterexample = {"kind": "too-few-rows", "got": len(rep.rows)}
     elif bad:
         counterexample = {"kind": bad[0].verdict, "row": bad[0].to_report()}

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from circlelab.cli import canonical_json, envelope_bytes, main, run_config
+from circlelab.cli import (OPS, SUBCOMMANDS, canonical_json, envelope_bytes, main,
+                           run_config)
 
 CLI = [sys.executable, "-m", "circlelab.cli"]
 
@@ -186,13 +187,91 @@ def test_junk_depth_cap_falls_back_to_64(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"subcommand": ', '"scan"',
-                                  '{"subcommand": "scan", "params": [1]}'])
+                                  '{"subcommand": "scan", "params": [1]}',
+                                  '{"subcommand": ["scan"]}'])
 def test_bad_config_files_exit_2(capsys, tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     capture(capsys, "run", "--config", str(cfg), expect=2)
     capture(capsys, "scan", "--config", str(cfg), expect=2)
     capture(capsys, "run", "--config", str(tmp_path / "missing.json"), expect=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "recursion", "--param", "max_len=0"),
+    ("verify", "lift-algebra", "--param", "max_size=-1"),
+    ("verify", "lift-algebra", "--param", "lo=5", "--param", "hi=1"),
+    ("verify", "tail-bound", "--param", "qmax=1"),
+    ("verify", "snd-density", "--param", "kmax=3"),
+    ("witness", "--spec", "linear:1", "--op", "factor-batch", "--umax", "0"),
+])
+def test_empty_random_ranges_exit_3(capsys, argv):
+    # each of these asks the random module for a draw from an empty range
+    assert capture(capsys, *argv, expect=3).err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "--spec", "linear:1", "--kind", "z"),
+    ("classify", "--spec", "linear:1", "--check", "nope"),
+    ("witness", "--spec", "linear:1", "--op", "nope"),
+])
+def test_unknown_operation_names_exit_2(capsys, argv):
+    assert "must be one of" in capture(capsys, *argv, expect=2).err
+
+
+# one valid config per operation of the table
+RUNS = {
+    ("seq", None): {"spec": "linear:1"},
+    ("lift", None): {"spec": "linear:1", "set": "fin:{3}"},
+    ("scan", None): {"spec": "linear:1", "x": "rat:1/6", "horizons": "100"},
+    ("classify", "b-bounded"): {"spec": "linear:1"},
+    ("classify", "snd"): {"spec": "pow:2"},
+    ("classify", "wdli"): {"spec": "linear:1"},
+    ("classify", "witness-set"): {"spec": "linear:1"},
+    ("classify", "member"): {"spec": "pow:2", "x": "finite:[1,0,1]"},
+    ("witness", "factor"): {"spec": "linear:1", "u": "48"},
+    ("witness", "factor-batch"): {"spec": "linear:1", "trials": "5"},
+    ("witness", "family"): {"spec": "linear:1"},
+    ("witness", "partition"): {"spec": "pow:2", "x": "ones-on:all"},
+    ("witness", "escape"): {"spec": "pow:2", "x": "ones-on:all", "blocks": "9"},
+    ("witness", "aligned"): {"spec": "linear:1", "count": "10"},
+    ("verify", None): {"tag": "recursion", "param": ["trials=2"]},
+}
+
+
+def _op_config(sub, name, **extra):
+    pick = SUBCOMMANDS[sub][1]
+    params = {**RUNS[sub, name], **({pick: name} if pick else {}), **extra}
+    return {"subcommand": sub, "params": params}
+
+
+def test_every_operation_has_a_run():
+    assert set(RUNS) == set(OPS)
+
+
+@pytest.mark.parametrize("sub,name", list(RUNS), ids=[f"{s}-{n}" for s, n in RUNS])
+def test_unread_params_exit_3(capsys, tmp_path, sub, name):
+    assert run_config(_op_config(sub, name))[2] is None
+    declared = OPS[sub, name][1]
+    extra = next(key for key in ("set", "x", "u", "tag") if key not in declared)
+    cfg = tmp_path / "cfg.json"
+    # for classify --check snd this is --set evens
+    cfg.write_text(json.dumps(_op_config(sub, name, **{extra: "evens"})))
+    assert repr(extra) in capture(capsys, "run", "--config", str(cfg), expect=3).err
+
+
+def test_unread_flag_exits_3(capsys):
+    # snd never reads --set, so an envelope must not record it
+    out = capture(capsys, "classify", "--spec", "pow:2", "--check", "snd",
+                  "--set", "evens", expect=3)
+    assert out.err == "error: classify --check snd does not read 'set'\n"
+
+
+def test_verify_param_string_is_one_entry():
+    one = {"subcommand": "verify", "params": {"tag": "recursion", "param": "seed=3"}}
+    listed = {"subcommand": "verify", "params": {"tag": "recursion", "param": ["seed=3"]}}
+    assert run_config(one)[1] == run_config(listed)[1]
+    assert run_config(one)[1]["params"]["seed"] == "3"
 
 
 def test_unknown_subcommand_usage_error():

@@ -1,13 +1,15 @@
 """The token layer, and a fuzz test of every parser that reads user text."""
 
+import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlelab.circle import parse_point
-from circlelab.cli import run_config
+from circlelab.cli import OPS, SUBCOMMANDS, main, run_config
 from circlelab.density import parse_set_expr
 from circlelab.errors import CircleLabError, SpecParseError
 from circlelab.parse import enclosed, fraction, integer, integers
@@ -103,9 +105,10 @@ def _value(*valid):
 
 
 def _config(sub, **params):
+    if sub != "verify":  # the suites bring their own specs
+        params = {"spec": st.just("linear:1"), **params}
     return st.fixed_dictionaries(
-        {"subcommand": st.just(sub),
-         "params": st.fixed_dictionaries({"spec": st.just("linear:1"), **params})})
+        {"subcommand": st.just(sub), "params": st.fixed_dictionaries(params)})
 
 
 CONFIGS = st.one_of(
@@ -138,3 +141,76 @@ def test_parsers_raise_only_library_errors(text, horizon, config):
     _only_library_errors(parse_set_expr, text, LINEAR1)
     _only_library_errors(parse_point, text, LINEAR1, horizon)
     _only_library_errors(run_config, config)
+
+
+# ----- fuzz: argv through cli.main ends in a documented exit code --------------
+# Flags come from the operation table; every number in a value is cut below 64
+# and the spec is linear:1 or const:2, so that no count, horizon, blocks, jmax
+# or depth asks for runaway work.
+
+def _small(text, bound=64):
+    return re.sub(r"[0-9]+", lambda m: str(int(m[0]) % bound), text)
+
+
+SMALL = TEXT.map(_small)
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+# a valid value of every param: its default in some operation, else a sample
+VALID = {"x": "ones-on:evens", "set": "evens", "cap": "12", "u_list": "3,8,30",
+         **{key: value for _, defaults in OPS.values()
+            for key, value in defaults.items() if value is not None}}
+
+
+def _arg(valid):
+    """Mostly ``valid``, else a small integer or any small text."""
+    return st.integers(0, 9).flatmap(
+        lambda i: (SMALL, st.integers(-1, 63).map(str))[i] if i < 2 else st.just(valid))
+
+
+@st.composite
+def ARGV(draw):
+    sub, name = draw(st.sampled_from(list(OPS)))
+    pick = SUBCOMMANDS[sub][1]
+    defaults = OPS[sub, name][1]
+    every = sorted({key for (s, _), (_, d) in OPS.items() if s == sub for key in d}
+                   - {"spec", "tag", "param"})
+    argv = [sub]
+    if pick:
+        argv += [_flag(pick), draw(_arg(name))]
+    if sub == "verify":
+        # suites run whole batteries: keep their counts tiny
+        argv.append(draw(_arg("recursion")))
+        for entry in draw(st.lists(st.one_of(
+                st.tuples(st.sampled_from(("trials", "seed", "tmax", "max_len")),
+                          TEXT.map(lambda t: _small(t, 4))).map("=".join),
+                SMALL), max_size=3)):
+            argv += ["--param", entry]
+    else:
+        argv += ["--spec", draw(st.sampled_from(("linear:1", "const:2")))]
+    required = [key for key in ("x", "set") if key in defaults and defaults[key] is None]
+    optional = [key for key in defaults if key in every and key not in required]
+    keys = required + (draw(st.lists(st.sampled_from(optional), unique=True))
+                       if optional else [])
+    if every and draw(st.integers(0, 9)) == 0:  # a flag the operation does not read
+        keys.append(draw(st.sampled_from(every)))
+    for key in keys:
+        valid = VALID[key] if defaults.get(key) is None else defaults[key]
+        argv += [_flag(key), draw(_arg(_small(str(valid))))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV())
+def test_cli_argv_ends_in_an_exit_code(argv):
+    sink = io.StringIO()
+    try:
+        with redirect_stdout(sink), redirect_stderr(sink):
+            code = main(argv)
+    except SystemExit as exc:  # argparse refused the command line
+        assert exc.code == 2
+    else:
+        assert code in (0, 2, 3, 4, 5)

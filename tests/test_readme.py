@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from circlelab.circle import parse_point
-from circlelab.cli import main
+from circlelab.cli import OPS, SUBCOMMANDS, main
 from circlelab.density import parse_set_expr
 from circlelab.sequences import ArithSeq, RatioSpec
 
@@ -38,6 +38,14 @@ def _forms():
         elif line.startswith("| `") and table:
             forms += [(table, f) for f in re.findall(r"`([^`]+)`", line.split("|")[1])]
     return forms
+
+
+def _param_rows():
+    """operation -> the backquoted cells of its row in the Parameters table."""
+    table = _section("Command line").split("### Parameters")[1].split("\n### ")[0]
+    return {cells[0].strip("` "): re.findall(r"`([^`]+)`", cells[1])
+            for cells in (line.strip("|").split("|") for line in table.splitlines()
+                          if line.startswith("| `"))}
 
 
 EXAMPLES = _examples()
@@ -73,3 +81,12 @@ def test_mini_language_form_parses(tmp_path, table, form):
         text = text.replace(placeholder, value)
     text = re.sub(r"\b[A-Z]\b", lambda m: LETTERS[m[0]], text)
     PARSERS[table](text)
+
+
+def test_parameter_table_matches_the_operations():
+    want = {}
+    for (sub, name), (_, defaults) in OPS.items():
+        pick = SUBCOMMANDS[sub][1]
+        want[sub if pick is None else f"{sub} --{pick} {name}"] = [
+            key if value is None else f"{key}={value}" for key, value in defaults.items()]
+    assert _param_rows() == want
