@@ -175,6 +175,8 @@ def _check_member(p: dict):
 
 def _witness_factor(p: dict):
     seq = _seq_of(p)
+    if p["u"] is None:
+        raise SpecParseError("--u is required")
     u = int_param(p, "u")
     k, v = factor_u(u, seq)
     return f"{k},{v}", {"op": p["op"], "u": u, "k": k, "v": v}, None
@@ -323,7 +325,7 @@ OPS = {
     ("classify", "witness-set"): (_check_witness_set, {
         "spec": None, "jmax": 8, "scan_limit": 10 ** 6}),
     ("classify", "member"): (_check_member, _POINT),
-    ("witness", "factor"): (_witness_factor, {"spec": None, "u": 0}),
+    ("witness", "factor"): (_witness_factor, {"spec": None, "u": None}),
     ("witness", "factor-batch"): (_witness_factor_batch, {
         "spec": None, "seed": 907, "trials": 500, "umax": 10 ** 9}),
     ("witness", "family"): (_witness_family, {

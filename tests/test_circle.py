@@ -24,6 +24,7 @@ from circlelab.circle import (
     norm_bound,
     parse_point,
     tail_upper_bound,
+    _window,
 )
 from circlelab.density import FiniteNatSet, full_set
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
@@ -334,6 +335,78 @@ def test_cache_refinement_only_deepens():
     second = cache.interval(2, 1)
     assert second.width <= first.width
     assert first.lo <= second.lo and second.hi <= first.hi
+
+
+_WINDOW_SPECS = {text: ArithSeq(RatioSpec.parse(text))
+                 for text in ("const:2", "const:3", "linear:1", "pow:2",
+                              "explicit:[5,2,7,3,4];tail=const:3")}
+
+
+@st.composite
+def window_points(draw, seq):
+    """An infinite, a finite floor-div or a capped rat: point on ``seq``."""
+    form = draw(st.sampled_from(("ones-on:squares", "floor-div", "rat")))
+    if form == "floor-div":
+        keys = draw(st.sets(st.integers(1, 60), max_size=12))
+        return CirclePoint(seq, FloorDivDigits({n: 2 for n in keys}))
+    if form == "rat":
+        # 97 divides no a_n within the horizon, so the prefix stays capped
+        p, horizon = draw(st.integers(1, 96)), draw(st.integers(1, 48))
+        return parse_point(f"rat:{p}/97", seq, horizon)
+    return parse_point(form, seq)
+
+
+@given(spec=st.sampled_from(sorted(_WINDOW_SPECS)), data=st.data(),
+       depth=st.integers(0, 10), cap=st.integers(0, 24),
+       moves=st.lists(st.tuples(st.integers(0, 3) | st.integers(4, 40),
+                                st.integers(0, 3), st.integers(1, 40)),
+                      min_size=1, max_size=25))
+@settings(max_examples=200, deadline=None)
+def test_sliding_window_matches_rebuild(spec, data, depth, cap, moves):
+    # one cache walks ascending blocks with skips and deepenings; its one
+    # window must always equal the window read from scratch
+    seq = _WINDOW_SPECS[spec]
+    x = data.draw(window_points(seq))
+    cache = EnclosureCache(x, depth=depth, cap=cap)
+    band = (Fraction(1, 3), Fraction(2, 3))
+
+    def check(k):
+        wk, wdepth, num, den = cache._win
+        assert wk == k and (num, den) == _window(x, k + 1, wdepth)
+        return wdepth
+
+    k = 0
+    for step, (skip, deepen, r) in enumerate(moves):
+        k += skip
+        max_depth = cache._max_depth(k)
+        if max_depth < 0:
+            break
+        base = min(depth, max_depth)
+        cache._window_at(k, base)
+        got = check(k)
+        # a first visit starts at the base depth, a revisit keeps its depth
+        assert got == base if skip or step == 0 else got >= base
+        d = got
+        for _ in range(deepen):
+            d = min(max(2 * d, 1), max_depth)
+            cache._window_at(k, d)
+            assert check(k) >= d
+        if not cache.exact_mode:
+            fresh = EnclosureCache(x, depth=depth, cap=cap)
+            assert cache.band_verdict(k, r, *band) == fresh.band_verdict(k, r, *band)
+            assert check(k) <= max_depth
+
+
+def test_slide_validates_each_new_digit():
+    # c_30 = b_30 first enters when the window slides onto block 21
+    rule = FuncDigits(lambda n, b: b if n == 30 else n % 2,
+                      attestation="c_n < b_n - 1 on every even n",
+                      support_kind="infinite", label="bad-c30")
+    cache = EnclosureCache(CirclePoint(CONST2, rule), depth=8)
+    for k in range(21):
+        cache._window_at(k, 8)
+    with pytest.raises(PreconditionError, match="c_30"):
+        cache._window_at(21, 8)
 
 
 # ----- digit-rule parsing ----------------------------------------------------

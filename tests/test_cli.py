@@ -91,6 +91,12 @@ def test_witness_factor_terse(capsys):
     assert out.out == "3,2\n"
 
 
+def test_witness_factor_needs_u(capsys):
+    err = capture(capsys, "witness", "--spec", "linear:1", "--op", "factor",
+                  expect=2).err
+    assert "--u is required" in err
+
+
 def test_witness_family_terse(capsys):
     out = capture(capsys, "witness", "--spec", "linear:1", "--op", "family",
                   "--zeta", "0,1,0")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circlelab.circle import (
+    CirclePoint,
     EnclosureCache,
     _floor_sum,
     _hits,
@@ -214,6 +215,21 @@ def test_pow2_scan_reaches_huge_horizon():
         assert e.in_count + e.out_count + e.undecided_count == e.N
     want, _ = per_row_scan(x, eps, horizons[:2])
     assert counts(scan)[:2] == want
+
+
+def test_scan_slides_its_digit_window(monkeypatch):
+    # 10^4 two-row blocks: the sliding window reads O(1) new digits per block
+    seq = ArithSeq(RatioSpec.constant(3))
+    x = parse_point("ones-on:squares", seq)
+    reads = []
+    digit = CirclePoint.digit
+    monkeypatch.setattr(CirclePoint, "digit",
+                        lambda self, n: reads.append(n) or digit(self, n))
+    N, depth = 2 * 10 ** 4, 64
+    scan = statistical_scan(x, Fraction(1, 8), [N], depth)
+    assert scan.estimates[-1].undecided_count == 0
+    blocks = seq.derived.decompose(N)[0] + 1
+    assert len(reads) <= 3 * blocks + depth + 1
 
 
 @given(n=st.integers(0, 40), m=st.integers(1, 60), a=st.integers(-200, 200),

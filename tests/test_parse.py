@@ -161,6 +161,7 @@ def _flag(key):
 
 # a valid value of every param: its default in some operation, else a sample
 VALID = {"x": "ones-on:evens", "set": "evens", "cap": "12", "u_list": "3,8,30",
+         "u": "48",
          **{key: value for _, defaults in OPS.values()
             for key, value in defaults.items() if value is not None}}
 
@@ -191,7 +192,8 @@ def ARGV(draw):
             argv += ["--param", entry]
     else:
         argv += ["--spec", draw(st.sampled_from(("linear:1", "const:2")))]
-    required = [key for key in ("x", "set") if key in defaults and defaults[key] is None]
+    required = [key for key in ("x", "set", "u")
+                if key in defaults and defaults[key] is None]
     optional = [key for key in defaults if key in every and key not in required]
     keys = required + (draw(st.lists(st.sampled_from(optional), unique=True))
                        if optional else [])
