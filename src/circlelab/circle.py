@@ -506,7 +506,6 @@ class EnclosureCache:
         self.depth = max(depth, 0)
         self.cap = cap if cap is not None else default_depth_cap()
         self._fs_max = x.finite_support_max()
-        self._exact: dict[int, Fraction] = {}
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
@@ -515,12 +514,13 @@ class EnclosureCache:
     def exact_mode(self) -> bool:
         return self._fs_max is not None
 
-    def _exact_value(self, k: int) -> Fraction:
-        y = self._exact.get(k)
-        if y is None:
-            y = frac_exact(self.x, k + 1)
-            self._exact[k] = y
-        return y
+    def _exact_value(self, k: int) -> tuple[int, int]:
+        """Unreduced (num, den) of the exact {a_k x}: block k's window over the
+        digits up to the end of the support, slid like any other window."""
+        if k >= self._fs_max:
+            return 0, 1
+        num, den, _ = self._window_at(k, self._fs_max - k - 1)
+        return num, den
 
     def _window_at(self, k: int, depth: int) -> tuple[int, int, int]:
         """(num, den, depth') of block k's window, equal to ``_window(x, k + 1,
@@ -574,9 +574,8 @@ class EnclosureCache:
         (side "in") or is clear of it ("out"); otherwise side is "undecided".
         """
         if self.exact_mode:
-            y = self._exact_value(k)
-            num, den, width = y.numerator, y.denominator, 0
-            depth = max_depth = 0
+            num, den = self._exact_value(k)
+            width = depth = max_depth = 0
         else:
             max_depth = self._max_depth(k)
             if max_depth < 0:
@@ -644,8 +643,8 @@ class EnclosureCache:
         ``band_verdict``; every other row is out.
         """
         if self.exact_mode:
-            y = self._exact_value(k)
-            num, den, w = y.numerator, y.denominator, 0
+            num, den = self._exact_value(k)
+            w = 0
         else:
             max_depth = self._max_depth(k)
             if max_depth < 0:

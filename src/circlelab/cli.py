@@ -248,10 +248,8 @@ def _witness_escape(p: dict):
     certified_fraction = Fraction(rep.certified, n_limit)
     branch_density = Fraction(
         lift(branch, seq.derived).count_upto(n_limit), n_limit)
-    doc = rep.to_report()
-    failures = [r for r in doc["rows"] if r["verdict"] != "certified"]
-    doc["rows"] = doc["rows"][:200]
-    doc["failures"] = failures
+    doc = rep.to_report(rows=200)
+    doc["failures"] = [row.to_report() for row in rep.rows.failures()]
     doc.update({"op": p["op"], "horizon": n_limit,
                 "certified_fraction": str(certified_fraction),
                 "branch_density": str(branch_density)})

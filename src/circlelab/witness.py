@@ -9,9 +9,13 @@ the suites treat it that way).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import NamedTuple
 
 from .circle import (
     CirclePoint,
@@ -25,6 +29,7 @@ from .sequences import ArithSeq
 
 __all__ = [
     "CertRow",
+    "BlockRows",
     "WitnessReport",
     "continuum_family_point",
     "Partition",
@@ -58,29 +63,35 @@ class WitnessReport:
     name: str
     params: dict
     point: str
-    rows: list[CertRow] = field(default_factory=list)
+    rows: Sequence[CertRow] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+
+    def _tally(self, verdict: str) -> int:
+        if isinstance(self.rows, BlockRows):
+            return self.rows.counts[verdict]
+        return sum(1 for row in self.rows if row.verdict == verdict)
 
     @property
     def certified(self) -> int:
-        return sum(1 for row in self.rows if row.verdict == "certified")
+        return self._tally("certified")
 
     @property
     def violations(self) -> int:
-        return sum(1 for row in self.rows if row.verdict == "violation")
+        return self._tally("violation")
 
     @property
     def undecided(self) -> int:
-        return sum(1 for row in self.rows if row.verdict == "undecided")
+        return self._tally("undecided")
 
-    def to_report(self) -> dict:
+    def to_report(self, rows: int | None = None) -> dict:
+        """The report with its first ``rows`` rows, or all of them."""
         return {
             "name": self.name,
             "params": {k: str(v) for k, v in sorted(self.params.items())},
             "point": self.point,
             "counts": {"certified": self.certified, "violations": self.violations,
                        "undecided": self.undecided, "rows": len(self.rows)},
-            "rows": [row.to_report() for row in self.rows],
+            "rows": [row.to_report() for row in self.rows[:rows]],
             "extras": {k: str(v) for k, v in sorted(self.extras.items())},
         }
 
@@ -148,6 +159,72 @@ def _cert_row(cache: EnclosureCache, index: int, k: int, r: int,
     """Judge {r * a_k * x} against the closed band; the row keeps its enclosure."""
     enc, verdict = cache.judge(k, r, band_lo, band_hi)
     return CertRow(index, enc.lo, enc.hi, _LABELS[verdict])
+
+
+class _Segment(NamedTuple):
+    """Rows r0..r1 of block k: row positions pos.., derived indices index..;
+    ``band_counts`` found n_in of them in the band, starting from the cache
+    window ``window``."""
+
+    pos: int
+    index: int
+    k: int
+    r0: int
+    r1: int
+    window: tuple[int, int, int, int]
+    n_in: int
+
+
+class BlockRows(Sequence):
+    """The rows of a block-counted certification, rebuilt on demand.
+
+    Replaying a segment with ``judge`` from the window it was counted on
+    repeats the row-by-row pass exactly: a row clear of the band edges never
+    deepens the window, and the edge rows deepen it in the same increasing
+    order, so each rebuilt row carries the enclosure the row-by-row pass
+    gives it.
+    """
+
+    def __init__(self, cache: EnclosureCache, band: tuple[Fraction, Fraction],
+                 segments: list[_Segment], counts: dict[str, int]):
+        self._cache = cache
+        self._band = band
+        self._segments = segments
+        self._starts = [seg.pos for seg in segments]
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def __getitem__(self, key):
+        picks = range(len(self))[key]
+        if isinstance(key, int):
+            return next(self._rows_from(picks))
+        if not picks:
+            return []
+        first = min(picks[0], picks[-1])
+        rows = list(islice(self._rows_from(first),
+                           max(picks[0], picks[-1]) - first + 1))
+        return [rows[i - first] for i in picks]
+
+    def __iter__(self):
+        return self._rows_from(0)
+
+    def failures(self) -> list[CertRow]:
+        """The rows not certified, replaying only the segments that hold one."""
+        return [row for seg in self._segments if seg.n_in < seg.r1 - seg.r0 + 1
+                for row in self._replay(seg) if row.verdict != "certified"]
+
+    def _rows_from(self, pos: int):
+        s = bisect_right(self._starts, pos) - 1
+        for seg in self._segments[max(s, 0):]:
+            yield from islice(self._replay(seg), max(pos - seg.pos, 0), None)
+
+    def _replay(self, seg: _Segment):
+        cache = copy(self._cache)  # replays never disturb one another
+        cache._win = seg.window
+        for r in range(seg.r0, seg.r1 + 1):
+            yield _cert_row(cache, seg.index + r - seg.r0, seg.k, r, *self._band)
 
 
 class Partition(NamedTuple):
@@ -269,12 +346,16 @@ def bad_interval_family(x: CirclePoint, branch_set: NatSet, case: str,
 
 def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
                           n0: int, t: int, horizon: int) -> WitnessReport:
-    """Certify the escape band row by row over the bad intervals.
+    """Certify the escape band over the bad intervals up to the horizon.
 
     Case "small" certifies {d_i x} in [1/m0, 9/m0]; case "large" certifies
     ||d_i x|| >= min(3/(2 n0), 1 - 12/n0), i.e. {d_i x} inside the symmetric
     band around 1/2 at that distance from the edges. Undecided rows are
     flagged and excluded from the certified count.
+
+    Each bad interval is split at block boundaries and every piece is counted
+    by one ``EnclosureCache.band_counts`` call; the report's rows are a
+    ``BlockRows`` sequence that builds a row only when it is read.
     """
     if case == "small":
         band_lo, band_hi = Fraction(1, m0), Fraction(9, m0)
@@ -285,10 +366,30 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
         raise PreconditionError(f"case must be 'small' or 'large', got {case!r}")
     cache = EnclosureCache(x, depth=t)
     derived = x.seq.derived
-    rows = []
-    for i in bad.iter_upto(horizon):
-        k, r = derived.decompose(i)
-        rows.append(_cert_row(cache, i, k, r, band_lo, band_hi))
+    try:
+        runs = bad.to_intervals()
+    except PreconditionError:  # not exactly bounded: gather its runs
+        runs = IntervalNatSet((i, i) for i in bad.iter_upto(horizon)).intervals
+    segments = []
+    pos = n_in = n_out = n_und = 0
+    for lo, hi in runs:
+        if lo > horizon:
+            break
+        hi = min(hi, horizon)
+        while lo <= hi:  # merged intervals may run across a block boundary
+            k, r0 = derived.decompose(lo)
+            end = min(hi, derived.boundary(k + 1) - 1)
+            r1 = r0 + end - lo
+            window = cache._win
+            seg_in, seg_out, undecided = cache.band_counts(k, r0, r1, band_lo, band_hi)
+            segments.append(_Segment(pos, lo, k, r0, r1, window, seg_in))
+            n_in += seg_in
+            n_out += seg_out
+            n_und += len(undecided)
+            pos += end - lo + 1
+            lo = end + 1
+    rows = BlockRows(cache, (band_lo, band_hi), segments,
+                     {"certified": n_in, "violation": n_out, "undecided": n_und})
     report = WitnessReport(
         name="escape-band",
         params={"case": case, "m0": m0, "n0": n0, "depth": t, "horizon": horizon,

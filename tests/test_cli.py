@@ -97,6 +97,39 @@ def test_witness_factor_needs_u(capsys):
     assert "--u is required" in err
 
 
+def test_witness_escape_builds_only_emitted_rows(monkeypatch):
+    # 2,453 rows are counted, but only the 200 rendered rows (and any failure
+    # rows) are built as enclosures; edge rows reach the kernel one by one
+    import circlelab.circle as circle
+
+    calls = {"judge": 0, "band_verdict": 0, "BoundInterval": 0}
+    for name in ("judge", "band_verdict"):
+        real = getattr(circle.EnclosureCache, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(circle.EnclosureCache, name, counted)
+    real_init = circle.BoundInterval.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["BoundInterval"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(circle.BoundInterval, "__init__", counted_init)
+    config = {"subcommand": "witness",
+              "params": {"spec": "pow:2", "x": "ones-on:all", "op": "escape",
+                         "case": "small", "m0": "10", "n0": "13", "blocks": "12"}}
+    _, doc, fail = run_config(config)
+    assert fail is None and doc["counts"]["rows"] == 2453
+    assert len(doc["rows"]) == 200
+    built = 200 + len(doc["failures"])
+    assert calls["judge"] <= built
+    assert calls["BoundInterval"] <= built
+    assert calls["band_verdict"] <= 2453 // 10
+
+
 def test_witness_family_terse(capsys):
     out = capture(capsys, "witness", "--spec", "linear:1", "--op", "family",
                   "--zeta", "0,1,0")

@@ -11,6 +11,7 @@ from circlelab.circle import (
     _floor_sum,
     _hits,
     _least_hit,
+    frac_exact,
     parse_point,
 )
 from circlelab.classify import weakly_dli_witness_set
@@ -230,6 +231,31 @@ def test_scan_slides_its_digit_window(monkeypatch):
     assert scan.estimates[-1].undecided_count == 0
     blocks = seq.derived.decompose(N)[0] + 1
     assert len(reads) <= 3 * blocks + depth + 1
+
+
+def test_exact_scan_slides_its_window(monkeypatch):
+    # a finite point of m digits: each block's exact value comes from the
+    # sliding window, so the scan reads each digit about once, not m(m+1)/2 times
+    seq = ArithSeq(RatioSpec.constant(3))
+    m = 300
+    x = parse_point("finite:[" + ",".join(str(n % 3) for n in range(2, m + 2)) + "]",
+                    seq)
+    assert x.finite_support_max() == m
+    reads = []
+    digit = CirclePoint.digit
+    monkeypatch.setattr(CirclePoint, "digit",
+                        lambda self, n: reads.append(n) or digit(self, n))
+    N = seq.derived.boundary(m) + 10
+    scan = statistical_scan(x, Fraction(1, 8), [N])
+    assert scan.estimates[-1].undecided_count == 0
+    blocks = m  # the blocks of a_0 .. a_{m-1}; the rest is bulk out
+    assert len(reads) <= m + blocks + 2
+    monkeypatch.setattr(CirclePoint, "digit", digit)
+    # the value at every block, visited ascending and then out of order
+    cache = EnclosureCache(x)
+    for k in list(range(m + 3)) + [7, 250, 3, 301, 0]:
+        num, den = cache._exact_value(k)
+        assert Fraction(num, den) == frac_exact(x, k + 1)
 
 
 @given(n=st.integers(0, 40), m=st.integers(1, 60), a=st.integers(-200, 200),

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circlelab.circle import CirclePoint, EnclosureCache, FiniteDigits, FuncDigits, parse_point
 from circlelab.classify import weakly_dli_witness_set
@@ -171,6 +172,127 @@ def test_certify_flags_genuine_violations():
     report = certify_nonmembership(x, block, "small", 10, 13, t=8, horizon=100)
     assert report.violations == 6
     assert report.certified == 25
+
+
+# ----- block-counted certification against the row-by-row pass ----------------
+
+_LABELS = {"in": "certified", "out": "violation", "undecided": "undecided"}
+
+
+def row_by_row_certify(x, bad, t, horizon, band_lo, band_hi):
+    """The row-by-row reference: one judge per bad row, one shared cache."""
+    cache = EnclosureCache(x, depth=t)
+    rows = []
+    for i in bad.iter_upto(horizon):
+        k, r = x.seq.derived.decompose(i)
+        enc, side = cache.judge(k, r, band_lo, band_hi)
+        rows.append((i, enc.lo, enc.hi, _LABELS[side]))
+    return rows
+
+
+def as_tuples(rows):
+    return [(row.index, row.lo, row.hi, row.verdict) for row in rows]
+
+
+@st.composite
+def certify_cases(draw):
+    """A point, a bad set and a horizon: bad-interval families, whole blocks
+    (which merge across block boundaries) or arbitrary intervals."""
+    seq = ArithSeq(RatioSpec.parse(
+        draw(st.sampled_from(("const:2", "const:3", "linear:1", "pow:2")))))
+    form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
+                                 "finite", "floor-div")))
+    if form == "rat":  # a capped prefix: rows past it stay undecided
+        q = draw(st.integers(3, 300))
+        x = parse_point(f"rat:{draw(st.integers(1, q - 1))}/{q}", seq,
+                        draw(st.integers(1, 14)))
+    elif form == "finite":
+        x = CirclePoint(seq, FiniteDigits(
+            [draw(st.integers(0, seq.ratio(n) - 1)) for n in range(1, 10)]))
+    elif form == "floor-div":
+        x = parse_point("floor-div:m={3:2,5:2,7:2}", seq)
+    else:
+        try:
+            x = parse_point(form, seq)
+        except PreconditionError:  # ones-on:all is non-canonical under const:2
+            assume(False)
+    case = draw(st.sampled_from(("small", "large")))
+    derived = seq.derived
+    kind = draw(st.sampled_from(("family", "blocks", "intervals")))
+    ks = draw(st.sets(st.integers(1, 11), min_size=1, max_size=5))
+    if kind == "family":
+        known = x.rule.known_upto or 11
+        branch = [k for k in ks if k <= known
+                  and (case == "large" or x.digit(k) != 0)]
+        bad = bad_interval_family(x, FiniteNatSet(branch), case, 10, 13, 1600)
+    elif kind == "blocks":
+        bad = IntervalNatSet((derived.boundary(k - 1), derived.boundary(k) - 1)
+                             for k in ks)
+    else:
+        bad = IntervalNatSet(draw(st.lists(
+            st.tuples(st.integers(1, 1500), st.integers(0, 400)).map(
+                lambda p: (p[0], p[0] + p[1])), min_size=1, max_size=6)))
+    horizon = draw(st.one_of(st.just(1600), st.integers(1, 1600)))
+    # shallow start depths leave more edge rows that deepen the window
+    return x, bad, case, draw(st.integers(0, 8) | st.just(0)), horizon
+
+
+@given(args=certify_cases(), picks=st.lists(st.integers(0, 2000), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_block_counted_certify_matches_row_by_row(args, picks):
+    x, bad, case, t, horizon = args
+    report = certify_nonmembership(x, bad, case, 10, 13, t=t, horizon=horizon)
+    want = row_by_row_certify(x, bad, t, horizon, report.params["band_lo"],
+                              report.params["band_hi"])
+    assert as_tuples(report.rows) == want
+    assert len(report.rows) == len(want)
+    assert (report.certified, report.violations, report.undecided) == tuple(
+        sum(1 for row in want if row[3] == v)
+        for v in ("certified", "violation", "undecided"))
+    assert as_tuples(report.rows.failures()) == [
+        row for row in want if row[3] != "certified"]
+    # random access replays from the middle of a segment
+    for j in picks:
+        if j < len(want):
+            assert as_tuples([report.rows[j]]) == [want[j]]
+            assert as_tuples(report.rows[j:j + 50]) == want[j:j + 50]
+    assert as_tuples(report.rows[::-3]) == want[::-3]
+    assert report.to_report(rows=20)["rows"] == [
+        row.to_report() for row in report.rows][:20]
+
+
+def test_certify_replays_split_and_merged_intervals():
+    # the block of a_6 is cut in two, and the second piece merges with all of
+    # a_7's block; at start depth 0 the first piece's edge rows deepen the
+    # window of a_6, which the second piece's rows then share
+    x = parse_point("ones-on:all", POW2)
+    b6, b8 = POW2.derived.boundary(6), POW2.derived.boundary(8)
+    bad = IntervalNatSet([(b6, b6 + 40), (b6 + 50, b8 - 1)])
+    report = certify_nonmembership(x, bad, "small", 10, 13, t=0, horizon=10**4)
+    want = row_by_row_certify(x, bad, 0, 10**4, Fraction(1, 10), Fraction(9, 10))
+    assert as_tuples(report.rows) == want
+    assert report.violations > 0 and report.certified > 0
+
+
+# ----- the bad-interval family stays in its blocks ---------------------------
+
+
+@given(spec=st.sampled_from(("pow:2", "linear:1")),
+       case=st.sampled_from(("small", "large")), m0=st.integers(10, 40),
+       n0=st.integers(13, 40), horizon=st.integers(1, 3000), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bad_intervals_stay_in_branch_blocks(spec, case, m0, n0, horizon, data):
+    seq = ArithSeq(RatioSpec.parse(spec))
+    low = 1 if case == "small" else 0  # the small case needs nonzero digits
+    x = CirclePoint(seq, FiniteDigits(
+        [data.draw(st.integers(low, seq.ratio(n) - 1)) for n in range(1, 12)]))
+    branch = FiniteNatSet(data.draw(st.sets(st.integers(1, 11))))
+    bad = bad_interval_family(x, branch, case, m0, n0, horizon)
+    for lo, hi in bad.to_intervals():
+        assert 1 <= lo <= hi <= horizon
+        for i in range(lo, hi + 1):
+            k, _ = seq.derived.decompose(i)
+            assert k + 1 in branch  # branch index k + 1 owns the block of a_k
 
 
 def test_witness_report_counts_and_shape():
