@@ -16,7 +16,7 @@ used anywhere in this module.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -52,8 +52,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
-# band_counts sorts a segment of at most this many rows row by row; on 65-digit
-# windows that beat the six floor sums up to about 24 rows (CPython 3.11)
+# a segment of at most this many rows is sorted row by row (``_sort_few``), and
+# a run counts blocks this short; on 65-digit windows that beats the six floor
+# sums up to about 24 rows (CPython 3.11)
 _FEW_ROWS = 16
 
 
@@ -625,22 +626,17 @@ class EnclosureCache:
         window, side = self._refine(k, r, _band(band_lo, band_hi))
         return _enclosure(window), side
 
-    def band_counts(self, k: int, r0: int, r1: int, band_lo: Fraction,
-                    band_hi: Fraction) -> tuple[int, int, list[int]]:
-        """Verdicts of the rows r0..r1 of block k against [band_lo, band_hi].
+    def sort_rows(self, k: int, r0: int, r1: int, w: int, band_lo: Fraction,
+                  band_hi: Fraction) -> tuple[int, list[int]] | None:
+        """(n_in, edge rows) of the rows r0..r1 of block k at its base window.
 
-        Returns (n_in, n_out, the undecided r in increasing order), exactly
-        what ``band_verdict`` row by row would give, for a band inside
-        [0, 1). One window num/den serves the block; with
-        lo_r = r * num mod den, the widest row's width w (r1, or 0 for an
-        exact point) and [A, B] the integers of den * [band_lo, band_hi], a
-        row is certainly in when lo_r lies in [A, B - w] and certainly out
-        when it lies in [0, A - 1 - w] or [B + 1, den - w]. Enclosures nest
-        under refinement, so these verdicts are final. The in rows and the
-        rows of the three edge strips left over are counted with floor sums,
-        or for a segment of at most ``_FEW_ROWS`` rows sorted into the strips
-        row by row; the edge rows are listed exactly and judged by
-        ``band_verdict``; every other row is out.
+        Every row is taken as wide as w >= r1 (0 for an exact point): one
+        window num/den serves the block, and with lo_r = r * num mod den and
+        [A, B] the integers of den * [band_lo, band_hi], a row is certainly
+        in when lo_r lies in [A, B - w] and certainly out when it lies in
+        [0, A - 1 - w] or [B + 1, den - w]. Enclosures nest under
+        refinement, so these verdicts are final. The edge rows left over come
+        in increasing order. None when block k has no window within the cap.
         """
         if self.exact_mode:
             num, den = self._exact_value(k)
@@ -648,44 +644,122 @@ class EnclosureCache:
         else:
             max_depth = self._max_depth(k)
             if max_depth < 0:
-                return 0, 0, list(range(r0, r1 + 1))
+                return None
             num, den, _ = self._window_at(k, min(self.depth, max_depth))
-            w = r1
         A = -(-band_lo.numerator * den // band_lo.denominator)
         B = band_hi.numerator * den // band_hi.denominator
-        # cuts of [0, den]: out | edge | in | edge | out | edge
+        if r1 - r0 < _FEW_ROWS:
+            return _sort_few(num, den, r0, r1, A, B, w)
+        # cuts of [0, den]: out | edge | in | edge | out | edge, and g[j] =
+        # sum over the rows of floor((r * num - cuts[j]) / den), so
+        # g[j] - g[j + 1] counts the rows with cuts[j] <= lo_r < cuts[j + 1]
         cuts = (max(A - w, 0), A, max(B - w + 1, A), B + 1,
                 min(max(den - w + 1, B + 1), den), den)
+        base = num * r0
+        g = [_floor_sum(r1 - r0 + 1, den, num, base - c) for c in cuts]
+        edge = []
+        for j in (0, 2, 4):
+            if g[j] > g[j + 1]:
+                edge += _hits(num, den, cuts[j], cuts[j + 1] - 1, r0,
+                              g[j] - g[j + 1])
+        edge.sort()
+        return g[1] - g[2], edge
+
+    def band_counts(self, k: int, r0: int, r1: int, band_lo: Fraction,
+                    band_hi: Fraction) -> tuple[int, int, list[int]]:
+        """Verdicts of the rows r0..r1 of block k against [band_lo, band_hi].
+
+        Returns (n_in, n_out, the undecided r in increasing order), exactly
+        what ``band_verdict`` row by row would give, for a band inside
+        [0, 1). ``sort_rows`` counts the rows clear of the band edges, with
+        w = r1: a segment of at most ``_FEW_ROWS`` rows row by row, a longer
+        one with floor sums. Only the edge rows are judged by
+        ``band_verdict``; every other row is out.
+        """
         n = r1 - r0 + 1
-        if n <= _FEW_ROWS:
-            n_in, edge = 0, []
-            for r in range(r0, r1 + 1):
-                # j with cuts[j - 1] <= lo_r < cuts[j]: 2 is in, odd j an edge
-                j = bisect_right(cuts, r * num % den)
-                if j == 2:
-                    n_in += 1
-                elif j & 1:
-                    edge.append(r)
-        else:
-            # g[j] = sum over the rows of floor((r * num - cuts[j]) / den), so
-            # g[j] - g[j + 1] counts the rows with cuts[j] <= lo_r < cuts[j + 1]
-            base = num * r0
-            g = [_floor_sum(n, den, num, base - c) for c in cuts]
-            n_in = g[1] - g[2]
-            edge = []
-            for j in (0, 2, 4):
-                if g[j] > g[j + 1]:
-                    edge += _hits(num, den, cuts[j], cuts[j + 1] - 1, r0,
-                                  g[j] - g[j + 1])
-            edge.sort()
-        undecided = []
+        rows = self.sort_rows(k, r0, r1, r1, band_lo, band_hi)
+        if rows is None:
+            return 0, 0, list(range(r0, r1 + 1))
+        n_in, edge = rows
+        edge_in, undecided = self._judge_edges(k, edge, band_lo, band_hi)
+        n_in += edge_in
+        return n_in, n - n_in - len(undecided), undecided
+
+    def _judge_edges(self, k: int, edge: list[int], band_lo: Fraction,
+                     band_hi: Fraction) -> tuple[int, list[int]]:
+        """How many of block k's edge rows ``band_verdict`` puts in the band,
+        and the undecided ones in order; the others are out."""
+        n_in, undecided = 0, []
         for r in edge:
             side = self.band_verdict(k, r, band_lo, band_hi)
             if side == "in":
                 n_in += 1
             elif side == "undecided":
                 undecided.append(r)
-        return n_in, n - n_in - len(undecided), undecided
+        return n_in, undecided
+
+    def run_counts(self, k: int, i: int, N: int, band_lo: Fraction,
+                   band_hi: Fraction) -> tuple[int, int, int, list[int]]:
+        """Count the whole blocks k, k + 1, ... from derived index i = n_k.
+
+        The run goes on while a block holds at most ``_FEW_ROWS`` rows, ends
+        by N and keeps its base window inside the known prefix; it stops at
+        the first block that does not, which it leaves uncounted. Returns
+        (k', i', n_in, undecided): k' is that first uncounted block, i' its
+        first derived index, and the undecided rows are derived indices in
+        increasing order; the other i' - i - n_in - len(undecided) rows are
+        out. Each block gets the verdicts ``band_counts(k, 1, b_{k+1} - 1)``
+        gives it: the run holds one base window and slides it as
+        ``_window_at`` does, dropping b_{k+1} by one division and reading
+        the one new digit through ``CirclePoint.digit``, sorts the rows with
+        ``_sort_few`` and judges the edge rows with ``band_verdict``. Exact
+        points are left to ``band_counts``.
+        """
+        if self.exact_mode:
+            return k, i, 0, []
+        known = self.x.rule.known_upto
+        depth = min(self.depth, self.cap)
+        ratio, digit = self.x.seq.ratio, self.x.digit
+        rows = ratio(k + 1) - 1
+        # leave at once, before any window work, when block k is not counted
+        if (rows > _FEW_ROWS or i + rows - 1 > N
+                or known is not None and k + 1 + depth > known):
+            return k, i, 0, []
+        num, den, depth = self._window_at(k, depth)
+        held = deque(ratio(j) for j in range(k + 1, k + 2 + depth))  # b_{k+1}..
+        ln, ld, hn, hd = _band(band_lo, band_hi)
+        n_in, undecided, band_den = 0, [], None
+        while True:
+            b = held[0]
+            rows = b - 1
+            if rows > _FEW_ROWS or i + rows - 1 > N:
+                break
+            if den != band_den:
+                band_den = den
+                A = -(-ln * den // ld)
+                B = hn * den // hd
+            block_in, edge = _sort_few(num, den, 1, rows, A, B, rows)
+            n_in += block_in
+            if edge:
+                self._win = (k, depth, num, den)
+                edge_in, und = self._judge_edges(k, edge, band_lo, band_hi)
+                n_in += edge_in
+                undecided += [i + r - 1 for r in und]
+            i += rows
+            j = k + 2 + depth  # the digit block k + 1's window adds
+            if known is not None and j > known:
+                self._win = (k, depth, num, den)
+                return k + 1, i, n_in, undecided
+            k += 1
+            held.popleft()
+            den //= b
+            num %= den
+            b = ratio(j)
+            held.append(b)
+            num = num * b + digit(j)
+            den *= b
+        self._win = (k, depth, num, den)
+        return k, i, n_in, undecided
 
 
 def _band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
@@ -699,6 +773,22 @@ def _enclosure(window: tuple[int, int, int] | None) -> BoundInterval:
         return BoundInterval(_ZERO, _ONE, undecided=True)
     lo, hi, den = window
     return BoundInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _sort_few(num: int, den: int, r0: int, r1: int, A: int, B: int,
+              w: int) -> tuple[int, list[int]]:
+    """(n_in, edge rows) of rows r0..r1 sorted one by one by lo_r = r * num
+    mod den: in when lo_r lies in [A, B - w], out when it lies in
+    [0, A - 1 - w] or [B + 1, den - w], an edge row otherwise."""
+    n_in, edge = 0, []
+    top_in, top_out = B - w, den - w
+    for r in range(r0, r1 + 1):
+        lo = r * num % den
+        if A <= lo <= top_in:
+            n_in += 1
+        elif lo + w >= A and not B < lo <= top_out:
+            edge.append(r)
+    return n_in, edge
 
 
 # ===== Lattice points of r * a mod m ==========================================

@@ -250,6 +250,27 @@ class LazyIntervalNatSet(NatSet):
                 break
             yield from range(lo, min(hi, N) + 1)
 
+    def walk(self) -> Iterator[tuple[int, int]]:
+        """Yield the set's intervals in increasing order, pulling more from
+        the rule as the walk goes.
+
+        The trailing interval can still grow by adjacency merging, so each
+        growth comes as a new adjacent piece (consumers merge them again);
+        an unbounded run is thus walked piece by piece instead of waited for.
+        """
+        i = done = 0  # self._ivals[:i] and every member <= done are yielded
+        while True:
+            while i < len(self._ivals):
+                lo, hi = self._ivals[i]
+                if hi > done:
+                    yield max(lo, done + 1), hi
+                    done = hi
+                i += 1
+            if self._exhausted:
+                return
+            i = max(i - 1, 0)  # the trailing interval can still grow
+            self._extend_to(done + 1)
+
     def __repr__(self):
         return f"LazyIntervalNatSet({self.name})"
 
@@ -427,7 +448,7 @@ def translate(s: NatSet, m: int) -> NatSet:
         src = s
 
         def factory():
-            for lo, hi in _lazy_edges(src):
+            for lo, hi in src.walk():
                 if hi > m:
                     yield max(lo - m, 1), hi - m
 
@@ -439,25 +460,6 @@ def translate(s: NatSet, m: int) -> NatSet:
     return PredicateNatSet(lambda n: (n + m) in s, horizon=horizon,
                            name=f"shift-{m}", is_finite=s.is_finite,
                            is_cofinite=s.is_cofinite)
-
-
-def _lazy_edges(s: LazyIntervalNatSet) -> Iterator[tuple[int, int]]:
-    # Walk the materialized prefix and keep pulling. The trailing cached
-    # interval can still grow by adjacency merging, so each growth is yielded
-    # as a new adjacent piece (consumers merge them again); an unbounded run
-    # is thus walked piece by piece instead of waited for.
-    i = done = 0  # s._ivals[:i] and every member <= done are yielded
-    while True:
-        while i < len(s._ivals):
-            lo, hi = s._ivals[i]
-            if hi > done:
-                yield max(lo, done + 1), hi
-                done = hi
-            i += 1
-        if s._exhausted:
-            return
-        i = max(i - 1, 0)  # the trailing interval can still grow
-        s._extend_to(done + 1)
 
 
 def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
@@ -476,7 +478,7 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
         src = s
 
         def factory():
-            for lo, hi in _lazy_edges(src):
+            for lo, hi in src.walk():
                 yield derived.boundary(lo - 1), derived.boundary(hi) - 1
 
         return LazyIntervalNatSet(factory, horizon=_lift_horizon(src, derived),

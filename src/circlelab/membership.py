@@ -113,10 +113,13 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
                      cap: Optional[int] = None) -> ScanResult:
     """Count i <= N with ||d_i x|| >= eps, three-way, at each horizon.
 
-    One pass over derived indices, one block segment at a time: the rows of
-    a block between horizons are counted together by
-    ``EnclosureCache.band_counts``, which refines only the rows near a band
-    edge, up to the cap. Counts are monotone under refinement, so bounds at
+    One pass over derived indices, block by block: a run of whole blocks of
+    at most 16 rows each is counted by one ``EnclosureCache.run_counts``
+    call, and any other block, or the part of one between horizons, by
+    ``EnclosureCache.band_counts``. Both refine only the rows near a band
+    edge, up to the cap. The pass steps from block k to k + 1 by
+    b_{k+1} - 1 rows and decomposes a derived index only where a horizon
+    cut a block. Counts are monotone under refinement, so bounds at
     successive horizons come from the same pass.
     """
     eps = Fraction(eps)
@@ -139,15 +142,27 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
         # past the supported blocks every value is exactly 0, norm 0 < eps
         bulk_out_from = derived.boundary(m) if m > 0 else 1
     n_in = n_out = n_und = 0
-    i = 1
+    i, k = 1, 0  # k is the block that starts at i, or None when i is inside one
     for N in horizons:
         while i <= N:
             if bulk_out_from is not None and i >= bulk_out_from:
                 n_out += N - i + 1
                 i = N + 1
                 break
-            k, r0 = derived.decompose(i)
-            end = min(N, derived.boundary(k + 1) - 1)
+            if k is None:
+                k, r0 = derived.decompose(i)
+            else:
+                k, j, run_in, undecided = cache.run_counts(k, i, N, band_lo, band_hi)
+                if j > i:
+                    n_in += run_in
+                    n_und += len(undecided)
+                    n_out += j - i - run_in - len(undecided)
+                    result.undecided_rows.extend(undecided)
+                    i = j
+                    continue
+                r0 = 1
+            block_end = i - r0 + x.seq.ratio(k + 1) - 1
+            end = min(N, block_end)
             seg_in, seg_out, undecided = cache.band_counts(
                 k, r0, r0 + end - i, band_lo, band_hi)
             n_in += seg_in
@@ -155,6 +170,7 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
             if undecided:
                 n_und += len(undecided)
                 result.undecided_rows.extend(i - r0 + r for r in undecided)
+            k = k + 1 if end == block_end else None
             i = end + 1
         result.estimates.append(DensityEstimate(N, n_in, n_out, n_und))
     return result

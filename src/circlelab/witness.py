@@ -182,7 +182,8 @@ class BlockRows(Sequence):
     repeats the row-by-row pass exactly: a row clear of the band edges never
     deepens the window, and the edge rows deepen it in the same increasing
     order, so each rebuilt row carries the enclosure the row-by-row pass
-    gives it.
+    gives it. A replay that starts inside a segment therefore judges only
+    the edge rows before its first row.
     """
 
     def __init__(self, cache: EnclosureCache, band: tuple[Fraction, Fraction],
@@ -213,17 +214,24 @@ class BlockRows(Sequence):
     def failures(self) -> list[CertRow]:
         """The rows not certified, replaying only the segments that hold one."""
         return [row for seg in self._segments if seg.n_in < seg.r1 - seg.r0 + 1
-                for row in self._replay(seg) if row.verdict != "certified"]
+                for row in self._replay(seg, seg.r0) if row.verdict != "certified"]
 
     def _rows_from(self, pos: int):
         s = bisect_right(self._starts, pos) - 1
         for seg in self._segments[max(s, 0):]:
-            yield from islice(self._replay(seg), max(pos - seg.pos, 0), None)
+            yield from self._replay(seg, seg.r0 + max(pos - seg.pos, 0))
 
-    def _replay(self, seg: _Segment):
+    def _replay(self, seg: _Segment, r: int):
+        """The segment's rows from row r on; of the rows before r, only the
+        edge rows ``band_counts`` judged are judged again."""
         cache = copy(self._cache)  # replays never disturb one another
         cache._win = seg.window
-        for r in range(seg.r0, seg.r1 + 1):
+        if r > seg.r0:
+            _, edge = (cache.sort_rows(seg.k, seg.r0, r - 1, seg.r1, *self._band)
+                       or (0, ()))
+            for e in edge:
+                cache.judge(seg.k, e, *self._band)
+        for r in range(r, seg.r1 + 1):
             yield _cert_row(cache, seg.index + r - seg.r0, seg.k, r, *self._band)
 
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +223,19 @@ def test_lift_and_shift_of_unbounded_runs():
     for n in range(1, 400, 7):
         assert (n in lifted) == (block_of(n) in ref)
         src.count_upto(3 * n)
+
+
+def test_walk_yields_increasing_pieces():
+    # the cursor lift and translate read: increasing disjoint pieces whose
+    # union is the set, also while the trailing run keeps growing
+    pieces = list(islice(cube_gap_blocks().walk(), 30))
+    assert all(hi < lo for (_, hi), (lo, _) in zip(pieces, pieces[1:]))
+    top = pieces[-1][1]
+    assert ({n for lo, hi in pieces for n in range(lo, hi + 1)}
+            == set(cube_gap_blocks().iter_upto(top)))
+    run = list(islice(lift(full_set(), LINEAR1.derived).walk(), 4))  # one endless interval
+    assert run[0][0] == 1
+    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(run, run[1:]))
 
 
 # ----- densities -------------------------------------------------------------

@@ -23,7 +23,7 @@ from circlelab.membership import (
     finite_support_member,
     statistical_scan,
 )
-from circlelab.sequences import ArithSeq, RatioSpec
+from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec
 from circlelab.witness import continuum_family_point
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
@@ -160,7 +160,11 @@ def counts(scan):
             for e in scan.estimates]
 
 
-_SCAN_SPECS = ("const:2", "const:3", "linear:1", "pow:2", "pow:3")
+# runs of few-row blocks broken by long ones, blocks of exactly 16 and 17
+# rows (the longest a run takes, and one more), and all-long blocks
+_SCAN_SPECS = ("const:2", "const:3", "linear:1", "pow:2", "pow:3", "const:17",
+               "const:18", "explicit:[2,2,40,3,2,17];tail=const:3",
+               "explicit:[30,2,2,2];tail=const:2")
 
 
 @st.composite
@@ -169,7 +173,7 @@ def scan_points(draw):
     seq = ArithSeq(RatioSpec.parse(draw(st.sampled_from(_SCAN_SPECS))))
     form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
                                  "exact", "finite")))
-    if form == "rat":
+    if form == "rat":  # a capped prefix, which can end inside a run
         q = draw(st.integers(2, 400))
         p = draw(st.integers(1, q - 1))
         return parse_point(f"rat:{p}/{q}", seq, draw(st.integers(1, 24)))
@@ -186,16 +190,40 @@ def scan_points(draw):
         assume(False)
 
 
+@st.composite
+def scan_horizons(draw, seq):
+    """Horizons anywhere, or next to a block boundary, so that some cut a
+    block (and with it a run) after its first row or before its last."""
+    near = st.builds(lambda k, d: min(max(seq.derived.boundary(k) + d, 1), 1500),
+                     st.integers(0, 60), st.integers(-1, 1))
+    return draw(st.lists(st.integers(1, 1500) | near, min_size=1, max_size=4))
+
+
 @given(x=scan_points(), q=st.integers(3, 40), depth=st.integers(0, 8),
-       cap=st.integers(0, 12),
-       horizons=st.lists(st.integers(1, 1500), min_size=1, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_batched_scan_matches_per_row_scan(x, q, depth, cap, horizons):
+       cap=st.integers(0, 12), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_batched_scan_matches_per_row_scan(x, q, depth, cap, data):
     eps = Fraction(1, q)
+    horizons = data.draw(scan_horizons(x.seq))
     scan = statistical_scan(x, eps, horizons, depth, cap)
     want, undecided = per_row_scan(x, eps, horizons, depth, cap)
     assert counts(scan) == want
     assert scan.undecided_rows == undecided
+
+
+@pytest.mark.parametrize("spec,point,expand", [
+    ("const:2", "rat:1/3", 1),   # the prefix ends before the first window does
+    ("const:2", "rat:1/3", 9),   # ... inside the run
+    ("const:3", "rat:5/7", 12),
+    ("explicit:[2,2,40,3,2,17];tail=const:3", "rat:2/9", 20),
+])
+@pytest.mark.parametrize("depth,cap", [(0, 12), (3, 2), (8, 12), (8, 64)])
+def test_run_leaves_capped_blocks_to_the_general_path(spec, point, expand, depth, cap):
+    x = parse_point(point, ArithSeq(RatioSpec.parse(spec)), expand)
+    horizons = [1, 7, 60, 400]
+    scan = statistical_scan(x, Fraction(1, 7), horizons, depth, cap)
+    want, undecided = per_row_scan(x, Fraction(1, 7), horizons, depth, cap)
+    assert counts(scan) == want and scan.undecided_rows == undecided
 
 
 def test_batched_scan_refines_edge_rows():
@@ -231,6 +259,45 @@ def test_scan_slides_its_digit_window(monkeypatch):
     assert scan.estimates[-1].undecided_count == 0
     blocks = seq.derived.decompose(N)[0] + 1
     assert len(reads) <= 3 * blocks + depth + 1
+
+
+def test_scan_counts_a_run_in_one_pass(monkeypatch):
+    # 10^4 two-row blocks form one run: no block is decomposed, and each
+    # block reads b_{k+1} and one new digit with its ratio; edge rows find
+    # the run's window in place and read no digit again
+    seq = ArithSeq(RatioSpec.constant(3))
+    x = parse_point("ones-on:squares", seq)
+    calls = {"decompose": 0, "ratio": 0, "digit": 0}
+    for owner, name in ((DerivedSeq, "decompose"), (ArithSeq, "ratio"),
+                        (CirclePoint, "digit")):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    N, depth = 2 * 10 ** 4, 64
+    horizons = [N]
+    scan = statistical_scan(x, Fraction(1, 8), horizons, depth)
+    assert scan.estimates[-1].undecided_count == 0
+    blocks, long_blocks = N // 2, 0
+    assert calls["decompose"] <= len(horizons) + long_blocks
+    # the first window and its ratios are read once, up front
+    assert calls["ratio"] <= 2 * blocks + 3 * (depth + 2)
+    assert calls["digit"] <= blocks + 2 * (depth + 1)
+    # {2 a_k x} = 0 for x = 1/2 = ones-on:all, so row 2 of every block is an
+    # edge row; each finds the run's window on its own block, so judging it
+    # slides nothing
+    monkeypatch.undo()
+    on_block = []
+    verdict = EnclosureCache.band_verdict
+    monkeypatch.setattr(EnclosureCache, "band_verdict", lambda self, k, *args: (
+        on_block.append(self._win[0] == k) or verdict(self, k, *args)))
+    scan = statistical_scan(parse_point("ones-on:all", seq), Fraction(1, 8),
+                            [2000], 4, 16)
+    assert scan.estimates[-1].undecided_count == 1000
+    assert len(on_block) == 1000 and all(on_block)
 
 
 def test_exact_scan_slides_its_window(monkeypatch):

@@ -261,17 +261,83 @@ def test_block_counted_certify_matches_row_by_row(args, picks):
         row.to_report() for row in report.rows][:20]
 
 
-def test_certify_replays_split_and_merged_intervals():
-    # the block of a_6 is cut in two, and the second piece merges with all of
-    # a_7's block; at start depth 0 the first piece's edge rows deepen the
-    # window of a_6, which the second piece's rows then share
+def merged_blocks_report(t):
+    """The block of a_6 cut in two, its second piece merged with all of a_7's
+    block; at start depth 0 the first piece's edge rows deepen the window of
+    a_6, which the second piece's rows then share. Also returns the point
+    and the bad set."""
     x = parse_point("ones-on:all", POW2)
     b6, b8 = POW2.derived.boundary(6), POW2.derived.boundary(8)
     bad = IntervalNatSet([(b6, b6 + 40), (b6 + 50, b8 - 1)])
-    report = certify_nonmembership(x, bad, "small", 10, 13, t=0, horizon=10**4)
+    return certify_nonmembership(x, bad, "small", 10, 13, t=t, horizon=10**4), x, bad
+
+
+def test_certify_replays_split_and_merged_intervals():
+    report, x, bad = merged_blocks_report(0)
     want = row_by_row_certify(x, bad, 0, 10**4, Fraction(1, 10), Fraction(9, 10))
     assert as_tuples(report.rows) == want
     assert report.violations > 0 and report.certified > 0
+
+
+@pytest.mark.parametrize("spec,point,k", [("const:3", "rat:33/155", 2),
+                                          ("const:3", "rat:31/99", 5),
+                                          ("const:5", "rat:67/265", 5)])
+@pytest.mark.parametrize("case", ["small", "large"])
+def test_row_read_alone_replays_the_first_edge_row(spec, point, k, case):
+    # in these blocks the first row deepens the window further than the
+    # rows after it, so a row read alone must judge it first
+    seq = ArithSeq(RatioSpec.parse(spec))
+    x = parse_point(point, seq, 40)
+    bad = IntervalNatSet([(seq.derived.boundary(k), seq.derived.boundary(k + 1) - 1)])
+    report = certify_nonmembership(x, bad, case, 10, 13, t=0, horizon=10**6)
+    rows = as_tuples(report.rows)
+    assert [as_tuples([report.rows[j]])[0] for j in range(len(rows))] == rows
+
+
+def escape_report(blocks, t=8):
+    """The CLI's small-case escape report for ones-on:all under pow:2, and
+    its bad set."""
+    x = parse_point("ones-on:all", POW2)
+    branch = nonmembership_partition(x, 10, 13, blocks).a1
+    horizon = POW2.derived.boundary(blocks) - 1
+    bad = bad_interval_family(x, branch, "small", 10, 13, horizon)
+    return certify_nonmembership(x, bad, "small", 10, 13, t=t, horizon=horizon), bad
+
+
+def test_deep_row_judges_only_edge_rows(monkeypatch):
+    # the last segment of the 17-block report holds 39,321 rows; reading its
+    # last row judges only the edge rows band_counts judged, then the row
+    calls = {"judge": 0, "band_verdict": 0}
+    for name in calls:
+        real = getattr(EnclosureCache, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(EnclosureCache, name, counted)
+    report, bad = escape_report(17)
+    edge_rows = calls["band_verdict"]  # every edge row of every segment
+    lo, hi = bad.to_intervals()[-1]
+    assert len(report.rows) == 78638 and hi - lo + 1 == 39321
+    last = report.rows[-1]
+    assert calls["judge"] <= edge_rows + 1 < 1000
+    # the reference: the whole last segment, replayed from its first row
+    assert report.rows[lo - hi - 1:][-1] == last
+
+
+@given(merged=st.booleans(), t=st.integers(0, 8) | st.just(0), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_access_equals_iteration(merged, t, data):
+    # rows read at random equal the rows of plain iteration, enclosures too
+    report = merged_blocks_report(t)[0] if merged else escape_report(12, t)[0]
+    rows = as_tuples(report.rows)
+    n = len(rows)
+    step = data.draw(st.integers(1, 400) | st.integers(-400, -1))
+    for j in data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=6)):
+        assert as_tuples([report.rows[j]]) == [rows[j]]
+        assert as_tuples(report.rows[j:j + 30]) == rows[j:j + 30]
+        assert as_tuples(report.rows[j::step]) == rows[j::step]
 
 
 # ----- the bad-interval family stays in its blocks ---------------------------
