@@ -86,6 +86,21 @@ class BoundInterval:
         if not (_ZERO <= self.lo <= self.hi <= _ONE):
             raise PreconditionError(f"invalid enclosure [{self.lo}, {self.hi}]")
 
+    @classmethod
+    def of_window(cls, lo: int, hi: int, den: int) -> "BoundInterval":
+        """[lo/den, hi/den] from an integer window, range-checked on the ints.
+
+        With den >= 1, 0 <= lo <= hi <= den is the condition ``__post_init__``
+        checks on the Fractions; it is checked here instead, on the ints.
+        """
+        if den < 1 or not 0 <= lo <= hi <= den:
+            raise PreconditionError(f"invalid enclosure [{lo}/{den}, {hi}/{den}]")
+        self = object.__new__(cls)
+        object.__setattr__(self, "lo", Fraction(lo, den))
+        object.__setattr__(self, "hi", Fraction(hi, den))
+        object.__setattr__(self, "undecided", False)
+        return self
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -144,6 +159,10 @@ class FiniteDigits(DigitRule):
         self.digits = tuple(digits)
         if any(c < 0 for c in self.digits):
             raise PreconditionError("digits must be non-negative")
+        m = len(self.digits)
+        while m > 0 and self.digits[m - 1] == 0:
+            m -= 1
+        self._support_max = m
 
     def digit(self, n, seq):
         if n <= len(self.digits):
@@ -154,10 +173,7 @@ class FiniteDigits(DigitRule):
         return "finite"
 
     def finite_support_max(self):
-        m = len(self.digits)
-        while m > 0 and self.digits[m - 1] == 0:
-            m -= 1
-        return m
+        return self._support_max
 
     def describe(self):
         return "finite:[" + ",".join(str(c) for c in self.digits) + "]"
@@ -299,6 +315,9 @@ class CirclePoint:
                 "non-canonical rule: c_n = 1 = b_n - 1 for all large n under "
                 f"{seq.describe()}"
             )
+        # (n, t, num, den): the latest window, S = num/den over the digits
+        # n .. n+t; it starts empty
+        self._win: tuple[int, int, int, int] = (1, -1, 0, 1)
 
     def digit(self, n: int) -> int:
         """c_n, validated against 0 <= c_n <= b_n - 1 on access."""
@@ -309,6 +328,20 @@ class CirclePoint:
         if not 0 <= c <= b - 1:
             raise PreconditionError(f"digit c_{n} = {c} outside [0, {b - 1}]")
         return c
+
+    def window(self, n: int, t: int) -> tuple[int, int]:
+        """``_window(self, n, t)``, served from the latest window.
+
+        The window slides forward and trims or deepens at its end as
+        ``_slide`` does; only a request behind its start, or past its end,
+        is read from scratch. A failed digit read leaves the latest window
+        as it was.
+        """
+        wn, wt, num, den = self._win
+        if n != wn or t != wt:
+            num, den = _slide(self, wn, wn + wt, num, den, n, n + t)
+            self._win = (n, t, num, den)
+        return num, den
 
     def support_kind(self) -> str:
         return self.rule.support_kind()
@@ -411,14 +444,43 @@ def _window(x: CirclePoint, n: int, t: int) -> tuple[int, int]:
     return num, den
 
 
+def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
+           n: int, target: int) -> tuple[int, int]:
+    """``_window(x, n, target - n)`` from the window num/den over the digits
+    start .. end.
+
+    When n lies in start .. end, the leading digits drop out by division
+    (each c_j <= b_j - 1 keeps the rest below den), digits past target are
+    cut off the same way, and only the digits past end are read, each through
+    ``CirclePoint.digit``. Otherwise the window is read from scratch.
+    """
+    ratio = x.seq.ratio
+    if start <= n <= end:
+        for j in range(start, n):
+            den //= ratio(j)
+        num %= den
+    else:
+        num, den, end = 0, 1, n - 1
+    while end > target:
+        b = ratio(end)
+        num //= b
+        den //= b
+        end -= 1
+    for j in range(end + 1, target + 1):
+        b = ratio(j)
+        num = num * b + x.digit(j)
+        den *= b
+    return num, den
+
+
 def frac_bound(x: CirclePoint, n: int, t: int) -> BoundInterval:
     """Enclosure of {a_{n-1} x} with width exactly 1/(b_n * ... * b_{n+t})."""
     if n < 1:
         raise PreconditionError(f"window start must be >= 1, got {n}")
     if t < 0:
         raise PreconditionError(f"window depth must be >= 0, got {t}")
-    num, den = _window(x, n, t)
-    return BoundInterval(Fraction(num, den), Fraction(num + 1, den))
+    num, den = x.window(n, t)
+    return BoundInterval.of_window(num, num + 1, den)
 
 
 def frac_exact(x: CirclePoint, n: int) -> Fraction:
@@ -430,8 +492,7 @@ def frac_exact(x: CirclePoint, n: int) -> Fraction:
         raise PreconditionError("exact evaluation needs declared finite support")
     if n > m:
         return Fraction(0)
-    num, den = _window(x, n, m - n)
-    return Fraction(num, den)
+    return Fraction(*x.window(n, m - n))
 
 
 def tail_upper_bound(x: CirclePoint, j: int, t: int = 8) -> Fraction:
@@ -446,8 +507,8 @@ def tail_upper_bound(x: CirclePoint, j: int, t: int = 8) -> Fraction:
     a = x.seq.term(j - 1)
     if x.finite_support_max() is not None:
         return frac_exact(x, j) / a
-    num, den = _window(x, j, t)
-    return Fraction(num + 1, den) / a
+    num, den = x.window(j, t)
+    return Fraction(num + 1, den * a)
 
 
 def norm_bound(J: BoundInterval) -> BoundInterval:
@@ -528,33 +589,14 @@ class EnclosureCache:
         depth')`` with depth' >= depth.
 
         A window already deepened on block k is reused as it is. Otherwise
-        the latest window moves to block k: its leading digits drop out by
-        one division (each c_n <= b_n - 1 keeps the rest below den), digits
-        beyond depth are cut off the same way, and only the digits past its
-        end are read. A block behind the latest window, or one past its end,
-        is read from scratch.
+        the latest window moves to block k by ``_slide``: a block behind it,
+        or one past its end, is read from scratch.
         """
         wk, wdepth, num, den = self._win
         if k == wk and wdepth >= depth:
             return num, den, wdepth
-        ratio = self.x.seq.ratio
-        end = wk + 1 + wdepth  # index of the last digit held
-        if wk <= k < end:
-            for j in range(wk + 1, k + 1):
-                den //= ratio(j)
-            num %= den
-        else:
-            num, den, end = 0, 1, k
-        target = k + 1 + depth
-        while end > target:
-            b = ratio(end)
-            num //= b
-            den //= b
-            end -= 1
-        for j in range(end + 1, target + 1):
-            b = ratio(j)
-            num = num * b + self.x.digit(j)
-            den *= b
+        num, den = _slide(self.x, wk + 1, wk + 1 + wdepth, num, den,
+                          k + 1, k + 1 + depth)
         self._win = (k, depth, num, den)
         return num, den, depth
 
@@ -771,8 +813,7 @@ def _enclosure(window: tuple[int, int, int] | None) -> BoundInterval:
     """The BoundInterval of a kernel window; None is the undecided [0, 1]."""
     if window is None:
         return BoundInterval(_ZERO, _ONE, undecided=True)
-    lo, hi, den = window
-    return BoundInterval(Fraction(lo, den), Fraction(hi, den))
+    return BoundInterval.of_window(*window)
 
 
 def _sort_few(num: int, den: int, r0: int, r1: int, A: int, B: int,

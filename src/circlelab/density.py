@@ -97,15 +97,23 @@ class NatSet:
 
 
 def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    merged: list[list[int]] = []
+    """The disjoint, non-adjacent closed intervals covering the pairs (lo, hi);
+    a pair with lo > hi is empty."""
+    merged = []
+    start = top = None  # the interval being grown
     for lo, hi in sorted(pairs):
         if lo > hi:
             continue
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+        if top is None:
+            start, top = lo, hi
+        elif lo > top + 1:
+            merged.append((start, top))
+            start, top = lo, hi
+        elif hi > top:
+            top = hi
+    if top is not None:
+        merged.append((start, top))
+    return tuple(merged)
 
 
 class FiniteNatSet(NatSet):
@@ -134,7 +142,18 @@ class FiniteNatSet(NatSet):
             yield v
 
     def to_intervals(self):
-        return _merge_intervals((v, v) for v in self.elems)
+        # the elements are sorted and distinct: a run ends where they skip
+        elems = self.elems
+        if not elems:
+            return ()
+        merged = []
+        start = elems[0]
+        for prev, v in zip(elems, elems[1:]):
+            if v != prev + 1:
+                merged.append((start, prev))
+                start = v
+        merged.append((start, elems[-1]))
+        return tuple(merged)
 
     def __repr__(self):
         return f"FiniteNatSet({list(self.elems)})"

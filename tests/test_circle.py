@@ -110,6 +110,10 @@ def test_support_and_quasi_support():
     assert list(x.support().iter_upto(10)) == [1, 3, 4]
     # c_n = b_n - 1 at n = 1 (b=2) and n = 3 (b=4)
     assert list(x.support(quasi=True).iter_upto(10)) == [1, 3]
+    # the support ends at the last nonzero digit
+    assert x.finite_support_max() == 4
+    assert [FiniteDigits(c).finite_support_max()
+            for c in ([], [0, 0], [0, 2, 0, 0])] == [0, 0, 2]
 
 
 def test_capped_support_needs_horizon():
@@ -199,6 +203,16 @@ def test_bound_interval_validation():
         BoundInterval(Fraction(1, 2), Fraction(1, 4))
     with pytest.raises(PreconditionError):
         BoundInterval(Fraction(-1, 4), Fraction(1, 4))
+    # an integer window is range-checked on its ints, to the same effect
+    for lo, hi, den in ((-1, 1, 4), (3, 2, 4), (3, 5, 4), (0, 0, 0), (0, 1, -1)):
+        with pytest.raises(PreconditionError):
+            BoundInterval.of_window(lo, hi, den)
+    for lo, hi, den in ((0, 0, 1), (0, 1, 1), (1, 1, 1), (2, 3, 6), (5, 9, 12),
+                        (7, 8, 2 ** 70)):
+        J = BoundInterval.of_window(lo, hi, den)
+        ref = BoundInterval(Fraction(lo, den), Fraction(hi, den))
+        assert J == ref and hash(J) == hash(ref) and str(J) == str(ref)
+        assert not J.undecided
 
 
 # ----- multiplied enclosures -------------------------------------------------
@@ -407,6 +421,112 @@ def test_slide_validates_each_new_digit():
         cache._window_at(k, 8)
     with pytest.raises(PreconditionError, match="c_30"):
         cache._window_at(21, 8)
+    # the point's own window reaches c_30 first on the slide to j = 22
+    x = CirclePoint(CONST2, rule)
+    for j in range(1, 22):
+        tail_upper_bound(x, j)
+    with pytest.raises(PreconditionError, match="c_30"):
+        tail_upper_bound(x, 22)
+    with pytest.raises(PreconditionError, match="c_30"):
+        frac_bound(x, 21, 9)
+    assert x.window(21, 8) == _window(x, 21, 8)
+
+
+@st.composite
+def slide_points(draw, seq):
+    """A ``window_points`` point or a finite: point on ``seq``."""
+    if draw(st.booleans()):
+        return draw(window_points(seq))
+    digits = draw(st.lists(st.integers(0, 10 ** 6), max_size=14))
+    return CirclePoint(seq, FiniteDigits(c % seq.ratio(n)
+                                         for n, c in enumerate(digits, 1)))
+
+
+@given(spec=st.sampled_from(sorted(_WINDOW_SPECS)), data=st.data(),
+       depth=st.integers(0, 10), cap=st.integers(0, 24),
+       moves=st.lists(st.tuples(st.integers(-8, 0) | st.integers(0, 3),
+                                st.integers(0, 12),
+                                st.sampled_from(("bound", "exact", "tail", "cache"))),
+                      min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
+    # one point walks forward slides, backward jumps, deepenings, trims and
+    # t = 0; its window and the readers built on it must always equal their
+    # from-scratch Fraction formulas, and a cache on the same point keeps its
+    # own window exact
+    seq = _WINDOW_SPECS[spec]
+    x = data.draw(slide_points(seq))
+    m = x.finite_support_max()
+    value = x.as_fraction() if m is not None else None
+    cache = EnclosureCache(x, depth=depth, cap=cap)
+    n = 1
+    for step, t, reader in moves:
+        n = min(max(n + step, 1), 60)
+        try:
+            num, den = _window(x, n, t)
+        except HorizonError:
+            # a capped rat: point: the failed read keeps the latest window
+            before = x._win
+            with pytest.raises(HorizonError):
+                x.window(n, t)
+            with pytest.raises(HorizonError):
+                frac_bound(x, n, t)
+            assert x._win == before
+            continue
+        a = seq.term(n - 1)
+        if reader == "bound":
+            J = frac_bound(x, n, t)
+            assert (J.lo, J.hi) == (Fraction(num, den), Fraction(num + 1, den))
+        elif reader == "exact" and m is not None:
+            assert frac_exact(x, n) == mod1(a * value)
+        elif reader == "tail":
+            ub = tail_upper_bound(x, n, t)
+            assert ub == (mod1(a * value) / a if m is not None
+                          else Fraction(num + 1, den) / a)
+        elif reader == "cache" and cache._max_depth(n - 1) >= 0:
+            cache.band_verdict(n - 1, t + 1, Fraction(1, 3), Fraction(2, 3))
+            wk, wdepth, wnum, wden = cache._win
+            # an exact cache past the support holds no window (wk = -1)
+            assert wk < 0 or (wnum, wden) == _window(x, wk + 1, wdepth)
+        assert x.window(n, t) == (num, den)
+        assert x._win == (n, t, num, den)
+
+
+def _count_digit_reads(monkeypatch) -> list[int]:
+    reads = []
+    digit = CirclePoint.digit
+    monkeypatch.setattr(CirclePoint, "digit",
+                        lambda self, n: reads.append(n) or digit(self, n))
+    return reads
+
+
+def test_tail_bound_slides_its_window(monkeypatch):
+    # j = 1..30 at depth 8: the first window reads 9 digits and each later
+    # one slides in one new digit; rebuilding every window reads 9 per j
+    x = parse_point("rat:5/97", POW2, 64)
+    reads = _count_digit_reads(monkeypatch)
+    for j in range(1, 31):
+        a = POW2.term(j - 1)
+        assert mod1(a * Fraction(5, 97)) / a <= tail_upper_bound(x, j)
+    assert len(reads) <= 30 + 9
+
+
+def test_window_walk_reads_each_step_once(monkeypatch):
+    # the recursion suite's walk on a 10-digit finite point: frac_exact at
+    # each start n, then frac_bound at depths 0..8; trimming reads nothing
+    # and each deepening reads one digit, so a start costs at most 9 reads
+    # besides the support digits (a rebuild per window reads 45 per start)
+    x = parse_point("finite:[1,0,2,1,0,1,0,0,1,1]", LINEAR1)
+    m = x.finite_support_max()
+    value = x.as_fraction()
+    reads = _count_digit_reads(monkeypatch)
+    for n in range(1, m + 3):
+        exact = frac_exact(x, n)
+        assert exact == mod1(LINEAR1.term(n - 1) * value)
+        for t in range(9):
+            J = frac_bound(x, n, t)
+            assert J.lo <= exact < J.hi
+    assert len(reads) <= 9 * (m + 2) + m
 
 
 # ----- digit-rule parsing ----------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circlelab.density import (
     DensityEstimate,
@@ -45,11 +45,32 @@ def test_finite_set_basics():
     assert s.is_finite is True
 
 
-def test_interval_set_merges_and_counts():
-    s = IntervalNatSet([(4, 6), (9, 12), (7, 8)])
-    assert s.to_intervals() == ((4, 12),)
-    assert s.count_upto(10) == 7
-    assert list(s.iter_upto(5)) == [4, 5]
+def _members(intervals) -> set[int]:
+    return {n for lo, hi in intervals for n in range(lo, hi + 1)}
+
+
+# a pair (lo, hi) with hi in lo - 2 .. lo + 12: empty (lo > hi) now and then
+_pairs = st.integers(1, 60).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo - 2, lo + 12)))
+
+
+@given(pairs=st.lists(_pairs, max_size=12))
+@example(pairs=[(4, 6), (9, 12), (7, 8)])
+@settings(max_examples=300, deadline=None)
+def test_interval_set_merges_and_counts(pairs):
+    # unsorted, overlapping and adjacent pairs against the brute-force members
+    members = _members(pairs)
+    s = IntervalNatSet(pairs)
+    for ivals in (s.to_intervals(), FiniteNatSet(members).to_intervals()):
+        assert _members(ivals) == members
+        # canonical: increasing, non-empty, neither overlapping nor adjacent
+        assert all(lo <= hi for lo, hi in ivals)
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(ivals, ivals[1:]))
+        assert all(type(iv) is tuple for iv in ivals)
+    assert s == FiniteNatSet(members)
+    for N in (1, 5, 10, 80):
+        assert s.count_upto(N) == sum(1 for n in members if n <= N)
+        assert list(s.iter_upto(N)) == sorted(n for n in members if n <= N)
 
 
 def test_finite_equals_interval_form():
