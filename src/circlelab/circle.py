@@ -205,6 +205,7 @@ class IndicatorDigits(DigitRule):
     def __init__(self, support: NatSet):
         self.support = support
         self.known_upto = support.horizon
+        self._support_max = None  # set by the first finite_support_max call
 
     def digit(self, n, seq):
         return 1 if n in self.support else 0
@@ -221,8 +222,10 @@ class IndicatorDigits(DigitRule):
     def finite_support_max(self):
         if self.support.is_finite is not True:
             return None
-        ivals = self.support.to_intervals()
-        return ivals[-1][1] if ivals else 0
+        if self._support_max is None:
+            ivals = self.support.to_intervals()
+            self._support_max = ivals[-1][1] if ivals else 0
+        return self._support_max
 
     def describe(self):
         return f"ones-on:{getattr(self.support, 'name', repr(self.support))}"

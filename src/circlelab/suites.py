@@ -8,7 +8,6 @@ exact and replay-stable.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -70,10 +69,6 @@ def _sample(rng: random.Random, population: range, k: int) -> list[int]:
     return rng.sample(population, k)
 
 
-def _mod1(y: Fraction) -> Fraction:
-    return y - (y.numerator // y.denominator)
-
-
 def lift_algebra(params: dict | None = None) -> dict:
     """Exact commutation of lifting with union/intersection/difference."""
     p = merge_params({"specs": "linear:1,pow:2,const:2", "pairs": 200,
@@ -122,11 +117,15 @@ def lift_algebra(params: dict | None = None) -> dict:
 
 
 def tail_bound(params: dict | None = None) -> dict:
-    """Window tail bound never exceeds 1/a_{j-1} and dominates the true tail."""
+    """Window tail bound never exceeds 1/a_{j-1} and dominates the true tail.
+
+    With ub = un/ud, x = p/q and a = a_{j-1}, a row fails when un * a > ud
+    or (a p mod q) * ud > un * a * q; Fractions are built only to be printed.
+    """
     p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
                       "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
     rng = random.Random(int_param(p, "seed"))
-    max_ratio = Fraction(0)
+    mu, md = 0, 1  # max_ratio = mu/md
     rows = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
@@ -134,18 +133,19 @@ def tail_bound(params: dict | None = None) -> dict:
         for _ in range(int_param(p, "trials")):
             q = _draw(rng, p, "qmax", 2)
             value = Fraction(rng.randint(1, q - 1), q)
+            vp, vq = value.numerator, value.denominator
             x = digits_from_rational(value, seq)
             for j in range(1, int_param(p, "jmax") + 1):
                 a = seq.term(j - 1)
                 ub = tail_upper_bound(x, j)
-                true_tail = _mod1(a * value) / a
-                ratio = ub * a
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                if ratio > 1 or true_tail > ub:
+                ua, ud = ub.numerator * a, ub.denominator
+                if ua * md > mu * ud:
+                    mu, md = ua, ud
+                rem = a * vp % vq
+                if ua > ud or rem * ud > ua * vq:
                     counterexample = {"spec": spec_text, "x": str(value), "j": j,
                                       "upper_bound": str(ub),
-                                      "true_tail": str(true_tail)}
+                                      "true_tail": str(Fraction(rem, vq * a))}
                     break
                 rows += 1
             if counterexample:
@@ -153,12 +153,15 @@ def tail_bound(params: dict | None = None) -> dict:
         if counterexample:
             break
     return {"suite": "tail-bound", "params": plainify(p), "rows": rows,
-            "max_ratio": str(max_ratio), "pass": counterexample is None,
+            "max_ratio": str(Fraction(mu, md)), "pass": counterexample is None,
             "counterexample": counterexample}
 
 
 def recursion(params: dict | None = None) -> dict:
-    """Window identity: exact value inside every enclosure, exact widths, nesting."""
+    """Window identity: exact value inside every enclosure, exact widths, nesting.
+
+    Checked on cross-products of reduced numerators and denominators.
+    """
     p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
                       "max_len": 10, "seed": 97}, params, "suite recursion")
     rng = random.Random(int_param(p, "seed"))
@@ -172,19 +175,22 @@ def recursion(params: dict | None = None) -> dict:
             x = CirclePoint(seq, FiniteDigits(digits))
             for n in range(1, length + 3):
                 exact = frac_exact(x, n)
-                prev = None
+                en, ed = exact.numerator, exact.denominator
+                prev, w = None, 1  # w = b_n * ... * b_{n+t}
                 for t in range(int_param(p, "tmax") + 1):
                     bi = frac_bound(x, n, t)
-                    width = Fraction(1, math.prod(
-                        seq.ratio(j) for j in range(n, n + t + 1)))
-                    inside = bi.lo <= exact < bi.hi
-                    nested = prev is None or (prev.lo <= bi.lo and bi.hi <= prev.hi)
-                    if bi.hi - bi.lo != width or not inside or not nested:
+                    w *= seq.ratio(n + t)
+                    ln, ld = bi.lo.numerator, bi.lo.denominator
+                    hn, hd = bi.hi.numerator, bi.hi.denominator
+                    inside = ln * ed <= en * ld and en * hd < hn * ed
+                    nested = prev is None or (prev[0] * ld <= ln * prev[1]
+                                              and hn * prev[3] <= prev[2] * hd)
+                    if (hn * ld - ln * hd) * w != ld * hd or not inside or not nested:
                         counterexample = {"spec": spec_text, "digits": digits,
                                           "n": n, "t": t, "exact": str(exact),
                                           "lo": str(bi.lo), "hi": str(bi.hi)}
                         break
-                    prev = bi
+                    prev = ln, ld, hn, hd
                     checks += 1
                 if counterexample:
                     break

@@ -511,6 +511,25 @@ def test_tail_bound_slides_its_window(monkeypatch):
     assert len(reads) <= 30 + 9
 
 
+def test_indicator_support_end_is_computed_once(monkeypatch):
+    # the support end of a finite set is kept after the first call; the
+    # tail bound reads it directly and through frac_exact for every j
+    x = parse_point("ones-on:fin:{2,5,9,40}", POW2)
+    value = sum(Fraction(1, POW2.term(n)) for n in (2, 5, 9, 40))
+    calls = []
+    to_intervals = FiniteNatSet.to_intervals
+
+    def counted(self):
+        calls.append(1)
+        return to_intervals(self)
+
+    monkeypatch.setattr(FiniteNatSet, "to_intervals", counted)
+    for j in range(1, 31):
+        a = POW2.term(j - 1)
+        assert tail_upper_bound(x, j) == mod1(a * value) / a
+    assert len(calls) == 1
+
+
 def test_window_walk_reads_each_step_once(monkeypatch):
     # the recursion suite's walk on a 10-digit finite point: frac_exact at
     # each start n, then frac_bound at depths 0..8; trimming reads nothing

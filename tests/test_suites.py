@@ -1,0 +1,279 @@
+"""The integer verdicts of the tail-bound and recursion suites.
+
+The suites decide each row by cross-multiplying reduced numerators and
+denominators. The reference loops below are the same batteries written with
+``Fraction`` comparisons; they read the library through the ``suites``
+module, so a fault patched into it reaches both formulations.
+"""
+
+import hashlib
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from circlelab import suites
+from circlelab.circle import (
+    BoundInterval,
+    CirclePoint,
+    FiniteDigits,
+    frac_bound,
+    frac_exact,
+    tail_upper_bound,
+)
+from circlelab.cli import envelope_bytes
+from circlelab.parse import int_param, merge_params
+from circlelab.suites import plainify, run_suite
+
+
+def _mod1(y: Fraction) -> Fraction:
+    return y - (y.numerator // y.denominator)
+
+
+def reference_tail_bound(params=None) -> dict:
+    p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
+                      "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
+    rng = random.Random(int_param(p, "seed"))
+    max_ratio = Fraction(0)
+    rows = 0
+    counterexample = None
+    for spec_text in suites._spec_list(p["specs"]):
+        seq = suites._seq(spec_text)
+        for _ in range(int_param(p, "trials")):
+            q = suites._draw(rng, p, "qmax", 2)
+            value = Fraction(rng.randint(1, q - 1), q)
+            x = suites.digits_from_rational(value, seq)
+            for j in range(1, int_param(p, "jmax") + 1):
+                a = seq.term(j - 1)
+                ub = suites.tail_upper_bound(x, j)
+                true_tail = _mod1(a * value) / a
+                ratio = ub * a
+                if ratio > max_ratio:
+                    max_ratio = ratio
+                if ratio > 1 or true_tail > ub:
+                    counterexample = {"spec": spec_text, "x": str(value), "j": j,
+                                      "upper_bound": str(ub),
+                                      "true_tail": str(true_tail)}
+                    break
+                rows += 1
+            if counterexample:
+                break
+        if counterexample:
+            break
+    return {"suite": "tail-bound", "params": plainify(p), "rows": rows,
+            "max_ratio": str(max_ratio), "pass": counterexample is None,
+            "counterexample": counterexample}
+
+
+def reference_recursion(params=None) -> dict:
+    p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
+                      "max_len": 10, "seed": 97}, params, "suite recursion")
+    rng = random.Random(int_param(p, "seed"))
+    checks = 0
+    counterexample = None
+    for spec_text in suites._spec_list(p["specs"]):
+        seq = suites._seq(spec_text)
+        for _ in range(int_param(p, "trials")):
+            length = suites._draw(rng, p, "max_len", 1)
+            digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
+            x = CirclePoint(seq, FiniteDigits(digits))
+            for n in range(1, length + 3):
+                exact = suites.frac_exact(x, n)
+                prev = None
+                for t in range(int_param(p, "tmax") + 1):
+                    bi = suites.frac_bound(x, n, t)
+                    width = Fraction(1, math.prod(
+                        seq.ratio(j) for j in range(n, n + t + 1)))
+                    inside = bi.lo <= exact < bi.hi
+                    nested = prev is None or (prev.lo <= bi.lo and bi.hi <= prev.hi)
+                    if bi.hi - bi.lo != width or not inside or not nested:
+                        counterexample = {"spec": spec_text, "digits": digits,
+                                          "n": n, "t": t, "exact": str(exact),
+                                          "lo": str(bi.lo), "hi": str(bi.hi)}
+                        break
+                    prev = bi
+                    checks += 1
+                if counterexample:
+                    break
+            if counterexample:
+                break
+        if counterexample:
+            break
+    return {"suite": "recursion", "params": plainify(p), "checks": checks,
+            "pass": counterexample is None, "counterexample": counterexample}
+
+
+REFERENCE = {"tail-bound": reference_tail_bound, "recursion": reference_recursion}
+
+
+@pytest.mark.parametrize("params", [
+    None,
+    {"seed": 3},
+    {"seed": 7, "trials": 30, "jmax": 45},
+    {"specs": "const:3,linear:2,pow:3", "trials": 25, "jmax": 20,
+     "qmax": 1000, "seed": 11},
+    {"specs": "const:2", "trials": 40, "jmax": 12, "qmax": 64, "seed": 5},
+    {"trials": 0},
+    {"jmax": 1, "qmax": 2, "trials": 5},
+])
+def test_tail_bound_matches_fraction_reference(params):
+    assert run_suite("tail-bound", params) == reference_tail_bound(params)
+
+
+@pytest.mark.parametrize("params", [
+    None,
+    {"seed": 3},
+    {"seed": 8, "trials": 15, "tmax": 12, "max_len": 20},
+    {"specs": "const:3,linear:2", "trials": 20, "tmax": 5, "seed": 5},
+    {"specs": "const:2", "tmax": 0, "max_len": 1, "seed": 2},
+    {"trials": 0},
+])
+def test_recursion_matches_fraction_reference(params):
+    assert run_suite("recursion", params) == reference_recursion(params)
+
+
+def _both_fail(monkeypatch, tag, name, fake, params=None) -> dict:
+    """Patch ``suites.<name>`` with ``fake``; both formulations must fail alike."""
+    monkeypatch.setattr(suites, name, fake)
+    report = run_suite(tag, params)
+    assert report == REFERENCE[tag](params)
+    assert report["pass"] is False
+    return report["counterexample"]
+
+
+# ----- tail-bound faults ------------------------------------------------------
+
+
+def test_tail_bound_catches_a_bound_below_the_true_tail(monkeypatch):
+    cx = _both_fail(monkeypatch, "tail-bound", "tail_upper_bound",
+                    lambda x, j: tail_upper_bound(x, j) / 4)
+    # only the domination check fires: the bound stays below 1/a_{j-1}
+    assert Fraction(cx["true_tail"]) > Fraction(cx["upper_bound"])
+
+
+def test_tail_bound_catches_a_bound_above_one_over_a(monkeypatch):
+    def fake(x, j):
+        return Fraction(2, x.seq.term(j - 1)) if j == 7 else tail_upper_bound(x, j)
+
+    cx = _both_fail(monkeypatch, "tail-bound", "tail_upper_bound", fake)
+    assert cx["j"] == 7
+    assert Fraction(cx["true_tail"]) <= Fraction(cx["upper_bound"])
+
+
+@pytest.mark.parametrize("edge", ["true-tail", "one-over-a"])
+def test_tail_bound_accepts_its_edge_cases(monkeypatch, edge):
+    # a bound equal to the true tail, or to 1/a_{j-1}, is not a violation
+    def fake(x, j):
+        a = x.seq.term(j - 1)
+        if edge == "one-over-a":
+            return Fraction(1, a)
+        value = getattr(x.rule, "value", None) or x.as_fraction()
+        return _mod1(a * value) / a
+
+    monkeypatch.setattr(suites, "tail_upper_bound", fake)
+    params = {"trials": 20, "seed": 9}
+    report = run_suite("tail-bound", params)
+    assert report == reference_tail_bound(params)
+    assert report["pass"] is True
+    if edge == "one-over-a":
+        assert report["max_ratio"] == "1"
+    else:
+        assert Fraction(report["max_ratio"]) < 1
+
+
+# ----- recursion faults -------------------------------------------------------
+
+
+def _shifted(x, n, t):
+    # a full width off: the right width, but the exact value falls outside
+    bi = frac_bound(x, n, t)
+    w = bi.hi - bi.lo
+    if t == 3:
+        return (BoundInterval(bi.lo + w, bi.hi + w) if bi.hi + w <= 1
+                else BoundInterval(bi.lo - w, bi.hi - w))
+    return bi
+
+
+def _ends_at_exact(x, n, t):
+    # moved down, inside its parent, until its upper end is the exact value,
+    # which the half-open enclosure [lo, hi) then leaves out
+    bi = frac_bound(x, n, t)
+    if t == 0:
+        return bi
+    shift = bi.hi - frac_exact(x, n)
+    if bi.lo - shift >= frac_bound(x, n, t - 1).lo:
+        return BoundInterval(bi.lo - shift, bi.hi - shift)
+    return bi
+
+
+def _widened(x, n, t):
+    bi = frac_bound(x, n, t)
+    w = bi.hi - bi.lo
+    if t == 2:
+        return (BoundInterval(bi.lo - w, bi.hi) if bi.lo >= w
+                else BoundInterval(bi.lo, bi.hi + w))
+    return bi
+
+
+def _non_nested(x, n, t):
+    # moves an enclosure that starts or ends where its parent does across
+    # that end by less than the distance to the exact value, so it keeps its
+    # width and still holds the exact value
+    bi = frac_bound(x, n, t)
+    if t == 0:
+        return bi
+    parent = frac_bound(x, n, t - 1)
+    exact = frac_exact(x, n)
+    if bi.lo == parent.lo and bi.lo > 0:
+        shift = -min(bi.hi - exact, bi.lo) / 2
+    elif bi.hi == parent.hi and bi.hi < 1 and exact > bi.lo:
+        shift = min(exact - bi.lo, 1 - bi.hi) / 2
+    else:
+        return bi
+    return BoundInterval(bi.lo + shift, bi.hi + shift)
+
+
+@pytest.mark.parametrize("fake, check", [
+    (_shifted, "inside"), (_ends_at_exact, "inside"), (_widened, "width"),
+    (_non_nested, "nested"),
+])
+def test_recursion_catches_a_bad_enclosure(monkeypatch, fake, check):
+    cx = _both_fail(monkeypatch, "recursion", "frac_bound", fake)
+    lo, hi, exact = Fraction(cx["lo"]), Fraction(cx["hi"]), Fraction(cx["exact"])
+    seq = suites._seq(cx["spec"])
+    n, t = cx["n"], cx["t"]
+    width = Fraction(1, math.prod(seq.ratio(j) for j in range(n, n + t + 1)))
+    # each fault breaks exactly the check it is named after
+    assert (hi - lo == width) is (check != "width")
+    assert (lo <= exact < hi) is (check != "inside")
+    if check == "nested":
+        assert t >= 1
+
+
+# ----- golden envelopes -------------------------------------------------------
+
+# SHA-256 of the canonical envelope bytes (``envelope_bytes``) of every verify
+# tag at its defaults, and of the seeded tags at seed=3
+GOLDEN = {
+    ("lift-algebra", None): "e496f0f56e0a68320ed29eeb1390d6084629378941dac09517db01d909a5da55",
+    ("tail-bound", None): "c9841a6fc96711ef362b9233e857a6fa7b901095e0945c044078da4c9e1db07e",
+    ("recursion", None): "64473817814536450d1e27d4c7598a9087f62bc98f51139b31a1fb79dfe9e14a",
+    ("snd-density", None): "7652dd29096b9db421a9a75b880a583790fdbef578614a7767989e44bbc9dfae",
+    ("wdli-shrink", None): "8c89d11578462766bc73c22fb917f0bc44859fd1935779462d704c56d1dde187",
+    ("coincidence", None): "f08b5686504c74328d040233e9eb9648f5c365a62fc115b2726758af40935619",
+    ("arbault", None): "a4ea91b71a688241d2d382d50c51e9de408af12185c4d4da321975c4610ab3ec",
+    ("lift-algebra", 3): "6e80b6ebf3d173d90b9c824393af78f6fe3823fb54c890b1c8ebf743d7d1c0d8",
+    ("tail-bound", 3): "c4b5cd157f6baf4c9e60f51129e4dc5aef44ebbab9a89b4a5130d77d73b4638b",
+    ("recursion", 3): "9e64e0a16d0c2fdd716714ae44f974d7545f0b7cde2dd8b81f8fbedc14c61322",
+    ("snd-density", 3): "9bf23e7be4e9f73708b07004759d5d6f21a34dc33cebf86bab80e68fde1f17d3",
+}
+
+
+@pytest.mark.parametrize("tag, seed", list(GOLDEN))
+def test_verify_envelope_is_pinned(tag, seed):
+    params = {"tag": tag}
+    if seed is not None:
+        params["param"] = [f"seed={seed}"]
+    body = envelope_bytes({"subcommand": "verify", "params": params})
+    assert hashlib.sha256(body).hexdigest() == GOLDEN[tag, seed]
