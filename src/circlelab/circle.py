@@ -33,16 +33,11 @@ __all__ = [
     "RationalDigits",
     "IndicatorDigits",
     "FloorDivDigits",
-    "FuncDigits",
     "CirclePoint",
     "digits_from_rational",
     "frac_bound",
     "frac_exact",
     "tail_upper_bound",
-    "norm_bound",
-    "mult_frac_bound",
-    "derived_frac_bound",
-    "derived_norm_bound",
     "EnclosureCache",
     "default_depth_cap",
     "parse_point",
@@ -50,7 +45,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 # a segment of at most this many rows is sorted row by row (``_sort_few``), and
 # a run counts blocks this short; on 65-digit windows that beats the six floor
@@ -101,14 +95,6 @@ class BoundInterval:
         object.__setattr__(self, "undecided", False)
         return self
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __contains__(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 
@@ -129,7 +115,6 @@ class DigitRule:
     """
 
     known_upto: int | None = None
-    attestation: str | None = None
 
     def digit(self, n: int, seq: ArithSeq) -> int:
         raise NotImplementedError
@@ -143,13 +128,6 @@ class DigitRule:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def _check_known(self, n: int) -> None:
-        if self.known_upto is not None and n > self.known_upto:
-            raise HorizonError(
-                f"digit c_{n} is beyond the declared prefix (known up to "
-                f"{self.known_upto}); re-expand with a larger horizon"
-            )
 
 
 class FiniteDigits(DigitRule):
@@ -192,7 +170,11 @@ class RationalDigits(DigitRule):
         self.known_upto = len(digits)
 
     def digit(self, n, seq):
-        self._check_known(n)
+        if n > self.known_upto:
+            raise HorizonError(
+                f"digit c_{n} is beyond the declared prefix (known up to "
+                f"{self.known_upto}); re-expand with a larger horizon"
+            )
         return self.digits[n - 1]
 
     def describe(self):
@@ -265,39 +247,6 @@ class FloorDivDigits(DigitRule):
         return "floor-div:m={" + inner + "}"
 
 
-class FuncDigits(DigitRule):
-    """An opaque digit rule (n, b_n) -> c_n.
-
-    Canonicality (c_n < b_n - 1 infinitely often) is not decidable for an
-    opaque rule, so construction demands an explicit attestation, which is
-    recorded and surfaced in reports.
-    """
-
-    def __init__(self, fn, attestation: str | None = None,
-                 support_kind: str = "unknown", known_upto: int | None = None,
-                 label: str = "func"):
-        if not attestation:
-            raise PreconditionError(
-                "opaque digit rules need a canonicality attestation "
-                "(the rule must leave c_n < b_n - 1 infinitely often)"
-            )
-        self._fn = fn
-        self.attestation = attestation
-        self._support_kind = support_kind
-        self.known_upto = known_upto
-        self.label = label
-
-    def digit(self, n, seq):
-        self._check_known(n)
-        return self._fn(n, seq.ratio(n))
-
-    def support_kind(self):
-        return self._support_kind
-
-    def describe(self):
-        return f"func:{self.label}"
-
-
 # ===== Points ================================================================
 
 
@@ -333,12 +282,14 @@ class CirclePoint:
         return c
 
     def window(self, n: int, t: int) -> tuple[int, int]:
-        """``_window(self, n, t)``, served from the latest window.
+        """Unreduced (num, den) with S = num/den over the digits n .. n+t and
+        den = b_n * ... * b_{n+t}, served from the latest window.
 
         The window slides forward and trims or deepens at its end as
         ``_slide`` does; only a request behind its start, or past its end,
         is read from scratch. A failed digit read leaves the latest window
-        as it was.
+        as it was. ``window_from_scratch`` in ``tests/conftest.py`` is the
+        reference that reads every digit.
         """
         wn, wt, num, den = self._win
         if n != wn or t != wt:
@@ -358,13 +309,8 @@ class CirclePoint:
         Exact (uncapped) for rules whose digits are computable everywhere;
         otherwise a horizon must be given and must not exceed the known prefix.
         """
-        fs = self.finite_support_max()
-        if fs is not None:
-            hits = [n for n in range(1, fs + 1)
-                    if (self.digit(n) != 0 if not quasi
-                        else self.digit(n) == self.seq.ratio(n) - 1)]
-            return FiniteNatSet(hits)
-        if self.rule.known_upto is None:
+        top = self.finite_support_max()
+        if top is None and self.rule.known_upto is None:
             if quasi:
                 pred = lambda n: self.digit(n) == self.seq.ratio(n) - 1
             else:
@@ -376,27 +322,17 @@ class CirclePoint:
                            else None),
                 is_cofinite=(True if kind == "cofinite" and not quasi else None),
             )
-        if horizon is None or horizon > self.rule.known_upto:
-            raise HorizonError(
-                "support of a prefix-capped rule needs a horizon within the "
-                f"known prefix (up to {self.rule.known_upto})"
-            )
-        hits = [n for n in range(1, horizon + 1)
+        if top is None:
+            if horizon is None or horizon > self.rule.known_upto:
+                raise HorizonError(
+                    "support of a prefix-capped rule needs a horizon within the "
+                    f"known prefix (up to {self.rule.known_upto})"
+                )
+            top = horizon
+        hits = [n for n in range(1, top + 1)
                 if (self.digit(n) != 0 if not quasi
                     else self.digit(n) == self.seq.ratio(n) - 1)]
         return FiniteNatSet(hits)
-
-    def as_fraction(self) -> Fraction:
-        """Exact value sum c_n / a_n; defined only for declared finite support."""
-        m = self.finite_support_max()
-        if m is None:
-            raise PreconditionError("as_fraction needs declared finite support")
-        total = Fraction(0)
-        for n in range(1, m + 1):
-            c = self.digit(n)
-            if c:
-                total += Fraction(c, self.seq.term(n))
-        return total
 
     def describe(self) -> str:
         return self.rule.describe()
@@ -436,21 +372,10 @@ def digits_from_rational(value: Fraction, seq: ArithSeq, horizon: int = 256) -> 
 # ===== Evaluation ============================================================
 
 
-def _window(x: CirclePoint, n: int, t: int) -> tuple[int, int]:
-    """Unreduced (num, den) with S = num/den, den = b_n * ... * b_{n+t}."""
-    num = 0
-    den = 1
-    for j in range(n, n + t + 1):
-        b = x.seq.ratio(j)
-        num = num * b + x.digit(j)
-        den *= b
-    return num, den
-
-
 def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
            n: int, target: int) -> tuple[int, int]:
-    """``_window(x, n, target - n)`` from the window num/den over the digits
-    start .. end.
+    """The window over the digits n .. target (``window_from_scratch`` in
+    ``tests/conftest.py``) from the window num/den over the digits start .. end.
 
     When n lies in start .. end, the leading digits drop out by division
     (each c_j <= b_j - 1 keeps the rest below den), digits past target are
@@ -514,49 +439,6 @@ def tail_upper_bound(x: CirclePoint, j: int, t: int = 8) -> Fraction:
     return Fraction(num + 1, den * a)
 
 
-def norm_bound(J: BoundInterval) -> BoundInterval:
-    """Enclosure of the circle norm ||y|| = min({y}, 1 - {y}) over y in J.
-
-    The norm is a tent peaking at 1/2, so extremes occur at the endpoints and,
-    when 1/2 lies inside J, at the peak.
-    """
-    if J.undecided:
-        return BoundInterval(_ZERO, _HALF, undecided=True)
-    f_lo = min(J.lo, 1 - J.lo)
-    f_hi = min(J.hi, 1 - J.hi)
-    hi = _HALF if J.lo <= _HALF <= J.hi else max(f_lo, f_hi)
-    return BoundInterval(min(f_lo, f_hi), hi)
-
-
-def mult_frac_bound(x: CirclePoint, k: int, r: int, t: int = 8,
-                    cap: int | None = None) -> BoundInterval:
-    """Enclosure of {r * a_k * x} for any positive multiplier r.
-
-    For finite-support points the value is exact. Otherwise the window
-    enclosure of {a_k x} is scaled by r; if the scaled interval straddles an
-    integer the window depth is doubled up to ``cap``, after which the
-    trivial [0, 1] interval is returned flagged undecided.
-    """
-    if k < 0:
-        raise PreconditionError(f"term index must be >= 0, got {k}")
-    if r < 1:
-        raise PreconditionError(f"multiplier must be >= 1, got {r}")
-    return EnclosureCache(x, depth=t, cap=cap).interval(k, r)
-
-
-def derived_frac_bound(x: CirclePoint, i: int, t: int = 8,
-                       cap: int | None = None) -> BoundInterval:
-    """Enclosure of {d_i x} through the decomposition d_i = r * a_k."""
-    k, r = x.seq.derived.decompose(i)
-    return mult_frac_bound(x, k, r, t, cap)
-
-
-def derived_norm_bound(x: CirclePoint, i: int, t: int = 8,
-                       cap: int | None = None) -> BoundInterval:
-    """Enclosure of ||d_i x||."""
-    return norm_bound(derived_frac_bound(x, i, t, cap))
-
-
 class EnclosureCache:
     """Shared per-block evaluation state for scans over derived indices.
 
@@ -588,8 +470,9 @@ class EnclosureCache:
         return num, den
 
     def _window_at(self, k: int, depth: int) -> tuple[int, int, int]:
-        """(num, den, depth') of block k's window, equal to ``_window(x, k + 1,
-        depth')`` with depth' >= depth.
+        """(num, den, depth') of block k's window over the digits k+1 ..
+        k+1+depth', depth' >= depth (``window_from_scratch(x, k + 1, depth')``
+        in ``tests/conftest.py``).
 
         A window already deepened on block k is reused as it is. Otherwise
         the latest window moves to block k by ``_slide``: a block behind it,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .density import FiniteNatSet, NatSet, prefix_density
+from .density import FiniteNatSet, NatSet
 from .errors import PreconditionError
 from .sequences import ArithSeq
 
@@ -27,7 +27,6 @@ __all__ = [
     "check_weakly_dli_condition",
     "witness_recursion",
     "weakly_dli_witness_set",
-    "b_bounded_split",
 ]
 
 HOLDS = "holds-at-horizon"
@@ -195,24 +194,3 @@ def weakly_dli_witness_set(seq: ArithSeq, jmax: int,
     """
     u, _ = witness_recursion(seq, jmax, scan_limit)
     return FiniteNatSet(v + 1 for v in u)
-
-
-def b_bounded_split(seq: ArithSeq, s: NatSet, bound: int, horizon: int):
-    """Diagnostic partition of S into {n : b_n <= bound} and {n : b_n > bound}.
-
-    Returns (bounded_part, divergent_part, report) with the lift-free prefix
-    densities of both parts at the horizon.
-    """
-    if horizon < 1:
-        raise PreconditionError("horizon must be >= 1")
-    low, high = [], []
-    for n in s.iter_upto(horizon):
-        (low if seq.ratio(n) <= bound else high).append(n)
-    low_set, high_set = FiniteNatSet(low), FiniteNatSet(high)
-    report = {
-        "bound": bound,
-        "horizon": horizon,
-        "bounded_density": prefix_density(low_set, horizon).lo,
-        "divergent_density": prefix_density(high_set, horizon).lo,
-    }
-    return low_set, high_set, report

@@ -56,17 +56,20 @@ def _point_of(p: dict, seq: ArithSeq) -> CirclePoint:
     return parse_point(str(p["x"]), seq, int_param(p, "expand"))
 
 
-def _runs(values) -> str:
-    """Render an increasing integer stream as [a,b]+[c,d]."""
+def _render(intervals) -> str:
+    """Render closed intervals (a, b) as [a,b]+[c,d], or [] when none."""
+    return "+".join(f"[{a},{b}]" for a, b in intervals) or "[]"
+
+
+def _runs(values) -> list[list[int]]:
+    """The maximal runs [a, b] of an increasing integer stream."""
     runs = []
     for v in values:
         if runs and v == runs[-1][1] + 1:
             runs[-1][1] = v
         else:
             runs.append([v, v])
-    if not runs:
-        return "[]"
-    return "+".join(f"[{a},{b}]" if a != b else f"[{a},{a}]" for a, b in runs)
+    return runs
 
 
 # ===== Operation handlers ====================================================
@@ -104,19 +107,13 @@ def _cmd_lift(p: dict):
     horizon = int_param(p, "horizon")
     try:
         intervals = lifted.to_intervals()
-        clipped = False
-    except PreconditionError:
-        intervals = None
-        clipped = True
-    if intervals is None:
-        terse = _runs(lifted.iter_upto(horizon))
-        report = {"set": str(expr), "prefix": terse, "horizon": horizon,
-                  "clipped": True}
-    else:
-        terse = "+".join(f"[{a},{b}]" for a, b in intervals) or "[]"
-        report = {"set": str(expr), "intervals": [list(iv) for iv in intervals],
-                  "clipped": False}
-    return terse, report, None
+    except PreconditionError:  # unbounded: print the runs up to the horizon
+        terse = _render(_runs(lifted.iter_upto(horizon)))
+        return terse, {"set": str(expr), "prefix": terse, "horizon": horizon,
+                       "clipped": True}, None
+    report = {"set": str(expr), "intervals": [list(iv) for iv in intervals],
+              "clipped": False}
+    return _render(intervals), report, None
 
 
 def _cmd_scan(p: dict):
@@ -376,11 +373,14 @@ def run_config(config: dict):
     return handler(merge_params(defaults, params, what))
 
 
-def envelope_bytes(config: dict) -> bytes:
-    """Canonical report bytes for a config; the replay unit."""
-    _, report, _ = run_config(config)
+def _envelope(config: dict, report) -> bytes:
     return canonical_json({"version": __version__, "config": config,
                            "report": report})
+
+
+def envelope_bytes(config: dict) -> bytes:
+    """Canonical report bytes for a config; the replay unit."""
+    return _envelope(config, run_config(config)[1])
 
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -440,15 +440,14 @@ def main(argv=None) -> int:
                 params[key] = val
             config = {"subcommand": args.subcommand, "params": params}
         terse, report, fail = run_config(config)
+        envelope = _envelope(config, report)
         if args.format == "json":
-            sys.stdout.buffer.write(canonical_json(
-                {"version": __version__, "config": config, "report": report}))
+            sys.stdout.buffer.write(envelope)
         else:
             print(terse)
         if args.out:
             with open(args.out, "wb") as fh:
-                fh.write(canonical_json(
-                    {"version": __version__, "config": config, "report": report}))
+                fh.write(envelope)
         if fail:
             print(f"error: {fail}", file=sys.stderr)
             return 5

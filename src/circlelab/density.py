@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import HorizonError, PreconditionError, SpecParseError
 from .parse import enclosed, integer, integers
-from .sequences import ArithSeq, DerivedSeq, RatioSpec, cube_block_edges
+from .sequences import ArithSeq, DerivedSeq, cube_block_edges
 
 __all__ = [
     "NatSet",
@@ -29,12 +29,9 @@ __all__ = [
     "LazyIntervalNatSet",
     "PredicateNatSet",
     "DensityEstimate",
-    "prefix_density",
     "lift",
     "translate",
-    "union",
-    "intersect",
-    "difference",
+    "set_algebra",
     "cube_gap_blocks",
     "evens",
     "squares",
@@ -357,12 +354,6 @@ class DensityEstimate:
         return Fraction(self.in_count + self.undecided_count, self.N)
 
 
-def prefix_density(s: NatSet, N: int) -> DensityEstimate:
-    """Exact |S intersect [1, N]| / N as a point estimate (no undecided rows)."""
-    count = s.count_upto(N)
-    return DensityEstimate(N, count, N - count, 0)
-
-
 # ===== Algebra ==============================================================
 
 
@@ -437,18 +428,6 @@ def set_algebra(op: str, a: NatSet, b: NatSet) -> NatSet:
     else:
         pred = lambda n: n in a and n not in b
     return PredicateNatSet(pred, horizon=_min_horizon(a, b), name=f"{op}-combination")
-
-
-def union(a: NatSet, b: NatSet) -> NatSet:
-    return set_algebra("union", a, b)
-
-
-def intersect(a: NatSet, b: NatSet) -> NatSet:
-    return set_algebra("intersect", a, b)
-
-
-def difference(a: NatSet, b: NatSet) -> NatSet:
-    return set_algebra("difference", a, b)
 
 
 def translate(s: NatSet, m: int) -> NatSet:

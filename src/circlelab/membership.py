@@ -89,9 +89,6 @@ class ScanResult:
     spec: str = ""
     point: str = ""
 
-    def bounds(self) -> list[tuple[Fraction, Fraction]]:
-        return [(e.lo, e.hi) for e in self.estimates]
-
     def to_report(self) -> dict:
         return {
             "eps": str(self.eps),

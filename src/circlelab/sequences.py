@@ -289,9 +289,5 @@ class DerivedSeq:
         k, r = self.decompose(i)
         return r * self.base.term(k)
 
-    def block(self, k: int) -> tuple[int, int]:
-        """The derived-index range [n_k, n_{k+1} - 1] holding the multiples of a_k."""
-        return self.boundary(k), self.boundary(k + 1) - 1
-
     def __repr__(self):
         return f"DerivedSeq({self.base.describe()})"

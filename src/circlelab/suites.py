@@ -28,7 +28,8 @@ from .membership import convergence_verdict, statistical_scan
 from .sequences import ArithSeq, RatioSpec
 from .witness import arbault_witness, continuum_family_point
 
-__all__ = ["SUITES", "plainify", "run_suite"]
+__all__ = ["SUITES", "plainify", "run_suite", "lift_algebra", "tail_bound",
+           "recursion", "snd_density", "wdli_shrink", "coincidence", "arbault"]
 
 
 def plainify(value):

@@ -36,7 +36,6 @@ __all__ = [
     "nonmembership_partition",
     "bad_interval_family",
     "certify_nonmembership",
-    "continuum_exceptional_set",
     "factor_u",
     "arbault_witness",
 ]
@@ -123,29 +122,6 @@ def continuum_family_point(a_set: NatSet, zeta: Sequence[int],
     top = max(chosen, default=0)
     digits = [1 if n in chosen else 0 for n in range(1, top + 1)]
     return CirclePoint(seq, FiniteDigits(digits))
-
-
-def continuum_exceptional_set(a_set: NatSet, m: int, seq: ArithSeq) -> IntervalNatSet:
-    """The derived-index set off which every family point has small values.
-
-    For A listed as {u_j + 1}, this is [1, n_{u_m - m + 1} - 1] together with
-    [n_{u_j - m + 1}, n_{u_j + 1} - 1] for j >= m, truncated at the largest
-    listed element; valid for prefix windows up to n_{u_J + 1} - 1 where u_J
-    is that largest element.
-    """
-    if a_set.is_finite is not True:
-        raise PreconditionError("the index set must be finite and listable")
-    ivals = a_set.to_intervals()
-    elems = list(a_set.iter_upto(ivals[-1][1])) if ivals else []
-    u = [v - 1 for v in elems]
-    if m < 1 or m > len(u):
-        raise PreconditionError(f"m must be in [1, {len(u)}]")
-    derived = seq.derived
-    parts = [(1, derived.boundary(u[m - 1] - m + 1) - 1)]
-    for j in range(m, len(u) + 1):
-        parts.append((derived.boundary(u[j - 1] - m + 1),
-                      derived.boundary(u[j - 1] + 1) - 1))
-    return IntervalNatSet(parts)
 
 
 # ===== Escape-band certification ============================================

@@ -16,7 +16,7 @@ from fractions import Fraction
 from circlelab.circle import EnclosureCache, FiniteDigits, CirclePoint, parse_point
 from circlelab.classify import check_strongly_non_dli, weakly_dli_witness_set
 from circlelab.cli import envelope_bytes
-from circlelab.density import FiniteNatSet, difference, intersect, lift, prefix_density, union
+from circlelab.density import FiniteNatSet, lift, set_algebra
 from circlelab.membership import statistical_scan
 from circlelab.sequences import ArithSeq, RatioSpec
 from circlelab.witness import (
@@ -27,6 +27,7 @@ from circlelab.witness import (
     factor_u,
     nonmembership_partition,
 )
+from conftest import as_fraction
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -75,11 +76,12 @@ def test_c02_lifting_algebra():
             sa, sb = FiniteNatSet(a), FiniteNatSet(b)
             la, lb = lift(sa, d), lift(sb, d)
             pairs = (
-                ("union", lift(FiniteNatSet(a | b), d), union(la, lb)),
-                ("intersect", lift(FiniteNatSet(a & b), d), intersect(la, lb)),
-                ("difference", lift(FiniteNatSet(a - b), d), difference(la, lb)),
+                ("union", lift(FiniteNatSet(a | b), d)),
+                ("intersect", lift(FiniteNatSet(a & b), d)),
+                ("difference", lift(FiniteNatSet(a - b), d)),
             )
-            for name, left, right in pairs:
+            for name, left in pairs:
+                right = set_algebra(name, la, lb)
                 if left.to_intervals() != right.to_intervals():
                     failures.append(f"{name} broke on {sorted(a)}, {sorted(b)} "
                                     f"under {seq.describe()}")
@@ -125,7 +127,7 @@ def test_c04_window_identity():
         for _ in range(40):
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, 13)]
             x = CirclePoint(seq, FiniteDigits(digits))
-            value = x.as_fraction()
+            value = as_fraction(x)
             for n in range(1, 11):
                 truth = mod1(seq.term(n - 1) * value)
                 for t in range(0, 9):
@@ -134,8 +136,8 @@ def test_c04_window_identity():
                     den = 1
                     for j in range(n, n + t + 1):
                         den *= seq.ratio(j)
-                    if J.width != Fraction(1, den):
-                        failures.append(f"width {J.width} != 1/{den} at n={n}, t={t}")
+                    if J.hi - J.lo != Fraction(1, den):
+                        failures.append(f"width {J.hi - J.lo} != 1/{den} at n={n}, t={t}")
                     if not (J.lo <= truth < J.hi):
                         failures.append(f"{truth} escapes {J} at n={n}, t={t}")
             if failures:
@@ -169,9 +171,10 @@ def test_c05_finite_support_membership():
                                     Fraction(1, a_m), [N])
             c = n_m - 1 - zeros_early
             want = (Fraction(c, N), Fraction(c, N))
-            if scan.bounds() != [want]:
+            got = [(e.lo, e.hi) for e in scan.estimates]
+            if got != [want]:
                 failures.append(
-                    f"{seq.describe()}, m={m}: bounds {scan.bounds()} != {want}")
+                    f"{seq.describe()}, m={m}: bounds {got} != {want}")
             if failures:
                 break
         if failures:
@@ -194,7 +197,7 @@ def test_c06_strongly_non_dli_density_floor():
         a = sorted(frozenset(rng.randint(1, 12) for _ in range(rng.randint(1, 6))))
         lifted = lift(FiniteNatSet(a), POW2.derived)
         N = POW2.derived.boundary(max(a)) - 1
-        got = prefix_density(lifted, N).lo
+        got = Fraction(lifted.count_upto(N), N)
         if got < floor:
             failures.append(f"lifted density {got} < 0.45 for A={a}")
     conclude(6, "pow-2 growth floor and lifted densities >= 0.45", t0, 30.0, failures)

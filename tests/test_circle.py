@@ -12,23 +12,18 @@ from circlelab.circle import (
     EnclosureCache,
     FiniteDigits,
     FloorDivDigits,
-    FuncDigits,
     IndicatorDigits,
     default_depth_cap,
-    derived_frac_bound,
-    derived_norm_bound,
     digits_from_rational,
     frac_bound,
     frac_exact,
-    mult_frac_bound,
-    norm_bound,
     parse_point,
     tail_upper_bound,
-    _window,
 )
 from circlelab.density import FiniteNatSet, full_set
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
+from conftest import FuncDigits, as_fraction, window_from_scratch
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -56,7 +51,7 @@ def test_greedy_expansion_example():
     x = digits_from_rational(Fraction(5, 24), LINEAR1)
     assert isinstance(x.rule, FiniteDigits)
     assert [x.digit(n) for n in (1, 2, 3, 4)] == [0, 1, 1, 0]
-    assert x.as_fraction() == Fraction(5, 24)
+    assert as_fraction(x) == Fraction(5, 24)
 
 
 @given(value=rationals())
@@ -65,7 +60,7 @@ def test_greedy_expansion_reconstructs_value(value):
     # every drawn denominator divides a_6 = 6!, so the expansion terminates
     x = digits_from_rational(value, LINEAR1)
     assert x.support_kind() == "finite"
-    assert x.as_fraction() == value
+    assert as_fraction(x) == value
 
 
 def test_greedy_digits_are_canonical_range():
@@ -141,7 +136,7 @@ def test_window_contains_true_fractional_part(value, n, t):
 def test_window_width_and_nesting(value, n, t):
     x = digits_from_rational(value, LINEAR1)
     J = frac_bound(x, n, t)
-    assert J.width == Fraction(1, math.prod(LINEAR1.ratio(j) for j in range(n, n + t + 1)))
+    assert J.hi - J.lo == Fraction(1, math.prod(LINEAR1.ratio(j) for j in range(n, n + t + 1)))
     K = frac_bound(x, n, t + 1)
     assert J.lo <= K.lo and K.hi <= J.hi
 
@@ -184,19 +179,7 @@ def test_tail_bound_capped_rule():
         assert mod1(a * Fraction(1, 3)) / a <= ub <= Fraction(1, a)
 
 
-# ----- norms -----------------------------------------------------------------
-
-def test_norm_bound_tent_cases():
-    h = Fraction(1, 2)
-    assert norm_bound(BoundInterval(Fraction(0), Fraction(1, 8))) == \
-        BoundInterval(Fraction(0), Fraction(1, 8))
-    assert norm_bound(BoundInterval(Fraction(5, 8), Fraction(7, 8))) == \
-        BoundInterval(Fraction(1, 8), Fraction(3, 8))
-    assert norm_bound(BoundInterval(Fraction(1, 4), Fraction(3, 4))) == \
-        BoundInterval(Fraction(1, 4), h)
-    und = norm_bound(BoundInterval(Fraction(0), Fraction(1), undecided=True))
-    assert und.undecided and und.hi == h
-
+# ----- intervals -------------------------------------------------------------
 
 def test_bound_interval_validation():
     with pytest.raises(PreconditionError):
@@ -221,11 +204,9 @@ def test_bound_interval_validation():
 @settings(max_examples=150, deadline=None)
 def test_derived_bound_exact_for_finite_support(value, i):
     x = digits_from_rational(value, LINEAR1)
-    J = derived_frac_bound(x, i)
+    J = EnclosureCache(x).interval(*LINEAR1.derived.decompose(i))
     truth = mod1(LINEAR1.derived.term(i) * value)
-    assert J.is_point and J.lo == truth
-    N = derived_norm_bound(x, i)
-    assert N.lo == N.hi == min(truth, 1 - truth)
+    assert J.lo == J.hi == truth
 
 
 def test_mult_bound_decided_contains_truth():
@@ -233,7 +214,7 @@ def test_mult_bound_decided_contains_truth():
     x = digits_from_rational(value, POW2, horizon=40)
     for k in range(5):
         for r in range(1, POW2.ratio(k + 1)):
-            J = mult_frac_bound(x, k, r, t=4)
+            J = EnclosureCache(x, depth=4).interval(k, r)
             if not J.undecided:
                 truth = mod1(r * POW2.term(k) * value)
                 assert J.lo <= truth <= J.hi
@@ -243,16 +224,8 @@ def test_mult_bound_gives_up_at_cap():
     # 1/3 under const 2 has digits 0,1,0,1,...; r = 3 times 1/3 straddles an
     # integer forever, so no finite window can decide the unit interval
     x = digits_from_rational(Fraction(1, 3), CONST2, horizon=64)
-    J = mult_frac_bound(x, 0, 3, t=2, cap=32)
+    J = EnclosureCache(x, depth=2, cap=32).interval(0, 3)
     assert J.undecided and (J.lo, J.hi) == (Fraction(0), Fraction(1))
-
-
-def test_mult_bound_validation():
-    x = digits_from_rational(Fraction(1, 6), LINEAR1)
-    with pytest.raises(PreconditionError):
-        mult_frac_bound(x, -1, 2)
-    with pytest.raises(PreconditionError):
-        mult_frac_bound(x, 2, 0)
 
 
 def test_depth_cap_env_override(monkeypatch):
@@ -270,7 +243,7 @@ def test_cache_exact_mode():
     cache = EnclosureCache(x)
     assert cache.exact_mode
     J = cache.interval(2, 3)
-    assert J.is_point and J.lo == mod1(3 * 6 * Fraction(5, 24))
+    assert J.lo == J.hi == mod1(3 * 6 * Fraction(5, 24))
 
 
 def test_cache_verdicts_are_order_independent():
@@ -328,7 +301,7 @@ def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
             assert truth < lo or truth > hi
         else:
             assert v == "undecided" and not shared.exact_mode
-        fresh = mult_frac_bound(x, k, r, t=depth, cap=cap)
+        fresh = EnclosureCache(x, depth=depth, cap=cap).interval(k, r)
         for J in (shared.interval(k, r), fresh):
             if not J.undecided:
                 assert J.lo <= truth <= J.hi
@@ -347,7 +320,7 @@ def test_cache_refinement_only_deepens():
     # a harder row forces a deeper shared window; re-asking can only tighten
     cache.interval(2, 7)
     second = cache.interval(2, 1)
-    assert second.width <= first.width
+    assert second.hi - second.lo <= first.hi - first.lo
     assert first.lo <= second.lo and second.hi <= first.hi
 
 
@@ -386,7 +359,7 @@ def test_sliding_window_matches_rebuild(spec, data, depth, cap, moves):
 
     def check(k):
         wk, wdepth, num, den = cache._win
-        assert wk == k and (num, den) == _window(x, k + 1, wdepth)
+        assert wk == k and (num, den) == window_from_scratch(x, k + 1, wdepth)
         return wdepth
 
     k = 0
@@ -413,9 +386,7 @@ def test_sliding_window_matches_rebuild(spec, data, depth, cap, moves):
 
 def test_slide_validates_each_new_digit():
     # c_30 = b_30 first enters when the window slides onto block 21
-    rule = FuncDigits(lambda n, b: b if n == 30 else n % 2,
-                      attestation="c_n < b_n - 1 on every even n",
-                      support_kind="infinite", label="bad-c30")
+    rule = FuncDigits(lambda n, b: b if n == 30 else n % 2, "infinite")
     cache = EnclosureCache(CirclePoint(CONST2, rule), depth=8)
     for k in range(21):
         cache._window_at(k, 8)
@@ -429,7 +400,7 @@ def test_slide_validates_each_new_digit():
         tail_upper_bound(x, 22)
     with pytest.raises(PreconditionError, match="c_30"):
         frac_bound(x, 21, 9)
-    assert x.window(21, 8) == _window(x, 21, 8)
+    assert x.window(21, 8) == window_from_scratch(x, 21, 8)
 
 
 @st.composite
@@ -457,13 +428,13 @@ def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
     seq = _WINDOW_SPECS[spec]
     x = data.draw(slide_points(seq))
     m = x.finite_support_max()
-    value = x.as_fraction() if m is not None else None
+    value = as_fraction(x) if m is not None else None
     cache = EnclosureCache(x, depth=depth, cap=cap)
     n = 1
     for step, t, reader in moves:
         n = min(max(n + step, 1), 60)
         try:
-            num, den = _window(x, n, t)
+            num, den = window_from_scratch(x, n, t)
         except HorizonError:
             # a capped rat: point: the failed read keeps the latest window
             before = x._win
@@ -487,7 +458,7 @@ def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
             cache.band_verdict(n - 1, t + 1, Fraction(1, 3), Fraction(2, 3))
             wk, wdepth, wnum, wden = cache._win
             # an exact cache past the support holds no window (wk = -1)
-            assert wk < 0 or (wnum, wden) == _window(x, wk + 1, wdepth)
+            assert wk < 0 or (wnum, wden) == window_from_scratch(x, wk + 1, wdepth)
         assert x.window(n, t) == (num, den)
         assert x._win == (n, t, num, den)
 
@@ -537,7 +508,7 @@ def test_window_walk_reads_each_step_once(monkeypatch):
     # besides the support digits (a rebuild per window reads 45 per start)
     x = parse_point("finite:[1,0,2,1,0,1,0,0,1,1]", LINEAR1)
     m = x.finite_support_max()
-    value = x.as_fraction()
+    value = as_fraction(x)
     reads = _count_digit_reads(monkeypatch)
     for n in range(1, m + 3):
         exact = frac_exact(x, n)
@@ -551,14 +522,14 @@ def test_window_walk_reads_each_step_once(monkeypatch):
 # ----- digit-rule parsing ----------------------------------------------------
 
 def test_parse_point_forms():
-    assert parse_point("rat:5/24", LINEAR1).as_fraction() == Fraction(5, 24)
-    assert parse_point("exact:5/24", LINEAR1).as_fraction() == Fraction(5, 24)
-    assert parse_point("finite:[0,1,1]", LINEAR1).as_fraction() == Fraction(5, 24)
+    assert as_fraction(parse_point("rat:5/24", LINEAR1)) == Fraction(5, 24)
+    assert as_fraction(parse_point("exact:5/24", LINEAR1)) == Fraction(5, 24)
+    assert as_fraction(parse_point("finite:[0,1,1]", LINEAR1)) == Fraction(5, 24)
     x = parse_point("ones-on:fin:{2,4}", LINEAR1)
     assert [x.digit(n) for n in range(1, 6)] == [0, 1, 0, 1, 0]
     y = parse_point("floor-div:m={3:2}", LINEAR1)
     assert y.digit(3) == 2 and y.digit(2) == 0
-    assert parse_point("rat:0", LINEAR1).as_fraction() == 0
+    assert as_fraction(parse_point("rat:0", LINEAR1)) == 0
 
 
 def test_parse_point_exact_requires_termination():
@@ -584,18 +555,7 @@ def test_floor_div_validation_on_access():
         FloorDivDigits({0: 2})
 
 
-def test_func_rule_needs_attestation():
-    with pytest.raises(PreconditionError):
-        FuncDigits(lambda n, b: 0)
-    rule = FuncDigits(lambda n, b: 1 if n % 2 else 0,
-                      attestation="zero on all even positions",
-                      support_kind="infinite", label="odd-ones")
-    x = CirclePoint(POW2, rule)
-    assert x.digit(3) == 1 and x.digit(4) == 0
-    assert x.support_kind() == "infinite"
-
-
 def test_indicator_point_digits():
     x = CirclePoint(POW2, IndicatorDigits(FiniteNatSet([1, 4])))
     assert x.finite_support_max() == 4
-    assert x.as_fraction() == Fraction(1, 2) + Fraction(1, 1024)
+    assert as_fraction(x) == Fraction(1, 2) + Fraction(1, 1024)

@@ -8,7 +8,6 @@ from circlelab.classify import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    b_bounded_split,
     check_b_bounded,
     check_strongly_non_dli,
     check_weakly_dli_condition,
@@ -39,14 +38,6 @@ def test_b_bounded_validation():
         check_b_bounded(LINEAR1, evens(), 1, 100)
     with pytest.raises(PreconditionError):
         check_b_bounded(LINEAR1, evens(), 2, 0)
-
-
-def test_b_bounded_split():
-    low, high, report = b_bounded_split(LINEAR1, evens(), 10, 100)
-    assert low == FiniteNatSet([2, 4, 6, 8])
-    assert high.count_upto(100) == 46
-    assert report["bounded_density"] == Fraction(1, 25)
-    assert report["divergent_density"] == Fraction(23, 50)
 
 
 # ----- strongly non-dli ------------------------------------------------------

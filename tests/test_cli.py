@@ -36,6 +36,17 @@ def test_lift_example(capsys):
     assert out.out == "[4,6]\n"
 
 
+def test_lift_clipped(capsys):
+    # an unbounded lift prints its runs up to the horizon, one-row runs too
+    out = capture(capsys, "lift", "--spec", "linear:1", "--set", "evens",
+                  "--horizon", "20")
+    assert out.out == "[2,3]+[7,10]+[16,20]\n"
+    _, report, _ = run_config({"subcommand": "lift", "params": {
+        "spec": "const:2", "set": "evens", "horizon": 9}})
+    assert report == {"set": "evens", "prefix": "[2,2]+[4,4]+[6,6]+[8,8]",
+                      "horizon": 9, "clipped": True}
+
+
 def test_scan_example(capsys):
     out = capture(capsys, "scan", "--spec", "linear:1", "--x", "rat:1/6",
                   "--eps", "1/10", "--horizons", "100")

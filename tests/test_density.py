@@ -14,16 +14,13 @@ from circlelab.density import (
     LazyIntervalNatSet,
     PredicateNatSet,
     cube_gap_blocks,
-    difference,
     evens,
     full_set,
-    intersect,
     lift,
     parse_set_expr,
-    prefix_density,
+    set_algebra,
     squares,
     translate,
-    union,
 )
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
@@ -116,21 +113,21 @@ def test_stock_sets():
 @settings(max_examples=150, deadline=None)
 def test_algebra_matches_python_sets(a, b):
     sa, sb = FiniteNatSet(a), FiniteNatSet(b)
-    assert set(union(sa, sb).iter_upto(60)) == a | b
-    assert set(intersect(sa, sb).iter_upto(60)) == a & b
-    assert set(difference(sa, sb).iter_upto(60)) == a - b
+    assert set(set_algebra("union", sa, sb).iter_upto(60)) == a | b
+    assert set(set_algebra("intersect", sa, sb).iter_upto(60)) == a & b
+    assert set(set_algebra("difference", sa, sb).iter_upto(60)) == a - b
 
 
 def test_interval_algebra():
     a = IntervalNatSet([(1, 10), (20, 30)])
     b = IntervalNatSet([(5, 25)])
-    assert union(a, b).to_intervals() == ((1, 30),)
-    assert intersect(a, b).to_intervals() == ((5, 10), (20, 25))
-    assert difference(a, b).to_intervals() == ((1, 4), (26, 30))
+    assert set_algebra("union", a, b).to_intervals() == ((1, 30),)
+    assert set_algebra("intersect", a, b).to_intervals() == ((5, 10), (20, 25))
+    assert set_algebra("difference", a, b).to_intervals() == ((1, 4), (26, 30))
 
 
 def test_mixed_algebra_takes_smaller_horizon():
-    s = intersect(evens(), PredicateNatSet(lambda n: n > 4, horizon=50))
+    s = set_algebra("intersect", evens(), PredicateNatSet(lambda n: n > 4, horizon=50))
     assert s.count_upto(50) == 23
     with pytest.raises(HorizonError):
         s.count_upto(51)
@@ -181,8 +178,8 @@ def test_lift_block_sizes():
 def test_lift_commutes_with_algebra(a, b):
     d = LINEAR1.derived
     sa, sb = FiniteNatSet(a), FiniteNatSet(b)
-    for op, pyop in ((union, a | b), (intersect, a & b), (difference, a - b)):
-        assert lift(FiniteNatSet(pyop), d) == op(lift(sa, d), lift(sb, d))
+    for op, pyop in (("union", a | b), ("intersect", a & b), ("difference", a - b)):
+        assert lift(FiniteNatSet(pyop), d) == set_algebra(op, lift(sa, d), lift(sb, d))
 
 
 @given(a=finite_sets, b=finite_sets)
@@ -263,8 +260,8 @@ def test_walk_yields_increasing_pieces():
 
 def test_prefix_density_values():
     for N in (10, 37, 100):
-        assert prefix_density(evens(), N).lo == Fraction(N // 2, N)
-        assert prefix_density(squares(), N).lo == Fraction(math.isqrt(N), N)
+        assert evens().count_upto(N) == N // 2
+        assert squares().count_upto(N) == math.isqrt(N)
 
 
 def test_density_estimate_bookkeeping():
@@ -286,7 +283,7 @@ def test_cube_gap_density_climbs_to_one():
     cnt = 0
     for j, (g, h) in zip(range(1, 18), cube_block_edges()):
         if j >= 3:  # the gap before block 2 has width 0
-            minima.append(prefix_density(s, g - 1).lo)
+            minima.append(Fraction(s.count_upto(g - 1), g - 1))
             assert s.count_upto(g - 1) == cnt
         cnt += h - g + 1
         assert s.count_upto(h) == cnt

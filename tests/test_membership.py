@@ -25,6 +25,7 @@ from circlelab.membership import (
 )
 from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec
 from circlelab.witness import continuum_family_point
+from conftest import as_fraction
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -65,13 +66,13 @@ def test_undeclared_support_is_inconclusive():
 
 def test_scan_sixth_at_hundred():
     scan = statistical_scan(parse_point("rat:1/6", LINEAR1), Fraction(1, 10), [100])
-    assert scan.bounds() == [(Fraction(3, 100), Fraction(3, 100))]
+    assert [(e.lo, e.hi) for e in scan.estimates] == [(Fraction(3, 100), Fraction(3, 100))]
     assert scan.undecided_rows == []
 
 
 def test_scan_counts_match_exact_oracle():
     x = continuum_family_point(weakly_dli_witness_set(LINEAR1, 8), (0, 1, 0), LINEAR1)
-    value = x.as_fraction()
+    value = as_fraction(x)
     eps = Fraction(1, 10)
     scan = statistical_scan(x, eps, [100, 1000])
     for est in scan.estimates:
@@ -92,7 +93,8 @@ def test_scan_unit_fraction_pattern():
             scan = statistical_scan(parse_point(f"rat:1/{a_m}", seq),
                                     Fraction(1, a_m), [2000])
             c = n_m - 1
-            assert scan.bounds() == [(Fraction(c, 2000), Fraction(c, 2000))]
+            assert [(e.lo, e.hi) for e in scan.estimates] == \
+                [(Fraction(c, 2000), Fraction(c, 2000))]
 
 
 def test_scan_horizons_are_cumulative():

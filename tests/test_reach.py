@@ -1,0 +1,98 @@
+"""Every public name of the library is reached by the library itself.
+
+A public top-level function or class must be referenced by some source
+module outside its own body (a table such as ``suites.SUITES`` counts), and
+a public method must be accessed as an attribute somewhere in the source.
+A name only the tests call is dead weight: each benchmark process compiles
+the whole package. Where a module declares ``__all__``, it lists exactly its
+public functions and classes, plus any public constants it chooses to name.
+"""
+
+import ast
+from pathlib import Path
+
+import circlelab
+
+SRC = Path(circlelab.__file__).parent
+
+# names kept although no source module reaches them
+ALLOWED = {
+    # the replay unit: the CLI and verify-suite tests compare envelopes with it
+    "cli.envelope_bytes",
+    # the fresh-enclosure reference of the tests; the benchmark tracer wraps it
+    "circle.EnclosureCache.interval",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded and attributes read in ``tree``, outside ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _defs(tree: ast.Module):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name)]
+
+
+def _unreached() -> list[str]:
+    modules = _modules()
+    dead = []
+    for mod, tree in modules.items():
+        for node in _defs(tree):
+            if not any(node.name in _uses(other, skip=node)
+                       for other in modules.values()):
+                dead.append(f"{mod}.{node.name}")
+    attrs = set()
+    for tree in modules.values():
+        attrs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    for mod, tree in modules.items():
+        for cls in _defs(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and _public(node.name)
+                        and node.name not in attrs):
+                    dead.append(f"{mod}.{cls.name}.{node.name}")
+    return sorted(set(dead) - ALLOWED)
+
+
+def test_every_public_name_is_reached():
+    assert _unreached() == []
+
+
+def test_all_lists_the_public_definitions():
+    for mod, tree in _modules().items():
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound[node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound[target.id] = node
+        if "__all__" not in bound:
+            continue
+        listed = ast.literal_eval(bound["__all__"].value)
+        assert len(listed) == len(set(listed)), mod
+        assert set(listed) >= {node.name for node in _defs(tree)}, mod
+        assert set(listed) <= {name for name in bound if _public(name)}, mod

@@ -111,9 +111,9 @@ def test_derived_strictly_increasing():
 def test_block_extent():
     d = LINEAR1.derived
     for k in range(8):
-        lo, hi = d.block(k)
-        assert (lo, hi) == (d.boundary(k), d.boundary(k + 1) - 1)
+        lo, hi = d.boundary(k), d.boundary(k + 1) - 1
         assert hi - lo + 1 == LINEAR1.ratio(k + 1) - 1
+        assert d.decompose(lo) == (k, 1) and d.decompose(hi) == (k, hi - lo + 1)
 
 
 def test_index_validation():

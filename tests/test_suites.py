@@ -25,6 +25,7 @@ from circlelab.circle import (
 from circlelab.cli import envelope_bytes
 from circlelab.parse import int_param, merge_params
 from circlelab.suites import plainify, run_suite
+from conftest import as_fraction
 
 
 def _mod1(y: Fraction) -> Fraction:
@@ -168,7 +169,7 @@ def test_tail_bound_accepts_its_edge_cases(monkeypatch, edge):
         a = x.seq.term(j - 1)
         if edge == "one-over-a":
             return Fraction(1, a)
-        value = getattr(x.rule, "value", None) or x.as_fraction()
+        value = getattr(x.rule, "value", None) or as_fraction(x)
         return _mod1(a * value) / a
 
     monkeypatch.setattr(suites, "tail_upper_bound", fake)

@@ -5,20 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from circlelab.circle import CirclePoint, EnclosureCache, FiniteDigits, FuncDigits, parse_point
+from circlelab.circle import CirclePoint, EnclosureCache, FiniteDigits, parse_point
 from circlelab.classify import weakly_dli_witness_set
-from circlelab.density import FiniteNatSet, IntervalNatSet, evens, prefix_density
+from circlelab.density import FiniteNatSet, IntervalNatSet, evens
 from circlelab.errors import PreconditionError
 from circlelab.sequences import ArithSeq, RatioSpec
 from circlelab.witness import (
     arbault_witness,
     bad_interval_family,
     certify_nonmembership,
-    continuum_exceptional_set,
     continuum_family_point,
     factor_u,
     nonmembership_partition,
 )
+from conftest import FuncDigits, as_fraction
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -45,7 +45,7 @@ def test_family_points_distinct_by_selector():
     for bits in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
                  (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)):
         x = continuum_family_point(WITNESS_A, bits, LINEAR1)
-        seen.add(x.as_fraction())
+        seen.add(as_fraction(x))
     assert len(seen) == 8
 
 
@@ -56,27 +56,6 @@ def test_family_point_validation():
         continuum_family_point(WITNESS_A, (0, 1, 0, 1), LINEAR1)  # needs 10 elements
     with pytest.raises(PreconditionError):
         continuum_family_point(evens(), (0, 1), LINEAR1)
-
-
-def test_exceptional_set_structure():
-    s = continuum_exceptional_set(WITNESS_A, 1, LINEAR1)
-    # [1, n_1 - 1] followed by [n_{u_j}, n_{u_j + 1} - 1], boundaries from
-    # n_k = 1 + k(k+1)/2
-    assert s.to_intervals() == (
-        (1, 3), (11, 15), (37, 45), (137, 153),
-        (497, 528), (1486, 1540), (4006, 4095), (9592, 9730),
-    )
-    # the set off which family values shrink is itself sparse
-    assert prefix_density(s, 9730).lo < Fraction(1, 25)
-
-
-def test_exceptional_set_deeper_translate():
-    s = continuum_exceptional_set(WITNESS_A, 2, LINEAR1)
-    assert s.to_intervals()[:2] == ((1, 15), (29, 45))
-    with pytest.raises(PreconditionError):
-        continuum_exceptional_set(WITNESS_A, 0, LINEAR1)
-    with pytest.raises(PreconditionError):
-        continuum_exceptional_set(WITNESS_A, 9, LINEAR1)
 
 
 # ----- the digit-size partition ----------------------------------------------
@@ -93,9 +72,7 @@ def test_partition_all_ones_pow2():
 
 
 def test_partition_infinite_branch():
-    rule = FuncDigits(lambda n, b: 1 if n % 2 else 0,
-                      attestation="zero on all even positions",
-                      support_kind="infinite", label="odd-ones")
+    rule = FuncDigits(lambda n, b: 1 if n % 2 else 0, "infinite")
     p = nonmembership_partition(CirclePoint(POW2, rule), 10, 13, 14)
     assert p.branch == "infinite"
     assert p.base == FiniteNatSet([1, 3, 5, 7, 9, 11, 13])
@@ -410,7 +387,7 @@ def test_arbault_certifies_true_values():
     u_list = [LINEAR1.term(n) + LINEAR1.term(n - 1) for n in range(1, 61)]
     report = arbault_witness(LINEAR1, u_list, rows=6, depth=8)
     x = parse_point(report.point, LINEAR1)
-    value = x.as_fraction()
+    value = as_fraction(x)
     for row in report.rows:
         assert row.lo == row.hi == mod1(u_list[row.index - 1] * value)
 
