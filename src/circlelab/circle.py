@@ -15,13 +15,12 @@ used anywhere in this module.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .density import FiniteNatSet, NatSet, PredicateNatSet, parse_set_expr
+from .density import NatSet, parse_set_expr
 from .errors import HorizonError, PreconditionError, SpecParseError
 from .parse import enclosed, fraction, integer, integers
 from .sequences import ArithSeq
@@ -39,29 +38,20 @@ __all__ = [
     "frac_exact",
     "tail_upper_bound",
     "EnclosureCache",
-    "default_depth_cap",
+    "DEPTH_CAP",
     "parse_point",
 ]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# a segment of at most this many rows is sorted row by row (``_sort_few``), and
-# a run counts blocks this short; on 65-digit windows that beats the six floor
-# sums up to about 24 rows (CPython 3.11)
+# the refinement depth cap of an undecided multiplication
+DEPTH_CAP = 64
+
+# a segment of at most this many rows is sorted row by row (``_sort_few``); on
+# 65-digit windows that beats the six floor sums up to about 24 rows (CPython
+# 3.11)
 _FEW_ROWS = 16
-
-
-def default_depth_cap() -> int:
-    """Refinement depth cap for undecided multiplications.
-
-    CIRCLELAB_DEPTH_CAP when it holds a positive integer, else 64.
-    """
-    try:
-        cap = integer(os.environ.get("CIRCLELAB_DEPTH_CAP", ""), "CIRCLELAB_DEPTH_CAP")
-    except SpecParseError:
-        return 64
-    return cap if cap > 0 else 64
 
 
 @dataclass(frozen=True)
@@ -303,37 +293,6 @@ class CirclePoint:
     def finite_support_max(self) -> int | None:
         return self.rule.finite_support_max()
 
-    def support(self, horizon: int | None = None, quasi: bool = False) -> NatSet:
-        """supp(x) = {n : c_n != 0}, or with ``quasi`` the set {n : c_n = b_n - 1}.
-
-        Exact (uncapped) for rules whose digits are computable everywhere;
-        otherwise a horizon must be given and must not exceed the known prefix.
-        """
-        top = self.finite_support_max()
-        if top is None and self.rule.known_upto is None:
-            if quasi:
-                pred = lambda n: self.digit(n) == self.seq.ratio(n) - 1
-            else:
-                pred = lambda n: self.digit(n) != 0
-            kind = self.support_kind()
-            return PredicateNatSet(
-                pred, horizon=None, name=("quasi-supp" if quasi else "supp"),
-                is_finite=(False if kind in ("cofinite", "infinite") and not quasi
-                           else None),
-                is_cofinite=(True if kind == "cofinite" and not quasi else None),
-            )
-        if top is None:
-            if horizon is None or horizon > self.rule.known_upto:
-                raise HorizonError(
-                    "support of a prefix-capped rule needs a horizon within the "
-                    f"known prefix (up to {self.rule.known_upto})"
-                )
-            top = horizon
-        hits = [n for n in range(1, top + 1)
-                if (self.digit(n) != 0 if not quasi
-                    else self.digit(n) == self.seq.ratio(n) - 1)]
-        return FiniteNatSet(hits)
-
     def describe(self) -> str:
         return self.rule.describe()
 
@@ -451,7 +410,7 @@ class EnclosureCache:
     def __init__(self, x: CirclePoint, depth: int = 8, cap: int | None = None):
         self.x = x
         self.depth = max(depth, 0)
-        self.cap = cap if cap is not None else default_depth_cap()
+        self.cap = DEPTH_CAP if cap is None else cap
         self._fs_max = x.finite_support_max()
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
@@ -554,140 +513,111 @@ class EnclosureCache:
         window, side = self._refine(k, r, _band(band_lo, band_hi))
         return _enclosure(window), side
 
-    def sort_rows(self, k: int, r0: int, r1: int, w: int, band_lo: Fraction,
-                  band_hi: Fraction) -> tuple[int, list[int]] | None:
-        """(n_in, edge rows) of the rows r0..r1 of block k at its base window.
-
-        Every row is taken as wide as w >= r1 (0 for an exact point): one
-        window num/den serves the block, and with lo_r = r * num mod den and
-        [A, B] the integers of den * [band_lo, band_hi], a row is certainly
-        in when lo_r lies in [A, B - w] and certainly out when it lies in
-        [0, A - 1 - w] or [B + 1, den - w]. Enclosures nest under
-        refinement, so these verdicts are final. The edge rows left over come
-        in increasing order. None when block k has no window within the cap.
-        """
-        if self.exact_mode:
-            num, den = self._exact_value(k)
-            w = 0
-        else:
-            max_depth = self._max_depth(k)
-            if max_depth < 0:
-                return None
-            num, den, _ = self._window_at(k, min(self.depth, max_depth))
-        A = -(-band_lo.numerator * den // band_lo.denominator)
-        B = band_hi.numerator * den // band_hi.denominator
-        if r1 - r0 < _FEW_ROWS:
-            return _sort_few(num, den, r0, r1, A, B, w)
-        # cuts of [0, den]: out | edge | in | edge | out | edge, and g[j] =
-        # sum over the rows of floor((r * num - cuts[j]) / den), so
-        # g[j] - g[j + 1] counts the rows with cuts[j] <= lo_r < cuts[j + 1]
-        cuts = (max(A - w, 0), A, max(B - w + 1, A), B + 1,
-                min(max(den - w + 1, B + 1), den), den)
-        base = num * r0
-        g = [_floor_sum(r1 - r0 + 1, den, num, base - c) for c in cuts]
-        edge = []
-        for j in (0, 2, 4):
-            if g[j] > g[j + 1]:
-                edge += _hits(num, den, cuts[j], cuts[j + 1] - 1, r0,
-                              g[j] - g[j + 1])
-        edge.sort()
-        return g[1] - g[2], edge
-
-    def band_counts(self, k: int, r0: int, r1: int, band_lo: Fraction,
-                    band_hi: Fraction) -> tuple[int, int, list[int]]:
-        """Verdicts of the rows r0..r1 of block k against [band_lo, band_hi].
-
-        Returns (n_in, n_out, the undecided r in increasing order), exactly
-        what ``band_verdict`` row by row would give, for a band inside
-        [0, 1). ``sort_rows`` counts the rows clear of the band edges, with
-        w = r1: a segment of at most ``_FEW_ROWS`` rows row by row, a longer
-        one with floor sums. Only the edge rows are judged by
-        ``band_verdict``; every other row is out.
-        """
-        n = r1 - r0 + 1
-        rows = self.sort_rows(k, r0, r1, r1, band_lo, band_hi)
-        if rows is None:
-            return 0, 0, list(range(r0, r1 + 1))
-        n_in, edge = rows
-        edge_in, undecided = self._judge_edges(k, edge, band_lo, band_hi)
-        n_in += edge_in
-        return n_in, n - n_in - len(undecided), undecided
-
-    def _judge_edges(self, k: int, edge: list[int], band_lo: Fraction,
-                     band_hi: Fraction) -> tuple[int, list[int]]:
-        """How many of block k's edge rows ``band_verdict`` puts in the band,
-        and the undecided ones in order; the others are out."""
-        n_in, undecided = 0, []
-        for r in edge:
-            side = self.band_verdict(k, r, band_lo, band_hi)
-            if side == "in":
-                n_in += 1
-            elif side == "undecided":
-                undecided.append(r)
-        return n_in, undecided
-
-    def run_counts(self, k: int, i: int, N: int, band_lo: Fraction,
+    def count_rows(self, k: int, r: int, i: int, N: int, band_lo: Fraction,
                    band_hi: Fraction) -> tuple[int, int, int, list[int]]:
-        """Count the whole blocks k, k + 1, ... from derived index i = n_k.
+        """Count the derived indices i..N, from row r of block k (i = n_k + r
+        - 1), against the closed band [band_lo, band_hi] inside [0, 1).
 
-        The run goes on while a block holds at most ``_FEW_ROWS`` rows, ends
-        by N and keeps its base window inside the known prefix; it stops at
-        the first block that does not, which it leaves uncounted. Returns
-        (k', i', n_in, undecided): k' is that first uncounted block, i' its
-        first derived index, and the undecided rows are derived indices in
-        increasing order; the other i' - i - n_in - len(undecided) rows are
-        out. Each block gets the verdicts ``band_counts(k, 1, b_{k+1} - 1)``
-        gives it: the run holds one base window and slides it as
-        ``_window_at`` does, dropping b_{k+1} by one division and reading
-        the one new digit through ``CirclePoint.digit``, sorts the rows with
-        ``_sort_few`` and judges the edge rows with ``band_verdict``. Exact
-        points are left to ``band_counts``.
+        Returns (k', r', n_in, undecided): (k', r') is where index N + 1
+        sits, the undecided indices come in increasing order, and the other
+        N - i + 1 - n_in - len(undecided) rows are out, exactly as
+        ``band_verdict`` row by row gives them.
+
+        Each block's segment of rows r0..r1 is sorted at one window num/den
+        with every row taken as wide as w = r1 (0 for an exact point): with
+        lo_r = r * num mod den and [A, B] the integers of den * [band_lo,
+        band_hi], a row is in when lo_r lies in [A, B - w] and out when it
+        lies in [0, A - 1 - w] or [B + 1, den - w]; enclosures nest under
+        refinement, so these verdicts are final. ``_sort_few`` sorts a
+        segment of at most ``_FEW_ROWS`` rows one by one, ``_sort_many``
+        a longer one with floor sums. Only the edge rows left over go to
+        ``band_verdict``. Past a capped point's known digits a block has no
+        window, and its rows and all later ones are undecided.
+
+        The base window is held in locals and slides to the next block with
+        one division and one new digit read through ``CirclePoint.digit``.
+        ``_window_at`` serves the first block, every block of an exact
+        point, and a block the base window cannot slide to (it came back
+        deeper, or the known prefix ends). ``_win`` is stored before a
+        block's edge rows are judged and at the end, so the cache is left
+        with the window a row-by-row pass leaves.
         """
-        if self.exact_mode:
-            return k, i, 0, []
-        known = self.x.rule.known_upto
-        depth = min(self.depth, self.cap)
+        if i > N:
+            return k, r, 0, []
         ratio, digit = self.x.seq.ratio, self.x.digit
-        rows = ratio(k + 1) - 1
-        # leave at once, before any window work, when block k is not counted
-        if (rows > _FEW_ROWS or i + rows - 1 > N
-                or known is not None and k + 1 + depth > known):
-            return k, i, 0, []
-        num, den, depth = self._window_at(k, depth)
-        held = deque(ratio(j) for j in range(k + 1, k + 2 + depth))  # b_{k+1}..
+        known = self.x.rule.known_upto
+        exact = self.exact_mode
+        base = min(self.depth, self.cap)
         ln, ld, hn, hd = _band(band_lo, band_hi)
-        n_in, undecided, band_den = 0, [], None
+        n_in, undecided = 0, []
+        at = i - r  # row e of block k is derived index at + e
+        # b_{k+1} .. b_{k+1+base} while the locals slide block k's base window
+        held = None
+        band_den = None
         while True:
-            b = held[0]
-            rows = b - 1
-            if rows > _FEW_ROWS or i + rows - 1 > N:
-                break
+            if held is None:
+                b = ratio(k + 1)
+                stored = True  # the cache holds block k's window, or none
+                if exact:
+                    num, den = self._exact_value(k)
+                else:
+                    top = self._max_depth(k)
+                    if top < 0:  # no window within the cap, here or later
+                        undecided += range(at + r, N + 1)
+                        while at + b <= N + 1:
+                            at += b - 1
+                            k += 1
+                            b = ratio(k + 1)
+                        return k, N + 1 - at, n_in, undecided
+                    num, den, depth = self._window_at(k, min(base, top))
+                    if depth == base and at + b <= N:  # the count goes past block k
+                        held = deque(map(ratio, range(k + 1, k + 2 + base)))
+            r1 = b - 1
+            if r1 > N - at:  # the block runs past N
+                r1 = N - at
             if den != band_den:
                 band_den = den
                 A = -(-ln * den // ld)
                 B = hn * den // hd
-            block_in, edge = _sort_few(num, den, 1, rows, A, B, rows)
-            n_in += block_in
+            if r1 - r < _FEW_ROWS:
+                seg_in, edge = _sort_few(num, den, r, r1, A, B, 0 if exact else r1)
+            else:
+                seg_in, edge = _sort_many(num, den, r, r1, A, B, 0 if exact else r1)
+            n_in += seg_in
             if edge:
-                self._win = (k, depth, num, den)
-                edge_in, und = self._judge_edges(k, edge, band_lo, band_hi)
-                n_in += edge_in
-                undecided += [i + r - 1 for r in und]
-            i += rows
-            j = k + 2 + depth  # the digit block k + 1's window adds
-            if known is not None and j > known:
-                self._win = (k, depth, num, den)
-                return k + 1, i, n_in, undecided
+                if not stored:
+                    self._win = (k, base, num, den)
+                    stored = True
+                for e in edge:
+                    side = self.band_verdict(k, e, band_lo, band_hi)
+                    if side == "in":
+                        n_in += 1
+                    elif side == "undecided":
+                        undecided.append(at + e)
+            at += r1
+            if at >= N:
+                break
             k += 1
-            held.popleft()
-            den //= b
-            num %= den
-            b = ratio(j)
-            held.append(b)
-            num = num * b + digit(j)
-            den *= b
-        self._win = (k, depth, num, den)
-        return k, i, n_in, undecided
+            r = 1
+            if held is not None:
+                j = k + 1 + base  # the digit block k's window adds
+                if known is not None and j > known:
+                    held = None
+                else:
+                    held.popleft()
+                    den //= b
+                    num %= den
+                    b = ratio(j)
+                    held.append(b)
+                    num = num * b + digit(j)
+                    den *= b
+                    b = held[0]
+                    stored = False
+        if not stored:
+            self._win = (k, base, num, den)
+        if r1 < b - 1:
+            return k, r1 + 1, n_in, undecided
+        return k + 1, 1, n_in, undecided
 
 
 def _band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
@@ -716,6 +646,25 @@ def _sort_few(num: int, den: int, r0: int, r1: int, A: int, B: int,
         elif lo + w >= A and not B < lo <= top_out:
             edge.append(r)
     return n_in, edge
+
+
+def _sort_many(num: int, den: int, r0: int, r1: int, A: int, B: int,
+               w: int) -> tuple[int, list[int]]:
+    """``_sort_few`` with floor sums: O(log den) steps to count each class,
+    and the edge rows listed in increasing order by ``_hits``."""
+    # cuts of [0, den]: out | edge | in | edge | out | edge, and g[j] =
+    # sum over the rows of floor((r * num - cuts[j]) / den), so
+    # g[j] - g[j + 1] counts the rows with cuts[j] <= lo_r < cuts[j + 1]
+    cuts = (max(A - w, 0), A, max(B - w + 1, A), B + 1,
+            min(max(den - w + 1, B + 1), den), den)
+    base = num * r0
+    g = [_floor_sum(r1 - r0 + 1, den, num, base - c) for c in cuts]
+    edge = []
+    for j in (0, 2, 4):
+        if g[j] > g[j + 1]:
+            edge += _hits(num, den, cuts[j], cuts[j + 1] - 1, r0, g[j] - g[j + 1])
+    edge.sort()
+    return g[1] - g[2], edge
 
 
 # ===== Lattice points of r * a mod m ==========================================

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .circle import CirclePoint, EnclosureCache, default_depth_cap
+from .circle import DEPTH_CAP, CirclePoint, EnclosureCache
 from .density import DensityEstimate
 from .errors import PreconditionError
 
@@ -110,14 +110,13 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
                      cap: Optional[int] = None) -> ScanResult:
     """Count i <= N with ||d_i x|| >= eps, three-way, at each horizon.
 
-    One pass over derived indices, block by block: a run of whole blocks of
-    at most 16 rows each is counted by one ``EnclosureCache.run_counts``
-    call, and any other block, or the part of one between horizons, by
-    ``EnclosureCache.band_counts``. Both refine only the rows near a band
-    edge, up to the cap. The pass steps from block k to k + 1 by
-    b_{k+1} - 1 rows and decomposes a derived index only where a horizon
-    cut a block. Counts are monotone under refinement, so bounds at
-    successive horizons come from the same pass.
+    One pass over derived indices: each horizon resumes where the last one
+    stopped with one ``EnclosureCache.count_rows`` call, which walks the
+    blocks and refines only the rows near a band edge, up to the cap
+    (``DEPTH_CAP`` unless given). Past the supported blocks of a point
+    with finite support every row is out and is counted without a call.
+    Counts are monotone under refinement, so bounds at successive horizons
+    come from the same pass.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
@@ -126,49 +125,32 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive")
     if cap is None:
-        cap = default_depth_cap()
+        cap = DEPTH_CAP
+    if cap < 0:
+        raise PreconditionError(f"depth cap must be >= 0, got {cap}")
     band_lo, band_hi = eps, 1 - eps
     cache = EnclosureCache(x, depth=depth, cap=cap)
-    derived = x.seq.derived
     result = ScanResult(eps=eps, depth=depth, cap=cap, horizons=horizons,
                         spec=x.seq.describe(), point=x.describe())
-    kind = x.support_kind()
     bulk_out_from = None
-    if kind == "finite":
+    if x.support_kind() == "finite":
         m = x.finite_support_max()
         # past the supported blocks every value is exactly 0, norm 0 < eps
-        bulk_out_from = derived.boundary(m) if m > 0 else 1
+        bulk_out_from = x.seq.derived.boundary(m) if m > 0 else 1
     n_in = n_out = n_und = 0
-    i, k = 1, 0  # k is the block that starts at i, or None when i is inside one
+    i, k, r = 1, 0, 1  # derived index i is row r of block k
     for N in horizons:
-        while i <= N:
-            if bulk_out_from is not None and i >= bulk_out_from:
-                n_out += N - i + 1
-                i = N + 1
-                break
-            if k is None:
-                k, r0 = derived.decompose(i)
-            else:
-                k, j, run_in, undecided = cache.run_counts(k, i, N, band_lo, band_hi)
-                if j > i:
-                    n_in += run_in
-                    n_und += len(undecided)
-                    n_out += j - i - run_in - len(undecided)
-                    result.undecided_rows.extend(undecided)
-                    i = j
-                    continue
-                r0 = 1
-            block_end = i - r0 + x.seq.ratio(k + 1) - 1
-            end = min(N, block_end)
-            seg_in, seg_out, undecided = cache.band_counts(
-                k, r0, r0 + end - i, band_lo, band_hi)
+        end = N if bulk_out_from is None else min(N, bulk_out_from - 1)
+        if i <= end:
+            k, r, seg_in, undecided = cache.count_rows(k, r, i, end, band_lo, band_hi)
             n_in += seg_in
-            n_out += seg_out
-            if undecided:
-                n_und += len(undecided)
-                result.undecided_rows.extend(i - r0 + r for r in undecided)
-            k = k + 1 if end == block_end else None
+            n_und += len(undecided)
+            n_out += end - i + 1 - seg_in - len(undecided)
+            result.undecided_rows.extend(undecided)
             i = end + 1
+        if i <= N:
+            n_out += N - i + 1
+            i = N + 1
         result.estimates.append(DensityEstimate(N, n_in, n_out, n_und))
     return result
 

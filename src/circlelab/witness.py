@@ -138,15 +138,15 @@ def _cert_row(cache: EnclosureCache, index: int, k: int, r: int,
 
 
 class _Segment(NamedTuple):
-    """Rows r0..r1 of block k: row positions pos.., derived indices index..;
-    ``band_counts`` found n_in of them in the band, starting from the cache
-    window ``window``."""
+    """A bad run of ``size`` rows from row r of block k: row positions pos..,
+    derived indices index..; ``count_rows`` found n_in of them in the band,
+    starting from the cache window ``window``."""
 
     pos: int
     index: int
     k: int
-    r0: int
-    r1: int
+    r: int
+    size: int
     window: tuple[int, int, int, int]
     n_in: int
 
@@ -154,12 +154,14 @@ class _Segment(NamedTuple):
 class BlockRows(Sequence):
     """The rows of a block-counted certification, rebuilt on demand.
 
-    Replaying a segment with ``judge`` from the window it was counted on
-    repeats the row-by-row pass exactly: a row clear of the band edges never
-    deepens the window, and the edge rows deepen it in the same increasing
-    order, so each rebuilt row carries the enclosure the row-by-row pass
-    gives it. A replay that starts inside a segment therefore judges only
-    the edge rows before its first row.
+    Each bad run was counted by one ``count_rows`` call. Replaying the run
+    with ``judge`` from the window it was counted on repeats the row-by-row
+    pass exactly: a row clear of the band edges never deepens the window,
+    and the edge rows deepen it in the same increasing order, so each
+    rebuilt row carries the enclosure the row-by-row pass gives it. A
+    replay that starts inside a run first counts the run's rows before its
+    first row with ``count_rows`` on its own copy of the cache, which judges
+    only their edge rows and leaves the window the row-by-row pass leaves.
     """
 
     def __init__(self, cache: EnclosureCache, band: tuple[Fraction, Fraction],
@@ -188,27 +190,31 @@ class BlockRows(Sequence):
         return self._rows_from(0)
 
     def failures(self) -> list[CertRow]:
-        """The rows not certified, replaying only the segments that hold one."""
-        return [row for seg in self._segments if seg.n_in < seg.r1 - seg.r0 + 1
-                for row in self._replay(seg, seg.r0) if row.verdict != "certified"]
+        """The rows not certified, replaying only the runs that hold one."""
+        return [row for seg in self._segments if seg.n_in < seg.size
+                for row in self._replay(seg, 0) if row.verdict != "certified"]
 
     def _rows_from(self, pos: int):
         s = bisect_right(self._starts, pos) - 1
         for seg in self._segments[max(s, 0):]:
-            yield from self._replay(seg, seg.r0 + max(pos - seg.pos, 0))
+            yield from self._replay(seg, max(pos - seg.pos, 0))
 
-    def _replay(self, seg: _Segment, r: int):
-        """The segment's rows from row r on; of the rows before r, only the
-        edge rows ``band_counts`` judged are judged again."""
+    def _replay(self, seg: _Segment, skip: int):
+        """The run's rows after its first ``skip``, row by row across blocks."""
         cache = copy(self._cache)  # replays never disturb one another
         cache._win = seg.window
-        if r > seg.r0:
-            _, edge = (cache.sort_rows(seg.k, seg.r0, r - 1, seg.r1, *self._band)
-                       or (0, ()))
-            for e in edge:
-                cache.judge(seg.k, e, *self._band)
-        for r in range(r, seg.r1 + 1):
-            yield _cert_row(cache, seg.index + r - seg.r0, seg.k, r, *self._band)
+        k, r = seg.k, seg.r
+        if skip:
+            k, r, _, _ = cache.count_rows(k, r, seg.index, seg.index + skip - 1,
+                                          *self._band)
+        ratio = cache.x.seq.ratio
+        b = ratio(k + 1)
+        for index in range(seg.index + skip, seg.index + seg.size):
+            if r == b:
+                k, r = k + 1, 1
+                b = ratio(k + 1)
+            yield _cert_row(cache, index, k, r, *self._band)
+            r += 1
 
 
 class Partition(NamedTuple):
@@ -337,9 +343,10 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
     band around 1/2 at that distance from the edges. Undecided rows are
     flagged and excluded from the certified count.
 
-    Each bad interval is split at block boundaries and every piece is counted
-    by one ``EnclosureCache.band_counts`` call; the report's rows are a
-    ``BlockRows`` sequence that builds a row only when it is read.
+    Each bad run (adjacent intervals merge, across block boundaries too)
+    is counted by one ``EnclosureCache.count_rows`` call from one
+    ``decompose`` of its first index; the report's rows are a ``BlockRows``
+    sequence that builds a row only when it is read.
     """
     if case == "small":
         band_lo, band_hi = Fraction(1, m0), Fraction(9, m0)
@@ -348,32 +355,29 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
         band_lo, band_hi = floor, 1 - floor
     else:
         raise PreconditionError(f"case must be 'small' or 'large', got {case!r}")
+    if horizon < 1:
+        raise PreconditionError(f"horizon must be >= 1, got {horizon}")
     cache = EnclosureCache(x, depth=t)
-    derived = x.seq.derived
     try:
         runs = bad.to_intervals()
     except PreconditionError:  # not exactly bounded: gather its runs
         runs = IntervalNatSet((i, i) for i in bad.iter_upto(horizon)).intervals
     segments = []
-    pos = n_in = n_out = n_und = 0
+    pos = n_in = n_und = 0
     for lo, hi in runs:
         if lo > horizon:
             break
         hi = min(hi, horizon)
-        while lo <= hi:  # merged intervals may run across a block boundary
-            k, r0 = derived.decompose(lo)
-            end = min(hi, derived.boundary(k + 1) - 1)
-            r1 = r0 + end - lo
-            window = cache._win
-            seg_in, seg_out, undecided = cache.band_counts(k, r0, r1, band_lo, band_hi)
-            segments.append(_Segment(pos, lo, k, r0, r1, window, seg_in))
-            n_in += seg_in
-            n_out += seg_out
-            n_und += len(undecided)
-            pos += end - lo + 1
-            lo = end + 1
+        k, r = x.seq.derived.decompose(lo)
+        window = cache._win
+        _, _, run_in, undecided = cache.count_rows(k, r, lo, hi, band_lo, band_hi)
+        segments.append(_Segment(pos, lo, k, r, hi - lo + 1, window, run_in))
+        n_in += run_in
+        n_und += len(undecided)
+        pos += hi - lo + 1
     rows = BlockRows(cache, (band_lo, band_hi), segments,
-                     {"certified": n_in, "violation": n_out, "undecided": n_und})
+                     {"certified": n_in, "violation": pos - n_in - n_und,
+                      "undecided": n_und})
     report = WitnessReport(
         name="escape-band",
         params={"case": case, "m0": m0, "n0": n0, "depth": t, "horizon": horizon,

@@ -13,7 +13,6 @@ from circlelab.circle import (
     FiniteDigits,
     FloorDivDigits,
     IndicatorDigits,
-    default_depth_cap,
     digits_from_rational,
     frac_bound,
     frac_exact,
@@ -102,22 +101,13 @@ def test_noncanonical_indicator_rejected():
 
 def test_support_and_quasi_support():
     x = CirclePoint(LINEAR1, FiniteDigits([1, 0, 3, 2]))
-    assert list(x.support().iter_upto(10)) == [1, 3, 4]
+    assert [n for n in range(1, 11) if x.digit(n) != 0] == [1, 3, 4]
     # c_n = b_n - 1 at n = 1 (b=2) and n = 3 (b=4)
-    assert list(x.support(quasi=True).iter_upto(10)) == [1, 3]
+    assert [n for n in range(1, 11) if x.digit(n) == LINEAR1.ratio(n) - 1] == [1, 3]
     # the support ends at the last nonzero digit
     assert x.finite_support_max() == 4
     assert [FiniteDigits(c).finite_support_max()
             for c in ([], [0, 0], [0, 2, 0, 0])] == [0, 0, 2]
-
-
-def test_capped_support_needs_horizon():
-    x = digits_from_rational(Fraction(1, 3), POW2, horizon=10)
-    assert list(x.support(horizon=5).iter_upto(5)) == [2, 3, 4, 5]
-    with pytest.raises(HorizonError):
-        x.support()
-    with pytest.raises(HorizonError):
-        x.support(horizon=11)
 
 
 # ----- window enclosures -----------------------------------------------------
@@ -226,14 +216,6 @@ def test_mult_bound_gives_up_at_cap():
     x = digits_from_rational(Fraction(1, 3), CONST2, horizon=64)
     J = EnclosureCache(x, depth=2, cap=32).interval(0, 3)
     assert J.undecided and (J.lo, J.hi) == (Fraction(0), Fraction(1))
-
-
-def test_depth_cap_env_override(monkeypatch):
-    monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", "17")
-    assert default_depth_cap() == 17
-    for junk in ("junk", "²", "٣", "0", "-5"):
-        monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", junk)
-        assert default_depth_cap() == 64
 
 
 # ----- shared evaluation cache ----------------------------------------------

@@ -227,13 +227,17 @@ def test_former_tracebacks_exit_2(capsys, tmp_path):
         assert capture(capsys, *argv, expect=2).err.startswith("error:")
 
 
-def test_junk_depth_cap_falls_back_to_64(capsys, monkeypatch):
-    argv = ("scan", "--spec", "pow:2", "--x", "ones-on:all", "--eps", "1/8",
-            "--horizons", "1000")
-    monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", "64")
-    want = capture(capsys, *argv).out
-    monkeypatch.setenv("CIRCLELAB_DEPTH_CAP", "²")
-    assert capture(capsys, *argv).out == want
+@pytest.mark.parametrize("argv", [
+    ("scan", "--spec", "const:3", "--x", "ones-on:squares", "--cap", "-1",
+     "--horizons", "50"),
+    ("scan", "--spec", "pow:2", "--x", "ones-on:all", "--cap", "-1",
+     "--horizons", "50"),
+    ("witness", "--op", "escape", "--spec", "pow:2", "--x", "ones-on:all",
+     "--horizon", "0"),
+])
+def test_former_tracebacks_exit_3(capsys, argv):
+    # a negative depth cap and an empty escape horizon are preconditions
+    assert capture(capsys, *argv, expect=3).err.startswith("error:")
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"subcommand": ', '"scan"',

@@ -162,8 +162,8 @@ def counts(scan):
             for e in scan.estimates]
 
 
-# runs of few-row blocks broken by long ones, blocks of exactly 16 and 17
-# rows (the longest a run takes, and one more), and all-long blocks
+# stretches of few-row blocks broken by long ones, blocks of exactly 16 and 17
+# rows (the most ``_sort_few`` sorts, and one more), and all-long blocks
 _SCAN_SPECS = ("const:2", "const:3", "linear:1", "pow:2", "pow:3", "const:17",
                "const:18", "explicit:[2,2,40,3,2,17];tail=const:3",
                "explicit:[30,2,2,2];tail=const:2")
@@ -175,7 +175,7 @@ def scan_points(draw):
     seq = ArithSeq(RatioSpec.parse(draw(st.sampled_from(_SCAN_SPECS))))
     form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
                                  "exact", "finite")))
-    if form == "rat":  # a capped prefix, which can end inside a run
+    if form == "rat":  # a capped prefix, which can end where windows slide
         q = draw(st.integers(2, 400))
         p = draw(st.integers(1, q - 1))
         return parse_point(f"rat:{p}/{q}", seq, draw(st.integers(1, 24)))
@@ -195,7 +195,7 @@ def scan_points(draw):
 @st.composite
 def scan_horizons(draw, seq):
     """Horizons anywhere, or next to a block boundary, so that some cut a
-    block (and with it a run) after its first row or before its last."""
+    block after its first row or before its last."""
     near = st.builds(lambda k, d: min(max(seq.derived.boundary(k) + d, 1), 1500),
                      st.integers(0, 60), st.integers(-1, 1))
     return draw(st.lists(st.integers(1, 1500) | near, min_size=1, max_size=4))
@@ -213,9 +213,39 @@ def test_batched_scan_matches_per_row_scan(x, q, depth, cap, data):
     assert scan.undecided_rows == undecided
 
 
+@given(x=scan_points(), q=st.integers(11, 40), small=st.booleans(),
+       depth=st.integers(0, 8), cap=st.integers(0, 12), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_count_rows_matches_row_by_row(x, q, small, depth, cap, data):
+    # a scan band [1/q, 1 - 1/q] or an escape band [1/q, 9/q]; the count
+    # starts anywhere, mid-block too, and ends anywhere, even before it starts
+    band = (Fraction(1, q), Fraction(9, q) if small else 1 - Fraction(1, q))
+    derived = x.seq.derived
+    i = data.draw(st.integers(1, 60) | st.integers(1, 1200))
+    N = data.draw(st.integers(i - 1, 1500) | st.integers(i - 1, i + 40))
+    k, r = derived.decompose(i)
+    fast = EnclosureCache(x, depth, cap)
+    slow = EnclosureCache(x, depth, cap)
+    # an earlier verdict, often on the same block, leaves both caches on a
+    # window that may be deeper than the base depth
+    warm = data.draw(st.none() | st.just(i) | st.integers(i - r + 1, i)
+                     | st.integers(1, i))
+    if warm is not None:
+        for cache in (fast, slow):
+            cache.band_verdict(*derived.decompose(warm), *band)
+    k, r, n_in, undecided = fast.count_rows(k, r, i, N, *band)
+    sides = {j: slow.band_verdict(*derived.decompose(j), *band)
+             for j in range(i, N + 1)}
+    assert n_in == list(sides.values()).count("in")
+    assert undecided == [j for j, side in sides.items() if side == "undecided"]
+    assert (k, r) == derived.decompose(N + 1)
+    # the window BlockRows replays from is the one the row-by-row pass leaves
+    assert fast._win == slow._win
+
+
 @pytest.mark.parametrize("spec,point,expand", [
     ("const:2", "rat:1/3", 1),   # the prefix ends before the first window does
-    ("const:2", "rat:1/3", 9),   # ... inside the run
+    ("const:2", "rat:1/3", 9),   # ... after windows have slid
     ("const:3", "rat:5/7", 12),
     ("explicit:[2,2,40,3,2,17];tail=const:3", "rat:2/9", 20),
 ])
@@ -264,9 +294,9 @@ def test_scan_slides_its_digit_window(monkeypatch):
 
 
 def test_scan_counts_a_run_in_one_pass(monkeypatch):
-    # 10^4 two-row blocks form one run: no block is decomposed, and each
-    # block reads b_{k+1} and one new digit with its ratio; edge rows find
-    # the run's window in place and read no digit again
+    # 10^4 two-row blocks in one count_rows call: no index is decomposed,
+    # and each block reads b_{k+1} and one new digit with its ratio; edge
+    # rows find the slid window in place and read no digit again
     seq = ArithSeq(RatioSpec.constant(3))
     x = parse_point("ones-on:squares", seq)
     calls = {"decompose": 0, "ratio": 0, "digit": 0}
@@ -283,13 +313,13 @@ def test_scan_counts_a_run_in_one_pass(monkeypatch):
     horizons = [N]
     scan = statistical_scan(x, Fraction(1, 8), horizons, depth)
     assert scan.estimates[-1].undecided_count == 0
-    blocks, long_blocks = N // 2, 0
-    assert calls["decompose"] <= len(horizons) + long_blocks
+    blocks = N // 2
+    assert calls["decompose"] == 0
     # the first window and its ratios are read once, up front
     assert calls["ratio"] <= 2 * blocks + 3 * (depth + 2)
     assert calls["digit"] <= blocks + 2 * (depth + 1)
     # {2 a_k x} = 0 for x = 1/2 = ones-on:all, so row 2 of every block is an
-    # edge row; each finds the run's window on its own block, so judging it
+    # edge row; each finds the slid window on its own block, so judging it
     # slides nothing
     monkeypatch.undo()
     on_block = []

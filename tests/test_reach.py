@@ -3,6 +3,9 @@
 A public top-level function or class must be referenced by some source
 module outside its own body (a table such as ``suites.SUITES`` counts), and
 a public method must be accessed as an attribute somewhere in the source.
+A method whose name the source also stores as an instance attribute (such
+as ``self.support = ...``) needs a call site ``.name(``, since reading the
+attribute does not reach the method; properties are read, not called.
 A name only the tests call is dead weight: each benchmark process compiles
 the whole package. Where a module declares ``__all__``, it lists exactly its
 public functions and classes, plus any public constants it chooses to name.
@@ -54,6 +57,11 @@ def _defs(tree: ast.Module):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name)]
 
 
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in node.decorator_list)
+
+
 def _unreached() -> list[str]:
     modules = _modules()
     dead = []
@@ -62,16 +70,25 @@ def _unreached() -> list[str]:
             if not any(node.name in _uses(other, skip=node)
                        for other in modules.values()):
                 dead.append(f"{mod}.{node.name}")
-    attrs = set()
+    attrs, stored, called = set(), set(), set()
     for tree in modules.values():
-        attrs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+                if isinstance(n.ctx, ast.Store):
+                    stored.add(n.attr)
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                called.add(n.func.attr)
     for mod, tree in modules.items():
         for cls in _defs(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
-                if (isinstance(node, ast.FunctionDef) and _public(node.name)
-                        and node.name not in attrs):
+                if not (isinstance(node, ast.FunctionDef) and _public(node.name)):
+                    continue
+                if node.name not in attrs or (
+                        node.name in stored and node.name not in called
+                        and not _is_property(node)):
                     dead.append(f"{mod}.{cls.name}.{node.name}")
     return sorted(set(dead) - ALLOWED)
 
