@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .density import FiniteNatSet, NatSet
+from .density import IntervalNatSet, NatSet
 from .errors import PreconditionError
 from .sequences import ArithSeq
 
@@ -186,11 +186,11 @@ def witness_recursion(seq: ArithSeq, jmax: int, scan_limit: int = 10**6):
 
 
 def weakly_dli_witness_set(seq: ArithSeq, jmax: int,
-                           scan_limit: int = 10**6) -> FiniteNatSet:
+                           scan_limit: int = 10**6) -> IntervalNatSet:
     """The block-index set A = {u_j + 1 : j <= jmax} from the witness recursion.
 
     Every translate A - m lifts with vanishing prefix density along the
     boundary horizons; the shrink suites quantify this.
     """
     u, _ = witness_recursion(seq, jmax, scan_limit)
-    return FiniteNatSet(v + 1 for v in u)
+    return IntervalNatSet((v + 1, v + 1) for v in u)

@@ -22,7 +22,7 @@ from .classify import (
     weakly_dli_witness_set,
     witness_recursion,
 )
-from .density import lift, parse_set_expr
+from .density import IntervalNatSet, lift, parse_set_expr
 from .errors import CircleLabError, PreconditionError, SpecParseError
 from .membership import convergence_verdict, finite_support_member, statistical_scan
 from .parse import frac_param, int_param, ints_param, merge_params
@@ -61,17 +61,6 @@ def _render(intervals) -> str:
     return "+".join(f"[{a},{b}]" for a, b in intervals) or "[]"
 
 
-def _runs(values) -> list[list[int]]:
-    """The maximal runs [a, b] of an increasing integer stream."""
-    runs = []
-    for v in values:
-        if runs and v == runs[-1][1] + 1:
-            runs[-1][1] = v
-        else:
-            runs.append([v, v])
-    return runs
-
-
 # ===== Operation handlers ====================================================
 # Each takes its operation's params, merged over the defaults declared in
 # OPS, and returns (terse, report, fail_message).
@@ -108,7 +97,16 @@ def _cmd_lift(p: dict):
     try:
         intervals = lifted.to_intervals()
     except PreconditionError:  # unbounded: print the runs up to the horizon
-        terse = _render(_runs(lifted.iter_upto(horizon)))
+        if horizon < 1:
+            raise PreconditionError(f"prefix bound must be >= 1, got {horizon}")
+        pieces = []
+        for lo, hi in lifted.walk():  # pull no further than [1, horizon] needs
+            if lo > horizon:
+                break
+            pieces.append((lo, min(hi, horizon)))
+            if hi >= horizon:
+                break
+        terse = _render(IntervalNatSet(pieces).intervals)
         return terse, {"set": str(expr), "prefix": terse, "horizon": horizon,
                        "clipped": True}, None
     report = {"set": str(expr), "intervals": [list(iv) for iv in intervals],

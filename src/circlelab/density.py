@@ -1,10 +1,10 @@
 """Subsets of the positive integers, prefix densities, and block lifting.
 
-Four set representations are supported: finite element lists, bounded unions
-of closed intervals, rule-generated interval families (possibly unbounded),
-and predicates with a declared evaluation horizon. Prefix counting follows
-the convention that the naturals start at 1, so the density estimate at N
-uses the window [1, N].
+Three set representations are supported: bounded unions of closed intervals
+(a finite element list is a union of one-point intervals), rule-generated
+interval families (possibly unbounded), and predicates with a declared
+evaluation horizon. Prefix counting follows the convention that the naturals
+start at 1, so the density estimate at N uses the window [1, N].
 
 The lifting map sends a set A of block indices to
 L(A) = union over k in A of [n_{k-1}, n_k - 1] in derived-index space.
@@ -24,7 +24,6 @@ from .sequences import ArithSeq, DerivedSeq, cube_block_edges
 
 __all__ = [
     "NatSet",
-    "FiniteNatSet",
     "IntervalNatSet",
     "LazyIntervalNatSet",
     "PredicateNatSet",
@@ -76,22 +75,6 @@ class NatSet:
         """Canonical disjoint closed intervals; only for exactly bounded sets."""
         raise PreconditionError(f"{type(self).__name__} is not an exactly bounded set")
 
-    def __eq__(self, other):
-        if isinstance(other, NatSet):
-            try:
-                return self.to_intervals() == other.to_intervals()
-            except PreconditionError:
-                return self is other
-        return NotImplemented
-
-    def __hash__(self):
-        # equal sets hash alike: by intervals when __eq__ compares them,
-        # by identity where __eq__ falls back to it
-        try:
-            return hash(self.to_intervals())
-        except PreconditionError:
-            return id(self)
-
 
 def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The disjoint, non-adjacent closed intervals covering the pairs (lo, hi);
@@ -111,49 +94,6 @@ def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
     if top is not None:
         merged.append((start, top))
     return tuple(merged)
-
-
-class FiniteNatSet(NatSet):
-    """An explicit finite set."""
-
-    is_finite = True
-    is_cofinite = False
-
-    def __init__(self, elems: Iterable[int] = ()):
-        self.elems = tuple(sorted(set(elems)))
-        if self.elems and self.elems[0] < 1:
-            raise PreconditionError("set elements must be >= 1")
-
-    def __contains__(self, n):
-        i = bisect_right(self.elems, n) - 1
-        return i >= 0 and self.elems[i] == n
-
-    def count_upto(self, N):
-        self._check(N)
-        return bisect_right(self.elems, N)
-
-    def iter_upto(self, N):
-        for v in self.elems:
-            if v > N:
-                break
-            yield v
-
-    def to_intervals(self):
-        # the elements are sorted and distinct: a run ends where they skip
-        elems = self.elems
-        if not elems:
-            return ()
-        merged = []
-        start = elems[0]
-        for prev, v in zip(elems, elems[1:]):
-            if v != prev + 1:
-                merged.append((start, prev))
-                start = v
-        merged.append((start, elems[-1]))
-        return tuple(merged)
-
-    def __repr__(self):
-        return f"FiniteNatSet({list(self.elems)})"
 
 
 class IntervalNatSet(NatSet):
@@ -178,12 +118,11 @@ class IntervalNatSet(NatSet):
 
     def count_upto(self, N):
         self._check(N)
-        total = 0
-        for (lo, hi), prefix in zip(self.intervals, self._cum):
-            if lo > N:
-                break
-            total = prefix + min(hi, N) - lo + 1
-        return total
+        i = bisect_right(self.intervals, (N, math.inf))  # intervals starting <= N
+        if i == 0:
+            return 0
+        lo, hi = self.intervals[i - 1]
+        return self._cum[i - 1] + min(hi, N) - lo + 1
 
     def iter_upto(self, N):
         for lo, hi in self.intervals:
@@ -193,6 +132,14 @@ class IntervalNatSet(NatSet):
 
     def to_intervals(self):
         return self.intervals
+
+    def __eq__(self, other):
+        if isinstance(other, IntervalNatSet):
+            return self.intervals == other.intervals
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.intervals)
 
     def __repr__(self):
         return f"IntervalNatSet({list(self.intervals)})"
@@ -357,10 +304,6 @@ class DensityEstimate:
 # ===== Algebra ==============================================================
 
 
-def _is_bounded_exact(s: NatSet) -> bool:
-    return isinstance(s, (FiniteNatSet, IntervalNatSet))
-
-
 def _interval_op(op: str, a: tuple[tuple[int, int], ...],
                  b: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     if op == "union":
@@ -410,17 +353,13 @@ def _min_horizon(a: NatSet, b: NatSet) -> int | None:
 def set_algebra(op: str, a: NatSet, b: NatSet) -> NatSet:
     """union / intersect / difference, exact on bounded representations.
 
-    Finite op finite stays finite; anything bounded-exact stays an interval
-    union; otherwise the result is a predicate with the smaller horizon.
+    Two interval unions combine to an interval union; otherwise the result
+    is a predicate with the smaller horizon.
     """
     if op not in ("union", "intersect", "difference"):
         raise PreconditionError(f"unknown set operation {op!r}")
-    if isinstance(a, FiniteNatSet) and isinstance(b, FiniteNatSet):
-        ea, eb = set(a.elems), set(b.elems)
-        out = ea | eb if op == "union" else ea & eb if op == "intersect" else ea - eb
-        return FiniteNatSet(out)
-    if _is_bounded_exact(a) and _is_bounded_exact(b):
-        return IntervalNatSet(_interval_op(op, a.to_intervals(), b.to_intervals()))
+    if isinstance(a, IntervalNatSet) and isinstance(b, IntervalNatSet):
+        return IntervalNatSet(_interval_op(op, a.intervals, b.intervals))
     if op == "union":
         pred = lambda n: n in a or n in b
     elif op == "intersect":
@@ -436,8 +375,6 @@ def translate(s: NatSet, m: int) -> NatSet:
         raise PreconditionError(f"translation amount must be >= 0, got {m}")
     if m == 0:
         return s
-    if isinstance(s, FiniteNatSet):
-        return FiniteNatSet(v - m for v in s.elems if v > m)
     if isinstance(s, IntervalNatSet):
         return IntervalNatSet(
             (max(lo - m, 1), hi - m) for lo, hi in s.intervals if hi > m
@@ -456,7 +393,7 @@ def translate(s: NatSet, m: int) -> NatSet:
                                   name=f"shift({src.name},{m})")
     horizon = None if s.horizon is None else max(s.horizon - m, 0)
     return PredicateNatSet(lambda n: (n + m) in s, horizon=horizon,
-                           name=f"shift-{m}", is_finite=s.is_finite,
+                           name=f"shift({s.name},{m})", is_finite=s.is_finite,
                            is_cofinite=s.is_cofinite)
 
 
@@ -464,13 +401,13 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
     """L(S) = union over k in S of the derived-index block [n_{k-1}, n_k - 1].
 
     Injective on block-index sets and commuting with union, intersection and
-    difference. The representation class is preserved where possible: finite
-    and bounded sets lift to bounded interval unions, rule sets to rule sets.
+    difference. The representation class is preserved where possible:
+    interval unions lift to interval unions, rule sets to rule sets.
     """
-    if isinstance(s, (FiniteNatSet, IntervalNatSet)):
+    if isinstance(s, IntervalNatSet):
         return IntervalNatSet(
             (derived.boundary(lo - 1), derived.boundary(hi) - 1)
-            for lo, hi in s.to_intervals()
+            for lo, hi in s.intervals
         )
     if isinstance(s, LazyIntervalNatSet):
         src = s
@@ -550,7 +487,7 @@ def parse_set_expr(text: str, seq: ArithSeq | None = None) -> NatSet:
     if text.startswith("fin:"):
         elems = integers(enclosed(text[4:], "{}", "a finite set"), "a finite set")
         try:
-            return FiniteNatSet(elems)
+            return IntervalNatSet((v, v) for v in elems)
         except PreconditionError as exc:
             raise SpecParseError(str(exc)) from exc
     if text.startswith("ivl:"):

@@ -132,11 +132,8 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     cache = EnclosureCache(x, depth=depth, cap=cap)
     result = ScanResult(eps=eps, depth=depth, cap=cap, horizons=horizons,
                         spec=x.seq.describe(), point=x.describe())
-    bulk_out_from = None
-    if x.support_kind() == "finite":
-        m = x.finite_support_max()
-        # past the supported blocks every value is exactly 0, norm 0 < eps
-        bulk_out_from = x.seq.derived.boundary(m) if m > 0 else 1
+    # past the supported blocks every value is exactly 0, norm 0 < eps
+    bulk_out_from = finite_support_member(x).cutoff
     n_in = n_out = n_und = 0
     i, k, r = 1, 0, 1  # derived index i is row r of block k
     for N in horizons:

@@ -21,7 +21,7 @@ from .circle import (
     tail_upper_bound,
 )
 from .classify import check_strongly_non_dli, weakly_dli_witness_set
-from .density import FiniteNatSet, full_set, lift, set_algebra
+from .density import IntervalNatSet, full_set, lift, set_algebra
 from .errors import PreconditionError
 from .parse import frac_param, int_param, ints_param, merge_params
 from .membership import convergence_verdict, statistical_scan
@@ -82,7 +82,7 @@ def lift_algebra(params: dict | None = None) -> dict:
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
         for k in range(1, 26):
-            block = tuple(lift(FiniteNatSet([k]), seq.derived).to_intervals())
+            block = tuple(lift(IntervalNatSet([(k, k)]), seq.derived).to_intervals())
             want = ((seq.derived.boundary(k - 1), seq.derived.boundary(k) - 1),)
             if block != want or block[0][1] - block[0][0] + 1 != seq.ratio(k) - 1:
                 counterexample = {"spec": spec_text, "kind": "block-size", "k": k}
@@ -93,7 +93,7 @@ def lift_algebra(params: dict | None = None) -> dict:
         for _ in range(int_param(p, "pairs")):
             a = sorted(_sample(rng, range(lo, hi + 1), _draw(rng, p, "max_size", 0)))
             b = sorted(_sample(rng, range(lo, hi + 1), _draw(rng, p, "max_size", 0)))
-            sa, sb = FiniteNatSet(a), FiniteNatSet(b)
+            sa, sb = (IntervalNatSet((v, v) for v in e) for e in (a, b))
             la, lb = lift(sa, seq.derived), lift(sb, seq.derived)
             for op in ("union", "intersect", "difference"):
                 left = lift(set_algebra(op, sa, sb), seq.derived).to_intervals()
@@ -225,7 +225,7 @@ def snd_density(params: dict | None = None) -> dict:
         size = rng.randint(1, 6)
         elems = sorted(_sample(rng, range(1, int_param(p, "kmax") + 1), size))
         horizon = seq.derived.boundary(max(elems)) - 1
-        lifted = lift(FiniteNatSet(elems), seq.derived)
+        lifted = lift(IntervalNatSet((v, v) for v in elems), seq.derived)
         dens = Fraction(lifted.count_upto(horizon), horizon)
         densities.append(str(dens))
         if min_density is None or dens < min_density:

@@ -9,7 +9,6 @@ the suites treat it that way).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from copy import copy
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .circle import (
     FiniteDigits,
     FloorDivDigits,
 )
-from .density import FiniteNatSet, IntervalNatSet, NatSet
+from .density import IntervalNatSet, NatSet
 from .errors import PreconditionError
 from .sequences import ArithSeq
 
@@ -62,7 +61,7 @@ class WitnessReport:
     name: str
     params: dict
     point: str
-    rows: Sequence[CertRow] = field(default_factory=list)
+    rows: list[CertRow] | BlockRows = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     def _tally(self, verdict: str) -> int:
@@ -90,7 +89,7 @@ class WitnessReport:
             "point": self.point,
             "counts": {"certified": self.certified, "violations": self.violations,
                        "undecided": self.undecided, "rows": len(self.rows)},
-            "rows": [row.to_report() for row in self.rows[:rows]],
+            "rows": [row.to_report() for row in islice(self.rows, rows)],
             "extras": {k: str(v) for k, v in sorted(self.extras.items())},
         }
 
@@ -138,11 +137,10 @@ def _cert_row(cache: EnclosureCache, index: int, k: int, r: int,
 
 
 class _Segment(NamedTuple):
-    """A bad run of ``size`` rows from row r of block k: row positions pos..,
-    derived indices index..; ``count_rows`` found n_in of them in the band,
-    starting from the cache window ``window``."""
+    """A bad run of ``size`` rows from row r of block k, derived indices
+    index..; ``count_rows`` found n_in of them in the band, starting from
+    the cache window ``window``."""
 
-    pos: int
     index: int
     k: int
     r: int
@@ -151,17 +149,14 @@ class _Segment(NamedTuple):
     n_in: int
 
 
-class BlockRows(Sequence):
+class BlockRows:
     """The rows of a block-counted certification, rebuilt on demand.
 
     Each bad run was counted by one ``count_rows`` call. Replaying the run
     with ``judge`` from the window it was counted on repeats the row-by-row
     pass exactly: a row clear of the band edges never deepens the window,
     and the edge rows deepen it in the same increasing order, so each
-    rebuilt row carries the enclosure the row-by-row pass gives it. A
-    replay that starts inside a run first counts the run's rows before its
-    first row with ``count_rows`` on its own copy of the cache, which judges
-    only their edge rows and leaves the window the row-by-row pass leaves.
+    rebuilt row carries the enclosure the row-by-row pass gives it.
     """
 
     def __init__(self, cache: EnclosureCache, band: tuple[Fraction, Fraction],
@@ -169,47 +164,28 @@ class BlockRows(Sequence):
         self._cache = cache
         self._band = band
         self._segments = segments
-        self._starts = [seg.pos for seg in segments]
         self.counts = counts
 
     def __len__(self) -> int:
         return sum(self.counts.values())
 
-    def __getitem__(self, key):
-        picks = range(len(self))[key]
-        if isinstance(key, int):
-            return next(self._rows_from(picks))
-        if not picks:
-            return []
-        first = min(picks[0], picks[-1])
-        rows = list(islice(self._rows_from(first),
-                           max(picks[0], picks[-1]) - first + 1))
-        return [rows[i - first] for i in picks]
-
     def __iter__(self):
-        return self._rows_from(0)
+        for seg in self._segments:
+            yield from self._replay(seg)
 
     def failures(self) -> list[CertRow]:
         """The rows not certified, replaying only the runs that hold one."""
         return [row for seg in self._segments if seg.n_in < seg.size
-                for row in self._replay(seg, 0) if row.verdict != "certified"]
+                for row in self._replay(seg) if row.verdict != "certified"]
 
-    def _rows_from(self, pos: int):
-        s = bisect_right(self._starts, pos) - 1
-        for seg in self._segments[max(s, 0):]:
-            yield from self._replay(seg, max(pos - seg.pos, 0))
-
-    def _replay(self, seg: _Segment, skip: int):
-        """The run's rows after its first ``skip``, row by row across blocks."""
+    def _replay(self, seg: _Segment):
+        """The run's rows, row by row across blocks."""
         cache = copy(self._cache)  # replays never disturb one another
         cache._win = seg.window
         k, r = seg.k, seg.r
-        if skip:
-            k, r, _, _ = cache.count_rows(k, r, seg.index, seg.index + skip - 1,
-                                          *self._band)
         ratio = cache.x.seq.ratio
         b = ratio(k + 1)
-        for index in range(seg.index + skip, seg.index + seg.size):
+        for index in range(seg.index, seg.index + seg.size):
             if r == b:
                 k, r = k + 1, 1
                 b = ratio(k + 1)
@@ -220,11 +196,11 @@ class BlockRows(Sequence):
 class Partition(NamedTuple):
     """The digit-size partition of the working index set."""
 
-    a1: FiniteNatSet  # 0 < c_n/b_n < 1/m0
-    a2: FiniteNatSet  # 1 - 1/n0 < c_n/b_n < 1
-    a3: FiniteNatSet  # the middle band
-    branch: str       # "cofinite" or "infinite"
-    base: FiniteNatSet
+    a1: IntervalNatSet  # 0 < c_n/b_n < 1/m0
+    a2: IntervalNatSet  # 1 - 1/n0 < c_n/b_n < 1
+    a3: IntervalNatSet  # the middle band
+    branch: str         # "cofinite" or "infinite"
+    base: IntervalNatSet
 
 
 def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
@@ -278,8 +254,9 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
             a2.append(n)
         else:
             a3.append(n)
-    return Partition(FiniteNatSet(a1), FiniteNatSet(a2), FiniteNatSet(a3),
-                     branch, FiniteNatSet(base))
+    a1, a2, a3, base = (IntervalNatSet((n, n) for n in elems)
+                        for elems in (a1, a2, a3, base))
+    return Partition(a1, a2, a3, branch, base)
 
 
 def bad_interval_family(x: CirclePoint, branch_set: NatSet, case: str,
@@ -346,7 +323,7 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
     Each bad run (adjacent intervals merge, across block boundaries too)
     is counted by one ``EnclosureCache.count_rows`` call from one
     ``decompose`` of its first index; the report's rows are a ``BlockRows``
-    sequence that builds a row only when it is read.
+    collection that builds its rows only when they are read.
     """
     if case == "small":
         band_lo, band_hi = Fraction(1, m0), Fraction(9, m0)
@@ -363,7 +340,7 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
     except PreconditionError:  # not exactly bounded: gather its runs
         runs = IntervalNatSet((i, i) for i in bad.iter_upto(horizon)).intervals
     segments = []
-    pos = n_in = n_und = 0
+    total = n_in = n_und = 0
     for lo, hi in runs:
         if lo > horizon:
             break
@@ -371,12 +348,12 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
         k, r = x.seq.derived.decompose(lo)
         window = cache._win
         _, _, run_in, undecided = cache.count_rows(k, r, lo, hi, band_lo, band_hi)
-        segments.append(_Segment(pos, lo, k, r, hi - lo + 1, window, run_in))
+        segments.append(_Segment(lo, k, r, hi - lo + 1, window, run_in))
         n_in += run_in
         n_und += len(undecided)
-        pos += hi - lo + 1
+        total += hi - lo + 1
     rows = BlockRows(cache, (band_lo, band_hi), segments,
-                     {"certified": n_in, "violation": pos - n_in - n_und,
+                     {"certified": n_in, "violation": total - n_in - n_und,
                       "undecided": n_und})
     report = WitnessReport(
         name="escape-band",

@@ -8,6 +8,7 @@ import pytest
 
 import circlelab
 from circlelab.circle import CirclePoint, DigitRule
+from circlelab.density import IntervalNatSet
 from circlelab.errors import PreconditionError
 
 # the source tree of the package under test, for the CLI subprocesses
@@ -64,3 +65,8 @@ class FuncDigits(DigitRule):
 
     def describe(self):
         return "func"
+
+
+def elem_set(elems) -> IntervalNatSet:
+    """The bounded set with the given elements, as ``fin:{...}`` parses it."""
+    return IntervalNatSet((v, v) for v in elems)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from circlelab.circle import EnclosureCache, FiniteDigits, CirclePoint, parse_point
 from circlelab.classify import check_strongly_non_dli, weakly_dli_witness_set
 from circlelab.cli import envelope_bytes
-from circlelab.density import FiniteNatSet, lift, set_algebra
+from circlelab.density import lift, set_algebra
 from circlelab.membership import statistical_scan
 from circlelab.sequences import ArithSeq, RatioSpec
 from circlelab.witness import (
@@ -27,7 +27,7 @@ from circlelab.witness import (
     factor_u,
     nonmembership_partition,
 )
-from conftest import as_fraction
+from conftest import as_fraction, elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -73,12 +73,12 @@ def test_c02_lifting_algebra():
         for _ in range(200):
             a = frozenset(rng.randint(1, 50) for _ in range(rng.randint(0, 10)))
             b = frozenset(rng.randint(1, 50) for _ in range(rng.randint(0, 10)))
-            sa, sb = FiniteNatSet(a), FiniteNatSet(b)
+            sa, sb = elem_set(a), elem_set(b)
             la, lb = lift(sa, d), lift(sb, d)
             pairs = (
-                ("union", lift(FiniteNatSet(a | b), d)),
-                ("intersect", lift(FiniteNatSet(a & b), d)),
-                ("difference", lift(FiniteNatSet(a - b), d)),
+                ("union", lift(elem_set(a | b), d)),
+                ("intersect", lift(elem_set(a & b), d)),
+                ("difference", lift(elem_set(a - b), d)),
             )
             for name, left in pairs:
                 right = set_algebra(name, la, lb)
@@ -195,7 +195,7 @@ def test_c06_strongly_non_dli_density_floor():
     floor = Fraction(45, 100)
     for _ in range(20):
         a = sorted(frozenset(rng.randint(1, 12) for _ in range(rng.randint(1, 6))))
-        lifted = lift(FiniteNatSet(a), POW2.derived)
+        lifted = lift(elem_set(a), POW2.derived)
         N = POW2.derived.boundary(max(a)) - 1
         got = Fraction(lifted.count_upto(N), N)
         if got < floor:

@@ -19,10 +19,10 @@ from circlelab.circle import (
     parse_point,
     tail_upper_bound,
 )
-from circlelab.density import FiniteNatSet, full_set
+from circlelab.density import IntervalNatSet, full_set
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
-from conftest import FuncDigits, as_fraction, window_from_scratch
+from conftest import FuncDigits, as_fraction, elem_set, window_from_scratch
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -470,13 +470,13 @@ def test_indicator_support_end_is_computed_once(monkeypatch):
     x = parse_point("ones-on:fin:{2,5,9,40}", POW2)
     value = sum(Fraction(1, POW2.term(n)) for n in (2, 5, 9, 40))
     calls = []
-    to_intervals = FiniteNatSet.to_intervals
+    to_intervals = IntervalNatSet.to_intervals
 
     def counted(self):
         calls.append(1)
         return to_intervals(self)
 
-    monkeypatch.setattr(FiniteNatSet, "to_intervals", counted)
+    monkeypatch.setattr(IntervalNatSet, "to_intervals", counted)
     for j in range(1, 31):
         a = POW2.term(j - 1)
         assert tail_upper_bound(x, j) == mod1(a * value) / a
@@ -538,6 +538,6 @@ def test_floor_div_validation_on_access():
 
 
 def test_indicator_point_digits():
-    x = CirclePoint(POW2, IndicatorDigits(FiniteNatSet([1, 4])))
+    x = CirclePoint(POW2, IndicatorDigits(elem_set([1, 4])))
     assert x.finite_support_max() == 4
     assert as_fraction(x) == Fraction(1, 2) + Fraction(1, 1024)

@@ -14,9 +14,10 @@ from circlelab.classify import (
     weakly_dli_witness_set,
     witness_recursion,
 )
-from circlelab.density import FiniteNatSet, evens
+from circlelab.density import evens
 from circlelab.errors import PreconditionError
 from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
+from conftest import elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -151,7 +152,7 @@ def test_witness_recursion_scan_limit():
 
 def test_witness_set_linear1():
     assert weakly_dli_witness_set(LINEAR1, 8) == \
-        FiniteNatSet([2, 5, 9, 17, 32, 55, 90, 139])
+        elem_set([2, 5, 9, 17, 32, 55, 90, 139])
 
 
 def test_verdict_report_shape():

@@ -45,12 +45,35 @@ def test_lift_clipped(capsys):
         "spec": "const:2", "set": "evens", "horizon": 9}})
     assert report == {"set": "evens", "prefix": "[2,2]+[4,4]+[6,6]+[8,8]",
                       "horizon": 9, "clipped": True}
+    # a run of 10^6 members, and a run whose later pieces need the boundary
+    # of an index above 2^40: the prefix walks neither
+    for spec, expr, horizon in (("linear:1", "all", 10**6),
+                                ("pow:2", "lift(blocks:cube-gap)", 100)):
+        terse, _, _ = run_config({"subcommand": "lift", "params": {
+            "spec": spec, "set": expr, "horizon": horizon}})
+        assert terse == f"[1,{horizon}]"
+    err = capture(capsys, "lift", "--spec", "linear:1", "--set", "evens",
+                  "--horizon", "0", expect=3).err
+    assert "prefix bound must be >= 1" in err
 
 
 def test_scan_example(capsys):
     out = capture(capsys, "scan", "--spec", "linear:1", "--x", "rat:1/6",
                   "--eps", "1/10", "--horizons", "100")
     assert out.out == "3/100,3/100\n"
+
+
+def test_scan_points_describe_their_sets():
+    # each point names its whole set, so distinct points get distinct names
+    for x, point, n_in in (
+            ("ones-on:shift(squares,3)", "ones-on:shift(squares,3)", 8),
+            ("ones-on:shift(all,3)", "ones-on:shift(all,3)", 42),
+            ("ones-on:shift(evens,3)", "ones-on:shift(evens,3)", 28),
+            ("ones-on:fin:{3,5}", "ones-on:IntervalNatSet([(3, 3), (5, 5)])", 11)):
+        _, report, _ = run_config({"subcommand": "scan", "params": {
+            "spec": "linear:1", "x": x, "horizons": "50"}})
+        assert report["point"] == point
+        assert report["bounds"][0]["in"] == n_in
 
 
 def test_seq_other_kinds(capsys):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from circlelab.density import (
     DensityEstimate,
-    FiniteNatSet,
     IntervalNatSet,
     LazyIntervalNatSet,
     PredicateNatSet,
@@ -24,6 +23,7 @@ from circlelab.density import (
 )
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
+from conftest import elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -34,7 +34,7 @@ finite_sets = st.frozensets(st.integers(min_value=1, max_value=50), max_size=10)
 # ----- representations -------------------------------------------------------
 
 def test_finite_set_basics():
-    s = FiniteNatSet([5, 2, 9, 2])
+    s = elem_set([5, 2, 9, 2])
     assert list(s.iter_upto(10)) == [2, 5, 9]
     assert s.count_upto(6) == 2
     assert 5 in s and 4 not in s and 0 not in s
@@ -58,35 +58,35 @@ def test_interval_set_merges_and_counts(pairs):
     # unsorted, overlapping and adjacent pairs against the brute-force members
     members = _members(pairs)
     s = IntervalNatSet(pairs)
-    for ivals in (s.to_intervals(), FiniteNatSet(members).to_intervals()):
+    for ivals in (s.to_intervals(), elem_set(members).to_intervals()):
         assert _members(ivals) == members
         # canonical: increasing, non-empty, neither overlapping nor adjacent
         assert all(lo <= hi for lo, hi in ivals)
         assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(ivals, ivals[1:]))
         assert all(type(iv) is tuple for iv in ivals)
-    assert s == FiniteNatSet(members)
+    assert s == elem_set(members)
     for N in (1, 5, 10, 80):
         assert s.count_upto(N) == sum(1 for n in members if n <= N)
         assert list(s.iter_upto(N)) == sorted(n for n in members if n <= N)
 
 
 def test_finite_equals_interval_form():
-    assert FiniteNatSet([1, 2, 3]) == IntervalNatSet([(1, 3)])
+    assert elem_set([1, 2, 3]) == IntervalNatSet([(1, 3)])
     # equal sets hash alike, so a set of NatSets keeps one of them
-    assert len({FiniteNatSet([1, 2, 3]), IntervalNatSet([(1, 3)])}) == 1
-    assert len({FiniteNatSet([1, 3]), IntervalNatSet([(1, 3)])}) == 2
+    assert len({elem_set([1, 2, 3]), IntervalNatSet([(1, 3)])}) == 1
+    assert len({elem_set([1, 3]), IntervalNatSet([(1, 3)])}) == 2
     lazy = LazyIntervalNatSet(lambda: iter([(1, 3)]))
     assert len({lazy, lazy, IntervalNatSet([(1, 3)])}) == 2
-    assert FiniteNatSet([1, 3]) != IntervalNatSet([(1, 3)])
+    assert elem_set([1, 3]) != IntervalNatSet([(1, 3)])
 
 
 def test_set_validation():
     with pytest.raises(PreconditionError):
-        FiniteNatSet([0, 3])
+        elem_set([0, 3])
     with pytest.raises(PreconditionError):
         IntervalNatSet([(0, 4)])
     with pytest.raises(PreconditionError):
-        FiniteNatSet([2]).count_upto(0)
+        elem_set([2]).count_upto(0)
 
 
 def test_predicate_horizon_is_hard():
@@ -112,7 +112,7 @@ def test_stock_sets():
 @given(a=finite_sets, b=finite_sets)
 @settings(max_examples=150, deadline=None)
 def test_algebra_matches_python_sets(a, b):
-    sa, sb = FiniteNatSet(a), FiniteNatSet(b)
+    sa, sb = elem_set(a), elem_set(b)
     assert set(set_algebra("union", sa, sb).iter_upto(60)) == a | b
     assert set(set_algebra("intersect", sa, sb).iter_upto(60)) == a & b
     assert set(set_algebra("difference", sa, sb).iter_upto(60)) == a - b
@@ -136,7 +136,7 @@ def test_mixed_algebra_takes_smaller_horizon():
 # ----- translation -----------------------------------------------------------
 
 def test_translate_forms():
-    assert set(translate(FiniteNatSet([3, 4, 9]), 3).iter_upto(10)) == {1, 6}
+    assert set(translate(elem_set([3, 4, 9]), 3).iter_upto(10)) == {1, 6}
     assert translate(IntervalNatSet([(4, 6)]), 5).to_intervals() == ((1, 1),)
     odd = translate(evens(), 1)
     assert list(odd.iter_upto(7)) == [1, 3, 5, 7]
@@ -145,8 +145,24 @@ def test_translate_forms():
 
 
 def test_translate_zero_is_identity():
-    s = FiniteNatSet([2, 5])
+    s = elem_set([2, 5])
     assert translate(s, 0) is s
+
+
+@given(elems=finite_sets, m=st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_translate_matches_brute_force(elems, m):
+    assert translate(elem_set(elems), m) == elem_set(v - m for v in elems if v > m)
+
+
+@given(elems=finite_sets, m=st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_count_upto_at_interval_ends(elems, m):
+    # either side of every interval end, where the bisection changes interval
+    s = translate(elem_set(elems), m)
+    ends = {e + d for iv in s.intervals for e in iv for d in (-1, 0, 1)}
+    for N in sorted({n for n in ends if n >= 1} | {1, 61}):
+        assert s.count_upto(N) == sum(1 for v in elems if m < v <= N + m)
 
 
 def test_translate_lazy_interval_set():
@@ -160,7 +176,7 @@ def test_translate_lazy_interval_set():
 # ----- lifting ---------------------------------------------------------------
 
 def test_lift_single_block():
-    lifted = lift(FiniteNatSet([3]), LINEAR1.derived)
+    lifted = lift(elem_set([3]), LINEAR1.derived)
     assert lifted.to_intervals() == ((4, 6),)
 
 
@@ -168,18 +184,28 @@ def test_lift_block_sizes():
     # |L({k})| = b_k - 1
     for seq in (LINEAR1, POW2):
         for k in range(1, 10):
-            lifted = lift(FiniteNatSet([k]), seq.derived)
+            lifted = lift(elem_set([k]), seq.derived)
             (lo, hi), = lifted.to_intervals()
             assert hi - lo + 1 == seq.ratio(k) - 1
+
+
+@given(elems=finite_sets, m=st.integers(0, 60),
+       seq=st.sampled_from((LINEAR1, ArithSeq(RatioSpec.parse("const:3")))))
+@settings(max_examples=200, deadline=None)
+def test_lift_matches_brute_force(elems, m, seq):
+    d = seq.derived
+    shifted = {v - m for v in elems if v > m}
+    want = {n for k in shifted for n in range(d.boundary(k - 1), d.boundary(k))}
+    assert lift(translate(elem_set(elems), m), d) == elem_set(want)
 
 
 @given(a=finite_sets, b=finite_sets)
 @settings(max_examples=100, deadline=None)
 def test_lift_commutes_with_algebra(a, b):
     d = LINEAR1.derived
-    sa, sb = FiniteNatSet(a), FiniteNatSet(b)
+    sa, sb = elem_set(a), elem_set(b)
     for op, pyop in (("union", a | b), ("intersect", a & b), ("difference", a - b)):
-        assert lift(FiniteNatSet(pyop), d) == set_algebra(op, lift(sa, d), lift(sb, d))
+        assert lift(elem_set(pyop), d) == set_algebra(op, lift(sa, d), lift(sb, d))
 
 
 @given(a=finite_sets, b=finite_sets)
@@ -187,11 +213,11 @@ def test_lift_commutes_with_algebra(a, b):
 def test_lift_injective(a, b):
     d = POW2.derived
     if a != b:
-        assert lift(FiniteNatSet(a), d) != lift(FiniteNatSet(b), d)
+        assert lift(elem_set(a), d) != lift(elem_set(b), d)
 
 
 def test_lift_adjacent_blocks_merge():
-    lifted = lift(FiniteNatSet([2, 3]), LINEAR1.derived)
+    lifted = lift(elem_set([2, 3]), LINEAR1.derived)
     assert lifted.to_intervals() == ((2, 6),)
 
 
@@ -294,9 +320,9 @@ def test_cube_gap_density_climbs_to_one():
 # ----- expression language ---------------------------------------------------
 
 def test_parse_set_expr_forms():
-    assert parse_set_expr("fin:{1,3,5}") == FiniteNatSet([1, 3, 5])
+    assert parse_set_expr("fin:{1,3,5}") == elem_set([1, 3, 5])
     assert parse_set_expr("ivl:[4,6]+[9,12]") == IntervalNatSet([(4, 6), (9, 12)])
-    assert parse_set_expr("fin:{}") == FiniteNatSet([])
+    assert parse_set_expr("fin:{}") == elem_set([])
     assert list(parse_set_expr("shift(evens,1)").iter_upto(5)) == [1, 3, 5]
     assert parse_set_expr("lift(fin:{3})", LINEAR1).to_intervals() == ((4, 6),)
     assert 12 not in parse_set_expr("blocks:cube-gap")
