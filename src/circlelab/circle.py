@@ -100,8 +100,9 @@ class DigitRule:
 
     ``known_upto`` is None when every index is computable, otherwise the last
     index with a defined digit. ``support_kind`` is one of "finite",
-    "cofinite", "infinite", "unknown"; the first three are declarations the
-    membership and witness code may rely on.
+    "cofinite", "infinite", or "unknown" for a capped rational expansion;
+    the first three are exact, and the membership and witness code rely on
+    them.
     """
 
     known_upto: int | None = None
@@ -176,27 +177,19 @@ class IndicatorDigits(DigitRule):
 
     def __init__(self, support: NatSet):
         self.support = support
-        self.known_upto = support.horizon
-        self._support_max = None  # set by the first finite_support_max call
+        self._support_max = None
+        if support.is_finite:  # an IntervalNatSet
+            self._support_max = support.intervals[-1][1] if support.intervals else 0
 
     def digit(self, n, seq):
         return 1 if n in self.support else 0
 
     def support_kind(self):
-        if self.support.is_finite is True:
+        if self.support.is_finite:
             return "finite"
-        if self.support.is_cofinite is True:
-            return "cofinite"
-        if self.support.is_finite is False:
-            return "infinite"
-        return "unknown"
+        return "cofinite" if self.support.is_cofinite else "infinite"
 
     def finite_support_max(self):
-        if self.support.is_finite is not True:
-            return None
-        if self._support_max is None:
-            ivals = self.support.to_intervals()
-            self._support_max = ivals[-1][1] if ivals else 0
         return self._support_max
 
     def describe(self):
@@ -251,7 +244,7 @@ class CirclePoint:
         self.seq = seq
         self.rule = rule
         if (isinstance(rule, IndicatorDigits)
-                and rule.support.is_cofinite is True
+                and rule.support.is_cofinite
                 and seq.spec.eventually_two()):
             raise PreconditionError(
                 "non-canonical rule: c_n = 1 = b_n - 1 for all large n under "
@@ -286,12 +279,6 @@ class CirclePoint:
             num, den = _slide(self, wn, wn + wt, num, den, n, n + t)
             self._win = (n, t, num, den)
         return num, den
-
-    def support_kind(self) -> str:
-        return self.rule.support_kind()
-
-    def finite_support_max(self) -> int | None:
-        return self.rule.finite_support_max()
 
     def describe(self) -> str:
         return self.rule.describe()
@@ -374,7 +361,7 @@ def frac_exact(x: CirclePoint, n: int) -> Fraction:
     """Exact {a_{n-1} x} for a point with declared finite support."""
     if n < 1:
         raise PreconditionError(f"window start must be >= 1, got {n}")
-    m = x.finite_support_max()
+    m = x.rule.finite_support_max()
     if m is None:
         raise PreconditionError("exact evaluation needs declared finite support")
     if n > m:
@@ -392,7 +379,7 @@ def tail_upper_bound(x: CirclePoint, j: int, t: int = 8) -> Fraction:
     if j < 1:
         raise PreconditionError(f"tail start must be >= 1, got {j}")
     a = x.seq.term(j - 1)
-    if x.finite_support_max() is not None:
+    if x.rule.finite_support_max() is not None:
         return frac_exact(x, j) / a
     num, den = x.window(j, t)
     return Fraction(num + 1, den * a)
@@ -411,7 +398,7 @@ class EnclosureCache:
         self.x = x
         self.depth = max(depth, 0)
         self.cap = DEPTH_CAP if cap is None else cap
-        self._fs_max = x.finite_support_max()
+        self._fs_max = x.rule.finite_support_max()
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
@@ -602,6 +589,8 @@ class EnclosureCache:
             if held is not None:
                 j = k + 1 + base  # the digit block k's window adds
                 if known is not None and j > known:
+                    if not stored:  # block k - 1's window, as a row-by-row pass leaves it
+                        self._win = (k - 1, base, num, den)
                     held = None
                 else:
                     held.popleft()
@@ -750,7 +739,7 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
         strict = text.startswith("exact:")
         value = fraction(text.partition(":")[2], "a rational point")
         x = digits_from_rational(value, seq, horizon)
-        if strict and x.finite_support_max() is None:
+        if strict and x.rule.finite_support_max() is None:
             raise HorizonError(
                 f"expansion of {value} did not terminate within {horizon} "
                 "digits; raise the expansion horizon or use rat: for a "

@@ -94,11 +94,9 @@ def _cmd_lift(p: dict):
     s = parse_set_expr(str(expr), seq)
     lifted = lift(s, seq.derived)
     horizon = int_param(p, "horizon")
-    try:
-        intervals = lifted.to_intervals()
-    except PreconditionError:  # unbounded: print the runs up to the horizon
-        if horizon < 1:
-            raise PreconditionError(f"prefix bound must be >= 1, got {horizon}")
+    if horizon < 1:
+        raise PreconditionError(f"prefix bound must be >= 1, got {horizon}")
+    if not isinstance(lifted, IntervalNatSet):  # print the runs up to the horizon
         pieces = []
         for lo, hi in lifted.walk():  # pull no further than [1, horizon] needs
             if lo > horizon:
@@ -109,9 +107,9 @@ def _cmd_lift(p: dict):
         terse = _render(IntervalNatSet(pieces).intervals)
         return terse, {"set": str(expr), "prefix": terse, "horizon": horizon,
                        "clipped": True}, None
-    report = {"set": str(expr), "intervals": [list(iv) for iv in intervals],
+    report = {"set": str(expr), "intervals": [list(iv) for iv in lifted.intervals],
               "clipped": False}
-    return _render(intervals), report, None
+    return _render(lifted.intervals), report, None
 
 
 def _cmd_scan(p: dict):
@@ -205,7 +203,7 @@ def _witness_family(p: dict):
                                    int_param(p, "scan_limit"))
     zeta = tuple(ints_param(p, "zeta"))
     x = continuum_family_point(a_set, zeta, seq)
-    support = [n for n in range(1, (x.finite_support_max() or 0) + 1)
+    support = [n for n in range(1, (x.rule.finite_support_max() or 0) + 1)
                if x.digit(n)]
     report = {"op": p["op"], "zeta": list(zeta), "support": support,
               "point": x.describe()}

@@ -2,9 +2,10 @@
 
 Three set representations are supported: bounded unions of closed intervals
 (a finite element list is a union of one-point intervals), rule-generated
-interval families (possibly unbounded), and predicates with a declared
-evaluation horizon. Prefix counting follows the convention that the naturals
-start at 1, so the density estimate at N uses the window [1, N].
+interval families, and predicates; only the first is finite, and the other
+two state whether they are cofinite. Prefix counting follows the convention
+that the naturals start at 1, so the density estimate at N uses the window
+[1, N].
 
 The lifting map sends a set A of block indices to
 L(A) = union over k in A of [n_{k-1}, n_k - 1] in derived-index space.
@@ -16,9 +17,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterable, Iterator
 
-from .errors import HorizonError, PreconditionError, SpecParseError
+from .errors import PreconditionError, SpecParseError
 from .parse import enclosed, integer, integers
 from .sequences import ArithSeq, DerivedSeq, cube_block_edges
 
@@ -42,20 +44,15 @@ __all__ = [
 class NatSet:
     """Abstract subset of {1, 2, 3, ...}.
 
-    Membership queries are total for every n up to ``horizon`` (None meaning
-    unbounded); anything beyond raises HorizonError rather than guessing.
-    ``is_finite``/``is_cofinite`` are declared traits: True/False when known,
-    None when the representation cannot decide.
+    ``is_finite`` and ``is_cofinite`` are exact: a finite set is an
+    ``IntervalNatSet``, and every unbounded set states whether its
+    complement is finite.
     """
 
-    horizon: int | None = None
-    is_finite: bool | None = None
-    is_cofinite: bool | None = None
+    is_finite: bool
+    is_cofinite: bool
 
     def __contains__(self, n: int) -> bool:
-        raise NotImplementedError
-
-    def count_upto(self, N: int) -> int:
         raise NotImplementedError
 
     def iter_upto(self, N: int) -> Iterator[int]:
@@ -66,14 +63,6 @@ class NatSet:
     def _check(self, N: int) -> None:
         if N < 1:
             raise PreconditionError(f"prefix bound must be >= 1, got {N}")
-        if self.horizon is not None and N > self.horizon:
-            raise HorizonError(
-                f"query up to {N} exceeds the declared horizon {self.horizon}"
-            )
-
-    def to_intervals(self) -> tuple[tuple[int, int], ...]:
-        """Canonical disjoint closed intervals; only for exactly bounded sets."""
-        raise PreconditionError(f"{type(self).__name__} is not an exactly bounded set")
 
 
 def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -130,9 +119,6 @@ class IntervalNatSet(NatSet):
                 break
             yield from range(lo, min(hi, N) + 1)
 
-    def to_intervals(self):
-        return self.intervals
-
     def __eq__(self, other):
         if isinstance(other, IntervalNatSet):
             return self.intervals == other.intervals
@@ -150,20 +136,18 @@ class LazyIntervalNatSet(NatSet):
 
     The factory returns an iterator of (lo, hi) pairs with strictly increasing
     lo and disjoint ranges; adjacent ranges are merged during materialization.
-    The family may be unbounded. A factory may raise HorizonError to signal
-    that it cannot enumerate further.
+    The family is infinite; ``is_cofinite`` says whether it ends in an
+    endless run.
     """
 
     is_finite = False
 
     def __init__(self, factory: Callable[[], Iterator[tuple[int, int]]],
-                 horizon: int | None = None, is_cofinite: bool | None = None,
-                 name: str = "rule-intervals"):
+                 is_cofinite: bool, name: str = "rule-intervals"):
         self._factory = factory
         self._iter: Iterator[tuple[int, int]] | None = None
         self._ivals: list[tuple[int, int]] = []
         self._exhausted = False
-        self.horizon = horizon
         self.is_cofinite = is_cofinite
         self.name = name
 
@@ -194,16 +178,6 @@ class LazyIntervalNatSet(NatSet):
         self._extend_to(n)
         i = bisect_right(self._ivals, (n, math.inf)) - 1
         return i >= 0 and self._ivals[i][0] <= n <= self._ivals[i][1]
-
-    def count_upto(self, N):
-        self._check(N)
-        self._extend_to(N)
-        total = 0
-        for lo, hi in self._ivals:
-            if lo > N:
-                break
-            total += min(hi, N) - lo + 1
-        return total
 
     def iter_upto(self, N):
         self._check(N)
@@ -239,30 +213,19 @@ class LazyIntervalNatSet(NatSet):
 
 
 class PredicateNatSet(NatSet):
-    """Membership by predicate, sampled only up to the declared horizon."""
+    """An infinite set given by a membership predicate; ``is_cofinite`` says
+    whether the predicate fails only finitely often."""
 
-    def __init__(self, pred: Callable[[int], bool], horizon: int | None = None,
-                 name: str = "predicate", is_finite: bool | None = None,
-                 is_cofinite: bool | None = None):
+    is_finite = False
+
+    def __init__(self, pred: Callable[[int], bool], is_cofinite: bool,
+                 name: str = "predicate"):
         self._pred = pred
-        self.horizon = horizon
-        self.name = name
-        self.is_finite = is_finite
         self.is_cofinite = is_cofinite
-        self._cum = [0]
+        self.name = name
 
     def __contains__(self, n):
-        if n < 1:
-            return False
-        self._check(n)
-        return bool(self._pred(n))
-
-    def count_upto(self, N):
-        self._check(N)
-        while len(self._cum) <= N:
-            n = len(self._cum)
-            self._cum.append(self._cum[-1] + (1 if self._pred(n) else 0))
-        return self._cum[N]
+        return n >= 1 and bool(self._pred(n))
 
     def __repr__(self):
         return f"PredicateNatSet({self.name})"
@@ -342,31 +305,13 @@ def _interval_op(op: str, a: tuple[tuple[int, int], ...],
     return _merge_intervals(out)
 
 
-def _min_horizon(a: NatSet, b: NatSet) -> int | None:
-    if a.horizon is None:
-        return b.horizon
-    if b.horizon is None:
-        return a.horizon
-    return min(a.horizon, b.horizon)
-
-
-def set_algebra(op: str, a: NatSet, b: NatSet) -> NatSet:
-    """union / intersect / difference, exact on bounded representations.
-
-    Two interval unions combine to an interval union; otherwise the result
-    is a predicate with the smaller horizon.
-    """
+def set_algebra(op: str, a: IntervalNatSet, b: IntervalNatSet) -> IntervalNatSet:
+    """union / intersect / difference of two bounded interval unions."""
     if op not in ("union", "intersect", "difference"):
         raise PreconditionError(f"unknown set operation {op!r}")
-    if isinstance(a, IntervalNatSet) and isinstance(b, IntervalNatSet):
-        return IntervalNatSet(_interval_op(op, a.intervals, b.intervals))
-    if op == "union":
-        pred = lambda n: n in a or n in b
-    elif op == "intersect":
-        pred = lambda n: n in a and n in b
-    else:
-        pred = lambda n: n in a and n not in b
-    return PredicateNatSet(pred, horizon=_min_horizon(a, b), name=f"{op}-combination")
+    if not (isinstance(a, IntervalNatSet) and isinstance(b, IntervalNatSet)):
+        raise PreconditionError("set algebra takes bounded interval unions only")
+    return IntervalNatSet(_interval_op(op, a.intervals, b.intervals))
 
 
 def translate(s: NatSet, m: int) -> NatSet:
@@ -387,22 +332,18 @@ def translate(s: NatSet, m: int) -> NatSet:
                 if hi > m:
                     yield max(lo - m, 1), hi - m
 
-        horizon = None if src.horizon is None else max(src.horizon - m, 0)
-        return LazyIntervalNatSet(factory, horizon=horizon,
-                                  is_cofinite=src.is_cofinite,
+        return LazyIntervalNatSet(factory, src.is_cofinite,
                                   name=f"shift({src.name},{m})")
-    horizon = None if s.horizon is None else max(s.horizon - m, 0)
-    return PredicateNatSet(lambda n: (n + m) in s, horizon=horizon,
-                           name=f"shift({s.name},{m})", is_finite=s.is_finite,
-                           is_cofinite=s.is_cofinite)
+    return PredicateNatSet(lambda n: (n + m) in s, s.is_cofinite,
+                           name=f"shift({s.name},{m})")
 
 
 def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
     """L(S) = union over k in S of the derived-index block [n_{k-1}, n_k - 1].
 
     Injective on block-index sets and commuting with union, intersection and
-    difference. The representation class is preserved where possible:
-    interval unions lift to interval unions, rule sets to rule sets.
+    difference, so it keeps a set finite, cofinite or neither. Interval
+    unions lift to interval unions, every other set to a rule set.
     """
     if isinstance(s, IntervalNatSet):
         return IntervalNatSet(
@@ -416,32 +357,17 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
             for lo, hi in src.walk():
                 yield derived.boundary(lo - 1), derived.boundary(hi) - 1
 
-        return LazyIntervalNatSet(factory, horizon=_lift_horizon(src, derived),
-                                  name=f"lift({src.name})")
+        return LazyIntervalNatSet(factory, src.is_cofinite, name=f"lift({src.name})")
     src = s
 
     def factory():
         # one block per member; LazyIntervalNatSet merges adjacent blocks, and
         # a set with an unbounded run (such as all) still answers every query
-        k = 1
-        while src.horizon is None or k <= src.horizon:
+        for k in count(1):
             if k in src:
                 yield derived.boundary(k - 1), derived.boundary(k) - 1
-            k += 1
-        if src.horizon is not None:
-            raise HorizonError(
-                f"lift of {src.name} is only decided up to derived index "
-                f"{derived.boundary(src.horizon) - 1}"
-            )
 
-    return LazyIntervalNatSet(factory, horizon=_lift_horizon(src, derived),
-                              name=f"lift({getattr(src, 'name', 'set')})")
-
-
-def _lift_horizon(s: NatSet, derived: DerivedSeq) -> int | None:
-    if s.horizon is None:
-        return None
-    return derived.boundary(s.horizon) - 1
+    return LazyIntervalNatSet(factory, src.is_cofinite, name=f"lift({src.name})")
 
 
 # ===== Stock sets and the set-expression language ===========================
@@ -449,22 +375,19 @@ def _lift_horizon(s: NatSet, derived: DerivedSeq) -> int | None:
 
 def cube_gap_blocks() -> LazyIntervalNatSet:
     """The block set with g_1 = 1, h_j - g_j = j^3, g_{j+1} - h_j = j; density 1."""
-    return LazyIntervalNatSet(cube_block_edges, is_cofinite=False, name="blocks:cube-gap")
+    return LazyIntervalNatSet(cube_block_edges, False, name="blocks:cube-gap")
 
 
 def evens() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: n % 2 == 0, name="evens",
-                           is_finite=False, is_cofinite=False)
+    return PredicateNatSet(lambda n: n % 2 == 0, False, name="evens")
 
 
 def squares() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: math.isqrt(n) ** 2 == n, name="squares",
-                           is_finite=False, is_cofinite=False)
+    return PredicateNatSet(lambda n: math.isqrt(n) ** 2 == n, False, name="squares")
 
 
 def full_set() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: True, name="all",
-                           is_finite=False, is_cofinite=True)
+    return PredicateNatSet(lambda n: True, True, name="all")
 
 
 def parse_set_expr(text: str, seq: ArithSeq | None = None) -> NatSet:

@@ -54,9 +54,9 @@ def finite_support_member(x: CirclePoint) -> MemberVerdict:
     rather than on anything computed here, so the verdict flags itself as
     citation-dependent.
     """
-    kind = x.support_kind()
+    kind = x.rule.support_kind()
     if kind == "finite":
-        m = x.finite_support_max()
+        m = x.rule.finite_support_max()
         cutoff = x.seq.derived.boundary(m) if m > 0 else 1
         return MemberVerdict(
             status="member",

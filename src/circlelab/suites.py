@@ -82,7 +82,7 @@ def lift_algebra(params: dict | None = None) -> dict:
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
         for k in range(1, 26):
-            block = tuple(lift(IntervalNatSet([(k, k)]), seq.derived).to_intervals())
+            block = lift(IntervalNatSet([(k, k)]), seq.derived).intervals
             want = ((seq.derived.boundary(k - 1), seq.derived.boundary(k) - 1),)
             if block != want or block[0][1] - block[0][0] + 1 != seq.ratio(k) - 1:
                 counterexample = {"spec": spec_text, "kind": "block-size", "k": k}
@@ -96,8 +96,8 @@ def lift_algebra(params: dict | None = None) -> dict:
             sa, sb = (IntervalNatSet((v, v) for v in e) for e in (a, b))
             la, lb = lift(sa, seq.derived), lift(sb, seq.derived)
             for op in ("union", "intersect", "difference"):
-                left = lift(set_algebra(op, sa, sb), seq.derived).to_intervals()
-                right = set_algebra(op, la, lb).to_intervals()
+                left = lift(set_algebra(op, sa, sb), seq.derived).intervals
+                right = set_algebra(op, la, lb).intervals
                 if left != right:
                     counterexample = {"spec": spec_text, "kind": op,
                                       "a": a, "b": b,
@@ -106,7 +106,7 @@ def lift_algebra(params: dict | None = None) -> dict:
                 identities += 1
             if counterexample:
                 break
-            if a != b and la.to_intervals() == lb.to_intervals():
+            if a != b and la.intervals == lb.intervals:
                 counterexample = {"spec": spec_text, "kind": "injectivity",
                                   "a": a, "b": b}
                 break
@@ -264,7 +264,7 @@ def wdli_shrink(params: dict | None = None) -> dict:
         counterexample = {"kind": "last-bound", "hi": str(his[-1]),
                           "bound": str(p["last_bound"])}
     return {"suite": "wdli-shrink", "params": plainify(p),
-            "witness_set": list(a_set.iter_upto(a_set.to_intervals()[-1][1])),
+            "witness_set": list(a_set.iter_upto(a_set.intervals[-1][1])),
             "support": x.rule.describe(),
             "bounds": [{"N": e.N, "lo": str(e.lo), "hi": str(e.hi),
                         "undecided": e.undecided_count} for e in scan.estimates],

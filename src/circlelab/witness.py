@@ -97,7 +97,7 @@ class WitnessReport:
 # ===== Continuum family ======================================================
 
 
-def continuum_family_point(a_set: NatSet, zeta: Sequence[int],
+def continuum_family_point(a_set: IntervalNatSet, zeta: Sequence[int],
                            seq: ArithSeq) -> CirclePoint:
     """The point with c_n = 1 on {A_{2k + zeta_k} : 1 <= k <= len(zeta)}.
 
@@ -105,10 +105,9 @@ def continuum_family_point(a_set: NatSet, zeta: Sequence[int],
     give points with distinct supports, which is what makes the family large.
     Requires at least 2*len(zeta) + 2 listed elements.
     """
-    if a_set.is_finite is not True:
+    if not isinstance(a_set, IntervalNatSet):
         raise PreconditionError("the index set must be finite and listable")
-    ivals = a_set.to_intervals()
-    elems = list(a_set.iter_upto(ivals[-1][1])) if ivals else []
+    elems = [n for lo, hi in a_set.intervals for n in range(lo, hi + 1)]
     if any(bit not in (0, 1) for bit in zeta):
         raise PreconditionError("selector entries must be 0 or 1")
     need = 2 * len(zeta) + 2
@@ -218,7 +217,7 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
         raise PreconditionError("n0 must exceed 12")
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
-    kind = x.support_kind()
+    kind = x.rule.support_kind()
     if kind == "finite":
         raise PreconditionError(
             "the escape construction needs infinite support; finite-support "
@@ -311,7 +310,7 @@ def bad_interval_family(x: CirclePoint, branch_set: NatSet, case: str,
     return IntervalNatSet(parts)
 
 
-def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
+def certify_nonmembership(x: CirclePoint, bad: IntervalNatSet, case: str, m0: int,
                           n0: int, t: int, horizon: int) -> WitnessReport:
     """Certify the escape band over the bad intervals up to the horizon.
 
@@ -334,14 +333,12 @@ def certify_nonmembership(x: CirclePoint, bad: NatSet, case: str, m0: int,
         raise PreconditionError(f"case must be 'small' or 'large', got {case!r}")
     if horizon < 1:
         raise PreconditionError(f"horizon must be >= 1, got {horizon}")
+    if not isinstance(bad, IntervalNatSet):
+        raise PreconditionError("the bad set must be a bounded interval union")
     cache = EnclosureCache(x, depth=t)
-    try:
-        runs = bad.to_intervals()
-    except PreconditionError:  # not exactly bounded: gather its runs
-        runs = IntervalNatSet((i, i) for i in bad.iter_upto(horizon)).intervals
     segments = []
     total = n_in = n_und = 0
-    for lo, hi in runs:
+    for lo, hi in bad.intervals:
         if lo > horizon:
             break
         hi = min(hi, horizon)

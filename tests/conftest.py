@@ -39,7 +39,7 @@ def window_from_scratch(x: CirclePoint, n: int, t: int) -> tuple[int, int]:
 
 def as_fraction(x: CirclePoint) -> Fraction:
     """Exact value sum c_n / a_n; defined only for declared finite support."""
-    m = x.finite_support_max()
+    m = x.rule.finite_support_max()
     if m is None:
         raise PreconditionError("as_fraction needs declared finite support")
     total = Fraction(0)

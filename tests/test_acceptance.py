@@ -82,10 +82,10 @@ def test_c02_lifting_algebra():
             )
             for name, left in pairs:
                 right = set_algebra(name, la, lb)
-                if left.to_intervals() != right.to_intervals():
+                if left.intervals != right.intervals:
                     failures.append(f"{name} broke on {sorted(a)}, {sorted(b)} "
                                     f"under {seq.describe()}")
-            if a != b and la.to_intervals() == lb.to_intervals():
+            if a != b and la.intervals == lb.intervals:
                 failures.append(f"injectivity broke on {sorted(a)}, {sorted(b)}")
             checked += 1
     if checked != 600:

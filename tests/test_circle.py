@@ -19,7 +19,7 @@ from circlelab.circle import (
     parse_point,
     tail_upper_bound,
 )
-from circlelab.density import IntervalNatSet, full_set
+from circlelab.density import IntervalNatSet, cube_gap_blocks, evens, full_set, lift
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
 from conftest import FuncDigits, as_fraction, elem_set, window_from_scratch
@@ -58,7 +58,7 @@ def test_greedy_expansion_example():
 def test_greedy_expansion_reconstructs_value(value):
     # every drawn denominator divides a_6 = 6!, so the expansion terminates
     x = digits_from_rational(value, LINEAR1)
-    assert x.support_kind() == "finite"
+    assert x.rule.support_kind() == "finite"
     assert as_fraction(x) == value
 
 
@@ -70,7 +70,7 @@ def test_greedy_digits_are_canonical_range():
 
 def test_nonterminating_expansion_is_capped():
     x = digits_from_rational(Fraction(1, 3), POW2, horizon=12)
-    assert x.finite_support_max() is None
+    assert x.rule.finite_support_max() is None
     assert x.rule.known_upto == 12
     x.digit(12)
     with pytest.raises(HorizonError):
@@ -105,7 +105,7 @@ def test_support_and_quasi_support():
     # c_n = b_n - 1 at n = 1 (b=2) and n = 3 (b=4)
     assert [n for n in range(1, 11) if x.digit(n) == LINEAR1.ratio(n) - 1] == [1, 3]
     # the support ends at the last nonzero digit
-    assert x.finite_support_max() == 4
+    assert x.rule.finite_support_max() == 4
     assert [FiniteDigits(c).finite_support_max()
             for c in ([], [0, 0], [0, 2, 0, 0])] == [0, 0, 2]
 
@@ -409,7 +409,7 @@ def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
     # own window exact
     seq = _WINDOW_SPECS[spec]
     x = data.draw(slide_points(seq))
-    m = x.finite_support_max()
+    m = x.rule.finite_support_max()
     value = as_fraction(x) if m is not None else None
     cache = EnclosureCache(x, depth=depth, cap=cap)
     n = 1
@@ -464,23 +464,18 @@ def test_tail_bound_slides_its_window(monkeypatch):
     assert len(reads) <= 30 + 9
 
 
-def test_indicator_support_end_is_computed_once(monkeypatch):
-    # the support end of a finite set is kept after the first call; the
+def test_indicator_support_end_is_computed_once():
+    # the support end of a finite set is fixed when the rule is built; the
     # tail bound reads it directly and through frac_exact for every j
     x = parse_point("ones-on:fin:{2,5,9,40}", POW2)
+    assert x.rule.finite_support_max() == 40
+    assert IndicatorDigits(IntervalNatSet()).finite_support_max() == 0
+    for s in (evens(), cube_gap_blocks(), lift(full_set(), POW2.derived)):
+        assert IndicatorDigits(s).finite_support_max() is None
     value = sum(Fraction(1, POW2.term(n)) for n in (2, 5, 9, 40))
-    calls = []
-    to_intervals = IntervalNatSet.to_intervals
-
-    def counted(self):
-        calls.append(1)
-        return to_intervals(self)
-
-    monkeypatch.setattr(IntervalNatSet, "to_intervals", counted)
     for j in range(1, 31):
         a = POW2.term(j - 1)
         assert tail_upper_bound(x, j) == mod1(a * value) / a
-    assert len(calls) == 1
 
 
 def test_window_walk_reads_each_step_once(monkeypatch):
@@ -489,7 +484,7 @@ def test_window_walk_reads_each_step_once(monkeypatch):
     # and each deepening reads one digit, so a start costs at most 9 reads
     # besides the support digits (a rebuild per window reads 45 per start)
     x = parse_point("finite:[1,0,2,1,0,1,0,0,1,1]", LINEAR1)
-    m = x.finite_support_max()
+    m = x.rule.finite_support_max()
     value = as_fraction(x)
     reads = _count_digit_reads(monkeypatch)
     for n in range(1, m + 3):
@@ -539,5 +534,5 @@ def test_floor_div_validation_on_access():
 
 def test_indicator_point_digits():
     x = CirclePoint(POW2, IndicatorDigits(elem_set([1, 4])))
-    assert x.finite_support_max() == 4
+    assert x.rule.finite_support_max() == 4
     assert as_fraction(x) == Fraction(1, 2) + Fraction(1, 1024)

@@ -52,9 +52,11 @@ def test_lift_clipped(capsys):
         terse, _, _ = run_config({"subcommand": "lift", "params": {
             "spec": spec, "set": expr, "horizon": horizon}})
         assert terse == f"[1,{horizon}]"
-    err = capture(capsys, "lift", "--spec", "linear:1", "--set", "evens",
-                  "--horizon", "0", expect=3).err
-    assert "prefix bound must be >= 1" in err
+    # a horizon below 1 is refused for bounded and unbounded sets alike
+    for expr in ("evens", "fin:{3}", "lift(fin:{3})", "fin:{}"):
+        err = capture(capsys, "lift", "--spec", "linear:1", "--set", expr,
+                      "--horizon", "0", expect=3).err
+        assert "prefix bound must be >= 1" in err
 
 
 def test_scan_example(capsys):
@@ -174,6 +176,27 @@ def test_witness_partition_terse(capsys):
     out = capture(capsys, "witness", "--spec", "pow:2", "--op", "partition",
                   "--x", "ones-on:all")
     assert out.out == "branch=cofinite,a1=11,a2=0,a3=2\n"
+
+
+def test_lift_keeps_a_cofinite_support(capsys):
+    # lift(all) is every derived index, so its indicator point is the
+    # all-ones point: the same partition, escape witness and membership call
+    def run(op, x):
+        terse, doc, _ = run_config({"subcommand": "witness", "params": {
+            "spec": "pow:2", "x": x, "op": op}})
+        doc.pop("point", None)
+        return terse, doc
+
+    for op, terse in (("partition", "branch=cofinite,a1=11,a2=0,a3=2"),
+                      ("escape", "certified=9825,violations=0,undecided=0")):
+        lifted = run(op, "ones-on:lift(all)")
+        assert lifted == run(op, "ones-on:all")
+        assert lifted[0] == terse
+    # under const:2 both are the non-canonical expansion 1 = 0
+    for x in ("ones-on:all", "ones-on:lift(all)"):
+        err = capture(capsys, "classify", "--check", "member", "--spec", "const:2",
+                      "--x", x, expect=3).err
+        assert "non-canonical" in err
 
 
 def test_verify_pass(capsys):

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from circlelab.density import (
     DensityEstimate,
     IntervalNatSet,
-    LazyIntervalNatSet,
     PredicateNatSet,
     cube_gap_blocks,
     evens,
@@ -21,7 +20,7 @@ from circlelab.density import (
     squares,
     translate,
 )
-from circlelab.errors import HorizonError, PreconditionError, SpecParseError
+from circlelab.errors import PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
 from conftest import elem_set
 
@@ -38,7 +37,7 @@ def test_finite_set_basics():
     assert list(s.iter_upto(10)) == [2, 5, 9]
     assert s.count_upto(6) == 2
     assert 5 in s and 4 not in s and 0 not in s
-    assert s.to_intervals() == ((2, 2), (5, 5), (9, 9))
+    assert s.intervals == ((2, 2), (5, 5), (9, 9))
     assert s.is_finite is True
 
 
@@ -58,7 +57,7 @@ def test_interval_set_merges_and_counts(pairs):
     # unsorted, overlapping and adjacent pairs against the brute-force members
     members = _members(pairs)
     s = IntervalNatSet(pairs)
-    for ivals in (s.to_intervals(), elem_set(members).to_intervals()):
+    for ivals in (s.intervals, elem_set(members).intervals):
         assert _members(ivals) == members
         # canonical: increasing, non-empty, neither overlapping nor adjacent
         assert all(lo <= hi for lo, hi in ivals)
@@ -75,7 +74,7 @@ def test_finite_equals_interval_form():
     # equal sets hash alike, so a set of NatSets keeps one of them
     assert len({elem_set([1, 2, 3]), IntervalNatSet([(1, 3)])}) == 1
     assert len({elem_set([1, 3]), IntervalNatSet([(1, 3)])}) == 2
-    lazy = LazyIntervalNatSet(lambda: iter([(1, 3)]))
+    lazy = cube_gap_blocks()
     assert len({lazy, lazy, IntervalNatSet([(1, 3)])}) == 2
     assert elem_set([1, 3]) != IntervalNatSet([(1, 3)])
 
@@ -89,21 +88,14 @@ def test_set_validation():
         elem_set([2]).count_upto(0)
 
 
-def test_predicate_horizon_is_hard():
-    s = PredicateNatSet(lambda n: n % 3 == 0, horizon=30)
-    assert s.count_upto(30) == 10
-    with pytest.raises(HorizonError):
-        s.count_upto(31)
-    with pytest.raises(HorizonError):
-        31 in s
-    with pytest.raises(PreconditionError):
-        s.to_intervals()
+def _count(s, N: int) -> int:
+    return sum(1 for _ in s.iter_upto(N))
 
 
 def test_stock_sets():
-    assert evens().count_upto(100) == 50
-    assert squares().count_upto(100) == 10
-    assert full_set().count_upto(17) == 17
+    assert _count(evens(), 100) == 50
+    assert _count(squares(), 100) == 10
+    assert _count(full_set(), 17) == 17
     assert 49 in squares() and 50 not in squares()
 
 
@@ -121,23 +113,29 @@ def test_algebra_matches_python_sets(a, b):
 def test_interval_algebra():
     a = IntervalNatSet([(1, 10), (20, 30)])
     b = IntervalNatSet([(5, 25)])
-    assert set_algebra("union", a, b).to_intervals() == ((1, 30),)
-    assert set_algebra("intersect", a, b).to_intervals() == ((5, 10), (20, 25))
-    assert set_algebra("difference", a, b).to_intervals() == ((1, 4), (26, 30))
+    assert set_algebra("union", a, b).intervals == ((1, 30),)
+    assert set_algebra("intersect", a, b).intervals == ((5, 10), (20, 25))
+    assert set_algebra("difference", a, b).intervals == ((1, 4), (26, 30))
 
 
-def test_mixed_algebra_takes_smaller_horizon():
-    s = set_algebra("intersect", evens(), PredicateNatSet(lambda n: n > 4, horizon=50))
-    assert s.count_upto(50) == 23
-    with pytest.raises(HorizonError):
-        s.count_upto(51)
+def test_algebra_refuses_unbounded_operands():
+    a = IntervalNatSet([(1, 10)])
+    unbounded = (evens(), full_set(), cube_gap_blocks(), lift(full_set(), LINEAR1.derived))
+    for other in unbounded:
+        for op in ("union", "intersect", "difference"):
+            with pytest.raises(PreconditionError):
+                set_algebra(op, a, other)
+            with pytest.raises(PreconditionError):
+                set_algebra(op, other, a)
+    with pytest.raises(PreconditionError):
+        set_algebra("xor", a, a)
 
 
 # ----- translation -----------------------------------------------------------
 
 def test_translate_forms():
     assert set(translate(elem_set([3, 4, 9]), 3).iter_upto(10)) == {1, 6}
-    assert translate(IntervalNatSet([(4, 6)]), 5).to_intervals() == ((1, 1),)
+    assert translate(IntervalNatSet([(4, 6)]), 5).intervals == ((1, 1),)
     odd = translate(evens(), 1)
     assert list(odd.iter_upto(7)) == [1, 3, 5, 7]
     with pytest.raises(PreconditionError):
@@ -177,7 +175,7 @@ def test_translate_lazy_interval_set():
 
 def test_lift_single_block():
     lifted = lift(elem_set([3]), LINEAR1.derived)
-    assert lifted.to_intervals() == ((4, 6),)
+    assert lifted.intervals == ((4, 6),)
 
 
 def test_lift_block_sizes():
@@ -185,7 +183,7 @@ def test_lift_block_sizes():
     for seq in (LINEAR1, POW2):
         for k in range(1, 10):
             lifted = lift(elem_set([k]), seq.derived)
-            (lo, hi), = lifted.to_intervals()
+            (lo, hi), = lifted.intervals
             assert hi - lo + 1 == seq.ratio(k) - 1
 
 
@@ -218,7 +216,7 @@ def test_lift_injective(a, b):
 
 def test_lift_adjacent_blocks_merge():
     lifted = lift(elem_set([2, 3]), LINEAR1.derived)
-    assert lifted.to_intervals() == ((2, 6),)
+    assert lifted.intervals == ((2, 6),)
 
 
 def test_lift_lazy_set():
@@ -231,16 +229,15 @@ def test_lift_lazy_set():
     assert set(lifted.iter_upto(upper)) == {n for n in want if n <= upper}
 
 
-def test_lift_predicate_set_and_horizon():
+def test_lift_predicate_set():
     d = LINEAR1.derived
-    lifted = lift(PredicateNatSet(lambda n: n % 2 == 0, horizon=6), d)
+    lifted = lift(evens(), d)
     cap = d.boundary(6) - 1
     want = set()
     for k in (2, 4, 6):
         want.update(range(d.boundary(k - 1), d.boundary(k)))
     assert set(lifted.iter_upto(cap)) == want
-    with pytest.raises(HorizonError):
-        lifted.count_upto(cap + 1)
+    assert (lifted.is_finite, lifted.is_cofinite) == (False, False)
 
 
 def test_lift_and_shift_of_unbounded_runs():
@@ -250,7 +247,7 @@ def test_lift_and_shift_of_unbounded_runs():
     def block_of(n):
         return d.decompose(n)[0] + 1
 
-    tail = PredicateNatSet(lambda n: n >= 4, name="from-4")
+    tail = PredicateNatSet(lambda n: n >= 4, True, name="from-4")
     cases = [
         (lift(full_set(), d), lambda n: True),
         (lift(tail, d), lambda n: block_of(n) >= 4),
@@ -259,14 +256,55 @@ def test_lift_and_shift_of_unbounded_runs():
     ]
     for s, member in cases:
         assert [n in s for n in range(1, 200)] == [member(n) for n in range(1, 200)]
-        assert s.count_upto(150) == sum(member(n) for n in range(1, 151))
+        assert _count(s, 150) == sum(member(n) for n in range(1, 151))
+        assert (s.is_finite, s.is_cofinite) == (False, True)
     assert list(parse_set_expr("lift(all)", LINEAR1).iter_upto(5)) == [1, 2, 3, 4, 5]
     # a source read ahead between two pulls of its lift loses no interval
     src, ref = cube_gap_blocks(), cube_gap_blocks()
     lifted = lift(src, d)
     for n in range(1, 400, 7):
         assert (n in lifted) == (block_of(n) in ref)
-        src.count_upto(3 * n)
+        3 * n in src
+
+
+# Set expressions of depth <= 2 whose finite members all lie below W1: with
+# elements up to 6, lift(lift(ivl:[1,6])) ends at 231 under linear:1. W2 is
+# past a non-member of lift(lift(blocks:cube-gap)) (3082) and members of
+# lift(lift(squares)) (667..1035) under linear:1, the sparsest of the others.
+_W1, _W2 = 300, 4000
+_atoms = st.one_of(
+    st.frozensets(st.integers(1, 6), max_size=4).map(
+        lambda e: "fin:{" + ",".join(map(str, sorted(e))) + "}"),
+    st.tuples(st.integers(1, 6), st.integers(0, 5)).map(
+        lambda t: f"ivl:[{t[0]},{min(t[0] + t[1], 6)}]"),
+    st.sampled_from(("evens", "squares", "all", "blocks:cube-gap")),
+)
+
+
+def _wrap(inner):
+    return st.one_of(inner.map(lambda e: f"lift({e})"),
+                     st.tuples(inner, st.integers(0, 3)).map(
+                         lambda t: f"shift({t[0]},{t[1]})"))
+
+
+_exprs = st.one_of(_atoms, _wrap(_atoms), _wrap(_wrap(_atoms)))
+
+
+@given(expr=_exprs, seq=st.sampled_from((LINEAR1, ArithSeq(RatioSpec.parse("const:3")))))
+@settings(max_examples=150, deadline=None)
+def test_traits_match_brute_force(expr, seq):
+    s = parse_set_expr(expr, seq)
+    assert type(s.is_finite) is bool and type(s.is_cofinite) is bool
+    assert s.is_finite is isinstance(s, IntervalNatSet)
+    members = set(s.iter_upto(_W2))
+    late = {n for n in members if n > _W1}
+    late_gaps = set(range(_W1 + 1, _W2 + 1)) - late
+    if s.is_finite:
+        assert not late  # no member past W1
+    elif s.is_cofinite:
+        assert not late_gaps  # no non-member past W1
+    else:
+        assert late and late_gaps
 
 
 def test_walk_yields_increasing_pieces():
@@ -286,8 +324,8 @@ def test_walk_yields_increasing_pieces():
 
 def test_prefix_density_values():
     for N in (10, 37, 100):
-        assert evens().count_upto(N) == N // 2
-        assert squares().count_upto(N) == math.isqrt(N)
+        assert _count(evens(), N) == N // 2
+        assert _count(squares(), N) == math.isqrt(N)
 
 
 def test_density_estimate_bookkeeping():
@@ -302,17 +340,17 @@ def test_density_estimate_bookkeeping():
 def test_cube_gap_density_climbs_to_one():
     s = cube_gap_blocks()
     # count at the end of block j: sum over i <= j of (i^3 + 1)
-    assert s.count_upto(107) == 104
+    assert _count(s, 107) == 104
     # density dips to a local minimum just before each block starts; those
     # minima still climb to 1
     minima = []
     cnt = 0
     for j, (g, h) in zip(range(1, 18), cube_block_edges()):
         if j >= 3:  # the gap before block 2 has width 0
-            minima.append(Fraction(s.count_upto(g - 1), g - 1))
-            assert s.count_upto(g - 1) == cnt
+            minima.append(Fraction(_count(s, g - 1), g - 1))
+            assert _count(s, g - 1) == cnt
         cnt += h - g + 1
-        assert s.count_upto(h) == cnt
+        assert _count(s, h) == cnt
     assert all(a < b for a, b in zip(minima, minima[1:]))
     assert minima[-1] > Fraction(99, 100)
 
@@ -324,9 +362,9 @@ def test_parse_set_expr_forms():
     assert parse_set_expr("ivl:[4,6]+[9,12]") == IntervalNatSet([(4, 6), (9, 12)])
     assert parse_set_expr("fin:{}") == elem_set([])
     assert list(parse_set_expr("shift(evens,1)").iter_upto(5)) == [1, 3, 5]
-    assert parse_set_expr("lift(fin:{3})", LINEAR1).to_intervals() == ((4, 6),)
+    assert parse_set_expr("lift(fin:{3})", LINEAR1).intervals == ((4, 6),)
     assert 12 not in parse_set_expr("blocks:cube-gap")
-    assert parse_set_expr("all").count_upto(9) == 9
+    assert _count(parse_set_expr("all"), 9) == 9
 
 
 def test_parse_set_expr_nested():

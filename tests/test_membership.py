@@ -243,6 +243,19 @@ def test_count_rows_matches_row_by_row(x, q, small, depth, cap, data):
     assert fast._win == slow._win
 
 
+def test_count_rows_keeps_the_window_where_the_prefix_ends():
+    # rat:1/3 expanded to 2 digits under const:2 at depth 0: the count slides
+    # its window to block 1, and block 2 lies past the prefix; the cache must
+    # be left on block 1's window, as the row-by-row pass leaves it
+    x = parse_point("rat:1/3", ArithSeq(RatioSpec.parse("const:2")), 2)
+    band = (Fraction(1, 19), Fraction(9, 19))
+    fast, slow = EnclosureCache(x, 0, 0), EnclosureCache(x, 0, 0)
+    assert fast.count_rows(0, 1, 1, 3, *band) == (3, 1, 0, [1, 3])
+    assert ([slow.band_verdict(k, 1, *band) for k in range(3)]
+            == ["undecided", "out", "undecided"])
+    assert fast._win == slow._win == (1, 0, 1, 2)
+
+
 @pytest.mark.parametrize("spec,point,expand", [
     ("const:2", "rat:1/3", 1),   # the prefix ends before the first window does
     ("const:2", "rat:1/3", 9),   # ... after windows have slid
@@ -339,7 +352,7 @@ def test_exact_scan_slides_its_window(monkeypatch):
     m = 300
     x = parse_point("finite:[" + ",".join(str(n % 3) for n in range(2, m + 2)) + "]",
                     seq)
-    assert x.finite_support_max() == m
+    assert x.rule.finite_support_max() == m
     reads = []
     digit = CirclePoint.digit
     monkeypatch.setattr(CirclePoint, "digit",

@@ -278,3 +278,51 @@ def test_verify_envelope_is_pinned(tag, seed):
         params["param"] = [f"seed={seed}"]
     body = envelope_bytes({"subcommand": "verify", "params": params})
     assert hashlib.sha256(body).hexdigest() == GOLDEN[tag, seed]
+
+
+# SHA-256 of the canonical envelope bytes of scan and witness configs: the
+# seed-0 benchmark scans and escape witness, and indicator points of lifted,
+# shifted and finite sets
+def _scan(spec, x, horizons, depth):
+    return {"subcommand": "scan", "params": {"spec": spec, "x": x, "eps": "1/8",
+                                             "horizons": horizons, "depth": depth}}
+
+
+def _witness(op, x, **extra):
+    return {"subcommand": "witness", "params": {"spec": "pow:2", "x": x, "op": op,
+                                                **extra}}
+
+
+GOLDEN_RUNS = [
+    (_scan("pow:2", "ones-on:all", "10000,100000,1000000", "32"),
+     "67f28b8de6161b04baa9d81351a8ed4b6cd87952c6e4bbbca1d7c69cff8a6118"),
+    (_scan("const:3", "ones-on:squares", "10000,50000", "64"),
+     "815319f5de0c33f797d06230e5337d387e48c963523d3a856a9d0f62a8fc52be"),
+    (_witness("escape", "ones-on:all", case="small", m0="10", n0="13", blocks="17"),
+     "b0914bded48322ff01ab293b7564ed6e084758567cad0947b6055ccbd8fae3a7"),
+    (_scan("const:3", "ones-on:lift(squares)", "1000,5000", "32"),
+     "7a70f9c762829e27fa94c3982fec06d6a968b729cf4abbaaa311cd42e1d32308"),
+    (_scan("const:3", "ones-on:shift(blocks:cube-gap,2)", "1000,5000", "32"),
+     "ac5ab4bddf1faaa5c2b90255b3a4d49a599f559857ccf99b786ca0ad6016de2e"),
+    (_scan("const:3", "ones-on:fin:{3,5}", "1000,5000", "32"),
+     "35a0858e174c2a9cc9129f9831e9c94cfc0ae80f7d8238acd02efb783a1e14c3"),
+    (_witness("partition", "ones-on:lift(squares)"),
+     "668d9164ccf2e79b5a962a9a5947023b3f4b5006195b738a0d35ef292b2d6174"),
+    (_witness("escape", "ones-on:lift(squares)"),
+     "719d45b147047aee3c05c148e5ea303801b8207df55226a39e6ad96ee53b52ad"),
+    (_witness("partition", "ones-on:shift(blocks:cube-gap,2)"),
+     "6dc97857ab2cacfcb8a4ab864c47c64e5b220f9589751671007f4cbd461347f6"),
+    (_witness("escape", "ones-on:shift(blocks:cube-gap,2)"),
+     "489a0f6a7dbf8b8ca3dabedcb328bbddff94dd9b828b57cf62dcbd3a997bc654"),
+]
+
+
+def _run_id(config):
+    p = config["params"]
+    return f"{config['subcommand']}-{p.get('op', p['spec'])}-{p['x']}"
+
+
+@pytest.mark.parametrize("config, digest", GOLDEN_RUNS,
+                         ids=[_run_id(c) for c, _ in GOLDEN_RUNS])
+def test_run_envelope_is_pinned(config, digest):
+    assert hashlib.sha256(envelope_bytes(config)).hexdigest() == digest

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from circlelab.circle import CirclePoint, EnclosureCache, FiniteDigits, parse_point
 from circlelab.classify import weakly_dli_witness_set
-from circlelab.density import IntervalNatSet, evens
+from circlelab.density import IntervalNatSet, cube_gap_blocks, evens, full_set, lift
 from circlelab.errors import PreconditionError
 from circlelab.sequences import ArithSeq, RatioSpec
 from circlelab.witness import (
@@ -39,7 +39,7 @@ def support(x, horizon):
 def test_family_point_support_selection():
     x = continuum_family_point(WITNESS_A, (0, 1, 0), LINEAR1)
     assert support(x, 200) == [5, 32, 55]
-    assert x.finite_support_max() == 55
+    assert x.rule.finite_support_max() == 55
     # selector bit k picks element 2k or 2k+1 of the listed set
     y = continuum_family_point(WITNESS_A, (1, 0, 1), LINEAR1)
     assert support(y, 200) == [9, 17, 90]
@@ -101,7 +101,7 @@ def test_bad_intervals_small_case():
     x = parse_point("ones-on:all", POW2)
     bad = bad_interval_family(x, elem_set([4, 5]), "small", 10, 13, 10**4)
     # block k starts at n_{k-1}; with c = 1 the offsets are b//10 and 4b//10 - 1
-    assert bad.to_intervals() == ((13, 17), (30, 38))
+    assert bad.intervals == ((13, 17), (30, 38))
 
 
 def test_bad_intervals_large_case():
@@ -109,7 +109,7 @@ def test_bad_intervals_large_case():
     digits = [0, 0, 0, 0, 30]
     x = CirclePoint(POW2, FiniteDigits(digits))
     bad = bad_interval_family(x, elem_set([5]), "large", 10, 13, 10**4)
-    assert bad.to_intervals() == ((36, 40),)
+    assert bad.intervals == ((36, 40),)
 
 
 def test_bad_intervals_validation():
@@ -154,6 +154,14 @@ def test_certify_flags_genuine_violations():
     report = certify_nonmembership(x, block, "small", 10, 13, t=8, horizon=100)
     assert report.violations == 6
     assert report.certified == 25
+
+
+def test_certify_refuses_unbounded_bad_sets():
+    # an unbounded bad set is refused, not gathered element by element
+    x = parse_point("ones-on:all", POW2)
+    for bad in (evens(), cube_gap_blocks(), lift(full_set(), POW2.derived)):
+        with pytest.raises(PreconditionError):
+            certify_nonmembership(x, bad, "small", 10, 13, t=8, horizon=10**6)
 
 
 # ----- block-counted certification against the row-by-row pass ----------------
@@ -287,7 +295,7 @@ def test_bad_intervals_stay_in_branch_blocks(spec, case, m0, n0, horizon, data):
         [data.draw(st.integers(low, seq.ratio(n) - 1)) for n in range(1, 12)]))
     branch = elem_set(data.draw(st.sets(st.integers(1, 11))))
     bad = bad_interval_family(x, branch, case, m0, n0, horizon)
-    for lo, hi in bad.to_intervals():
+    for lo, hi in bad.intervals:
         assert 1 <= lo <= hi <= horizon
         for i in range(lo, hi + 1):
             k, _ = seq.derived.decompose(i)
