@@ -15,7 +15,6 @@ used anywhere in this module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -255,13 +254,15 @@ class CirclePoint:
         self._win: tuple[int, int, int, int] = (1, -1, 0, 1)
 
     def digit(self, n: int) -> int:
-        """c_n, validated against 0 <= c_n <= b_n - 1 on access."""
+        """c_n, validated against 0 <= c_n <= b_n - 1 on access (0 and 1
+        are digits under every b_n >= 2, so they need no ratio read)."""
         if n < 1:
             raise PreconditionError(f"digit index must be >= 1, got {n}")
         c = self.rule.digit(n, self.seq)
-        b = self.seq.ratio(n)
-        if not 0 <= c <= b - 1:
-            raise PreconditionError(f"digit c_{n} = {c} outside [0, {b - 1}]")
+        if not 0 <= c <= 1:
+            b = self.seq.ratio(n)
+            if not 0 <= c <= b - 1:
+                raise PreconditionError(f"digit c_{n} = {c} outside [0, {b - 1}]")
         return c
 
     def window(self, n: int, t: int) -> tuple[int, int]:
@@ -402,6 +403,12 @@ class EnclosureCache:
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
+        rule = x.rule
+        self._next_support = (rule.support.next_member
+                              if isinstance(rule, IndicatorDigits) else None)
+        # (k0, J, last, ln, ld): blocks k0 .. J-1 precede support index J, and
+        # k0 .. last are out of bands with lower end ln/ld (``_out_to``)
+        self._gap = (0, 0, -1, 0, 0)
 
     @property
     def exact_mode(self) -> bool:
@@ -431,6 +438,37 @@ class EnclosureCache:
                           k + 1, k + 1 + depth)
         self._win = (k, depth, num, den)
         return num, den, depth
+
+    def _out_to(self, k: int, ln: int, ld: int) -> int:
+        """The last block j such that the tail bound puts every row of blocks
+        k .. j below ln/ld, 0 < ln/ld < 1/2; k - 1 when block k is not so.
+
+        With J the least support index past k and P = b_{j+1} ... b_{J-1},
+        {a_j x} < 1/P: the digits j+1 .. J-1 are 0, and a canonical tail
+        from J on stays below 1. So every row of block j is below ln/ld when
+        (b_{j+1} - 1) * ld <= ln * P. That holds for j - 1 whenever it holds
+        for j, and P at least doubles per step, so one walk back finds the
+        last such block in O(log(ld/ln)) ratio reads. The walk starts at
+        J - 3: for j = J - 1 and J - 2, P <= b_{j+1} and ld > 2 ln rule it out.
+        """
+        k0, J, last, gn, gd = self._gap
+        if not (k0 <= k < J and (gn, gd) == (ln, ld)):
+            J = self._next_support(k + 1)
+            if J is None:  # no later support, or the set cannot say
+                return k - 1
+            last = J - 3
+            if last >= k:
+                ratio = self.x.seq.ratio
+                b = ratio(J - 2)
+                P = b * ratio(J - 1)
+                while (b - 1) * ld > ln * P:
+                    last -= 1
+                    if last < k:
+                        break
+                    b = ratio(last + 1)
+                    P *= b
+            self._gap = (k, J, last, ln, ld)
+        return last if k <= last else k - 1
 
     def _max_depth(self, k: int) -> int:
         known = self.x.rule.known_upto
@@ -521,44 +559,81 @@ class EnclosureCache:
         ``band_verdict``. Past a capped point's known digits a block has no
         window, and its rows and all later ones are undecided.
 
+        For an indicator point and 0 < band_lo < 1/2, the blocks that
+        ``_out_to`` puts below band_lo by the tail bound are counted out
+        whole, by a difference of block boundaries; the window resumes after
+        them through ``_window_at``. A slid window whose lower end is at or
+        above band_lo / (b_{k+1} - 1) rules block k's skip out without the
+        call; a block with no slid window asks before its window is built,
+        so a skipped stretch reads no digit past its first block. Such a row
+        is out in truth, but ``band_verdict`` alone may leave it undecided
+        at a small cap.
+
         The base window is held in locals and slides to the next block with
         one division and one new digit read through ``CirclePoint.digit``.
         ``_window_at`` serves the first block, every block of an exact
         point, and a block the base window cannot slide to (it came back
-        deeper, or the known prefix ends). ``_win`` is stored before a
-        block's edge rows are judged and at the end, so the cache is left
-        with the window a row-by-row pass leaves.
+        deeper, the known prefix ends, or blocks were skipped). ``_win`` is
+        stored before a block's edge rows are judged, before a skip and at
+        the end, so the cache is left with the window a row-by-row pass
+        leaves, unless the count ends in skipped blocks (that pass would
+        have read windows there).
         """
         if i > N:
             return k, r, 0, []
         ratio, digit = self.x.seq.ratio, self.x.digit
+        derived = self.x.seq.derived
         known = self.x.rule.known_upto
         exact = self.exact_mode
         base = min(self.depth, self.cap)
         ln, ld, hn, hd = _band(band_lo, band_hi)
+        skips = self._next_support is not None and 0 < 2 * ln < ld
         n_in, undecided = 0, []
         at = i - r  # row e of block k is derived index at + e
-        # b_{k+1} .. b_{k+1+base} while the locals slide block k's base window
-        held = None
+        held = False  # the locals hold block k - 1's base window, to slide
+        stored = True  # the cache holds the locals' window, or none is held
         band_den = None
         while True:
-            if held is None:
+            if held:  # slide block k - 1's window to block k
+                j = k + 1 + base  # the digit block k's window adds
+                if known is not None and j > known:
+                    if not stored:
+                        self._win = (k - 1, base, num, den)
+                        stored = True
+                    held = False
+                else:
+                    den //= b
+                    num %= den
+                    bj = ratio(j)
+                    num = num * bj + digit(j)
+                    den *= bj
+                    b = ratio(k + 1)
+                    stored = False
+            # a slid window at or above ln/ld / (b_{k+1} - 1) rules the skip out
+            if (skips and (not held or num * ld * (b - 1) < ln * den)
+                    and (last := self._out_to(k, ln, ld)) >= k):
+                if not stored:  # for the next window to slide from
+                    self._win = (k, base, num, den)
+                    stored = True
+                held = False
+                end = derived.boundary(last + 1) - 1
+                if end >= N:
+                    k, r = derived.decompose(N + 1)
+                    return k, r, n_in, undecided
+                at, k, r = end, last + 1, 1
+            if not held:
                 b = ratio(k + 1)
-                stored = True  # the cache holds block k's window, or none
+                stored = True
                 if exact:
                     num, den = self._exact_value(k)
                 else:
                     top = self._max_depth(k)
                     if top < 0:  # no window within the cap, here or later
                         undecided += range(at + r, N + 1)
-                        while at + b <= N + 1:
-                            at += b - 1
-                            k += 1
-                            b = ratio(k + 1)
-                        return k, N + 1 - at, n_in, undecided
+                        k, r = derived.decompose(N + 1)
+                        return k, r, n_in, undecided
                     num, den, depth = self._window_at(k, min(base, top))
-                    if depth == base and at + b <= N:  # the count goes past block k
-                        held = deque(map(ratio, range(k + 1, k + 2 + base)))
+                    held = depth == base and at + b <= N  # the count goes past block k
             r1 = b - 1
             if r1 > N - at:  # the block runs past N
                 r1 = N - at
@@ -586,22 +661,6 @@ class EnclosureCache:
                 break
             k += 1
             r = 1
-            if held is not None:
-                j = k + 1 + base  # the digit block k's window adds
-                if known is not None and j > known:
-                    if not stored:  # block k - 1's window, as a row-by-row pass leaves it
-                        self._win = (k - 1, base, num, den)
-                    held = None
-                else:
-                    held.popleft()
-                    den //= b
-                    num %= den
-                    b = ratio(j)
-                    held.append(b)
-                    num = num * b + digit(j)
-                    den *= b
-                    b = held[0]
-                    stored = False
         if not stored:
             self._win = (k, base, num, den)
         if r1 < b - 1:

@@ -55,6 +55,11 @@ class NatSet:
     def __contains__(self, n: int) -> bool:
         raise NotImplementedError
 
+    def next_member(self, n: int) -> int | None:
+        """The least member >= n (n >= 1); None when there is none, or when
+        the set cannot say without testing members one by one."""
+        return None
+
     def iter_upto(self, N: int) -> Iterator[int]:
         for n in range(1, N + 1):
             if n in self:
@@ -63,6 +68,14 @@ class NatSet:
     def _check(self, N: int) -> None:
         if N < 1:
             raise PreconditionError(f"prefix bound must be >= 1, got {N}")
+
+
+def _next_in(intervals, n: int) -> int | None:
+    """The least member >= n of sorted disjoint closed intervals, by bisection."""
+    i = bisect_right(intervals, (n, math.inf)) - 1
+    if i >= 0 and n <= intervals[i][1]:
+        return n
+    return intervals[i + 1][0] if i + 1 < len(intervals) else None
 
 
 def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -104,6 +117,9 @@ class IntervalNatSet(NatSet):
     def __contains__(self, n):
         i = bisect_right(self.intervals, (n, math.inf)) - 1
         return i >= 0 and self.intervals[i][0] <= n <= self.intervals[i][1]
+
+    def next_member(self, n):
+        return _next_in(self.intervals, n)
 
     def count_upto(self, N):
         self._check(N)
@@ -179,6 +195,13 @@ class LazyIntervalNatSet(NatSet):
         i = bisect_right(self._ivals, (n, math.inf)) - 1
         return i >= 0 and self._ivals[i][0] <= n <= self._ivals[i][1]
 
+    def next_member(self, n):
+        # once the rule has reached n, the intervals up to the least member
+        # >= n are materialized (or the family has ended)
+        self._check(n)
+        self._extend_to(n)
+        return _next_in(self._ivals, n)
+
     def iter_upto(self, N):
         self._check(N)
         self._extend_to(N)
@@ -214,18 +237,24 @@ class LazyIntervalNatSet(NatSet):
 
 class PredicateNatSet(NatSet):
     """An infinite set given by a membership predicate; ``is_cofinite`` says
-    whether the predicate fails only finitely often."""
+    whether the predicate fails only finitely often, and ``after``, when
+    given, is the closed form of ``next_member``."""
 
     is_finite = False
 
     def __init__(self, pred: Callable[[int], bool], is_cofinite: bool,
-                 name: str = "predicate"):
+                 name: str = "predicate",
+                 after: Callable[[int], int | None] | None = None):
         self._pred = pred
         self.is_cofinite = is_cofinite
         self.name = name
+        self._after = after
 
     def __contains__(self, n):
         return n >= 1 and bool(self._pred(n))
+
+    def next_member(self, n):
+        return self._after(n) if self._after is not None else None
 
     def __repr__(self):
         return f"PredicateNatSet({self.name})"
@@ -334,8 +363,13 @@ def translate(s: NatSet, m: int) -> NatSet:
 
         return LazyIntervalNatSet(factory, src.is_cofinite,
                                   name=f"shift({src.name},{m})")
+
+    def after(n):
+        nxt = s.next_member(n + m)
+        return None if nxt is None else nxt - m
+
     return PredicateNatSet(lambda n: (n + m) in s, s.is_cofinite,
-                           name=f"shift({s.name},{m})")
+                           name=f"shift({s.name},{m})", after=after)
 
 
 def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
@@ -362,10 +396,16 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
 
     def factory():
         # one block per member; LazyIntervalNatSet merges adjacent blocks, and
-        # a set with an unbounded run (such as all) still answers every query
-        for k in count(1):
-            if k in src:
-                yield derived.boundary(k - 1), derived.boundary(k) - 1
+        # a set with an unbounded run (such as all) still answers every query.
+        # A set with a closed-form next member jumps its gaps; any other is
+        # tested index by index.
+        k = 1
+        while True:
+            nxt = src.next_member(k)
+            if nxt is None:
+                nxt = next(j for j in count(k) if j in src)
+            yield derived.boundary(nxt - 1), derived.boundary(nxt) - 1
+            k = nxt + 1
 
     return LazyIntervalNatSet(factory, src.is_cofinite, name=f"lift({src.name})")
 
@@ -379,15 +419,17 @@ def cube_gap_blocks() -> LazyIntervalNatSet:
 
 
 def evens() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: n % 2 == 0, False, name="evens")
+    return PredicateNatSet(lambda n: n % 2 == 0, False, name="evens",
+                           after=lambda n: n + n % 2)
 
 
 def squares() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: math.isqrt(n) ** 2 == n, False, name="squares")
+    return PredicateNatSet(lambda n: math.isqrt(n) ** 2 == n, False, name="squares",
+                           after=lambda n: (math.isqrt(n - 1) + 1) ** 2)
 
 
 def full_set() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: True, True, name="all")
+    return PredicateNatSet(lambda n: True, True, name="all", after=lambda n: n)
 
 
 def parse_set_expr(text: str, seq: ArithSeq | None = None) -> NatSet:

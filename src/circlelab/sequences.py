@@ -11,6 +11,7 @@ arithmetic terms a_k and block boundaries n_k from 0.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from pathlib import Path
 
@@ -65,6 +66,37 @@ class _BlockRatios:
         return 2
 
 
+def _const_forms(b: int):
+    """n_k = 1 + k(b - 1) under b_n = b, and its inverse."""
+    return (lambda k: 1 + k * (b - 1)), (lambda i: (i - 1) // (b - 1))
+
+
+def _linear_forms(c: int):
+    """n_k = 1 + k(k + d)/2 with d = 2c - 1 under b_n = n + c, and its inverse:
+    k(k + d) <= 2(i - 1) holds exactly up to k = (isqrt(d^2 + 8(i - 1)) - d) // 2."""
+    d = 2 * c - 1
+    return (lambda k: 1 + k * (k + d) // 2,
+            lambda i: (math.isqrt(d * d + 8 * (i - 1)) - d) // 2)
+
+
+def _pow_forms(b: int):
+    """n_k = 1 + (b^(k+1) - b)/(b - 1) - k under b_n = b^n, and its inverse.
+
+    b^k <= n_k < 2 b^k, so the k with n_k <= i < n_{k+1} is the integer
+    logarithm e of i (b^e <= i < b^(e+1)) or e - 1.
+    """
+    def boundary(k):
+        return 1 + (b ** (k + 1) - b) // (b - 1) - k
+
+    def block(i):
+        e, t = 0, b
+        while t <= i:
+            e, t = e + 1, t * b
+        return e if boundary(e) <= i else e - 1
+
+    return boundary, block
+
+
 class RatioSpec:
     """A deterministic rule n -> b_n (n >= 1) with b_n >= 2 for every n.
 
@@ -72,32 +104,37 @@ class RatioSpec:
     blocks) or by parsing a spec string such as ``linear:1`` or ``pow:2``.
     """
 
-    def __init__(self, text: str, rule, eventually_two: bool):
-        """The spec string ``describe`` returns, the rule n -> b_n, and
-        whether b_n = 2 for all large n. Each classmethod checks its input."""
+    def __init__(self, text: str, rule, eventually_two: bool, forms=None):
+        """The spec string ``describe`` returns, the rule n -> b_n, whether
+        b_n = 2 for all large n, and ``forms``: the closed-form block
+        boundary k -> n_k with its inverse i -> k (n_k <= i < n_{k+1}), or
+        None for a kind without them, whose ratios and boundaries are read
+        from memos only. Each classmethod checks its input."""
         self._text = text
         self._rule = rule
         self._two = eventually_two
+        self.forms = forms
 
     @classmethod
     def constant(cls, value: int) -> "RatioSpec":
         if value < 2:
             raise PreconditionError("constant ratio must be >= 2")
-        return cls(f"const:{value}", lambda n: value, value == 2)
+        return cls(f"const:{value}", lambda n: value, value == 2, _const_forms(value))
 
     @classmethod
     def linear(cls, offset: int) -> "RatioSpec":
         """b_n = n + offset."""
         if offset < 1:
             raise PreconditionError("linear offset must be >= 1 so that b_1 >= 2")
-        return cls(f"linear:{offset}", lambda n: n + offset, False)
+        return cls(f"linear:{offset}", lambda n: n + offset, False,
+                   _linear_forms(offset))
 
     @classmethod
     def power(cls, base: int) -> "RatioSpec":
         """b_n = base ** n."""
         if base < 2:
             raise PreconditionError("power base must be >= 2")
-        return cls(f"pow:{base}", lambda n: base ** n, False)
+        return cls(f"pow:{base}", lambda n: base ** n, False, _pow_forms(base))
 
     @classmethod
     def explicit(cls, values, tail: "RatioSpec") -> "RatioSpec":
@@ -214,22 +251,32 @@ class ArithSeq:
     """Memoized exact terms of a_0 = 1, a_k = b_k * a_{k-1}.
 
     Ratios and terms are computed on first access and kept for the life of
-    the object.
+    the object. Under a spec with closed forms, a ratio read more than one
+    index past the memo is computed from the rule and not kept, so a scan
+    that jumps ahead does not fill the memo up to where it lands.
     """
 
     def __init__(self, spec: RatioSpec):
         self.spec = spec
         self._terms = [1]
         self._ratios: list[int] = []
+        # the rule n -> b_n for reads past the memo, when it has closed forms
+        self._ahead = spec._rule if spec.forms else None
         self._derived: DerivedSeq | None = None
 
     def ratio(self, n: int) -> int:
         """b_n for n >= 1."""
+        ratios = self._ratios
+        m = len(ratios)
+        if 0 < n <= m:
+            return ratios[n - 1]
+        if n > m + 1 and self._ahead is not None:
+            return self._ahead(n)
         if n < 1:
             raise PreconditionError(f"ratio index must be >= 1, got {n}")
-        while n > len(self._ratios):
-            self._ratios.append(self.spec.term(len(self._ratios) + 1))
-        return self._ratios[n - 1]
+        while n > len(ratios):
+            ratios.append(self.spec.term(len(ratios) + 1))
+        return ratios[n - 1]
 
     def term(self, k: int) -> int:
         """a_k for k >= 0."""
@@ -253,10 +300,17 @@ class ArithSeq:
 
 
 class DerivedSeq:
-    """The increasing enumeration d_1 < d_2 < ... of {r*a_k : k >= 0, 1 <= r < b_{k+1}}."""
+    """The increasing enumeration d_1 < d_2 < ... of {r*a_k : k >= 0, 1 <= r < b_{k+1}}.
+
+    Block boundaries are memoized as n_0 .. n_j, and a derived index is
+    placed by bisection over them. Under a spec with closed forms, a
+    boundary read more than one index past the memo, and the block of any
+    index, come from the closed forms instead and are not kept.
+    """
 
     def __init__(self, base: ArithSeq):
         self.base = base
+        self._forms = base.spec.forms
         self._bounds = [1]
 
     def _grow(self) -> None:
@@ -268,13 +322,20 @@ class DerivedSeq:
         """n_k, the derived index of a_k itself (n_0 = 1)."""
         if k < 0:
             raise PreconditionError(f"boundary index must be >= 0, got {k}")
-        while k >= len(self._bounds):
+        bounds = self._bounds
+        if k < len(bounds):
+            return bounds[k]
+        if k > len(bounds) and self._forms:
+            return self._forms[0](k)
+        while k >= len(bounds):
             self._grow()
-        return self._bounds[k]
+        return bounds[k]
 
     def _block_index(self, i: int) -> int:
         if i < 1:
             raise PreconditionError(f"derived index must be >= 1, got {i}")
+        if self._forms:
+            return self._forms[1](i)
         while self._bounds[-1] <= i:
             self._grow()
         return bisect_right(self._bounds, i) - 1
@@ -282,7 +343,7 @@ class DerivedSeq:
     def decompose(self, i: int) -> tuple[int, int]:
         """The unique (k, r) with d_i = r * a_k, 1 <= r < b_{k+1}; i = n_k + r - 1."""
         k = self._block_index(i)
-        return k, i - self._bounds[k] + 1
+        return k, i - self.boundary(k) + 1
 
     def term(self, i: int) -> int:
         """d_i for i >= 1."""

@@ -1,13 +1,15 @@
 """Test-session setup and reference code shared by the test modules."""
 
 import os
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import circlelab
-from circlelab.circle import CirclePoint, DigitRule
+from circlelab.circle import CirclePoint, DigitRule, IndicatorDigits
 from circlelab.density import IntervalNatSet
 from circlelab.errors import PreconditionError
 
@@ -70,3 +72,80 @@ class FuncDigits(DigitRule):
 def elem_set(elems) -> IntervalNatSet:
     """The bounded set with the given elements, as ``fin:{...}`` parses it."""
     return IntervalNatSet((v, v) for v in elems)
+
+
+class MemoDerived:
+    """Block boundaries memoized by the recurrence n_{k+1} = n_k + b_{k+1} - 1,
+    and decompose by bisection over them: the reference for closed forms."""
+
+    def __init__(self, seq):
+        self.seq = seq
+        self.bounds = [1]
+
+    def _grow_to(self, k: int) -> None:
+        bounds = self.bounds
+        while len(bounds) <= k:
+            bounds.append(bounds[-1] + self.seq.ratio(len(bounds)) - 1)
+
+    def boundary(self, k: int) -> int:
+        self._grow_to(k)
+        return self.bounds[k]
+
+    def decompose(self, i: int) -> tuple[int, int]:
+        while self.bounds[-1] <= i:
+            self._grow_to(len(self.bounds))
+        k = bisect_right(self.bounds, i) - 1
+        return k, i - self.bounds[k] + 1
+
+
+def tail_bound_out(x: CirclePoint, k: int, band_lo: Fraction) -> bool:
+    """Whether the tail bound puts every row of block k below band_lo = p/q:
+    (b_{k+1} - 1) * q <= p * P with P = b_{k+1} ... b_{J-1} and J the least
+    support index past k. The digits k+1, k+2, ... are tested one by one,
+    and the product stops growing once it is large enough; with no support
+    index past k the answer is False, as nothing is skipped there."""
+    if not isinstance(x.rule, IndicatorDigits) or band_lo == 0:
+        return False
+    p, q = band_lo.numerator, band_lo.denominator
+    need = (x.seq.ratio(k + 1) - 1) * q
+    last = x.rule.finite_support_max()
+    P, j = 1, k + 1  # P = b_{k+1} ... b_{j-1}, over digits that are 0
+    while j not in x.rule.support:
+        if last is not None and j > last:
+            return False
+        if need <= p * P:
+            return True
+        P *= x.seq.ratio(j)
+        j += 1
+    return need <= p * P
+
+
+def certified_below(x: CirclePoint, k: int, r: int, bound: Fraction) -> bool:
+    """Whether {r * a_k * x} < bound, certified by the Fraction upper bound
+    r * (S + 1/den) of a window S = num/den over the digits k+1 .. k+1+t,
+    for t = 8, 64, 512 or 2048 (a run of digits c_n = b_n - 1 after the
+    next supported digit can need the deep ones)."""
+    for t in (8, 64, 512, 2048):
+        num, den = window_from_scratch(x, k + 1, t)
+        if Fraction(r * (num + 1), den) < bound:
+            return True
+    return False
+
+
+def sparse_supports():
+    """Support expressions with gaps between members: finite sets and
+    interval unions, the stock sets, and their lifts and shifts. Lifted
+    finite sets stay small, so that their points stay cheap to evaluate
+    exactly under pow:2."""
+    fin = st.frozensets(st.integers(1, 60), min_size=1, max_size=4).map(
+        lambda e: "fin:{" + ",".join(map(str, sorted(e))) + "}")
+    ivl = st.tuples(st.integers(1, 40), st.integers(0, 3), st.integers(2, 30),
+                    st.integers(0, 3)).map(
+        lambda t: f"ivl:[{t[0]},{t[0] + t[1]}]+[{t[0] + t[1] + t[2]},"
+                  f"{t[0] + t[1] + t[2] + t[3]}]")
+    stock = st.sampled_from(("squares", "evens", "blocks:cube-gap"))
+    small = st.frozensets(st.integers(1, 7), min_size=1, max_size=3).map(
+        lambda e: "fin:{" + ",".join(map(str, sorted(e))) + "}")
+    return st.one_of(fin, ivl, stock, (small | stock).map(lambda e: f"lift({e})"),
+                     st.tuples(fin | ivl | stock, st.integers(1, 5)).map(
+                         lambda t: f"shift({t[0]},{t[1]})"))

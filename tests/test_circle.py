@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circlelab.circle import (
     BoundInterval,
@@ -22,7 +22,15 @@ from circlelab.circle import (
 from circlelab.density import IntervalNatSet, cube_gap_blocks, evens, full_set, lift
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
-from conftest import FuncDigits, as_fraction, elem_set, window_from_scratch
+from conftest import (
+    FuncDigits,
+    as_fraction,
+    certified_below,
+    elem_set,
+    sparse_supports,
+    tail_bound_out,
+    window_from_scratch,
+)
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -238,6 +246,39 @@ def test_cache_verdicts_are_order_independent():
     backward = EnclosureCache(x, depth=2)
     verdicts_bwd = [backward.band_verdict(k, r, lo, hi) for k, r in reversed(rows)]
     assert verdicts_fwd == list(reversed(verdicts_bwd))
+
+
+# small ratios that vary, so that the walk back over a gap takes several
+# steps and each reads a different ratio
+_VARIED = ("explicit:[2,3,2,2,5,2,3,3,2,2,2,7,2,2,3,2,5,2,2,2,3,2,2,2,2,3,2,2,5,2,2,3,2,2,2,2,3,2,2,2]"
+           ";tail=const:3")
+
+
+@given(spec=st.sampled_from(("const:2", "const:3", "linear:1", "pow:2", "pow:3",
+                             "explicit:[2,2,40,3,2,17];tail=const:3", _VARIED)),
+       support=sparse_supports(), q=st.integers(3, 40), p=st.integers(1, 3),
+       order=st.permutations(range(60)))
+@settings(max_examples=150, deadline=None)
+def test_out_to_matches_the_tail_bound(spec, support, q, p, order):
+    # one cache asked in any order: the stretch k .. last is exactly the
+    # blocks from k on that the tail bound puts out, and it stops before the
+    # first block it cannot put out
+    assume(2 * p < q)
+    seq = ArithSeq(RatioSpec.parse(spec))
+    x = parse_point(f"ones-on:{support}", seq)
+    band_lo = Fraction(p, q)
+    cache = EnclosureCache(x)
+    oracle_checks = 3
+    for k in order:
+        last = cache._out_to(k, band_lo.numerator, band_lo.denominator)
+        assert last >= k - 1
+        # the tail-bound verdict is monotone inside a gap, so its ends suffice
+        assert (last >= k) == tail_bound_out(x, k, band_lo)
+        assert last < k or tail_bound_out(x, last, band_lo)
+        assert not tail_bound_out(x, last + 1, band_lo)
+        if last >= k and oracle_checks:  # the largest row of block k is out
+            oracle_checks -= 1
+            assert certified_below(x, k, seq.ratio(k + 1) - 1, band_lo)
 
 
 _SPECS = {text: ArithSeq(RatioSpec.parse(text))

@@ -307,6 +307,34 @@ def test_traits_match_brute_force(expr, seq):
         assert late and late_gaps
 
 
+@given(expr=_exprs, seq=st.sampled_from((LINEAR1, ArithSeq(RatioSpec.parse("const:3")))),
+       starts=st.lists(st.integers(1, _W1), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_next_member_matches_brute_force(expr, seq, starts):
+    s = parse_set_expr(expr, seq)
+    members = sorted(s.iter_upto(_W2))
+    for n in sorted(starts) + sorted(starts, reverse=True):
+        want = next((m for m in members if m >= n), None)
+        got = s.next_member(n)
+        if want is not None or s.is_finite:
+            assert got == want
+        else:  # the next member lies past W2
+            assert got > _W2 and got in s
+
+
+def test_next_member_of_opaque_sets():
+    # a bare predicate cannot say without testing members one by one; its
+    # shift cannot either, and its lift answers by materializing blocks
+    thirds = PredicateNatSet(lambda n: n % 3 == 0, False)
+    assert thirds.next_member(4) is None
+    assert translate(thirds, 2).next_member(1) is None
+    lifted = lift(thirds, LINEAR1.derived)  # blocks 3, 6, ...: [4, 6], [16, 21], ...
+    assert [lifted.next_member(n) for n in (1, 5, 7, 16, 22)] == [4, 5, 16, 16, 37]
+    # a finite set has no member past its end
+    assert elem_set([3, 9]).next_member(10) is None
+    assert IntervalNatSet().next_member(1) is None
+
+
 def test_walk_yields_increasing_pieces():
     # the cursor lift and translate read: increasing disjoint pieces whose
     # union is the set, also while the trailing run keeps growing

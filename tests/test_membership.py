@@ -25,7 +25,7 @@ from circlelab.membership import (
 )
 from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec
 from circlelab.witness import continuum_family_point
-from conftest import as_fraction
+from conftest import as_fraction, certified_below, sparse_supports, tail_bound_out
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -162,6 +162,26 @@ def counts(scan):
             for e in scan.estimates]
 
 
+def assert_matches_per_row(x, eps, scan, want, undecided):
+    """The batched scan equals the row-by-row scan on every row the latter
+    decides. A row only the batched scan decides is one the tail-bound skip
+    counted out, which the Fraction oracle confirms."""
+    kept = set(scan.undecided_rows)
+    skipped = [i for i in undecided if i not in kept]
+    assert scan.undecided_rows == [i for i in undecided if i in kept]
+    top = {}  # block -> its largest skipped row; smaller rows lie lower
+    for i in skipped:
+        k, r = x.seq.derived.decompose(i)
+        top[k] = r
+    for k, r in top.items():
+        assert tail_bound_out(x, k, eps) and certified_below(x, k, r, eps)
+    for (N, n_in, n_out, n_und), (_, w_in, w_out, w_und) in zip(counts(scan), want):
+        moved = sum(1 for i in skipped if i <= N)
+        assert (n_in, n_out, n_und) == (w_in, w_out + moved, w_und - moved)
+    assert len(counts(scan)) == len(want)
+    return skipped
+
+
 # stretches of few-row blocks broken by long ones, blocks of exactly 16 and 17
 # rows (the most ``_sort_few`` sorts, and one more), and all-long blocks
 _SCAN_SPECS = ("const:2", "const:3", "linear:1", "pow:2", "pow:3", "const:17",
@@ -209,8 +229,7 @@ def test_batched_scan_matches_per_row_scan(x, q, depth, cap, data):
     horizons = data.draw(scan_horizons(x.seq))
     scan = statistical_scan(x, eps, horizons, depth, cap)
     want, undecided = per_row_scan(x, eps, horizons, depth, cap)
-    assert counts(scan) == want
-    assert scan.undecided_rows == undecided
+    assert_matches_per_row(x, eps, scan, want, undecided)
 
 
 @given(x=scan_points(), q=st.integers(11, 40), small=st.booleans(),
@@ -237,10 +256,124 @@ def test_count_rows_matches_row_by_row(x, q, small, depth, cap, data):
     sides = {j: slow.band_verdict(*derived.decompose(j), *band)
              for j in range(i, N + 1)}
     assert n_in == list(sides.values()).count("in")
-    assert undecided == [j for j, side in sides.items() if side == "undecided"]
+    # the row-by-row pass decides every row the count leaves undecided; a
+    # row only the count decides is out by the tail bound
+    kept = set(undecided)
+    assert undecided == [j for j, side in sides.items()
+                         if side == "undecided" and j in kept]
+    top = {}  # block -> its largest row only the count decides
+    for j, side in sides.items():
+        if side == "undecided" and j not in kept:
+            kj, rj = derived.decompose(j)
+            top[kj] = rj
+    for kj, rj in top.items():
+        assert tail_bound_out(x, kj, band[0]) and certified_below(x, kj, rj, band[0])
     assert (k, r) == derived.decompose(N + 1)
-    # the window BlockRows replays from is the one the row-by-row pass leaves
-    assert fast._win == slow._win
+    # the window BlockRows replays from is the one the row-by-row pass
+    # leaves, unless the count ended in blocks it skipped
+    if N < i or not tail_bound_out(x, derived.decompose(N)[0], band[0]):
+        assert fast._win == slow._win
+
+
+@st.composite
+def skipped_horizons(draw, x, eps):
+    """Horizons up to 1500, most of them inside a block the tail bound puts
+    out (so inside a skipped stretch), some anywhere."""
+    derived = x.seq.derived
+    out = []
+    for k in draw(st.lists(st.integers(0, 200), min_size=1, max_size=6)):
+        start = derived.boundary(k)
+        if start > 1500:
+            continue
+        if tail_bound_out(x, k, eps):
+            rows = x.seq.ratio(k + 1) - 1
+            out.append(min(start + draw(st.integers(0, rows - 1)), 1500))
+    return out + draw(st.lists(st.integers(1, 1500), min_size=1, max_size=2))
+
+
+# small ratios that vary, so that the walk back over a gap takes several
+# steps and each reads a different ratio
+_VARIED = ("explicit:[2,3,2,2,5,2,3,3,2,2,2,7,2,2,3,2,5,2,2,2,3,2,2,2,2,3,2,2,5,2,2,3,2,2,2,2,3,2,2,2]"
+           ";tail=const:3")
+
+
+@given(spec=st.sampled_from(("const:2", "const:3", "linear:1", "pow:2",
+                             "explicit:[2,2,40,3,2,17];tail=const:3", _VARIED)),
+       support=sparse_supports(), q=st.integers(3, 40), depth=st.integers(0, 8),
+       cap=st.none() | st.integers(0, 12), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_skipping_scan_matches_per_row_scan_on_sparse_supports(spec, support, q,
+                                                               depth, cap, data):
+    x = parse_point(f"ones-on:{support}", ArithSeq(RatioSpec.parse(spec)))
+    eps = Fraction(1, q)
+    horizons = data.draw(skipped_horizons(x, eps))
+    scan = statistical_scan(x, eps, horizons, depth, cap)
+    want, undecided = per_row_scan(x, eps, horizons, depth, cap)
+    assert_matches_per_row(x, eps, scan, want, undecided)
+
+
+def test_skip_decides_rows_the_default_cap_leaves_open():
+    # under const:2, blocks:cube-gap holds runs of j^3 + 1 ones; the blocks
+    # just before the run of 65 keep a depth-64 window short of the run's
+    # end, so the window leaves six rows open, which the tail bound puts out
+    x = parse_point("ones-on:blocks:cube-gap", ArithSeq(RatioSpec.constant(2)))
+    eps = Fraction(1, 8)
+    scan = statistical_scan(x, eps, [1000, 3000])
+    want, undecided = per_row_scan(x, eps, [1000, 3000], cap=64)
+    assert want == [(1000, 23, 973, 4), (3000, 31, 2963, 6)]
+    assert counts(scan) == [(1000, 23, 977, 0), (3000, 31, 2969, 0)]
+    assert assert_matches_per_row(x, eps, scan, want, undecided) == undecided
+
+
+def test_sparse_scan_reaches_ten_to_the_ten():
+    # const:3 with ones-on:squares: only the three blocks before each square
+    # need a window, so 5 * 10^9 blocks cost about 3 * 10^5 block visits;
+    # the memos stop growing once the skips jump past the windows' reach
+    memos = []
+    for N in (10 ** 6, 10 ** 10):
+        seq = ArithSeq(RatioSpec.constant(3))
+        scan = statistical_scan(parse_point("ones-on:squares", seq),
+                                Fraction(1, 8), [10 ** 6, N])
+        memos.append((len(seq._ratios), len(seq.derived._bounds)))
+    assert counts(scan) == [(10 ** 6, 2120, 10 ** 6 - 2120, 0),
+                            (10 ** 10, 212129, 10 ** 10 - 212129, 0)]
+    assert memos[0] == memos[1] and memos[1][0] < 100 and memos[1][1] == 1
+
+
+def test_exact_scan_skips_blocks_before_a_far_support():
+    # lift(fin:{10}) under pow:2 puts the support on digits 1014 .. 2036, far
+    # past every block below derived index 5000: the count builds no exact
+    # value (a window over about 1000 digits of b_n = 2^n) and no window
+    seq = ArithSeq(RatioSpec.power(2))
+    x = parse_point("ones-on:lift(fin:{10})", seq)
+    assert x.rule.finite_support_max() == 2036
+    cache = EnclosureCache(x, depth=16)
+    band = (Fraction(1, 8), Fraction(7, 8))
+    k, r = seq.derived.decompose(5001)
+    assert cache.count_rows(0, 1, 1, 5000, *band) == (k, r, 0, [])
+    assert cache._win == (-1, 0, 0, 1)
+    scan = statistical_scan(x, band[0], [300, 2000, 5000], 16)
+    assert counts(scan) == [(N, 0, N, 0) for N in (300, 2000, 5000)]
+
+
+def test_capped_scan_places_the_horizon_in_one_step(monkeypatch):
+    # past the 20 known digits of rat:1/2 every row is undecided; the count
+    # finds where N + 1 sits with one decompose instead of a ratio per block
+    seq = ArithSeq(RatioSpec.constant(3))
+    x = parse_point("rat:1/2", seq, 20)
+    calls = {"decompose": 0, "ratio": 0}
+    for owner, name in ((DerivedSeq, "decompose"), (ArithSeq, "ratio")):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    scan = statistical_scan(x, Fraction(1, 8), [100, 10 ** 5])
+    assert counts(scan) == [(100, 20, 0, 80), (10 ** 5, 20, 0, 99980)]
+    assert scan.undecided_rows[:3] == [2, 4, 6]
+    assert calls["decompose"] == 2 and calls["ratio"] < 1000  # 5 * 10^4 blocks
 
 
 def test_count_rows_keeps_the_window_where_the_prefix_ends():

@@ -5,8 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlelab.density import parse_set_expr
 from circlelab.errors import PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec, cube_block_edges
+from conftest import MemoDerived
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -67,6 +69,73 @@ def test_boundary_recurrence():
         assert d.boundary(0) == 1
         for k in range(12):
             assert d.boundary(k + 1) == d.boundary(k) + seq.ratio(k + 1) - 1
+
+
+# ----- closed forms against the memoized path ---------------------------------
+
+_CLOSED = ("const:2", "const:3", "const:17", "linear:1", "linear:2", "linear:9",
+           "pow:2", "pow:3", "pow:10")
+
+
+@pytest.mark.parametrize("text", _CLOSED)
+def test_closed_boundaries_match_memo(text):
+    seq = ArithSeq(RatioSpec.parse(text))
+    memo = MemoDerived(ArithSeq(RatioSpec.parse(text)))
+    top = 40 if text.startswith("pow") else 400
+    for k in range(top):
+        assert seq.derived.boundary(k) == memo.boundary(k)
+    # every index of the first blocks, and each side of later boundaries
+    edges = [memo.boundary(k) + d for k in range(top) for d in (-1, 0, 1)]
+    for i in sorted(set(range(1, 300)) | {i for i in edges if i >= 1}):
+        assert seq.derived.decompose(i) == memo.decompose(i)
+    # reads past the memo's end + 1 come from the closed forms and store nothing
+    ahead = ArithSeq(RatioSpec.parse(text))
+    assert ahead.ratio(5) == memo.seq.ratio(5)
+    assert ahead.derived.boundary(top + 50) == memo.boundary(top + 50)
+    assert ahead.derived.decompose(memo.boundary(top)) == (top, 1)
+    assert ahead._ratios == [] and ahead.derived._bounds == [1]
+
+
+_MEMOS = {text: MemoDerived(ArithSeq(RatioSpec.parse(text))) for text in _CLOSED}
+
+
+@given(text=st.sampled_from(_CLOSED), i=st.integers(1, 2 * 10 ** 5))
+@settings(max_examples=200, deadline=None)
+def test_closed_decompose_matches_memo(text, i):
+    seq = ArithSeq(RatioSpec.parse(text))
+    assert seq.derived.decompose(i) == _MEMOS[text].decompose(i)
+
+
+def test_closed_decompose_at_huge_indices():
+    # far past any memo: n_k <= i < n_{k+1} checked on the closed boundaries
+    for text in _CLOSED:
+        d = ArithSeq(RatioSpec.parse(text)).derived
+        for i in (10 ** 12, 10 ** 30 + 7, 3 ** 90):
+            k, r = d.decompose(i)
+            assert d.boundary(k) <= i < d.boundary(k + 1) and r == i - d.boundary(k) + 1
+
+
+def test_memo_specs_keep_their_memo():
+    seq = ArithSeq(RatioSpec.parse("explicit:[2,5,3];tail=linear:1"))
+    memo = MemoDerived(ArithSeq(RatioSpec.parse("explicit:[2,5,3];tail=linear:1")))
+    want = [memo.boundary(k) for k in range(30)]
+    assert [seq.derived.boundary(k) for k in range(30)] == want
+    assert len(seq._ratios) == 29 and len(seq.derived._bounds) == 30
+    # a memo-backed spec fills its memo even for a read far ahead
+    assert seq.derived.decompose(500) == memo.decompose(500)
+    assert len(seq.derived._bounds) == len(memo.bounds)
+
+
+def test_nested_lift_reads_no_memo():
+    # lift(lift(fin:{999})) under linear:1 ends near derived index 1.2 * 10^11;
+    # the closed boundaries reach it without growing the memo
+    seq = ArithSeq(RatioSpec.linear(1))
+    memo = MemoDerived(seq)
+    inner = (memo.boundary(998), memo.boundary(999) - 1)
+    want = ((memo.boundary(inner[0] - 1), memo.boundary(inner[1]) - 1),)
+    fresh = ArithSeq(RatioSpec.linear(1))
+    assert parse_set_expr("lift(lift(fin:{999}))", fresh).intervals == want
+    assert fresh._ratios == [] and fresh.derived._bounds == [1]
 
 
 # ----- enumeration against a brute-force oracle ------------------------------
