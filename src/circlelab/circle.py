@@ -406,9 +406,6 @@ class EnclosureCache:
         rule = x.rule
         self._next_support = (rule.support.next_member
                               if isinstance(rule, IndicatorDigits) else None)
-        # (k0, J, last, ln, ld): blocks k0 .. J-1 precede support index J, and
-        # k0 .. last are out of bands with lower end ln/ld (``_out_to``)
-        self._gap = (0, 0, -1, 0, 0)
 
     @property
     def exact_mode(self) -> bool:
@@ -451,23 +448,20 @@ class EnclosureCache:
         last such block in O(log(ld/ln)) ratio reads. The walk starts at
         J - 3: for j = J - 1 and J - 2, P <= b_{j+1} and ld > 2 ln rule it out.
         """
-        k0, J, last, gn, gd = self._gap
-        if not (k0 <= k < J and (gn, gd) == (ln, ld)):
-            J = self._next_support(k + 1)
-            if J is None:  # no later support, or the set cannot say
-                return k - 1
-            last = J - 3
-            if last >= k:
-                ratio = self.x.seq.ratio
-                b = ratio(J - 2)
-                P = b * ratio(J - 1)
-                while (b - 1) * ld > ln * P:
-                    last -= 1
-                    if last < k:
-                        break
-                    b = ratio(last + 1)
-                    P *= b
-            self._gap = (k, J, last, ln, ld)
+        J = self._next_support(k + 1)
+        if J is None:  # no later support, or the set cannot say
+            return k - 1
+        last = J - 3
+        if last >= k:
+            ratio = self.x.seq.ratio
+            b = ratio(J - 2)
+            P = b * ratio(J - 1)
+            while (b - 1) * ld > ln * P:
+                last -= 1
+                if last < k:
+                    break
+                b = ratio(last + 1)
+                P *= b
         return last if k <= last else k - 1
 
     def _max_depth(self, k: int) -> int:
@@ -484,7 +478,11 @@ class EnclosureCache:
         window. It is None when no window within the cap fits one unit
         interval. Given ``band`` = (ln, ld, hn, hd), the closed band
         [ln/ld, hn/hd], the window deepens until it lies inside the band
-        (side "in") or is clear of it ("out"); otherwise side is "undecided".
+        (side "in") or is clear of it ("out"). A row the cap leaves open is
+        still "out" when ``_out_to`` puts its block below ln/ld by the tail
+        bound, as ``count_rows`` counts it, although its window reaches
+        ln/ld (at the default cap it ends there). Otherwise side is
+        "undecided".
         """
         if self.exact_mode:
             num, den = self._exact_value(k)
@@ -512,6 +510,10 @@ class EnclosureCache:
                 if hi * ld < ln * den or lo * hd > hn * den:
                     return window, "out"
             if depth >= max_depth:
+                if (band is not None and self._next_support is not None
+                        and 0 < 2 * band[0] < band[1] and r < self.x.seq.ratio(k + 1)
+                        and self._out_to(k, band[0], band[1]) >= k):
+                    return window, "out"
                 return window, "undecided"
             depth = min(max(2 * depth, 1), max_depth)
 
@@ -565,9 +567,10 @@ class EnclosureCache:
         them through ``_window_at``. A slid window whose lower end is at or
         above band_lo / (b_{k+1} - 1) rules block k's skip out without the
         call; a block with no slid window asks before its window is built,
-        so a skipped stretch reads no digit past its first block. Such a row
-        is out in truth, but ``band_verdict`` alone may leave it undecided
-        at a small cap.
+        so a skipped stretch reads no digit past its first block. The block
+        holding N is skipped only by an exact point: a digit-window point
+        reads it, for the window the row-by-row pass leaves. ``band_verdict``
+        gives every such row "out" too, through the same tail bound.
 
         The base window is held in locals and slides to the next block with
         one division and one new digit read through ``CirclePoint.digit``.
@@ -576,8 +579,7 @@ class EnclosureCache:
         deeper, the known prefix ends, or blocks were skipped). ``_win`` is
         stored before a block's edge rows are judged, before a skip and at
         the end, so the cache is left with the window a row-by-row pass
-        leaves, unless the count ends in skipped blocks (that pass would
-        have read windows there).
+        leaves (for an exact point, unless the count ends in skipped blocks).
         """
         if i > N:
             return k, r, 0, []
@@ -612,15 +614,20 @@ class EnclosureCache:
             # a slid window at or above ln/ld / (b_{k+1} - 1) rules the skip out
             if (skips and (not held or num * ld * (b - 1) < ln * den)
                     and (last := self._out_to(k, ln, ld)) >= k):
-                if not stored:  # for the next window to slide from
-                    self._win = (k, base, num, den)
-                    stored = True
-                held = False
                 end = derived.boundary(last + 1) - 1
                 if end >= N:
-                    k, r = derived.decompose(N + 1)
-                    return k, r, n_in, undecided
-                at, k, r = end, last + 1, 1
+                    if exact:
+                        k, r = derived.decompose(N + 1)
+                        return k, r, n_in, undecided
+                    # the block holding N is read, for the window it leaves
+                    last = derived.decompose(N)[0] - 1
+                    end = derived.boundary(last + 1) - 1
+                if last >= k:
+                    if not stored:  # for the next window to slide from
+                        self._win = (k, base, num, den)
+                        stored = True
+                    held = False
+                    at, k, r = end, last + 1, 1
             if not held:
                 b = ratio(k + 1)
                 stored = True

@@ -256,20 +256,18 @@ _VARIED = ("explicit:[2,3,2,2,5,2,3,3,2,2,2,7,2,2,3,2,5,2,2,2,3,2,2,2,2,3,2,2,5,
 
 @given(spec=st.sampled_from(("const:2", "const:3", "linear:1", "pow:2", "pow:3",
                              "explicit:[2,2,40,3,2,17];tail=const:3", _VARIED)),
-       support=sparse_supports(), q=st.integers(3, 40), p=st.integers(1, 3),
-       order=st.permutations(range(60)))
+       support=sparse_supports(), q=st.integers(3, 40), p=st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
-def test_out_to_matches_the_tail_bound(spec, support, q, p, order):
-    # one cache asked in any order: the stretch k .. last is exactly the
-    # blocks from k on that the tail bound puts out, and it stops before the
-    # first block it cannot put out
+def test_out_to_matches_the_tail_bound(spec, support, q, p):
+    # the stretch k .. last is exactly the blocks from k on that the tail
+    # bound puts out, and it stops before the first block it cannot put out
     assume(2 * p < q)
     seq = ArithSeq(RatioSpec.parse(spec))
     x = parse_point(f"ones-on:{support}", seq)
     band_lo = Fraction(p, q)
     cache = EnclosureCache(x)
     oracle_checks = 3
-    for k in order:
+    for k in range(60):
         last = cache._out_to(k, band_lo.numerator, band_lo.denominator)
         assert last >= k - 1
         # the tail-bound verdict is monotone inside a gap, so its ends suffice

@@ -138,9 +138,13 @@ def test_scan_report_shape():
 
 # ----- batched scan against the row-by-row scan ---------------------------------
 
-def per_row_scan(x, eps, horizons, depth=8, cap=None):
-    """The row-by-row scan: one band_verdict per derived index, shared cache."""
+def per_row_scan(x, eps, horizons, depth=8, cap=None, tail=True):
+    """The row-by-row scan: one band_verdict per derived index, shared cache.
+    With tail=False the cache never asks the tail bound, so it sees only
+    digit windows."""
     cache = EnclosureCache(x, depth=depth, cap=cap)
+    if not tail:
+        cache._next_support = None
     derived = x.seq.derived
     tally = {"in": 0, "out": 0, "undecided": 0}
     estimates, undecided = [], []
@@ -162,24 +166,23 @@ def counts(scan):
             for e in scan.estimates]
 
 
-def assert_matches_per_row(x, eps, scan, want, undecided):
-    """The batched scan equals the row-by-row scan on every row the latter
-    decides. A row only the batched scan decides is one the tail-bound skip
-    counted out, which the Fraction oracle confirms."""
-    kept = set(scan.undecided_rows)
-    skipped = [i for i in undecided if i not in kept]
-    assert scan.undecided_rows == [i for i in undecided if i in kept]
-    top = {}  # block -> its largest skipped row; smaller rows lie lower
-    for i in skipped:
+def assert_matches_per_row(x, eps, scan, horizons, depth=8, cap=None):
+    """The batched scan equals the row-by-row scan row for row. A row that
+    digit windows alone leave open, and the tail bound decides, is out by
+    the Fraction oracle too. Returns those rows."""
+    want, undecided = per_row_scan(x, eps, horizons, depth, cap)
+    assert counts(scan) == want
+    assert scan.undecided_rows == undecided
+    _, windowed = per_row_scan(x, eps, horizons, depth, cap, tail=False)
+    kept = set(undecided)
+    by_tail = [i for i in windowed if i not in kept]
+    top = {}  # block -> its largest such row; smaller rows lie lower
+    for i in by_tail:
         k, r = x.seq.derived.decompose(i)
         top[k] = r
     for k, r in top.items():
         assert tail_bound_out(x, k, eps) and certified_below(x, k, r, eps)
-    for (N, n_in, n_out, n_und), (_, w_in, w_out, w_und) in zip(counts(scan), want):
-        moved = sum(1 for i in skipped if i <= N)
-        assert (n_in, n_out, n_und) == (w_in, w_out + moved, w_und - moved)
-    assert len(counts(scan)) == len(want)
-    return skipped
+    return by_tail
 
 
 # stretches of few-row blocks broken by long ones, blocks of exactly 16 and 17
@@ -228,8 +231,7 @@ def test_batched_scan_matches_per_row_scan(x, q, depth, cap, data):
     eps = Fraction(1, q)
     horizons = data.draw(scan_horizons(x.seq))
     scan = statistical_scan(x, eps, horizons, depth, cap)
-    want, undecided = per_row_scan(x, eps, horizons, depth, cap)
-    assert_matches_per_row(x, eps, scan, want, undecided)
+    assert_matches_per_row(x, eps, scan, horizons, depth, cap)
 
 
 @given(x=scan_points(), q=st.integers(11, 40), small=st.booleans(),
@@ -256,23 +258,10 @@ def test_count_rows_matches_row_by_row(x, q, small, depth, cap, data):
     sides = {j: slow.band_verdict(*derived.decompose(j), *band)
              for j in range(i, N + 1)}
     assert n_in == list(sides.values()).count("in")
-    # the row-by-row pass decides every row the count leaves undecided; a
-    # row only the count decides is out by the tail bound
-    kept = set(undecided)
-    assert undecided == [j for j, side in sides.items()
-                         if side == "undecided" and j in kept]
-    top = {}  # block -> its largest row only the count decides
-    for j, side in sides.items():
-        if side == "undecided" and j not in kept:
-            kj, rj = derived.decompose(j)
-            top[kj] = rj
-    for kj, rj in top.items():
-        assert tail_bound_out(x, kj, band[0]) and certified_below(x, kj, rj, band[0])
+    assert undecided == [j for j, side in sides.items() if side == "undecided"]
     assert (k, r) == derived.decompose(N + 1)
-    # the window BlockRows replays from is the one the row-by-row pass
-    # leaves, unless the count ended in blocks it skipped
-    if N < i or not tail_bound_out(x, derived.decompose(N)[0], band[0]):
-        assert fast._win == slow._win
+    # the window BlockRows replays from is the one the row-by-row pass leaves
+    assert fast._win == slow._win
 
 
 @st.composite
@@ -308,21 +297,18 @@ def test_skipping_scan_matches_per_row_scan_on_sparse_supports(spec, support, q,
     eps = Fraction(1, q)
     horizons = data.draw(skipped_horizons(x, eps))
     scan = statistical_scan(x, eps, horizons, depth, cap)
-    want, undecided = per_row_scan(x, eps, horizons, depth, cap)
-    assert_matches_per_row(x, eps, scan, want, undecided)
+    assert_matches_per_row(x, eps, scan, horizons, depth, cap)
 
 
-def test_skip_decides_rows_the_default_cap_leaves_open():
+def test_tail_bound_decides_rows_the_default_cap_leaves_open():
     # under const:2, blocks:cube-gap holds runs of j^3 + 1 ones; the blocks
     # just before the run of 65 keep a depth-64 window short of the run's
     # end, so the window leaves six rows open, which the tail bound puts out
     x = parse_point("ones-on:blocks:cube-gap", ArithSeq(RatioSpec.constant(2)))
     eps = Fraction(1, 8)
     scan = statistical_scan(x, eps, [1000, 3000])
-    want, undecided = per_row_scan(x, eps, [1000, 3000], cap=64)
-    assert want == [(1000, 23, 973, 4), (3000, 31, 2963, 6)]
     assert counts(scan) == [(1000, 23, 977, 0), (3000, 31, 2969, 0)]
-    assert assert_matches_per_row(x, eps, scan, want, undecided) == undecided
+    assert len(assert_matches_per_row(x, eps, scan, [1000, 3000])) == 6
 
 
 def test_sparse_scan_reaches_ten_to_the_ten():

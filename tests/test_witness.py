@@ -191,7 +191,7 @@ def certify_cases(draw):
     seq = ArithSeq(RatioSpec.parse(
         draw(st.sampled_from(("const:2", "const:3", "linear:1", "pow:2")))))
     form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
-                                 "finite", "floor-div")))
+                                 "finite", "floor-div", "ones-on:blocks:cube-gap")))
     if form == "rat":  # a capped prefix: rows past it stay undecided
         q = draw(st.integers(3, 300))
         x = parse_point(f"rat:{draw(st.integers(1, q - 1))}/{q}", seq,
@@ -243,6 +243,25 @@ def test_block_counted_certify_matches_row_by_row(args):
         row for row in want if row[3] != "certified"]
     assert report.to_report(rows=20)["rows"] == [
         row.to_report() for row in report.rows][:20]
+
+
+@pytest.mark.parametrize("m0,open_rows", [(8, 6), (16, 5), (32, 4)])
+def test_certify_counts_agree_with_rows_the_tail_bound_decides(m0, open_rows):
+    # under const:2 the blocks just before a run of 65 ones of
+    # blocks:cube-gap keep a depth-64 window that ends at 1/m0; the tail
+    # bound puts their rows below it, in the counts and the rows alike
+    x = parse_point("ones-on:blocks:cube-gap", ArithSeq(RatioSpec.constant(2)))
+    bad = IntervalNatSet([(1, 3000)])
+    report = certify_nonmembership(x, bad, "small", m0, 13, t=8, horizon=3000)
+    want = row_by_row_certify(x, bad, 8, 3000, report.params["band_lo"],
+                              report.params["band_hi"])
+    assert as_tuples(report.rows) == want
+    assert (report.certified, report.violations, report.undecided) == tuple(
+        sum(1 for row in want if row[3] == v)
+        for v in ("certified", "violation", "undecided"))
+    assert report.undecided == 0
+    # those rows' windows end at band_lo, which the value stays below
+    assert sum(1 for row in want if row[2] == report.params["band_lo"]) == open_rows
 
 
 def merged_blocks_report(t):
