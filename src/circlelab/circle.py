@@ -116,6 +116,11 @@ class DigitRule:
         """Largest index that may carry a nonzero digit, when support is finite."""
         return None
 
+    def next_nonzero(self, n: int) -> int | None:
+        """The least index >= n whose digit may be nonzero; None when there is
+        none (then ``finite_support_max()`` < n) or the rule cannot say."""
+        return None
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -182,6 +187,9 @@ class IndicatorDigits(DigitRule):
 
     def digit(self, n, seq):
         return 1 if n in self.support else 0
+
+    def next_nonzero(self, n):
+        return self.support.next_member(n)
 
     def support_kind(self):
         if self.support.is_finite:
@@ -271,8 +279,9 @@ class CirclePoint:
 
         The window slides forward and trims or deepens at its end as
         ``_slide`` does; only a request behind its start, or past its end,
-        is read from scratch. A failed digit read leaves the latest window
-        as it was. ``window_from_scratch`` in ``tests/conftest.py`` is the
+        is built from scratch, where a rule that names its nonzero digits
+        has only those read. A failed digit read leaves the latest window as
+        it was. ``window_from_scratch`` in ``tests/conftest.py`` is the
         reference that reads every digit.
         """
         wn, wt, num, den = self._win
@@ -326,8 +335,14 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
 
     When n lies in start .. end, the leading digits drop out by division
     (each c_j <= b_j - 1 keeps the rest below den), digits past target are
-    cut off the same way, and only the digits past end are read, each through
-    ``CirclePoint.digit``. Otherwise the window is read from scratch.
+    cut off the same way, and only the digits past end are added. Otherwise
+    the window is built from scratch. A digit j is added as num * b_j + c_j
+    over den * b_j. When more than one digit is added and
+    ``DigitRule.next_nonzero`` names the next digit m that may be nonzero,
+    the zero digits j .. m - 1 are added at once with the ratio product
+    b_j ... b_{m-1}, and only digit m is read, through ``CirclePoint.digit``;
+    from the first index the rule cannot answer, the digits are read one by
+    one. The sum is the same integer either way.
     """
     ratio = x.seq.ratio
     if start <= n <= end:
@@ -341,7 +356,26 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
         num //= b
         den //= b
         end -= 1
-    for j in range(end + 1, target + 1):
+    j = end + 1
+    sparse = j < target  # a slide by one block adds one digit: read it
+    while sparse and j <= target:
+        m = x.rule.next_nonzero(j)
+        if m is None:
+            last = x.rule.finite_support_max()
+            if last is None or last >= j:
+                break  # the rule cannot say: read the rest one by one
+            m = target + 1  # no nonzero digit past last
+        if m > j:  # the digits j .. m - 1 are 0
+            P = x.seq.ratio_product(j, min(m - 1, target))
+            num *= P
+            den *= P
+            j = m
+            continue
+        b = ratio(j)
+        num = num * b + x.digit(j)
+        den *= b
+        j += 1
+    for j in range(j, target + 1):
         b = ratio(j)
         num = num * b + x.digit(j)
         den *= b
@@ -403,9 +437,7 @@ class EnclosureCache:
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
-        rule = x.rule
-        self._next_support = (rule.support.next_member
-                              if isinstance(rule, IndicatorDigits) else None)
+        self._next_support = x.rule.next_nonzero
 
     @property
     def exact_mode(self) -> bool:
@@ -425,8 +457,9 @@ class EnclosureCache:
         in ``tests/conftest.py``).
 
         A window already deepened on block k is reused as it is. Otherwise
-        the latest window moves to block k by ``_slide``: a block behind it,
-        or one past its end, is read from scratch.
+        the latest window moves to block k by ``_slide``: for a block behind
+        it, or one past its end, the window is built from scratch, reading
+        only the digits the rule names as maybe nonzero.
         """
         wk, wdepth, num, den = self._win
         if k == wk and wdepth >= depth:
@@ -510,8 +543,8 @@ class EnclosureCache:
                 if hi * ld < ln * den or lo * hd > hn * den:
                     return window, "out"
             if depth >= max_depth:
-                if (band is not None and self._next_support is not None
-                        and 0 < 2 * band[0] < band[1] and r < self.x.seq.ratio(k + 1)
+                if (band is not None and 0 < 2 * band[0] < band[1]
+                        and r < self.x.seq.ratio(k + 1)
                         and self._out_to(k, band[0], band[1]) >= k):
                     return window, "out"
                 return window, "undecided"
@@ -561,11 +594,13 @@ class EnclosureCache:
         ``band_verdict``. Past a capped point's known digits a block has no
         window, and its rows and all later ones are undecided.
 
-        For an indicator point and 0 < band_lo < 1/2, the blocks that
-        ``_out_to`` puts below band_lo by the tail bound are counted out
-        whole, by a difference of block boundaries; the window resumes after
-        them through ``_window_at``. A slid window whose lower end is at or
-        above band_lo / (b_{k+1} - 1) rules block k's skip out without the
+        For a point whose rule names its nonzero digits (an indicator
+        point) and 0 < band_lo < 1/2, the blocks that ``_out_to`` puts below
+        band_lo by the tail bound are counted out whole, by a difference of
+        block boundaries; the window restarts after them through
+        ``_window_at``, which reads only the supported digits and spans each
+        zero run with one ratio product. A slid window whose lower end is at
+        or above band_lo / (b_{k+1} - 1) rules block k's skip out without the
         call; a block with no slid window asks before its window is built,
         so a skipped stretch reads no digit past its first block. The block
         holding N is skipped only by an exact point: a digit-window point
@@ -589,7 +624,7 @@ class EnclosureCache:
         exact = self.exact_mode
         base = min(self.depth, self.cap)
         ln, ld, hn, hd = _band(band_lo, band_hi)
-        skips = self._next_support is not None and 0 < 2 * ln < ld
+        skips = 0 < 2 * ln < ld
         n_in, undecided = 0, []
         at = i - r  # row e of block k is derived index at + e
         held = False  # the locals hold block k - 1's base window, to slide

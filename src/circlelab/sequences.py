@@ -67,20 +67,24 @@ class _BlockRatios:
 
 
 def _const_forms(b: int):
-    """n_k = 1 + k(b - 1) under b_n = b, and its inverse."""
-    return (lambda k: 1 + k * (b - 1)), (lambda i: (i - 1) // (b - 1))
+    """n_k = 1 + k(b - 1) under b_n = b, its inverse, and b_lo ... b_hi."""
+    return ((lambda k: 1 + k * (b - 1)), (lambda i: (i - 1) // (b - 1)),
+            lambda lo, hi: b ** (hi - lo + 1))
 
 
 def _linear_forms(c: int):
-    """n_k = 1 + k(k + d)/2 with d = 2c - 1 under b_n = n + c, and its inverse:
-    k(k + d) <= 2(i - 1) holds exactly up to k = (isqrt(d^2 + 8(i - 1)) - d) // 2."""
+    """n_k = 1 + k(k + d)/2 with d = 2c - 1 under b_n = n + c, its inverse,
+    and b_lo ... b_hi: k(k + d) <= 2(i - 1) holds exactly up to
+    k = (isqrt(d^2 + 8(i - 1)) - d) // 2."""
     d = 2 * c - 1
     return (lambda k: 1 + k * (k + d) // 2,
-            lambda i: (math.isqrt(d * d + 8 * (i - 1)) - d) // 2)
+            lambda i: (math.isqrt(d * d + 8 * (i - 1)) - d) // 2,
+            lambda lo, hi: math.prod(range(lo + c, hi + c + 1)))
 
 
 def _pow_forms(b: int):
-    """n_k = 1 + (b^(k+1) - b)/(b - 1) - k under b_n = b^n, and its inverse.
+    """n_k = 1 + (b^(k+1) - b)/(b - 1) - k under b_n = b^n, its inverse, and
+    b_lo ... b_hi = b^(lo + ... + hi).
 
     b^k <= n_k < 2 b^k, so the k with n_k <= i < n_{k+1} is the integer
     logarithm e of i (b^e <= i < b^(e+1)) or e - 1.
@@ -94,7 +98,7 @@ def _pow_forms(b: int):
             e, t = e + 1, t * b
         return e if boundary(e) <= i else e - 1
 
-    return boundary, block
+    return boundary, block, lambda lo, hi: b ** ((lo + hi) * (hi - lo + 1) // 2)
 
 
 class RatioSpec:
@@ -107,9 +111,10 @@ class RatioSpec:
     def __init__(self, text: str, rule, eventually_two: bool, forms=None):
         """The spec string ``describe`` returns, the rule n -> b_n, whether
         b_n = 2 for all large n, and ``forms``: the closed-form block
-        boundary k -> n_k with its inverse i -> k (n_k <= i < n_{k+1}), or
-        None for a kind without them, whose ratios and boundaries are read
-        from memos only. Each classmethod checks its input."""
+        boundary k -> n_k, its inverse i -> k (n_k <= i < n_{k+1}) and the
+        ratio product (lo, hi) -> b_lo ... b_hi, or None for a kind without
+        them, whose ratios and boundaries are read from memos only. Each
+        classmethod checks its input."""
         self._text = text
         self._rule = rule
         self._two = eventually_two
@@ -277,6 +282,13 @@ class ArithSeq:
         while n > len(ratios):
             ratios.append(self.spec.term(len(ratios) + 1))
         return ratios[n - 1]
+
+    def ratio_product(self, lo: int, hi: int) -> int:
+        """b_lo * ... * b_hi for 1 <= lo <= hi, in closed form when the spec
+        has one and from ``ratio`` reads otherwise."""
+        if self.spec.forms:
+            return self.spec.forms[2](lo, hi)
+        return math.prod(map(self.ratio, range(lo, hi + 1)))
 
     def term(self, k: int) -> int:
         """a_k for k >= 0."""

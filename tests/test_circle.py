@@ -19,7 +19,14 @@ from circlelab.circle import (
     parse_point,
     tail_upper_bound,
 )
-from circlelab.density import IntervalNatSet, cube_gap_blocks, evens, full_set, lift
+from circlelab.density import (
+    IntervalNatSet,
+    PredicateNatSet,
+    cube_gap_blocks,
+    evens,
+    full_set,
+    lift,
+)
 from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
 from conftest import (
@@ -345,15 +352,22 @@ def test_cache_refinement_only_deepens():
     assert first.lo <= second.lo and second.hi <= first.hi
 
 
+# dlictrex:3 has no closed forms, so its zero runs multiply memo reads
 _WINDOW_SPECS = {text: ArithSeq(RatioSpec.parse(text))
                  for text in ("const:2", "const:3", "linear:1", "pow:2",
-                              "explicit:[5,2,7,3,4];tail=const:3")}
+                              "explicit:[5,2,7,3,4];tail=const:3", "dlictrex:3")}
 
 
 @st.composite
 def window_points(draw, seq):
-    """An infinite, a finite floor-div or a capped rat: point on ``seq``."""
-    form = draw(st.sampled_from(("ones-on:squares", "floor-div", "rat")))
+    """A finite floor-div, a capped rat: or an indicator point on ``seq``.
+
+    The indicator supports are the sparse ones of ``sparse_supports``, ``all``
+    (not under a spec whose ratios end in 2's, where it is not canonical) and
+    an opaque predicate set, whose ``next_member`` always answers None, so
+    its windows read every digit one by one.
+    """
+    form = draw(st.sampled_from(("ones-on", "opaque", "floor-div", "rat")))
     if form == "floor-div":
         keys = draw(st.sets(st.integers(1, 60), max_size=12))
         return CirclePoint(seq, FloorDivDigits({n: 2 for n in keys}))
@@ -361,7 +375,13 @@ def window_points(draw, seq):
         # 97 divides no a_n within the horizon, so the prefix stays capped
         p, horizon = draw(st.integers(1, 96)), draw(st.integers(1, 48))
         return parse_point(f"rat:{p}/97", seq, horizon)
-    return parse_point(form, seq)
+    if form == "opaque":
+        return CirclePoint(seq, IndicatorDigits(
+            PredicateNatSet(lambda n: n % 3 == 1, False, name="thirds")))
+    sets = sparse_supports()
+    if not seq.spec.eventually_two():
+        sets |= st.just("all")
+    return parse_point("ones-on:" + draw(sets), seq)
 
 
 @given(spec=st.sampled_from(sorted(_WINDOW_SPECS)), data=st.data(),

@@ -1,10 +1,12 @@
 """Membership verdicts and the statistical escape-set scan."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from circlelab import circle
 from circlelab.circle import (
     CirclePoint,
     EnclosureCache,
@@ -144,7 +146,7 @@ def per_row_scan(x, eps, horizons, depth=8, cap=None, tail=True):
     digit windows."""
     cache = EnclosureCache(x, depth=depth, cap=cap)
     if not tail:
-        cache._next_support = None
+        cache._next_support = lambda n: None
     derived = x.seq.derived
     tally = {"in": 0, "out": 0, "undecided": 0}
     estimates, undecided = [], []
@@ -462,6 +464,38 @@ def test_scan_counts_a_run_in_one_pass(monkeypatch):
                             [2000], 4, 16)
     assert scan.estimates[-1].undecided_count == 1000
     assert len(on_block) == 1000 and all(on_block)
+
+
+def test_scan_restarts_read_only_supported_digits(monkeypatch):
+    # the scan-manyblocks benchmark config: after each skipped gap the window
+    # restarts from the support's members and ratio products, so a restart
+    # reads no zero digit; every other read is the one new digit of a slid
+    # block, and no digit is read twice. Restarts that read every digit made
+    # 9,727 reads here.
+    seq = ArithSeq(RatioSpec.constant(3))
+    x = parse_point("ones-on:squares", seq)
+    reads, restart = [], []
+    digit, slide = CirclePoint.digit, circle._slide
+    monkeypatch.setattr(CirclePoint, "digit", lambda self, n: (
+        reads.append((n, bool(restart))) or digit(self, n)))
+
+    def counted_slide(x, start, end, num, den, n, target):
+        # a window that does not overlap the latest one is built from scratch
+        restart.append(not start <= n <= end)
+        try:
+            return slide(x, start, end, num, den, n, target)
+        finally:
+            restart.pop()
+
+    monkeypatch.setattr(circle, "_slide", counted_slide)
+    horizons = [10 ** 4, 5 * 10 ** 4]
+    scan = statistical_scan(x, Fraction(1, 8), horizons, 64)
+    assert counts(scan) == [(10 ** 4, 209, 9791, 0), (5 * 10 ** 4, 473, 49527, 0)]
+    restarts = [n for n, fresh in reads if fresh]
+    slid = [n for n, fresh in reads if not fresh]
+    assert all(math.isqrt(n) ** 2 == n for n in restarts)
+    assert len({n for n, _ in reads}) == len(reads)
+    assert (len(slid), len(restarts)) == (472, 152)
 
 
 def test_exact_scan_slides_its_window(monkeypatch):

@@ -1,6 +1,7 @@
 """Ratio specs, the arithmetic sequence, and its derived enumeration."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,29 @@ def test_closed_decompose_at_huge_indices():
         for i in (10 ** 12, 10 ** 30 + 7, 3 ** 90):
             k, r = d.decompose(i)
             assert d.boundary(k) <= i < d.boundary(k + 1) and r == i - d.boundary(k) + 1
+
+
+@given(text=st.sampled_from(_CLOSED), lo=st.integers(1, 300) | st.integers(10 ** 3, 10 ** 9),
+       span=st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_closed_ratio_product_matches_reads(text, lo, span):
+    # b_lo ... b_hi in closed form equals the product of the ratios read one
+    # by one, for a single ratio (span 0) and far past the memo; the closed
+    # form reads and stores no ratio. Under pow, b_n = B^n has at least n
+    # bits, so its far reads stop at n = 3000
+    seq = ArithSeq(RatioSpec.parse(text))
+    if text.startswith("pow"):
+        lo = min(lo, 3000)
+    hi = lo + span
+    want = math.prod(ArithSeq(RatioSpec.parse(text)).ratio(j) for j in range(lo, hi + 1))
+    assert seq.ratio_product(lo, hi) == want
+    assert seq._ratios == []
+
+
+def test_memo_ratio_product_reads_the_memo():
+    seq = ArithSeq(RatioSpec.parse("dlictrex:3"))
+    assert seq.ratio_product(4, 9) == math.prod(seq.ratio(j) for j in range(4, 10))
+    assert len(seq._ratios) == 9
 
 
 def test_memo_specs_keep_their_memo():
