@@ -117,8 +117,8 @@ class DigitRule:
         return None
 
     def next_nonzero(self, n: int) -> int | None:
-        """The least index >= n whose digit may be nonzero; None when there is
-        none (then ``finite_support_max()`` < n) or the rule cannot say."""
+        """The least index >= n whose digit may be nonzero, or None when the
+        rule cannot say."""
         return None
 
     def describe(self) -> str:
@@ -337,12 +337,11 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     (each c_j <= b_j - 1 keeps the rest below den), digits past target are
     cut off the same way, and only the digits past end are added. Otherwise
     the window is built from scratch. A digit j is added as num * b_j + c_j
-    over den * b_j. When more than one digit is added and
-    ``DigitRule.next_nonzero`` names the next digit m that may be nonzero,
-    the zero digits j .. m - 1 are added at once with the ratio product
-    b_j ... b_{m-1}, and only digit m is read, through ``CirclePoint.digit``;
-    from the first index the rule cannot answer, the digits are read one by
-    one. The sum is the same integer either way.
+    over den * b_j. When ``DigitRule.next_nonzero`` names the next digit m
+    that may be nonzero, the zero digits j .. m - 1 are added at once with
+    the ratio product b_j ... b_{m-1}, and only digit m is read, through
+    ``CirclePoint.digit``; from the first index the rule cannot answer, the
+    digits are read one by one. The sum is the same integer either way.
     """
     ratio = x.seq.ratio
     if start <= n <= end:
@@ -357,14 +356,10 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
         den //= b
         end -= 1
     j = end + 1
-    sparse = j < target  # a slide by one block adds one digit: read it
-    while sparse and j <= target:
+    while j <= target:
         m = x.rule.next_nonzero(j)
         if m is None:
-            last = x.rule.finite_support_max()
-            if last is None or last >= j:
-                break  # the rule cannot say: read the rest one by one
-            m = target + 1  # no nonzero digit past last
+            break  # the rule cannot say: read the rest one by one
         if m > j:  # the digits j .. m - 1 are 0
             P = x.seq.ratio_product(j, min(m - 1, target))
             num *= P
@@ -438,6 +433,8 @@ class EnclosureCache:
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
         self._next_support = x.rule.next_nonzero
+        # blocks are skipped only for a rule that names its nonzero digits
+        self._skips = x.rule.next_nonzero(1) is not None
 
     @property
     def exact_mode(self) -> bool:
@@ -543,8 +540,8 @@ class EnclosureCache:
                 if hi * ld < ln * den or lo * hd > hn * den:
                     return window, "out"
             if depth >= max_depth:
-                if (band is not None and 0 < 2 * band[0] < band[1]
-                        and r < self.x.seq.ratio(k + 1)
+                if (band is not None and self._skips
+                        and 0 < 2 * band[0] < band[1] and r < self.x.seq.ratio(k + 1)
                         and self._out_to(k, band[0], band[1]) >= k):
                     return window, "out"
                 return window, "undecided"
@@ -624,7 +621,7 @@ class EnclosureCache:
         exact = self.exact_mode
         base = min(self.depth, self.cap)
         ln, ld, hn, hd = _band(band_lo, band_hi)
-        skips = 0 < 2 * ln < ld
+        skips = self._skips and 0 < 2 * ln < ld
         n_in, undecided = 0, []
         at = i - r  # row e of block k is derived index at + e
         held = False  # the locals hold block k - 1's base window, to slide

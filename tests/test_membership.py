@@ -146,7 +146,7 @@ def per_row_scan(x, eps, horizons, depth=8, cap=None, tail=True):
     digit windows."""
     cache = EnclosureCache(x, depth=depth, cap=cap)
     if not tail:
-        cache._next_support = lambda n: None
+        cache._skips = False
     derived = x.seq.derived
     tally = {"in": 0, "out": 0, "undecided": 0}
     estimates, undecided = [], []
