@@ -418,10 +418,12 @@ def tail_upper_bound(x: CirclePoint, j: int, t: int = 8) -> Fraction:
 class EnclosureCache:
     """Shared per-block evaluation state for scans over derived indices.
 
-    All rows of block k reuse one window enclosure of {a_k x}. Only the
-    latest window is kept: a later block slides it forward and refinement
-    deepens it. Verdicts are independent of the order in which rows are
-    visited, since certified verdicts are final whatever the window depth.
+    All rows of block k share its windows of {a_k x}. A window is a
+    function of its block and depth alone, and a row's enclosure is refined
+    from the base depth, so every enclosure and verdict depends on the row,
+    the band, the base depth and the cap only, never on the rows judged
+    before it. The windows asked for on the latest block are kept as its
+    ladder, one per depth; the next window slides from the latest one.
     """
 
     def __init__(self, x: CirclePoint, depth: int = 8, cap: int | None = None):
@@ -432,6 +434,10 @@ class EnclosureCache:
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
+        # block _ladder_k's windows by depth, and the deepest depth among them
+        self._ladder_k = -1
+        self._ladder: dict[int, tuple[int, int]] = {}
+        self._deepest = 0
         self._next_support = x.rule.next_nonzero
         # blocks are skipped only for a rule that names its nonzero digits
         self._skips = x.rule.next_nonzero(1) is not None
@@ -445,26 +451,30 @@ class EnclosureCache:
         digits up to the end of the support, slid like any other window."""
         if k >= self._fs_max:
             return 0, 1
-        num, den, _ = self._window_at(k, self._fs_max - k - 1)
-        return num, den
+        return self._window_at(k, self._fs_max - k - 1)
 
-    def _window_at(self, k: int, depth: int) -> tuple[int, int, int]:
-        """(num, den, depth') of block k's window over the digits k+1 ..
-        k+1+depth', depth' >= depth (``window_from_scratch(x, k + 1, depth')``
-        in ``tests/conftest.py``).
+    def _window_at(self, k: int, depth: int) -> tuple[int, int]:
+        """(num, den) of block k's window over the digits k+1 .. k+1+depth
+        (``window_from_scratch(x, k + 1, depth)`` in ``tests/conftest.py``).
 
-        A window already deepened on block k is reused as it is. Otherwise
-        the latest window moves to block k by ``_slide``: for a block behind
-        it, or one past its end, the window is built from scratch, reading
-        only the digits the rule names as maybe nonzero.
+        A depth already asked for on block k is served from its ladder.
+        Otherwise the latest window moves there by ``_slide``: for a block
+        behind it, or one past its end, the window is built from scratch,
+        reading only the digits the rule names as maybe nonzero.
         """
+        if k != self._ladder_k:
+            self._ladder_k, self._ladder, self._deepest = k, {}, 0
+        ladder = self._ladder
+        if depth in ladder:
+            return ladder[depth]
         wk, wdepth, num, den = self._win
-        if k == wk and wdepth >= depth:
-            return num, den, wdepth
-        num, den = _slide(self.x, wk + 1, wk + 1 + wdepth, num, den,
-                          k + 1, k + 1 + depth)
-        self._win = (k, depth, num, den)
-        return num, den, depth
+        window = _slide(self.x, wk + 1, wk + 1 + wdepth, num, den,
+                        k + 1, k + 1 + depth)
+        self._win = (k, depth, *window)
+        ladder[depth] = window
+        if depth > self._deepest:
+            self._deepest = depth
+        return window
 
     def _out_to(self, k: int, ln: int, ld: int) -> int:
         """The last block j such that the tail bound puts every row of blocks
@@ -500,19 +510,22 @@ class EnclosureCache:
             return self.cap
         return min(self.cap, known - (k + 1))
 
-    def _refine(self, k: int, r: int, band: tuple[int, int, int, int] | None = None):
+    def _refine(self, k: int, r: int, band: tuple[int, int, int, int] | None = None,
+                start: int = 0):
         """Pin {r * a_k * x}; the one refinement loop behind every enclosure.
 
         Returns (window, side). ``window`` is (lo, hi, den) with the value in
         [lo, hi] / den: hi = lo for an exact point, hi = lo + r for a digit
-        window. It is None when no window within the cap fits one unit
-        interval. Given ``band`` = (ln, ld, hn, hd), the closed band
-        [ln/ld, hn/hd], the window deepens until it lies inside the band
-        (side "in") or is clear of it ("out"). A row the cap leaves open is
-        still "out" when ``_out_to`` puts its block below ln/ld by the tail
-        bound, as ``count_rows`` counts it, although its window reaches
-        ln/ld (at the default cap it ends there). Otherwise side is
-        "undecided".
+        window. The digit windows deepen from the base depth (or from
+        ``start``, if deeper), doubling up to the cap; ``window`` is the first
+        that fits one unit interval, and None when none within the cap does.
+        Given ``band`` = (ln, ld, hn, hd), the closed band [ln/ld, hn/hd],
+        the window deepens until it lies inside the band (side "in") or is
+        clear of it ("out"). A row the cap leaves open is still "out" when
+        ``_out_to`` puts its block below ln/ld by the tail bound, as
+        ``count_rows`` counts it, although its window reaches ln/ld (at the
+        default cap it ends there). Otherwise side is "undecided". Enclosures
+        nest under refinement, so the side is the same from any start depth.
         """
         if self.exact_mode:
             num, den = self._exact_value(k)
@@ -521,11 +534,13 @@ class EnclosureCache:
             max_depth = self._max_depth(k)
             if max_depth < 0:
                 return None, "undecided"
-            depth = min(self.depth, max_depth)
+            depth = start if start > self.depth else self.depth
+            if depth > max_depth:
+                depth = max_depth
             width = r
         while True:
             if width:  # an exact value is its own final window
-                num, den, depth = self._window_at(k, depth)
+                num, den = self._window_at(k, depth)
             lo = r * num % den
             hi = lo + width
             # the value sits in [lo, lo + r) / den half-open, so hi == den
@@ -548,7 +563,9 @@ class EnclosureCache:
             depth = min(max(2 * depth, 1), max_depth)
 
     def interval(self, k: int, r: int) -> BoundInterval:
-        """Enclosure of {r * a_k * x}, refined as far as the cap allows."""
+        """Enclosure of {r * a_k * x}: the first window from the base depth
+        on that fits inside one unit interval, or the undecided [0, 1] when
+        none within the cap does."""
         return _enclosure(self._refine(k, r)[0])
 
     def band_verdict(self, k: int, r: int, band_lo: Fraction, band_hi: Fraction) -> str:
@@ -556,16 +573,19 @@ class EnclosureCache:
 
         Returns "in" when the certified enclosure lies inside the band, "out"
         when it is disjoint from the band, else "undecided". Conservative at
-        exact band edges for infinite-support points; exact otherwise.
+        exact band edges for infinite-support points; exact otherwise. The
+        refinement starts at the deepest window block k's ladder holds.
         """
-        return self._refine(k, r, _band(band_lo, band_hi))[1]
+        start = self._deepest if k == self._ladder_k else 0
+        return self._refine(k, r, _band(band_lo, band_hi), start)[1]
 
     def judge(self, k: int, r: int, band_lo: Fraction,
               band_hi: Fraction) -> tuple[BoundInterval, str]:
         """``band_verdict`` together with the enclosure it was judged on.
 
-        One refinement yields both; the enclosure equals what ``interval``
-        returns right after ``band_verdict``.
+        The refinement starts at the base depth, so the enclosure is the
+        first window that decides the row (the window at the cap when none
+        does), whatever rows were judged before it.
         """
         window, side = self._refine(k, r, _band(band_lo, band_hi))
         return _enclosure(window), side
@@ -594,24 +614,22 @@ class EnclosureCache:
         For a point whose rule names its nonzero digits (an indicator
         point) and 0 < band_lo < 1/2, the blocks that ``_out_to`` puts below
         band_lo by the tail bound are counted out whole, by a difference of
-        block boundaries; the window restarts after them through
-        ``_window_at``, which reads only the supported digits and spans each
-        zero run with one ratio product. A slid window whose lower end is at
-        or above band_lo / (b_{k+1} - 1) rules block k's skip out without the
-        call; a block with no slid window asks before its window is built,
-        so a skipped stretch reads no digit past its first block. The block
-        holding N is skipped only by an exact point: a digit-window point
-        reads it, for the window the row-by-row pass leaves. ``band_verdict``
-        gives every such row "out" too, through the same tail bound.
+        block boundaries, up to N itself; the window restarts after them
+        through ``_window_at``, which reads only the supported digits and
+        spans each zero run with one ratio product. A slid window whose lower
+        end is at or above band_lo / (b_{k+1} - 1) rules block k's skip out
+        without the call; a block with no slid window asks before its window
+        is built, so a skipped stretch reads no digit past its first block.
+        ``band_verdict`` gives every row of a skipped block "out" too,
+        through the same tail bound.
 
         The base window is held in locals and slides to the next block with
-        one division and one new digit read through ``CirclePoint.digit``.
-        ``_window_at`` serves the first block, every block of an exact
-        point, and a block the base window cannot slide to (it came back
-        deeper, the known prefix ends, or blocks were skipped). ``_win`` is
-        stored before a block's edge rows are judged, before a skip and at
-        the end, so the cache is left with the window a row-by-row pass
-        leaves (for an exact point, unless the count ends in skipped blocks).
+        one division and one new digit read through ``CirclePoint.digit``;
+        each slid window is handed to the cache as its latest window, so
+        edge rows and the next restart slide from it. ``_window_at`` serves
+        the first block, every block of an exact point, and a block the base
+        window cannot slide to (the known prefix ends, or blocks were
+        skipped).
         """
         if i > N:
             return k, r, 0, []
@@ -625,15 +643,11 @@ class EnclosureCache:
         n_in, undecided = 0, []
         at = i - r  # row e of block k is derived index at + e
         held = False  # the locals hold block k - 1's base window, to slide
-        stored = True  # the cache holds the locals' window, or none is held
         band_den = None
         while True:
             if held:  # slide block k - 1's window to block k
                 j = k + 1 + base  # the digit block k's window adds
                 if known is not None and j > known:
-                    if not stored:
-                        self._win = (k - 1, base, num, den)
-                        stored = True
                     held = False
                 else:
                     den //= b
@@ -642,27 +656,18 @@ class EnclosureCache:
                     num = num * bj + digit(j)
                     den *= bj
                     b = ratio(k + 1)
-                    stored = False
+                    self._win = (k, base, num, den)
             # a slid window at or above ln/ld / (b_{k+1} - 1) rules the skip out
             if (skips and (not held or num * ld * (b - 1) < ln * den)
                     and (last := self._out_to(k, ln, ld)) >= k):
                 end = derived.boundary(last + 1) - 1
                 if end >= N:
-                    if exact:
-                        k, r = derived.decompose(N + 1)
-                        return k, r, n_in, undecided
-                    # the block holding N is read, for the window it leaves
-                    last = derived.decompose(N)[0] - 1
-                    end = derived.boundary(last + 1) - 1
-                if last >= k:
-                    if not stored:  # for the next window to slide from
-                        self._win = (k, base, num, den)
-                        stored = True
-                    held = False
-                    at, k, r = end, last + 1, 1
+                    k, r = derived.decompose(N + 1)
+                    return k, r, n_in, undecided
+                held = False
+                at, k, r = end, last + 1, 1
             if not held:
                 b = ratio(k + 1)
-                stored = True
                 if exact:
                     num, den = self._exact_value(k)
                 else:
@@ -671,8 +676,8 @@ class EnclosureCache:
                         undecided += range(at + r, N + 1)
                         k, r = derived.decompose(N + 1)
                         return k, r, n_in, undecided
-                    num, den, depth = self._window_at(k, min(base, top))
-                    held = depth == base and at + b <= N  # the count goes past block k
+                    num, den = self._window_at(k, min(base, top))
+                    held = top >= base and at + b <= N  # the count goes past block k
             r1 = b - 1
             if r1 > N - at:  # the block runs past N
                 r1 = N - at
@@ -685,23 +690,17 @@ class EnclosureCache:
             else:
                 seg_in, edge = _sort_many(num, den, r, r1, A, B, 0 if exact else r1)
             n_in += seg_in
-            if edge:
-                if not stored:
-                    self._win = (k, base, num, den)
-                    stored = True
-                for e in edge:
-                    side = self.band_verdict(k, e, band_lo, band_hi)
-                    if side == "in":
-                        n_in += 1
-                    elif side == "undecided":
-                        undecided.append(at + e)
+            for e in edge:
+                side = self.band_verdict(k, e, band_lo, band_hi)
+                if side == "in":
+                    n_in += 1
+                elif side == "undecided":
+                    undecided.append(at + e)
             at += r1
             if at >= N:
                 break
             k += 1
             r = 1
-        if not stored:
-            self._win = (k, base, num, den)
         if r1 < b - 1:
             return k, r1 + 1, n_in, undecided
         return k + 1, 1, n_in, undecided

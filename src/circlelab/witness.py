@@ -10,7 +10,6 @@ the suites treat it that way).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -137,25 +136,22 @@ def _cert_row(cache: EnclosureCache, index: int, k: int, r: int,
 
 class _Segment(NamedTuple):
     """A bad run of ``size`` rows from row r of block k, derived indices
-    index..; ``count_rows`` found n_in of them in the band, starting from
-    the cache window ``window``."""
+    index..; ``count_rows`` found n_in of them in the band."""
 
     index: int
     k: int
     r: int
     size: int
-    window: tuple[int, int, int, int]
     n_in: int
 
 
 class BlockRows:
     """The rows of a block-counted certification, rebuilt on demand.
 
-    Each bad run was counted by one ``count_rows`` call. Replaying the run
-    with ``judge`` from the window it was counted on repeats the row-by-row
-    pass exactly: a row clear of the band edges never deepens the window,
-    and the edge rows deepen it in the same increasing order, so each
-    rebuilt row carries the enclosure the row-by-row pass gives it.
+    Each bad run was counted by one ``count_rows`` call. A row is rebuilt
+    by judging it on its own: its enclosure and verdict depend on the row
+    alone, not on the rows judged before it, so the rebuilt rows are the
+    ones a row-by-row pass builds, in any order of reading.
     """
 
     def __init__(self, cache: EnclosureCache, band: tuple[Fraction, Fraction],
@@ -173,22 +169,20 @@ class BlockRows:
             yield from self._replay(seg)
 
     def failures(self) -> list[CertRow]:
-        """The rows not certified, replaying only the runs that hold one."""
+        """The rows not certified, rebuilding only the runs that hold one."""
         return [row for seg in self._segments if seg.n_in < seg.size
                 for row in self._replay(seg) if row.verdict != "certified"]
 
     def _replay(self, seg: _Segment):
         """The run's rows, row by row across blocks."""
-        cache = copy(self._cache)  # replays never disturb one another
-        cache._win = seg.window
         k, r = seg.k, seg.r
-        ratio = cache.x.seq.ratio
+        ratio = self._cache.x.seq.ratio
         b = ratio(k + 1)
         for index in range(seg.index, seg.index + seg.size):
             if r == b:
                 k, r = k + 1, 1
                 b = ratio(k + 1)
-            yield _cert_row(cache, index, k, r, *self._band)
+            yield _cert_row(self._cache, index, k, r, *self._band)
             r += 1
 
 
@@ -343,9 +337,8 @@ def certify_nonmembership(x: CirclePoint, bad: IntervalNatSet, case: str, m0: in
             break
         hi = min(hi, horizon)
         k, r = x.seq.derived.decompose(lo)
-        window = cache._win
         _, _, run_in, undecided = cache.count_rows(k, r, lo, hi, band_lo, band_hi)
-        segments.append(_Segment(lo, k, r, hi - lo + 1, window, run_in))
+        segments.append(_Segment(lo, k, r, hi - lo + 1, run_in))
         n_in += run_in
         n_und += len(undecided)
         total += hi - lo + 1

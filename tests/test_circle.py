@@ -307,7 +307,7 @@ def bands(draw):
 def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
                                               depth, cap, band, pin_edge):
     # differential check of the shared refinement kernel: a scan-style shared
-    # cache and a fresh per-call enclosure against the exact Fraction value
+    # cache against fresh per-call caches and the exact Fraction value
     seq = _SPECS[spec]
     value = Fraction(p_seed % q, q)
     x = parse_point(f"rat:{value.numerator}/{value.denominator}", seq, horizon)
@@ -317,28 +317,70 @@ def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
         k, r = rows[0]
         lo, hi = sorted((mod1(r * seq.term(k) * value), hi))
     shared = EnclosureCache(x, depth=depth, cap=cap)
-    judged = EnclosureCache(x, depth=depth, cap=cap)
+
+    def new_cache():
+        return EnclosureCache(x, depth=depth, cap=cap)
+
     for k, r in rows:
         truth = mod1(r * seq.term(k) * value)
         v = shared.band_verdict(k, r, lo, hi)
-        # one refinement gives the verdict and the enclosure interval re-reads
-        assert judged.judge(k, r, lo, hi) == (shared.interval(k, r), v)
+        # the rows judged before leave no trace: the shared cache gives the
+        # enclosures of a fresh one, and judge gives band_verdict's verdict
+        judged = shared.judge(k, r, lo, hi)
+        assert judged == new_cache().judge(k, r, lo, hi) and judged[1] == v
+        fresh = new_cache().interval(k, r)
+        assert shared.interval(k, r) == fresh
         if v == "in":
             assert lo <= truth <= hi
         elif v == "out":
             assert truth < lo or truth > hi
         else:
             assert v == "undecided" and not shared.exact_mode
-        fresh = EnclosureCache(x, depth=depth, cap=cap).interval(k, r)
-        for J in (shared.interval(k, r), fresh):
-            if not J.undecided:
-                assert J.lo <= truth <= J.hi
         if fresh.undecided:
             continue
+        assert fresh.lo <= truth <= fresh.hi
         if lo <= fresh.lo and fresh.hi <= hi:
             assert v != "out"
         elif fresh.hi < lo or fresh.lo > hi:
             assert v != "in"
+
+
+@st.composite
+def order_points(draw, seq):
+    """A capped or exact rat: point, or an indicator point, on ``seq``."""
+    form = draw(st.sampled_from(("rat", "exact", "ones-on")))
+    if form == "rat":
+        q = draw(st.integers(2, 400))
+        return parse_point(f"rat:{draw(st.integers(1, q - 1))}/{q}", seq,
+                           draw(st.integers(1, 48)))
+    if form == "exact":
+        q = seq.term(draw(st.integers(1, 5)))
+        return parse_point(f"exact:{draw(st.integers(0, q - 1))}/{q}", seq)
+    return parse_point("ones-on:" + draw(st.sampled_from(("all", "squares", "evens"))
+                                         | sparse_supports()), seq)
+
+
+@given(spec=st.sampled_from(("pow:2", "linear:1")), data=st.data(),
+       depth=st.integers(0, 8), cap=st.integers(0, 24), band=bands(),
+       blocks=st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_enclosures_do_not_depend_on_the_order_of_rows(spec, data, depth, cap,
+                                                       band, blocks):
+    # rows of several blocks, shuffled inside each block and across blocks,
+    # on one cache: every judge and interval equals that of a fresh cache,
+    # whatever windows the rows before it deepened
+    seq = _SPECS[spec]
+    x = data.draw(order_points(seq))
+    rows = [(k, r) for k in blocks
+            for r in data.draw(st.lists(st.integers(1, seq.ratio(k + 1) - 1),
+                                        min_size=1, max_size=6))]
+    rows = data.draw(st.permutations(rows))
+    shared = EnclosureCache(x, depth=depth, cap=cap)
+    for k, r in rows:
+        assert (shared.judge(k, r, *band)
+                == EnclosureCache(x, depth=depth, cap=cap).judge(k, r, *band))
+        assert (shared.interval(k, r)
+                == EnclosureCache(x, depth=depth, cap=cap).interval(k, r))
 
 
 def test_cache_refinement_only_deepens():

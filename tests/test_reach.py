@@ -9,6 +9,9 @@ attribute does not reach the method; properties are read, not called.
 A name only the tests call is dead weight: each benchmark process compiles
 the whole package. Where a module declares ``__all__``, it lists exactly its
 public functions and classes, plus any public constants it chooses to name.
+
+A private attribute (``._name``) is read or written only through ``self``
+or ``cls``, so each class keeps its state to itself.
 """
 
 import ast
@@ -25,6 +28,10 @@ ALLOWED = {
     # the fresh-enclosure reference of the tests; the benchmark tracer wraps it
     "circle.EnclosureCache.interval",
 }
+
+# private attributes reached through another receiver: a spec's rule, read
+# in the module that defines the spec
+ALLOWED_PRIVATE = {"sequences.spec._rule"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -113,3 +120,19 @@ def test_all_lists_the_public_definitions():
         assert len(listed) == len(set(listed)), mod
         assert set(listed) >= {node.name for node in _defs(tree)}, mod
         assert set(listed) <= {name for name in bound if _public(name)}, mod
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_private_attributes_stay_with_their_owner():
+    reached = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))
+                    and f"{mod}.{ast.unparse(node)}" not in ALLOWED_PRIVATE):
+                reached.append(f"{mod}.py:{node.lineno}: {ast.unparse(node)}")
+    assert reached == []
