@@ -15,13 +15,13 @@ used anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .density import NatSet, parse_set_expr
 from .errors import HorizonError, PreconditionError, SpecParseError
 from .parse import enclosed, fraction, integer, integers
+from .records import FrozenRecord
 from .sequences import ArithSeq
 
 __all__ = [
@@ -53,27 +53,27 @@ DEPTH_CAP = 64
 _FEW_ROWS = 16
 
 
-@dataclass(frozen=True)
-class BoundInterval:
+class BoundInterval(FrozenRecord):
     """A closed rational interval [lo, hi] inside [0, 1].
 
     ``undecided`` marks the trivial enclosure returned when a multiplication
     could not be pinned to one unit interval within the depth cap.
     """
 
-    lo: Fraction
-    hi: Fraction
-    undecided: bool = False
+    __match_args__ = ("lo", "hi", "undecided")
 
-    def __post_init__(self):
-        if not (_ZERO <= self.lo <= self.hi <= _ONE):
-            raise PreconditionError(f"invalid enclosure [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction, undecided: bool = False):
+        if not (_ZERO <= lo <= hi <= _ONE):
+            raise PreconditionError(f"invalid enclosure [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "undecided", undecided)
 
     @classmethod
     def of_window(cls, lo: int, hi: int, den: int) -> "BoundInterval":
         """[lo/den, hi/den] from an integer window, range-checked on the ints.
 
-        With den >= 1, 0 <= lo <= hi <= den is the condition ``__post_init__``
+        With den >= 1, 0 <= lo <= hi <= den is the condition ``__init__``
         checks on the Fractions; it is checked here instead, on the ints.
         """
         if den < 1 or not 0 <= lo <= hi <= den:
@@ -427,8 +427,10 @@ class EnclosureCache:
     """
 
     def __init__(self, x: CirclePoint, depth: int = 8, cap: int | None = None):
+        if depth < 0:
+            raise PreconditionError(f"window depth must be >= 0, got {depth}")
         self.x = x
-        self.depth = max(depth, 0)
+        self.depth = depth
         self.cap = DEPTH_CAP if cap is None else cap
         self._fs_max = x.rule.finite_support_max()
         # (k, depth, num, den): the latest window, S = num/den over the digits
@@ -568,16 +570,21 @@ class EnclosureCache:
         none within the cap does."""
         return _enclosure(self._refine(k, r)[0])
 
-    def band_verdict(self, k: int, r: int, band_lo: Fraction, band_hi: Fraction) -> str:
+    def band_verdict(self, k: int, r: int, band_lo: Fraction, band_hi: Fraction,
+                     band: tuple[int, int, int, int] | None = None) -> str:
         """Classify {r * a_k * x} against the closed band [band_lo, band_hi].
 
         Returns "in" when the certified enclosure lies inside the band, "out"
         when it is disjoint from the band, else "undecided". Conservative at
         exact band edges for infinite-support points; exact otherwise. The
         refinement starts at the deepest window block k's ladder holds.
+        ``band``, when given, is the same band as integers (ln, ld, hn, hd),
+        so a caller that holds them spares rebuilding them per row.
         """
         start = self._deepest if k == self._ladder_k else 0
-        return self._refine(k, r, _band(band_lo, band_hi), start)[1]
+        if band is None:
+            band = _band(band_lo, band_hi)
+        return self._refine(k, r, band, start)[1]
 
     def judge(self, k: int, r: int, band_lo: Fraction,
               band_hi: Fraction) -> tuple[BoundInterval, str]:
@@ -638,7 +645,8 @@ class EnclosureCache:
         known = self.x.rule.known_upto
         exact = self.exact_mode
         base = min(self.depth, self.cap)
-        ln, ld, hn, hd = _band(band_lo, band_hi)
+        band = _band(band_lo, band_hi)
+        ln, ld, hn, hd = band
         skips = self._skips and 0 < 2 * ln < ld
         n_in, undecided = 0, []
         at = i - r  # row e of block k is derived index at + e
@@ -691,7 +699,7 @@ class EnclosureCache:
                 seg_in, edge = _sort_many(num, den, r, r1, A, B, 0 if exact else r1)
             n_in += seg_in
             for e in edge:
-                side = self.band_verdict(k, e, band_lo, band_hi)
+                side = self.band_verdict(k, e, band_lo, band_hi, band)
                 if side == "in":
                     n_in += 1
                 elif side == "undecided":

@@ -13,11 +13,11 @@ Every verdict is finite-horizon evidence, never a limit claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .density import IntervalNatSet, NatSet
 from .errors import PreconditionError
+from .records import Record
 from .sequences import ArithSeq
 
 __all__ = [
@@ -34,16 +34,20 @@ FAILS = "fails-at-witness"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class ClassVerdict:
+class ClassVerdict(Record):
     """Outcome of a finite-horizon classification check."""
 
-    prop: str
-    horizon: int
-    verdict: str
-    witness: dict | None = None
-    notes: list[str] = field(default_factory=list)
-    trace: list = field(default_factory=list)
+    __match_args__ = ("prop", "horizon", "verdict", "witness", "notes", "trace")
+
+    def __init__(self, prop: str, horizon: int, verdict: str,
+                 witness: dict | None = None, notes: list[str] | None = None,
+                 trace: list | None = None):
+        self.prop = prop
+        self.horizon = horizon
+        self.verdict = verdict
+        self.witness = witness
+        self.notes = [] if notes is None else notes
+        self.trace = [] if trace is None else trace
 
     @property
     def holds(self) -> bool:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError, SpecParseError
 from .parse import enclosed, integer, integers
+from .records import FrozenRecord
 from .sequences import ArithSeq, DerivedSeq, cube_block_edges
 
 __all__ = [
@@ -263,26 +263,26 @@ class PredicateNatSet(NatSet):
 # ===== Density ==============================================================
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(FrozenRecord):
     """Exact prefix-count bookkeeping over the window [1, N].
 
     lo and hi bound the fraction of decided-in elements: lo counts only the
     certified members, hi additionally grants every undecided row.
     """
 
-    N: int
-    in_count: int
-    out_count: int
-    undecided_count: int
+    __match_args__ = ("N", "in_count", "out_count", "undecided_count")
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int, in_count: int, out_count: int, undecided_count: int):
+        if N < 1:
             raise PreconditionError("density window must have N >= 1")
-        if min(self.in_count, self.out_count, self.undecided_count) < 0:
+        if min(in_count, out_count, undecided_count) < 0:
             raise PreconditionError("counts must be non-negative")
-        if self.in_count + self.out_count + self.undecided_count != self.N:
+        if in_count + out_count + undecided_count != N:
             raise PreconditionError("counts must partition the window")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "in_count", in_count)
+        object.__setattr__(self, "out_count", out_count)
+        object.__setattr__(self, "undecided_count", undecided_count)
 
     @property
     def lo(self) -> Fraction:

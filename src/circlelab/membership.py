@@ -9,13 +9,13 @@ reports certified density bounds for {i <= N : ||d_i x|| >= eps}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .circle import DEPTH_CAP, CirclePoint, EnclosureCache
 from .density import DensityEstimate
 from .errors import PreconditionError
+from .records import FrozenRecord, Record
 
 __all__ = [
     "MemberVerdict",
@@ -26,14 +26,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MemberVerdict:
+class MemberVerdict(FrozenRecord):
     """Outcome of the support-based membership test."""
 
-    status: str  # "member" | "non-member" | "inconclusive"
-    reason: str
-    citation_dependent: bool = False
-    cutoff: Optional[int] = None
+    __match_args__ = ("status", "reason", "citation_dependent", "cutoff")
+
+    def __init__(self, status: str, reason: str, citation_dependent: bool = False,
+                 cutoff: Optional[int] = None):
+        # status is "member", "non-member" or "inconclusive"
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "citation_dependent", citation_dependent)
+        object.__setattr__(self, "cutoff", cutoff)
 
     def to_report(self) -> dict:
         out = {"status": self.status, "reason": self.reason,
@@ -76,18 +80,24 @@ def finite_support_member(x: CirclePoint) -> MemberVerdict:
     )
 
 
-@dataclass
-class ScanResult:
+class ScanResult(Record):
     """Certified density bounds for the eps-escape set at each horizon."""
 
-    eps: Fraction
-    depth: int
-    cap: int
-    horizons: tuple[int, ...]
-    estimates: list[DensityEstimate] = field(default_factory=list)
-    undecided_rows: list[int] = field(default_factory=list)
-    spec: str = ""
-    point: str = ""
+    __match_args__ = ("eps", "depth", "cap", "horizons", "estimates",
+                      "undecided_rows", "spec", "point")
+
+    def __init__(self, eps: Fraction, depth: int, cap: int, horizons: tuple[int, ...],
+                 estimates: list[DensityEstimate] | None = None,
+                 undecided_rows: list[int] | None = None, spec: str = "",
+                 point: str = ""):
+        self.eps = eps
+        self.depth = depth
+        self.cap = cap
+        self.horizons = horizons
+        self.estimates = [] if estimates is None else estimates
+        self.undecided_rows = [] if undecided_rows is None else undecided_rows
+        self.spec = spec
+        self.point = point
 
     def to_report(self) -> dict:
         return {

@@ -50,17 +50,28 @@ def _seq(spec_text: str) -> ArithSeq:
 
 
 def _spec_list(value) -> list[str]:
+    """The ratio specs ``value`` names; PreconditionError when it names none."""
     if isinstance(value, str):
-        return [s.strip() for s in value.split(",") if s.strip()]
-    return [str(s) for s in value]
+        specs = [s.strip() for s in value.split(",") if s.strip()]
+    else:
+        specs = [str(s) for s in value]
+    if not specs:
+        raise PreconditionError("specs must name at least one ratio spec")
+    return specs
+
+
+def _least(p: dict, key: str, low: int) -> int:
+    """int_param(p, key); PreconditionError when it is below low, so that a
+    suite never passes on an empty check."""
+    value = int_param(p, key)
+    if value < low:
+        raise PreconditionError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
 def _draw(rng: random.Random, p: dict, key: str, low: int) -> int:
     """rng.randint(low, p[key]); PreconditionError when p[key] < low."""
-    high = int_param(p, key)
-    if high < low:
-        raise PreconditionError(f"{key} must be >= {low}, got {high}")
-    return rng.randint(low, high)
+    return rng.randint(low, _least(p, key, low))
 
 
 def _sample(rng: random.Random, population: range, k: int) -> list[int]:
@@ -125,18 +136,19 @@ def tail_bound(params: dict | None = None) -> dict:
     """
     p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
                       "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
+    trials, jmax = _least(p, "trials", 1), _least(p, "jmax", 1)
     rng = random.Random(int_param(p, "seed"))
     mu, md = 0, 1  # max_ratio = mu/md
     rows = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
-        for _ in range(int_param(p, "trials")):
+        for _ in range(trials):
             q = _draw(rng, p, "qmax", 2)
             value = Fraction(rng.randint(1, q - 1), q)
             vp, vq = value.numerator, value.denominator
             x = digits_from_rational(value, seq)
-            for j in range(1, int_param(p, "jmax") + 1):
+            for j in range(1, jmax + 1):
                 a = seq.term(j - 1)
                 ub = tail_upper_bound(x, j)
                 ua, ud = ub.numerator * a, ub.denominator
@@ -165,12 +177,13 @@ def recursion(params: dict | None = None) -> dict:
     """
     p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
                       "max_len": 10, "seed": 97}, params, "suite recursion")
+    trials, tmax = _least(p, "trials", 1), _least(p, "tmax", 0)
     rng = random.Random(int_param(p, "seed"))
     checks = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
-        for _ in range(int_param(p, "trials")):
+        for _ in range(trials):
             length = _draw(rng, p, "max_len", 1)
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
             x = CirclePoint(seq, FiniteDigits(digits))
@@ -178,7 +191,7 @@ def recursion(params: dict | None = None) -> dict:
                 exact = frac_exact(x, n)
                 en, ed = exact.numerator, exact.denominator
                 prev, w = None, 1  # w = b_n * ... * b_{n+t}
-                for t in range(int_param(p, "tmax") + 1):
+                for t in range(tmax + 1):
                     bi = frac_bound(x, n, t)
                     w *= seq.ratio(n + t)
                     ln, ld = bi.lo.numerator, bi.lo.denominator
@@ -208,6 +221,7 @@ def snd_density(params: dict | None = None) -> dict:
     p = merge_params({"spec": "pow:2", "alpha": 1, "horizon": 30, "trials": 20,
                       "kmax": 12, "floor": "45/100", "seed": 3571},
                      params, "suite snd-density")
+    trials = _least(p, "trials", 1)
     seq = _seq(str(p["spec"]))
     alpha = frac_param(p, "alpha")
     verdict = check_strongly_non_dli(seq, alpha, int_param(p, "horizon"))
@@ -221,7 +235,7 @@ def snd_density(params: dict | None = None) -> dict:
     min_density = None
     counterexample = None
     densities = []
-    for _ in range(int_param(p, "trials")):
+    for _ in range(trials):
         size = rng.randint(1, 6)
         elems = sorted(_sample(rng, range(1, int_param(p, "kmax") + 1), size))
         horizon = seq.derived.boundary(max(elems)) - 1

@@ -10,7 +10,6 @@ the suites treat it that way).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
@@ -23,6 +22,7 @@ from .circle import (
 )
 from .density import IntervalNatSet, NatSet
 from .errors import PreconditionError
+from .records import FrozenRecord, Record
 from .sequences import ArithSeq
 
 __all__ = [
@@ -39,29 +39,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CertRow:
+class CertRow(FrozenRecord):
     """One certified evaluation: index, enclosure, and the band verdict."""
 
-    index: int
-    lo: Fraction
-    hi: Fraction
-    verdict: str  # "certified" | "violation" | "undecided"
+    __match_args__ = ("index", "lo", "hi", "verdict")
+
+    def __init__(self, index: int, lo: Fraction, hi: Fraction, verdict: str):
+        # verdict is "certified", "violation" or "undecided"
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "verdict", verdict)
 
     def to_report(self) -> dict:
         return {"index": self.index, "lo": str(self.lo), "hi": str(self.hi),
                 "verdict": self.verdict}
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(Record):
     """A named evidence bundle: parameters, per-row certifications, summary."""
 
-    name: str
-    params: dict
-    point: str
-    rows: list[CertRow] | BlockRows = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    __match_args__ = ("name", "params", "point", "rows", "extras")
+
+    def __init__(self, name: str, params: dict, point: str,
+                 rows: list[CertRow] | BlockRows | None = None,
+                 extras: dict | None = None):
+        self.name = name
+        self.params = params
+        self.point = point
+        self.rows = [] if rows is None else rows
+        self.extras = {} if extras is None else extras
 
     def _tally(self, verdict: str) -> int:
         if isinstance(self.rows, BlockRows):

@@ -203,6 +203,28 @@ def test_bound_interval_validation():
         assert not J.undecided
 
 
+def test_cache_refuses_a_negative_depth():
+    # a clamped depth would put in a report a depth the scan did not use
+    x = parse_point("ones-on:all", POW2)
+    with pytest.raises(PreconditionError, match="depth must be >= 0, got -1"):
+        EnclosureCache(x, depth=-1)
+    assert EnclosureCache(x, depth=0).depth == 0
+
+
+@pytest.mark.parametrize("point", ["ones-on:all", "rat:1/3", "finite:[1,0,0,3]"])
+def test_band_verdict_with_the_band_as_integers(point):
+    # count_rows hands band_verdict the integer band it already holds
+    x = parse_point(point, POW2)
+    for lo, hi in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 8), Fraction(7, 8)),
+                   (Fraction(1, 2), Fraction(1, 2))):
+        band = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        held = EnclosureCache(x, depth=0, cap=8)
+        for k in range(6):
+            for r in range(1, POW2.ratio(k + 1)):
+                assert (held.band_verdict(k, r, lo, hi, band)
+                        == EnclosureCache(x, depth=0, cap=8).band_verdict(k, r, lo, hi))
+
+
 # ----- multiplied enclosures -------------------------------------------------
 
 @given(value=rationals(), i=st.integers(1, 60))

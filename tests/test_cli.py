@@ -311,6 +311,41 @@ def test_empty_random_ranges_exit_3(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "tail-bound", "--param", "jmax=0"),
+    ("verify", "tail-bound", "--param", "trials=0"),
+    ("verify", "tail-bound", "--param", "specs="),
+    ("verify", "recursion", "--param", "tmax=-1"),
+    ("verify", "recursion", "--param", "trials=0"),
+    ("verify", "recursion", "--param", "specs="),
+    ("verify", "lift-algebra", "--param", "specs="),
+    ("verify", "snd-density", "--param", "trials=0"),
+])
+def test_suites_that_would_check_nothing_exit_3(capsys, argv):
+    err = capture(capsys, *argv, expect=3).err
+    assert err.startswith("error:") and "must" in err
+
+
+def test_lift_algebra_without_pairs_still_checks_block_sizes():
+    _, report, fail = run_config({"subcommand": "verify", "params": {
+        "tag": "lift-algebra", "param": "pairs=0"}})
+    assert fail is None and report["pass"] and report["identities"] == 3 * 25
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--spec", "pow:2", "--x", "ones-on:all", "--depth", "-3"),
+    ("witness", "--op", "escape", "--spec", "pow:2", "--x", "ones-on:all",
+     "--depth", "-1"),
+    ("witness", "--op", "aligned", "--spec", "linear:1", "--depth", "-1"),
+    ("verify", "wdli-shrink", "--param", "depth=-1"),
+    ("verify", "coincidence", "--param", "depth=-1"),
+    ("verify", "arbault", "--param", "depth=-1"),
+])
+def test_negative_depth_exits_3(capsys, argv):
+    # a clamped depth would put in the report a depth the scan did not use
+    assert "depth must be >= 0" in capture(capsys, *argv, expect=3).err
+
+
+@pytest.mark.parametrize("argv", [
     ("seq", "--spec", "linear:1", "--kind", "z"),
     ("classify", "--spec", "linear:1", "--check", "nope"),
     ("witness", "--spec", "linear:1", "--op", "nope"),

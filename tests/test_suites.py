@@ -23,6 +23,7 @@ from circlelab.circle import (
     tail_upper_bound,
 )
 from circlelab.cli import envelope_bytes
+from circlelab.errors import PreconditionError
 from circlelab.parse import int_param, merge_params
 from circlelab.suites import plainify, run_suite
 from conftest import as_fraction
@@ -35,17 +36,18 @@ def _mod1(y: Fraction) -> Fraction:
 def reference_tail_bound(params=None) -> dict:
     p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
                       "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
+    trials, jmax = suites._least(p, "trials", 1), suites._least(p, "jmax", 1)
     rng = random.Random(int_param(p, "seed"))
     max_ratio = Fraction(0)
     rows = 0
     counterexample = None
     for spec_text in suites._spec_list(p["specs"]):
         seq = suites._seq(spec_text)
-        for _ in range(int_param(p, "trials")):
+        for _ in range(trials):
             q = suites._draw(rng, p, "qmax", 2)
             value = Fraction(rng.randint(1, q - 1), q)
             x = suites.digits_from_rational(value, seq)
-            for j in range(1, int_param(p, "jmax") + 1):
+            for j in range(1, jmax + 1):
                 a = seq.term(j - 1)
                 ub = suites.tail_upper_bound(x, j)
                 true_tail = _mod1(a * value) / a
@@ -70,19 +72,20 @@ def reference_tail_bound(params=None) -> dict:
 def reference_recursion(params=None) -> dict:
     p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
                       "max_len": 10, "seed": 97}, params, "suite recursion")
+    trials, tmax = suites._least(p, "trials", 1), suites._least(p, "tmax", 0)
     rng = random.Random(int_param(p, "seed"))
     checks = 0
     counterexample = None
     for spec_text in suites._spec_list(p["specs"]):
         seq = suites._seq(spec_text)
-        for _ in range(int_param(p, "trials")):
+        for _ in range(trials):
             length = suites._draw(rng, p, "max_len", 1)
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
             x = CirclePoint(seq, FiniteDigits(digits))
             for n in range(1, length + 3):
                 exact = suites.frac_exact(x, n)
                 prev = None
-                for t in range(int_param(p, "tmax") + 1):
+                for t in range(tmax + 1):
                     bi = suites.frac_bound(x, n, t)
                     width = Fraction(1, math.prod(
                         seq.ratio(j) for j in range(n, n + t + 1)))
@@ -108,6 +111,14 @@ def reference_recursion(params=None) -> dict:
 REFERENCE = {"tail-bound": reference_tail_bound, "recursion": reference_recursion}
 
 
+def _outcome(suite, *args):
+    """The suite's report, or the message of the PreconditionError it raises."""
+    try:
+        return suite(*args)
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
 @pytest.mark.parametrize("params", [
     None,
     {"seed": 3},
@@ -119,7 +130,9 @@ REFERENCE = {"tail-bound": reference_tail_bound, "recursion": reference_recursio
     {"jmax": 1, "qmax": 2, "trials": 5},
 ])
 def test_tail_bound_matches_fraction_reference(params):
-    assert run_suite("tail-bound", params) == reference_tail_bound(params)
+    # {"trials": 0} would check nothing, so both formulations refuse it
+    assert (_outcome(run_suite, "tail-bound", params)
+            == _outcome(reference_tail_bound, params))
 
 
 @pytest.mark.parametrize("params", [
@@ -131,7 +144,8 @@ def test_tail_bound_matches_fraction_reference(params):
     {"trials": 0},
 ])
 def test_recursion_matches_fraction_reference(params):
-    assert run_suite("recursion", params) == reference_recursion(params)
+    assert (_outcome(run_suite, "recursion", params)
+            == _outcome(reference_recursion, params))
 
 
 def _both_fail(monkeypatch, tag, name, fake, params=None) -> dict:
