@@ -38,6 +38,7 @@ __all__ = [
     "tail_upper_bound",
     "EnclosureCache",
     "DEPTH_CAP",
+    "EXPAND_CAP",
     "parse_point",
 ]
 
@@ -46,6 +47,10 @@ _ONE = Fraction(1)
 
 # the refinement depth cap of an undecided multiplication
 DEPTH_CAP = 64
+
+# the largest expansion horizon of a rational point; under pow:2 its ratio
+# memo then holds about 1 MB
+EXPAND_CAP = 4096
 
 # a segment of at most this many rows is sorted row by row (``_sort_few``); on
 # 65-digit windows that beats the six floor sums up to about 24 rows (CPython
@@ -153,16 +158,19 @@ class FiniteDigits(DigitRule):
 
 
 class RationalDigits(DigitRule):
-    """Greedy expansion of a rational that did not terminate within its horizon.
+    """Greedy expansion of a rational that does not terminate within its horizon.
 
-    Digits beyond the expanded prefix are unknown: every window that needs
-    them fails loudly instead of extrapolating.
+    Digits are computed as reads ask for them, from the remainder s_n = b_n
+    s_{n-1} mod q, and kept in ``digits``. Digits beyond the horizon are
+    unknown: every window that needs them fails loudly instead of
+    extrapolating.
     """
 
-    def __init__(self, value: Fraction, digits: tuple[int, ...]):
+    def __init__(self, value: Fraction, horizon: int):
         self.value = value
-        self.digits = digits
-        self.known_upto = len(digits)
+        self.known_upto = horizon
+        self.digits: list[int] = []
+        self._rem = value.numerator  # s_n for n = len(digits)
 
     def digit(self, n, seq):
         if n > self.known_upto:
@@ -170,7 +178,14 @@ class RationalDigits(DigitRule):
                 f"digit c_{n} is beyond the declared prefix (known up to "
                 f"{self.known_upto}); re-expand with a larger horizon"
             )
-        return self.digits[n - 1]
+        digits = self.digits
+        if n > len(digits):
+            rem, q, ratio = self._rem, self.value.denominator, seq.ratio
+            for j in range(len(digits) + 1, n + 1):
+                c, rem = divmod(rem * ratio(j), q)
+                digits.append(c)
+            self._rem = rem
+        return digits[n - 1]
 
     def describe(self):
         return f"rat:{self.value.numerator}/{self.value.denominator}@{self.known_upto}"
@@ -298,31 +313,34 @@ class CirclePoint:
 
 
 def digits_from_rational(value: Fraction, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
-    """Greedy digit expansion of a rational in [0, 1).
+    """Greedy digit expansion of a rational p/q in [0, 1), in lowest terms.
 
-    With x = p/q, the scaled remainder {a_n x} = s_n / q is kept as the
-    integer s_n: s_0 = p, c_n = floor(b_n * s_{n-1} / q) and s_n = b_n *
-    s_{n-1} mod q. If the remainder reaches 0 at some n <= horizon the point
-    has declared finite support and is exact; otherwise the digits beyond the
-    horizon stay unknown and every evaluation window must stop inside the
-    expanded prefix.
+    The scaled remainder {a_n x} = s_n / q is the integer s_n = a_n p mod q:
+    s_0 = p, c_n = floor(b_n s_{n-1} / q) and s_n = b_n s_{n-1} mod q. So the
+    expansion terminates within the horizon exactly when q | a_horizon,
+    which is tested first by a ratio product mod q; it is then expanded at
+    once into exact ``FiniteDigits``. Otherwise ``RationalDigits`` computes
+    the digits as they are read, and those past the horizon stay unknown.
+    A horizon above ``EXPAND_CAP`` is refused before any ratio is read.
     """
     value = Fraction(value)
     if not _ZERO <= value < _ONE:
         raise PreconditionError(f"rational point must lie in [0, 1), got {value}")
     if horizon < 1:
         raise PreconditionError("expansion horizon must be >= 1")
+    if horizon > EXPAND_CAP:
+        raise HorizonError(
+            f"expansion horizon {horizon} exceeds the budget of {EXPAND_CAP} digits"
+        )
+    if seq.ratio_product(1, horizon, value.denominator):
+        return CirclePoint(seq, RationalDigits(value, horizon))
     digits: list[int] = []
     rem, q = value.numerator, value.denominator
-    for n in range(1, horizon + 1):
-        if rem == 0:
-            return CirclePoint(seq, FiniteDigits(digits))
+    while rem:
         # greedy keeps {a_n x} strictly below 1, so c_n <= b_n - 1 always
-        c, rem = divmod(rem * seq.ratio(n), q)
+        c, rem = divmod(rem * seq.ratio(len(digits) + 1), q)
         digits.append(c)
-    if rem == 0:
-        return CirclePoint(seq, FiniteDigits(digits))
-    return CirclePoint(seq, RationalDigits(value, tuple(digits)))
+    return CirclePoint(seq, FiniteDigits(digits))
 
 
 # ===== Evaluation ============================================================

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError, SpecParseError
@@ -99,7 +99,8 @@ def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
 
 
 class IntervalNatSet(NatSet):
-    """A bounded union of closed intervals, kept sorted and disjoint."""
+    """A bounded union of closed intervals, kept sorted, disjoint and
+    non-adjacent; the prefix counts are built on the first ``count_upto``."""
 
     is_finite = True
     is_cofinite = False
@@ -109,10 +110,16 @@ class IntervalNatSet(NatSet):
         if ivals and ivals[0][0] < 1:
             raise PreconditionError("intervals must lie inside the positive integers")
         self.intervals = ivals
-        counts = [0]
-        for lo, hi in ivals:
-            counts.append(counts[-1] + hi - lo + 1)
-        self._cum = counts
+        self._cum: list[int] | None = None
+
+    @classmethod
+    def of_canonical(cls, intervals: tuple[tuple[int, int], ...]) -> "IntervalNatSet":
+        """The set of intervals that are already sorted, disjoint,
+        non-adjacent and inside the positive integers, taken as they are."""
+        self = cls.__new__(cls)
+        self.intervals = intervals
+        self._cum = None
+        return self
 
     def __contains__(self, n):
         i = bisect_right(self.intervals, (n, math.inf)) - 1
@@ -126,6 +133,9 @@ class IntervalNatSet(NatSet):
         i = bisect_right(self.intervals, (N, math.inf))  # intervals starting <= N
         if i == 0:
             return 0
+        if self._cum is None:
+            self._cum = list(accumulate((hi - lo + 1 for lo, hi in self.intervals),
+                                        initial=0))
         lo, hi = self.intervals[i - 1]
         return self._cum[i - 1] + min(hi, N) - lo + 1
 
@@ -298,40 +308,47 @@ class DensityEstimate(FrozenRecord):
 
 def _interval_op(op: str, a: tuple[tuple[int, int], ...],
                  b: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The canonical intervals of a op b, for canonical a and b. A union is
+    merged; the pieces of an intersection or a difference end where a
+    maximal interval ends, so they are canonical as they are built."""
     if op == "union":
-        return _merge_intervals(list(a) + list(b))
+        return _merge_intervals(a + b)
+    out = []
+    na, nb = len(a), len(b)
     if op == "intersect":
-        out = []
         i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
+        while i < na and j < nb:
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            lo = alo if alo > blo else blo
+            hi = ahi if ahi < bhi else bhi
             if lo <= hi:
                 out.append((lo, hi))
-            if a[i][1] < b[j][1]:
+            if ahi < bhi:
                 i += 1
             else:
                 j += 1
         return tuple(out)
     # difference a \ b
-    out = []
     j = 0
     for lo, hi in a:
         cur = lo
-        while j < len(b) and b[j][1] < cur:
+        while j < nb and b[j][1] < cur:
             j += 1
         k = j
-        while k < len(b) and b[k][0] <= hi:
+        while k < nb:
             blo, bhi = b[k]
+            if blo > hi:
+                break
             if blo > cur:
                 out.append((cur, blo - 1))
-            cur = max(cur, bhi + 1)
+            if bhi >= cur:
+                cur = bhi + 1
             if cur > hi:
                 break
             k += 1
         if cur <= hi:
             out.append((cur, hi))
-    return _merge_intervals(out)
+    return tuple(out)
 
 
 def set_algebra(op: str, a: IntervalNatSet, b: IntervalNatSet) -> IntervalNatSet:
@@ -340,7 +357,7 @@ def set_algebra(op: str, a: IntervalNatSet, b: IntervalNatSet) -> IntervalNatSet
         raise PreconditionError(f"unknown set operation {op!r}")
     if not (isinstance(a, IntervalNatSet) and isinstance(b, IntervalNatSet)):
         raise PreconditionError("set algebra takes bounded interval unions only")
-    return IntervalNatSet(_interval_op(op, a.intervals, b.intervals))
+    return IntervalNatSet.of_canonical(_interval_op(op, a.intervals, b.intervals))
 
 
 def translate(s: NatSet, m: int) -> NatSet:
@@ -377,13 +394,15 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
 
     Injective on block-index sets and commuting with union, intersection and
     difference, so it keeps a set finite, cofinite or neither. Interval
-    unions lift to interval unions, every other set to a rule set.
+    unions lift to interval unions, every other set to a rule set. A gap
+    between two intervals lifts to at least one block, so the lifted
+    intervals stay canonical.
     """
     if isinstance(s, IntervalNatSet):
-        return IntervalNatSet(
+        return IntervalNatSet.of_canonical(tuple(
             (derived.boundary(lo - 1), derived.boundary(hi) - 1)
             for lo, hi in s.intervals
-        )
+        ))
     if isinstance(s, LazyIntervalNatSet):
         src = s
 

@@ -66,10 +66,22 @@ class _BlockRatios:
         return 2
 
 
+def _prod_mod(values, q: int | None) -> int:
+    """The product of ``values``, reduced mod q as it runs when q is given."""
+    if q is None:
+        return math.prod(values)
+    acc = 1 % q
+    for v in values:
+        acc = acc * v % q
+        if not acc:
+            break
+    return acc
+
+
 def _const_forms(b: int):
     """n_k = 1 + k(b - 1) under b_n = b, its inverse, and b_lo ... b_hi."""
     return ((lambda k: 1 + k * (b - 1)), (lambda i: (i - 1) // (b - 1)),
-            lambda lo, hi: b ** (hi - lo + 1))
+            lambda lo, hi, q=None: pow(b, hi - lo + 1, q))
 
 
 def _linear_forms(c: int):
@@ -79,7 +91,7 @@ def _linear_forms(c: int):
     d = 2 * c - 1
     return (lambda k: 1 + k * (k + d) // 2,
             lambda i: (math.isqrt(d * d + 8 * (i - 1)) - d) // 2,
-            lambda lo, hi: math.prod(range(lo + c, hi + c + 1)))
+            lambda lo, hi, q=None: _prod_mod(range(lo + c, hi + c + 1), q))
 
 
 def _pow_forms(b: int):
@@ -98,7 +110,8 @@ def _pow_forms(b: int):
             e, t = e + 1, t * b
         return e if boundary(e) <= i else e - 1
 
-    return boundary, block, lambda lo, hi: b ** ((lo + hi) * (hi - lo + 1) // 2)
+    return (boundary, block,
+            lambda lo, hi, q=None: pow(b, (lo + hi) * (hi - lo + 1) // 2, q))
 
 
 class RatioSpec:
@@ -112,7 +125,8 @@ class RatioSpec:
         """The spec string ``describe`` returns, the rule n -> b_n, whether
         b_n = 2 for all large n, and ``forms``: the closed-form block
         boundary k -> n_k, its inverse i -> k (n_k <= i < n_{k+1}) and the
-        ratio product (lo, hi) -> b_lo ... b_hi, or None for a kind without
+        ratio product (lo, hi, q=None) -> b_lo ... b_hi, reduced mod q when
+        q is given without building the product, or None for a kind without
         them, whose ratios and boundaries are read from memos only. Each
         classmethod checks its input."""
         self._text = text
@@ -283,12 +297,14 @@ class ArithSeq:
             ratios.append(self.spec.term(len(ratios) + 1))
         return ratios[n - 1]
 
-    def ratio_product(self, lo: int, hi: int) -> int:
-        """b_lo * ... * b_hi for 1 <= lo <= hi, in closed form when the spec
-        has one and from ``ratio`` reads otherwise."""
+    def ratio_product(self, lo: int, hi: int, q: int | None = None) -> int:
+        """b_lo * ... * b_hi for 1 <= lo <= hi, reduced mod q when q is
+        given, in closed form when the spec has one and from ``ratio`` reads
+        otherwise. Mod q the product is never built whole, and the term memo
+        is not touched: ``ratio_product(1, n, q)`` is a_n mod q."""
         if self.spec.forms:
-            return self.spec.forms[2](lo, hi)
-        return math.prod(map(self.ratio, range(lo, hi + 1)))
+            return self.spec.forms[2](lo, hi, q)
+        return _prod_mod(map(self.ratio, range(lo, hi + 1)), q)
 
     def term(self, k: int) -> int:
         """a_k for k >= 0."""

@@ -52,6 +52,23 @@ def as_fraction(x: CirclePoint) -> Fraction:
     return total
 
 
+def eager_expansion(value: Fraction, seq, horizon: int) -> tuple[list[int], bool]:
+    """The greedy expansion of value = p/q with every digit computed up
+    front: c_n = floor(b_n s_{n-1} / q), s_n = b_n s_{n-1} mod q, s_0 = p,
+    up to the horizon or to the first zero remainder. Returns the digits
+    and whether the remainder reached 0; the reference for
+    ``digits_from_rational``, which tests termination by a product mod q
+    and computes digits only as they are read."""
+    digits = []
+    rem, q = value.numerator, value.denominator
+    for n in range(1, horizon + 1):
+        if rem == 0:
+            return digits, True
+        c, rem = divmod(rem * seq.ratio(n), q)
+        digits.append(c)
+    return digits, rem == 0
+
+
 class FuncDigits(DigitRule):
     """An arbitrary digit rule (n, b_n) -> c_n with a declared support kind."""
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circlelab.circle import (
+    EXPAND_CAP,
     BoundInterval,
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
     FloorDivDigits,
     IndicatorDigits,
+    RationalDigits,
     digits_from_rational,
     frac_bound,
     frac_exact,
@@ -33,6 +35,7 @@ from conftest import (
     FuncDigits,
     as_fraction,
     certified_below,
+    eager_expansion,
     elem_set,
     sparse_supports,
     tail_bound_out,
@@ -90,6 +93,95 @@ def test_nonterminating_expansion_is_capped():
     x.digit(12)
     with pytest.raises(HorizonError):
         x.digit(13)
+
+
+# every kind of spec: closed forms (const, linear, pow) and memo reads only
+# (dlictrex, explicit)
+_SPEC_TEXTS = st.one_of(
+    st.integers(2, 6).map("const:{}".format),
+    st.integers(1, 3).map("linear:{}".format),
+    st.integers(2, 3).map("pow:{}".format),
+    st.integers(2, 4).map("dlictrex:{}".format),
+    st.tuples(st.lists(st.integers(2, 9), min_size=1, max_size=4),
+              st.sampled_from(("const:2", "const:3", "linear:1", "pow:2"))).map(
+        lambda t: f"explicit:[{','.join(map(str, t[0]))}];tail={t[1]}"))
+
+
+@st.composite
+def _rational_cases(draw):
+    """(spec, horizon, value): values that terminate (0 with q = 1, q | a_H
+    first at n = H, q dividing an earlier term) and values drawn at random,
+    which mostly do not."""
+    spec = draw(_SPEC_TEXTS)
+    H = draw(st.integers(1, 300))
+    seq = ArithSeq(RatioSpec.parse(spec))
+    kind = draw(st.sampled_from(("zero", "first-at-H", "divisor", "random")))
+    if kind == "zero":
+        return spec, H, Fraction(0)
+    if kind == "first-at-H":  # a_{H-1} < a_H, so q = a_H divides no earlier term
+        a = seq.term(H)
+        return spec, H, Fraction(draw(st.sampled_from((1, a - 1))), a)
+    if kind == "divisor":
+        q = math.gcd(seq.term(draw(st.integers(1, H))), draw(st.integers(1, 10 ** 6)))
+    else:
+        q = draw(st.integers(1, 10 ** 6))
+    return spec, H, Fraction(draw(st.integers(0, q - 1)), q)
+
+
+@given(case=_rational_cases(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_digits_on_demand_match_eager_expansion(case, data):
+    spec, H, value = case
+    digits, terminates = eager_expansion(value, ArithSeq(RatioSpec.parse(spec)), H)
+    seq = ArithSeq(RatioSpec.parse(spec))
+    q = value.denominator
+    # the termination test: q | a_H, as a ratio product mod q
+    assert (ArithSeq(RatioSpec.parse(spec)).ratio_product(1, H, q) == 0) is terminates
+    x = digits_from_rational(value, seq, H)
+    if terminates:
+        assert type(x.rule) is FiniteDigits
+        assert x.rule.digits == tuple(digits)
+        return
+    assert type(x.rule) is RationalDigits
+    assert x.rule.known_upto == H
+    assert x.describe() == f"rat:{value.numerator}/{q}@{H}"
+    # reads in random order, past the horizon too, then every digit in turn;
+    # the digits computed reach exactly the furthest read so far
+    top = 0
+    for n in data.draw(st.lists(st.integers(1, H + 3), max_size=20)):
+        if n <= H:
+            assert x.digit(n) == digits[n - 1]
+            top = max(top, n)
+            assert len(x.rule.digits) == top
+        else:
+            with pytest.raises(HorizonError) as exc:
+                x.digit(n)
+            assert str(exc.value) == (
+                f"digit c_{n} is beyond the declared prefix (known up to {H}); "
+                "re-expand with a larger horizon")
+    assert [x.digit(n) for n in range(1, H + 1)] == digits
+
+
+def test_tail_bounds_compute_only_the_digits_they_read():
+    # a window at j <= 30 and depth 8 reads the digits up to 38 of 256
+    x = digits_from_rational(Fraction(1, 3), ArithSeq(RatioSpec.power(2)))
+    for j in range(1, 31):
+        tail_upper_bound(x, j)
+    assert x.rule.known_upto == 256
+    assert len(x.rule.digits) <= 38
+
+
+def test_expansion_horizon_budget():
+    # explicit: has no closed forms, so its termination test reads ratios
+    seq = ArithSeq(RatioSpec.parse("explicit:[5,7];tail=const:2"))
+    reads = []
+    ratio = seq.ratio
+    seq.ratio = lambda n: reads.append(n) or ratio(n)
+    with pytest.raises(HorizonError, match=f"exceeds the budget of {EXPAND_CAP}"):
+        digits_from_rational(Fraction(1, 3), seq, horizon=EXPAND_CAP + 1)
+    assert reads == []  # refused before any ratio read
+    x = digits_from_rational(Fraction(1, 3), seq, horizon=EXPAND_CAP)
+    assert x.rule.known_upto == EXPAND_CAP
 
 
 def test_expansion_domain():

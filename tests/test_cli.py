@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from circlelab.circle import EXPAND_CAP
 from circlelab.cli import (OPS, SUBCOMMANDS, canonical_json, envelope_bytes, main,
                            run_config)
 
@@ -221,6 +222,12 @@ def test_exit_horizon_error():
     proc = run_cli("scan", "--spec", "pow:2", "--x", "exact:1/3",
                    "--horizons", "100", expect=4)
     assert "did not terminate" in proc.stderr
+
+
+def test_expand_over_budget_exits_4(capsys):
+    out = capture(capsys, "scan", "--spec", "pow:2", "--x", "rat:1/3", "--expand",
+                  str(EXPAND_CAP + 1), "--horizons", "100", expect=4)
+    assert f"exceeds the budget of {EXPAND_CAP} digits" in out.err
 
 
 def test_exit_suite_failure():

@@ -118,6 +118,45 @@ def test_interval_algebra():
     assert set_algebra("difference", a, b).intervals == ((1, 4), (26, 30))
 
 
+# interval unions drawn from raw pairs, so operands have runs, gaps and
+# adjacent blocks
+_interval_sets = st.lists(_pairs, max_size=8).map(IntervalNatSet)
+
+
+def _built_sets(a, b, d):
+    """The sets that ``lift`` and ``set_algebra`` build from a and b, lifted
+    and not."""
+    la, lb = lift(a, d), lift(b, d)
+    return [la, lb] + [set_algebra(op, u, v) for op in ("union", "intersect", "difference")
+                       for u, v in ((a, b), (b, a), (la, lb))]
+
+
+@given(a=_interval_sets, b=_interval_sets,
+       seq=st.sampled_from((LINEAR1, POW2, ArithSeq(RatioSpec.parse("const:3")))),
+       queries=st.lists(st.integers(1, 400), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_built_interval_sets_are_canonical_and_count(a, b, seq, queries):
+    d = seq.derived
+    for u in (a, b):  # the pairs lift hands on, merged
+        assert lift(u, d) == IntervalNatSet(
+            [(d.boundary(lo - 1), d.boundary(hi) - 1) for lo, hi in u.intervals])
+    for s in _built_sets(a, b, d):
+        ivals = s.intervals
+        assert type(ivals) is tuple and all(type(iv) is tuple for iv in ivals)
+        assert all(1 <= lo <= hi for lo, hi in ivals)
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(ivals, ivals[1:]))
+        assert s == IntervalNatSet(list(ivals))  # the merging constructor
+    # count_upto against a brute-force count, as each set's first query and
+    # after the queries before it
+    for N in queries:
+        for s in _built_sets(a, b, d):
+            assert s.count_upto(N) == sum(n in s for n in range(1, N + 1))
+    built = _built_sets(a, b, d)
+    for N in queries:
+        for s in built:
+            assert s.count_upto(N) == sum(n in s for n in range(1, N + 1))
+
+
 def test_algebra_refuses_unbounded_operands():
     a = IntervalNatSet([(1, 10)])
     unbounded = (evens(), full_set(), cube_gap_blocks(), lift(full_set(), LINEAR1.derived))
