@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .density import NatSet, parse_set_expr
+from .density import IntervalNatSet, NatSet, parse_set_expr
 from .errors import HorizonError, PreconditionError, SpecParseError
 from .parse import enclosed, fraction, integer, integers
 from .records import FrozenRecord
@@ -100,31 +100,38 @@ class BoundInterval(FrozenRecord):
 
 
 class DigitRule:
-    """Rule n -> c_n. Subclasses declare how much of the expansion is known.
+    """Rule n -> c_n. Subclasses declare how much of the expansion is known
+    and where its nonzero digits may lie.
 
     ``known_upto`` is None when every index is computable, otherwise the last
-    index with a defined digit. ``support_kind`` is one of "finite",
-    "cofinite", "infinite", or "unknown" for a capped rational expansion;
-    the first three are exact, and the membership and witness code rely on
-    them.
+    index with a defined digit. ``support`` is a set holding every index
+    whose digit may be nonzero, or None when the rule cannot say (a capped
+    rational expansion); its ``is_finite`` and ``is_cofinite`` are exact,
+    and the membership and witness code rely on them. ``FiniteDigits`` and
+    ``FloorDivDigits`` declare their whole prefix up to the last index that
+    may be nonzero, so every window reads, and so validates, each of those
+    digits.
     """
 
     known_upto: int | None = None
+    support: NatSet | None = None
 
     def digit(self, n: int, seq: ArithSeq) -> int:
         raise NotImplementedError
 
-    def support_kind(self) -> str:
-        return "unknown"
-
     def finite_support_max(self) -> int | None:
-        """Largest index that may carry a nonzero digit, when support is finite."""
-        return None
+        """The last index of a finite support (0 when it is empty), or None
+        when the support is unbounded or undeclared."""
+        support = self.support
+        if support is None or not support.is_finite:
+            return None
+        return support.intervals[-1][1] if support.intervals else 0
 
     def next_nonzero(self, n: int) -> int | None:
-        """The least index >= n whose digit may be nonzero, or None when the
-        rule cannot say."""
-        return None
+        """The least index >= n whose digit may be nonzero, or None when
+        there is none or the rule cannot say."""
+        support = self.support
+        return None if support is None else support.next_member(n)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -140,18 +147,12 @@ class FiniteDigits(DigitRule):
         m = len(self.digits)
         while m > 0 and self.digits[m - 1] == 0:
             m -= 1
-        self._support_max = m
+        self.support = IntervalNatSet([(1, m)])  # empty when m = 0
 
     def digit(self, n, seq):
         if n <= len(self.digits):
             return self.digits[n - 1]
         return 0
-
-    def support_kind(self):
-        return "finite"
-
-    def finite_support_max(self):
-        return self._support_max
 
     def describe(self):
         return "finite:[" + ",".join(str(c) for c in self.digits) + "]"
@@ -163,7 +164,7 @@ class RationalDigits(DigitRule):
     Digits are computed as reads ask for them, from the remainder s_n = b_n
     s_{n-1} mod q, and kept in ``digits``. Digits beyond the horizon are
     unknown: every window that needs them fails loudly instead of
-    extrapolating.
+    extrapolating, and the support is undeclared.
     """
 
     def __init__(self, value: Fraction, horizon: int):
@@ -196,23 +197,9 @@ class IndicatorDigits(DigitRule):
 
     def __init__(self, support: NatSet):
         self.support = support
-        self._support_max = None
-        if support.is_finite:  # an IntervalNatSet
-            self._support_max = support.intervals[-1][1] if support.intervals else 0
 
     def digit(self, n, seq):
         return 1 if n in self.support else 0
-
-    def next_nonzero(self, n):
-        return self.support.next_member(n)
-
-    def support_kind(self):
-        if self.support.is_finite:
-            return "finite"
-        return "cofinite" if self.support.is_cofinite else "infinite"
-
-    def finite_support_max(self):
-        return self._support_max
 
     def describe(self):
         return f"ones-on:{getattr(self.support, 'name', repr(self.support))}"
@@ -229,6 +216,7 @@ class FloorDivDigits(DigitRule):
         self.divisors = dict(sorted(divisors.items()))
         if any(n < 1 for n in self.divisors):
             raise PreconditionError("divisor positions must be >= 1")
+        self.support = IntervalNatSet([(1, max(self.divisors, default=0))])
 
     def digit(self, n, seq):
         m = self.divisors.get(n)
@@ -240,12 +228,6 @@ class FloorDivDigits(DigitRule):
                 f"divisor m_{n} = {m} violates 1 < m <= b_{n} = {b}"
             )
         return b // m
-
-    def support_kind(self):
-        return "finite"
-
-    def finite_support_max(self):
-        return max(self.divisors, default=0)
 
     def describe(self):
         inner = ",".join(f"{n}:{m}" for n, m in self.divisors.items())
@@ -294,9 +276,9 @@ class CirclePoint:
 
         The window slides forward and trims or deepens at its end as
         ``_slide`` does; only a request behind its start, or past its end,
-        is built from scratch, where a rule that names its nonzero digits
-        has only those read. A failed digit read leaves the latest window as
-        it was. ``window_from_scratch`` in ``tests/conftest.py`` is the
+        is built from scratch, where a rule that declares its support has
+        only its members read. A failed digit read leaves the latest window
+        as it was. ``window_from_scratch`` in ``tests/conftest.py`` is the
         reference that reads every digit.
         """
         wn, wt, num, den = self._win
@@ -459,7 +441,7 @@ class EnclosureCache:
         self._ladder: dict[int, tuple[int, int]] = {}
         self._deepest = 0
         self._next_support = x.rule.next_nonzero
-        # blocks are skipped only for a rule that names its nonzero digits
+        # blocks are skipped only for a rule that declares its support
         self._skips = x.rule.next_nonzero(1) is not None
 
     @property
@@ -636,15 +618,16 @@ class EnclosureCache:
         ``band_verdict``. Past a capped point's known digits a block has no
         window, and its rows and all later ones are undecided.
 
-        For a point whose rule names its nonzero digits (an indicator
-        point) and 0 < band_lo < 1/2, the blocks that ``_out_to`` puts below
-        band_lo by the tail bound are counted out whole, by a difference of
-        block boundaries, up to N itself; the window restarts after them
-        through ``_window_at``, which reads only the supported digits and
-        spans each zero run with one ratio product. A slid window whose lower
-        end is at or above band_lo / (b_{k+1} - 1) rules block k's skip out
-        without the call; a block with no slid window asks before its window
-        is built, so a skipped stretch reads no digit past its first block.
+        For a point whose rule declares its support and 0 < band_lo < 1/2
+        (only an indicator point has gaps: a finite rule declares its whole
+        prefix), the blocks that ``_out_to`` puts below band_lo by the tail
+        bound are counted out whole, by a difference of block boundaries,
+        up to N itself; the window restarts after them through
+        ``_window_at``, which reads only the supported digits and spans each
+        zero run with one ratio product. A slid window whose lower end is at
+        or above band_lo / (b_{k+1} - 1) rules block k's skip out without
+        the call; a block with no slid window asks before its window is
+        built, so a skipped stretch reads no digit past its first block.
         ``band_verdict`` gives every row of a skipped block "out" too,
         through the same tail bound.
 
@@ -855,7 +838,9 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
     Forms: ``rat:P/Q`` (greedy expansion, ``horizon`` caps the prefix),
     ``exact:P/Q`` (like rat: but the expansion must terminate within the
     horizon), ``finite:[c1,c2,...]``, ``ones-on:<set-expr>``, and
-    ``floor-div:m={n1:m1,n2:m2,...}``.
+    ``floor-div:m={n1:m1,n2:m2,...}``. Each typed ``finite:`` digit and
+    ``floor-div:`` divisor is read once here, so one outside its range
+    under ``seq`` fails at the parser.
     """
     text = text.strip()
     if text.startswith("rat:") or text.startswith("exact:"):
@@ -871,7 +856,10 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
         return x
     if text.startswith("finite:"):
         digits = integers(enclosed(text[7:], "[]", "finite digits"), "finite digits")
-        return CirclePoint(seq, FiniteDigits(digits))
+        x = CirclePoint(seq, FiniteDigits(digits))
+        for n in range(1, len(digits) + 1):  # check each typed digit against b_n
+            x.digit(n)
+        return x
     if text.startswith("ones-on:"):
         support = parse_set_expr(text[8:], seq)
         return CirclePoint(seq, IndicatorDigits(support))
@@ -884,5 +872,8 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
                 if not sep:
                     raise SpecParseError(f"divisor entry {pair!r} must be n:m")
                 divisors[integer(key, "a divisor index")] = integer(val, "a divisor")
-        return CirclePoint(seq, FloorDivDigits(divisors))
+        x = CirclePoint(seq, FloorDivDigits(divisors))
+        for n in divisors:  # check each typed divisor against b_n
+            x.digit(n)
+        return x
     raise SpecParseError(f"unrecognized digit rule {text!r}")

@@ -58,8 +58,13 @@ def finite_support_member(x: CirclePoint) -> MemberVerdict:
     rather than on anything computed here, so the verdict flags itself as
     citation-dependent.
     """
-    kind = x.rule.support_kind()
-    if kind == "finite":
+    support = x.rule.support
+    if support is None:
+        return MemberVerdict(
+            status="inconclusive",
+            reason="support form undeclared; scan statistically instead",
+        )
+    if support.is_finite:
         m = x.rule.finite_support_max()
         cutoff = x.seq.derived.boundary(m) if m > 0 else 1
         return MemberVerdict(
@@ -67,16 +72,12 @@ def finite_support_member(x: CirclePoint) -> MemberVerdict:
             reason="finite support; values vanish from the cutoff onward",
             cutoff=cutoff,
         )
-    if kind in ("cofinite", "infinite"):
-        return MemberVerdict(
-            status="non-member",
-            reason=f"support declared {kind}; excluded by the "
-                   "characterization of members as finite-support points",
-            citation_dependent=True,
-        )
+    kind = "cofinite" if support.is_cofinite else "infinite"
     return MemberVerdict(
-        status="inconclusive",
-        reason="support form undeclared; scan statistically instead",
+        status="non-member",
+        reason=f"support declared {kind}; excluded by the "
+               "characterization of members as finite-support points",
+        citation_dependent=True,
     )
 
 

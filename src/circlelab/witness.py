@@ -218,20 +218,17 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
         raise PreconditionError("n0 must exceed 12")
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
-    kind = x.rule.support_kind()
-    if kind == "finite":
+    support = x.rule.support
+    if support is None:
+        raise PreconditionError(
+            "support form is undeclared; expand or declare the digit rule"
+        )
+    if support.is_finite:
         raise PreconditionError(
             "the escape construction needs infinite support; finite-support "
             "points are genuine members"
         )
-    if kind == "cofinite":
-        branch = "cofinite"
-    elif kind == "infinite":
-        branch = "infinite"
-    else:
-        raise PreconditionError(
-            "support form is undeclared; expand or declare the digit rule"
-        )
+    branch = "cofinite" if support.is_cofinite else "infinite"
     lo_cut = Fraction(1, m0)
     hi_cut = 1 - Fraction(1, n0)
     base, a1, a2, a3 = [], [], [], []

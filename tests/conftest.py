@@ -70,17 +70,15 @@ def eager_expansion(value: Fraction, seq, horizon: int) -> tuple[list[int], bool
 
 
 class FuncDigits(DigitRule):
-    """An arbitrary digit rule (n, b_n) -> c_n with a declared support kind."""
+    """An arbitrary digit rule (n, b_n) -> c_n with a declared support set,
+    or none."""
 
-    def __init__(self, fn, support_kind: str = "unknown"):
+    def __init__(self, fn, support=None):
         self._fn = fn
-        self._support_kind = support_kind
+        self.support = support
 
     def digit(self, n, seq):
         return self._fn(n, seq.ratio(n))
-
-    def support_kind(self):
-        return self._support_kind
 
     def describe(self):
         return "func"

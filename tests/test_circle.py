@@ -76,7 +76,7 @@ def test_greedy_expansion_example():
 def test_greedy_expansion_reconstructs_value(value):
     # every drawn denominator divides a_6 = 6!, so the expansion terminates
     x = digits_from_rational(value, LINEAR1)
-    assert x.rule.support_kind() == "finite"
+    assert x.rule.support.is_finite
     assert as_fraction(x) == value
 
 
@@ -583,7 +583,7 @@ def test_sliding_window_matches_rebuild(spec, data, depth, cap, moves):
 
 def test_slide_validates_each_new_digit():
     # c_30 = b_30 first enters when the window slides onto block 21
-    rule = FuncDigits(lambda n, b: b if n == 30 else n % 2, "infinite")
+    rule = FuncDigits(lambda n, b: b if n == 30 else n % 2)
     cache = EnclosureCache(CirclePoint(CONST2, rule), depth=8)
     for k in range(21):
         cache._window_at(k, 8)
@@ -680,8 +680,9 @@ def test_tail_bound_slides_its_window(monkeypatch):
 
 
 def test_indicator_support_end_is_computed_once():
-    # the support end of a finite set is fixed when the rule is built; the
-    # tail bound reads it directly and through frac_exact for every j
+    # the support end of a finite set is the end of its last interval, read
+    # with no rebuild; the tail bound reads it directly and through
+    # frac_exact for every j
     x = parse_point("ones-on:fin:{2,5,9,40}", POW2)
     assert x.rule.finite_support_max() == 40
     assert IndicatorDigits(IntervalNatSet()).finite_support_max() == 0
@@ -691,6 +692,52 @@ def test_indicator_support_end_is_computed_once():
     for j in range(1, 31):
         a = POW2.term(j - 1)
         assert tail_upper_bound(x, j) == mod1(a * value) / a
+
+
+CONST3 = ArithSeq(RatioSpec.constant(3))
+
+
+@st.composite
+def declared_points(draw):
+    """A point of each digit-rule form, its typed digits and divisors in
+    range: finite:, floor-div:, rat: (terminating or capped) and ones-on:."""
+    seq = draw(st.sampled_from((LINEAR1, POW2, CONST3)))
+    form = draw(st.sampled_from(("finite", "floor-div", "rat", "ones-on")))
+    if form == "finite":
+        raw = draw(st.lists(st.integers(0, 50), max_size=30))
+        digits = [c % seq.ratio(n) for n, c in enumerate(raw, 1)]
+        return parse_point("finite:[" + ",".join(map(str, digits)) + "]", seq)
+    if form == "floor-div":
+        raw = draw(st.dictionaries(st.integers(1, 60), st.integers(0, 50), max_size=4))
+        inner = ",".join(f"{n}:{2 + v % (seq.ratio(n) - 1)}" for n, v in raw.items())
+        return parse_point("floor-div:m={" + inner + "}", seq)
+    if form == "rat":
+        q = draw(st.sampled_from((2, 3, 4, 6, 7, 8, 9, 10, 27, 30, 37)))
+        p = draw(st.integers(0, q - 1))
+        return parse_point(f"rat:{p}/{q}", seq, draw(st.integers(1, 40)))
+    return parse_point("ones-on:" + draw(sparse_supports() | st.just("all")), seq)
+
+
+@given(x=declared_points())
+@settings(max_examples=200, deadline=None)
+def test_support_holds_every_nonzero_digit(x):
+    rule, support = x.rule, x.rule.support
+    if support is None:  # only a capped rational expansion cannot say
+        assert isinstance(rule, RationalDigits)
+        assert rule.finite_support_max() is None
+        assert all(rule.next_nonzero(n) is None for n in range(1, 201))
+        return
+    for n in range(1, 201):
+        if x.digit(n):
+            assert n in support
+        assert rule.next_nonzero(n) == support.next_member(n)
+    m = rule.finite_support_max()
+    if not support.is_finite:
+        assert m is None
+    elif m == 0:
+        assert support.next_member(1) is None
+    else:
+        assert m in support and support.next_member(m + 1) is None
 
 
 def test_window_walk_reads_each_step_once(monkeypatch):

@@ -224,6 +224,23 @@ def test_exit_horizon_error():
     assert "did not terminate" in proc.stderr
 
 
+@pytest.mark.parametrize("x, message", [
+    ("finite:[5]", "digit c_1 = 5 outside [0, 1]"),
+    ("floor-div:m={3:5}", "divisor m_3 = 5 violates 1 < m <= b_3 = 2"),
+])
+@pytest.mark.parametrize("command", [
+    ("scan",),
+    ("classify", "--check", "member"),
+    ("witness", "--op", "partition"),
+    ("witness", "--op", "escape"),
+])
+def test_typed_digit_out_of_range_exits_3(capsys, command, x, message):
+    # the parser reads each typed digit and divisor, so membership and the
+    # witnesses refuse an out-of-range one as the scan does
+    out = capture(capsys, *command, "--spec", "const:2", "--x", x, expect=3)
+    assert message in out.err
+
+
 def test_expand_over_budget_exits_4(capsys):
     out = capture(capsys, "scan", "--spec", "pow:2", "--x", "rat:1/3", "--expand",
                   str(EXPAND_CAP + 1), "--horizons", "100", expect=4)

@@ -10,6 +10,7 @@ from circlelab import circle
 from circlelab.circle import (
     CirclePoint,
     EnclosureCache,
+    FiniteDigits,
     _floor_sum,
     _hits,
     _least_hit,
@@ -71,6 +72,16 @@ def test_undeclared_support_is_inconclusive():
 
 
 # ----- scans ------------------------------------------------------------------
+
+def test_exact_scan_reads_every_digit_of_its_prefix():
+    # a finite rule declares its whole prefix 1..20 as its support, so the
+    # tail bound finds no zero run to skip and the exact value reads c_20,
+    # which is out of range; declaring {20} alone would skip blocks 0..16
+    # and never read it
+    x = CirclePoint(ArithSeq(RatioSpec.constant(2)), FiniteDigits([0] * 19 + [5]))
+    with pytest.raises(PreconditionError, match="c_20"):
+        statistical_scan(x, Fraction(1, 8), [3])
+
 
 def test_scan_sixth_at_hundred():
     scan = statistical_scan(parse_point("rat:1/6", LINEAR1), Fraction(1, 10), [100])

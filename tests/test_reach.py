@@ -12,6 +12,10 @@ public functions and classes, plus any public constants it chooses to name.
 
 A private attribute (``._name``) is read or written only through ``self``
 or ``cls``, so each class keeps its state to itself.
+
+Outside ``circle.py`` a digit-rule class is only called, to build a rule,
+and never tested for with ``isinstance``: the support form of a point is
+read through ``rule.support`` alone.
 """
 
 import ast
@@ -136,3 +140,20 @@ def test_private_attributes_stay_with_their_owner():
                     and f"{mod}.{ast.unparse(node)}" not in ALLOWED_PRIVATE):
                 reached.append(f"{mod}.py:{node.lineno}: {ast.unparse(node)}")
     assert reached == []
+
+
+DIGIT_RULES = {"FiniteDigits", "RationalDigits", "IndicatorDigits", "FloorDivDigits"}
+
+
+def test_digit_rules_are_only_constructed_outside_circle():
+    misused = []
+    for mod, tree in _modules().items():
+        if mod == "circle":
+            continue
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in DIGIT_RULES and id(node) not in called:
+                misused.append(f"{mod}.py:{node.lineno}: {ast.unparse(node)}")
+    assert misused == []

@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from circlelab.circle import CirclePoint, EnclosureCache, FiniteDigits, parse_point
 from circlelab.classify import weakly_dli_witness_set
-from circlelab.density import IntervalNatSet, cube_gap_blocks, evens, full_set, lift
+from circlelab.density import (
+    IntervalNatSet,
+    PredicateNatSet,
+    cube_gap_blocks,
+    evens,
+    full_set,
+    lift,
+)
 from circlelab.errors import PreconditionError
 from circlelab.sequences import ArithSeq, RatioSpec
 from circlelab.witness import (
@@ -77,7 +84,8 @@ def test_partition_all_ones_pow2():
 
 
 def test_partition_infinite_branch():
-    rule = FuncDigits(lambda n, b: 1 if n % 2 else 0, "infinite")
+    odds = PredicateNatSet(lambda n: n % 2, is_cofinite=False)
+    rule = FuncDigits(lambda n, b: 1 if n % 2 else 0, odds)
     p = nonmembership_partition(CirclePoint(POW2, rule), 10, 13, 14)
     assert p.branch == "infinite"
     assert p.base == elem_set([1, 3, 5, 7, 9, 11, 13])
