@@ -33,9 +33,6 @@ __all__ = [
     "FloorDivDigits",
     "CirclePoint",
     "digits_from_rational",
-    "frac_bound",
-    "frac_exact",
-    "tail_upper_bound",
     "EnclosureCache",
     "DEPTH_CAP",
     "EXPAND_CAP",
@@ -254,9 +251,6 @@ class CirclePoint:
                 "non-canonical rule: c_n = 1 = b_n - 1 for all large n under "
                 f"{seq.describe()}"
             )
-        # (n, t, num, den): the latest window, S = num/den over the digits
-        # n .. n+t; it starts empty
-        self._win: tuple[int, int, int, int] = (1, -1, 0, 1)
 
     def digit(self, n: int) -> int:
         """c_n, validated against 0 <= c_n <= b_n - 1 on access (0 and 1
@@ -269,23 +263,6 @@ class CirclePoint:
             if not 0 <= c <= b - 1:
                 raise PreconditionError(f"digit c_{n} = {c} outside [0, {b - 1}]")
         return c
-
-    def window(self, n: int, t: int) -> tuple[int, int]:
-        """Unreduced (num, den) with S = num/den over the digits n .. n+t and
-        den = b_n * ... * b_{n+t}, served from the latest window.
-
-        The window slides forward and trims or deepens at its end as
-        ``_slide`` does; only a request behind its start, or past its end,
-        is built from scratch, where a rule that declares its support has
-        only its members read. A failed digit read leaves the latest window
-        as it was. ``window_from_scratch`` in ``tests/conftest.py`` is the
-        reference that reads every digit.
-        """
-        wn, wt, num, den = self._win
-        if n != wn or t != wt:
-            num, den = _slide(self, wn, wn + wt, num, den, n, n + t)
-            self._win = (n, t, num, den)
-        return num, den
 
     def describe(self) -> str:
         return self.rule.describe()
@@ -377,46 +354,9 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     return num, den
 
 
-def frac_bound(x: CirclePoint, n: int, t: int) -> BoundInterval:
-    """Enclosure of {a_{n-1} x} with width exactly 1/(b_n * ... * b_{n+t})."""
-    if n < 1:
-        raise PreconditionError(f"window start must be >= 1, got {n}")
-    if t < 0:
-        raise PreconditionError(f"window depth must be >= 0, got {t}")
-    num, den = x.window(n, t)
-    return BoundInterval.of_window(num, num + 1, den)
-
-
-def frac_exact(x: CirclePoint, n: int) -> Fraction:
-    """Exact {a_{n-1} x} for a point with declared finite support."""
-    if n < 1:
-        raise PreconditionError(f"window start must be >= 1, got {n}")
-    m = x.rule.finite_support_max()
-    if m is None:
-        raise PreconditionError("exact evaluation needs declared finite support")
-    if n > m:
-        return Fraction(0)
-    return Fraction(*x.window(n, m - n))
-
-
-def tail_upper_bound(x: CirclePoint, j: int, t: int = 8) -> Fraction:
-    """An exact upper bound for the digit tail sum_{i >= j} c_i / a_i.
-
-    The tail equals {a_{j-1} x} / a_{j-1}, so the window enclosure divided by
-    a_{j-1} bounds it; the bound never exceeds 1 / a_{j-1}. Finite-support
-    points get the exact tail instead.
-    """
-    if j < 1:
-        raise PreconditionError(f"tail start must be >= 1, got {j}")
-    a = x.seq.term(j - 1)
-    if x.rule.finite_support_max() is not None:
-        return frac_exact(x, j) / a
-    num, den = x.window(j, t)
-    return Fraction(num + 1, den * a)
-
-
 class EnclosureCache:
-    """Shared per-block evaluation state for scans over derived indices.
+    """Shared per-block evaluation state for scans over derived indices, and
+    the one object that slides a point's windows.
 
     All rows of block k share its windows of {a_k x}. A window is a
     function of its block and depth alone, and a row's enclosure is refined
@@ -424,6 +364,9 @@ class EnclosureCache:
     the band, the base depth and the cap only, never on the rows judged
     before it. The windows asked for on the latest block are kept as its
     ladder, one per depth; the next window slides from the latest one.
+    The point-level readers ``frac_bound``, ``frac_exact`` and
+    ``tail_upper_bound`` read the same windows as unreduced integers, so
+    their answers do not depend on the requests before them either.
     """
 
     def __init__(self, x: CirclePoint, depth: int = 8, cap: int | None = None):
@@ -462,7 +405,8 @@ class EnclosureCache:
         A depth already asked for on block k is served from its ladder.
         Otherwise the latest window moves there by ``_slide``: for a block
         behind it, or one past its end, the window is built from scratch,
-        reading only the digits the rule names as maybe nonzero.
+        reading only the digits the rule names as maybe nonzero. A failed
+        digit read leaves the latest window as it was.
         """
         if k != self._ladder_k:
             self._ladder_k, self._ladder, self._deepest = k, {}, 0
@@ -477,6 +421,43 @@ class EnclosureCache:
         if depth > self._deepest:
             self._deepest = depth
         return window
+
+    def frac_bound(self, n: int, t: int) -> tuple[int, int, int]:
+        """(lo, lo + 1, den): {a_{n-1} x} lies in [lo, lo + 1] / den, with
+        den = b_n * ... * b_{n+t} unreduced; block n - 1's window."""
+        if n < 1:
+            raise PreconditionError(f"window start must be >= 1, got {n}")
+        if t < 0:
+            raise PreconditionError(f"window depth must be >= 0, got {t}")
+        lo, den = self._window_at(n - 1, t)
+        return lo, lo + 1, den
+
+    def frac_exact(self, n: int) -> tuple[int, int]:
+        """Unreduced (num, den) of the exact {a_{n-1} x} for a point with
+        declared finite support."""
+        if n < 1:
+            raise PreconditionError(f"window start must be >= 1, got {n}")
+        if not self.exact_mode:
+            raise PreconditionError("exact evaluation needs declared finite support")
+        return self._exact_value(n - 1)
+
+    def tail_upper_bound(self, j: int, t: int = 8) -> tuple[int, int]:
+        """Unreduced (num, den) with num/den an exact upper bound for the
+        digit tail sum_{i >= j} c_i / a_i.
+
+        The tail equals {a_{j-1} x} / a_{j-1}, so the upper end of block
+        j - 1's window at depth t, divided by a_{j-1}, bounds it, and never
+        exceeds 1 / a_{j-1}. A point with declared finite support gets its
+        exact tail instead.
+        """
+        if j < 1:
+            raise PreconditionError(f"tail start must be >= 1, got {j}")
+        a = self.x.seq.term(j - 1)
+        if self.exact_mode:
+            num, den = self._exact_value(j - 1)
+            return num, den * a
+        num, den = self._window_at(j - 1, t)
+        return num + 1, den * a
 
     def _out_to(self, k: int, ln: int, ld: int) -> int:
         """The last block j such that the tail bound puts every row of blocks

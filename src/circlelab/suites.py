@@ -13,12 +13,10 @@ from fractions import Fraction
 
 from .circle import (
     CirclePoint,
+    EnclosureCache,
     FiniteDigits,
     IndicatorDigits,
     digits_from_rational,
-    frac_bound,
-    frac_exact,
-    tail_upper_bound,
 )
 from .classify import check_strongly_non_dli, weakly_dli_witness_set
 from .density import IntervalNatSet, full_set, lift, set_algebra
@@ -131,8 +129,9 @@ def lift_algebra(params: dict | None = None) -> dict:
 def tail_bound(params: dict | None = None) -> dict:
     """Window tail bound never exceeds 1/a_{j-1} and dominates the true tail.
 
-    With ub = un/ud, x = p/q and a = a_{j-1}, a row fails when un * a > ud
-    or (a p mod q) * ud > un * a * q; Fractions are built only to be printed.
+    With ub = un/ud read from the point's cache, x = p/q and a = a_{j-1}, a
+    row fails when un * a > ud or (a p mod q) * ud > un * a * q; Fractions
+    are built only for the maximal ratio and a counterexample.
     """
     p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
                       "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
@@ -147,17 +146,17 @@ def tail_bound(params: dict | None = None) -> dict:
             q = _draw(rng, p, "qmax", 2)
             value = Fraction(rng.randint(1, q - 1), q)
             vp, vq = value.numerator, value.denominator
-            x = digits_from_rational(value, seq)
+            cache = EnclosureCache(digits_from_rational(value, seq), 0)
             for j in range(1, jmax + 1):
                 a = seq.term(j - 1)
-                ub = tail_upper_bound(x, j)
-                ua, ud = ub.numerator * a, ub.denominator
+                un, ud = cache.tail_upper_bound(j)
+                ua = un * a
                 if ua * md > mu * ud:
                     mu, md = ua, ud
                 rem = a * vp % vq
                 if ua > ud or rem * ud > ua * vq:
                     counterexample = {"spec": spec_text, "x": str(value), "j": j,
-                                      "upper_bound": str(ub),
+                                      "upper_bound": str(Fraction(un, ud)),
                                       "true_tail": str(Fraction(rem, vq * a))}
                     break
                 rows += 1
@@ -173,7 +172,9 @@ def tail_bound(params: dict | None = None) -> dict:
 def recursion(params: dict | None = None) -> dict:
     """Window identity: exact value inside every enclosure, exact widths, nesting.
 
-    Checked on cross-products of reduced numerators and denominators.
+    Each row reads the unreduced integers (lo, hi, den) of the enclosure and
+    (en, ed) of the exact value from the point's cache and is checked on
+    their cross-products; Fractions are built only for a counterexample.
     """
     p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
                       "max_len": 10, "seed": 97}, params, "suite recursion")
@@ -186,25 +187,27 @@ def recursion(params: dict | None = None) -> dict:
         for _ in range(trials):
             length = _draw(rng, p, "max_len", 1)
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
-            x = CirclePoint(seq, FiniteDigits(digits))
+            cache = EnclosureCache(CirclePoint(seq, FiniteDigits(digits)), 0)
             for n in range(1, length + 3):
-                exact = frac_exact(x, n)
-                en, ed = exact.numerator, exact.denominator
+                en, ed = cache.frac_exact(n)
                 prev, w = None, 1  # w = b_n * ... * b_{n+t}
                 for t in range(tmax + 1):
-                    bi = frac_bound(x, n, t)
+                    lo, hi, den = cache.frac_bound(n, t)
+                    if den < 1 or not 0 <= lo <= hi <= den:
+                        raise PreconditionError(
+                            f"invalid enclosure [{lo}/{den}, {hi}/{den}]")
                     w *= seq.ratio(n + t)
-                    ln, ld = bi.lo.numerator, bi.lo.denominator
-                    hn, hd = bi.hi.numerator, bi.hi.denominator
-                    inside = ln * ed <= en * ld and en * hd < hn * ed
-                    nested = prev is None or (prev[0] * ld <= ln * prev[1]
-                                              and hn * prev[3] <= prev[2] * hd)
-                    if (hn * ld - ln * hd) * w != ld * hd or not inside or not nested:
+                    inside = lo * ed <= en * den and en * den < hi * ed
+                    nested = prev is None or (prev[0] * den <= lo * prev[2]
+                                              and hi * prev[2] <= prev[1] * den)
+                    if (hi - lo) * w != den or not inside or not nested:
                         counterexample = {"spec": spec_text, "digits": digits,
-                                          "n": n, "t": t, "exact": str(exact),
-                                          "lo": str(bi.lo), "hi": str(bi.hi)}
+                                          "n": n, "t": t,
+                                          "exact": str(Fraction(en, ed)),
+                                          "lo": str(Fraction(lo, den)),
+                                          "hi": str(Fraction(hi, den))}
                         break
-                    prev = ln, ld, hn, hd
+                    prev = lo, hi, den
                     checks += 1
                 if counterexample:
                     break

@@ -13,7 +13,13 @@ import sys
 import time
 from fractions import Fraction
 
-from circlelab.circle import EnclosureCache, FiniteDigits, CirclePoint, parse_point
+from circlelab.circle import (
+    BoundInterval,
+    CirclePoint,
+    EnclosureCache,
+    FiniteDigits,
+    parse_point,
+)
 from circlelab.classify import check_strongly_non_dli, weakly_dli_witness_set
 from circlelab.cli import envelope_bytes
 from circlelab.density import lift, set_algebra
@@ -103,10 +109,10 @@ def test_c03_tail_bound():
             q = rng.randint(2, 10 ** 6)
             value = Fraction(rng.randint(0, q - 1), q)
             x = parse_point(f"rat:{value.numerator}/{value.denominator}", seq)
+            cache = EnclosureCache(x, 0)
             for j in range(1, 31):
-                from circlelab.circle import tail_upper_bound
                 a = seq.term(j - 1)
-                ub = tail_upper_bound(x, j)
+                ub = Fraction(*cache.tail_upper_bound(j))
                 if ub > Fraction(1, a):
                     failures.append(f"bound {ub} > 1/a_{j - 1} for {value}")
                 if mod1(a * value) / a > ub:
@@ -128,11 +134,11 @@ def test_c04_window_identity():
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, 13)]
             x = CirclePoint(seq, FiniteDigits(digits))
             value = as_fraction(x)
+            cache = EnclosureCache(x, 0)
             for n in range(1, 11):
                 truth = mod1(seq.term(n - 1) * value)
                 for t in range(0, 9):
-                    from circlelab.circle import frac_bound
-                    J = frac_bound(x, n, t)
+                    J = BoundInterval.of_window(*cache.frac_bound(n, t))
                     den = 1
                     for j in range(n, n + t + 1):
                         den *= seq.ratio(j)

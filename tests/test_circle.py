@@ -16,10 +16,7 @@ from circlelab.circle import (
     IndicatorDigits,
     RationalDigits,
     digits_from_rational,
-    frac_bound,
-    frac_exact,
     parse_point,
-    tail_upper_bound,
 )
 from circlelab.density import (
     IntervalNatSet,
@@ -49,6 +46,11 @@ CONST2 = ArithSeq(RatioSpec.constant(2))
 
 def mod1(v: Fraction) -> Fraction:
     return v - (v.numerator // v.denominator)
+
+
+def enclosure(cache: EnclosureCache, n: int, t: int) -> BoundInterval:
+    """``cache.frac_bound(n, t)`` range-checked and read as Fractions."""
+    return BoundInterval.of_window(*cache.frac_bound(n, t))
 
 
 # denominators dividing a_6 = 6! guarantee the greedy expansion terminates
@@ -165,8 +167,9 @@ def test_digits_on_demand_match_eager_expansion(case, data):
 def test_tail_bounds_compute_only_the_digits_they_read():
     # a window at j <= 30 and depth 8 reads the digits up to 38 of 256
     x = digits_from_rational(Fraction(1, 3), ArithSeq(RatioSpec.power(2)))
+    cache = EnclosureCache(x, 0)
     for j in range(1, 31):
-        tail_upper_bound(x, j)
+        cache.tail_upper_bound(j)
     assert x.rule.known_upto == 256
     assert len(x.rule.digits) <= 38
 
@@ -223,7 +226,7 @@ def test_support_and_quasi_support():
 @settings(max_examples=200, deadline=None)
 def test_window_contains_true_fractional_part(value, n, t):
     x = digits_from_rational(value, LINEAR1)
-    J = frac_bound(x, n, t)
+    J = enclosure(EnclosureCache(x, 0), n, t)
     truth = mod1(LINEAR1.term(n - 1) * value)
     assert J.lo <= truth < J.hi
 
@@ -232,30 +235,33 @@ def test_window_contains_true_fractional_part(value, n, t):
 @settings(max_examples=150, deadline=None)
 def test_window_width_and_nesting(value, n, t):
     x = digits_from_rational(value, LINEAR1)
-    J = frac_bound(x, n, t)
+    cache = EnclosureCache(x, 0)
+    J = enclosure(cache, n, t)
     assert J.hi - J.lo == Fraction(1, math.prod(LINEAR1.ratio(j) for j in range(n, n + t + 1)))
-    K = frac_bound(x, n, t + 1)
+    K = enclosure(cache, n, t + 1)
     assert J.lo <= K.lo and K.hi <= J.hi
 
 
 def test_window_respects_known_prefix():
     x = digits_from_rational(Fraction(1, 3), POW2, horizon=10)
-    frac_bound(x, 3, 7)  # needs digits up to 10
+    cache = EnclosureCache(x, 0)
+    cache.frac_bound(3, 7)  # needs digits up to 10
     with pytest.raises(HorizonError):
-        frac_bound(x, 3, 8)
+        cache.frac_bound(3, 8)
 
 
 def test_frac_exact_matches_direct_computation():
-    x = digits_from_rational(Fraction(7, 24), LINEAR1)
+    cache = EnclosureCache(digits_from_rational(Fraction(7, 24), LINEAR1), 0)
     for n in range(1, 8):
-        assert frac_exact(x, n) == mod1(LINEAR1.term(n - 1) * Fraction(7, 24))
-    assert frac_exact(x, 5) == 0  # past the support everything vanishes
+        num, den = cache.frac_exact(n)
+        assert Fraction(num, den) == mod1(LINEAR1.term(n - 1) * Fraction(7, 24))
+    assert cache.frac_exact(5) == (0, 1)  # past the support everything vanishes
 
 
 def test_frac_exact_needs_finite_support():
-    x = digits_from_rational(Fraction(1, 3), POW2, horizon=10)
+    cache = EnclosureCache(digits_from_rational(Fraction(1, 3), POW2, horizon=10), 0)
     with pytest.raises(PreconditionError):
-        frac_exact(x, 2)
+        cache.frac_exact(2)
 
 
 @given(value=rationals(), j=st.integers(1, 12))
@@ -263,15 +269,15 @@ def test_frac_exact_needs_finite_support():
 def test_tail_bound_brackets_true_tail(value, j):
     x = digits_from_rational(value, LINEAR1)
     a = LINEAR1.term(j - 1)
-    ub = tail_upper_bound(x, j)
+    ub = Fraction(*EnclosureCache(x, 0).tail_upper_bound(j))
     true_tail = mod1(a * value) / a
     assert true_tail <= ub <= Fraction(1, a)
 
 
 def test_tail_bound_capped_rule():
-    x = digits_from_rational(Fraction(1, 3), POW2, horizon=12)
+    cache = EnclosureCache(digits_from_rational(Fraction(1, 3), POW2, horizon=12), 0)
     for j in (1, 2, 4):
-        ub = tail_upper_bound(x, j, t=4)
+        ub = Fraction(*cache.tail_upper_bound(j, t=4))
         a = POW2.term(j - 1)
         assert mod1(a * Fraction(1, 3)) / a <= ub <= Fraction(1, a)
 
@@ -589,15 +595,17 @@ def test_slide_validates_each_new_digit():
         cache._window_at(k, 8)
     with pytest.raises(PreconditionError, match="c_30"):
         cache._window_at(21, 8)
-    # the point's own window reaches c_30 first on the slide to j = 22
+    # the readers of a fresh cache reach c_30 first on the slide to j = 22
     x = CirclePoint(CONST2, rule)
+    cache = EnclosureCache(x, 0)
     for j in range(1, 22):
-        tail_upper_bound(x, j)
+        cache.tail_upper_bound(j)
     with pytest.raises(PreconditionError, match="c_30"):
-        tail_upper_bound(x, 22)
+        cache.tail_upper_bound(22)
     with pytest.raises(PreconditionError, match="c_30"):
-        frac_bound(x, 21, 9)
-    assert x.window(21, 8) == window_from_scratch(x, 21, 8)
+        cache.frac_bound(21, 9)
+    lo, hi, den = cache.frac_bound(21, 8)
+    assert (lo, den) == window_from_scratch(x, 21, 8) and hi == lo + 1
 
 
 @st.composite
@@ -618,10 +626,10 @@ def slide_points(draw, seq):
                       min_size=1, max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
-    # one point walks forward slides, backward jumps, deepenings, trims and
-    # t = 0; its window and the readers built on it must always equal their
-    # from-scratch Fraction formulas, and a cache on the same point keeps its
-    # own window exact
+    # one cache walks forward slides, backward jumps, deepenings, trims and
+    # t = 0 through its point-level readers, with band verdicts in between;
+    # every answer must equal its from-scratch Fraction formula, and the
+    # cache's latest window must stay exact
     seq = _WINDOW_SPECS[spec]
     x = data.draw(slide_points(seq))
     m = x.rule.finite_support_max()
@@ -634,30 +642,94 @@ def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
             num, den = window_from_scratch(x, n, t)
         except HorizonError:
             # a capped rat: point: the failed read keeps the latest window
-            before = x._win
+            before = cache._win
             with pytest.raises(HorizonError):
-                x.window(n, t)
+                cache.frac_bound(n, t)
             with pytest.raises(HorizonError):
-                frac_bound(x, n, t)
-            assert x._win == before
+                cache.tail_upper_bound(n, t)
+            assert cache._win == before
             continue
         a = seq.term(n - 1)
         if reader == "bound":
-            J = frac_bound(x, n, t)
+            J = enclosure(cache, n, t)
             assert (J.lo, J.hi) == (Fraction(num, den), Fraction(num + 1, den))
         elif reader == "exact" and m is not None:
-            assert frac_exact(x, n) == mod1(a * value)
+            assert Fraction(*cache.frac_exact(n)) == mod1(a * value)
         elif reader == "tail":
-            ub = tail_upper_bound(x, n, t)
+            ub = Fraction(*cache.tail_upper_bound(n, t))
             assert ub == (mod1(a * value) / a if m is not None
                           else Fraction(num + 1, den) / a)
         elif reader == "cache" and cache._max_depth(n - 1) >= 0:
             cache.band_verdict(n - 1, t + 1, Fraction(1, 3), Fraction(2, 3))
-            wk, wdepth, wnum, wden = cache._win
-            # an exact cache past the support holds no window (wk = -1)
-            assert wk < 0 or (wnum, wden) == window_from_scratch(x, wk + 1, wdepth)
-        assert x.window(n, t) == (num, den)
-        assert x._win == (n, t, num, den)
+        wk, wdepth, wnum, wden = cache._win
+        # an exact cache that has read only past the support holds no window
+        assert wk < 0 or (wnum, wden) == window_from_scratch(x, wk + 1, wdepth)
+        assert cache.frac_bound(n, t) == (num, num + 1, den)
+
+
+def _reader_answer(cache, reader, n, t):
+    if reader == "bound":
+        return cache.frac_bound(n, t)
+    if reader == "exact":
+        return cache.frac_exact(n)
+    return cache.tail_upper_bound(n, t)
+
+
+@given(spec=st.sampled_from(("const:2", "const:3", "linear:1", "pow:2", "dlictrex:3")),
+       data=st.data(),
+       requests=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 12),
+                                   st.sampled_from(("bound", "exact", "tail"))),
+                         min_size=1, max_size=20, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_cache_readers_are_exact_and_history_free(spec, data, requests):
+    # one cache answers a shuffled list of reader requests: each answer is
+    # the from-scratch window and brackets the Fraction value mod 1 (a
+    # deeper window where the point has no Fraction value), and a read that
+    # fails past a capped prefix changes no later answer
+    seq = _WINDOW_SPECS[spec]
+    x = data.draw(slide_points(seq))
+    m = x.rule.finite_support_max()
+    value = as_fraction(x) if m is not None else getattr(x.rule, "value", None)
+    cache = EnclosureCache(x, 0)
+    answered = []
+    for n, t, reader in data.draw(st.permutations(requests)):
+        a = seq.term(n - 1)
+        if reader == "exact" and m is None:
+            with pytest.raises(PreconditionError):
+                cache.frac_exact(n)
+            continue
+        try:
+            num, den = window_from_scratch(x, n, t)
+        except HorizonError:
+            before = cache._win
+            with pytest.raises(HorizonError):
+                _reader_answer(cache, reader, n, t)
+            assert cache._win == before
+            if answered:  # the next answer is the one given before the failure
+                (n0, t0, reader0), got0 = answered[-1]
+                assert _reader_answer(cache, reader0, n0, t0) == got0
+            continue
+        got = _reader_answer(cache, reader, n, t)
+        truth = None if value is None else mod1(a * value)
+        if m is not None:
+            exact = window_from_scratch(x, n, m - n) if n <= m else (0, 1)
+            assert Fraction(*exact) == truth
+        if reader == "bound":
+            assert got == (num, num + 1, den)
+            if truth is None:  # nests a deeper window instead
+                deep_num, deep_den = window_from_scratch(x, n, t + 8)
+                assert num * deep_den <= deep_num * den
+                assert (deep_num + 1) * den <= (num + 1) * deep_den
+            else:
+                assert Fraction(num, den) <= truth < Fraction(num + 1, den)
+        elif reader == "exact":
+            assert got == exact
+        else:
+            assert got == ((exact[0], exact[1] * a) if m is not None
+                           else (num + 1, den * a))
+            if truth is not None:
+                assert truth / a <= Fraction(*got) <= Fraction(1, a)
+        answered.append(((n, t, reader), got))
 
 
 def _count_digit_reads(monkeypatch) -> list[int]:
@@ -671,27 +743,28 @@ def _count_digit_reads(monkeypatch) -> list[int]:
 def test_tail_bound_slides_its_window(monkeypatch):
     # j = 1..30 at depth 8: the first window reads 9 digits and each later
     # one slides in one new digit; rebuilding every window reads 9 per j
-    x = parse_point("rat:5/97", POW2, 64)
+    cache = EnclosureCache(parse_point("rat:5/97", POW2, 64), 0)
     reads = _count_digit_reads(monkeypatch)
     for j in range(1, 31):
         a = POW2.term(j - 1)
-        assert mod1(a * Fraction(5, 97)) / a <= tail_upper_bound(x, j)
+        assert mod1(a * Fraction(5, 97)) / a <= Fraction(*cache.tail_upper_bound(j))
     assert len(reads) <= 30 + 9
 
 
 def test_indicator_support_end_is_computed_once():
     # the support end of a finite set is the end of its last interval, read
-    # with no rebuild; the tail bound reads it directly and through
-    # frac_exact for every j
+    # with no rebuild; a cache reads it once, and its tail bound is exact
+    # for every j
     x = parse_point("ones-on:fin:{2,5,9,40}", POW2)
     assert x.rule.finite_support_max() == 40
     assert IndicatorDigits(IntervalNatSet()).finite_support_max() == 0
     for s in (evens(), cube_gap_blocks(), lift(full_set(), POW2.derived)):
         assert IndicatorDigits(s).finite_support_max() is None
     value = sum(Fraction(1, POW2.term(n)) for n in (2, 5, 9, 40))
+    cache = EnclosureCache(x, 0)
     for j in range(1, 31):
         a = POW2.term(j - 1)
-        assert tail_upper_bound(x, j) == mod1(a * value) / a
+        assert Fraction(*cache.tail_upper_bound(j)) == mod1(a * value) / a
 
 
 CONST3 = ArithSeq(RatioSpec.constant(3))
@@ -742,18 +815,20 @@ def test_support_holds_every_nonzero_digit(x):
 
 def test_window_walk_reads_each_step_once(monkeypatch):
     # the recursion suite's walk on a 10-digit finite point: frac_exact at
-    # each start n, then frac_bound at depths 0..8; trimming reads nothing
+    # each start n, then frac_bound at depths 0..8, all from one cache;
+    # trimming reads nothing
     # and each deepening reads one digit, so a start costs at most 9 reads
     # besides the support digits (a rebuild per window reads 45 per start)
     x = parse_point("finite:[1,0,2,1,0,1,0,0,1,1]", LINEAR1)
     m = x.rule.finite_support_max()
     value = as_fraction(x)
+    cache = EnclosureCache(x, 0)
     reads = _count_digit_reads(monkeypatch)
     for n in range(1, m + 3):
-        exact = frac_exact(x, n)
+        exact = Fraction(*cache.frac_exact(n))
         assert exact == mod1(LINEAR1.term(n - 1) * value)
         for t in range(9):
-            J = frac_bound(x, n, t)
+            J = enclosure(cache, n, t)
             assert J.lo <= exact < J.hi
     assert len(reads) <= 9 * (m + 2) + m
 

@@ -1,5 +1,6 @@
 """Command-line surface: terse outputs, exit codes, envelopes, replay."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -245,6 +246,21 @@ def test_expand_over_budget_exits_4(capsys):
     out = capture(capsys, "scan", "--spec", "pow:2", "--x", "rat:1/3", "--expand",
                   str(EXPAND_CAP + 1), "--horizons", "100", expect=4)
     assert f"exceeds the budget of {EXPAND_CAP} digits" in out.err
+
+
+# SHA-256 of the member envelope whose cutoff n_14283 has exactly 4300 digits
+_MEMBER_AT_LIMIT = "f99ea8e2964856f743517fa2f58548185dfb45205c077866b438e6899ba4c7b8"
+
+
+def test_member_cutoff_past_the_int_text_limit_exits_4():
+    # a child process has Python's default limit of 4300 digits for int
+    # text; the first divisor key whose cutoff exceeds it exits 4, not 1
+    argv = ("classify", "--check", "member", "--spec", "pow:2", "--format", "json")
+    proc = run_cli(*argv, "--x", "floor-div:m={14283:3}")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _MEMBER_AT_LIMIT
+    proc = run_cli(*argv, "--x", "floor-div:m={14284:3}", expect=4)
+    assert "cutoff n_14284 has more than 4300 decimal digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_suite_failure():

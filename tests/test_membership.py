@@ -1,6 +1,7 @@
 """Membership verdicts and the statistical escape-set scan."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,11 @@ from circlelab.circle import (
     _floor_sum,
     _hits,
     _least_hit,
-    frac_exact,
     parse_point,
 )
 from circlelab.classify import weakly_dli_witness_set
 from circlelab.density import DensityEstimate
-from circlelab.errors import PreconditionError
+from circlelab.errors import HorizonError, PreconditionError
 from circlelab.membership import (
     ScanResult,
     convergence_verdict,
@@ -69,6 +69,27 @@ def test_non_member_is_citation_dependent():
 def test_undeclared_support_is_inconclusive():
     v = finite_support_member(parse_point("rat:1/3", POW2))
     assert v.status == "inconclusive"
+
+
+@pytest.mark.parametrize("limit", [4300, 0, None])
+def test_member_cutoff_respects_the_int_text_limit(monkeypatch, limit):
+    # under pow:2 the cutoff n_14283 has exactly 4300 decimal digits and
+    # n_14284 more; a limit of 0, or a Python without the limit, lets both
+    # through
+    if limit is None:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    else:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    below = finite_support_member(parse_point("floor-div:m={14283:3}", POW2))
+    assert below.status == "member"
+    assert below.cutoff == POW2.derived.boundary(14283)
+    assert 10 ** 4299 <= below.cutoff < 10 ** 4300
+    x = parse_point("floor-div:m={14284:3}", POW2)
+    if limit:
+        with pytest.raises(HorizonError, match="n_14284 has more than 4300 decimal"):
+            finite_support_member(x)
+    else:
+        assert finite_support_member(x).cutoff == POW2.derived.boundary(14284)
 
 
 # ----- scans ------------------------------------------------------------------
@@ -534,9 +555,10 @@ def test_exact_scan_slides_its_window(monkeypatch):
     monkeypatch.setattr(CirclePoint, "digit", digit)
     # the value at every block, visited ascending and then out of order
     cache = EnclosureCache(x)
+    value = as_fraction(x)
     for k in list(range(m + 3)) + [7, 250, 3, 301, 0]:
         num, den = cache._exact_value(k)
-        assert Fraction(num, den) == frac_exact(x, k + 1)
+        assert Fraction(num, den) == mod1(seq.term(k) * value)
 
 
 @given(n=st.integers(0, 40), m=st.integers(1, 60), a=st.integers(-200, 200),

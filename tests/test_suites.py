@@ -1,27 +1,23 @@
 """The integer verdicts of the tail-bound and recursion suites.
 
-The suites decide each row by cross-multiplying reduced numerators and
-denominators. The reference loops below are the same batteries written with
-``Fraction`` comparisons; they read the library through the ``suites``
-module, so a fault patched into it reaches both formulations.
+The suites build one ``EnclosureCache`` per point and decide each row by
+cross-multiplying the unreduced integers its readers ``frac_bound``,
+``frac_exact`` and ``tail_upper_bound`` return. The reference loops below
+are the same batteries written with ``Fraction`` comparisons on the same
+readers, so a fault patched into a reader reaches both formulations.
 """
 
+import cProfile
 import hashlib
 import math
+import pstats
 import random
 from fractions import Fraction
 
 import pytest
 
 from circlelab import suites
-from circlelab.circle import (
-    BoundInterval,
-    CirclePoint,
-    FiniteDigits,
-    frac_bound,
-    frac_exact,
-    tail_upper_bound,
-)
+from circlelab.circle import BoundInterval, CirclePoint, EnclosureCache, FiniteDigits
 from circlelab.cli import envelope_bytes
 from circlelab.errors import PreconditionError
 from circlelab.parse import int_param, merge_params
@@ -46,10 +42,10 @@ def reference_tail_bound(params=None) -> dict:
         for _ in range(trials):
             q = suites._draw(rng, p, "qmax", 2)
             value = Fraction(rng.randint(1, q - 1), q)
-            x = suites.digits_from_rational(value, seq)
+            cache = suites.EnclosureCache(suites.digits_from_rational(value, seq), 0)
             for j in range(1, jmax + 1):
                 a = seq.term(j - 1)
-                ub = suites.tail_upper_bound(x, j)
+                ub = Fraction(*cache.tail_upper_bound(j))
                 true_tail = _mod1(a * value) / a
                 ratio = ub * a
                 if ratio > max_ratio:
@@ -81,12 +77,12 @@ def reference_recursion(params=None) -> dict:
         for _ in range(trials):
             length = suites._draw(rng, p, "max_len", 1)
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
-            x = CirclePoint(seq, FiniteDigits(digits))
+            cache = suites.EnclosureCache(CirclePoint(seq, FiniteDigits(digits)), 0)
             for n in range(1, length + 3):
-                exact = suites.frac_exact(x, n)
+                exact = Fraction(*cache.frac_exact(n))
                 prev = None
                 for t in range(tmax + 1):
-                    bi = suites.frac_bound(x, n, t)
+                    bi = BoundInterval.of_window(*cache.frac_bound(n, t))
                     width = Fraction(1, math.prod(
                         seq.ratio(j) for j in range(n, n + t + 1)))
                     inside = bi.lo <= exact < bi.hi
@@ -148,9 +144,16 @@ def test_recursion_matches_fraction_reference(params):
             == _outcome(reference_recursion, params))
 
 
+# the readers as the library defines them, for the faults to wrap
+_BOUND = EnclosureCache.frac_bound
+_EXACT = EnclosureCache.frac_exact
+_TAIL = EnclosureCache.tail_upper_bound
+
+
 def _both_fail(monkeypatch, tag, name, fake, params=None) -> dict:
-    """Patch ``suites.<name>`` with ``fake``; both formulations must fail alike."""
-    monkeypatch.setattr(suites, name, fake)
+    """Patch ``EnclosureCache.<name>`` with ``fake``; both formulations must
+    fail alike."""
+    monkeypatch.setattr(EnclosureCache, name, fake)
     report = run_suite(tag, params)
     assert report == REFERENCE[tag](params)
     assert report["pass"] is False
@@ -161,15 +164,18 @@ def _both_fail(monkeypatch, tag, name, fake, params=None) -> dict:
 
 
 def test_tail_bound_catches_a_bound_below_the_true_tail(monkeypatch):
-    cx = _both_fail(monkeypatch, "tail-bound", "tail_upper_bound",
-                    lambda x, j: tail_upper_bound(x, j) / 4)
+    def quartered(self, j, t=8):
+        num, den = _TAIL(self, j, t)
+        return num, 4 * den
+
+    cx = _both_fail(monkeypatch, "tail-bound", "tail_upper_bound", quartered)
     # only the domination check fires: the bound stays below 1/a_{j-1}
     assert Fraction(cx["true_tail"]) > Fraction(cx["upper_bound"])
 
 
 def test_tail_bound_catches_a_bound_above_one_over_a(monkeypatch):
-    def fake(x, j):
-        return Fraction(2, x.seq.term(j - 1)) if j == 7 else tail_upper_bound(x, j)
+    def fake(self, j, t=8):
+        return (2, self.x.seq.term(j - 1)) if j == 7 else _TAIL(self, j, t)
 
     cx = _both_fail(monkeypatch, "tail-bound", "tail_upper_bound", fake)
     assert cx["j"] == 7
@@ -179,14 +185,15 @@ def test_tail_bound_catches_a_bound_above_one_over_a(monkeypatch):
 @pytest.mark.parametrize("edge", ["true-tail", "one-over-a"])
 def test_tail_bound_accepts_its_edge_cases(monkeypatch, edge):
     # a bound equal to the true tail, or to 1/a_{j-1}, is not a violation
-    def fake(x, j):
-        a = x.seq.term(j - 1)
+    def fake(self, j, t=8):
+        a = self.x.seq.term(j - 1)
         if edge == "one-over-a":
-            return Fraction(1, a)
-        value = getattr(x.rule, "value", None) or as_fraction(x)
-        return _mod1(a * value) / a
+            return 1, a
+        value = getattr(self.x.rule, "value", None) or as_fraction(self.x)
+        p, q = value.numerator, value.denominator
+        return a * p % q, q * a  # {a_{j-1} x} / a_{j-1}, unreduced
 
-    monkeypatch.setattr(suites, "tail_upper_bound", fake)
+    monkeypatch.setattr(EnclosureCache, "tail_upper_bound", fake)
     params = {"trials": 20, "seed": 9}
     report = run_suite("tail-bound", params)
     assert report == reference_tail_bound(params)
@@ -200,61 +207,58 @@ def test_tail_bound_accepts_its_edge_cases(monkeypatch, edge):
 # ----- recursion faults -------------------------------------------------------
 
 
-def _shifted(x, n, t):
+def _shifted(self, n, t):
     # a full width off: the right width, but the exact value falls outside
-    bi = frac_bound(x, n, t)
-    w = bi.hi - bi.lo
+    lo, hi, den = _BOUND(self, n, t)
+    w = hi - lo
     if t == 3:
-        return (BoundInterval(bi.lo + w, bi.hi + w) if bi.hi + w <= 1
-                else BoundInterval(bi.lo - w, bi.hi - w))
-    return bi
+        return (lo + w, hi + w, den) if hi + w <= den else (lo - w, hi - w, den)
+    return lo, hi, den
 
 
-def _ends_at_exact(x, n, t):
+def _ends_at_exact(self, n, t):
     # moved down, inside its parent, until its upper end is the exact value,
-    # which the half-open enclosure [lo, hi) then leaves out
-    bi = frac_bound(x, n, t)
+    # which the half-open enclosure [lo, hi) then leaves out; over den * ed
+    # the shift is hi * ed - en * den
+    lo, hi, den = _BOUND(self, n, t)
     if t == 0:
-        return bi
-    shift = bi.hi - frac_exact(x, n)
-    if bi.lo - shift >= frac_bound(x, n, t - 1).lo:
-        return BoundInterval(bi.lo - shift, bi.hi - shift)
-    return bi
+        return lo, hi, den
+    en, ed = _EXACT(self, n)
+    low = lo * ed - hi * ed + en * den
+    plo, _, pden = _BOUND(self, n, t - 1)
+    if low * pden >= plo * den * ed:
+        return low, en * den, den * ed
+    return lo, hi, den
 
 
-def _widened(x, n, t):
-    bi = frac_bound(x, n, t)
-    w = bi.hi - bi.lo
+def _widened(self, n, t):
+    lo, hi, den = _BOUND(self, n, t)
+    w = hi - lo
     if t == 2:
-        return (BoundInterval(bi.lo - w, bi.hi) if bi.lo >= w
-                else BoundInterval(bi.lo, bi.hi + w))
-    return bi
+        return (lo - w, hi, den) if lo >= w else (lo, hi + w, den)
+    return lo, hi, den
 
 
-def _non_nested(x, n, t):
+def _non_nested(self, n, t):
     # moves an enclosure that starts or ends where its parent does across
     # that end by less than the distance to the exact value, so it keeps its
-    # width and still holds the exact value
-    bi = frac_bound(x, n, t)
+    # width and still holds the exact value; the half shift is taken over
+    # 2 * den * ed
+    lo, hi, den = _BOUND(self, n, t)
     if t == 0:
-        return bi
-    parent = frac_bound(x, n, t - 1)
-    exact = frac_exact(x, n)
-    if bi.lo == parent.lo and bi.lo > 0:
-        shift = -min(bi.hi - exact, bi.lo) / 2
-    elif bi.hi == parent.hi and bi.hi < 1 and exact > bi.lo:
-        shift = min(exact - bi.lo, 1 - bi.hi) / 2
+        return lo, hi, den
+    plo, phi, pden = _BOUND(self, n, t - 1)
+    en, ed = _EXACT(self, n)
+    if lo * pden == plo * den and lo > 0:
+        shift = -min(hi * ed - en * den, lo * ed)
+    elif hi * pden == phi * den and hi < den and en * den > lo * ed:
+        shift = min(en * den - lo * ed, (den - hi) * ed)
     else:
-        return bi
-    return BoundInterval(bi.lo + shift, bi.hi + shift)
+        return lo, hi, den
+    return 2 * lo * ed + shift, 2 * hi * ed + shift, 2 * den * ed
 
 
-@pytest.mark.parametrize("fake, check", [
-    (_shifted, "inside"), (_ends_at_exact, "inside"), (_widened, "width"),
-    (_non_nested, "nested"),
-])
-def test_recursion_catches_a_bad_enclosure(monkeypatch, fake, check):
-    cx = _both_fail(monkeypatch, "recursion", "frac_bound", fake)
+def _check_counterexample(cx, check):
     lo, hi, exact = Fraction(cx["lo"]), Fraction(cx["hi"]), Fraction(cx["exact"])
     seq = suites._seq(cx["spec"])
     n, t = cx["n"], cx["t"]
@@ -264,6 +268,60 @@ def test_recursion_catches_a_bad_enclosure(monkeypatch, fake, check):
     assert (lo <= exact < hi) is (check != "inside")
     if check == "nested":
         assert t >= 1
+
+
+@pytest.mark.parametrize("fake, check", [
+    (_shifted, "inside"), (_ends_at_exact, "inside"), (_widened, "width"),
+    (_non_nested, "nested"),
+])
+def test_recursion_catches_a_bad_enclosure(monkeypatch, fake, check):
+    _check_counterexample(_both_fail(monkeypatch, "recursion", "frac_bound", fake),
+                          check)
+
+
+def test_recursion_catches_a_moved_exact_value(monkeypatch):
+    # the exact value one unit of its denominator too high leaves the
+    # enclosures that pin it
+    def moved(self, n):
+        en, ed = _EXACT(self, n)
+        return en + 1, ed
+
+    _check_counterexample(_both_fail(monkeypatch, "recursion", "frac_exact", moved),
+                          "inside")
+
+
+def test_recursion_refuses_an_enclosure_outside_the_unit_interval(monkeypatch):
+    # the range check 0 <= lo <= hi <= den comes before any verdict, and both
+    # formulations raise the same PreconditionError for it
+    def above(self, n, t):
+        lo, hi, den = _BOUND(self, n, t)
+        return (lo + den, hi + den, den) if t == 1 else (lo, hi, den)
+
+    monkeypatch.setattr(EnclosureCache, "frac_bound", above)
+    outcome = _outcome(run_suite, "recursion")
+    assert outcome == _outcome(reference_recursion)
+    assert outcome.startswith("PreconditionError: invalid enclosure [")
+
+
+def _fractions_built(tag, params=None) -> int:
+    """How many times ``Fraction.__new__`` runs in one run of the suite."""
+    profiler = cProfile.Profile()
+    profiler.runcall(run_suite, tag, params)
+    return sum(calls for (path, _, name), (_, calls, *_) in
+               pstats.Stats(profiler).stats.items()
+               if name == "__new__" and path.endswith("fractions.py"))
+
+
+@pytest.mark.parametrize("tag, points, rows_key", [
+    ("tail-bound", 200, "jmax"),  # 2 specs x 100 trials, 30 rows each
+    ("recursion", 80, "tmax"),  # 2 specs x 40 trials, 9 depths per start
+])
+def test_suites_build_no_fraction_per_row(tag, points, rows_key):
+    # a few Fractions per point (the rational point itself) and the report's
+    # max_ratio; a run with one row per start builds exactly as many
+    built = _fractions_built(tag)
+    assert built <= 2 * points + 4
+    assert _fractions_built(tag, {rows_key: 1 if rows_key == "jmax" else 0}) == built
 
 
 # ----- golden envelopes -------------------------------------------------------
