@@ -102,12 +102,12 @@ class DigitRule:
 
     ``known_upto`` is None when every index is computable, otherwise the last
     index with a defined digit. ``support`` is a set holding every index
-    whose digit may be nonzero, or None when the rule cannot say (a capped
-    rational expansion); its ``is_finite`` and ``is_cofinite`` are exact,
-    and the membership and witness code rely on them. ``FiniteDigits`` and
-    ``FloorDivDigits`` declare their whole prefix up to the last index that
-    may be nonzero, so every window reads, and so validates, each of those
-    digits.
+    whose digit may be nonzero, or None when the rule declares none (a
+    capped rational expansion); its ``is_finite`` and ``is_cofinite`` are
+    exact, and the membership and witness code rely on them.
+    ``FiniteDigits`` declares its whole prefix up to the last index that may
+    be nonzero, so every window reads, and so validates, each of those
+    digits. ``FloorDivDigits`` declares its keys: every other digit is 0.
     """
 
     known_upto: int | None = None
@@ -126,9 +126,9 @@ class DigitRule:
 
     def next_nonzero(self, n: int) -> int | None:
         """The least index >= n whose digit may be nonzero, or None when
-        there is none or the rule cannot say."""
+        there is none; n itself when the rule declares no support."""
         support = self.support
-        return None if support is None else support.next_member(n)
+        return n if support is None else support.next_member(n)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -213,7 +213,7 @@ class FloorDivDigits(DigitRule):
         self.divisors = dict(sorted(divisors.items()))
         if any(n < 1 for n in self.divisors):
             raise PreconditionError("divisor positions must be >= 1")
-        self.support = IntervalNatSet([(1, max(self.divisors, default=0))])
+        self.support = IntervalNatSet((n, n) for n in self.divisors)
 
     def digit(self, n, seq):
         m = self.divisors.get(n)
@@ -314,11 +314,11 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     (each c_j <= b_j - 1 keeps the rest below den), digits past target are
     cut off the same way, and only the digits past end are added. Otherwise
     the window is built from scratch. A digit j is added as num * b_j + c_j
-    over den * b_j. When ``DigitRule.next_nonzero`` names the next digit m
-    that may be nonzero, the zero digits j .. m - 1 are added at once with
-    the ratio product b_j ... b_{m-1}, and only digit m is read, through
-    ``CirclePoint.digit``; from the first index the rule cannot answer, the
-    digits are read one by one. The sum is the same integer either way.
+    over den * b_j, read through ``CirclePoint.digit`` when
+    ``DigitRule.next_nonzero(j)`` is j. Otherwise the digits j .. m - 1 are
+    0, with m the next index that may be nonzero (target + 1 when that lies
+    past target or there is none), and enter at once through their ratio
+    product b_j ... b_{m-1}. The sum is the same integer either way.
     """
     ratio = x.seq.ratio
     if start <= n <= end:
@@ -335,22 +335,17 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     j = end + 1
     while j <= target:
         m = x.rule.next_nonzero(j)
-        if m is None:
-            break  # the rule cannot say: read the rest one by one
-        if m > j:  # the digits j .. m - 1 are 0
-            P = x.seq.ratio_product(j, min(m - 1, target))
+        if m == j:
+            b = ratio(j)
+            num = num * b + x.digit(j)
+            den *= b
+            j += 1
+        else:  # the digits j .. m - 1 are 0
+            m = target + 1 if m is None or m > target else m
+            P = x.seq.ratio_product(j, m - 1)
             num *= P
             den *= P
             j = m
-            continue
-        b = ratio(j)
-        num = num * b + x.digit(j)
-        den *= b
-        j += 1
-    for j in range(j, target + 1):
-        b = ratio(j)
-        num = num * b + x.digit(j)
-        den *= b
     return num, den
 
 
@@ -372,9 +367,13 @@ class EnclosureCache:
     def __init__(self, x: CirclePoint, depth: int = 8, cap: int | None = None):
         if depth < 0:
             raise PreconditionError(f"window depth must be >= 0, got {depth}")
+        if cap is None:
+            cap = DEPTH_CAP
+        elif cap < 0:
+            raise PreconditionError(f"depth cap must be >= 0, got {cap}")
         self.x = x
         self.depth = depth
-        self.cap = DEPTH_CAP if cap is None else cap
+        self.cap = cap
         self._fs_max = x.rule.finite_support_max()
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
@@ -383,9 +382,8 @@ class EnclosureCache:
         self._ladder_k = -1
         self._ladder: dict[int, tuple[int, int]] = {}
         self._deepest = 0
-        self._next_support = x.rule.next_nonzero
         # blocks are skipped only for a rule that declares its support
-        self._skips = x.rule.next_nonzero(1) is not None
+        self._skips = x.rule.support is not None
 
     @property
     def exact_mode(self) -> bool:
@@ -470,9 +468,11 @@ class EnclosureCache:
         for j, and P at least doubles per step, so one walk back finds the
         last such block in O(log(ld/ln)) ratio reads. The walk starts at
         J - 3: for j = J - 1 and J - 2, P <= b_{j+1} and ld > 2 ln rule it out.
+        With no support index past k (a finite support past its end), the
+        answer is k - 1.
         """
-        J = self._next_support(k + 1)
-        if J is None:  # no later support, or the set cannot say
+        J = self.x.rule.next_nonzero(k + 1)
+        if J is None:
             return k - 1
         last = J - 3
         if last >= k:
@@ -600,17 +600,17 @@ class EnclosureCache:
         window, and its rows and all later ones are undecided.
 
         For a point whose rule declares its support and 0 < band_lo < 1/2
-        (only an indicator point has gaps: a finite rule declares its whole
-        prefix), the blocks that ``_out_to`` puts below band_lo by the tail
-        bound are counted out whole, by a difference of block boundaries,
-        up to N itself; the window restarts after them through
-        ``_window_at``, which reads only the supported digits and spans each
-        zero run with one ratio product. A slid window whose lower end is at
-        or above band_lo / (b_{k+1} - 1) rules block k's skip out without
-        the call; a block with no slid window asks before its window is
-        built, so a skipped stretch reads no digit past its first block.
-        ``band_verdict`` gives every row of a skipped block "out" too,
-        through the same tail bound.
+        (an indicator or floor-div point has gaps: a ``FiniteDigits`` rule
+        declares its whole prefix), the blocks that ``_out_to`` puts below
+        band_lo by the tail bound are counted out whole, by a difference of
+        block boundaries, up to N itself; the window restarts after them
+        through ``_window_at``, which reads only the supported digits and
+        spans each zero run with one ratio product. A slid window whose
+        lower end is at or above band_lo / (b_{k+1} - 1) rules block k's
+        skip out without the call; a block with no slid window asks before
+        its window is built, so a skipped stretch reads no digit past its
+        first block. ``band_verdict`` gives every row of a skipped block
+        "out" too, through the same tail bound.
 
         The base window is held in locals and slides to the next block with
         one division and one new digit read through ``CirclePoint.digit``;

@@ -56,9 +56,12 @@ class NatSet:
         raise NotImplementedError
 
     def next_member(self, n: int) -> int | None:
-        """The least member >= n (n >= 1); None when there is none, or when
-        the set cannot say without testing members one by one."""
-        return None
+        """The least member >= n (n >= 1), or None when there is none.
+
+        This default tests members one by one, so it serves only infinite
+        sets; a finite set is an ``IntervalNatSet``, which bisects.
+        """
+        return next(j for j in count(n) if j in self)
 
     def iter_upto(self, N: int) -> Iterator[int]:
         for n in range(1, N + 1):
@@ -254,7 +257,7 @@ class PredicateNatSet(NatSet):
 
     def __init__(self, pred: Callable[[int], bool], is_cofinite: bool,
                  name: str = "predicate",
-                 after: Callable[[int], int | None] | None = None):
+                 after: Callable[[int], int] | None = None):
         self._pred = pred
         self.is_cofinite = is_cofinite
         self.name = name
@@ -264,7 +267,9 @@ class PredicateNatSet(NatSet):
         return n >= 1 and bool(self._pred(n))
 
     def next_member(self, n):
-        return self._after(n) if self._after is not None else None
+        if self._after is None:
+            return super().next_member(n)
+        return self._after(n)
 
     def __repr__(self):
         return f"PredicateNatSet({self.name})"
@@ -381,12 +386,9 @@ def translate(s: NatSet, m: int) -> NatSet:
         return LazyIntervalNatSet(factory, src.is_cofinite,
                                   name=f"shift({src.name},{m})")
 
-    def after(n):
-        nxt = s.next_member(n + m)
-        return None if nxt is None else nxt - m
-
     return PredicateNatSet(lambda n: (n + m) in s, s.is_cofinite,
-                           name=f"shift({s.name},{m})", after=after)
+                           name=f"shift({s.name},{m})",
+                           after=lambda n: s.next_member(n + m) - m)
 
 
 def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
@@ -415,14 +417,10 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
 
     def factory():
         # one block per member; LazyIntervalNatSet merges adjacent blocks, and
-        # a set with an unbounded run (such as all) still answers every query.
-        # A set with a closed-form next member jumps its gaps; any other is
-        # tested index by index.
+        # a set with an unbounded run (such as all) still answers every query
         k = 1
         while True:
             nxt = src.next_member(k)
-            if nxt is None:
-                nxt = next(j for j in count(k) if j in src)
             yield derived.boundary(nxt - 1), derived.boundary(nxt) - 1
             k = nxt + 1
 

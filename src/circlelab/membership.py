@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .circle import DEPTH_CAP, CirclePoint, EnclosureCache
+from .circle import CirclePoint, EnclosureCache
 from .density import DensityEstimate
 from .errors import HorizonError, PreconditionError
 from .records import FrozenRecord, Record
@@ -133,11 +133,12 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
 
     One pass over derived indices: each horizon resumes where the last one
     stopped with one ``EnclosureCache.count_rows`` call, which walks the
-    blocks and refines only the rows near a band edge, up to the cap
-    (``DEPTH_CAP`` unless given). Past the supported blocks of a point
-    with finite support every row is out and is counted without a call.
-    Counts are monotone under refinement, so bounds at successive horizons
-    come from the same pass.
+    blocks and refines only the rows near a band edge, up to the cap (the
+    cache's default unless given). For a point whose finite support ends at
+    digit m, every row from n_m on (block m and later) is exactly 0, so out,
+    and is counted without a call; n_0 = 1 covers an empty support. Rows
+    neither in nor undecided are out. Counts are monotone under refinement,
+    so bounds at successive horizons come from the same pass.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
@@ -145,31 +146,23 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     horizons = tuple(sorted(set(int(h) for h in horizons)))
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive")
-    if cap is None:
-        cap = DEPTH_CAP
-    if cap < 0:
-        raise PreconditionError(f"depth cap must be >= 0, got {cap}")
     band_lo, band_hi = eps, 1 - eps
     cache = EnclosureCache(x, depth=depth, cap=cap)
-    result = ScanResult(eps=eps, depth=depth, cap=cap, horizons=horizons,
+    result = ScanResult(eps=eps, depth=depth, cap=cache.cap, horizons=horizons,
                         spec=x.seq.describe(), point=x.describe())
-    # past the supported blocks every value is exactly 0, norm 0 < eps
-    bulk_out_from = finite_support_member(x).cutoff
-    n_in = n_out = n_und = 0
+    m = x.rule.finite_support_max()
+    last = None if m is None else x.seq.derived.boundary(m) - 1
+    n_in = n_und = 0
     i, k, r = 1, 0, 1  # derived index i is row r of block k
     for N in horizons:
-        end = N if bulk_out_from is None else min(N, bulk_out_from - 1)
+        end = N if last is None else min(N, last)
         if i <= end:
             k, r, seg_in, undecided = cache.count_rows(k, r, i, end, band_lo, band_hi)
             n_in += seg_in
             n_und += len(undecided)
-            n_out += end - i + 1 - seg_in - len(undecided)
             result.undecided_rows.extend(undecided)
             i = end + 1
-        if i <= N:
-            n_out += N - i + 1
-            i = N + 1
-        result.estimates.append(DensityEstimate(N, n_in, n_out, n_und))
+        result.estimates.append(DensityEstimate(N, n_in, N - n_in - n_und, n_und))
     return result
 
 

@@ -284,27 +284,21 @@ def bad_interval_family(x: CirclePoint, branch_set: NatSet, case: str,
         block_hi = derived.boundary(k) - 1
         if base > horizon:
             break
+        # (scale, digit gap, low cut, high cut, count) of the case
         if case == "small":
-            if c == 0:
-                raise PreconditionError(f"branch index {k} has zero digit")
-            for m in range(c // m0 + 1):
-                lo_off = ((m * m0 + 1) * b) // (m0 * c)
-                hi_off = ((m * m0 + 4) * b) // (m0 * c) - 1
-                lo = base + lo_off
-                hi = min(base + hi_off, block_hi, horizon)
-                if lo <= hi:
-                    parts.append((lo, hi))
+            scale, gap, low, high, count = m0, c, 1, 4, c // m0
+            fault = "has zero digit"
         else:
-            gap = b - c
-            if gap <= 0:
-                raise PreconditionError(f"branch index {k} has a maximal digit")
-            for m in range(gap // (2 * n0) + 1):
-                lo_off = ((m * n0 + 8) * b) // (n0 * gap)
-                hi_off = ((m * n0 + 12) * b) // (n0 * gap) - 1
-                lo = base + lo_off
-                hi = min(base + hi_off, block_hi, horizon)
-                if lo <= hi:
-                    parts.append((lo, hi))
+            scale, gap, low, high, count = n0, b - c, 8, 12, (b - c) // (2 * n0)
+            fault = "has a maximal digit"
+        if gap <= 0:
+            raise PreconditionError(f"branch index {k} {fault}")
+        for m in range(count + 1):
+            lo = base + ((m * scale + low) * b) // (scale * gap)
+            hi = min(base + ((m * scale + high) * b) // (scale * gap) - 1,
+                     block_hi, horizon)
+            if lo <= hi:
+                parts.append((lo, hi))
     return IntervalNatSet(parts)
 
 

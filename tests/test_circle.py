@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circlelab.circle import (
+    DEPTH_CAP,
     EXPAND_CAP,
     BoundInterval,
     CirclePoint,
@@ -309,6 +310,15 @@ def test_cache_refuses_a_negative_depth():
     assert EnclosureCache(x, depth=0).depth == 0
 
 
+def test_cache_refuses_a_negative_cap():
+    # the cap is defaulted and checked in one place, which the scan reads
+    x = parse_point("ones-on:all", POW2)
+    with pytest.raises(PreconditionError, match="depth cap must be >= 0, got -5"):
+        EnclosureCache(x, 8, -5)
+    assert EnclosureCache(x, 8, 0).cap == 0
+    assert EnclosureCache(x).cap == DEPTH_CAP
+
+
 @pytest.mark.parametrize("point", ["ones-on:all", "rat:1/3", "finite:[1,0,0,3]"])
 def test_band_verdict_with_the_band_as_integers(point):
     # count_rows hands band_verdict the integer band it already holds
@@ -526,8 +536,8 @@ def window_points(draw, seq):
 
     The indicator supports are the sparse ones of ``sparse_supports``, ``all``
     (not under a spec whose ratios end in 2's, where it is not canonical) and
-    an opaque predicate set, whose ``next_member`` always answers None, so
-    its windows read every digit one by one.
+    an opaque predicate set, with no closed form for ``next_member``, which
+    finds the next member by testing indices one by one.
     """
     form = draw(st.sampled_from(("ones-on", "opaque", "floor-div", "rat")))
     if form == "floor-div":
@@ -795,10 +805,10 @@ def declared_points(draw):
 @settings(max_examples=200, deadline=None)
 def test_support_holds_every_nonzero_digit(x):
     rule, support = x.rule, x.rule.support
-    if support is None:  # only a capped rational expansion cannot say
+    if support is None:  # only a capped rational expansion declares none
         assert isinstance(rule, RationalDigits)
         assert rule.finite_support_max() is None
-        assert all(rule.next_nonzero(n) is None for n in range(1, 201))
+        assert all(rule.next_nonzero(n) == n for n in range(1, 201))
         return
     for n in range(1, 201):
         if x.digit(n):

@@ -263,6 +263,14 @@ def test_member_cutoff_past_the_int_text_limit_exits_4():
     assert "Traceback" not in proc.stderr
 
 
+def test_scan_past_the_int_text_limit_reads_the_support_end():
+    # the scan reads where the support ends from the rule and never prints
+    # the cutoff, so a point whose cutoff has too many digits still scans
+    proc = run_cli("scan", "--spec", "pow:2", "--x", "floor-div:m={14284:3}",
+                   "--horizons", "1000", "--eps", "1/8")
+    assert proc.stdout == "0,0\n"
+
+
 def test_exit_suite_failure():
     # an impossible override makes the suite fail loudly
     proc = run_cli("verify", "coincidence", "--param", "floor=99/100", expect=5)
@@ -323,7 +331,10 @@ def test_former_tracebacks_exit_2(capsys, tmp_path):
 ])
 def test_former_tracebacks_exit_3(capsys, argv):
     # a negative depth cap and an empty escape horizon are preconditions
-    assert capture(capsys, *argv, expect=3).err.startswith("error:")
+    err = capture(capsys, *argv, expect=3).err
+    assert err.startswith("error:")
+    if "--cap" in argv:
+        assert err == "error: depth cap must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"subcommand": ', '"scan"',

@@ -346,11 +346,25 @@ def test_traits_match_brute_force(expr, seq):
         assert late and late_gaps
 
 
-@given(expr=_exprs, seq=st.sampled_from((LINEAR1, ArithSeq(RatioSpec.parse("const:3")))),
+def _thirds(seq=None):
+    # an opaque predicate: no closed form for its next member
+    return PredicateNatSet(lambda n: n % 3 == 1, False, name="thirds")
+
+
+def _thirds_shifted(seq):
+    return translate(_thirds(), 2)
+
+
+def _thirds_lifted(seq):
+    return lift(_thirds(), seq.derived)
+
+
+@given(expr=_exprs | st.sampled_from((_thirds, _thirds_shifted, _thirds_lifted)),
+       seq=st.sampled_from((LINEAR1, ArithSeq(RatioSpec.parse("const:3")))),
        starts=st.lists(st.integers(1, _W1), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_next_member_matches_brute_force(expr, seq, starts):
-    s = parse_set_expr(expr, seq)
+    s = expr(seq) if callable(expr) else parse_set_expr(expr, seq)
     members = sorted(s.iter_upto(_W2))
     for n in sorted(starts) + sorted(starts, reverse=True):
         want = next((m for m in members if m >= n), None)
@@ -362,11 +376,12 @@ def test_next_member_matches_brute_force(expr, seq, starts):
 
 
 def test_next_member_of_opaque_sets():
-    # a bare predicate cannot say without testing members one by one; its
-    # shift cannot either, and its lift answers by materializing blocks
+    # a bare predicate answers its least member by testing indices one by
+    # one, its shift through it, and its lift by materializing blocks
     thirds = PredicateNatSet(lambda n: n % 3 == 0, False)
-    assert thirds.next_member(4) is None
-    assert translate(thirds, 2).next_member(1) is None
+    assert thirds.next_member(4) == 6 and thirds.next_member(6) == 6
+    assert translate(thirds, 2).next_member(1) == 1
+    assert translate(thirds, 2).next_member(2) == 4
     lifted = lift(thirds, LINEAR1.derived)  # blocks 3, 6, ...: [4, 6], [16, 21], ...
     assert [lifted.next_member(n) for n in (1, 5, 7, 16, 22)] == [4, 5, 16, 16, 37]
     # a finite set has no member past its end

@@ -208,11 +208,15 @@ def test_tail_bound_accepts_its_edge_cases(monkeypatch, edge):
 
 
 def _shifted(self, n, t):
-    # a full width off: the right width, but the exact value falls outside
+    # a full width off, onto a neighbour inside its parent (b_{n+3} >= 2
+    # gives it one): the right width and nested, but the exact value falls
+    # outside
     lo, hi, den = _BOUND(self, n, t)
     w = hi - lo
     if t == 3:
-        return (lo + w, hi + w, den) if hi + w <= den else (lo - w, hi - w, den)
+        _, phi, pden = _BOUND(self, n, t - 1)
+        up = (hi + w) * pden <= phi * den
+        return (lo + w, hi + w, den) if up else (lo - w, hi - w, den)
     return lo, hi, den
 
 

@@ -128,8 +128,14 @@ def test_bad_intervals_validation():
         bad_interval_family(x, elem_set([4]), "small", 9, 13, 100)
     # zero digit on the small branch is a caller error
     y = CirclePoint(POW2, FiniteDigits([0, 1]))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="branch index 1 has zero digit"):
         bad_interval_family(y, elem_set([1]), "small", 10, 13, 100)
+    # so is c_k >= b_k on the large branch; a checked read never gives one,
+    # so this point reads c_2 = 4 = b_2 unchecked
+    z = CirclePoint(POW2, FiniteDigits([0, 4]))
+    z.digit = lambda n: z.rule.digit(n, z.seq)
+    with pytest.raises(PreconditionError, match="branch index 2 has a maximal digit"):
+        bad_interval_family(z, elem_set([2]), "large", 10, 13, 100)
 
 
 def test_certify_small_case_rows():
