@@ -86,12 +86,6 @@ class BoundInterval(FrozenRecord):
         object.__setattr__(self, "undecided", False)
         return self
 
-    def __contains__(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
-
 
 # ===== Digit rules ===========================================================
 
@@ -493,22 +487,24 @@ class EnclosureCache:
             return self.cap
         return min(self.cap, known - (k + 1))
 
-    def _refine(self, k: int, r: int, band: tuple[int, int, int, int] | None = None,
-                start: int = 0):
+    def judge(self, k: int, r: int, band: tuple[int, int, int, int] | None = None,
+              start: int = 0) -> tuple[tuple[int, int, int] | None, str]:
         """Pin {r * a_k * x}; the one refinement loop behind every enclosure.
 
         Returns (window, side). ``window`` is (lo, hi, den) with the value in
         [lo, hi] / den: hi = lo for an exact point, hi = lo + r for a digit
         window. The digit windows deepen from the base depth (or from
         ``start``, if deeper), doubling up to the cap; ``window`` is the first
-        that fits one unit interval, and None when none within the cap does.
-        Given ``band`` = (ln, ld, hn, hd), the closed band [ln/ld, hn/hd],
-        the window deepens until it lies inside the band (side "in") or is
-        clear of it ("out"). A row the cap leaves open is still "out" when
-        ``_out_to`` puts its block below ln/ld by the tail bound, as
-        ``count_rows`` counts it, although its window reaches ln/ld (at the
-        default cap it ends there). Otherwise side is "undecided". Enclosures
-        nest under refinement, so the side is the same from any start depth.
+        that fits one unit interval, and None (the undecided [0, 1]) when
+        none within the cap does. Given ``band`` = (ln, ld, hn, hd), the
+        closed band [ln/ld, hn/hd], the window deepens until it lies inside
+        the band (side "in") or is clear of it ("out"). A row the cap leaves
+        open is still "out" when ``_out_to`` puts its block below ln/ld by
+        the tail bound, as ``count_rows`` counts it, although its window
+        reaches ln/ld (at the default cap it ends there). Otherwise side is
+        "undecided". Enclosures nest under refinement, so the side is the
+        same from any start depth; from the base depth, the window does not
+        depend on the rows judged before.
         """
         if self.exact_mode:
             num, den = self._exact_value(k)
@@ -549,7 +545,10 @@ class EnclosureCache:
         """Enclosure of {r * a_k * x}: the first window from the base depth
         on that fits inside one unit interval, or the undecided [0, 1] when
         none within the cap does."""
-        return _enclosure(self._refine(k, r)[0])
+        window = self.judge(k, r)[0]
+        if window is None:
+            return BoundInterval(_ZERO, _ONE, undecided=True)
+        return BoundInterval.of_window(*window)
 
     def band_verdict(self, k: int, r: int, band_lo: Fraction, band_hi: Fraction,
                      band: tuple[int, int, int, int] | None = None) -> str:
@@ -565,28 +564,19 @@ class EnclosureCache:
         start = self._deepest if k == self._ladder_k else 0
         if band is None:
             band = _band(band_lo, band_hi)
-        return self._refine(k, r, band, start)[1]
-
-    def judge(self, k: int, r: int, band_lo: Fraction,
-              band_hi: Fraction) -> tuple[BoundInterval, str]:
-        """``band_verdict`` together with the enclosure it was judged on.
-
-        The refinement starts at the base depth, so the enclosure is the
-        first window that decides the row (the window at the cap when none
-        does), whatever rows were judged before it.
-        """
-        window, side = self._refine(k, r, _band(band_lo, band_hi))
-        return _enclosure(window), side
+        return self.judge(k, r, band, start)[1]
 
     def count_rows(self, k: int, r: int, i: int, N: int, band_lo: Fraction,
-                   band_hi: Fraction) -> tuple[int, int, int, list[int]]:
+                   band_hi: Fraction, undecided: list[int] | None = None,
+                   keep: int = 0) -> tuple[int, int, int, int]:
         """Count the derived indices i..N, from row r of block k (i = n_k + r
         - 1), against the closed band [band_lo, band_hi] inside [0, 1).
 
-        Returns (k', r', n_in, undecided): (k', r') is where index N + 1
-        sits, the undecided indices come in increasing order, and the other
-        N - i + 1 - n_in - len(undecided) rows are out, exactly as
-        ``band_verdict`` row by row gives them.
+        Returns (k', r', n_in, n_und): (k', r') is where index N + 1 sits,
+        and the other N - i + 1 - n_in - n_und rows are out, exactly as
+        ``band_verdict`` row by row gives them. The undecided indices are
+        appended to ``undecided`` in increasing order while it holds fewer
+        than ``keep``, so a count keeps only as many as its caller shows.
 
         Each block's segment of rows r0..r1 is sorted at one window num/den
         with every row taken as wide as w = r1 (0 for an exact point): with
@@ -621,7 +611,9 @@ class EnclosureCache:
         skipped).
         """
         if i > N:
-            return k, r, 0, []
+            return k, r, 0, 0
+        if undecided is None:
+            undecided = []
         ratio, digit = self.x.seq.ratio, self.x.digit
         derived = self.x.seq.derived
         known = self.x.rule.known_upto
@@ -630,7 +622,7 @@ class EnclosureCache:
         band = _band(band_lo, band_hi)
         ln, ld, hn, hd = band
         skips = self._skips and 0 < 2 * ln < ld
-        n_in, undecided = 0, []
+        n_in = n_und = 0
         at = i - r  # row e of block k is derived index at + e
         held = False  # the locals hold block k - 1's base window, to slide
         band_den = None
@@ -653,7 +645,7 @@ class EnclosureCache:
                 end = derived.boundary(last + 1) - 1
                 if end >= N:
                     k, r = derived.decompose(N + 1)
-                    return k, r, n_in, undecided
+                    return k, r, n_in, n_und
                 held = False
                 at, k, r = end, last + 1, 1
             if not held:
@@ -663,9 +655,10 @@ class EnclosureCache:
                 else:
                     top = self._max_depth(k)
                     if top < 0:  # no window within the cap, here or later
-                        undecided += range(at + r, N + 1)
+                        n_und += N + 1 - at - r
+                        undecided += range(at + r, N + 1)[:max(keep - len(undecided), 0)]
                         k, r = derived.decompose(N + 1)
-                        return k, r, n_in, undecided
+                        return k, r, n_in, n_und
                     num, den = self._window_at(k, min(base, top))
                     held = top >= base and at + b <= N  # the count goes past block k
             r1 = b - 1
@@ -685,27 +678,22 @@ class EnclosureCache:
                 if side == "in":
                     n_in += 1
                 elif side == "undecided":
-                    undecided.append(at + e)
+                    n_und += 1
+                    if len(undecided) < keep:
+                        undecided.append(at + e)
             at += r1
             if at >= N:
                 break
             k += 1
             r = 1
         if r1 < b - 1:
-            return k, r1 + 1, n_in, undecided
-        return k + 1, 1, n_in, undecided
+            return k, r1 + 1, n_in, n_und
+        return k + 1, 1, n_in, n_und
 
 
 def _band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
     return (band_lo.numerator, band_lo.denominator,
             band_hi.numerator, band_hi.denominator)
-
-
-def _enclosure(window: tuple[int, int, int] | None) -> BoundInterval:
-    """The BoundInterval of a kernel window; None is the undecided [0, 1]."""
-    if window is None:
-        return BoundInterval(_ZERO, _ONE, undecided=True)
-    return BoundInterval.of_window(*window)
 
 
 def _sort_few(num: int, den: int, r0: int, r1: int, A: int, B: int,

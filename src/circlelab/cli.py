@@ -8,7 +8,6 @@ produce byte-identical envelopes, which is what the replay checks assert.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -242,7 +241,7 @@ def _witness_escape(p: dict):
     branch_density = Fraction(
         lift(branch, seq.derived).count_upto(n_limit), n_limit)
     doc = rep.to_report(rows=200)
-    doc["failures"] = [row.to_report() for row in rep.rows.failures()]
+    doc["failures"] = rep.rows.failures()
     doc.update({"op": p["op"], "horizon": n_limit,
                 "certified_fraction": str(certified_fraction),
                 "branch_density": str(branch_density)})
@@ -386,6 +385,7 @@ def _add_common(sub: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only main parses a command line; run_config needs no parser
     parser = argparse.ArgumentParser(
         prog="circlelab",
         description="exact laboratory for subgroups of the circle "

@@ -138,7 +138,8 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     digit m, every row from n_m on (block m and later) is exactly 0, so out,
     and is counted without a call; n_0 = 1 covers an empty support. Rows
     neither in nor undecided are out. Counts are monotone under refinement,
-    so bounds at successive horizons come from the same pass.
+    so bounds at successive horizons come from the same pass. Of the
+    undecided rows, only the first 100, which the report shows, are kept.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
@@ -157,10 +158,10 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     for N in horizons:
         end = N if last is None else min(N, last)
         if i <= end:
-            k, r, seg_in, undecided = cache.count_rows(k, r, i, end, band_lo, band_hi)
+            k, r, seg_in, seg_und = cache.count_rows(k, r, i, end, band_lo, band_hi,
+                                                     result.undecided_rows, 100)
             n_in += seg_in
-            n_und += len(undecided)
-            result.undecided_rows.extend(undecided)
+            n_und += seg_und
             i = end + 1
         result.estimates.append(DensityEstimate(N, n_in, N - n_in - n_und, n_und))
     return result

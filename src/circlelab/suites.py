@@ -330,11 +330,11 @@ def arbault(params: dict | None = None) -> dict:
     u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, int_param(p, "count") + 1)]
     rep = arbault_witness(seq, u_list, rows=int_param(p, "rows"), depth=int_param(p, "depth"))
     counterexample = None
-    bad = [row for row in rep.rows if row.verdict != "certified"]
+    bad = rep.rows.failures()
     if len(rep.rows) < int_param(p, "rows"):
         counterexample = {"kind": "too-few-rows", "got": len(rep.rows)}
     elif bad:
-        counterexample = {"kind": bad[0].verdict, "row": bad[0].to_report()}
+        counterexample = {"kind": bad[0]["verdict"], "row": bad[0]}
     elif rep.extras.get("existence_failures"):
         counterexample = {"kind": "existence-failure",
                           "count": rep.extras["existence_failures"]}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import NamedTuple
 
 from .circle import (
@@ -37,6 +38,22 @@ __all__ = [
     "factor_u",
     "arbault_witness",
 ]
+
+
+_LABELS = {"in": "certified", "out": "violation", "undecided": "undecided"}
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den as ``str(Fraction(num, den))`` writes it: "p/q", or "p"."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _row_report(index: int, window: tuple[int, int, int] | None, side: str) -> dict:
+    """The report of a row judged on the window (lo, hi, den); None is [0, 1]."""
+    lo, hi, den = window or (0, 1, 1)
+    return {"index": index, "lo": _ratio_text(lo, den), "hi": _ratio_text(hi, den),
+            "verdict": _LABELS[side]}
 
 
 class CertRow(FrozenRecord):
@@ -95,7 +112,8 @@ class WitnessReport(Record):
             "point": self.point,
             "counts": {"certified": self.certified, "violations": self.violations,
                        "undecided": self.undecided, "rows": len(self.rows)},
-            "rows": [row.to_report() for row in islice(self.rows, rows)],
+            "rows": (self.rows.reports(rows) if isinstance(self.rows, BlockRows)
+                     else [row.to_report() for row in islice(self.rows, rows)]),
             "extras": {k: str(v) for k, v in sorted(self.extras.items())},
         }
 
@@ -131,19 +149,9 @@ def continuum_family_point(a_set: IntervalNatSet, zeta: Sequence[int],
 # ===== Escape-band certification ============================================
 
 
-_LABELS = {"in": "certified", "out": "violation", "undecided": "undecided"}
-
-
-def _cert_row(cache: EnclosureCache, index: int, k: int, r: int,
-              band_lo: Fraction, band_hi: Fraction) -> CertRow:
-    """Judge {r * a_k * x} against the closed band; the row keeps its enclosure."""
-    enc, verdict = cache.judge(k, r, band_lo, band_hi)
-    return CertRow(index, enc.lo, enc.hi, _LABELS[verdict])
-
-
 class _Segment(NamedTuple):
-    """A bad run of ``size`` rows from row r of block k, derived indices
-    index..; ``count_rows`` found n_in of them in the band."""
+    """A run of ``size`` rows from row r of block k (index.., n_in of them
+    in the band); an aligned-digit row's r may exceed b_{k+1}, never equal it."""
 
     index: int
     k: int
@@ -153,18 +161,20 @@ class _Segment(NamedTuple):
 
 
 class BlockRows:
-    """The rows of a block-counted certification, rebuilt on demand.
+    """The rows of a certification, rebuilt on demand.
 
-    Each bad run was counted by one ``count_rows`` call. A row is rebuilt
-    by judging it on its own: its enclosure and verdict depend on the row
-    alone, not on the rows judged before it, so the rebuilt rows are the
-    ones a row-by-row pass builds, in any order of reading.
+    Each bad run of an escape band was counted by one ``count_rows`` call;
+    an aligned-digit row is a run of its own. A row is rebuilt by judging
+    it on its own: its enclosure and verdict depend on the row alone, so
+    the rebuilt rows are the ones a row-by-row pass builds, in any order of
+    reading. Reports are written from the integer windows; iterating gives
+    ``CertRow``s.
     """
 
-    def __init__(self, cache: EnclosureCache, band: tuple[Fraction, Fraction],
+    def __init__(self, cache: EnclosureCache, band: tuple[int, int, int, int],
                  segments: list[_Segment], counts: dict[str, int]):
         self._cache = cache
-        self._band = band
+        self._band = band  # (ln, ld, hn, hd), the closed band [ln/ld, hn/hd]
         self._segments = segments
         self.counts = counts
 
@@ -173,15 +183,23 @@ class BlockRows:
 
     def __iter__(self):
         for seg in self._segments:
-            yield from self._replay(seg)
+            for index, window, side in self._replay(seg):
+                lo, hi, den = window or (0, 1, 1)
+                yield CertRow(index, Fraction(lo, den), Fraction(hi, den), _LABELS[side])
 
-    def failures(self) -> list[CertRow]:
-        """The rows not certified, rebuilding only the runs that hold one."""
-        return [row for seg in self._segments if seg.n_in < seg.size
-                for row in self._replay(seg) if row.verdict != "certified"]
+    def reports(self, rows: int | None = None) -> list[dict]:
+        """The reports of the first ``rows`` rows, or of all of them."""
+        replayed = (row for seg in self._segments for row in self._replay(seg))
+        return [_row_report(*row) for row in islice(replayed, rows)]
+
+    def failures(self) -> list[dict]:
+        """The reports of the rows not certified, replaying only the runs
+        that hold one."""
+        return [_row_report(*row) for seg in self._segments if seg.n_in < seg.size
+                for row in self._replay(seg) if row[2] != "in"]
 
     def _replay(self, seg: _Segment):
-        """The run's rows, row by row across blocks."""
+        """The run's rows (index, window, side), row by row across blocks."""
         k, r = seg.k, seg.r
         ratio = self._cache.x.seq.ratio
         b = ratio(k + 1)
@@ -189,7 +207,7 @@ class BlockRows:
             if r == b:
                 k, r = k + 1, 1
                 b = ratio(k + 1)
-            yield _cert_row(self._cache, index, k, r, *self._band)
+            yield (index, *self._cache.judge(k, r, self._band))
             r += 1
 
 
@@ -335,12 +353,14 @@ def certify_nonmembership(x: CirclePoint, bad: IntervalNatSet, case: str, m0: in
             break
         hi = min(hi, horizon)
         k, r = x.seq.derived.decompose(lo)
-        _, _, run_in, undecided = cache.count_rows(k, r, lo, hi, band_lo, band_hi)
+        _, _, run_in, run_und = cache.count_rows(k, r, lo, hi, band_lo, band_hi)
         segments.append(_Segment(lo, k, r, hi - lo + 1, run_in))
         n_in += run_in
-        n_und += len(undecided)
+        n_und += run_und
         total += hi - lo + 1
-    rows = BlockRows(cache, (band_lo, band_hi), segments,
+    band = (band_lo.numerator, band_lo.denominator,
+            band_hi.numerator, band_hi.denominator)
+    rows = BlockRows(cache, band, segments,
                      {"certified": n_in, "violation": total - n_in - n_und,
                       "undecided": n_und})
     report = WitnessReport(
@@ -417,9 +437,8 @@ def arbault_witness(seq: ArithSeq, u_list: Sequence[int], rows: int = 20,
         if prev_u is not None and seq.term(k) < 8 * prev_u:
             continue
         b, l, m, e, ok = _aligned_choice(seq, k, v)
-        if not ok:
-            skipped.append({"index": idx + 1, "u": u, "b": b, "m": m,
-                            "reason": "m divides b, no usable e"})
+        if not ok:  # m divides b, no usable e
+            skipped.append(f"u_{idx + 1}={u} (b={b}, m={m})")
             continue
         picks.append(idx)
         alignments.append((k, v, b, l, m, e))
@@ -429,8 +448,9 @@ def arbault_witness(seq: ArithSeq, u_list: Sequence[int], rows: int = 20,
     divisors = {k + 1: m for (k, v, b, l, m, e) in alignments}
     x = CirclePoint(seq, FloorDivDigits(divisors))
     band_lo, band_hi = Fraction(1, 4), Fraction(7, 8)
+    band = (1, 4, 7, 8)  # [band_lo, band_hi] as integers
     cache = EnclosureCache(x, depth=depth)
-    out_rows = []
+    segments, counts = [], dict.fromkeys(_LABELS.values(), 0)
     existence_failures = 0
     for pick, (k, v, b, l, m, e) in zip(picks, alignments):
         c = x.digit(k + 1)
@@ -438,21 +458,21 @@ def arbault_witness(seq: ArithSeq, u_list: Sequence[int], rows: int = 20,
         e_check = b - m * c
         if not 1 <= e_check <= m - 1:
             existence_failures += 1
-        out_rows.append(_cert_row(cache, pick + 1, k, v, band_lo, band_hi))
+        side = cache.judge(k, v, band)[1]
+        counts[_LABELS[side]] += 1
+        segments.append(_Segment(pick + 1, k, v, 1, int(side == "in")))
     report = WitnessReport(
         name="aligned-digit-witness",
         params={"rows": rows, "depth": depth, "band_lo": band_lo,
                 "band_hi": band_hi},
         point=x.describe(),
-        rows=out_rows,
+        rows=BlockRows(cache, band, segments, counts),
     )
     report.extras.update({
         "spec": seq.describe(),
         "selection": ",".join(str(p + 1) for p in picks),
         "existence_failures": existence_failures,
         "skipped": len(skipped),
-        "skipped_detail": "; ".join(
-            f"u_{d['index']}={d['u']} (b={d['b']}, m={d['m']})" for d in skipped
-        ),
+        "skipped_detail": "; ".join(skipped),
     })
     return report

@@ -35,6 +35,7 @@ from conftest import (
     certified_below,
     eager_expansion,
     elem_set,
+    int_band,
     sparse_supports,
     tail_bound_out,
     window_from_scratch,
@@ -456,8 +457,8 @@ def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
         v = shared.band_verdict(k, r, lo, hi)
         # the rows judged before leave no trace: the shared cache gives the
         # enclosures of a fresh one, and judge gives band_verdict's verdict
-        judged = shared.judge(k, r, lo, hi)
-        assert judged == new_cache().judge(k, r, lo, hi) and judged[1] == v
+        judged = shared.judge(k, r, int_band(lo, hi))
+        assert judged == new_cache().judge(k, r, int_band(lo, hi)) and judged[1] == v
         fresh = new_cache().interval(k, r)
         assert shared.interval(k, r) == fresh
         if v == "in":
@@ -507,8 +508,8 @@ def test_enclosures_do_not_depend_on_the_order_of_rows(spec, data, depth, cap,
     rows = data.draw(st.permutations(rows))
     shared = EnclosureCache(x, depth=depth, cap=cap)
     for k, r in rows:
-        assert (shared.judge(k, r, *band)
-                == EnclosureCache(x, depth=depth, cap=cap).judge(k, r, *band))
+        assert (shared.judge(k, r, int_band(*band))
+                == EnclosureCache(x, depth=depth, cap=cap).judge(k, r, int_band(*band)))
         assert (shared.interval(k, r)
                 == EnclosureCache(x, depth=depth, cap=cap).interval(k, r))
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -207,12 +208,13 @@ def counts(scan):
 
 
 def assert_matches_per_row(x, eps, scan, horizons, depth=8, cap=None):
-    """The batched scan equals the row-by-row scan row for row. A row that
-    digit windows alone leave open, and the tail bound decides, is out by
-    the Fraction oracle too. Returns those rows."""
+    """The batched scan equals the row-by-row scan in its counts and in the
+    first 100 undecided rows, the ones it keeps. A row that digit windows
+    alone leave open, and the tail bound decides, is out by the Fraction
+    oracle too. Returns those rows."""
     want, undecided = per_row_scan(x, eps, horizons, depth, cap)
     assert counts(scan) == want
-    assert scan.undecided_rows == undecided
+    assert scan.undecided_rows == undecided[:100]
     _, windowed = per_row_scan(x, eps, horizons, depth, cap, tail=False)
     kept = set(undecided)
     by_tail = [i for i in windowed if i not in kept]
@@ -294,11 +296,17 @@ def test_count_rows_matches_row_by_row(x, q, small, depth, cap, data):
     if warm is not None:
         for cache in (fast, slow):
             cache.band_verdict(*derived.decompose(warm), *band)
-    k, r, n_in, undecided = fast.count_rows(k, r, i, N, *band)
+    # the count appends its first undecided rows to a list that may hold some
+    kept = data.draw(st.lists(st.just(0), max_size=3))
+    keep = data.draw(st.integers(0, 5) | st.just(N + 3))
+    held = len(kept)
+    k, r, n_in, n_und = fast.count_rows(k, r, i, N, *band, kept, keep)
     sides = {j: slow.band_verdict(*derived.decompose(j), *band)
              for j in range(i, N + 1)}
+    undecided = [j for j, side in sides.items() if side == "undecided"]
     assert n_in == list(sides.values()).count("in")
-    assert undecided == [j for j, side in sides.items() if side == "undecided"]
+    assert n_und == len(undecided)
+    assert kept[held:] == undecided[:max(keep - held, 0)]
     assert (k, r) == derived.decompose(N + 1)
 
 
@@ -374,7 +382,7 @@ def test_exact_scan_skips_blocks_before_a_far_support():
     cache = EnclosureCache(x, depth=16)
     band = (Fraction(1, 8), Fraction(7, 8))
     k, r = seq.derived.decompose(5001)
-    assert cache.count_rows(0, 1, 1, 5000, *band) == (k, r, 0, [])
+    assert cache.count_rows(0, 1, 1, 5000, *band) == (k, r, 0, 0)
     assert cache._win == (-1, 0, 0, 1)
     scan = statistical_scan(x, band[0], [300, 2000, 5000], 16)
     assert counts(scan) == [(N, 0, N, 0) for N in (300, 2000, 5000)]
@@ -408,7 +416,9 @@ def test_count_rows_keeps_the_window_where_the_prefix_ends():
     x = parse_point("rat:1/3", ArithSeq(RatioSpec.parse("const:2")), 2)
     band = (Fraction(1, 19), Fraction(9, 19))
     fast, slow = EnclosureCache(x, 0, 0), EnclosureCache(x, 0, 0)
-    assert fast.count_rows(0, 1, 1, 3, *band) == (3, 1, 0, [1, 3])
+    kept = []
+    assert fast.count_rows(0, 1, 1, 3, *band, kept, 100) == (3, 1, 0, 2)
+    assert kept == [1, 3]
     assert ([slow.band_verdict(k, 1, *band) for k in range(3)]
             == ["undecided", "out", "undecided"])
     assert fast._win == (1, 0, *window_from_scratch(x, 2, 0)) == (1, 0, 1, 2)
@@ -426,7 +436,7 @@ def test_run_leaves_capped_blocks_to_the_general_path(spec, point, expand, depth
     horizons = [1, 7, 60, 400]
     scan = statistical_scan(x, Fraction(1, 7), horizons, depth, cap)
     want, undecided = per_row_scan(x, Fraction(1, 7), horizons, depth, cap)
-    assert counts(scan) == want and scan.undecided_rows == undecided
+    assert counts(scan) == want and scan.undecided_rows == undecided[:100]
 
 
 def test_batched_scan_refines_edge_rows():
@@ -434,8 +444,25 @@ def test_batched_scan_refines_edge_rows():
     x = parse_point("rat:5/7", POW2, horizon=30)
     scan = statistical_scan(x, Fraction(1, 3), [40, 3000], depth=0, cap=6)
     want, undecided = per_row_scan(x, Fraction(1, 3), [40, 3000], depth=0, cap=6)
-    assert counts(scan) == want and scan.undecided_rows == undecided
-    assert 0 < len(undecided) < 3000
+    assert counts(scan) == want and scan.undecided_rows == undecided[:100]
+    assert 100 < len(undecided) < 3000
+
+
+def test_scan_keeps_only_the_undecided_rows_it_shows():
+    # past the 12 known digits of 1/3 nearly every row is undecided; the scan
+    # counts them all but holds only the first 100, which its report prints
+    x = parse_point("rat:1/3", POW2, 12)
+    eps, horizons = Fraction(1, 8), [1000, 10 ** 5]
+    tracemalloc.start()
+    try:
+        scan = statistical_scan(x, eps, horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    want, undecided = per_row_scan(x, eps, horizons)
+    assert counts(scan) == want and want[-1][3] == len(undecided) > 95000
+    assert scan.undecided_rows == undecided[:100]
 
 
 def test_pow2_scan_reaches_huge_horizon():

@@ -33,10 +33,12 @@ def _modules_after(code: str) -> set[str]:
 
 def test_cli_import_loads_no_dataclasses():
     # dataclasses loads inspect, ast, dis, tokenize and more, and each
-    # decorator execs generated source: a fifth of a cold process's set-up
+    # decorator execs generated source: a fifth of a cold process's set-up;
+    # argparse (with gettext) is imported only when main builds its parser
     added = _modules_after("import circlelab.cli") - _modules_after("pass")
     assert "circlelab.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                        "argparse", "gettext"}
 
 
 _MISSING = object()

@@ -409,12 +409,20 @@ GOLDEN_RUNS = [
      "8fa2f03d7183fec4277deead1b812e80f63ff32b5f7078e6b57d3f78588877ec"),
     (_scan("linear:1", "rat:1/257", "1000,10000", "8"),
      "c933e5dbc1617b0c26952e47b9c580966bf25f0d798cea0347beea5924e4da63"),
+    # aligned-digit rows, whose exact enclosures are written from integer
+    # windows: 5 rows under const:3 and 10 under pow:3, of --count 20
+    ({"subcommand": "witness", "params": {"spec": "const:3", "op": "aligned",
+                                          "count": "20"}},
+     "b9d2cebde3735ffae10527a6cb328ca94c18cdbe2e462e02caf7bf187f9da8ec"),
+    ({"subcommand": "witness", "params": {"spec": "pow:3", "op": "aligned",
+                                          "count": "20"}},
+     "3971dd566e83d5b4c6cb2c7f7c9239b7605693703c07023139c771367528e60c"),
 ]
 
 
 def _run_id(config):
     p = config["params"]
-    return f"{config['subcommand']}-{p.get('op', p['spec'])}-{p['x']}"
+    return f"{config['subcommand']}-{p.get('op', p['spec'])}-{p.get('x', p['spec'])}"
 
 
 @pytest.mark.parametrize("config, digest", GOLDEN_RUNS,

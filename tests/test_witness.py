@@ -1,11 +1,19 @@
 """Constructive witnesses: family points, escape bands, aligned digits."""
 
+import cProfile
+import pstats
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from circlelab.circle import CirclePoint, EnclosureCache, FiniteDigits, parse_point
+from circlelab.circle import (
+    DEPTH_CAP,
+    CirclePoint,
+    EnclosureCache,
+    FiniteDigits,
+    parse_point,
+)
 from circlelab.classify import weakly_dli_witness_set
 from circlelab.density import (
     IntervalNatSet,
@@ -25,7 +33,14 @@ from circlelab.witness import (
     factor_u,
     nonmembership_partition,
 )
-from conftest import FuncDigits, as_fraction, elem_set
+from conftest import (
+    FuncDigits,
+    as_fraction,
+    elem_set,
+    int_band,
+    tail_bound_out,
+    window_from_scratch,
+)
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -189,13 +204,20 @@ def row_by_row_certify(x, bad, t, horizon, band_lo, band_hi):
     rows = []
     for i in bad.iter_upto(horizon):
         k, r = x.seq.derived.decompose(i)
-        enc, side = cache.judge(k, r, band_lo, band_hi)
-        rows.append((i, enc.lo, enc.hi, _LABELS[side]))
+        window, side = cache.judge(k, r, int_band(band_lo, band_hi))
+        lo, hi, den = (0, 1, 1) if window is None else window
+        rows.append((i, Fraction(lo, den), Fraction(hi, den), _LABELS[side]))
     return rows
 
 
 def as_tuples(rows):
     return [(row.index, row.lo, row.hi, row.verdict) for row in rows]
+
+
+def as_report(row):
+    """The report of a row-by-row reference row, written by ``str(Fraction)``."""
+    index, lo, hi, verdict = row
+    return {"index": index, "lo": str(lo), "hi": str(hi), "verdict": verdict}
 
 
 @st.composite
@@ -253,8 +275,8 @@ def test_block_counted_certify_matches_row_by_row(args):
     assert (report.certified, report.violations, report.undecided) == tuple(
         sum(1 for row in want if row[3] == v)
         for v in ("certified", "violation", "undecided"))
-    assert as_tuples(report.rows.failures()) == [
-        row for row in want if row[3] != "certified"]
+    assert report.rows.failures() == [
+        as_report(row) for row in want if row[3] != "certified"]
     assert report.to_report(rows=20)["rows"] == [
         row.to_report() for row in report.rows][:20]
 
@@ -310,8 +332,99 @@ def test_row_read_alone_replays_the_first_edge_row(spec, point, k, case):
     want = row_by_row_certify(x, bad, 0, 10**6, report.params["band_lo"],
                               report.params["band_hi"])
     assert as_tuples(report.rows) == want
-    assert as_tuples(report.rows.failures()) == [
-        row for row in want if row[3] != "certified"]
+    assert report.rows.failures() == [
+        as_report(row) for row in want if row[3] != "certified"]
+
+
+# ----- report rows formatted from integer windows ----------------------------
+
+
+def oracle_report_rows(x, bad, t, horizon, band_lo, band_hi):
+    """Each bad row as a report row, judged with ``Fraction``s on windows
+    built digit by digit by ``window_from_scratch``, without the kernel.
+
+    An exact point is judged on its exact value. Otherwise the window
+    deepens from t, doubling up to the cap (or the known prefix), until
+    r * S mod 1, widened by r / den, fits one unit interval and lies inside
+    or clear of the band; a row no window decides is out when the tail
+    bound puts its block below band_lo. Each end is written by
+    ``str(Fraction)``, and the enclosure of a row no window fits is [0, 1].
+    """
+    last, known = x.rule.finite_support_max(), x.rule.known_upto
+    rows = []
+    for i in bad.iter_upto(horizon):
+        k, r = x.seq.derived.decompose(i)
+        if last is not None:
+            num, den = window_from_scratch(x, k + 1, last - k - 1) if k < last else (0, 1)
+            lo = hi = r * Fraction(num, den) % 1
+            side = "in" if band_lo <= lo <= band_hi else "out"
+        else:
+            top = DEPTH_CAP if known is None else min(DEPTH_CAP, known - k - 1)
+            lo, hi, side, depth = Fraction(0), Fraction(1), "undecided", min(t, top)
+            while top >= 0:
+                num, den = window_from_scratch(x, k + 1, depth)
+                lo = r * Fraction(num, den) % 1
+                hi = lo + Fraction(r, den)
+                if hi > 1:
+                    lo, hi = Fraction(0), Fraction(1)
+                elif band_lo <= lo and hi <= band_hi:
+                    side = "in"
+                    break
+                elif hi < band_lo or lo > band_hi:
+                    side = "out"
+                    break
+                if depth >= top:
+                    if tail_bound_out(x, k, band_lo):
+                        side = "out"
+                    break
+                depth = min(max(2 * depth, 1), top)
+        rows.append({"index": i, "lo": str(lo), "hi": str(hi), "verdict": _LABELS[side]})
+    return rows
+
+
+POW2_ONES = parse_point("ones-on:all", POW2)
+
+
+@given(args=certify_cases(), m0=st.sampled_from((10, 16)),
+       shown=st.none() | st.integers(0, 300))
+@settings(max_examples=150, deadline=None)
+# undecided rows past the 3 known digits of 1/3; six violations of an exact
+# point (see test_certify_flags_genuine_violations); five rows whose windows
+# end at 1/16, which the tail bound puts out
+@example(args=(parse_point("rat:1/3", POW2, 3), IntervalNatSet([(1, 40)]), "small",
+               2, 40), m0=10, shown=None)
+@example(args=(CirclePoint(POW2, FiniteDigits([0, 0, 0, 0, 1])),
+               IntervalNatSet([(27, 57)]), "small", 8, 100), m0=10, shown=None)
+@example(args=(parse_point("ones-on:blocks:cube-gap", ArithSeq(RatioSpec.constant(2))),
+               IntervalNatSet([(1, 3000)]), "small", 8, 3000), m0=16, shown=None)
+def test_report_rows_match_fraction_text(args, m0, shown):
+    x, bad, case, t, horizon = args
+    report = certify_nonmembership(x, bad, case, m0, 13, t=t, horizon=horizon)
+    want = oracle_report_rows(x, bad, t, horizon, report.params["band_lo"],
+                              report.params["band_hi"])
+    assert report.to_report(rows=shown)["rows"] == want[:shown]
+    failing = [row for row in want if row["verdict"] != "certified"]
+    assert report.rows.failures() == failing
+
+
+def test_escape_report_builds_no_fraction_per_row():
+    # the seed-0 benchmark witness: 78,638 rows counted, 200 shown, and not
+    # one Fraction built for a shown row
+    bad = bad_interval_family(POW2_ONES, nonmembership_partition(POW2_ONES, 10, 13, 17).a1,
+                              "small", 10, 13, POW2.derived.boundary(17) - 1)
+    report = certify_nonmembership(POW2_ONES, bad, "small", 10, 13, t=8,
+                                   horizon=POW2.derived.boundary(17) - 1)
+    assert len(report.rows) == 78638
+
+    def built(rows):
+        profiler = cProfile.Profile()
+        doc = profiler.runcall(report.to_report, rows=rows)
+        assert len(doc["rows"]) == rows
+        return sum(calls for (path, _, name), (_, calls, *_) in
+                   pstats.Stats(profiler).stats.items()
+                   if name == "__new__" and path.endswith("fractions.py"))
+
+    assert built(200) == built(1) <= 2
 
 
 # ----- the bad-interval family stays in its blocks ---------------------------
