@@ -34,6 +34,7 @@ __all__ = [
     "CirclePoint",
     "digits_from_rational",
     "EnclosureCache",
+    "int_band",
     "DEPTH_CAP",
     "EXPAND_CAP",
     "parse_point",
@@ -563,7 +564,7 @@ class EnclosureCache:
         """
         start = self._deepest if k == self._ladder_k else 0
         if band is None:
-            band = _band(band_lo, band_hi)
+            band = int_band(band_lo, band_hi)
         return self.judge(k, r, band, start)[1]
 
     def count_rows(self, k: int, r: int, i: int, N: int, band_lo: Fraction,
@@ -619,7 +620,7 @@ class EnclosureCache:
         known = self.x.rule.known_upto
         exact = self.exact_mode
         base = min(self.depth, self.cap)
-        band = _band(band_lo, band_hi)
+        band = int_band(band_lo, band_hi)
         ln, ld, hn, hd = band
         skips = self._skips and 0 < 2 * ln < ld
         n_in = n_und = 0
@@ -691,7 +692,9 @@ class EnclosureCache:
         return k + 1, 1, n_in, n_und
 
 
-def _band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
+def int_band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
+    """The closed band [band_lo, band_hi] as the integers (ln, ld, hn, hd)
+    that ``judge`` takes."""
     return (band_lo.numerator, band_lo.denominator,
             band_hi.numerator, band_hi.denominator)
 

@@ -26,6 +26,9 @@ __all__ = [
     "convergence_verdict",
 ]
 
+# the undecided rows a scan keeps and its report shows, the earliest first
+SHOWN_UNDECIDED = 100
+
 
 class MemberVerdict(FrozenRecord):
     """Outcome of the support-based membership test."""
@@ -122,7 +125,7 @@ class ScanResult(Record):
                         "in": e.in_count, "out": e.out_count,
                         "undecided": e.undecided_count}
                        for e in self.estimates],
-            "undecided_rows": self.undecided_rows[:100],
+            "undecided_rows": self.undecided_rows[:SHOWN_UNDECIDED],
         }
 
 
@@ -139,7 +142,8 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     and is counted without a call; n_0 = 1 covers an empty support. Rows
     neither in nor undecided are out. Counts are monotone under refinement,
     so bounds at successive horizons come from the same pass. Of the
-    undecided rows, only the first 100, which the report shows, are kept.
+    undecided rows, only the first ``SHOWN_UNDECIDED``, which the report
+    shows, are kept.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
@@ -159,7 +163,7 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
         end = N if last is None else min(N, last)
         if i <= end:
             k, r, seg_in, seg_und = cache.count_rows(k, r, i, end, band_lo, band_hi,
-                                                     result.undecided_rows, 100)
+                                                     result.undecided_rows, SHOWN_UNDECIDED)
             n_in += seg_in
             n_und += seg_und
             i = end + 1

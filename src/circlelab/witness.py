@@ -20,6 +20,7 @@ from .circle import (
     EnclosureCache,
     FiniteDigits,
     FloorDivDigits,
+    int_band,
 )
 from .density import IntervalNatSet, NatSet
 from .errors import PreconditionError
@@ -49,9 +50,9 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _row_report(index: int, window: tuple[int, int, int] | None, side: str) -> dict:
-    """The report of a row judged on the window (lo, hi, den); None is [0, 1]."""
-    lo, hi, den = window or (0, 1, 1)
+def _row_report(index: int, window: tuple[int, int, int], side: str) -> dict:
+    """The report of a row judged on the window [lo, hi] / den."""
+    lo, hi, den = window
     return {"index": index, "lo": _ratio_text(lo, den), "hi": _ratio_text(hi, den),
             "verdict": _LABELS[side]}
 
@@ -68,41 +69,31 @@ class CertRow(FrozenRecord):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "verdict", verdict)
 
-    def to_report(self) -> dict:
-        return {"index": self.index, "lo": str(self.lo), "hi": str(self.hi),
-                "verdict": self.verdict}
-
 
 class WitnessReport(Record):
     """A named evidence bundle: parameters, per-row certifications, summary."""
 
     __match_args__ = ("name", "params", "point", "rows", "extras")
 
-    def __init__(self, name: str, params: dict, point: str,
-                 rows: list[CertRow] | BlockRows | None = None,
+    def __init__(self, name: str, params: dict, point: str, rows: BlockRows,
                  extras: dict | None = None):
         self.name = name
         self.params = params
         self.point = point
-        self.rows = [] if rows is None else rows
+        self.rows = rows
         self.extras = {} if extras is None else extras
-
-    def _tally(self, verdict: str) -> int:
-        if isinstance(self.rows, BlockRows):
-            return self.rows.counts[verdict]
-        return sum(1 for row in self.rows if row.verdict == verdict)
 
     @property
     def certified(self) -> int:
-        return self._tally("certified")
+        return self.rows.counts["certified"]
 
     @property
     def violations(self) -> int:
-        return self._tally("violation")
+        return self.rows.counts["violation"]
 
     @property
     def undecided(self) -> int:
-        return self._tally("undecided")
+        return self.rows.counts["undecided"]
 
     def to_report(self, rows: int | None = None) -> dict:
         """The report with its first ``rows`` rows, or all of them."""
@@ -112,8 +103,7 @@ class WitnessReport(Record):
             "point": self.point,
             "counts": {"certified": self.certified, "violations": self.violations,
                        "undecided": self.undecided, "rows": len(self.rows)},
-            "rows": (self.rows.reports(rows) if isinstance(self.rows, BlockRows)
-                     else [row.to_report() for row in islice(self.rows, rows)]),
+            "rows": self.rows.reports(rows),
             "extras": {k: str(v) for k, v in sorted(self.extras.items())},
         }
 
@@ -151,7 +141,8 @@ def continuum_family_point(a_set: IntervalNatSet, zeta: Sequence[int],
 
 class _Segment(NamedTuple):
     """A run of ``size`` rows from row r of block k (index.., n_in of them
-    in the band); an aligned-digit row's r may exceed b_{k+1}, never equal it."""
+    in the band); an aligned-digit row is a run of one, whose r may exceed
+    b_{k+1}."""
 
     index: int
     k: int
@@ -183,8 +174,7 @@ class BlockRows:
 
     def __iter__(self):
         for seg in self._segments:
-            for index, window, side in self._replay(seg):
-                lo, hi, den = window or (0, 1, 1)
+            for index, (lo, hi, den), side in self._replay(seg):
                 yield CertRow(index, Fraction(lo, den), Fraction(hi, den), _LABELS[side])
 
     def reports(self, rows: int | None = None) -> list[dict]:
@@ -199,16 +189,19 @@ class BlockRows:
                 for row in self._replay(seg) if row[2] != "in"]
 
     def _replay(self, seg: _Segment):
-        """The run's rows (index, window, side), row by row across blocks."""
+        """The run's rows (index, window, side), row by row across blocks;
+        an undecided row's window is the unit interval (0, 1, 1)."""
+        cache, band = self._cache, self._band
+        ratio = cache.x.seq.ratio
         k, r = seg.k, seg.r
-        ratio = self._cache.x.seq.ratio
         b = ratio(k + 1)
         for index in range(seg.index, seg.index + seg.size):
-            if r == b:
+            window, side = cache.judge(k, r, band)
+            yield index, window or (0, 1, 1), side
+            r += 1
+            if r == b:  # the run goes on from row 1 of block k + 1
                 k, r = k + 1, 1
                 b = ratio(k + 1)
-            yield (index, *self._cache.judge(k, r, self._band))
-            r += 1
 
 
 class Partition(NamedTuple):
@@ -358,9 +351,7 @@ def certify_nonmembership(x: CirclePoint, bad: IntervalNatSet, case: str, m0: in
         n_in += run_in
         n_und += run_und
         total += hi - lo + 1
-    band = (band_lo.numerator, band_lo.denominator,
-            band_hi.numerator, band_hi.denominator)
-    rows = BlockRows(cache, band, segments,
+    rows = BlockRows(cache, int_band(band_lo, band_hi), segments,
                      {"certified": n_in, "violation": total - n_in - n_und,
                       "undecided": n_und})
     report = WitnessReport(
@@ -448,7 +439,7 @@ def arbault_witness(seq: ArithSeq, u_list: Sequence[int], rows: int = 20,
     divisors = {k + 1: m for (k, v, b, l, m, e) in alignments}
     x = CirclePoint(seq, FloorDivDigits(divisors))
     band_lo, band_hi = Fraction(1, 4), Fraction(7, 8)
-    band = (1, 4, 7, 8)  # [band_lo, band_hi] as integers
+    band = int_band(band_lo, band_hi)
     cache = EnclosureCache(x, depth=depth)
     segments, counts = [], dict.fromkeys(_LABELS.values(), 0)
     existence_failures = 0

@@ -39,11 +39,6 @@ def window_from_scratch(x: CirclePoint, n: int, t: int) -> tuple[int, int]:
     return num, den
 
 
-def int_band(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
-    """The closed band [lo, hi] as the integers (ln, ld, hn, hd) the kernel takes."""
-    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
-
-
 def as_fraction(x: CirclePoint) -> Fraction:
     """Exact value sum c_n / a_n; defined only for declared finite support."""
     m = x.rule.finite_support_max()

@@ -17,6 +17,7 @@ from circlelab.circle import (
     IndicatorDigits,
     RationalDigits,
     digits_from_rational,
+    int_band,
     parse_point,
 )
 from circlelab.density import (
@@ -35,7 +36,6 @@ from conftest import (
     certified_below,
     eager_expansion,
     elem_set,
-    int_band,
     sparse_supports,
     tail_bound_out,
     window_from_scratch,

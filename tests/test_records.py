@@ -20,7 +20,7 @@ from circlelab.classify import ClassVerdict
 from circlelab.density import DensityEstimate
 from circlelab.errors import PreconditionError
 from circlelab.membership import MemberVerdict, ScanResult
-from circlelab.witness import CertRow, WitnessReport
+from circlelab.witness import BlockRows, CertRow, WitnessReport
 
 
 def _modules_after(code: str) -> set[str]:
@@ -42,6 +42,13 @@ def test_cli_import_loads_no_dataclasses():
 
 
 _MISSING = object()
+
+
+def _no_rows() -> BlockRows:
+    """The rows of a certification with no rows; each call a new object."""
+    return BlockRows(None, (1, 4, 7, 8), [],
+                     {"certified": 0, "violation": 0, "undecided": 0})
+
 
 # class, its fields in order, frozen, the arguments it needs, its defaults
 # (_MISSING for a fresh empty list or dict), and a second full set of
@@ -65,10 +72,9 @@ RECORDS = [
      {"estimates": _MISSING, "undecided_rows": _MISSING, "spec": "", "point": ""},
      (F(1, 3), 2, 16, (50,), [DensityEstimate(50, 1, 49, 0)], [4], "pow:2", "rat:1/3")),
     (WitnessReport, ("name", "params", "point", "rows", "extras"), False,
-     ("escape-band", {"m0": 10}, "ones-on:all"),
-     {"rows": _MISSING, "extras": _MISSING},
-     ("aligned", {"rows": 3}, "floor-div", [CertRow(1, F(0), F(1), "undecided")],
-      {"spec": "linear:1"})),
+     ("escape-band", {"m0": 10}, "ones-on:all", _no_rows()),
+     {"extras": _MISSING},
+     ("aligned", {"rows": 3}, "floor-div", _no_rows(), {"spec": "linear:1"})),
     (ClassVerdict, ("prop", "horizon", "verdict", "witness", "notes", "trace"),
      False,
      ("b-bounded", 30, "holds-at-horizon"),

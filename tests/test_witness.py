@@ -12,6 +12,7 @@ from circlelab.circle import (
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
+    int_band,
     parse_point,
 )
 from circlelab.classify import weakly_dli_witness_set
@@ -26,6 +27,8 @@ from circlelab.density import (
 from circlelab.errors import PreconditionError
 from circlelab.sequences import ArithSeq, RatioSpec
 from circlelab.witness import (
+    BlockRows,
+    _Segment,
     arbault_witness,
     bad_interval_family,
     certify_nonmembership,
@@ -37,7 +40,6 @@ from conftest import (
     FuncDigits,
     as_fraction,
     elem_set,
-    int_band,
     tail_bound_out,
     window_from_scratch,
 )
@@ -277,8 +279,7 @@ def test_block_counted_certify_matches_row_by_row(args):
         for v in ("certified", "violation", "undecided"))
     assert report.rows.failures() == [
         as_report(row) for row in want if row[3] != "certified"]
-    assert report.to_report(rows=20)["rows"] == [
-        row.to_report() for row in report.rows][:20]
+    assert report.to_report(rows=20)["rows"] == [as_report(row) for row in want[:20]]
 
 
 @pytest.mark.parametrize("m0,open_rows", [(8, 6), (16, 5), (32, 4)])
@@ -500,6 +501,21 @@ def test_arbault_certifies_true_values():
     value = as_fraction(x)
     for row in report.rows:
         assert row.lo == row.hi == mod1(u_list[row.index - 1] * value)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_one_row_run_replays_its_own_row(r):
+    # an aligned row's multiplier part r may reach b_{k+1} and beyond; the
+    # replay judges row (k, r) as given and moves on a block only after it
+    x = parse_point("ones-on:all", ArithSeq(RatioSpec.constant(3)))
+    cache, band = EnclosureCache(x, depth=8), int_band(Fraction(1, 4), Fraction(7, 8))
+    k = 4  # b_5 = 3; x = 1/2 and r is odd, so the row is 1/2, in the band
+    rows = BlockRows(cache, band, [_Segment(7, k, r, 1, 0)], {})
+    window, side = EnclosureCache(x, depth=8).judge(k, r, band)
+    lo, hi, den = window
+    assert [(row.index, row.lo, row.hi) for row in rows] == [
+        (7, Fraction(lo, den), Fraction(hi, den))]
+    assert side == "in" and rows.reports()[0]["verdict"] == "certified"
 
 
 def test_arbault_separation_is_respected():
