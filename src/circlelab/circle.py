@@ -21,11 +21,9 @@ from typing import Iterable, Mapping
 from .density import IntervalNatSet, NatSet, parse_set_expr
 from .errors import HorizonError, PreconditionError, SpecParseError
 from .parse import enclosed, fraction, integer, integers
-from .records import FrozenRecord
 from .sequences import ArithSeq
 
 __all__ = [
-    "BoundInterval",
     "DigitRule",
     "FiniteDigits",
     "RationalDigits",
@@ -40,9 +38,6 @@ __all__ = [
     "parse_point",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 # the refinement depth cap of an undecided multiplication
 DEPTH_CAP = 64
 
@@ -54,38 +49,6 @@ EXPAND_CAP = 4096
 # 65-digit windows that beats the six floor sums up to about 24 rows (CPython
 # 3.11)
 _FEW_ROWS = 16
-
-
-class BoundInterval(FrozenRecord):
-    """A closed rational interval [lo, hi] inside [0, 1].
-
-    ``undecided`` marks the trivial enclosure returned when a multiplication
-    could not be pinned to one unit interval within the depth cap.
-    """
-
-    __match_args__ = ("lo", "hi", "undecided")
-
-    def __init__(self, lo: Fraction, hi: Fraction, undecided: bool = False):
-        if not (_ZERO <= lo <= hi <= _ONE):
-            raise PreconditionError(f"invalid enclosure [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "undecided", undecided)
-
-    @classmethod
-    def of_window(cls, lo: int, hi: int, den: int) -> "BoundInterval":
-        """[lo/den, hi/den] from an integer window, range-checked on the ints.
-
-        With den >= 1, 0 <= lo <= hi <= den is the condition ``__init__``
-        checks on the Fractions; it is checked here instead, on the ints.
-        """
-        if den < 1 or not 0 <= lo <= hi <= den:
-            raise PreconditionError(f"invalid enclosure [{lo}/{den}, {hi}/{den}]")
-        self = object.__new__(cls)
-        object.__setattr__(self, "lo", Fraction(lo, den))
-        object.__setattr__(self, "hi", Fraction(hi, den))
-        object.__setattr__(self, "undecided", False)
-        return self
 
 
 # ===== Digit rules ===========================================================
@@ -278,7 +241,7 @@ def digits_from_rational(value: Fraction, seq: ArithSeq, horizon: int = 256) -> 
     A horizon above ``EXPAND_CAP`` is refused before any ratio is read.
     """
     value = Fraction(value)
-    if not _ZERO <= value < _ONE:
+    if not 0 <= value < 1:
         raise PreconditionError(f"rational point must lie in [0, 1), got {value}")
     if horizon < 1:
         raise PreconditionError("expansion horizon must be >= 1")
@@ -542,36 +505,31 @@ class EnclosureCache:
                 return window, "undecided"
             depth = min(max(2 * depth, 1), max_depth)
 
-    def interval(self, k: int, r: int) -> BoundInterval:
-        """Enclosure of {r * a_k * x}: the first window from the base depth
-        on that fits inside one unit interval, or the undecided [0, 1] when
-        none within the cap does."""
-        window = self.judge(k, r)[0]
-        if window is None:
-            return BoundInterval(_ZERO, _ONE, undecided=True)
-        return BoundInterval.of_window(*window)
+    def interval(self, k: int, r: int) -> tuple[int, int, int] | None:
+        """Enclosure (lo, hi, den) of {r * a_k * x}: the first window from
+        the base depth on that fits inside one unit interval, or None (the
+        undecided [0, 1]) when none within the cap does."""
+        return self.judge(k, r)[0]
 
-    def band_verdict(self, k: int, r: int, band_lo: Fraction, band_hi: Fraction,
-                     band: tuple[int, int, int, int] | None = None) -> str:
-        """Classify {r * a_k * x} against the closed band [band_lo, band_hi].
+    def band_verdict(self, k: int, r: int, band: tuple[int, int, int, int]) -> str:
+        """Classify {r * a_k * x} against the closed band [ln/ld, hn/hd],
+        given as the integers band = (ln, ld, hn, hd) of ``int_band``.
 
         Returns "in" when the certified enclosure lies inside the band, "out"
         when it is disjoint from the band, else "undecided". Conservative at
         exact band edges for infinite-support points; exact otherwise. The
         refinement starts at the deepest window block k's ladder holds.
-        ``band``, when given, is the same band as integers (ln, ld, hn, hd),
-        so a caller that holds them spares rebuilding them per row.
         """
         start = self._deepest if k == self._ladder_k else 0
-        if band is None:
-            band = int_band(band_lo, band_hi)
         return self.judge(k, r, band, start)[1]
 
-    def count_rows(self, k: int, r: int, i: int, N: int, band_lo: Fraction,
-                   band_hi: Fraction, undecided: list[int] | None = None,
+    def count_rows(self, k: int, r: int, i: int, N: int,
+                   band: tuple[int, int, int, int],
+                   undecided: list[int] | None = None,
                    keep: int = 0) -> tuple[int, int, int, int]:
         """Count the derived indices i..N, from row r of block k (i = n_k + r
-        - 1), against the closed band [band_lo, band_hi] inside [0, 1).
+        - 1), against the closed band [ln/ld, hn/hd] inside [0, 1), given as
+        the integers band = (ln, ld, hn, hd) of ``int_band``.
 
         Returns (k', r', n_in, n_und): (k', r') is where index N + 1 sits,
         and the other N - i + 1 - n_in - n_und rows are out, exactly as
@@ -581,8 +539,8 @@ class EnclosureCache:
 
         Each block's segment of rows r0..r1 is sorted at one window num/den
         with every row taken as wide as w = r1 (0 for an exact point): with
-        lo_r = r * num mod den and [A, B] the integers of den * [band_lo,
-        band_hi], a row is in when lo_r lies in [A, B - w] and out when it
+        lo_r = r * num mod den and [A, B] the integers of den * [ln/ld,
+        hn/hd], a row is in when lo_r lies in [A, B - w] and out when it
         lies in [0, A - 1 - w] or [B + 1, den - w]; enclosures nest under
         refinement, so these verdicts are final. ``_sort_few`` sorts a
         segment of at most ``_FEW_ROWS`` rows one by one, ``_sort_many``
@@ -590,14 +548,14 @@ class EnclosureCache:
         ``band_verdict``. Past a capped point's known digits a block has no
         window, and its rows and all later ones are undecided.
 
-        For a point whose rule declares its support and 0 < band_lo < 1/2
+        For a point whose rule declares its support and 0 < ln/ld < 1/2
         (an indicator or floor-div point has gaps: a ``FiniteDigits`` rule
         declares its whole prefix), the blocks that ``_out_to`` puts below
-        band_lo by the tail bound are counted out whole, by a difference of
+        ln/ld by the tail bound are counted out whole, by a difference of
         block boundaries, up to N itself; the window restarts after them
         through ``_window_at``, which reads only the supported digits and
         spans each zero run with one ratio product. A slid window whose
-        lower end is at or above band_lo / (b_{k+1} - 1) rules block k's
+        lower end is at or above ln/ld / (b_{k+1} - 1) rules block k's
         skip out without the call; a block with no slid window asks before
         its window is built, so a skipped stretch reads no digit past its
         first block. ``band_verdict`` gives every row of a skipped block
@@ -620,7 +578,6 @@ class EnclosureCache:
         known = self.x.rule.known_upto
         exact = self.exact_mode
         base = min(self.depth, self.cap)
-        band = int_band(band_lo, band_hi)
         ln, ld, hn, hd = band
         skips = self._skips and 0 < 2 * ln < ld
         n_in = n_und = 0
@@ -675,7 +632,7 @@ class EnclosureCache:
                 seg_in, edge = _sort_many(num, den, r, r1, A, B, 0 if exact else r1)
             n_in += seg_in
             for e in edge:
-                side = self.band_verdict(k, e, band_lo, band_hi, band)
+                side = self.band_verdict(k, e, band)
                 if side == "in":
                     n_in += 1
                 elif side == "undecided":
@@ -694,7 +651,7 @@ class EnclosureCache:
 
 def int_band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
     """The closed band [band_lo, band_hi] as the integers (ln, ld, hn, hd)
-    that ``judge`` takes."""
+    that ``judge``, ``band_verdict`` and ``count_rows`` take."""
     return (band_lo.numerator, band_lo.denominator,
             band_hi.numerator, band_hi.denominator)
 

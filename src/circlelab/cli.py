@@ -179,6 +179,8 @@ def _witness_factor_batch(p: dict):
     rng = random.Random(int_param(p, "seed"))
     trials = int_param(p, "trials")
     umax = int_param(p, "umax")
+    if trials < 1:
+        raise PreconditionError("--trials must be >= 1")
     if umax < 1:
         raise PreconditionError("--umax must be >= 1")
     rows = []

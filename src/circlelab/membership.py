@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .circle import CirclePoint, EnclosureCache
+from .circle import CirclePoint, EnclosureCache, int_band
 from .density import DensityEstimate
 from .errors import HorizonError, PreconditionError
 from .records import FrozenRecord, Record
@@ -151,7 +151,7 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     horizons = tuple(sorted(set(int(h) for h in horizons)))
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive")
-    band_lo, band_hi = eps, 1 - eps
+    band = int_band(eps, 1 - eps)
     cache = EnclosureCache(x, depth=depth, cap=cap)
     result = ScanResult(eps=eps, depth=depth, cap=cache.cap, horizons=horizons,
                         spec=x.seq.describe(), point=x.describe())
@@ -162,7 +162,7 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
     for N in horizons:
         end = N if last is None else min(N, last)
         if i <= end:
-            k, r, seg_in, seg_und = cache.count_rows(k, r, i, end, band_lo, band_hi,
+            k, r, seg_in, seg_und = cache.count_rows(k, r, i, end, band,
                                                      result.undecided_rows, SHOWN_UNDECIDED)
             n_in += seg_in
             n_und += seg_und

@@ -1,10 +1,10 @@
 """Plain record classes: fields named once, compared as a tuple.
 
-The evidence objects of the package (enclosures, density estimates,
-verdicts, reports) are records. Each sets its fields in its own
-``__init__`` and names them, in order, in ``__match_args__``; equality,
-``repr`` and, for a frozen record, ``hash`` and read-only fields follow
-from that tuple. Nothing is generated when a module is imported.
+The evidence objects of the package (density estimates, verdicts,
+reports) are records. Each sets its fields in its own ``__init__`` and
+names them, in order, in ``__match_args__``; equality, ``repr`` and, for a
+frozen record, ``hash`` and read-only fields follow from that tuple.
+Nothing is generated when a module is imported.
 """
 
 __all__ = ["Record", "FrozenRecord"]

@@ -24,11 +24,10 @@ from .circle import (
 )
 from .density import IntervalNatSet, NatSet
 from .errors import PreconditionError
-from .records import FrozenRecord, Record
+from .records import Record
 from .sequences import ArithSeq
 
 __all__ = [
-    "CertRow",
     "BlockRows",
     "WitnessReport",
     "continuum_family_point",
@@ -55,19 +54,6 @@ def _row_report(index: int, window: tuple[int, int, int], side: str) -> dict:
     lo, hi, den = window
     return {"index": index, "lo": _ratio_text(lo, den), "hi": _ratio_text(hi, den),
             "verdict": _LABELS[side]}
-
-
-class CertRow(FrozenRecord):
-    """One certified evaluation: index, enclosure, and the band verdict."""
-
-    __match_args__ = ("index", "lo", "hi", "verdict")
-
-    def __init__(self, index: int, lo: Fraction, hi: Fraction, verdict: str):
-        # verdict is "certified", "violation" or "undecided"
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "verdict", verdict)
 
 
 class WitnessReport(Record):
@@ -158,8 +144,8 @@ class BlockRows:
     an aligned-digit row is a run of its own. A row is rebuilt by judging
     it on its own: its enclosure and verdict depend on the row alone, so
     the rebuilt rows are the ones a row-by-row pass builds, in any order of
-    reading. Reports are written from the integer windows; iterating gives
-    ``CertRow``s.
+    reading. They are read through ``reports`` and ``failures``, written
+    from the integer windows.
     """
 
     def __init__(self, cache: EnclosureCache, band: tuple[int, int, int, int],
@@ -171,11 +157,6 @@ class BlockRows:
 
     def __len__(self) -> int:
         return sum(self.counts.values())
-
-    def __iter__(self):
-        for seg in self._segments:
-            for index, (lo, hi, den), side in self._replay(seg):
-                yield CertRow(index, Fraction(lo, den), Fraction(hi, den), _LABELS[side])
 
     def reports(self, rows: int | None = None) -> list[dict]:
         """The reports of the first ``rows`` rows, or of all of them."""
@@ -214,6 +195,15 @@ class Partition(NamedTuple):
     base: IntervalNatSet
 
 
+def _check_cuts(m0: int, n0: int) -> None:
+    """Refuse m0 <= 9 and n0 <= 12, where the escape band of
+    ``certify_nonmembership`` does not lie inside (0, 1)."""
+    if m0 <= 9:
+        raise PreconditionError("m0 must exceed 9")
+    if n0 <= 12:
+        raise PreconditionError("n0 must exceed 12")
+
+
 def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
                             horizon: int) -> Partition:
     """Split the working set A by the relative digit size c_n / b_n.
@@ -223,10 +213,7 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
     support, A = {n : c_n != 0, c_{n+1} = 0}. Cut points are 1/m0 and
     1 - 1/n0, compared exactly; m0 > 9 and n0 > 12 are required.
     """
-    if m0 <= 9:
-        raise PreconditionError("m0 must exceed 9")
-    if n0 <= 12:
-        raise PreconditionError("n0 must exceed 12")
+    _check_cuts(m0, n0)
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
     support = x.rule.support
@@ -284,8 +271,7 @@ def bad_interval_family(x: CirclePoint, branch_set: NatSet, case: str,
     """
     if case not in ("small", "large"):
         raise PreconditionError(f"case must be 'small' or 'large', got {case!r}")
-    if m0 <= 9 or n0 <= 12:
-        raise PreconditionError("need m0 > 9 and n0 > 12")
+    _check_cuts(m0, n0)
     derived = x.seq.derived
     parts = []
     for k in branch_set.iter_upto(horizon):
@@ -319,14 +305,16 @@ def certify_nonmembership(x: CirclePoint, bad: IntervalNatSet, case: str, m0: in
 
     Case "small" certifies {d_i x} in [1/m0, 9/m0]; case "large" certifies
     ||d_i x|| >= min(3/(2 n0), 1 - 12/n0), i.e. {d_i x} inside the symmetric
-    band around 1/2 at that distance from the edges. Undecided rows are
-    flagged and excluded from the certified count.
+    band around 1/2 at that distance from the edges. As for the partition,
+    m0 > 9 and n0 > 12 are required, so that the band lies inside (0, 1).
+    Undecided rows are flagged and excluded from the certified count.
 
     Each bad run (adjacent intervals merge, across block boundaries too)
     is counted by one ``EnclosureCache.count_rows`` call from one
     ``decompose`` of its first index; the report's rows are a ``BlockRows``
     collection that builds its rows only when they are read.
     """
+    _check_cuts(m0, n0)
     if case == "small":
         band_lo, band_hi = Fraction(1, m0), Fraction(9, m0)
     elif case == "large":
@@ -338,6 +326,7 @@ def certify_nonmembership(x: CirclePoint, bad: IntervalNatSet, case: str, m0: in
         raise PreconditionError(f"horizon must be >= 1, got {horizon}")
     if not isinstance(bad, IntervalNatSet):
         raise PreconditionError("the bad set must be a bounded interval union")
+    band = int_band(band_lo, band_hi)
     cache = EnclosureCache(x, depth=t)
     segments = []
     total = n_in = n_und = 0
@@ -346,12 +335,12 @@ def certify_nonmembership(x: CirclePoint, bad: IntervalNatSet, case: str, m0: in
             break
         hi = min(hi, horizon)
         k, r = x.seq.derived.decompose(lo)
-        _, _, run_in, run_und = cache.count_rows(k, r, lo, hi, band_lo, band_hi)
+        _, _, run_in, run_und = cache.count_rows(k, r, lo, hi, band)
         segments.append(_Segment(lo, k, r, hi - lo + 1, run_in))
         n_in += run_in
         n_und += run_und
         total += hi - lo + 1
-    rows = BlockRows(cache, int_band(band_lo, band_hi), segments,
+    rows = BlockRows(cache, band, segments,
                      {"certified": n_in, "violation": total - n_in - n_und,
                       "undecided": n_und})
     report = WitnessReport(

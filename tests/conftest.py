@@ -4,6 +4,7 @@ import os
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -37,6 +38,25 @@ def window_from_scratch(x: CirclePoint, n: int, t: int) -> tuple[int, int]:
         num = num * b + x.digit(j)
         den *= b
     return num, den
+
+
+class Enclosure(NamedTuple):
+    """The closed interval [lo, hi] of an integer window, as Fractions."""
+
+    lo: Fraction
+    hi: Fraction
+
+
+def as_enclosure(window: tuple[int, int, int] | None) -> Enclosure | None:
+    """The window (lo, hi, den) as [lo/den, hi/den], checked on the ints to
+    lie inside [0, 1] as the ``recursion`` suite checks it; None, the
+    undecided [0, 1], stays None."""
+    if window is None:
+        return None
+    lo, hi, den = window
+    if den < 1 or not 0 <= lo <= hi <= den:
+        raise PreconditionError(f"invalid enclosure [{lo}/{den}, {hi}/{den}]")
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 def as_fraction(x: CirclePoint) -> Fraction:

@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 from circlelab.circle import (
-    BoundInterval,
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
@@ -33,7 +32,7 @@ from circlelab.witness import (
     factor_u,
     nonmembership_partition,
 )
-from conftest import as_fraction, elem_set
+from conftest import as_enclosure, as_fraction, elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -138,7 +137,7 @@ def test_c04_window_identity():
             for n in range(1, 11):
                 truth = mod1(seq.term(n - 1) * value)
                 for t in range(0, 9):
-                    J = BoundInterval.of_window(*cache.frac_bound(n, t))
+                    J = as_enclosure(cache.frac_bound(n, t))
                     den = 1
                     for j in range(n, n + t + 1):
                         den *= seq.ratio(j)
@@ -246,10 +245,9 @@ def test_c07_coincidence_regime_scan():
         if eps <= v <= 1 - eps:
             oracle_in += 1
         if i <= 600:
-            J = cache.interval(k, r)
-            on_circle = (J.lo - err <= v <= J.hi + err) or \
-                        (J.lo - err <= v - 1 <= J.hi + err)
-            if J.undecided or not on_circle:
+            J = as_enclosure(cache.interval(k, r))
+            if J is None or not ((J.lo - err <= v <= J.hi + err)
+                                 or (J.lo - err <= v - 1 <= J.hi + err)):
                 failures.append(f"enclosure at i={i} misses the oracle value")
                 break
     if oracle_in != scan.estimates[0].in_count:
@@ -289,9 +287,10 @@ def test_c09_nonmembership_certification():
     bad = bad_interval_family(x, part.a1, "small", m0, n0, N)
     report = certify_nonmembership(x, bad, "small", m0, n0, t=8, horizon=N)
     band_lo, band_hi = Fraction(1, m0), Fraction(9, m0)
-    for row in report.rows:
-        if row.verdict == "certified" and not (band_lo <= row.lo and row.hi <= band_hi):
-            failures.append(f"certified row {row.index} leaves the band")
+    for row in report.rows.reports():
+        if row["verdict"] == "certified" and not (
+                band_lo <= Fraction(row["lo"]) and Fraction(row["hi"]) <= band_hi):
+            failures.append(f"certified row {row['index']} leaves the band")
             break
     if report.violations or report.undecided:
         failures.append(f"{report.violations} violations, "
@@ -314,9 +313,9 @@ def test_c10_aligned_digit_certification():
     if len(report.rows) != 20 or report.certified != 20:
         failures.append(f"{report.certified}/{len(report.rows)} certified")
     lo, hi = Fraction(1, 4), Fraction(7, 8)
-    for row in report.rows:
-        if not (lo <= row.lo and row.hi <= hi):
-            failures.append(f"row {row.index} enclosure outside [1/4, 7/8]")
+    for row in report.rows.reports():
+        if not (lo <= Fraction(row["lo"]) and Fraction(row["hi"]) <= hi):
+            failures.append(f"row {row['index']} enclosure outside [1/4, 7/8]")
             break
     if report.extras["existence_failures"] != 0:
         failures.append("runtime existence check failed on a selected row")

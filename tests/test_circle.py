@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from circlelab.circle import (
     DEPTH_CAP,
     EXPAND_CAP,
-    BoundInterval,
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
@@ -32,6 +31,7 @@ from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
 from conftest import (
     FuncDigits,
+    as_enclosure,
     as_fraction,
     certified_below,
     eager_expansion,
@@ -50,9 +50,9 @@ def mod1(v: Fraction) -> Fraction:
     return v - (v.numerator // v.denominator)
 
 
-def enclosure(cache: EnclosureCache, n: int, t: int) -> BoundInterval:
+def enclosure(cache: EnclosureCache, n: int, t: int):
     """``cache.frac_bound(n, t)`` range-checked and read as Fractions."""
-    return BoundInterval.of_window(*cache.frac_bound(n, t))
+    return as_enclosure(cache.frac_bound(n, t))
 
 
 # denominators dividing a_6 = 6! guarantee the greedy expansion terminates
@@ -286,23 +286,6 @@ def test_tail_bound_capped_rule():
 
 # ----- intervals -------------------------------------------------------------
 
-def test_bound_interval_validation():
-    with pytest.raises(PreconditionError):
-        BoundInterval(Fraction(1, 2), Fraction(1, 4))
-    with pytest.raises(PreconditionError):
-        BoundInterval(Fraction(-1, 4), Fraction(1, 4))
-    # an integer window is range-checked on its ints, to the same effect
-    for lo, hi, den in ((-1, 1, 4), (3, 2, 4), (3, 5, 4), (0, 0, 0), (0, 1, -1)):
-        with pytest.raises(PreconditionError):
-            BoundInterval.of_window(lo, hi, den)
-    for lo, hi, den in ((0, 0, 1), (0, 1, 1), (1, 1, 1), (2, 3, 6), (5, 9, 12),
-                        (7, 8, 2 ** 70)):
-        J = BoundInterval.of_window(lo, hi, den)
-        ref = BoundInterval(Fraction(lo, den), Fraction(hi, den))
-        assert J == ref and hash(J) == hash(ref) and str(J) == str(ref)
-        assert not J.undecided
-
-
 def test_cache_refuses_a_negative_depth():
     # a clamped depth would put in a report a depth the scan did not use
     x = parse_point("ones-on:all", POW2)
@@ -322,16 +305,19 @@ def test_cache_refuses_a_negative_cap():
 
 @pytest.mark.parametrize("point", ["ones-on:all", "rat:1/3", "finite:[1,0,0,3]"])
 def test_band_verdict_with_the_band_as_integers(point):
-    # count_rows hands band_verdict the integer band it already holds
+    # the kernel compares the band's ends by cross-multiplication, so the
+    # integer band of int_band and the same band in higher terms agree, on a
+    # cache held across rows and on a fresh one
     x = parse_point(point, POW2)
     for lo, hi in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 8), Fraction(7, 8)),
                    (Fraction(1, 2), Fraction(1, 2))):
-        band = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        band = int_band(lo, hi)
+        scaled = (3 * band[0], 3 * band[1], 5 * band[2], 5 * band[3])
         held = EnclosureCache(x, depth=0, cap=8)
         for k in range(6):
             for r in range(1, POW2.ratio(k + 1)):
-                assert (held.band_verdict(k, r, lo, hi, band)
-                        == EnclosureCache(x, depth=0, cap=8).band_verdict(k, r, lo, hi))
+                assert (held.band_verdict(k, r, band)
+                        == EnclosureCache(x, depth=0, cap=8).band_verdict(k, r, scaled))
 
 
 # ----- multiplied enclosures -------------------------------------------------
@@ -340,7 +326,7 @@ def test_band_verdict_with_the_band_as_integers(point):
 @settings(max_examples=150, deadline=None)
 def test_derived_bound_exact_for_finite_support(value, i):
     x = digits_from_rational(value, LINEAR1)
-    J = EnclosureCache(x).interval(*LINEAR1.derived.decompose(i))
+    J = as_enclosure(EnclosureCache(x).interval(*LINEAR1.derived.decompose(i)))
     truth = mod1(LINEAR1.derived.term(i) * value)
     assert J.lo == J.hi == truth
 
@@ -350,8 +336,8 @@ def test_mult_bound_decided_contains_truth():
     x = digits_from_rational(value, POW2, horizon=40)
     for k in range(5):
         for r in range(1, POW2.ratio(k + 1)):
-            J = EnclosureCache(x, depth=4).interval(k, r)
-            if not J.undecided:
+            J = as_enclosure(EnclosureCache(x, depth=4).interval(k, r))
+            if J is not None:
                 truth = mod1(r * POW2.term(k) * value)
                 assert J.lo <= truth <= J.hi
 
@@ -360,8 +346,7 @@ def test_mult_bound_gives_up_at_cap():
     # 1/3 under const 2 has digits 0,1,0,1,...; r = 3 times 1/3 straddles an
     # integer forever, so no finite window can decide the unit interval
     x = digits_from_rational(Fraction(1, 3), CONST2, horizon=64)
-    J = EnclosureCache(x, depth=2, cap=32).interval(0, 3)
-    assert J.undecided and (J.lo, J.hi) == (Fraction(0), Fraction(1))
+    assert EnclosureCache(x, depth=2, cap=32).interval(0, 3) is None
 
 
 # ----- shared evaluation cache ----------------------------------------------
@@ -370,19 +355,19 @@ def test_cache_exact_mode():
     x = digits_from_rational(Fraction(5, 24), LINEAR1)
     cache = EnclosureCache(x)
     assert cache.exact_mode
-    J = cache.interval(2, 3)
+    J = as_enclosure(cache.interval(2, 3))
     assert J.lo == J.hi == mod1(3 * 6 * Fraction(5, 24))
 
 
 def test_cache_verdicts_are_order_independent():
     x = digits_from_rational(Fraction(1, 3), POW2, horizon=60)
-    lo, hi = Fraction(1, 10), Fraction(9, 10)
+    band = int_band(Fraction(1, 10), Fraction(9, 10))
     rows = [(k, r) for k in range(6) for r in range(1, POW2.ratio(k + 1))]
 
     forward = EnclosureCache(x, depth=2)
-    verdicts_fwd = [forward.band_verdict(k, r, lo, hi) for k, r in rows]
+    verdicts_fwd = [forward.band_verdict(k, r, band) for k, r in rows]
     backward = EnclosureCache(x, depth=2)
-    verdicts_bwd = [backward.band_verdict(k, r, lo, hi) for k, r in reversed(rows)]
+    verdicts_bwd = [backward.band_verdict(k, r, band) for k, r in reversed(rows)]
     assert verdicts_fwd == list(reversed(verdicts_bwd))
 
 
@@ -454,20 +439,21 @@ def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
 
     for k, r in rows:
         truth = mod1(r * seq.term(k) * value)
-        v = shared.band_verdict(k, r, lo, hi)
+        v = shared.band_verdict(k, r, int_band(lo, hi))
         # the rows judged before leave no trace: the shared cache gives the
         # enclosures of a fresh one, and judge gives band_verdict's verdict
         judged = shared.judge(k, r, int_band(lo, hi))
         assert judged == new_cache().judge(k, r, int_band(lo, hi)) and judged[1] == v
-        fresh = new_cache().interval(k, r)
-        assert shared.interval(k, r) == fresh
+        window = new_cache().interval(k, r)
+        assert shared.interval(k, r) == window
+        fresh = as_enclosure(window)
         if v == "in":
             assert lo <= truth <= hi
         elif v == "out":
             assert truth < lo or truth > hi
         else:
             assert v == "undecided" and not shared.exact_mode
-        if fresh.undecided:
+        if fresh is None:
             continue
         assert fresh.lo <= truth <= fresh.hi
         if lo <= fresh.lo and fresh.hi <= hi:
@@ -517,10 +503,10 @@ def test_enclosures_do_not_depend_on_the_order_of_rows(spec, data, depth, cap,
 def test_cache_refinement_only_deepens():
     x = digits_from_rational(Fraction(1, 3), POW2, horizon=60)
     cache = EnclosureCache(x, depth=1)
-    first = cache.interval(2, 1)
+    first = as_enclosure(cache.interval(2, 1))
     # a harder row forces a deeper shared window; re-asking can only tighten
     cache.interval(2, 7)
-    second = cache.interval(2, 1)
+    second = as_enclosure(cache.interval(2, 1))
     assert second.hi - second.lo <= first.hi - first.lo
     assert first.lo <= second.lo and second.hi <= first.hi
 
@@ -594,7 +580,8 @@ def test_sliding_window_matches_rebuild(spec, data, depth, cap, moves):
             assert check(k) >= d
         if not cache.exact_mode:
             fresh = EnclosureCache(x, depth=depth, cap=cap)
-            assert cache.band_verdict(k, r, *band) == fresh.band_verdict(k, r, *band)
+            assert (cache.band_verdict(k, r, int_band(*band))
+                    == fresh.band_verdict(k, r, int_band(*band)))
             assert check(k) <= max_depth
 
 
@@ -671,7 +658,7 @@ def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
             assert ub == (mod1(a * value) / a if m is not None
                           else Fraction(num + 1, den) / a)
         elif reader == "cache" and cache._max_depth(n - 1) >= 0:
-            cache.band_verdict(n - 1, t + 1, Fraction(1, 3), Fraction(2, 3))
+            cache.band_verdict(n - 1, t + 1, (1, 3, 2, 3))
         wk, wdepth, wnum, wden = cache._win
         # an exact cache that has read only past the support holds no window
         assert wk < 0 or (wnum, wden) == window_from_scratch(x, wk + 1, wdepth)

@@ -137,11 +137,12 @@ def test_witness_factor_needs_u(capsys):
 
 def test_witness_escape_builds_only_emitted_rows(monkeypatch):
     # 2,453 rows are counted, but only the 200 rendered rows (and any failure
-    # rows) are built as enclosures; edge rows reach the kernel one by one
+    # rows) are built as enclosures, each the window of one judge call; edge
+    # rows reach the kernel one by one
     import circlelab.circle as circle
 
-    calls = {"judge": 0, "band_verdict": 0, "BoundInterval": 0}
-    for name in ("judge", "band_verdict"):
+    calls = {"judge": 0, "band_verdict": 0}
+    for name in calls:
         real = getattr(circle.EnclosureCache, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -149,13 +150,6 @@ def test_witness_escape_builds_only_emitted_rows(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(circle.EnclosureCache, name, counted)
-    real_init = circle.BoundInterval.__init__
-
-    def counted_init(self, *args, **kwargs):
-        calls["BoundInterval"] += 1
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(circle.BoundInterval, "__init__", counted_init)
     config = {"subcommand": "witness",
               "params": {"spec": "pow:2", "x": "ones-on:all", "op": "escape",
                          "case": "small", "m0": "10", "n0": "13", "blocks": "12"}}
@@ -164,7 +158,6 @@ def test_witness_escape_builds_only_emitted_rows(monkeypatch):
     assert len(doc["rows"]) == 200
     built = 200 + len(doc["failures"])
     assert calls["judge"] <= built
-    assert calls["BoundInterval"] <= built
     assert calls["band_verdict"] <= 2453 // 10
 
 
@@ -370,6 +363,8 @@ def test_empty_random_ranges_exit_3(capsys, argv):
     ("verify", "recursion", "--param", "specs="),
     ("verify", "lift-algebra", "--param", "specs="),
     ("verify", "snd-density", "--param", "trials=0"),
+    ("witness", "--spec", "linear:1", "--op", "factor-batch", "--trials", "0"),
+    ("witness", "--spec", "linear:1", "--op", "factor-batch", "--trials", "-1"),
 ])
 def test_suites_that_would_check_nothing_exit_3(capsys, argv):
     err = capture(capsys, *argv, expect=3).err

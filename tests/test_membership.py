@@ -16,6 +16,7 @@ from circlelab.circle import (
     _floor_sum,
     _hits,
     _least_hit,
+    int_band,
     parse_point,
 )
 from circlelab.classify import weakly_dli_witness_set
@@ -187,13 +188,14 @@ def per_row_scan(x, eps, horizons, depth=8, cap=None, tail=True):
     if not tail:
         cache._skips = False
     derived = x.seq.derived
+    band = int_band(eps, 1 - eps)
     tally = {"in": 0, "out": 0, "undecided": 0}
     estimates, undecided = [], []
     i = 1
     for N in sorted(set(horizons)):
         while i <= N:
             k, r = derived.decompose(i)
-            verdict = cache.band_verdict(k, r, eps, 1 - eps)
+            verdict = cache.band_verdict(k, r, band)
             tally[verdict] += 1
             if verdict == "undecided":
                 undecided.append(i)
@@ -282,7 +284,7 @@ def test_batched_scan_matches_per_row_scan(x, q, depth, cap, data):
 def test_count_rows_matches_row_by_row(x, q, small, depth, cap, data):
     # a scan band [1/q, 1 - 1/q] or an escape band [1/q, 9/q]; the count
     # starts anywhere, mid-block too, and ends anywhere, even before it starts
-    band = (Fraction(1, q), Fraction(9, q) if small else 1 - Fraction(1, q))
+    band = int_band(Fraction(1, q), Fraction(9, q) if small else 1 - Fraction(1, q))
     derived = x.seq.derived
     i = data.draw(st.integers(1, 60) | st.integers(1, 1200))
     N = data.draw(st.integers(i - 1, 1500) | st.integers(i - 1, i + 40))
@@ -295,13 +297,13 @@ def test_count_rows_matches_row_by_row(x, q, small, depth, cap, data):
                      | st.integers(1, i))
     if warm is not None:
         for cache in (fast, slow):
-            cache.band_verdict(*derived.decompose(warm), *band)
+            cache.band_verdict(*derived.decompose(warm), band)
     # the count appends its first undecided rows to a list that may hold some
     kept = data.draw(st.lists(st.just(0), max_size=3))
     keep = data.draw(st.integers(0, 5) | st.just(N + 3))
     held = len(kept)
-    k, r, n_in, n_und = fast.count_rows(k, r, i, N, *band, kept, keep)
-    sides = {j: slow.band_verdict(*derived.decompose(j), *band)
+    k, r, n_in, n_und = fast.count_rows(k, r, i, N, band, kept, keep)
+    sides = {j: slow.band_verdict(*derived.decompose(j), band)
              for j in range(i, N + 1)}
     undecided = [j for j, side in sides.items() if side == "undecided"]
     assert n_in == list(sides.values()).count("in")
@@ -380,11 +382,10 @@ def test_exact_scan_skips_blocks_before_a_far_support():
     x = parse_point("ones-on:lift(fin:{10})", seq)
     assert x.rule.finite_support_max() == 2036
     cache = EnclosureCache(x, depth=16)
-    band = (Fraction(1, 8), Fraction(7, 8))
     k, r = seq.derived.decompose(5001)
-    assert cache.count_rows(0, 1, 1, 5000, *band) == (k, r, 0, 0)
+    assert cache.count_rows(0, 1, 1, 5000, (1, 8, 7, 8)) == (k, r, 0, 0)
     assert cache._win == (-1, 0, 0, 1)
-    scan = statistical_scan(x, band[0], [300, 2000, 5000], 16)
+    scan = statistical_scan(x, Fraction(1, 8), [300, 2000, 5000], 16)
     assert counts(scan) == [(N, 0, N, 0) for N in (300, 2000, 5000)]
 
 
@@ -414,12 +415,12 @@ def test_count_rows_keeps_the_window_where_the_prefix_ends():
     # left on block 1's window, the last one slid, for a later count to
     # slide from
     x = parse_point("rat:1/3", ArithSeq(RatioSpec.parse("const:2")), 2)
-    band = (Fraction(1, 19), Fraction(9, 19))
+    band = (1, 19, 9, 19)
     fast, slow = EnclosureCache(x, 0, 0), EnclosureCache(x, 0, 0)
     kept = []
-    assert fast.count_rows(0, 1, 1, 3, *band, kept, 100) == (3, 1, 0, 2)
+    assert fast.count_rows(0, 1, 1, 3, band, kept, 100) == (3, 1, 0, 2)
     assert kept == [1, 3]
-    assert ([slow.band_verdict(k, 1, *band) for k in range(3)]
+    assert ([slow.band_verdict(k, 1, band) for k in range(3)]
             == ["undecided", "out", "undecided"])
     assert fast._win == (1, 0, *window_from_scratch(x, 2, 0)) == (1, 0, 1, 2)
 

@@ -157,3 +157,23 @@ def test_digit_rules_are_only_constructed_outside_circle():
             if name in DIGIT_RULES and id(node) not in called:
                 misused.append(f"{mod}.py:{node.lineno}: {ast.unparse(node)}")
     assert misused == []
+
+
+# the integer kernel: the enclosure cache and the lattice helpers of the scan
+INTEGER_KERNEL = {"EnclosureCache", "_sort_few", "_sort_many", "_floor_sum",
+                  "_least_hit", "_hits"}
+
+
+def test_the_kernel_builds_no_fraction():
+    # every window, band and verdict of the kernel is an integer; a band
+    # given as Fractions is turned into integers once, by int_band, outside
+    tree = _modules()["circle"]
+    kernel = [node for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name in INTEGER_KERNEL]
+    assert {node.name for node in kernel} == INTEGER_KERNEL
+    built = [f"circle.py:{node.lineno}: {ast.unparse(node)}"
+             for top in kernel for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "Fraction"]
+    assert built == []

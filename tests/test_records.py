@@ -3,7 +3,7 @@
 The evidence objects are plain classes on ``circlelab.records``. Each test
 here holds them to what the ``dataclasses`` versions did: the constructor
 signature and defaults, a fresh list or dict per instance, equality, repr,
-validation, and for the frozen four ``hash`` and read-only fields. The
+validation, and for the frozen two ``hash`` and read-only fields. The
 dataclass built by ``_reference`` is the oracle for repr and hash.
 """
 
@@ -15,12 +15,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from circlelab.circle import BoundInterval
 from circlelab.classify import ClassVerdict
 from circlelab.density import DensityEstimate
 from circlelab.errors import PreconditionError
 from circlelab.membership import MemberVerdict, ScanResult
-from circlelab.witness import BlockRows, CertRow, WitnessReport
+from circlelab.witness import BlockRows, WitnessReport
 
 
 def _modules_after(code: str) -> set[str]:
@@ -54,18 +53,12 @@ def _no_rows() -> BlockRows:
 # (_MISSING for a fresh empty list or dict), and a second full set of
 # arguments that differs from the first in every field
 RECORDS = [
-    (BoundInterval, ("lo", "hi", "undecided"), True,
-     (F(1, 4), F(1, 2)), {"undecided": False},
-     (F(0), F(3, 4), True)),
     (DensityEstimate, ("N", "in_count", "out_count", "undecided_count"), True,
      (10, 3, 5, 2), {},
      (12, 2, 4, 6)),
     (MemberVerdict, ("status", "reason", "citation_dependent", "cutoff"), True,
      ("member", "finite support"), {"citation_dependent": False, "cutoff": None},
      ("non-member", "declared infinite", True, 7)),
-    (CertRow, ("index", "lo", "hi", "verdict"), True,
-     (5, F(1, 8), F(1, 4), "certified"), {},
-     (6, F(1, 3), F(1, 2), "violation")),
     (ScanResult, ("eps", "depth", "cap", "horizons", "estimates",
                   "undecided_rows", "spec", "point"), False,
      (F(1, 8), 8, 64, (100, 1000)),
@@ -181,14 +174,6 @@ def test_frozen_records_hash_and_refuse_assignment(cls, fields, frozen, args,
     assert not hasattr(record, "no_such_field")
 
 
-def test_an_enclosure_from_an_integer_window_is_frozen_too():
-    record = BoundInterval.of_window(1, 3, 8)
-    assert record == BoundInterval(F(1, 8), F(3, 8))
-    with pytest.raises(AttributeError):
-        record.lo = F(0)
-    assert record.lo == F(1, 8)
-
-
 @pytest.mark.parametrize("cls, fields, frozen, args, defaults, other", _MUTABLE,
                          ids=[entry[0].__name__ for entry in _MUTABLE])
 def test_mutable_records_assign_and_do_not_hash(cls, fields, frozen, args,
@@ -202,9 +187,6 @@ def test_mutable_records_assign_and_do_not_hash(cls, fields, frozen, args,
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: BoundInterval(F(1, 2), F(1, 4)), "invalid enclosure [1/2, 1/4]"),
-    (lambda: BoundInterval(F(-1, 4), F(1, 4)), "invalid enclosure [-1/4, 1/4]"),
-    (lambda: BoundInterval(F(1, 4), F(5, 4), True), "invalid enclosure [1/4, 5/4]"),
     (lambda: DensityEstimate(0, 0, 0, 0), "density window must have N >= 1"),
     (lambda: DensityEstimate(3, -1, 2, 2), "counts must be non-negative"),
     (lambda: DensityEstimate(3, 1, 1, 0), "counts must partition the window"),

@@ -17,12 +17,12 @@ from fractions import Fraction
 import pytest
 
 from circlelab import suites
-from circlelab.circle import BoundInterval, CirclePoint, EnclosureCache, FiniteDigits
+from circlelab.circle import CirclePoint, EnclosureCache, FiniteDigits
 from circlelab.cli import envelope_bytes
 from circlelab.errors import PreconditionError
 from circlelab.parse import int_param, merge_params
 from circlelab.suites import plainify, run_suite
-from conftest import as_fraction
+from conftest import as_enclosure, as_fraction
 
 
 def _mod1(y: Fraction) -> Fraction:
@@ -82,7 +82,7 @@ def reference_recursion(params=None) -> dict:
                 exact = Fraction(*cache.frac_exact(n))
                 prev = None
                 for t in range(tmax + 1):
-                    bi = BoundInterval.of_window(*cache.frac_bound(n, t))
+                    bi = as_enclosure(cache.frac_bound(n, t))
                     width = Fraction(1, math.prod(
                         seq.ratio(j) for j in range(n, n + t + 1)))
                     inside = bi.lo <= exact < bi.hi

@@ -161,8 +161,8 @@ def test_certify_small_case_rows():
     report = certify_nonmembership(x, bad, "small", 10, 13, t=8, horizon=10**4)
     assert report.violations == 0 and report.undecided == 0
     assert report.certified == len(report.rows) == 14
-    for row in report.rows:
-        assert Fraction(1, 10) <= row.lo and row.hi <= Fraction(9, 10)
+    for _, lo, hi, _ in as_tuples(report.rows):
+        assert Fraction(1, 10) <= lo and hi <= Fraction(9, 10)
 
 
 def test_certify_large_case_exact():
@@ -171,7 +171,7 @@ def test_certify_large_case_exact():
     report = certify_nonmembership(x, bad, "large", 10, 13, t=8, horizon=10**4)
     assert report.certified == 5 and report.violations == 0
     # exact values {15 r / 16} for r = 10..14, against the band [1/13, 12/13]
-    values = [row.lo for row in report.rows]
+    values = [lo for _, lo, _, _ in as_tuples(report.rows)]
     assert values == [Fraction(3, 8), Fraction(5, 16), Fraction(1, 4),
                       Fraction(3, 16), Fraction(1, 8)]
 
@@ -195,6 +195,22 @@ def test_certify_refuses_unbounded_bad_sets():
             certify_nonmembership(x, bad, "small", 10, 13, t=8, horizon=10**6)
 
 
+@pytest.mark.parametrize("case, m0, n0, message", [
+    ("small", 8, 13, "m0 must exceed 9"),
+    ("small", 9, 13, "m0 must exceed 9"),
+    ("large", 10, 5, "n0 must exceed 12"),
+    ("large", 10, 12, "n0 must exceed 12"),
+])
+def test_certify_refuses_cuts_the_partition_refuses(case, m0, n0, message):
+    # with m0 <= 9 the band [1/m0, 9/m0] reaches 1, with n0 <= 12 the large
+    # band [min(3/(2 n0), 1 - 12/n0), ...] reaches 0 (it is [-7/5, 12/5] at
+    # n0 = 5); m0 = 8 once reported 2 certified rows for the bad set {1, 2}
+    # while row 2 replayed as undecided
+    x = parse_point("ones-on:all", ArithSeq(RatioSpec.constant(3)))
+    with pytest.raises(PreconditionError, match=message):
+        certify_nonmembership(x, elem_set([1, 2]), case, m0, n0, t=1, horizon=2)
+
+
 # ----- block-counted certification against the row-by-row pass ----------------
 
 _LABELS = {"in": "certified", "out": "violation", "undecided": "undecided"}
@@ -213,7 +229,10 @@ def row_by_row_certify(x, bad, t, horizon, band_lo, band_hi):
 
 
 def as_tuples(rows):
-    return [(row.index, row.lo, row.hi, row.verdict) for row in rows]
+    """The reports of ``rows`` as (index, lo, hi, verdict), ends read back
+    as Fractions."""
+    return [(row["index"], Fraction(row["lo"]), Fraction(row["hi"]), row["verdict"])
+            for row in rows.reports()]
 
 
 def as_report(row):
@@ -282,7 +301,7 @@ def test_block_counted_certify_matches_row_by_row(args):
     assert report.to_report(rows=20)["rows"] == [as_report(row) for row in want[:20]]
 
 
-@pytest.mark.parametrize("m0,open_rows", [(8, 6), (16, 5), (32, 4)])
+@pytest.mark.parametrize("m0,open_rows", [(16, 5), (32, 4), (64, 3)])
 def test_certify_counts_agree_with_rows_the_tail_bound_decides(m0, open_rows):
     # under const:2 the blocks just before a run of 65 ones of
     # blocks:cube-gap keep a depth-64 window that ends at 1/m0; the tail
@@ -489,8 +508,8 @@ def test_arbault_witness_linear1():
     assert report.extras["selection"] == \
         "2,6,10,12,14,16,18,20,22,24,26,28,30,32,34,36,38,40,42,44"
     assert report.extras["skipped"] == 3
-    for row in report.rows:
-        assert Fraction(1, 4) <= row.lo and row.hi <= Fraction(7, 8)
+    for _, lo, hi, _ in as_tuples(report.rows):
+        assert Fraction(1, 4) <= lo and hi <= Fraction(7, 8)
 
 
 def test_arbault_certifies_true_values():
@@ -499,8 +518,8 @@ def test_arbault_certifies_true_values():
     report = arbault_witness(LINEAR1, u_list, rows=6, depth=8)
     x = parse_point(report.point, LINEAR1)
     value = as_fraction(x)
-    for row in report.rows:
-        assert row.lo == row.hi == mod1(u_list[row.index - 1] * value)
+    for index, lo, hi, _ in as_tuples(report.rows):
+        assert lo == hi == mod1(u_list[index - 1] * value)
 
 
 @pytest.mark.parametrize("r", [3, 5, 7])
@@ -513,9 +532,8 @@ def test_one_row_run_replays_its_own_row(r):
     rows = BlockRows(cache, band, [_Segment(7, k, r, 1, 0)], {})
     window, side = EnclosureCache(x, depth=8).judge(k, r, band)
     lo, hi, den = window
-    assert [(row.index, row.lo, row.hi) for row in rows] == [
-        (7, Fraction(lo, den), Fraction(hi, den))]
-    assert side == "in" and rows.reports()[0]["verdict"] == "certified"
+    assert as_tuples(rows) == [(7, Fraction(lo, den), Fraction(hi, den), "certified")]
+    assert side == "in"
 
 
 def test_arbault_separation_is_respected():
