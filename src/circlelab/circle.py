@@ -268,28 +268,33 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     """The window over the digits n .. target (``window_from_scratch`` in
     ``tests/conftest.py``) from the window num/den over the digits start .. end.
 
-    When n lies in start .. end, the leading digits drop out by division
-    (each c_j <= b_j - 1 keeps the rest below den), digits past target are
-    cut off the same way, and only the digits past end are added. Otherwise
-    the window is built from scratch. A digit j is added as num * b_j + c_j
-    over den * b_j, read through ``CirclePoint.digit`` when
-    ``DigitRule.next_nonzero(j)`` is j. Otherwise the digits j .. m - 1 are
-    0, with m the next index that may be nonzero (target + 1 when that lies
-    past target or there is none), and enter at once through their ratio
-    product b_j ... b_{m-1}. The sum is the same integer either way.
+    When n lies in start .. end, the leading digits drop out by dividing den
+    by their ratio product b_start ... b_{n-1} (each c_j <= b_j - 1 keeps
+    the rest below den), digits past target are cut off by dividing num and
+    den by b_{target+1} ... b_end, and only the digits past end are added.
+    Floor divisions nest, so one product gives the integers of dividing by
+    one ratio at a time; a single digit divides by its ratio read, cheaper
+    than a product under ``linear`` and memo specs. Otherwise the window is
+    built from scratch. A digit j is added as num * b_j + c_j over den *
+    b_j, read through ``CirclePoint.digit`` when ``DigitRule.next_nonzero(j)``
+    is j. Otherwise the digits j .. m - 1 are 0, with m the next index that
+    may be nonzero (target + 1 when that lies past target or there is none),
+    and enter at once through their ratio product b_j ... b_{m-1}. The sum
+    is the same integer either way.
     """
-    ratio = x.seq.ratio
+    seq = x.seq
+    ratio = seq.ratio
     if start <= n <= end:
-        for j in range(start, n):
-            den //= ratio(j)
+        if n > start:
+            den //= ratio(start) if n == start + 1 else seq.ratio_product(start, n - 1)
         num %= den
     else:
         num, den, end = 0, 1, n - 1
-    while end > target:
-        b = ratio(end)
-        num //= b
-        den //= b
-        end -= 1
+    if end > target:
+        P = ratio(end) if end == target + 1 else seq.ratio_product(target + 1, end)
+        num //= P
+        den //= P
+        end = target
     j = end + 1
     while j <= target:
         m = x.rule.next_nonzero(j)
@@ -300,7 +305,7 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
             j += 1
         else:  # the digits j .. m - 1 are 0
             m = target + 1 if m is None or m > target else m
-            P = x.seq.ratio_product(j, m - 1)
+            P = seq.ratio_product(j, m - 1)
             num *= P
             den *= P
             j = m
@@ -562,12 +567,15 @@ class EnclosureCache:
         "out" too, through the same tail bound.
 
         The base window is held in locals and slides to the next block with
-        one division and one new digit read through ``CirclePoint.digit``;
-        each slid window is handed to the cache as its latest window, so
-        edge rows and the next restart slide from it. ``_window_at`` serves
-        the first block, every block of an exact point, and a block the base
-        window cannot slide to (the known prefix ends, or blocks were
-        skipped).
+        one division and one new digit, read through ``CirclePoint.digit``
+        unless the rule says it is 0: for a rule that declares its support
+        (infinite here, as a finite one makes the point exact), a zero read
+        at j moves nz to ``next_nonzero(j + 1)``, and the digits below nz
+        enter by their ratio alone. Each slid window is handed to the cache
+        as its latest window, so edge rows and the next restart slide from
+        it. ``_window_at`` serves the first block, every block of an exact
+        point, and a block the base window cannot slide to (the known prefix
+        ends, or blocks were skipped).
         """
         if i > N:
             return k, r, 0, 0
@@ -583,6 +591,7 @@ class EnclosureCache:
         n_in = n_und = 0
         at = i - r  # row e of block k is derived index at + e
         held = False  # the locals hold block k - 1's base window, to slide
+        nz = 0  # the digits from the last zero read up to nz are 0 by the rule
         band_den = None
         while True:
             if held:  # slide block k - 1's window to block k
@@ -593,7 +602,13 @@ class EnclosureCache:
                     den //= b
                     num %= den
                     bj = ratio(j)
-                    num = num * bj + digit(j)
+                    if j < nz:  # a 0 the rule promises
+                        num *= bj
+                    else:
+                        c = digit(j)
+                        num = num * bj + c
+                        if not c and self._skips:
+                            nz = self.x.rule.next_nonzero(j + 1)
                     den *= bj
                     b = ratio(k + 1)
                     self._win = (k, base, num, den)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .density import IntervalNatSet, NatSet
 from .errors import PreconditionError
+from .parse import printable
 from .records import Record
 from .sequences import ArithSeq
 
@@ -61,9 +62,11 @@ class ClassVerdict(Record):
             "notes": list(self.notes),
         }
         if self.witness is not None:
-            out["witness"] = {k: str(v) for k, v in self.witness.items()}
+            out["witness"] = {k: str(printable(v, f"witness {k}"))
+                              for k, v in self.witness.items()}
         if self.trace:
-            out["trace"] = [[str(v) for v in row] for row in self.trace]
+            out["trace"] = [[str(printable(v, f"trace row {row[0]}")) for v in row]
+                            for row in self.trace]
         return out
 
 

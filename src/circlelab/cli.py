@@ -24,7 +24,7 @@ from .classify import (
 from .density import IntervalNatSet, lift, parse_set_expr
 from .errors import CircleLabError, PreconditionError, SpecParseError
 from .membership import convergence_verdict, finite_support_member, statistical_scan
-from .parse import frac_param, int_param, ints_param, merge_params
+from .parse import frac_param, int_param, ints_param, merge_params, printable
 from .sequences import ArithSeq, RatioSpec
 from .suites import plainify, run_suite
 from .witness import (
@@ -57,7 +57,8 @@ def _point_of(p: dict, seq: ArithSeq) -> CirclePoint:
 
 def _render(intervals) -> str:
     """Render closed intervals (a, b) as [a,b]+[c,d], or [] when none."""
-    return "+".join(f"[{a},{b}]" for a, b in intervals) or "[]"
+    return "+".join(f"[{a},{printable(b, 'a lifted interval end')}]"
+                    for a, b in intervals) or "[]"
 
 
 # ===== Operation handlers ====================================================
@@ -71,17 +72,16 @@ def _cmd_seq(p: dict):
     count = int_param(p, "count")
     if count < 1:
         raise PreconditionError("--count must be >= 1")
-    if kind == "d":
-        values = [seq.derived.term(i) for i in range(1, count + 1)]
-    elif kind == "a":
-        values = [seq.term(k) for k in range(count)]
-    elif kind == "b":
-        values = [seq.ratio(n) for n in range(1, count + 1)]
-    elif kind == "n":
-        values = [seq.derived.boundary(k) for k in range(count)]
-    else:
+    # each kind's term and its first index
+    terms = {"d": (seq.derived.term, 1), "a": (seq.term, 0), "b": (seq.ratio, 1),
+             "n": (seq.derived.boundary, 0)}
+    if kind not in terms:
         raise SpecParseError(f"--kind must be one of a,b,d,n, got {kind!r}")
-    terse = ",".join(str(v) for v in values)
+    term, first = terms[kind]
+    # checked as computed: growing terms stop at the first too long to print
+    values = [printable(term(j), f"value {j - first + 1} of --kind {kind}")
+              for j in range(first, first + count)]
+    terse = ",".join(map(str, values))
     return terse, {"kind": kind, "count": count, "values": values}, None
 
 
@@ -154,6 +154,8 @@ def _check_witness_set(p: dict):
                                  int_param(p, "scan_limit"))
     # the witness set is {u_j + 1}; u is strictly increasing
     elems = [v + 1 for v in u]
+    for j, _, bound, _ in trace[1:]:  # row 1 has no bound
+        printable(bound, f"the bound of trace row {j}")
     report = {"check": p["check"], "elements": elems, "recursion": u,
               "trace": plainify(trace)}
     return ",".join(str(e) for e in elems), report, None

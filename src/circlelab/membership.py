@@ -9,13 +9,13 @@ reports certified density bounds for {i <= N : ||d_i x|| >= eps}.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .circle import CirclePoint, EnclosureCache, int_band
 from .density import DensityEstimate
-from .errors import HorizonError, PreconditionError
+from .errors import PreconditionError
+from .parse import printable
 from .records import FrozenRecord, Record
 
 __all__ = [
@@ -61,8 +61,8 @@ def finite_support_member(x: CirclePoint) -> MemberVerdict:
     rests on the known characterization of members as finite-support points
     rather than on anything computed here, so the verdict flags itself as
     citation-dependent. A cutoff with more decimal digits than Python
-    converts to text (``sys.get_int_max_str_digits``, 0 for no limit) could
-    not be reported, so it raises HorizonError instead.
+    converts to text could not be reported: ``printable`` raises
+    HorizonError instead.
     """
     support = x.rule.support
     if support is None:
@@ -73,13 +73,7 @@ def finite_support_member(x: CirclePoint) -> MemberVerdict:
     if support.is_finite:
         m = x.rule.finite_support_max()
         cutoff = x.seq.derived.boundary(m) if m > 0 else 1
-        # Python 3.10 builds before 3.10.7 have no limit and no function
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and cutoff >= 10 ** limit:
-            raise HorizonError(
-                f"membership cutoff n_{m} has more than {limit} decimal digits, "
-                "Python's limit for converting an int to text"
-            )
+        printable(cutoff, f"membership cutoff n_{m}")
         return MemberVerdict(
             status="member",
             reason="finite support; values vanish from the cutoff onward",

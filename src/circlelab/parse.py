@@ -9,15 +9,17 @@ around a token is ignored.
 
 A parameter dict (the params of a command-line operation or of a suite) is
 built by ``merge_params`` from the declared defaults and read by
-``int_param``, ``frac_param`` and ``ints_param``.
+``int_param``, ``frac_param`` and ``ints_param``. ``printable`` checks
+that a number going out can be written as text.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import PreconditionError, SpecParseError
+from .errors import HorizonError, PreconditionError, SpecParseError
 
 _INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
 _FRACTION = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
@@ -32,6 +34,22 @@ def integer(text: str, what: str) -> int:
         except ValueError:  # more digits than Python converts from a str
             pass
     raise SpecParseError(f"{what} must be an integer, got {text!r}")
+
+
+def printable(value, what: str):
+    """``value``, an int or a Fraction, if no part has more decimal digits
+    than Python converts to text (``sys.get_int_max_str_digits``; 0, or a
+    Python before 3.10.7 without it, sets no limit); else HorizonError
+    naming ``what``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^(3 * limit) < 10^limit, so a shorter part needs no power of ten
+    if limit and any(part.bit_length() > 3 * limit and abs(part) >= 10 ** limit
+                     for part in (value.numerator, value.denominator)):
+        raise HorizonError(
+            f"{what} has more than {limit} decimal digits, Python's limit for "
+            "converting an int to text"
+        )
+    return value
 
 
 def fraction(text: str, what: str) -> Fraction:

@@ -15,6 +15,7 @@ from circlelab.circle import (
     FloorDivDigits,
     IndicatorDigits,
     RationalDigits,
+    _slide,
     digits_from_rational,
     int_band,
     parse_point,
@@ -614,6 +615,28 @@ def slide_points(draw, seq):
     digits = draw(st.lists(st.integers(0, 10 ** 6), max_size=14))
     return CirclePoint(seq, FiniteDigits(c % seq.ratio(n)
                                          for n, c in enumerate(digits, 1)))
+
+
+@given(spec=st.sampled_from(sorted(_WINDOW_SPECS)), data=st.data(),
+       start=st.integers(1, 30), span=st.integers(0, 16), drop=st.integers(0, 16),
+       reach=st.integers(-16, 8))
+@settings(max_examples=300, deadline=None)
+def test_slide_drops_and_cuts_many_digits_by_one_product(spec, data, start, span,
+                                                         drop, reach):
+    # the window over start .. end moves to n .. target: the leading digits
+    # start .. n - 1 drop by one ratio product, the digits past target are
+    # cut by another (closed forms under const, linear and pow, memo reads
+    # under explicit and dlictrex), and the digits past end are added
+    seq = _WINDOW_SPECS[spec]
+    x = data.draw(slide_points(seq))
+    end = start + span
+    n = start + min(drop, span)
+    target = max(end + reach, n)
+    known = x.rule.known_upto
+    assume(known is None or max(end, target) <= known)
+    num, den = window_from_scratch(x, start, span)
+    assert _slide(x, start, end, num, den, n, target) == window_from_scratch(
+        x, n, target - n)
 
 
 @given(spec=st.sampled_from(sorted(_WINDOW_SPECS)), data=st.data(),

@@ -10,6 +10,8 @@ import pytest
 from circlelab.circle import EXPAND_CAP
 from circlelab.cli import (OPS, SUBCOMMANDS, canonical_json, envelope_bytes, main,
                            run_config)
+from circlelab.errors import HorizonError
+from circlelab.sequences import ArithSeq
 
 CLI = [sys.executable, "-m", "circlelab.cli"]
 
@@ -254,6 +256,46 @@ def test_member_cutoff_past_the_int_text_limit_exits_4():
     proc = run_cli(*argv, "--x", "floor-div:m={14284:3}", expect=4)
     assert "cutoff n_14284 has more than 4300 decimal digits" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, under, over, what", [
+    # the 169th value a_168 = 2^14196 has 4274 digits, a_169 = 2^14365 has 4325
+    (("seq", "--spec", "pow:2", "--kind", "a", "--count"), "169", "170",
+     "value 170 of --kind a"),
+    # b_1433 = 1000^1433 has 4300 digits, b_1434 has 4303
+    (("classify", "--check", "snd", "--spec", "pow:1000", "--horizon"),
+     "1433", "1434", "trace row 1433"),
+    (("classify", "--check", "wdli", "--spec", "pow:1000", "--horizon"),
+     "1433", "1434", "witness r_n"),
+    (("classify", "--check", "witness-set", "--spec", "pow:1000", "--jmax"),
+     "53", "54", "the bound of trace row 54"),
+    # fin:{m} lifts to [n_(m-1), n_m - 1]: n_14283 - 1 has 4300 digits
+    (("lift", "--spec", "pow:2", "--set"), "fin:{14283}", "fin:{14284}",
+     "a lifted interval end"),
+])
+def test_printed_values_past_the_int_text_limit_exit_4(capsys, argv, under, over,
+                                                       what):
+    # Python writes an int of at most 4300 decimal digits as text by default;
+    # a value past that ends in a HorizonError, terse or json, not a traceback
+    capture(capsys, *argv, under)
+    for fmt in ("terse", "json"):
+        out = capture(capsys, *argv, over, "--format", fmt, expect=4)
+        assert out.out == ""
+        assert f"error: {what} has more than 4300 decimal digits" in out.err
+
+
+def test_seq_stops_at_the_first_value_too_long_to_print(monkeypatch):
+    # under const:2, a_14285 = 2^14285 is the first term with more than 4300
+    # digits; the values are checked as they are computed, so a larger count
+    # computes no term past it
+    calls = []
+    term = ArithSeq.term
+    monkeypatch.setattr(ArithSeq, "term",
+                        lambda self, k: calls.append(k) or term(self, k))
+    with pytest.raises(HorizonError, match="value 14286 of --kind a"):
+        run_config({"subcommand": "seq",
+                    "params": {"spec": "const:2", "kind": "a", "count": 20000}})
+    assert max(calls) == 14285
 
 
 def test_scan_past_the_int_text_limit_reads_the_support_end():

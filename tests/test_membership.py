@@ -238,10 +238,13 @@ _SCAN_SPECS = ("const:2", "const:3", "linear:1", "pow:2", "pow:3", "const:17",
 
 @st.composite
 def scan_points(draw):
-    """A spec and a point on it: infinite, capped, exact or finite digits."""
+    """A spec and a point on it: infinite, capped, exact or finite digits,
+    divisor keys, or a sparse support (``sparse_supports``: finite sets,
+    which end, and shifted, lifted and stock sets with gaps both shorter and
+    longer than the base depth)."""
     seq = ArithSeq(RatioSpec.parse(draw(st.sampled_from(_SCAN_SPECS))))
     form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
-                                 "exact", "finite")))
+                                 "exact", "finite", "floor-div", "sparse")))
     if form == "rat":  # a capped prefix, which can end where windows slide
         q = draw(st.integers(2, 400))
         p = draw(st.integers(1, q - 1))
@@ -249,10 +252,19 @@ def scan_points(draw):
     if form == "exact":
         q = seq.term(draw(st.integers(1, 4)))
         return parse_point(f"exact:{draw(st.integers(0, q - 1))}/{q}", seq)
-    if form == "finite":
-        digits = [draw(st.integers(0, seq.ratio(n) - 1))
-                  for n in range(1, draw(st.integers(0, 6)) + 1)]
+    if form == "finite":  # often with inner zeros
+        digits = [draw(st.integers(0, seq.ratio(n) - 1) | st.just(0))
+                  for n in range(1, draw(st.integers(0, 12)) + 1)]
         return parse_point("finite:[" + ",".join(map(str, digits)) + "]", seq)
+    if form == "floor-div":
+        keys = draw(st.sets(st.integers(1, 40), max_size=5))
+        return parse_point("floor-div:m={" + ",".join(f"{n}:2" for n in keys) + "}",
+                           seq)
+    if form == "sparse":
+        x = parse_point("ones-on:" + draw(sparse_supports()), seq)
+        # an exact window spans the whole support: keep it short under pow:3
+        assume((x.rule.finite_support_max() or 0) <= 400)
+        return x
     try:
         return parse_point(form, seq)
     except PreconditionError:  # ones-on:all is non-canonical under const:2
@@ -346,6 +358,29 @@ def test_skipping_scan_matches_per_row_scan_on_sparse_supports(spec, support, q,
     horizons = data.draw(skipped_horizons(x, eps))
     scan = statistical_scan(x, eps, horizons, depth, cap)
     assert_matches_per_row(x, eps, scan, horizons, depth, cap)
+
+
+@pytest.mark.parametrize("spec,point", [
+    ("const:3", "ones-on:fin:{2,9,10,33}"),  # a support that ends
+    ("const:3", "finite:[1,0,2,0,0,1,0,2,0,0,0,1]"),  # inner zeros
+    ("linear:1", "ones-on:shift(squares,4)"),
+    ("const:2", "ones-on:shift(squares,1)"),
+    ("pow:2", "ones-on:lift(fin:{2,3})"),
+    ("const:3", "floor-div:m={2:3,5:2,6:3,40:2}"),
+    ("const:3", "rat:1/4"),  # capped, no support: every digit is read
+    ("const:3", "ones-on:evens"),  # gaps shorter than the base depth
+    ("const:3", "ones-on:squares"),  # gaps that outgrow it
+    ("dlictrex", "ones-on:squares"),
+    ("explicit:[2,3,2,2,5,2,3];tail=const:3", "ones-on:blocks:cube-gap"),
+])
+@pytest.mark.parametrize("depth", [0, 3, 8])
+def test_sliding_scan_matches_per_row_scan_on_every_rule_form(spec, point, depth):
+    # a held window adds one digit per block and skips the reads of the
+    # zeros its rule promises; the counts and kept rows stay the per-row ones
+    x = parse_point(point, ArithSeq(RatioSpec.parse(spec)), 30)
+    eps, horizons = Fraction(1, 9), [40, 700, 1500]
+    scan = statistical_scan(x, eps, horizons, depth)
+    assert_matches_per_row(x, eps, scan, horizons, depth)
 
 
 def test_tail_bound_decides_rows_the_default_cap_leaves_open():
@@ -494,8 +529,8 @@ def test_scan_slides_its_digit_window(monkeypatch):
 
 def test_scan_counts_a_run_in_one_pass(monkeypatch):
     # 10^4 two-row blocks in one count_rows call: no index is decomposed,
-    # and each block reads b_{k+1} and one new digit with its ratio; edge
-    # rows find the slid window in place and read no digit again
+    # and each block reads b_{k+1} and at most one new digit with its ratio;
+    # edge rows find the slid window in place and read no digit again
     seq = ArithSeq(RatioSpec.constant(3))
     x = parse_point("ones-on:squares", seq)
     calls = {"decompose": 0, "ratio": 0, "digit": 0}
@@ -534,9 +569,12 @@ def test_scan_counts_a_run_in_one_pass(monkeypatch):
 def test_scan_restarts_read_only_supported_digits(monkeypatch):
     # the scan-manyblocks benchmark config: after each skipped gap the window
     # restarts from the support's members and ratio products, so a restart
-    # reads no zero digit; every other read is the one new digit of a slid
-    # block, and no digit is read twice. Restarts that read every digit made
-    # 9,727 reads here.
+    # reads no zero digit. A slid block reads its one new digit only where
+    # the rule may put a nonzero one: after a zero read, the slide asks the
+    # rule for the next square and reads nothing before it. So the slides
+    # read at most one zero per restart, and no digit is read twice.
+    # Restarts that read every digit made 9,727 reads here, and slides that
+    # read every new digit 472 slid reads.
     seq = ArithSeq(RatioSpec.constant(3))
     x = parse_point("ones-on:squares", seq)
     reads, restart = [], []
@@ -560,7 +598,11 @@ def test_scan_restarts_read_only_supported_digits(monkeypatch):
     slid = [n for n, fresh in reads if not fresh]
     assert all(math.isqrt(n) ** 2 == n for n in restarts)
     assert len({n for n, _ in reads}) == len(reads)
-    assert (len(slid), len(restarts)) == (472, 152)
+    assert (len(slid), len(restarts)) == (157, 152)
+    zeros = [n for n in slid if math.isqrt(n) ** 2 != n]
+    assert all(math.isqrt(z2 - 1) > math.isqrt(z1) for z1, z2 in zip(zeros, zeros[1:]))
+    assert (len(slid) - len(zeros), len(zeros)) == (6, 151)
+    assert len(zeros) <= len(restarts)
 
 
 def test_exact_scan_slides_its_window(monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from circlelab.circle import parse_point
 from circlelab.cli import OPS, SUBCOMMANDS, main, run_config
 from circlelab.density import parse_set_expr
-from circlelab.errors import CircleLabError, SpecParseError
-from circlelab.parse import enclosed, fraction, integer, integers
+from circlelab.errors import CircleLabError, HorizonError, SpecParseError
+from circlelab.parse import enclosed, fraction, integer, integers, printable
 from circlelab.sequences import ArithSeq, RatioSpec
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
@@ -45,6 +46,26 @@ def test_integer_lists():
     for bad in ("1000,", ",1", "1,,2", "1;2", "1,٣"):
         with pytest.raises(SpecParseError, match="h must be comma-separated"):
             integers(bad, "h")
+
+
+@pytest.mark.parametrize("limit", [4300, 0, None])
+def test_printable_numbers(monkeypatch, limit):
+    # 10^4300 - 1 has 4300 decimal digits, 10^4300 one more; a limit of 0,
+    # or a Python without the limit, lets every number through
+    if limit is None:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    else:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    top = 10 ** 4300
+    for fine in (0, -5, top - 1, 1 - top, Fraction(top - 1, 3), Fraction(1, top - 1)):
+        assert printable(fine, "v") == fine
+    for long in (top, -top, Fraction(top, 7), Fraction(-7, top)):
+        if limit:
+            with pytest.raises(HorizonError,
+                               match="v has more than 4300 decimal digits"):
+                printable(long, "v")
+        else:
+            assert printable(long, "v") == long
 
 
 def test_enclosed():
