@@ -273,11 +273,9 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     the rest below den), digits past target are cut off by dividing num and
     den by b_{target+1} ... b_end, and only the digits past end are added.
     Floor divisions nest, so one product gives the integers of dividing by
-    one ratio at a time; a single digit divides by its ratio read, cheaper
-    than a product under ``linear`` and memo specs. Otherwise the window is
-    built from scratch. A digit j is added as num * b_j + c_j over den *
-    b_j, read through ``CirclePoint.digit`` when ``DigitRule.next_nonzero(j)``
-    is j. Otherwise the digits j .. m - 1 are 0, with m the next index that
+    one ratio at a time. Otherwise the window is built from scratch. A digit
+    j is added as num * b_j + c_j over den * b_j, read through
+    ``CirclePoint.digit`` when ``DigitRule.next_nonzero(j)`` is j. Otherwise the digits j .. m - 1 are 0, with m the next index that
     may be nonzero (target + 1 when that lies past target or there is none),
     and enter at once through their ratio product b_j ... b_{m-1}. The sum
     is the same integer either way.
@@ -286,12 +284,12 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     ratio = seq.ratio
     if start <= n <= end:
         if n > start:
-            den //= ratio(start) if n == start + 1 else seq.ratio_product(start, n - 1)
+            den //= seq.ratio_product(start, n - 1)
         num %= den
     else:
         num, den, end = 0, 1, n - 1
     if end > target:
-        P = ratio(end) if end == target + 1 else seq.ratio_product(target + 1, end)
+        P = seq.ratio_product(target + 1, end)
         num //= P
         den //= P
         end = target
