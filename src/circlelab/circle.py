@@ -63,9 +63,9 @@ class DigitRule:
     whose digit may be nonzero, or None when the rule declares none (a
     capped rational expansion); its ``is_finite`` and ``is_cofinite`` are
     exact, and the membership and witness code rely on them.
-    ``FiniteDigits`` declares its whole prefix up to the last index that may
-    be nonzero, so every window reads, and so validates, each of those
-    digits. ``FloorDivDigits`` declares its keys: every other digit is 0.
+    ``FiniteDigits`` declares its nonzero digits, which ``CirclePoint``
+    checks when it is built, and ``FloorDivDigits`` its keys: every other
+    digit is 0.
     """
 
     known_upto: int | None = None
@@ -99,10 +99,7 @@ class FiniteDigits(DigitRule):
         self.digits = tuple(digits)
         if any(c < 0 for c in self.digits):
             raise PreconditionError("digits must be non-negative")
-        m = len(self.digits)
-        while m > 0 and self.digits[m - 1] == 0:
-            m -= 1
-        self.support = IntervalNatSet([(1, m)])  # empty when m = 0
+        self.support = IntervalNatSet((n, n) for n, c in enumerate(self.digits, 1) if c)
 
     def digit(self, n, seq):
         if n <= len(self.digits):
@@ -196,12 +193,18 @@ class CirclePoint:
     """A digit expansion bound to its arithmetic sequence.
 
     Construction rejects rules that are detectably non-canonical (a digit
-    tail that is eventually always b_n - 1 collapses the point onto 0).
+    tail that is eventually always b_n - 1 collapses the point onto 0), and
+    checks each typed ``FiniteDigits`` digit against its b_n, so a window
+    that spans a zero run by its ratio product reads no digit to check.
     """
 
     def __init__(self, seq: ArithSeq, rule: DigitRule):
         self.seq = seq
         self.rule = rule
+        if isinstance(rule, FiniteDigits):
+            for n, c in enumerate(rule.digits, 1):
+                if c > 1:  # 0 and 1 are digits under every b_n >= 2
+                    self.digit(n)
         if (isinstance(rule, IndicatorDigits)
                 and rule.support.is_cofinite
                 and seq.spec.eventually_two()):
@@ -552,8 +555,8 @@ class EnclosureCache:
         window, and its rows and all later ones are undecided.
 
         For a point whose rule declares its support and 0 < ln/ld < 1/2
-        (an indicator or floor-div point has gaps: a ``FiniteDigits`` rule
-        declares its whole prefix), the blocks that ``_out_to`` puts below
+        (an indicator, floor-div or finite point, whose support holds only
+        the digits that may be nonzero), the blocks that ``_out_to`` puts below
         ln/ld by the tail bound are counted out whole, by a difference of
         block boundaries, up to N itself; the window restarts after them
         through ``_window_at``, which reads only the supported digits and
@@ -574,11 +577,70 @@ class EnclosureCache:
         it. ``_window_at`` serves the first block, every block of an exact
         point, and a block the base window cannot slide to (the known prefix
         ends, or blocks were skipped).
+
+        Under ``const:b`` block k's windows read the digits k+1 .. k+1+cap,
+        and ``_out_to`` counts block J - d out for all d >= D, the least
+        d >= 3 with (b - 1) * ld <= ln * b^(d-1). So the blocks J' .. J - 1
+        of a support member J that lies at least g = max(D, cap + 1) past
+        the member J' before it, with the next member at least g past J,
+        hold the same in and undecided rows for every such J. When the
+        support names where such gaps start (``spread_from``), the kernel
+        walks through one of them past k; the later ones that end before
+        N's block K add its counts times their number (``count_upto``), and
+        the walk resumes at the last member <= K. It multiplies only when
+        the gap held no undecided row or ``undecided`` holds ``keep`` rows;
+        otherwise it walks the next gap and tries again.
         """
-        if i > N:
-            return k, r, 0, 0
         if undecided is None:
             undecided = []
+        b, support = self.x.seq.spec.constant_ratio, self.x.rule.support
+        ln, ld = band[0], band[1]
+        first = None
+        if b is not None and self._skips and 0 < 2 * ln < ld:
+            d, P = 3, b * b  # P = b^(d-1)
+            while (b - 1) * ld > ln * P:
+                d, P = d + 1, P * b
+            first = support.spread_from(max(d, self.cap + 1))
+        if first is None or i > N:
+            return self._walk(k, r, i, N, band, undecided, keep)
+        derived = self.x.seq.derived
+        K = (N - 1) // (b - 1)  # N's block
+        n_in = n_und = 0
+        J = support.next_member(max(first, k + 1))
+        if J <= K:  # walk up to block J
+            end = derived.boundary(J) - 1
+            k, r, n_in, n_und = self._walk(k, r, i, end, band, undecided, keep)
+            i = end + 1
+        while (nxt := support.next_member(J + 1)) <= K:
+            end = derived.boundary(nxt) - 1  # the blocks J .. nxt - 1
+            k, r, gap_in, gap_und = self._walk(k, r, i, end, band, undecided, keep)
+            n_in, n_und, i, J = n_in + gap_in, n_und + gap_und, end + 1, nxt
+            if gap_und == 0 or len(undecided) >= keep:
+                count = support.count_upto
+                top = count(K)
+                gaps = top - count(J)
+                if gaps:
+                    # the last member <= K: the least n with count(n) = top
+                    lo, hi = J + 1, K
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        if count(mid) < top:
+                            lo = mid + 1
+                        else:
+                            hi = mid
+                    n_in += gaps * gap_in
+                    n_und += gaps * gap_und
+                    k, r, i = lo, 1, derived.boundary(lo)
+                break
+        k, r, gap_in, gap_und = self._walk(k, r, i, N, band, undecided, keep)
+        return k, r, n_in + gap_in, n_und + gap_und
+
+    def _walk(self, k: int, r: int, i: int, N: int,
+              band: tuple[int, int, int, int], undecided: list[int],
+              keep: int) -> tuple[int, int, int, int]:
+        """``count_rows`` block by block: the kernel every count runs."""
+        if i > N:
+            return k, r, 0, 0
         ratio, digit = self.x.seq.ratio, self.x.digit
         derived = self.x.seq.derived
         known = self.x.rule.known_upto
@@ -780,9 +842,9 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
     Forms: ``rat:P/Q`` (greedy expansion, ``horizon`` caps the prefix),
     ``exact:P/Q`` (like rat: but the expansion must terminate within the
     horizon), ``finite:[c1,c2,...]``, ``ones-on:<set-expr>``, and
-    ``floor-div:m={n1:m1,n2:m2,...}``. Each typed ``finite:`` digit and
-    ``floor-div:`` divisor is read once here, so one outside its range
-    under ``seq`` fails at the parser.
+    ``floor-div:m={n1:m1,n2:m2,...}``. A typed ``finite:`` digit or
+    ``floor-div:`` divisor outside its range under ``seq`` fails here: the
+    point checks its digits when built, and each divisor is read once.
     """
     text = text.strip()
     if text.startswith("rat:") or text.startswith("exact:"):
@@ -798,10 +860,7 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
         return x
     if text.startswith("finite:"):
         digits = integers(enclosed(text[7:], "[]", "finite digits"), "finite digits")
-        x = CirclePoint(seq, FiniteDigits(digits))
-        for n in range(1, len(digits) + 1):  # check each typed digit against b_n
-            x.digit(n)
-        return x
+        return CirclePoint(seq, FiniteDigits(digits))
     if text.startswith("ones-on:"):
         support = parse_set_expr(text[8:], seq)
         return CirclePoint(seq, IndicatorDigits(support))

@@ -63,6 +63,12 @@ class NatSet:
         """
         return next(j for j in count(n) if j in self)
 
+    def spread_from(self, g: int) -> int | None:
+        """The least member that lies at least g past the member before it
+        (or 0), as every later member does; None when the set cannot say.
+        A set that answers also answers ``count_upto``."""
+        return None
+
     def iter_upto(self, N: int) -> Iterator[int]:
         for n in range(1, N + 1):
             if n in self:
@@ -440,9 +446,23 @@ def evens() -> PredicateNatSet:
                            after=lambda n: n + n % 2)
 
 
+class _Squares(PredicateNatSet):
+    """The squares, counted by ``math.isqrt``; the gap before m^2 is 2m - 1."""
+
+    def __init__(self):
+        super().__init__(lambda n: math.isqrt(n) ** 2 == n, False, name="squares",
+                         after=lambda n: (math.isqrt(n - 1) + 1) ** 2)
+
+    def count_upto(self, n):
+        return math.isqrt(n)
+
+    def spread_from(self, g):
+        m = (g + 2) // 2  # the least m with 2m - 1 >= g
+        return m * m
+
+
 def squares() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: math.isqrt(n) ** 2 == n, False, name="squares",
-                           after=lambda n: (math.isqrt(n - 1) + 1) ** 2)
+    return _Squares()
 
 
 def full_set() -> PredicateNatSet:

@@ -130,10 +130,12 @@ def statistical_scan(x: CirclePoint, eps: Fraction,
 
     One pass over derived indices: each horizon resumes where the last one
     stopped with one ``EnclosureCache.count_rows`` call, which walks the
-    blocks and refines only the rows near a band edge, up to the cap (the
-    cache's default unless given). For a point whose finite support ends at
-    digit m, every row from n_m on (block m and later) is exactly 0, so out,
-    and is counted without a call; n_0 = 1 covers an empty support. Rows
+    blocks (under ``const:b`` it counts the wide gaps of a ``squares``
+    support by multiplication) and refines only the rows near a band edge,
+    up to the cap (the cache's default unless given). For a point whose
+    finite support ends at digit m, every row from n_m on (block m and
+    later) is exactly 0, so out, and is counted without a call; n_0 = 1
+    covers an empty support. Rows
     neither in nor undecided are out. Counts are monotone under refinement,
     so bounds at successive horizons come from the same pass. Of the
     undecided rows, only the first ``SHOWN_UNDECIDED``, which the report

@@ -119,7 +119,10 @@ class RatioSpec:
 
     Construct through the classmethods (constant, linear, power, explicit,
     blocks) or by parsing a spec string such as ``linear:1`` or ``pow:2``.
+    ``constant_ratio`` is b for a ``const:b`` spec and None for every other.
     """
+
+    constant_ratio: int | None = None
 
     def __init__(self, text: str, rule, eventually_two: bool, forms=None):
         """The spec string ``describe`` returns, the rule n -> b_n, whether
@@ -138,7 +141,9 @@ class RatioSpec:
     def constant(cls, value: int) -> "RatioSpec":
         if value < 2:
             raise PreconditionError("constant ratio must be >= 2")
-        return cls(f"const:{value}", lambda n: value, value == 2, _const_forms(value))
+        spec = cls(f"const:{value}", lambda n: value, value == 2, _const_forms(value))
+        spec.constant_ratio = value
+        return spec
 
     @classmethod
     def linear(cls, offset: int) -> "RatioSpec":

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import circlelab
 from circlelab.circle import CirclePoint, DigitRule, IndicatorDigits
-from circlelab.density import IntervalNatSet
+from circlelab.density import IntervalNatSet, NatSet
 from circlelab.errors import PreconditionError
 
 # the source tree of the package under test, for the CLI subprocesses
@@ -102,6 +102,21 @@ class FuncDigits(DigitRule):
 
     def describe(self):
         return "func"
+
+
+class WalkedSet(NatSet):
+    """A set that forwards only membership and ``next_member`` to another,
+    so a scan over it walks every gap the other's count would multiply."""
+
+    def __init__(self, inner: NatSet):
+        self._inner = inner
+        self.is_finite, self.is_cofinite = inner.is_finite, inner.is_cofinite
+
+    def __contains__(self, n):
+        return n in self._inner
+
+    def next_member(self, n):
+        return self._inner.next_member(n)
 
 
 def elem_set(elems) -> IntervalNatSet:

@@ -198,7 +198,12 @@ def test_expansion_domain():
 
 
 def test_digit_validation_on_access():
-    x = CirclePoint(CONST2, FiniteDigits([3]))
+    # a typed digit is checked when the point is built, and a rule swapped
+    # in afterwards is still checked on access
+    with pytest.raises(PreconditionError, match="c_1 = 3"):
+        CirclePoint(CONST2, FiniteDigits([3]))
+    x = CirclePoint(CONST2, FiniteDigits([1]))
+    x.rule = FiniteDigits([3])
     with pytest.raises(PreconditionError):
         x.digit(1)
     with pytest.raises(PreconditionError):

@@ -13,6 +13,7 @@ from circlelab.circle import (
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
+    IndicatorDigits,
     _floor_sum,
     _hits,
     _least_hit,
@@ -20,9 +21,10 @@ from circlelab.circle import (
     parse_point,
 )
 from circlelab.classify import weakly_dli_witness_set
-from circlelab.density import DensityEstimate
+from circlelab.density import DensityEstimate, squares
 from circlelab.errors import HorizonError, PreconditionError
 from circlelab.membership import (
+    SHOWN_UNDECIDED,
     ScanResult,
     convergence_verdict,
     finite_support_member,
@@ -31,6 +33,7 @@ from circlelab.membership import (
 from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec
 from circlelab.witness import continuum_family_point
 from conftest import (
+    WalkedSet,
     as_fraction,
     certified_below,
     sparse_supports,
@@ -97,13 +100,11 @@ def test_member_cutoff_respects_the_int_text_limit(monkeypatch, limit):
 # ----- scans ------------------------------------------------------------------
 
 def test_exact_scan_reads_every_digit_of_its_prefix():
-    # a finite rule declares its whole prefix 1..20 as its support, so the
-    # tail bound finds no zero run to skip and the exact value reads c_20,
-    # which is out of range; declaring {20} alone would skip blocks 0..16
-    # and never read it
-    x = CirclePoint(ArithSeq(RatioSpec.constant(2)), FiniteDigits([0] * 19 + [5]))
+    # a finite rule declares only its nonzero digit {20}, so a scan skips
+    # blocks 0..16 and spans the zeros by one ratio product; the point
+    # checks c_20, which is out of range, when it is built
     with pytest.raises(PreconditionError, match="c_20"):
-        statistical_scan(x, Fraction(1, 8), [3])
+        CirclePoint(ArithSeq(RatioSpec.constant(2)), FiniteDigits([0] * 19 + [5]))
 
 
 def test_scan_sixth_at_hundred():
@@ -411,6 +412,123 @@ def test_sparse_scan_reaches_ten_to_the_ten():
     assert memos[0] == memos[1] and memos[1][0] < 100 and memos[1][1] == 1
 
 
+# ----- counted gaps under const:b against the walk -------------------------------
+
+def count_scan(support, b, q, depth, cap, horizons, keep=SHOWN_UNDECIDED):
+    """``count_rows`` over ones-on:<support> under const:b and eps = 1/q,
+    one call per horizon from row 1 as ``statistical_scan`` makes them.
+    Returns ([(N, in, undecided)], the kept undecided rows, the rows the
+    kernel walked)."""
+    x = CirclePoint(ArithSeq(RatioSpec.constant(b)), IndicatorDigits(support))
+    cache = EnclosureCache(x, depth, cap)
+    walked, walk = [0], cache._walk
+
+    def counted_walk(k, r, i, N, *rest):
+        walked[0] += max(N - i + 1, 0)
+        return walk(k, r, i, N, *rest)
+
+    cache._walk = counted_walk
+    band = int_band(Fraction(1, q), 1 - Fraction(1, q))
+    rows, kept = [], []
+    k, r, i, n_in, n_und = 0, 1, 1, 0, 0
+    for N in sorted(set(horizons)):
+        k, r, a, u = cache.count_rows(k, r, i, N, band, kept, keep)
+        n_in, n_und, i = n_in + a, n_und + u, N + 1
+        rows.append((N, n_in, n_und))
+    return rows, kept, walked[0]
+
+
+@st.composite
+def gap_horizons(draw, b):
+    """Horizons up to 10^6 under const:b: anywhere, or on a row of one of
+    the blocks just before a square, which split that square's gap."""
+    near = st.builds(lambda m, t, e: 1 + max(m * m - t, 0) * (b - 1) + e,
+                     st.integers(2, 500), st.integers(0, 8), st.integers(0, b - 2))
+    return draw(st.lists(st.integers(1, 10 ** 6) | near, min_size=1, max_size=4))
+
+
+@given(b=st.integers(2, 5), q=st.integers(3, 40), depth=st.integers(0, 8),
+       cap=st.integers(0, 4) | st.integers(5, 70), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_counted_gaps_match_the_walk(b, q, depth, cap, data):
+    # the same point over a set that names no spread-out member is walked
+    # gap by gap; counts and kept rows agree at every horizon
+    horizons = data.draw(gap_horizons(b))
+    counted = count_scan(squares(), b, q, depth, cap, horizons)
+    walked = count_scan(WalkedSet(squares()), b, q, depth, cap, horizons)
+    assert counted[:2] == walked[:2]
+    assert walked[2] == max(horizons)
+
+
+def test_counted_gaps_multiply_only_once_the_kept_list_is_full():
+    # const:2, eps 1/3: at cap 0 each gap holds an undecided row, 107 by
+    # N = 3000, so the count multiplies once 100 are kept; at cap 2 there
+    # are 53, so the list stays open and every gap is walked
+    for cap, want, walks_all in ((0, [(3000, 0, 107)], False),
+                                 (2, [(3000, 54, 53)], True)):
+        counted = count_scan(squares(), 2, 3, 0, cap, [3000])
+        walked = count_scan(WalkedSet(squares()), 2, 3, 0, cap, [3000])
+        assert counted[:2] == walked[:2] and counted[0] == want
+        assert (counted[2] == 3000) == walks_all
+
+
+def fraction_verdict(x, k, r, eps, depth, cap):
+    """Row r of block k judged on Fractions: windows from scratch at the
+    depths ``judge`` tries (the base depth, doubling up to the cap), and at
+    the cap an open row is out when the tail bound puts its block below eps."""
+    t = min(depth, cap)
+    while True:
+        num, den = window_from_scratch(x, k + 1, t)
+        lo = r * Fraction(num, den) % 1
+        hi = lo + Fraction(r, den)
+        if hi <= 1:
+            if eps <= lo and hi <= 1 - eps:
+                return "in"
+            if hi < eps or lo > 1 - eps:
+                return "out"
+        if t >= cap:
+            return "out" if tail_bound_out(x, k, eps) else "undecided"
+        t = min(max(2 * t, 1), cap)
+
+
+@given(b=st.integers(2, 5), q=st.integers(3, 40), depth=st.integers(0, 4),
+       cap=st.integers(0, 4), N=st.integers(200, 3000),
+       keep=st.sampled_from((0, SHOWN_UNDECIDED)))
+@settings(max_examples=20, deadline=None)
+def test_counted_gaps_match_a_fraction_oracle(b, q, depth, cap, N, keep):
+    eps = Fraction(1, q)
+    x = CirclePoint(ArithSeq(RatioSpec.constant(b)), IndicatorDigits(squares()))
+    verdicts = [fraction_verdict(x, (i - 1) // (b - 1), (i - 1) % (b - 1) + 1,
+                                 eps, depth, cap) for i in range(1, N + 1)]
+    rows, kept, walked = count_scan(squares(), b, q, depth, cap, [N], keep)
+    assert rows == [(N, verdicts.count("in"), verdicts.count("undecided"))]
+    assert kept == [i for i, v in enumerate(verdicts, 1) if v == "undecided"][:keep]
+    if not keep:  # nothing to keep, so the count multiplies inside [1, N]
+        assert walked < N
+
+
+@pytest.mark.parametrize("b,q,depth,c,d", [
+    (3, 8, 64, 3, -1), (3, 8, 8, 3, -1), (5, 10, 8, 6, -2), (2, 8, 8, 3, -2)])
+def test_counted_gaps_give_the_closed_form(b, q, depth, c, d, monkeypatch):
+    # in(N) = c * S(K) + d with K the block of N and S(K) = isqrt(K + 1) the
+    # squares <= K + 1; the walk agrees up to 10^8, and 10^100 is reached by
+    # walking a few gaps and multiplying the rest
+    def closed(N):
+        return c * math.isqrt((N - 1) // (b - 1) + 1) + d
+
+    small = [10 ** 4, 10 ** 6, 10 ** 8]
+    walked = count_scan(WalkedSet(squares()), b, q, depth, None, small)
+    reads, digit = [], CirclePoint.digit
+    monkeypatch.setattr(CirclePoint, "digit", lambda self, n: (
+        reads.append(n) or digit(self, n)))
+    counted = count_scan(squares(), b, q, depth, None, small + [10 ** 100])
+    assert counted[0][:3] == walked[0]
+    assert all(n_in == closed(N) and not n_und for N, n_in, n_und in counted[0])
+    assert len(reads) < 200  # a walk to 10^8 alone reads one square per gap
+    if (b, q, depth) == (3, 8, 64):
+        assert counted[0][-1][1] == 212132034355964257320253308631454711785450781306540
+
+
 def test_exact_scan_skips_blocks_before_a_far_support():
     # lift(fin:{10}) under pow:2 puts the support on digits 1014 .. 2036, far
     # past every block below derived index 5000: the count builds no exact
@@ -575,10 +693,11 @@ def test_scan_restarts_read_only_supported_digits(monkeypatch):
     # the rule may put a nonzero one: after a zero read, the slide asks the
     # rule for the next square and reads nothing before it. So the slides
     # read at most one zero per restart, and no digit is read twice.
-    # Restarts that read every digit made 9,727 reads here, and slides that
-    # read every new digit 472 slid reads.
+    # Walking every gap, restarts that read every digit made 9,727 reads
+    # here, and slides that read every new digit 472 slid reads. Counting
+    # the gaps from the square 33^2 on (g = 65 at cap 64) walks the gaps up
+    # to 33^2 and, per horizon, one gap it measures and the gaps around N.
     seq = ArithSeq(RatioSpec.constant(3))
-    x = parse_point("ones-on:squares", seq)
     reads, restart = [], []
     digit, slide = CirclePoint.digit, circle._slide
     monkeypatch.setattr(CirclePoint, "digit", lambda self, n: (
@@ -594,17 +713,20 @@ def test_scan_restarts_read_only_supported_digits(monkeypatch):
 
     monkeypatch.setattr(circle, "_slide", counted_slide)
     horizons = [10 ** 4, 5 * 10 ** 4]
-    scan = statistical_scan(x, Fraction(1, 8), horizons, 64)
-    assert counts(scan) == [(10 ** 4, 209, 9791, 0), (5 * 10 ** 4, 473, 49527, 0)]
-    restarts = [n for n, fresh in reads if fresh]
-    slid = [n for n, fresh in reads if not fresh]
-    assert all(math.isqrt(n) ** 2 == n for n in restarts)
-    assert len({n for n, _ in reads}) == len(reads)
-    assert (len(slid), len(restarts)) == (157, 152)
-    zeros = [n for n in slid if math.isqrt(n) ** 2 != n]
-    assert all(math.isqrt(z2 - 1) > math.isqrt(z1) for z1, z2 in zip(zeros, zeros[1:]))
-    assert (len(slid) - len(zeros), len(zeros)) == (6, 151)
-    assert len(zeros) <= len(restarts)
+    for support, pins in ((WalkedSet(squares()), ((157, 152), (6, 151))),
+                          (squares(), ((35, 30), (6, 29)))):
+        reads.clear()
+        x = CirclePoint(seq, IndicatorDigits(support))
+        scan = statistical_scan(x, Fraction(1, 8), horizons, 64)
+        assert counts(scan) == [(10 ** 4, 209, 9791, 0), (5 * 10 ** 4, 473, 49527, 0)]
+        restarts = [n for n, fresh in reads if fresh]
+        slid = [n for n, fresh in reads if not fresh]
+        assert all(math.isqrt(n) ** 2 == n for n in restarts)
+        assert len({n for n, _ in reads}) == len(reads)
+        zeros = [n for n in slid if math.isqrt(n) ** 2 != n]
+        assert all(math.isqrt(z2 - 1) > math.isqrt(z1) for z1, z2 in zip(zeros, zeros[1:]))
+        assert ((len(slid), len(restarts)), (len(slid) - len(zeros), len(zeros))) == pins
+        assert len(zeros) <= len(restarts)
 
 
 def test_exact_scan_slides_its_window(monkeypatch):

@@ -147,9 +147,11 @@ def test_bad_intervals_validation():
     y = CirclePoint(POW2, FiniteDigits([0, 1]))
     with pytest.raises(PreconditionError, match="branch index 1 has zero digit"):
         bad_interval_family(y, elem_set([1]), "small", 10, 13, 100)
-    # so is c_k >= b_k on the large branch; a checked read never gives one,
-    # so this point reads c_2 = 4 = b_2 unchecked
-    z = CirclePoint(POW2, FiniteDigits([0, 4]))
+    # so is c_k >= b_k on the large branch; a built point never holds one,
+    # so this point swaps its rule in afterwards and reads c_2 = 4 = b_2
+    # unchecked
+    z = CirclePoint(POW2, FiniteDigits([0, 1]))
+    z.rule = FiniteDigits([0, 4])
     z.digit = lambda n: z.rule.digit(n, z.seq)
     with pytest.raises(PreconditionError, match="branch index 2 has a maximal digit"):
         bad_interval_family(z, elem_set([2]), "large", 10, 13, 100)
