@@ -41,8 +41,9 @@ __all__ = [
 # the refinement depth cap of an undecided multiplication
 DEPTH_CAP = 64
 
-# the largest expansion horizon of a rational point; under pow:2 its ratio
-# memo then holds about 1 MB
+# the largest horizon within which a rational point's expansion may
+# terminate into finite: digits; under pow:2 its ratio memo then holds about
+# 1 MB
 EXPAND_CAP = 4096
 
 # a segment of at most this many rows is sorted row by row (``_sort_few``); on
@@ -55,20 +56,17 @@ _FEW_ROWS = 16
 
 
 class DigitRule:
-    """Rule n -> c_n. Subclasses declare how much of the expansion is known
-    and where its nonzero digits may lie.
+    """Rule n -> c_n, defined for every n >= 1. Subclasses declare where
+    its nonzero digits may lie.
 
-    ``known_upto`` is None when every index is computable, otherwise the last
-    index with a defined digit. ``support`` is a set holding every index
-    whose digit may be nonzero, or None when the rule declares none (a
-    capped rational expansion); its ``is_finite`` and ``is_cofinite`` are
-    exact, and the membership and witness code rely on them.
-    ``FiniteDigits`` declares its nonzero digits, which ``CirclePoint``
-    checks when it is built, and ``FloorDivDigits`` its keys: every other
-    digit is 0.
+    ``support`` is a set holding every index whose digit may be nonzero, or
+    None when the rule declares none (a non-terminating rational
+    expansion); its ``is_finite`` and ``is_cofinite`` are exact, and the
+    membership and witness code rely on them. ``FiniteDigits`` declares its
+    nonzero digits, which ``CirclePoint`` checks when it is built, and
+    ``FloorDivDigits`` its keys: every other digit is 0.
     """
 
-    known_upto: int | None = None
     support: NatSet | None = None
 
     def digit(self, n: int, seq: ArithSeq) -> int:
@@ -111,37 +109,34 @@ class FiniteDigits(DigitRule):
 
 
 class RationalDigits(DigitRule):
-    """Greedy expansion of a rational that does not terminate within its horizon.
+    """Greedy expansion of a rational p/q in lowest terms that does not
+    terminate within its expansion horizon.
 
-    Digits are computed as reads ask for them, from the remainder s_n = b_n
-    s_{n-1} mod q, and kept in ``digits``. Digits beyond the horizon are
-    unknown: every window that needs them fails loudly instead of
-    extrapolating, and the support is undeclared.
+    The value is exact: {a_n x} = s_n / q with s_n = p * a_n mod q, and
+    c_n = floor(b_n * s_{n-1} / q) for every n. Only the latest (n, s_n) is
+    kept. A read moves it forward by one ratio product mod q, and a read
+    behind it restarts from s_0 = p.
     """
 
-    def __init__(self, value: Fraction, horizon: int):
-        self.value = value
-        self.known_upto = horizon
-        self.digits: list[int] = []
-        self._rem = value.numerator  # s_n for n = len(digits)
+    def __init__(self, value: Fraction):
+        self.p, self.q = value.numerator, value.denominator
+        self._n, self._s = 0, self.p
+
+    def remainder(self, n: int, seq: ArithSeq) -> int:
+        """s_n = p * a_n mod q, so {a_n x} = s_n / q."""
+        m, s = self._n, self._s
+        if n < m:
+            m, s = 0, self.p
+        if n > m:
+            s = s * seq.ratio_product(m + 1, n, self.q) % self.q
+        self._n, self._s = n, s
+        return s
 
     def digit(self, n, seq):
-        if n > self.known_upto:
-            raise HorizonError(
-                f"digit c_{n} is beyond the declared prefix (known up to "
-                f"{self.known_upto}); re-expand with a larger horizon"
-            )
-        digits = self.digits
-        if n > len(digits):
-            rem, q, ratio = self._rem, self.value.denominator, seq.ratio
-            for j in range(len(digits) + 1, n + 1):
-                c, rem = divmod(rem * ratio(j), q)
-                digits.append(c)
-            self._rem = rem
-        return digits[n - 1]
+        return seq.ratio(n) * self.remainder(n - 1, seq) // self.q
 
     def describe(self):
-        return f"rat:{self.value.numerator}/{self.value.denominator}@{self.known_upto}"
+        return f"rat:{self.p}/{self.q}"
 
 
 class IndicatorDigits(DigitRule):
@@ -239,9 +234,9 @@ def digits_from_rational(value: Fraction, seq: ArithSeq, horizon: int = 256) -> 
     s_0 = p, c_n = floor(b_n s_{n-1} / q) and s_n = b_n s_{n-1} mod q. So the
     expansion terminates within the horizon exactly when q | a_horizon,
     which is tested first by a ratio product mod q; it is then expanded at
-    once into exact ``FiniteDigits``. Otherwise ``RationalDigits`` computes
-    the digits as they are read, and those past the horizon stay unknown.
-    A horizon above ``EXPAND_CAP`` is refused before any ratio is read.
+    once into exact ``FiniteDigits``. Otherwise ``RationalDigits`` reads
+    every digit and {a_n x} from s_n, with no horizon. A horizon above
+    ``EXPAND_CAP`` is refused before any ratio is read.
     """
     value = Fraction(value)
     if not 0 <= value < 1:
@@ -253,7 +248,7 @@ def digits_from_rational(value: Fraction, seq: ArithSeq, horizon: int = 256) -> 
             f"expansion horizon {horizon} exceeds the budget of {EXPAND_CAP} digits"
         )
     if seq.ratio_product(1, horizon, value.denominator):
-        return CirclePoint(seq, RationalDigits(value, horizon))
+        return CirclePoint(seq, RationalDigits(value))
     digits: list[int] = []
     rem, q = value.numerator, value.denominator
     while rem:
@@ -326,6 +321,10 @@ class EnclosureCache:
     The point-level readers ``frac_bound``, ``frac_exact`` and
     ``tail_upper_bound`` read the same windows as unreduced integers, so
     their answers do not depend on the requests before them either.
+
+    A point is exact when its support is finite or its rule is a
+    ``RationalDigits``: its {a_k x} is then known exactly, and each row is
+    judged on that value instead of a window.
     """
 
     def __init__(self, x: CirclePoint, depth: int = 8, cap: int | None = None):
@@ -339,6 +338,9 @@ class EnclosureCache:
         self.depth = depth
         self.cap = cap
         self._fs_max = x.rule.finite_support_max()
+        # the rule that gives {a_k x} = s_k / q, or None
+        self._rat = x.rule if isinstance(x.rule, RationalDigits) else None
+        self.exact_mode = self._fs_max is not None or self._rat is not None
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
@@ -349,13 +351,12 @@ class EnclosureCache:
         # blocks are skipped only for a rule that declares its support
         self._skips = x.rule.support is not None
 
-    @property
-    def exact_mode(self) -> bool:
-        return self._fs_max is not None
-
     def _exact_value(self, k: int) -> tuple[int, int]:
-        """Unreduced (num, den) of the exact {a_k x}: block k's window over the
-        digits up to the end of the support, slid like any other window."""
+        """Unreduced (num, den) of the exact {a_k x}: (s_k, q) for a rational
+        rule, else block k's window over the digits up to the end of the
+        support, slid like any other window."""
+        if self._rat is not None:
+            return self._rat.remainder(k, self.x.seq), self._rat.q
         if k >= self._fs_max:
             return 0, 1
         return self._window_at(k, self._fs_max - k - 1)
@@ -395,12 +396,12 @@ class EnclosureCache:
         return lo, lo + 1, den
 
     def frac_exact(self, n: int) -> tuple[int, int]:
-        """Unreduced (num, den) of the exact {a_{n-1} x} for a point with
-        declared finite support."""
+        """Unreduced (num, den) of the exact {a_{n-1} x} for an exact point."""
         if n < 1:
             raise PreconditionError(f"window start must be >= 1, got {n}")
         if not self.exact_mode:
-            raise PreconditionError("exact evaluation needs declared finite support")
+            raise PreconditionError(
+                "exact evaluation needs declared finite support or a rational point")
         return self._exact_value(n - 1)
 
     def tail_upper_bound(self, j: int, t: int = 8) -> tuple[int, int]:
@@ -409,17 +410,13 @@ class EnclosureCache:
 
         The tail equals {a_{j-1} x} / a_{j-1}, so the upper end of block
         j - 1's window at depth t, divided by a_{j-1}, bounds it, and never
-        exceeds 1 / a_{j-1}. A point with declared finite support gets its
-        exact tail instead.
+        exceeds 1 / a_{j-1}. Every point, exact or not, gets the window
+        bound.
         """
         if j < 1:
             raise PreconditionError(f"tail start must be >= 1, got {j}")
-        a = self.x.seq.term(j - 1)
-        if self.exact_mode:
-            num, den = self._exact_value(j - 1)
-            return num, den * a
         num, den = self._window_at(j - 1, t)
-        return num + 1, den * a
+        return num + 1, den * self.x.seq.term(j - 1)
 
     def _out_to(self, k: int, ln: int, ld: int) -> int:
         """The last block j such that the tail bound puts every row of blocks
@@ -451,12 +448,6 @@ class EnclosureCache:
                 P *= b
         return last if k <= last else k - 1
 
-    def _max_depth(self, k: int) -> int:
-        known = self.x.rule.known_upto
-        if known is None:
-            return self.cap
-        return min(self.cap, known - (k + 1))
-
     def judge(self, k: int, r: int, band: tuple[int, int, int, int] | None = None,
               start: int = 0) -> tuple[tuple[int, int, int] | None, str]:
         """Pin {r * a_k * x}; the one refinement loop behind every enclosure.
@@ -478,14 +469,12 @@ class EnclosureCache:
         """
         if self.exact_mode:
             num, den = self._exact_value(k)
-            width = depth = max_depth = 0
+            width = depth = cap = 0
         else:
-            max_depth = self._max_depth(k)
-            if max_depth < 0:
-                return None, "undecided"
+            cap = self.cap
             depth = start if start > self.depth else self.depth
-            if depth > max_depth:
-                depth = max_depth
+            if depth > cap:
+                depth = cap
             width = r
         while True:
             if width:  # an exact value is its own final window
@@ -503,13 +492,13 @@ class EnclosureCache:
                     return window, "in"
                 if hi * ld < ln * den or lo * hd > hn * den:
                     return window, "out"
-            if depth >= max_depth:
+            if depth >= cap:
                 if (band is not None and self._skips
                         and 0 < 2 * band[0] < band[1] and r < self.x.seq.ratio(k + 1)
                         and self._out_to(k, band[0], band[1]) >= k):
                     return window, "out"
                 return window, "undecided"
-            depth = min(max(2 * depth, 1), max_depth)
+            depth = min(max(2 * depth, 1), cap)
 
     def interval(self, k: int, r: int) -> tuple[int, int, int] | None:
         """Enclosure (lo, hi, den) of {r * a_k * x}: the first window from
@@ -551,8 +540,7 @@ class EnclosureCache:
         refinement, so these verdicts are final. ``_sort_few`` sorts a
         segment of at most ``_FEW_ROWS`` rows one by one, ``_sort_many``
         a longer one with floor sums. Only the edge rows left over go to
-        ``band_verdict``. Past a capped point's known digits a block has no
-        window, and its rows and all later ones are undecided.
+        ``band_verdict``.
 
         For a point whose rule declares its support and 0 < ln/ld < 1/2
         (an indicator, floor-div or finite point, whose support holds only
@@ -574,9 +562,10 @@ class EnclosureCache:
         at j moves nz to ``next_nonzero(j + 1)``, and the digits below nz
         enter by their ratio alone. Each slid window is handed to the cache
         as its latest window, so edge rows and the next restart slide from
-        it. ``_window_at`` serves the first block, every block of an exact
-        point, and a block the base window cannot slide to (the known prefix
-        ends, or blocks were skipped).
+        it. ``_window_at`` serves the first block and a block the base window
+        cannot slide to (blocks were skipped). An exact point is judged on
+        its exact value block by block, so a rational one moves s_k forward
+        one ratio step per block.
 
         Under ``const:b`` block k's windows read the digits k+1 .. k+1+cap,
         and ``_out_to`` counts block J - d out for all d >= D, the least
@@ -643,7 +632,6 @@ class EnclosureCache:
             return k, r, 0, 0
         ratio, digit = self.x.seq.ratio, self.x.digit
         derived = self.x.seq.derived
-        known = self.x.rule.known_upto
         exact = self.exact_mode
         base = min(self.depth, self.cap)
         ln, ld, hn, hd = band
@@ -656,22 +644,19 @@ class EnclosureCache:
         while True:
             if held:  # slide block k - 1's window to block k
                 j = k + 1 + base  # the digit block k's window adds
-                if known is not None and j > known:
-                    held = False
+                den //= b
+                num %= den
+                bj = ratio(j)
+                if j < nz:  # a 0 the rule promises
+                    num *= bj
                 else:
-                    den //= b
-                    num %= den
-                    bj = ratio(j)
-                    if j < nz:  # a 0 the rule promises
-                        num *= bj
-                    else:
-                        c = digit(j)
-                        num = num * bj + c
-                        if not c and self._skips:
-                            nz = self.x.rule.next_nonzero(j + 1)
-                    den *= bj
-                    b = ratio(k + 1)
-                    self._win = (k, base, num, den)
+                    c = digit(j)
+                    num = num * bj + c
+                    if not c and self._skips:
+                        nz = self.x.rule.next_nonzero(j + 1)
+                den *= bj
+                b = ratio(k + 1)
+                self._win = (k, base, num, den)
             # a slid window at or above ln/ld / (b_{k+1} - 1) rules the skip out
             if (skips and (not held or num * ld * (b - 1) < ln * den)
                     and (last := self._out_to(k, ln, ld)) >= k):
@@ -686,14 +671,8 @@ class EnclosureCache:
                 if exact:
                     num, den = self._exact_value(k)
                 else:
-                    top = self._max_depth(k)
-                    if top < 0:  # no window within the cap, here or later
-                        n_und += N + 1 - at - r
-                        undecided += range(at + r, N + 1)[:max(keep - len(undecided), 0)]
-                        k, r = derived.decompose(N + 1)
-                        return k, r, n_in, n_und
-                    num, den = self._window_at(k, min(base, top))
-                    held = top >= base and at + b <= N  # the count goes past block k
+                    num, den = self._window_at(k, base)
+                    held = at + b <= N  # the count goes past block k
             r1 = b - 1
             if r1 > N - at:  # the block runs past N
                 r1 = N - at
@@ -839,7 +818,8 @@ def _hits(a: int, m: int, lo: int, hi: int, r: int, count: int) -> list[int]:
 def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
     """Parse a digit-rule string into a point under ``seq``.
 
-    Forms: ``rat:P/Q`` (greedy expansion, ``horizon`` caps the prefix),
+    Forms: ``rat:P/Q`` (greedy expansion: ``finite:`` digits when it
+    terminates within ``horizon``, an exact ``RationalDigits`` otherwise),
     ``exact:P/Q`` (like rat: but the expansion must terminate within the
     horizon), ``finite:[c1,c2,...]``, ``ones-on:<set-expr>``, and
     ``floor-div:m={n1:m1,n2:m2,...}``. A typed ``finite:`` digit or
@@ -854,8 +834,8 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
         if strict and x.rule.finite_support_max() is None:
             raise HorizonError(
                 f"expansion of {value} did not terminate within {horizon} "
-                "digits; raise the expansion horizon or use rat: for a "
-                "capped prefix"
+                "digits; raise the expansion horizon or use rat: for an "
+                "exact non-terminating point"
             )
         return x
     if text.startswith("finite:"):

@@ -219,7 +219,8 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
     support = x.rule.support
     if support is None:
         raise PreconditionError(
-            "support form is undeclared; expand or declare the digit rule"
+            "support form is undeclared (a non-terminating rat: point); "
+            "use a digit rule that declares its support"
         )
     if support.is_finite:
         raise PreconditionError(

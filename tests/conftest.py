@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import circlelab
-from circlelab.circle import CirclePoint, DigitRule, IndicatorDigits
+from circlelab.circle import CirclePoint, DigitRule, IndicatorDigits, RationalDigits
 from circlelab.density import IntervalNatSet, NatSet
 from circlelab.errors import PreconditionError
 
@@ -60,10 +60,13 @@ def as_enclosure(window: tuple[int, int, int] | None) -> Enclosure | None:
 
 
 def as_fraction(x: CirclePoint) -> Fraction:
-    """Exact value sum c_n / a_n; defined only for declared finite support."""
+    """Exact value of an exact point: p/q for a non-terminating rat: point,
+    else sum c_n / a_n, defined only for declared finite support."""
+    if isinstance(x.rule, RationalDigits):
+        return Fraction(x.rule.p, x.rule.q)
     m = x.rule.finite_support_max()
     if m is None:
-        raise PreconditionError("as_fraction needs declared finite support")
+        raise PreconditionError("as_fraction needs an exact point")
     total = Fraction(0)
     for n in range(1, m + 1):
         c = x.digit(n)
@@ -117,6 +120,32 @@ class WalkedSet(NatSet):
 
     def next_member(self, n):
         return self._inner.next_member(n)
+
+
+class AlternatingGaps(NatSet):
+    """The members h, 2h + 1, 3h + 1, 4h + 2, ...: the gaps from 0 alternate
+    h and h + 1, so two gaps span p = 2h + 1. It answers ``count_upto`` and
+    ``spread_from`` (h when h >= g), so a scan over it counts its gaps."""
+
+    is_finite = is_cofinite = False
+
+    def __init__(self, h: int):
+        self.h, self.p = h, 2 * h + 1
+        self.name = f"alternating-gaps:{h}"
+
+    def __contains__(self, n):
+        return n >= 1 and n % self.p in (0, self.h)
+
+    def next_member(self, n):
+        base = n - n % self.p
+        return next(m for m in (base, base + self.h, base + self.p)
+                     if m >= max(n, 1) and m in self)
+
+    def count_upto(self, n):
+        return n // self.p + (n - self.h) // self.p + 1
+
+    def spread_from(self, g):
+        return self.h if self.h >= g else None
 
 
 def elem_set(elems) -> IntervalNatSet:

@@ -91,13 +91,25 @@ def test_greedy_digits_are_canonical_range():
         assert 0 <= x.digit(n) <= LINEAR1.ratio(n) - 1
 
 
-def test_nonterminating_expansion_is_capped():
+def greedy_digits(value: Fraction, seq: ArithSeq, top: int) -> list[int]:
+    """c_1 .. c_top of the greedy expansion, on Fractions: c_n = floor(b_n v)
+    and v <- b_n v - c_n, from v = value."""
+    digits = []
+    for n in range(1, top + 1):
+        value *= seq.ratio(n)
+        digits.append(value.numerator // value.denominator)
+        value -= digits[-1]
+    return digits
+
+
+def test_nonterminating_expansion_has_no_horizon():
+    # 1/3 does not terminate under pow:2, so the rule is exact: every digit
+    # is defined, past the 12-digit horizon too, and {a_n x} = s_n / 3
     x = digits_from_rational(Fraction(1, 3), POW2, horizon=12)
     assert x.rule.finite_support_max() is None
-    assert x.rule.known_upto == 12
-    x.digit(12)
-    with pytest.raises(HorizonError):
-        x.digit(13)
+    assert type(x.rule) is RationalDigits and x.describe() == "rat:1/3"
+    assert [x.digit(n) for n in range(1, 41)] == greedy_digits(Fraction(1, 3), POW2, 40)
+    assert [x.rule.remainder(n, POW2) for n in (0, 1, 2, 3, 100)] == [1, 2, 2, 1, 1]
 
 
 # every kind of spec: closed forms (const, linear, pow) and memo reads only
@@ -148,33 +160,29 @@ def test_digits_on_demand_match_eager_expansion(case, data):
         assert x.rule.digits == tuple(digits)
         return
     assert type(x.rule) is RationalDigits
-    assert x.rule.known_upto == H
-    assert x.describe() == f"rat:{value.numerator}/{q}@{H}"
-    # reads in random order, past the horizon too, then every digit in turn;
-    # the digits computed reach exactly the furthest read so far
-    top = 0
-    for n in data.draw(st.lists(st.integers(1, H + 3), max_size=20)):
-        if n <= H:
-            assert x.digit(n) == digits[n - 1]
-            top = max(top, n)
-            assert len(x.rule.digits) == top
-        else:
-            with pytest.raises(HorizonError) as exc:
-                x.digit(n)
-            assert str(exc.value) == (
-                f"digit c_{n} is beyond the declared prefix (known up to {H}); "
-                "re-expand with a larger horizon")
-    assert [x.digit(n) for n in range(1, H + 1)] == digits
+    assert x.describe() == f"rat:{value.numerator}/{q}"
+    # reads in random order, past the horizon and behind the held (n, s_n)
+    # too, equal the greedy Fraction expansion; a read of c_n holds s_{n-1}
+    greedy = greedy_digits(value, seq, H + 40)
+    assert greedy[:H] == digits
+    for n in data.draw(st.lists(st.integers(1, H + 40), max_size=20)):
+        assert x.digit(n) == greedy[n - 1]
+        assert (x.rule._n, x.rule._s) == (n - 1, value.numerator * seq.term(n - 1) % q)
+    assert [x.digit(n) for n in range(1, H + 41)] == greedy
 
 
 def test_tail_bounds_compute_only_the_digits_they_read():
-    # a window at j <= 30 and depth 8 reads the digits up to 38 of 256
-    x = digits_from_rational(Fraction(1, 3), ArithSeq(RatioSpec.power(2)))
+    # a window at j <= 30 and depth 8 reads the digits up to 38, so no ratio
+    # past b_38 is read, and s_n moves forward to s_37 at most
+    seq = ArithSeq(RatioSpec.power(2))
+    x = digits_from_rational(Fraction(1, 3), seq)
     cache = EnclosureCache(x, 0)
+    reads = []
+    ratio = seq.ratio
+    seq.ratio = lambda n: reads.append(n) or ratio(n)
     for j in range(1, 31):
         cache.tail_upper_bound(j)
-    assert x.rule.known_upto == 256
-    assert len(x.rule.digits) <= 38
+    assert max(reads) == 38 and x.rule._n == 37
 
 
 def test_expansion_horizon_budget():
@@ -187,7 +195,8 @@ def test_expansion_horizon_budget():
         digits_from_rational(Fraction(1, 3), seq, horizon=EXPAND_CAP + 1)
     assert reads == []  # refused before any ratio read
     x = digits_from_rational(Fraction(1, 3), seq, horizon=EXPAND_CAP)
-    assert x.rule.known_upto == EXPAND_CAP
+    assert reads == list(range(1, EXPAND_CAP + 1))  # 3 divides no a_n
+    assert type(x.rule) is RationalDigits and x.describe() == "rat:1/3"
 
 
 def test_expansion_domain():
@@ -250,12 +259,16 @@ def test_window_width_and_nesting(value, n, t):
     assert J.lo <= K.lo and K.hi <= J.hi
 
 
-def test_window_respects_known_prefix():
+def test_window_reads_past_the_expansion_horizon():
+    # depth 7 from n = 3 reads the digits up to the horizon 10; the deeper
+    # windows read past it, where a rat: point's digits are still defined
     x = digits_from_rational(Fraction(1, 3), POW2, horizon=10)
     cache = EnclosureCache(x, 0)
-    cache.frac_bound(3, 7)  # needs digits up to 10
-    with pytest.raises(HorizonError):
-        cache.frac_bound(3, 8)
+    truth = mod1(POW2.term(2) * Fraction(1, 3))
+    for t in (7, 8, 40):
+        lo, hi, den = cache.frac_bound(3, t)
+        assert (lo, den) == window_from_scratch(x, 3, t)
+        assert Fraction(lo, den) <= truth < Fraction(hi, den)
 
 
 def test_frac_exact_matches_direct_computation():
@@ -267,9 +280,12 @@ def test_frac_exact_matches_direct_computation():
 
 
 def test_frac_exact_needs_finite_support():
-    cache = EnclosureCache(digits_from_rational(Fraction(1, 3), POW2, horizon=10), 0)
-    with pytest.raises(PreconditionError):
+    # or a rational point, whose {a_{n-1} x} is s_{n-1} / q
+    cache = EnclosureCache(parse_point("ones-on:all", POW2), 0)
+    with pytest.raises(PreconditionError, match="finite support or a rational point"):
         cache.frac_exact(2)
+    cache = EnclosureCache(digits_from_rational(Fraction(1, 3), POW2, horizon=10), 0)
+    assert [cache.frac_exact(n) for n in (1, 2, 3, 40)] == [(1, 3), (2, 3), (2, 3), (1, 3)]
 
 
 @given(value=rationals(), j=st.integers(1, 12))
@@ -349,10 +365,13 @@ def test_mult_bound_decided_contains_truth():
 
 
 def test_mult_bound_gives_up_at_cap():
-    # 1/3 under const 2 has digits 0,1,0,1,...; r = 3 times 1/3 straddles an
-    # integer forever, so no finite window can decide the unit interval
-    x = digits_from_rational(Fraction(1, 3), CONST2, horizon=64)
+    # ones-on:evens under const 2 is 1/3, with digits 0,1,0,1,...; r = 3
+    # times its windows straddles an integer forever, so no finite window
+    # can decide the unit interval. rat:1/3 is exact, and 3 * 1/3 is 0
+    x = parse_point("ones-on:evens", CONST2)
     assert EnclosureCache(x, depth=2, cap=32).interval(0, 3) is None
+    x = digits_from_rational(Fraction(1, 3), CONST2, horizon=64)
+    assert EnclosureCache(x, depth=2, cap=32).interval(0, 3) == (0, 0, 3)
 
 
 # ----- shared evaluation cache ----------------------------------------------
@@ -470,7 +489,7 @@ def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
 
 @st.composite
 def order_points(draw, seq):
-    """A capped or exact rat: point, or an indicator point, on ``seq``."""
+    """A non-terminating rat: or an exact: point, or an indicator point, on ``seq``."""
     form = draw(st.sampled_from(("rat", "exact", "ones-on")))
     if form == "rat":
         q = draw(st.integers(2, 400))
@@ -525,7 +544,7 @@ _WINDOW_SPECS = {text: ArithSeq(RatioSpec.parse(text))
 
 @st.composite
 def window_points(draw, seq):
-    """A finite floor-div, a capped rat: or an indicator point on ``seq``.
+    """A finite floor-div, a rat: or an indicator point on ``seq``.
 
     The indicator supports are the sparse ones of ``sparse_supports``, ``all``
     (not under a spec whose ratios end in 2's, where it is not canonical) and
@@ -537,7 +556,7 @@ def window_points(draw, seq):
         keys = draw(st.sets(st.integers(1, 60), max_size=12))
         return CirclePoint(seq, FloorDivDigits({n: 2 for n in keys}))
     if form == "rat":
-        # 97 divides no a_n within the horizon, so the prefix stays capped
+        # 97 divides no a_n, so the point is a non-terminating RationalDigits
         p, horizon = draw(st.integers(1, 96)), draw(st.integers(1, 48))
         return parse_point(f"rat:{p}/97", seq, horizon)
     if form == "opaque":
@@ -571,9 +590,7 @@ def test_sliding_window_matches_rebuild(spec, data, depth, cap, moves):
     k = 0
     for step, (skip, deepen, r) in enumerate(moves):
         k += skip
-        max_depth = cache._max_depth(k)
-        if max_depth < 0:
-            break
+        max_depth = cache.cap
         base = min(depth, max_depth)
         cache._window_at(k, base)
         got = check(k)
@@ -637,8 +654,6 @@ def test_slide_drops_and_cuts_many_digits_by_one_product(spec, data, start, span
     end = start + span
     n = start + min(drop, span)
     target = max(end + reach, n)
-    known = x.rule.known_upto
-    assume(known is None or max(end, target) <= known)
     num, den = window_from_scratch(x, start, span)
     assert _slide(x, start, end, num, den, n, target) == window_from_scratch(
         x, n, target - n)
@@ -658,34 +673,23 @@ def test_point_window_matches_rebuild(spec, data, depth, cap, moves):
     # cache's latest window must stay exact
     seq = _WINDOW_SPECS[spec]
     x = data.draw(slide_points(seq))
-    m = x.rule.finite_support_max()
-    value = as_fraction(x) if m is not None else None
     cache = EnclosureCache(x, depth=depth, cap=cap)
+    value = as_fraction(x) if cache.exact_mode else None
     n = 1
     for step, t, reader in moves:
         n = min(max(n + step, 1), 60)
-        try:
-            num, den = window_from_scratch(x, n, t)
-        except HorizonError:
-            # a capped rat: point: the failed read keeps the latest window
-            before = cache._win
-            with pytest.raises(HorizonError):
-                cache.frac_bound(n, t)
-            with pytest.raises(HorizonError):
-                cache.tail_upper_bound(n, t)
-            assert cache._win == before
-            continue
+        num, den = window_from_scratch(x, n, t)
         a = seq.term(n - 1)
         if reader == "bound":
             J = enclosure(cache, n, t)
             assert (J.lo, J.hi) == (Fraction(num, den), Fraction(num + 1, den))
-        elif reader == "exact" and m is not None:
+        elif reader == "exact" and value is not None:
             assert Fraction(*cache.frac_exact(n)) == mod1(a * value)
         elif reader == "tail":
             ub = Fraction(*cache.tail_upper_bound(n, t))
-            assert ub == (mod1(a * value) / a if m is not None
-                          else Fraction(num + 1, den) / a)
-        elif reader == "cache" and cache._max_depth(n - 1) >= 0:
+            assert ub == Fraction(num + 1, den) / a
+            assert value is None or mod1(a * value) / a <= ub
+        elif reader == "cache":
             cache.band_verdict(n - 1, t + 1, (1, 3, 2, 3))
         wk, wdepth, wnum, wden = cache._win
         # an exact cache that has read only past the support holds no window
@@ -710,35 +714,27 @@ def _reader_answer(cache, reader, n, t):
 def test_cache_readers_are_exact_and_history_free(spec, data, requests):
     # one cache answers a shuffled list of reader requests: each answer is
     # the from-scratch window and brackets the Fraction value mod 1 (a
-    # deeper window where the point has no Fraction value), and a read that
-    # fails past a capped prefix changes no later answer
+    # deeper window where the point has no Fraction value); an exact answer
+    # is the window over the support, or s_{n-1} / q for a rat: point
     seq = _WINDOW_SPECS[spec]
     x = data.draw(slide_points(seq))
     m = x.rule.finite_support_max()
-    value = as_fraction(x) if m is not None else getattr(x.rule, "value", None)
     cache = EnclosureCache(x, 0)
-    answered = []
+    value = as_fraction(x) if cache.exact_mode else None
     for n, t, reader in data.draw(st.permutations(requests)):
         a = seq.term(n - 1)
-        if reader == "exact" and m is None:
+        if reader == "exact" and value is None:
             with pytest.raises(PreconditionError):
                 cache.frac_exact(n)
             continue
-        try:
-            num, den = window_from_scratch(x, n, t)
-        except HorizonError:
-            before = cache._win
-            with pytest.raises(HorizonError):
-                _reader_answer(cache, reader, n, t)
-            assert cache._win == before
-            if answered:  # the next answer is the one given before the failure
-                (n0, t0, reader0), got0 = answered[-1]
-                assert _reader_answer(cache, reader0, n0, t0) == got0
-            continue
+        num, den = window_from_scratch(x, n, t)
         got = _reader_answer(cache, reader, n, t)
         truth = None if value is None else mod1(a * value)
         if m is not None:
             exact = window_from_scratch(x, n, m - n) if n <= m else (0, 1)
+        elif value is not None:
+            exact = (value.numerator * a % value.denominator, value.denominator)
+        if truth is not None:
             assert Fraction(*exact) == truth
         if reader == "bound":
             assert got == (num, num + 1, den)
@@ -751,11 +747,9 @@ def test_cache_readers_are_exact_and_history_free(spec, data, requests):
         elif reader == "exact":
             assert got == exact
         else:
-            assert got == ((exact[0], exact[1] * a) if m is not None
-                           else (num + 1, den * a))
+            assert got == (num + 1, den * a)
             if truth is not None:
                 assert truth / a <= Fraction(*got) <= Fraction(1, a)
-        answered.append(((n, t, reader), got))
 
 
 def _count_digit_reads(monkeypatch) -> list[int]:
@@ -779,8 +773,8 @@ def test_tail_bound_slides_its_window(monkeypatch):
 
 def test_indicator_support_end_is_computed_once():
     # the support end of a finite set is the end of its last interval, read
-    # with no rebuild; a cache reads it once, and its tail bound is exact
-    # for every j
+    # with no rebuild; a cache reads it once, and its tail bound is the
+    # window bound, which brackets the exact tail, for every j
     x = parse_point("ones-on:fin:{2,5,9,40}", POW2)
     assert x.rule.finite_support_max() == 40
     assert IndicatorDigits(IntervalNatSet()).finite_support_max() == 0
@@ -790,7 +784,9 @@ def test_indicator_support_end_is_computed_once():
     cache = EnclosureCache(x, 0)
     for j in range(1, 31):
         a = POW2.term(j - 1)
-        assert Fraction(*cache.tail_upper_bound(j)) == mod1(a * value) / a
+        num, den = window_from_scratch(x, j, 8)
+        assert Fraction(*cache.tail_upper_bound(j)) == Fraction(num + 1, den * a)
+        assert mod1(a * value) / a <= Fraction(num + 1, den * a) <= Fraction(1, a)
 
 
 CONST3 = ArithSeq(RatioSpec.constant(3))
@@ -799,7 +795,7 @@ CONST3 = ArithSeq(RatioSpec.constant(3))
 @st.composite
 def declared_points(draw):
     """A point of each digit-rule form, its typed digits and divisors in
-    range: finite:, floor-div:, rat: (terminating or capped) and ones-on:."""
+    range: finite:, floor-div:, rat: (terminating or not) and ones-on:."""
     seq = draw(st.sampled_from((LINEAR1, POW2, CONST3)))
     form = draw(st.sampled_from(("finite", "floor-div", "rat", "ones-on")))
     if form == "finite":
@@ -821,7 +817,7 @@ def declared_points(draw):
 @settings(max_examples=200, deadline=None)
 def test_support_holds_every_nonzero_digit(x):
     rule, support = x.rule, x.rule.support
-    if support is None:  # only a capped rational expansion declares none
+    if support is None:  # only a non-terminating rational expansion declares none
         assert isinstance(rule, RationalDigits)
         assert rule.finite_support_max() is None
         assert all(rule.next_nonzero(n) == n for n in range(1, 201))
@@ -875,7 +871,12 @@ def test_parse_point_forms():
 def test_parse_point_exact_requires_termination():
     with pytest.raises(HorizonError):
         parse_point("exact:1/3", POW2)
-    assert parse_point("rat:1/3", POW2).rule.known_upto == 256
+    with pytest.raises(HorizonError, match="use rat: for an exact non-terminating point"):
+        parse_point("exact:1/7", POW2, 40)
+    x = parse_point("rat:1/3", POW2)
+    assert type(x.rule) is RationalDigits and x.describe() == "rat:1/3"
+    # a rat: point that terminates within the horizon is expanded as exact: is
+    assert parse_point("rat:3/8", POW2, 2).describe() == parse_point("exact:3/8", POW2, 2).describe()
 
 
 def test_parse_point_errors():

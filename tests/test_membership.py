@@ -33,6 +33,7 @@ from circlelab.membership import (
 from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec
 from circlelab.witness import continuum_family_point
 from conftest import (
+    AlternatingGaps,
     WalkedSet,
     as_fraction,
     certified_below,
@@ -150,13 +151,70 @@ def test_scan_horizons_are_cumulative():
         assert e.in_count + e.out_count + e.undecided_count == e.N
 
 
-def test_scan_capped_point_degrades_to_undecided():
+def test_scan_rational_point_decides_every_row():
+    # rat:1/3 does not terminate within 12 digits under pow:2, and is exact
+    # all the same: {a_k x} is 1/3 or 2/3, so row r is out exactly when 3 | r
     x = parse_point("rat:1/3", POW2, horizon=12)
-    scan = statistical_scan(x, Fraction(1, 10), [120])
-    est = scan.estimates[0]
-    assert est.undecided_count > 0
-    assert est.lo < est.hi
-    assert scan.undecided_rows[0] >= 1
+    scan = statistical_scan(x, Fraction(1, 10), [120, 10 ** 6])
+    assert counts(scan) == [(120, 81, 39, 0), (10 ** 6, 666670, 333330, 0)]
+    assert scan.undecided_rows == []
+    want, _ = per_row_scan(x, Fraction(1, 10), [120])
+    assert counts(scan)[:1] == want == [
+        (120, sum(1 for i in range(1, 121) if POW2.derived.decompose(i)[1] % 3), 39, 0)]
+
+
+def fraction_in_counts(seq, value, eps, horizons):
+    """[(N, in)]: the rows i <= N with eps <= {d_i * value} <= 1 - eps,
+    counted one by one on Fractions with d_i = r * a_k built whole."""
+    out, n_in, i = [], 0, 1
+    for N in sorted(set(horizons)):
+        for i in range(i, N + 1):
+            n_in += eps <= mod1(seq.derived.term(i) * value) <= 1 - eps
+        i = N + 1
+        out.append((N, n_in))
+    return out
+
+
+@given(spec=st.sampled_from(("const:2", "const:3", "const:5", "linear:1", "linear:2",
+                             "pow:2", "pow:3", "dlictrex", "dlictrex:3")),
+       q=st.integers(2, 80), p_seed=st.integers(0, 10 ** 6), eps_q=st.integers(3, 24),
+       expand=st.integers(1, 40),
+       horizons=st.lists(st.integers(1, 3000), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_rational_scan_matches_a_fraction_count(spec, q, p_seed, eps_q, expand, horizons):
+    # a rat: point is exact whether or not it terminates within its
+    # expansion horizon: every row is decided, and the counts are the
+    # per-row Fraction counts of {r * a_k * p / q}
+    seq = ArithSeq(RatioSpec.parse(spec))
+    value = Fraction(1 + p_seed % (q - 1), q)
+    x = parse_point(f"rat:{value}", seq, expand)
+    eps = Fraction(1, eps_q)
+    scan = statistical_scan(x, eps, horizons)
+    assert [(e.N, e.in_count) for e in scan.estimates] == fraction_in_counts(
+        seq, value, eps, horizons)
+    assert all(e.undecided_count == 0 for e in scan.estimates)
+    assert scan.undecided_rows == []
+
+
+@pytest.mark.parametrize("spec,value,eps,want", [
+    ("pow:2", "1/3", "1/8", 2002),
+    ("const:3", "1/7", "1/8", 3000),
+    ("const:3", "2/5", "1/8", 3000),
+    ("linear:2", "3/13", "1/8", 64),
+    ("pow:3", "5/7", "1/8", 2574),
+    # {r * 2^k / 3} is 0, 1/3 or 2/3: every row off 0 sits on the closed
+    # band edge
+    ("const:2", "1/3", "1/3", 3000),
+])
+@pytest.mark.parametrize("expand", [4, 256])
+def test_rational_pairs_match_a_fraction_count(spec, value, eps, want, expand):
+    # at expand 4 none of them terminates; at 256, 3/13 terminates under
+    # linear:2 (13 | a_11) and is scanned as its finite: digits
+    seq = ArithSeq(RatioSpec.parse(spec))
+    x = parse_point(f"rat:{value}", seq, expand)
+    scan = statistical_scan(x, Fraction(eps), [3000])
+    assert counts(scan) == [(3000, want, 3000 - want, 0)]
+    assert fraction_in_counts(seq, Fraction(value), Fraction(eps), [3000]) == [(3000, want)]
 
 
 def test_scan_validation():
@@ -239,16 +297,16 @@ _SCAN_SPECS = ("const:2", "const:3", "linear:1", "pow:2", "pow:3", "const:17",
 
 @st.composite
 def scan_points(draw):
-    """A spec and a point on it: infinite, capped, exact or finite digits,
+    """A spec and a point on it: infinite, rational, exact or finite digits,
     divisor keys, or a sparse support (``sparse_supports``: finite sets,
     which end, and shifted, lifted and stock sets with gaps both shorter and
-    longer than the base depth). Finite digits, divisor keys and finite
-    supports make the point exact, so they check the exact scan; the
+    longer than the base depth). rat: points, finite digits, divisor keys
+    and finite supports make the point exact, so they check the exact scan; the
     infinite supports check the held slide."""
     seq = ArithSeq(RatioSpec.parse(draw(st.sampled_from(_SCAN_SPECS))))
     form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
                                  "exact", "finite", "floor-div", "sparse")))
-    if form == "rat":  # a capped prefix, which can end where windows slide
+    if form == "rat":  # exact, and non-terminating unless q | a_n early
         q = draw(st.integers(2, 400))
         p = draw(st.integers(1, q - 1))
         return parse_point(f"rat:{p}/{q}", seq, draw(st.integers(1, 24)))
@@ -371,7 +429,7 @@ def test_skipping_scan_matches_per_row_scan_on_sparse_supports(spec, support, q,
     ("const:3", "ones-on:lift(squares)"),
     ("dlictrex", "ones-on:squares"),
     ("explicit:[2,3,2,2,5,2,3];tail=const:3", "ones-on:blocks:cube-gap"),
-    ("const:3", "rat:1/4"),  # capped, no support: every digit is read
+    ("const:3", "rat:1/4"),  # exact, no support: s_k moves once per block
 ])
 @pytest.mark.parametrize("depth", [0, 3, 8])
 def test_sliding_scan_matches_per_row_scan_on_every_rule_form(spec, point, depth):
@@ -472,6 +530,40 @@ def test_counted_gaps_multiply_only_once_the_kept_list_is_full():
         assert (counted[2] == 3000) == walks_all
 
 
+@pytest.mark.parametrize("b", [2, 3, 4, 5])
+@pytest.mark.parametrize("cap", [3, 4, 5, 6, 7, 8])
+def test_counted_gap_width_is_cap_plus_one(b, cap):
+    # gaps that alternate cap and cap + 1 blocks: a gap of cap blocks is
+    # narrower than g = max(D, cap + 1), so the set names no member to count
+    # from and the scan walks, as over WalkedSet. At eps 1/max(b, 3), D = 3,
+    # and counting from gaps of cap blocks would differ from the walk under
+    # const:3, 4 and 5. With gaps of cap + 1 and cap + 2 the count
+    # multiplies (at once when no undecided row is kept) and still agrees
+    q = max(b, 3)
+    for h in (cap, cap + 1):
+        for keep in (0, SHOWN_UNDECIDED):
+            counted = count_scan(AlternatingGaps(h), b, q, 0, cap, [2000], keep)
+            walked = count_scan(WalkedSet(AlternatingGaps(h)), b, q, 0, cap, [2000], keep)
+            assert counted[:2] == walked[:2] and walked[2] == 2000
+            if keep == 0:
+                assert (counted[2] < 2000) == (h > cap)
+
+
+@given(b=st.integers(2, 5), q=st.integers(3, 40), cap=st.integers(3, 8),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_counted_gaps_of_alternating_width_match_the_walk(b, q, cap, data):
+    # gaps of h and h + 1 blocks, from h = cap (too narrow to count) up, to
+    # N <= 3000: a walk over short gaps visits every block, so the horizons
+    # stay below those of the squares test above
+    h = data.draw(st.integers(cap, cap + 6))
+    depth = data.draw(st.integers(0, cap))
+    horizons = data.draw(st.lists(st.integers(1, 3000), min_size=1, max_size=3))
+    counted = count_scan(AlternatingGaps(h), b, q, depth, cap, horizons)
+    walked = count_scan(WalkedSet(AlternatingGaps(h)), b, q, depth, cap, horizons)
+    assert counted[:2] == walked[:2]
+
+
 def fraction_verdict(x, k, r, eps, depth, cap):
     """Row r of block k judged on Fractions: windows from scratch at the
     depths ``judge`` tries (the base depth, doubling up to the cap), and at
@@ -544,45 +636,30 @@ def test_exact_scan_skips_blocks_before_a_far_support():
     assert counts(scan) == [(N, 0, N, 0) for N in (300, 2000, 5000)]
 
 
-def test_capped_scan_places_the_horizon_in_one_step(monkeypatch):
-    # past the 20 known digits of rat:1/2 every row is undecided; the count
-    # finds where N + 1 sits with one decompose instead of a ratio per block
-    seq = ArithSeq(RatioSpec.constant(3))
-    x = parse_point("rat:1/2", seq, 20)
-    calls = {"decompose": 0, "ratio": 0}
-    for owner, name in ((DerivedSeq, "decompose"), (ArithSeq, "ratio")):
-        real = getattr(owner, name)
-
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-    scan = statistical_scan(x, Fraction(1, 8), [100, 10 ** 5])
-    assert counts(scan) == [(100, 20, 0, 80), (10 ** 5, 20, 0, 99980)]
-    assert scan.undecided_rows[:3] == [2, 4, 6]
-    assert calls["decompose"] == 2 and calls["ratio"] < 1000  # 5 * 10^4 blocks
-
-
-def test_count_rows_keeps_the_window_where_the_prefix_ends():
-    # rat:1/3 expanded to 2 digits under const:2 at depth 0: the count slides
-    # its window to block 1, and block 2 lies past the prefix; the cache is
-    # left on block 1's window, the last one slid, for a later count to
-    # slide from
-    x = parse_point("rat:1/3", ArithSeq(RatioSpec.parse("const:2")), 2)
-    band = (1, 19, 9, 19)
-    fast, slow = EnclosureCache(x, 0, 0), EnclosureCache(x, 0, 0)
-    kept = []
-    assert fast.count_rows(0, 1, 1, 3, band, kept, 100) == (3, 1, 0, 2)
-    assert kept == [1, 3]
-    assert ([slow.band_verdict(k, 1, band) for k in range(3)]
-            == ["undecided", "out", "undecided"])
-    assert fast._win == (1, 0, *window_from_scratch(x, 2, 0)) == (1, 0, 1, 2)
+def test_rational_scan_moves_one_ratio_step_per_block():
+    # the scan walks every block forward and moves s_k by one ratio product
+    # per block, never restarting from s_0; the edge rows of a block reuse
+    # its s_k. Under const:3, {a_k / 2} = 1/2: odd rows are in and even rows
+    # out. dlictrex:3 has no closed forms: each product reads one memo entry
+    for spec, point, want in (
+            ("const:3", "rat:1/2", [(100, 50, 50, 0), (10 ** 5, 50000, 50000, 0)]),
+            ("dlictrex:3", "rat:1/5", [(100, 100, 0, 0), (10 ** 5, 10 ** 5, 0, 0)])):
+        seq = ArithSeq(RatioSpec.parse(spec))
+        x = parse_point(point, seq, 20)
+        products = []
+        real = seq.ratio_product
+        seq.ratio_product = lambda lo, hi, q=None, real=real: (
+            products.append((lo, hi)) or real(lo, hi, q))
+        scan = statistical_scan(x, Fraction(1, 8), [100, 10 ** 5])
+        assert counts(scan) == want and scan.undecided_rows == []
+        last = seq.derived.decompose(10 ** 5)[0]
+        assert products == [(k, k) for k in range(1, last + 1)]
 
 
+# rat: points at several expansion horizons, each one exact
 @pytest.mark.parametrize("spec,point,expand", [
-    ("const:2", "rat:1/3", 1),   # the prefix ends before the first window does
-    ("const:2", "rat:1/3", 9),   # ... after windows have slid
+    ("const:2", "rat:1/3", 1),
+    ("const:2", "rat:1/3", 9),
     ("const:3", "rat:5/7", 12),
     ("explicit:[2,2,40,3,2,17];tail=const:3", "rat:2/9", 20),
 ])
@@ -596,28 +673,31 @@ def test_run_leaves_capped_blocks_to_the_general_path(spec, point, expand, depth
 
 
 def test_batched_scan_refines_edge_rows():
-    # start depth 0 leaves many rows near a band edge at the first window
-    x = parse_point("rat:5/7", POW2, horizon=30)
-    scan = statistical_scan(x, Fraction(1, 3), [40, 3000], depth=0, cap=6)
-    want, undecided = per_row_scan(x, Fraction(1, 3), [40, 3000], depth=0, cap=6)
+    # start depth 0 leaves many rows near a band edge at the first window;
+    # ones-on:evens under const:3 is 1/8, so a quarter of the rows sit on
+    # the edge of the band at eps 1/8 and stay undecided at every depth
+    x = parse_point("ones-on:evens", ArithSeq(RatioSpec.constant(3)))
+    scan = statistical_scan(x, Fraction(1, 8), [40, 3000], depth=0, cap=6)
+    want, undecided = per_row_scan(x, Fraction(1, 8), [40, 3000], depth=0, cap=6)
     assert counts(scan) == want and scan.undecided_rows == undecided[:100]
     assert 100 < len(undecided) < 3000
 
 
 def test_scan_keeps_only_the_undecided_rows_it_shows():
-    # past the 12 known digits of 1/3 nearly every row is undecided; the scan
-    # counts them all but holds only the first 100, which its report prints
-    x = parse_point("rat:1/3", POW2, 12)
-    eps, horizons = Fraction(1, 8), [1000, 10 ** 5]
+    # ones-on:evens under const:3 is 1/8: at depth 0 and cap 0, three rows
+    # in four are undecided at eps 1/8; the scan counts them all but holds
+    # only the first 100, which its report prints
+    x = parse_point("ones-on:evens", ArithSeq(RatioSpec.constant(3)))
+    eps, horizons = Fraction(1, 8), [1000, 5 * 10 ** 4]
     tracemalloc.start()
     try:
-        scan = statistical_scan(x, eps, horizons)
+        scan = statistical_scan(x, eps, horizons, 0, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    want, undecided = per_row_scan(x, eps, horizons)
-    assert counts(scan) == want and want[-1][3] == len(undecided) > 95000
+    want, undecided = per_row_scan(x, eps, horizons, 0, 0)
+    assert counts(scan) == want and want[-1][3] == len(undecided) == 37500
     assert scan.undecided_rows == undecided[:100]
 
 

@@ -189,7 +189,7 @@ def test_tail_bound_accepts_its_edge_cases(monkeypatch, edge):
         a = self.x.seq.term(j - 1)
         if edge == "one-over-a":
             return 1, a
-        value = getattr(self.x.rule, "value", None) or as_fraction(self.x)
+        value = as_fraction(self.x)
         p, q = value.numerator, value.denominator
         return a * p % q, q * a  # {a_{j-1} x} / a_{j-1}, unreduced
 
@@ -358,7 +358,8 @@ def test_verify_envelope_is_pinned(tag, seed):
 
 # SHA-256 of the canonical envelope bytes of scan and witness configs: the
 # seed-0 benchmark scans and escape witness, indicator points of lifted,
-# shifted and finite sets, and rational points, capped and terminating
+# shifted and finite sets, and rational points, non-terminating and
+# terminating
 def _scan(spec, x, horizons, depth, **extra):
     return {"subcommand": "scan", "params": {"spec": spec, "x": x, "eps": "1/8",
                                              "horizons": horizons, "depth": depth,
@@ -396,17 +397,17 @@ GOLDEN_RUNS = [
                                        "eps": "1/10", "horizons": "100"}},
      "17c02f4a9618d581eff7806f92c3328e685681fb64490eed1a8ca7666fe13547"),
     (_scan("pow:2", "rat:1/3", "1000,100000", "16", expand="12"),
-     "8e82a6bf7d5ea99f249983dc8182bd38a35e77c45bf02d3e3a82af3a6f265430"),
+     "886d8db71a30563e5c7a2ddfd0728739afe454cda1473bfffa513eddcde59421"),
     (_scan("const:3", "rat:2/7", "1000,20000", "16", expand="40"),
-     "07a60fe9dc79a9833a90ba27c7a4ebbe528775dd273d9a6d9f36697367da8a57"),
+     "81954fd2fb28dd27765c4ff3441b9f33d0ce23b10aec5c4be5f511d205560e09"),
     (_scan("dlictrex:3", "rat:1/3", "1000,10000", "16"),
      "9ae163e0b14a2d7a0b4677cf936e79b0c6662d9cfab3ef90aa3c661b456c8166"),
     (_scan("pow:2", "exact:5/8", "1000,100000", "16"),
      "fd403f23db48bf45ad7acdb6acd38da7ed86ba908a6fda50b0c30e67e216d8a2"),
-    # 1/263 is capped at the default horizon 256; 1/257 terminates there, as
-    # 257 first divides a_256 = 257!
+    # 1/263 does not terminate within the default horizon 256, and is exact;
+    # 1/257 terminates there, as 257 first divides a_256 = 257!
     (_scan("linear:1", "rat:1/263", "1000,10000", "8"),
-     "8fa2f03d7183fec4277deead1b812e80f63ff32b5f7078e6b57d3f78588877ec"),
+     "33588448560f7e0a204aa8ae6fc0b596ea0b085d70df93174a4feb2ab1a44dee"),
     (_scan("linear:1", "rat:1/257", "1000,10000", "8"),
      "c933e5dbc1617b0c26952e47b9c580966bf25f0d798cea0347beea5924e4da63"),
     # aligned-digit rows, whose exact enclosures are written from integer

@@ -12,6 +12,7 @@ from circlelab.circle import (
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
+    RationalDigits,
     int_band,
     parse_point,
 )
@@ -251,7 +252,7 @@ def certify_cases(draw):
         draw(st.sampled_from(("const:2", "const:3", "linear:1", "pow:2")))))
     form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
                                  "finite", "floor-div", "ones-on:blocks:cube-gap")))
-    if form == "rat":  # a capped prefix: rows past it stay undecided
+    if form == "rat":  # exact, whatever its expansion horizon
         q = draw(st.integers(3, 300))
         x = parse_point(f"rat:{draw(st.integers(1, q - 1))}/{q}", seq,
                         draw(st.integers(1, 14)))
@@ -270,9 +271,7 @@ def certify_cases(draw):
     kind = draw(st.sampled_from(("family", "blocks", "intervals")))
     ks = draw(st.sets(st.integers(1, 11), min_size=1, max_size=5))
     if kind == "family":
-        known = x.rule.known_upto or 11
-        branch = [k for k in ks if k <= known
-                  and (case == "large" or x.digit(k) != 0)]
+        branch = [k for k in ks if case == "large" or x.digit(k) != 0]
         bad = bad_interval_family(x, elem_set(branch), case, 10, 13, 1600)
     elif kind == "blocks":
         bad = IntervalNatSet((derived.boundary(k - 1), derived.boundary(k) - 1)
@@ -365,25 +364,29 @@ def oracle_report_rows(x, bad, t, horizon, band_lo, band_hi):
     """Each bad row as a report row, judged with ``Fraction``s on windows
     built digit by digit by ``window_from_scratch``, without the kernel.
 
-    An exact point is judged on its exact value. Otherwise the window
-    deepens from t, doubling up to the cap (or the known prefix), until
+    An exact point is judged on its exact value: p/q for a rat: point, the
+    window over its support otherwise. Else the window deepens from t,
+    doubling up to the cap, until
     r * S mod 1, widened by r / den, fits one unit interval and lies inside
     or clear of the band; a row no window decides is out when the tail
     bound puts its block below band_lo. Each end is written by
     ``str(Fraction)``, and the enclosure of a row no window fits is [0, 1].
     """
-    last, known = x.rule.finite_support_max(), x.rule.known_upto
+    last = x.rule.finite_support_max()
+    rational = isinstance(x.rule, RationalDigits)
     rows = []
     for i in bad.iter_upto(horizon):
         k, r = x.seq.derived.decompose(i)
-        if last is not None:
+        if rational:
+            lo = hi = r * x.seq.term(k) * Fraction(x.rule.p, x.rule.q) % 1
+            side = "in" if band_lo <= lo <= band_hi else "out"
+        elif last is not None:
             num, den = window_from_scratch(x, k + 1, last - k - 1) if k < last else (0, 1)
             lo = hi = r * Fraction(num, den) % 1
             side = "in" if band_lo <= lo <= band_hi else "out"
         else:
-            top = DEPTH_CAP if known is None else min(DEPTH_CAP, known - k - 1)
-            lo, hi, side, depth = Fraction(0), Fraction(1), "undecided", min(t, top)
-            while top >= 0:
+            lo, hi, side, depth = Fraction(0), Fraction(1), "undecided", min(t, DEPTH_CAP)
+            while True:
                 num, den = window_from_scratch(x, k + 1, depth)
                 lo = r * Fraction(num, den) % 1
                 hi = lo + Fraction(r, den)
@@ -395,11 +398,11 @@ def oracle_report_rows(x, bad, t, horizon, band_lo, band_hi):
                 elif hi < band_lo or lo > band_hi:
                     side = "out"
                     break
-                if depth >= top:
+                if depth >= DEPTH_CAP:
                     if tail_bound_out(x, k, band_lo):
                         side = "out"
                     break
-                depth = min(max(2 * depth, 1), top)
+                depth = min(max(2 * depth, 1), DEPTH_CAP)
         rows.append({"index": i, "lo": str(lo), "hi": str(hi), "verdict": _LABELS[side]})
     return rows
 
@@ -410,8 +413,9 @@ POW2_ONES = parse_point("ones-on:all", POW2)
 @given(args=certify_cases(), m0=st.sampled_from((10, 16)),
        shown=st.none() | st.integers(0, 300))
 @settings(max_examples=150, deadline=None)
-# undecided rows past the 3 known digits of 1/3; six violations of an exact
-# point (see test_certify_flags_genuine_violations); five rows whose windows
+# exact rows of rat:1/3, which does not terminate within 3 digits; six
+# violations of an exact point (see test_certify_flags_genuine_violations);
+# five rows whose windows
 # end at 1/16, which the tail bound puts out
 @example(args=(parse_point("rat:1/3", POW2, 3), IntervalNatSet([(1, 40)]), "small",
                2, 40), m0=10, shown=None)
