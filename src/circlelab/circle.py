@@ -465,7 +465,8 @@ class EnclosureCache:
         reaches ln/ld (at the default cap it ends there). Otherwise side is
         "undecided". Enclosures nest under refinement, so the side is the
         same from any start depth; from the base depth, the window does not
-        depend on the rows judged before.
+        depend on the rows judged before. ``judge_run`` replays rows a block
+        at a time, and hands here only the rows its base window leaves open.
         """
         if self.exact_mode:
             num, den = self._exact_value(k)
@@ -499,6 +500,32 @@ class EnclosureCache:
                     return window, "out"
                 return window, "undecided"
             depth = min(max(2 * depth, 1), cap)
+
+    def judge_run(self, k: int, r: int, size: int,
+                  band: tuple[int, int, int, int]):
+        """``judge(k, r, band)`` for ``size`` rows from row r of block k on
+        (row b_{k+1} is row 1 of block k + 1; an aligned row r >= b_{k+1} is
+        a run of one), as (num, den, [(r, window, side), ...]) per block:
+        num/den is its base window (an exact point's value), read once, and
+        a row the first test of ``judge`` leaves open goes to ``judge``."""
+        exact, base = self.exact_mode, min(self.depth, self.cap)
+        while size > 0:
+            r1 = min(r + size, max(self.x.seq.ratio(k + 1), r + 1)) - 1  # rows r..r1
+            num, den = self._exact_value(k) if exact else self._window_at(k, base)
+            A, B = -(-band[0] * den // band[1]), band[2] * den // band[3]
+            judged = []
+            for e in range(r, r1 + 1):
+                lo = e * num % den
+                hi = lo if exact else lo + e
+                if hi <= den and A <= lo and hi <= B:
+                    judged.append((e, (lo, hi, den), "in"))
+                elif hi <= den and (hi < A or lo > B):
+                    judged.append((e, (lo, hi, den), "out"))
+                else:
+                    judged.append((e, *self.judge(k, e, band)))
+            yield num, den, judged
+            size -= r1 - r + 1
+            k, r = k + 1, 1
 
     def interval(self, k: int, r: int) -> tuple[int, int, int] | None:
         """Enclosure (lo, hi, den) of {r * a_k * x}: the first window from

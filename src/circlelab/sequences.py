@@ -276,8 +276,8 @@ class ArithSeq:
 
     Ratios and terms are computed on first access and kept for the life of
     the object. Under a spec with closed forms, a ratio read more than one
-    index past the memo is computed from the rule and not kept, so a scan
-    that jumps ahead does not fill the memo up to where it lands.
+    index past the memo is computed from the rule and not kept (a constant
+    ratio keeps no memo), so a scan does not fill the memo as it jumps.
     """
 
     def __init__(self, spec: RatioSpec):
@@ -286,6 +286,7 @@ class ArithSeq:
         self._ratios: list[int] = []
         # the rule n -> b_n for reads past the memo, when it has closed forms
         self._ahead = spec._rule if spec.forms else None
+        self._b = spec.constant_ratio  # answers every read, with no memo
         self._derived: DerivedSeq | None = None
 
     def ratio(self, n: int) -> int:
@@ -294,6 +295,8 @@ class ArithSeq:
         m = len(ratios)
         if 0 < n <= m:
             return ratios[n - 1]
+        if self._b and n > 0:
+            return self._b
         if n > m + 1 and self._ahead is not None:
             return self._ahead(n)
         if n < 1:

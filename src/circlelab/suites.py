@@ -20,7 +20,7 @@ from .circle import (
 )
 from .classify import check_strongly_non_dli, weakly_dli_witness_set
 from .density import IntervalNatSet, full_set, lift, set_algebra
-from .errors import PreconditionError
+from .errors import HorizonError, PreconditionError
 from .parse import frac_param, int_param, ints_param, merge_params
 from .membership import convergence_verdict, statistical_scan
 from .sequences import ArithSeq, RatioSpec
@@ -58,12 +58,18 @@ def _spec_list(value) -> list[str]:
     return specs
 
 
+# size limits: under pow:2 a window or term reaching digit n has ~n^2/2 bits
+_SIZE_LIMITS = {"tmax": 128, "max_len": 128, "jmax": 512}
+
+
 def _least(p: dict, key: str, low: int) -> int:
-    """int_param(p, key); PreconditionError when it is below low, so that a
-    suite never passes on an empty check."""
+    """int_param(p, key); PreconditionError below low, so that a suite never
+    passes on an empty check, and HorizonError past its size limit."""
     value = int_param(p, key)
     if value < low:
         raise PreconditionError(f"{key} must be >= {low}, got {value}")
+    if value > _SIZE_LIMITS.get(key, value):
+        raise HorizonError(f"{key} must be <= {_SIZE_LIMITS[key]}, got {value}")
     return value
 
 
@@ -179,13 +185,14 @@ def recursion(params: dict | None = None) -> dict:
     p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
                       "max_len": 10, "seed": 97}, params, "suite recursion")
     trials, tmax = _least(p, "trials", 1), _least(p, "tmax", 0)
+    max_len = _least(p, "max_len", 1)
     rng = random.Random(int_param(p, "seed"))
     checks = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
         for _ in range(trials):
-            length = _draw(rng, p, "max_len", 1)
+            length = rng.randint(1, max_len)
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
             cache = EnclosureCache(CirclePoint(seq, FiniteDigits(digits)), 0)
             for n in range(1, length + 3):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -47,13 +46,6 @@ def _ratio_text(num: int, den: int) -> str:
     """num/den as ``str(Fraction(num, den))`` writes it: "p/q", or "p"."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-def _row_report(index: int, window: tuple[int, int, int], side: str) -> dict:
-    """The report of a row judged on the window [lo, hi] / den."""
-    lo, hi, den = window
-    return {"index": index, "lo": _ratio_text(lo, den), "hi": _ratio_text(hi, den),
-            "verdict": _LABELS[side]}
 
 
 class WitnessReport(Record):
@@ -141,11 +133,11 @@ class BlockRows:
     """The rows of a certification, rebuilt on demand.
 
     Each bad run of an escape band was counted by one ``count_rows`` call;
-    an aligned-digit row is a run of its own. A row is rebuilt by judging
-    it on its own: its enclosure and verdict depend on the row alone, so
-    the rebuilt rows are the ones a row-by-row pass builds, in any order of
-    reading. They are read through ``reports`` and ``failures``, written
-    from the integer windows.
+    an aligned-digit row is a run of its own. ``EnclosureCache.judge_run``
+    replays a run a block at a time; a row's enclosure and verdict depend on
+    the row alone, so the rebuilt rows are the ones a row-by-row pass builds,
+    in any order of reading. ``reports`` and ``failures`` write them from the
+    integer windows, reduced by two gcds per block.
     """
 
     def __init__(self, cache: EnclosureCache, band: tuple[int, int, int, int],
@@ -158,31 +150,45 @@ class BlockRows:
     def __len__(self) -> int:
         return sum(self.counts.values())
 
-    def reports(self, rows: int | None = None) -> list[dict]:
-        """The reports of the first ``rows`` rows, or of all of them."""
-        replayed = (row for seg in self._segments for row in self._replay(seg))
-        return [_row_report(*row) for row in islice(replayed, rows)]
+    def reports(self, rows: int | None = None, failing: bool = False) -> list[dict]:
+        """The reports of the first ``rows`` rows (all when None), or of the
+        ``failing`` ones. On a block's base window num/den, lo = r * num mod
+        den has gcd(lo, den) = g * gcd(r, q), g = gcd(num, den), q = den / g;
+        g1 = gcd(num + 1, den) reduces hi = lo + r alike (not a refined window)."""
+        out = []
+        for seg in self._segments:
+            if failing and seg.n_in == seg.size:
+                continue
+            size = seg.size if rows is None else min(seg.size, rows - len(out))
+            if size <= 0:
+                break
+            index = seg.index
+            for num, den, judged in self._cache.judge_run(seg.k, seg.r, size, self._band):
+                g, g1 = gcd(num, den), gcd(num + 1, den)
+                q, q1, tails, tails1 = den // g, den // g1, {}, {}
+                for i, (r, window, side) in enumerate(judged, index):
+                    if failing and side == "in":
+                        continue
+                    lo, hi, wden = window or (0, 1, 1)  # undecided: [0, 1]
+                    if wden == den:
+                        d = gcd(r, q)
+                        if (tail := tails.get(d)) is None:
+                            tail = tails[d] = "" if d == q else f"/{q // d}"
+                        lo_text = f"{lo // (g * d)}{tail}"
+                        d = gcd(r, q1)
+                        if (tail := tails1.get(d)) is None:
+                            tail = tails1[d] = "" if d == q1 else f"/{q1 // d}"
+                        hi_text = lo_text if hi == lo else f"{hi // (g1 * d)}{tail}"
+                    else:
+                        lo_text, hi_text = _ratio_text(lo, wden), _ratio_text(hi, wden)
+                    out.append({"index": i, "lo": lo_text, "hi": hi_text,
+                                "verdict": _LABELS[side]})
+                index += len(judged)
+        return out
 
     def failures(self) -> list[dict]:
-        """The reports of the rows not certified, replaying only the runs
-        that hold one."""
-        return [_row_report(*row) for seg in self._segments if seg.n_in < seg.size
-                for row in self._replay(seg) if row[2] != "in"]
-
-    def _replay(self, seg: _Segment):
-        """The run's rows (index, window, side), row by row across blocks;
-        an undecided row's window is the unit interval (0, 1, 1)."""
-        cache, band = self._cache, self._band
-        ratio = cache.x.seq.ratio
-        k, r = seg.k, seg.r
-        b = ratio(k + 1)
-        for index in range(seg.index, seg.index + seg.size):
-            window, side = cache.judge(k, r, band)
-            yield index, window or (0, 1, 1), side
-            r += 1
-            if r == b:  # the run goes on from row 1 of block k + 1
-                k, r = k + 1, 1
-                b = ratio(k + 1)
+        """The reports of the rows not certified, from the runs holding one."""
+        return self.reports(failing=True)
 
 
 class Partition(NamedTuple):
@@ -228,8 +234,6 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
             "points are genuine members"
         )
     branch = "cofinite" if support.is_cofinite else "infinite"
-    lo_cut = Fraction(1, m0)
-    hi_cut = 1 - Fraction(1, n0)
     base, a1, a2, a3 = [], [], [], []
     for n in range(1, horizon + 1):
         c = x.digit(n)
@@ -243,10 +247,9 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
             if x.digit(n + 1) != 0:
                 continue
         base.append(n)
-        ratio = Fraction(c, b)
-        if ratio < lo_cut:
+        if c * m0 < b:  # c/b < 1/m0
             a1.append(n)
-        elif ratio > hi_cut:
+        elif (b - c) * n0 < b:  # c/b > 1 - 1/n0
             a2.append(n)
         else:
             a3.append(n)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from circlelab import suites
 from circlelab.circle import EXPAND_CAP
 from circlelab.cli import (OPS, SUBCOMMANDS, canonical_json, envelope_bytes, main,
                            run_config)
@@ -411,6 +412,18 @@ def test_empty_random_ranges_exit_3(capsys, argv):
 def test_suites_that_would_check_nothing_exit_3(capsys, argv):
     err = capture(capsys, *argv, expect=3).err
     assert err.startswith("error:") and "must" in err
+
+
+@pytest.mark.parametrize("tag,key,limit", [("recursion", "tmax", 128),
+                                           ("recursion", "max_len", 128),
+                                           ("tail-bound", "jmax", 512)])
+def test_suite_sizes_past_their_limit_exit_4(capsys, monkeypatch, tag, key, limit):
+    # the limit itself runs; one past it exits 4 before any window is built
+    argv = ("verify", tag, "--param", "trials=1", "--param", "specs=const:2")
+    assert capture(capsys, *argv, "--param", f"{key}={limit}").out == f"pass: {tag}\n"
+    monkeypatch.setattr(suites, "EnclosureCache", None)  # building a window fails
+    err = capture(capsys, *argv, "--param", f"{key}={limit + 1}", expect=4).err
+    assert err == f"error: {key} must be <= {limit}, got {limit + 1}\n"
 
 
 def test_lift_algebra_without_pairs_still_checks_block_sizes():

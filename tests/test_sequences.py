@@ -2,12 +2,15 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlelab.circle import parse_point
 from circlelab.density import parse_set_expr
 from circlelab.errors import PreconditionError, SpecParseError
+from circlelab.membership import statistical_scan
 from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec, cube_block_edges
 from conftest import MemoDerived
 
@@ -131,6 +134,19 @@ def test_closed_ratio_product_matches_reads(text, lo, span):
     want = math.prod(ArithSeq(RatioSpec.parse(text)).ratio(j) for j in range(lo, hi + 1))
     assert seq.ratio_product(lo, hi) == want
     assert seq._ratios == []
+
+
+def test_constant_ratio_keeps_no_memo():
+    # a rat:2/7 scan under const:3 walks all 50,000 blocks to 10^5 and reads
+    # each b_n one past the last; the constant answers them, none is kept
+    seq = ArithSeq(RatioSpec.constant(3))
+    scan = statistical_scan(parse_point("rat:2/7", seq), Fraction(1, 8), [10 ** 5])
+    assert scan.estimates[-1].in_count == 10 ** 5
+    assert seq._ratios == []
+    assert [seq.ratio(n) for n in (1, 2, 3, 10 ** 9)] == [3] * 4 and seq._ratios == []
+    assert seq.term(5) == 3 ** 5 and seq._ratios == []
+    with pytest.raises(PreconditionError):
+        seq.ratio(0)
 
 
 def test_memo_ratio_product_reads_the_memo():

@@ -111,6 +111,43 @@ def test_partition_infinite_branch():
     assert p.a3 == elem_set([1, 3])
 
 
+@given(spec=st.sampled_from(("pow:2", "const:64", "linear:30")), m0=st.integers(10, 40),
+       n0=st.integers(13, 40), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_partition_cuts_match_fraction_comparisons(spec, m0, n0, data):
+    # the cuts 1/m0 and 1 - 1/n0, compared by integer cross-multiplication,
+    # against Fraction comparisons; digits are drawn at and around each cut
+    seq = ArithSeq(RatioSpec.parse(spec))
+    digits = {}
+    for n in range(1, 13):
+        b = seq.ratio(n)
+        near = [b // m0 + d for d in (-1, 0, 1)] + [b - b // n0 + d for d in (-1, 0, 1)]
+        c = data.draw(st.integers(0, b - 1) | st.sampled_from(near))
+        digits[n] = min(max(c, 0), b - 1)
+    x = CirclePoint(seq, FuncDigits(lambda n, b: digits.get(n, 1), full_set()))
+    p = nonmembership_partition(x, m0, n0, 12)
+    want = {"a1": [], "a2": [], "a3": []}
+    for n, c in digits.items():
+        if c in (0, seq.ratio(n) - 1):  # no digit, or the quasi-support
+            continue
+        ratio = Fraction(c, seq.ratio(n))
+        if ratio < Fraction(1, m0):
+            want["a1"].append(n)
+        else:
+            want["a2" if ratio > 1 - Fraction(1, n0) else "a3"].append(n)
+    assert (p.a1, p.a2, p.a3) == tuple(elem_set(want[key]) for key in ("a1", "a2", "a3"))
+
+
+def test_partition_cuts_are_strict():
+    # under const:64 with m0 = n0 = 16: 4/64 = 1/16 and 60/64 = 1 - 1/16 sit
+    # on the cuts and stay in the middle band; 63 = b - 1 is quasi-support
+    digits = {1: 3, 2: 4, 3: 60, 4: 61, 5: 63}
+    x = CirclePoint(ArithSeq(RatioSpec.constant(64)),
+                    FuncDigits(lambda n, b: digits.get(n, 32), full_set()))
+    p = nonmembership_partition(x, 16, 16, 6)
+    assert (p.a1, p.a2, p.a3) == (elem_set([1]), elem_set([4]), elem_set([2, 3, 6]))
+
+
 def test_partition_validation():
     x = parse_point("ones-on:all", POW2)
     with pytest.raises(PreconditionError):
@@ -431,6 +468,113 @@ def test_report_rows_match_fraction_text(args, m0, shown):
     assert report.to_report(rows=shown)["rows"] == want[:shown]
     failing = [row for row in want if row["verdict"] != "certified"]
     assert report.rows.failures() == failing
+
+
+@st.composite
+def run_cases(draw):
+    """A point, a cache with depth 0-8 and cap 0-8, a band and up to three
+    runs (k, r, size) that may cross block ends; a run may also be one
+    aligned-digit row r >= b_{k+1}."""
+    seq = ArithSeq(RatioSpec.parse(draw(st.sampled_from(
+        ("const:2", "const:3", "linear:1", "pow:2", "dlictrex:3")))))
+    form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "ones-on:evens",
+                                 "floor-div", "finite", "rat")))
+    if form == "rat":  # finite digits or exact, by its expansion horizon
+        q = draw(st.integers(3, 300))
+        x = parse_point(f"rat:{draw(st.integers(1, q - 1))}/{q}", seq,
+                        draw(st.integers(1, 14)))
+    elif form == "finite":
+        x = CirclePoint(seq, FiniteDigits(
+            [draw(st.integers(0, seq.ratio(n) - 1)) for n in range(1, 10)]))
+    elif form == "floor-div":
+        x = parse_point("floor-div:m={3:2,5:2,7:2}", seq)
+    else:
+        try:
+            x = parse_point(form, seq)
+        except PreconditionError:  # ones-on:all is non-canonical under const:2
+            assume(False)
+    cache = (draw(st.integers(0, 8)), draw(st.integers(0, 8)))  # depth, cap
+    q = draw(st.integers(2, 40))
+    lo = draw(st.integers(0, q))
+    band = int_band(Fraction(lo, q), Fraction(draw(st.integers(lo, q)), q))
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 10))
+        b = seq.ratio(k + 1)
+        if draw(st.integers(0, 5)) == 0:  # an aligned-digit row
+            runs.append((k, draw(st.integers(b, 3 * b)), 1))
+        else:  # often near the block end, so the run crosses it
+            r = draw(st.integers(max(1, b - 4), b - 1) | st.integers(1, b - 1))
+            runs.append((k, r, draw(st.integers(1, 60))))
+    return x, cache, band, runs
+
+
+def judge_row_by_row(cache, k, r, size, band):
+    """(k, r, window, side) of the run's rows, one ``judge`` per row: the
+    per-row replay the run judge stands in for."""
+    ratio = cache.x.seq.ratio
+    rows = []
+    b = ratio(k + 1)
+    for _ in range(size):
+        rows.append((k, r, *cache.judge(k, r, band)))
+        r += 1
+        if r == b:  # the run goes on from row 1 of block k + 1
+            k, r = k + 1, 1
+            b = ratio(k + 1)
+    return rows
+
+
+@given(case=run_cases())
+@settings(max_examples=200, deadline=None)
+def test_run_judge_matches_judge_row_by_row(case):
+    x, (depth, cap), band, runs = case
+    cache = EnclosureCache(x, depth=depth, cap=cap)
+    for k, r, size in runs:
+        want = judge_row_by_row(EnclosureCache(x, depth=depth, cap=cap), k, r, size, band)
+        got = []
+        for block, (num, den, judged) in enumerate(cache.judge_run(k, r, size, band), k):
+            # the base window, read once per block: the exact value of an exact
+            # point, else the digit window at min(depth, cap)
+            if cache.exact_mode:
+                assert (num, den) == cache.frac_exact(block + 1)
+            else:
+                assert (num, den) == window_from_scratch(x, block + 1, min(depth, cap))
+            got += [(block, *row) for row in judged]
+        assert got == want
+
+
+def per_row_reports(cache, band, segments):
+    """The rows of ``segments`` judged one by one, each end written by
+    ``str(Fraction)``: the replay ``BlockRows`` had before runs were
+    replayed a block at a time."""
+    out = []
+    for seg in segments:
+        for index, (_, _, window, side) in enumerate(
+                judge_row_by_row(cache, seg.k, seg.r, seg.size, band), seg.index):
+            lo, hi, den = window or (0, 1, 1)
+            out.append({"index": index, "lo": str(Fraction(lo, den)),
+                        "hi": str(Fraction(hi, den)), "verdict": _LABELS[side]})
+    return out
+
+
+@given(case=run_cases(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_reports_match_the_per_row_replay(case, data):
+    x, (depth, cap), band, runs = case
+    segments, index = [], 1
+    for k, r, size in runs:
+        segments.append(_Segment(index, k, r, size, 0))
+        index += size + data.draw(st.integers(0, 5))
+    want = per_row_reports(EnclosureCache(x, depth=depth, cap=cap), band, segments)
+    # each run's certified count, which ``failures`` reads to skip a run
+    segments = [seg._replace(n_in=sum(1 for row in want if row["verdict"] == "certified"
+                                      and seg.index <= row["index"] < seg.index + seg.size))
+                for seg in segments]
+    counts = {v: sum(1 for row in want if row["verdict"] == v) for v in _LABELS.values()}
+    rows = BlockRows(EnclosureCache(x, depth=depth, cap=cap), band, segments, counts)
+    for shown in (None, 0, data.draw(st.integers(1, len(want)))):
+        assert rows.reports(shown) == want[:shown]
+    assert rows.failures() == [row for row in want if row["verdict"] != "certified"]
 
 
 def test_escape_report_builds_no_fraction_per_row():
