@@ -42,7 +42,7 @@ __all__ = [
 DEPTH_CAP = 64
 
 # the largest horizon within which a rational point's expansion may
-# terminate into finite: digits; under pow:2 its ratio memo then holds about
+# terminate into finite: digits; under pow:2 those digits then hold about
 # 1 MB
 EXPAND_CAP = 4096
 
@@ -316,9 +316,8 @@ class EnclosureCache:
     function of its block and depth alone, and a row's enclosure is refined
     from the base depth, so every enclosure and verdict depends on the row,
     the band, the base depth and the cap only, never on the rows judged
-    before it. The windows asked for on the latest block are kept as its
-    ladder, one per depth; the next window slides from the latest one.
-    The point-level readers ``frac_bound``, ``frac_exact`` and
+    before it. Only the latest window is kept; the next window slides from
+    it. The point-level readers ``frac_bound``, ``frac_exact`` and
     ``tail_upper_bound`` read the same windows as unreduced integers, so
     their answers do not depend on the requests before them either.
 
@@ -344,10 +343,6 @@ class EnclosureCache:
         # (k, depth, num, den): the latest window, S = num/den over the digits
         # k+1 .. k+1+depth; the start holds no digit
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
-        # block _ladder_k's windows by depth, and the deepest depth among them
-        self._ladder_k = -1
-        self._ladder: dict[int, tuple[int, int]] = {}
-        self._deepest = 0
         # blocks are skipped only for a rule that declares its support
         self._skips = x.rule.support is not None
 
@@ -365,24 +360,19 @@ class EnclosureCache:
         """(num, den) of block k's window over the digits k+1 .. k+1+depth
         (``window_from_scratch(x, k + 1, depth)`` in ``tests/conftest.py``).
 
-        A depth already asked for on block k is served from its ladder.
-        Otherwise the latest window moves there by ``_slide``: for a block
-        behind it, or one past its end, the window is built from scratch,
-        reading only the digits the rule names as maybe nonzero. A failed
-        digit read leaves the latest window as it was.
+        The latest window is returned when it is that window. Otherwise it
+        moves there by ``_slide``: for a block behind it, or one past its
+        end, the window is built from scratch, reading only the digits the
+        rule names as maybe nonzero. A failed digit read leaves the latest
+        window as it was.
         """
-        if k != self._ladder_k:
-            self._ladder_k, self._ladder, self._deepest = k, {}, 0
-        ladder = self._ladder
-        if depth in ladder:
-            return ladder[depth]
-        wk, wdepth, num, den = self._win
+        win = self._win
+        if win[0] == k and win[1] == depth:
+            return win[2], win[3]
+        wk, wdepth, num, den = win
         window = _slide(self.x, wk + 1, wk + 1 + wdepth, num, den,
                         k + 1, k + 1 + depth)
         self._win = (k, depth, *window)
-        ladder[depth] = window
-        if depth > self._deepest:
-            self._deepest = depth
         return window
 
     def frac_bound(self, n: int, t: int) -> tuple[int, int, int]:
@@ -540,10 +530,11 @@ class EnclosureCache:
         Returns "in" when the certified enclosure lies inside the band, "out"
         when it is disjoint from the band, else "undecided". Conservative at
         exact band edges for infinite-support points; exact otherwise. The
-        refinement starts at the deepest window block k's ladder holds.
+        refinement starts at the latest window's depth when that window lies
+        on block k.
         """
-        start = self._deepest if k == self._ladder_k else 0
-        return self.judge(k, r, band, start)[1]
+        win = self._win
+        return self.judge(k, r, band, win[1] if win[0] == k else 0)[1]
 
     def count_rows(self, k: int, r: int, i: int, N: int,
                    band: tuple[int, int, int, int],

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .density import IntervalNatSet, NatSet
-from .errors import PreconditionError
+from .errors import HorizonError, PreconditionError
 from .parse import printable
 from .records import Record
 from .sequences import ArithSeq
@@ -184,7 +184,7 @@ def witness_recursion(seq: ArithSeq, jmax: int, scan_limit: int = 10**6):
         while derived.boundary(r) <= bound:
             r += 1
             if r > scan_limit:
-                raise PreconditionError(
+                raise HorizonError(
                     f"witness search for u_{j + 1} exceeded scan limit {scan_limit}"
                 )
         u.append(r)

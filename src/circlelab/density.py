@@ -2,10 +2,11 @@
 
 Three set representations are supported: bounded unions of closed intervals
 (a finite element list is a union of one-point intervals), rule-generated
-interval families, and predicates; only the first is finite, and the other
-two state whether they are cofinite. Prefix counting follows the convention
-that the naturals start at 1, so the density estimate at N uses the window
-[1, N].
+interval families, and next-member rules; only the first is finite, and the
+other two state whether they are cofinite. Every set answers membership from
+``next_member`` alone, and no n < 1 is a member. Prefix counting follows the
+convention that the naturals start at 1, so the density estimate at N uses
+the window [1, N].
 
 The lifting map sends a set A of block indices to
 L(A) = union over k in A of [n_{k-1}, n_k - 1] in derived-index space.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError, SpecParseError
@@ -53,15 +54,12 @@ class NatSet:
     is_cofinite: bool
 
     def __contains__(self, n: int) -> bool:
-        raise NotImplementedError
+        """Whether n is a member; False for every n < 1."""
+        return n >= 1 and self.next_member(n) == n
 
     def next_member(self, n: int) -> int | None:
-        """The least member >= n (n >= 1), or None when there is none.
-
-        This default tests members one by one, so it serves only infinite
-        sets; a finite set is an ``IntervalNatSet``, which bisects.
-        """
-        return next(j for j in count(n) if j in self)
+        """The least member >= n (n >= 1), or None when there is none."""
+        raise NotImplementedError
 
     def spread_from(self, g: int) -> int | None:
         """The least member that lies at least g past the member before it
@@ -70,9 +68,10 @@ class NatSet:
         return None
 
     def iter_upto(self, N: int) -> Iterator[int]:
-        for n in range(1, N + 1):
-            if n in self:
-                yield n
+        n = self.next_member(1)
+        while n is not None and n <= N:
+            yield n
+            n = self.next_member(n + 1)
 
     def _check(self, N: int) -> None:
         if N < 1:
@@ -129,10 +128,6 @@ class IntervalNatSet(NatSet):
         self.intervals = intervals
         self._cum = None
         return self
-
-    def __contains__(self, n):
-        i = bisect_right(self.intervals, (n, math.inf)) - 1
-        return i >= 0 and self.intervals[i][0] <= n <= self.intervals[i][1]
 
     def next_member(self, n):
         return _next_in(self.intervals, n)
@@ -208,16 +203,9 @@ class LazyIntervalNatSet(NatSet):
             if lo > N:
                 break
 
-    def __contains__(self, n):
-        self._check(n)
-        self._extend_to(n)
-        i = bisect_right(self._ivals, (n, math.inf)) - 1
-        return i >= 0 and self._ivals[i][0] <= n <= self._ivals[i][1]
-
     def next_member(self, n):
         # once the rule has reached n, the intervals up to the least member
         # >= n are materialized (or the family has ended)
-        self._check(n)
         self._extend_to(n)
         return _next_in(self._ivals, n)
 
@@ -255,26 +243,19 @@ class LazyIntervalNatSet(NatSet):
 
 
 class PredicateNatSet(NatSet):
-    """An infinite set given by a membership predicate; ``is_cofinite`` says
-    whether the predicate fails only finitely often, and ``after``, when
-    given, is the closed form of ``next_member``."""
+    """An infinite set given by its next-member rule ``after``: n -> the
+    least member >= n, for n >= 1; ``is_cofinite`` says whether the set
+    misses only finitely many n."""
 
     is_finite = False
 
-    def __init__(self, pred: Callable[[int], bool], is_cofinite: bool,
-                 name: str = "predicate",
-                 after: Callable[[int], int] | None = None):
-        self._pred = pred
+    def __init__(self, after: Callable[[int], int], is_cofinite: bool,
+                 name: str = "rule"):
+        self._after = after
         self.is_cofinite = is_cofinite
         self.name = name
-        self._after = after
-
-    def __contains__(self, n):
-        return n >= 1 and bool(self._pred(n))
 
     def next_member(self, n):
-        if self._after is None:
-            return super().next_member(n)
         return self._after(n)
 
     def __repr__(self):
@@ -392,9 +373,8 @@ def translate(s: NatSet, m: int) -> NatSet:
         return LazyIntervalNatSet(factory, src.is_cofinite,
                                   name=f"shift({src.name},{m})")
 
-    return PredicateNatSet(lambda n: (n + m) in s, s.is_cofinite,
-                           name=f"shift({s.name},{m})",
-                           after=lambda n: s.next_member(n + m) - m)
+    return PredicateNatSet(lambda n: s.next_member(n + m) - m, s.is_cofinite,
+                           name=f"shift({s.name},{m})")
 
 
 def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
@@ -442,16 +422,14 @@ def cube_gap_blocks() -> LazyIntervalNatSet:
 
 
 def evens() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: n % 2 == 0, False, name="evens",
-                           after=lambda n: n + n % 2)
+    return PredicateNatSet(lambda n: n + n % 2, False, name="evens")
 
 
 class _Squares(PredicateNatSet):
     """The squares, counted by ``math.isqrt``; the gap before m^2 is 2m - 1."""
 
     def __init__(self):
-        super().__init__(lambda n: math.isqrt(n) ** 2 == n, False, name="squares",
-                         after=lambda n: (math.isqrt(n - 1) + 1) ** 2)
+        super().__init__(lambda n: (math.isqrt(n - 1) + 1) ** 2, False, name="squares")
 
     def count_upto(self, n):
         return math.isqrt(n)
@@ -466,7 +444,7 @@ def squares() -> PredicateNatSet:
 
 
 def full_set() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: True, True, name="all", after=lambda n: n)
+    return PredicateNatSet(lambda n: n, True, name="all")
 
 
 def parse_set_expr(text: str, seq: ArithSeq | None = None) -> NatSet:

@@ -274,33 +274,27 @@ def _parse_ratio_file(path: Path, reading: frozenset) -> RatioSpec:
 class ArithSeq:
     """Memoized exact terms of a_0 = 1, a_k = b_k * a_{k-1}.
 
-    Ratios and terms are computed on first access and kept for the life of
-    the object. Under a spec with closed forms, a ratio read more than one
-    index past the memo is computed from the rule and not kept (a constant
-    ratio keeps no memo), so a scan does not fill the memo as it jumps.
+    Terms are computed on first access and kept for the life of the object.
+    A spec with closed forms answers every ratio from its rule and keeps no
+    ratio memo; the others (``explicit:``, ``file:`` and ``dlictrex``) keep
+    every ratio up to the highest index read.
     """
 
     def __init__(self, spec: RatioSpec):
         self.spec = spec
         self._terms = [1]
         self._ratios: list[int] = []
-        # the rule n -> b_n for reads past the memo, when it has closed forms
-        self._ahead = spec._rule if spec.forms else None
-        self._b = spec.constant_ratio  # answers every read, with no memo
+        # the rule n -> b_n of a spec with closed forms, read with no memo
+        self._rule = spec._rule if spec.forms else None
         self._derived: DerivedSeq | None = None
 
     def ratio(self, n: int) -> int:
         """b_n for n >= 1."""
-        ratios = self._ratios
-        m = len(ratios)
-        if 0 < n <= m:
-            return ratios[n - 1]
-        if self._b and n > 0:
-            return self._b
-        if n > m + 1 and self._ahead is not None:
-            return self._ahead(n)
+        if self._rule is not None and n > 0:
+            return self._rule(n)
         if n < 1:
             raise PreconditionError(f"ratio index must be >= 1, got {n}")
+        ratios = self._ratios
         while n > len(ratios):
             ratios.append(self.spec.term(len(ratios) + 1))
         return ratios[n - 1]

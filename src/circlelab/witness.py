@@ -198,7 +198,6 @@ class Partition(NamedTuple):
     a2: IntervalNatSet  # 1 - 1/n0 < c_n/b_n < 1
     a3: IntervalNatSet  # the middle band
     branch: str         # "cofinite" or "infinite"
-    base: IntervalNatSet
 
 
 def _check_cuts(m0: int, n0: int) -> None:
@@ -234,7 +233,7 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
             "points are genuine members"
         )
     branch = "cofinite" if support.is_cofinite else "infinite"
-    base, a1, a2, a3 = [], [], [], []
+    a1, a2, a3 = [], [], []
     for n in range(1, horizon + 1):
         c = x.digit(n)
         if c == 0:
@@ -246,16 +245,14 @@ def nonmembership_partition(x: CirclePoint, m0: int, n0: int,
         else:
             if x.digit(n + 1) != 0:
                 continue
-        base.append(n)
         if c * m0 < b:  # c/b < 1/m0
             a1.append(n)
         elif (b - c) * n0 < b:  # c/b > 1 - 1/n0
             a2.append(n)
         else:
             a3.append(n)
-    a1, a2, a3, base = (IntervalNatSet((n, n) for n in elems)
-                        for elems in (a1, a2, a3, base))
-    return Partition(a1, a2, a3, branch, base)
+    a1, a2, a3 = (IntervalNatSet((n, n) for n in elems) for elems in (a1, a2, a3))
+    return Partition(a1, a2, a3, branch)
 
 
 def bad_interval_family(x: CirclePoint, branch_set: NatSet, case: str,

@@ -3,6 +3,7 @@
 import os
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -108,18 +109,32 @@ class FuncDigits(DigitRule):
 
 
 class WalkedSet(NatSet):
-    """A set that forwards only membership and ``next_member`` to another,
-    so a scan over it walks every gap the other's count would multiply."""
+    """A set that forwards only ``next_member`` to another (membership
+    follows from it), so a scan over it walks every gap the other's count
+    would multiply."""
 
     def __init__(self, inner: NatSet):
         self._inner = inner
         self.is_finite, self.is_cofinite = inner.is_finite, inner.is_cofinite
 
-    def __contains__(self, n):
-        return n in self._inner
-
     def next_member(self, n):
         return self._inner.next_member(n)
+
+
+class OpaqueSet(NatSet):
+    """An infinite set known only through a membership predicate: its
+    ``next_member`` tests indices one by one, as for a set with no closed
+    form for its next member."""
+
+    is_finite = False
+
+    def __init__(self, pred, is_cofinite: bool = False, name: str = "opaque"):
+        self._pred = pred
+        self.is_cofinite = is_cofinite
+        self.name = name
+
+    def next_member(self, n):
+        return next(j for j in count(n) if self._pred(j))
 
 
 class AlternatingGaps(NatSet):

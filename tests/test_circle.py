@@ -22,7 +22,6 @@ from circlelab.circle import (
 )
 from circlelab.density import (
     IntervalNatSet,
-    PredicateNatSet,
     cube_gap_blocks,
     evens,
     full_set,
@@ -32,6 +31,7 @@ from circlelab.errors import HorizonError, PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
 from conftest import (
     FuncDigits,
+    OpaqueSet,
     as_enclosure,
     as_fraction,
     certified_below,
@@ -561,7 +561,7 @@ def window_points(draw, seq):
         return parse_point(f"rat:{p}/97", seq, horizon)
     if form == "opaque":
         return CirclePoint(seq, IndicatorDigits(
-            PredicateNatSet(lambda n: n % 3 == 1, False, name="thirds")))
+            OpaqueSet(lambda n: n % 3 == 1, name="thirds")))
     sets = sparse_supports()
     if not seq.spec.eventually_two():
         sets |= st.just("all")
@@ -606,6 +606,47 @@ def test_sliding_window_matches_rebuild(spec, data, depth, cap, moves):
             assert (cache.band_verdict(k, r, int_band(*band))
                     == fresh.band_verdict(k, r, int_band(*band)))
             assert check(k) <= max_depth
+
+
+class _EdgeRecorder(EnclosureCache):
+    """A cache that records the (k, r, side) of each ``band_verdict`` call,
+    the edge rows its counts leave to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.edges = []
+
+    def band_verdict(self, k, r, band):
+        side = super().band_verdict(k, r, band)
+        self.edges.append((k, r, side))
+        return side
+
+
+@given(spec=st.sampled_from(sorted(_WINDOW_SPECS)), data=st.data(),
+       depth=st.integers(0, 3), cap=st.integers(0, 24),
+       ends=st.integers(3, 40).flatmap(lambda q: st.tuples(
+           st.integers(1, q - 2), st.integers(1, q - 2), st.just(q))),
+       N=st.integers(1, 3000))
+@settings(max_examples=200, deadline=None)
+def test_edge_rows_get_the_side_judge_gives_from_the_base_depth(spec, data, depth,
+                                                                cap, ends, N):
+    # band_verdict starts at the latest window's depth when that window lies
+    # on the row's block; on every edge row of a count it must give the side
+    # judge gives from the base depth on a fresh cache
+    seq = _WINDOW_SPECS[spec]
+    supports = ["evens", "squares", "blocks:cube-gap", "shift(squares,3)",
+                "lift(squares)", "thirds"]
+    if not seq.spec.eventually_two():
+        supports.append("all")
+    support = data.draw(st.sampled_from(supports))
+    x = (CirclePoint(seq, IndicatorDigits(OpaqueSet(lambda n: n % 3 == 1)))
+         if support == "thirds" else parse_point("ones-on:" + support, seq))
+    p1, p2, q = ends
+    band = int_band(Fraction(min(p1, p2), q), Fraction(max(p1, p2) + 1, q))
+    cache = _EdgeRecorder(x, depth=depth, cap=cap)
+    cache.count_rows(0, 1, 1, N, band)
+    for k, r, side in cache.edges:
+        assert EnclosureCache(x, depth=depth, cap=cap).judge(k, r, band)[1] == side
 
 
 def test_slide_validates_each_new_digit():

@@ -15,7 +15,7 @@ from circlelab.classify import (
     witness_recursion,
 )
 from circlelab.density import evens
-from circlelab.errors import PreconditionError
+from circlelab.errors import HorizonError, PreconditionError
 from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
 from conftest import elem_set
 
@@ -144,7 +144,9 @@ def test_witness_recursion_minimality(seq):
 
 
 def test_witness_recursion_scan_limit():
-    with pytest.raises(PreconditionError):
+    # a search past its budget is an exceeded horizon (exit 4); a jmax below
+    # 1 is a bad input (exit 3)
+    with pytest.raises(HorizonError):
         witness_recursion(LINEAR1, 5, scan_limit=10)
     with pytest.raises(PreconditionError):
         witness_recursion(LINEAR1, 0)

@@ -244,6 +244,16 @@ def test_expand_over_budget_exits_4(capsys):
     assert f"exceeds the budget of {EXPAND_CAP} digits" in out.err
 
 
+@pytest.mark.parametrize("command", [
+    ("classify", "--check", "witness-set"),
+    ("witness", "--op", "family"),
+])
+def test_witness_search_past_its_scan_limit_exits_4(capsys, command):
+    out = capture(capsys, *command, "--spec", "linear:1", "--jmax", "5",
+                  "--scan-limit", "10", expect=4)
+    assert "exceeded scan limit 10" in out.err
+
+
 # SHA-256 of the member envelope whose cutoff n_14283 has exactly 4300 digits
 _MEMBER_AT_LIMIT = "f99ea8e2964856f743517fa2f58548185dfb45205c077866b438e6899ba4c7b8"
 

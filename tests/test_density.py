@@ -1,6 +1,7 @@
 """Index-set representations, algebra, lifting, and prefix densities."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -10,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from circlelab.density import (
     DensityEstimate,
     IntervalNatSet,
-    PredicateNatSet,
     cube_gap_blocks,
     evens,
     full_set,
@@ -22,7 +22,7 @@ from circlelab.density import (
 )
 from circlelab.errors import PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
-from conftest import elem_set
+from conftest import MemoDerived, OpaqueSet, elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -286,7 +286,7 @@ def test_lift_and_shift_of_unbounded_runs():
     def block_of(n):
         return d.decompose(n)[0] + 1
 
-    tail = PredicateNatSet(lambda n: n >= 4, True, name="from-4")
+    tail = OpaqueSet(lambda n: n >= 4, True, name="from-4")
     cases = [
         (lift(full_set(), d), lambda n: True),
         (lift(tail, d), lambda n: block_of(n) >= 4),
@@ -346,39 +346,68 @@ def test_traits_match_brute_force(expr, seq):
         assert late and late_gaps
 
 
-def _thirds(seq=None):
-    # an opaque predicate: no closed form for its next member
-    return PredicateNatSet(lambda n: n % 3 == 1, False, name="thirds")
+def _thirds():
+    # an opaque set: no closed form for its next member
+    return OpaqueSet(lambda n: n % 3 == 1, name="thirds")
 
 
-def _thirds_shifted(seq):
-    return translate(_thirds(), 2)
+# the thirds forms by name, built as the library builds them
+_THIRDS = {"thirds": lambda seq: _thirds(),
+           "shift(thirds,2)": lambda seq: translate(_thirds(), 2),
+           "lift(thirds)": lambda seq: lift(_thirds(), seq.derived)}
+
+_BLOCKS = {}  # spec -> MemoDerived, the block of a derived index by bisection
 
 
-def _thirds_lifted(seq):
-    return lift(_thirds(), seq.derived)
+def _member(expr: str, seq, n: int) -> bool:
+    """Whether n is in the set expression, decided from its definition with
+    no NatSet: lift(E) holds n when E holds its block, shift(E,m) when E
+    holds n + m, and each atom by its own formula."""
+    if expr.startswith("lift("):
+        blocks = _BLOCKS.setdefault(seq.describe(), MemoDerived(seq))
+        return _member(expr[5:-1], seq, blocks.decompose(n)[0] + 1)
+    if expr.startswith("shift("):
+        inner, _, m = expr[6:-1].rpartition(",")
+        return _member(inner, seq, n + int(m))
+    if expr.startswith(("fin:", "ivl:")):
+        vals = [int(v) for v in re.findall(r"\d+", expr)]
+        if expr.startswith("fin:"):
+            return n in vals
+        return any(lo <= n <= hi for lo, hi in zip(vals[::2], vals[1::2]))
+    if expr == "blocks:cube-gap":
+        g, j = 1, 1  # block j is [g, g + j^3], the next starts j past its end
+        while g + j ** 3 < n:
+            g, j = g + j ** 3 + j, j + 1
+        return g <= n
+    return {"evens": n % 2 == 0, "squares": math.isqrt(n) ** 2 == n,
+            "all": True, "thirds": n % 3 == 1}[expr]
 
 
-@given(expr=_exprs | st.sampled_from((_thirds, _thirds_shifted, _thirds_lifted)),
+@given(expr=_exprs | st.sampled_from(sorted(_THIRDS)),
        seq=st.sampled_from((LINEAR1, ArithSeq(RatioSpec.parse("const:3")))),
        starts=st.lists(st.integers(1, _W1), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_next_member_matches_brute_force(expr, seq, starts):
-    s = expr(seq) if callable(expr) else parse_set_expr(expr, seq)
-    members = sorted(s.iter_upto(_W2))
+    # next_member, membership and iter_upto against the definition of the
+    # expression, tested index by index
+    s = _THIRDS[expr](seq) if expr in _THIRDS else parse_set_expr(expr, seq)
+    members = [n for n in range(1, _W2 + 1) if _member(expr, seq, n)]
+    assert list(s.iter_upto(_W2)) == members
+    assert [n in s for n in range(-2, 200)] == [n >= 1 and _member(expr, seq, n)
+                                                for n in range(-2, 200)]
     for n in sorted(starts) + sorted(starts, reverse=True):
         want = next((m for m in members if m >= n), None)
         got = s.next_member(n)
         if want is not None or s.is_finite:
             assert got == want
         else:  # the next member lies past W2
-            assert got > _W2 and got in s
+            assert got > _W2 and _member(expr, seq, got)
 
 
 def test_next_member_of_opaque_sets():
-    # a bare predicate answers its least member by testing indices one by
+    # an opaque set answers its least member by testing indices one by
     # one, its shift through it, and its lift by materializing blocks
-    thirds = PredicateNatSet(lambda n: n % 3 == 0, False)
+    thirds = OpaqueSet(lambda n: n % 3 == 0)
     assert thirds.next_member(4) == 6 and thirds.next_member(6) == 6
     assert translate(thirds, 2).next_member(1) == 1
     assert translate(thirds, 2).next_member(2) == 4
@@ -387,6 +416,15 @@ def test_next_member_of_opaque_sets():
     # a finite set has no member past its end
     assert elem_set([3, 9]).next_member(10) is None
     assert IntervalNatSet().next_member(1) is None
+
+
+def test_no_index_below_one_is_a_member():
+    # every set form, lazy ones included, answers False below 1
+    sets = [elem_set([1, 2]), full_set(), evens(), squares(), cube_gap_blocks(),
+            lift(full_set(), LINEAR1.derived), translate(cube_gap_blocks(), 2),
+            translate(full_set(), 3), OpaqueSet(lambda n: True, True)]
+    for s in sets:
+        assert [n in s for n in (-5, -1, 0)] == [False, False, False]
 
 
 def test_walk_yields_increasing_pieces():

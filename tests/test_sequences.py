@@ -149,6 +149,39 @@ def test_constant_ratio_keeps_no_memo():
         seq.ratio(0)
 
 
+@given(text=st.sampled_from(_CLOSED),
+       jumps=st.lists(st.integers(1, 300) | st.integers(10 ** 3, 10 ** 12),
+                      min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_closed_ratio_reads_the_rule(text, jumps):
+    # reads in any order, far ahead and back again, equal the spec's rule
+    # and keep no memo; under pow, b_n = B^n has at least n bits, so its
+    # reads stop at n = 3000
+    seq, spec = ArithSeq(RatioSpec.parse(text)), RatioSpec.parse(text)
+    for n in jumps:
+        if text.startswith("pow"):
+            n = min(n, 3000)
+        assert seq.ratio(n) == spec.term(n)
+    assert seq._ratios == []
+    with pytest.raises(PreconditionError):
+        seq.ratio(0)
+
+
+@pytest.mark.parametrize("text, point, N", [
+    # 14,150 blocks: a memo filled by the scan would hold 14,150 ratios
+    ("linear:1", "ones-on:all", 10 ** 8),
+    ("pow:2", "ones-on:squares", 10 ** 6),
+    ("pow:3", "ones-on:evens", 10 ** 6),
+    ("linear:2", "rat:2/7", 10 ** 5),
+    ("const:2", "ones-on:blocks:cube-gap", 10 ** 4),
+])
+def test_closed_specs_keep_no_ratio_memo_through_a_scan(text, point, N):
+    seq = ArithSeq(RatioSpec.parse(text))
+    scan = statistical_scan(parse_point(point, seq), Fraction(1, 8), [N])
+    assert scan.estimates[-1].N == N
+    assert seq._ratios == []
+
+
 def test_memo_ratio_product_reads_the_memo():
     seq = ArithSeq(RatioSpec.parse("dlictrex:3"))
     assert seq.ratio_product(4, 9) == math.prod(seq.ratio(j) for j in range(4, 10))
