@@ -22,7 +22,7 @@ from .classify import (
     witness_recursion,
 )
 from .density import IntervalNatSet, lift, parse_set_expr
-from .errors import CircleLabError, PreconditionError, SpecParseError
+from .errors import CircleLabError, HorizonError, PreconditionError, SpecParseError
 from .membership import convergence_verdict, finite_support_member, statistical_scan
 from .parse import frac_param, int_param, ints_param, merge_params, printable
 from .sequences import ArithSeq, RatioSpec
@@ -65,6 +65,9 @@ def _render(intervals) -> str:
 # Each takes its operation's params, merged over the defaults declared in
 # OPS, and returns (terse, report, fail_message).
 
+# the most values seq lists; they are all held in memory at once
+_SEQ_COUNT_LIMIT = 10 ** 5
+
 
 def _cmd_seq(p: dict):
     seq = _seq_of(p)
@@ -72,6 +75,8 @@ def _cmd_seq(p: dict):
     count = int_param(p, "count")
     if count < 1:
         raise PreconditionError("--count must be >= 1")
+    if count > _SEQ_COUNT_LIMIT:
+        raise HorizonError(f"--count must be <= {_SEQ_COUNT_LIMIT}, got {count}")
     # each kind's term and its first index
     terms = {"d": (seq.derived.term, 1), "a": (seq.term, 0), "b": (seq.ratio, 1),
              "n": (seq.derived.boundary, 0)}
@@ -96,14 +101,7 @@ def _cmd_lift(p: dict):
     if horizon < 1:
         raise PreconditionError(f"prefix bound must be >= 1, got {horizon}")
     if not isinstance(lifted, IntervalNatSet):  # print the runs up to the horizon
-        pieces = []
-        for lo, hi in lifted.walk():  # pull no further than [1, horizon] needs
-            if lo > horizon:
-                break
-            pieces.append((lo, min(hi, horizon)))
-            if hi >= horizon:
-                break
-        terse = _render(IntervalNatSet(pieces).intervals)
+        terse = _render(lifted.runs_upto(horizon))
         return terse, {"set": str(expr), "prefix": terse, "horizon": horizon,
                        "clipped": True}, None
     report = {"set": str(expr), "intervals": [list(iv) for iv in lifted.intervals],

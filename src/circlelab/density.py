@@ -1,12 +1,15 @@
 """Subsets of the positive integers, prefix densities, and block lifting.
 
-Three set representations are supported: bounded unions of closed intervals
-(a finite element list is a union of one-point intervals), rule-generated
-interval families, and next-member rules; only the first is finite, and the
-other two state whether they are cofinite. Every set answers membership from
-``next_member`` alone, and no n < 1 is a member. Prefix counting follows the
-convention that the naturals start at 1, so the density estimate at N uses
-the window [1, N].
+Every set answers two queries: ``next_member`` and ``next_gap``, the least
+member and the least non-member >= n. Two representations answer them:
+bounded unions of closed intervals (a finite element list is a union of
+one-point intervals), by bisection over the intervals, and rule sets, each
+query by a rule of its own in closed form or through the rules of the set
+it is built from. Only the first is finite; a rule set states whether it is
+cofinite. Membership comes from ``next_member`` alone, and no n < 1 is a
+member; the maximal runs up to N, and so the members, come from the two
+queries in turn. Prefix counting follows the convention that the naturals
+start at 1, so the density estimate at N uses the window [1, N].
 
 The lifting map sends a set A of block indices to
 L(A) = union over k in A of [n_{k-1}, n_k - 1] in derived-index space.
@@ -23,13 +26,12 @@ from typing import Callable, Iterable, Iterator
 from .errors import PreconditionError, SpecParseError
 from .parse import enclosed, integer, integers
 from .records import FrozenRecord
-from .sequences import ArithSeq, DerivedSeq, cube_block_edges
+from .sequences import ArithSeq, DerivedSeq, cube_block_of
 
 __all__ = [
     "NatSet",
     "IntervalNatSet",
-    "LazyIntervalNatSet",
-    "PredicateNatSet",
+    "RuleNatSet",
     "DensityEstimate",
     "lift",
     "translate",
@@ -61,29 +63,31 @@ class NatSet:
         """The least member >= n (n >= 1), or None when there is none."""
         raise NotImplementedError
 
+    def next_gap(self, n: int) -> int | None:
+        """The least non-member >= n (n >= 1), or None when there is none."""
+        raise NotImplementedError
+
     def spread_from(self, g: int) -> int | None:
         """The least member that lies at least g past the member before it
         (or 0), as every later member does; None when the set cannot say.
         A set that answers also answers ``count_upto``."""
         return None
 
+    def runs_upto(self, N: int) -> Iterator[tuple[int, int]]:
+        """The maximal runs [lo, hi] of members, clipped to [1, N], in
+        increasing order: each from ``next_member``, ended by ``next_gap``."""
+        lo = self.next_member(1)
+        while lo is not None and lo <= N:
+            gap = self.next_gap(lo)
+            if gap is None or gap > N:
+                yield lo, N
+                return
+            yield lo, gap - 1
+            lo = self.next_member(gap)
+
     def iter_upto(self, N: int) -> Iterator[int]:
-        n = self.next_member(1)
-        while n is not None and n <= N:
-            yield n
-            n = self.next_member(n + 1)
-
-    def _check(self, N: int) -> None:
-        if N < 1:
-            raise PreconditionError(f"prefix bound must be >= 1, got {N}")
-
-
-def _next_in(intervals, n: int) -> int | None:
-    """The least member >= n of sorted disjoint closed intervals, by bisection."""
-    i = bisect_right(intervals, (n, math.inf)) - 1
-    if i >= 0 and n <= intervals[i][1]:
-        return n
-    return intervals[i + 1][0] if i + 1 < len(intervals) else None
+        for lo, hi in self.runs_upto(N):
+            yield from range(lo, hi + 1)
 
 
 def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -130,10 +134,20 @@ class IntervalNatSet(NatSet):
         return self
 
     def next_member(self, n):
-        return _next_in(self.intervals, n)
+        ivals = self.intervals
+        i = bisect_right(ivals, (n, math.inf))  # intervals starting <= n
+        if i and n <= ivals[i - 1][1]:
+            return n
+        return ivals[i][0] if i < len(ivals) else None
+
+    def next_gap(self, n):
+        ivals = self.intervals
+        i = bisect_right(ivals, (n, math.inf))
+        return ivals[i - 1][1] + 1 if i and n <= ivals[i - 1][1] else n
 
     def count_upto(self, N):
-        self._check(N)
+        if N < 1:
+            raise PreconditionError(f"prefix bound must be >= 1, got {N}")
         i = bisect_right(self.intervals, (N, math.inf))  # intervals starting <= N
         if i == 0:
             return 0
@@ -142,12 +156,6 @@ class IntervalNatSet(NatSet):
                                         initial=0))
         lo, hi = self.intervals[i - 1]
         return self._cum[i - 1] + min(hi, N) - lo + 1
-
-    def iter_upto(self, N):
-        for lo, hi in self.intervals:
-            if lo > N:
-                break
-            yield from range(lo, min(hi, N) + 1)
 
     def __eq__(self, other):
         if isinstance(other, IntervalNatSet):
@@ -161,105 +169,25 @@ class IntervalNatSet(NatSet):
         return f"IntervalNatSet({list(self.intervals)})"
 
 
-class LazyIntervalNatSet(NatSet):
-    """An interval union produced by a rule, materialized on demand.
-
-    The factory returns an iterator of (lo, hi) pairs with strictly increasing
-    lo and disjoint ranges; adjacent ranges are merged during materialization.
-    The family is infinite; ``is_cofinite`` says whether it ends in an
-    endless run.
-    """
+class RuleNatSet(NatSet):
+    """An infinite set given by two rules, each taking n >= 1: ``next_member``,
+    the least member >= n, and ``next_gap``, the least non-member >= n or
+    None. Both are bound as instance attributes, so a query calls its rule
+    directly. ``is_cofinite`` says whether the set misses only finitely
+    many n."""
 
     is_finite = False
 
-    def __init__(self, factory: Callable[[], Iterator[tuple[int, int]]],
-                 is_cofinite: bool, name: str = "rule-intervals"):
-        self._factory = factory
-        self._iter: Iterator[tuple[int, int]] | None = None
-        self._ivals: list[tuple[int, int]] = []
-        self._exhausted = False
-        self.is_cofinite = is_cofinite
-        self.name = name
-
-    def _extend_to(self, N: int) -> None:
-        # Membership on [1, N] is decided once an interval reaches past N,
-        # an interval starts past N, or the family is exhausted.
-        if self._iter is None:
-            self._iter = self._factory()
-        while not self._exhausted and (not self._ivals or self._ivals[-1][1] < N):
-            nxt = next(self._iter, None)
-            if nxt is None:
-                self._exhausted = True
-                break
-            lo, hi = nxt
-            if lo > hi or (self._ivals and lo <= self._ivals[-1][1]):
-                raise PreconditionError(
-                    f"rule for {self.name} produced a non-increasing interval {nxt}"
-                )
-            if self._ivals and lo == self._ivals[-1][1] + 1:
-                self._ivals[-1] = (self._ivals[-1][0], hi)
-            else:
-                self._ivals.append((lo, hi))
-            if lo > N:
-                break
-
-    def next_member(self, n):
-        # once the rule has reached n, the intervals up to the least member
-        # >= n are materialized (or the family has ended)
-        self._extend_to(n)
-        return _next_in(self._ivals, n)
-
-    def iter_upto(self, N):
-        self._check(N)
-        self._extend_to(N)
-        for lo, hi in self._ivals:
-            if lo > N:
-                break
-            yield from range(lo, min(hi, N) + 1)
-
-    def walk(self) -> Iterator[tuple[int, int]]:
-        """Yield the set's intervals in increasing order, pulling more from
-        the rule as the walk goes.
-
-        The trailing interval can still grow by adjacency merging, so each
-        growth comes as a new adjacent piece (consumers merge them again);
-        an unbounded run is thus walked piece by piece instead of waited for.
-        """
-        i = done = 0  # self._ivals[:i] and every member <= done are yielded
-        while True:
-            while i < len(self._ivals):
-                lo, hi = self._ivals[i]
-                if hi > done:
-                    yield max(lo, done + 1), hi
-                    done = hi
-                i += 1
-            if self._exhausted:
-                return
-            i = max(i - 1, 0)  # the trailing interval can still grow
-            self._extend_to(done + 1)
-
-    def __repr__(self):
-        return f"LazyIntervalNatSet({self.name})"
-
-
-class PredicateNatSet(NatSet):
-    """An infinite set given by its next-member rule ``after``: n -> the
-    least member >= n, for n >= 1; ``is_cofinite`` says whether the set
-    misses only finitely many n."""
-
-    is_finite = False
-
-    def __init__(self, after: Callable[[int], int], is_cofinite: bool,
+    def __init__(self, next_member: Callable[[int], int],
+                 next_gap: Callable[[int], int | None], is_cofinite: bool,
                  name: str = "rule"):
-        self._after = after
+        self.next_member = next_member
+        self.next_gap = next_gap
         self.is_cofinite = is_cofinite
         self.name = name
 
-    def next_member(self, n):
-        return self._after(n)
-
     def __repr__(self):
-        return f"PredicateNatSet({self.name})"
+        return f"RuleNatSet({self.name})"
 
 
 # ===== Density ==============================================================
@@ -362,19 +290,13 @@ def translate(s: NatSet, m: int) -> NatSet:
         return IntervalNatSet(
             (max(lo - m, 1), hi - m) for lo, hi in s.intervals if hi > m
         )
-    if isinstance(s, LazyIntervalNatSet):
-        src = s
 
-        def factory():
-            for lo, hi in src.walk():
-                if hi > m:
-                    yield max(lo - m, 1), hi - m
+    def gap(n):
+        g = s.next_gap(n + m)
+        return None if g is None else g - m
 
-        return LazyIntervalNatSet(factory, src.is_cofinite,
-                                  name=f"shift({src.name},{m})")
-
-    return PredicateNatSet(lambda n: s.next_member(n + m) - m, s.is_cofinite,
-                           name=f"shift({s.name},{m})")
+    return RuleNatSet(lambda n: s.next_member(n + m) - m, gap, s.is_cofinite,
+                      name=f"shift({s.name},{m})")
 
 
 def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
@@ -391,45 +313,53 @@ def lift(s: NatSet, derived: DerivedSeq) -> NatSet:
             (derived.boundary(lo - 1), derived.boundary(hi) - 1)
             for lo, hi in s.intervals
         ))
-    if isinstance(s, LazyIntervalNatSet):
-        src = s
 
-        def factory():
-            for lo, hi in src.walk():
-                yield derived.boundary(lo - 1), derived.boundary(hi) - 1
+    def at(rule):
+        # index i lies in block k; the rule's answer j >= k from there starts
+        # block j, unless it is k itself
+        def answer(i):
+            k = derived.block(i) + 1
+            j = rule(k)
+            if j == k:
+                return i
+            return None if j is None else derived.boundary(j - 1)
+        return answer
 
-        return LazyIntervalNatSet(factory, src.is_cofinite, name=f"lift({src.name})")
-    src = s
-
-    def factory():
-        # one block per member; LazyIntervalNatSet merges adjacent blocks, and
-        # a set with an unbounded run (such as all) still answers every query
-        k = 1
-        while True:
-            nxt = src.next_member(k)
-            yield derived.boundary(nxt - 1), derived.boundary(nxt) - 1
-            k = nxt + 1
-
-    return LazyIntervalNatSet(factory, src.is_cofinite, name=f"lift({src.name})")
+    return RuleNatSet(at(s.next_member), at(s.next_gap), s.is_cofinite,
+                      name=f"lift({s.name})")
 
 
 # ===== Stock sets and the set-expression language ===========================
 
 
-def cube_gap_blocks() -> LazyIntervalNatSet:
-    """The block set with g_1 = 1, h_j - g_j = j^3, g_{j+1} - h_j = j; density 1."""
-    return LazyIntervalNatSet(cube_block_edges, False, name="blocks:cube-gap")
+def cube_gap_blocks() -> RuleNatSet:
+    """The block set with g_1 = 1, h_j - g_j = j^3, g_{j+1} - h_j = j; density 1.
+    Block 1 ends next to block 2, so the first gap is 12."""
+
+    def member(n):
+        j, h = cube_block_of(n)
+        return n if n <= h else h + j
+
+    def gap(n):
+        j, h = cube_block_of(n)
+        if n > h:
+            return n
+        return h + 1 if j > 1 else 12
+
+    return RuleNatSet(member, gap, False, name="blocks:cube-gap")
 
 
-def evens() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: n + n % 2, False, name="evens")
+def evens() -> RuleNatSet:
+    return RuleNatSet(lambda n: n + n % 2, lambda n: n + 1 - n % 2, False,
+                      name="evens")
 
 
-class _Squares(PredicateNatSet):
+class _Squares(RuleNatSet):
     """The squares, counted by ``math.isqrt``; the gap before m^2 is 2m - 1."""
 
     def __init__(self):
-        super().__init__(lambda n: (math.isqrt(n - 1) + 1) ** 2, False, name="squares")
+        super().__init__(lambda n: (math.isqrt(n - 1) + 1) ** 2,
+                         lambda n: n + (math.isqrt(n) ** 2 == n), False, name="squares")
 
     def count_upto(self, n):
         return math.isqrt(n)
@@ -439,12 +369,12 @@ class _Squares(PredicateNatSet):
         return m * m
 
 
-def squares() -> PredicateNatSet:
+def squares() -> RuleNatSet:
     return _Squares()
 
 
-def full_set() -> PredicateNatSet:
-    return PredicateNatSet(lambda n: n, True, name="all")
+def full_set() -> RuleNatSet:
+    return RuleNatSet(lambda n: n, lambda n: None, True, name="all")
 
 
 def parse_set_expr(text: str, seq: ArithSeq | None = None) -> NatSet:

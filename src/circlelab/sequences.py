@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from math import isqrt
 from pathlib import Path
 
 from .errors import PreconditionError, SpecParseError
 from .parse import enclosed, integer, integers
 
-__all__ = ["RatioSpec", "ArithSeq", "DerivedSeq", "cube_block_edges"]
+__all__ = ["RatioSpec", "ArithSeq", "DerivedSeq", "cube_block_edges", "cube_block_of"]
 
 
 def cube_block_edges():
@@ -29,6 +30,16 @@ def cube_block_edges():
         yield g, h
         g = h + j
         j += 1
+
+
+def cube_block_of(n: int) -> tuple[int, int]:
+    """(j, h_j) for the block of ``cube_block_edges`` with the last start
+    g_j <= n (n >= 1), in closed form: g_j = 1 + t^2 + t with
+    t = j(j - 1)/2, the sum of i^3 + i over i < j, and h_j = g_j + j^3."""
+    T = (isqrt(4 * n - 3) - 1) >> 1  # the largest T with T(T + 1) <= n - 1
+    j = (isqrt(8 * T + 1) + 1) >> 1  # the largest j with j(j - 1)/2 <= T
+    t = j * (j - 1) >> 1
+    return j, 1 + t * (t + 1) + j * j * j
 
 
 def _cube_block_elements(jmax):
@@ -361,7 +372,8 @@ class DerivedSeq:
             self._grow()
         return bounds[k]
 
-    def _block_index(self, i: int) -> int:
+    def block(self, i: int) -> int:
+        """The block k of derived index i >= 1: n_k <= i < n_{k+1}."""
         if i < 1:
             raise PreconditionError(f"derived index must be >= 1, got {i}")
         if self._forms:
@@ -372,7 +384,7 @@ class DerivedSeq:
 
     def decompose(self, i: int) -> tuple[int, int]:
         """The unique (k, r) with d_i = r * a_k, 1 <= r < b_{k+1}; i = n_k + r - 1."""
-        k = self._block_index(i)
+        k = self.block(i)
         return k, i - self.boundary(k) + 1
 
     def term(self, i: int) -> int:

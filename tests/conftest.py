@@ -123,18 +123,26 @@ class WalkedSet(NatSet):
 
 class OpaqueSet(NatSet):
     """An infinite set known only through a membership predicate: its
-    ``next_member`` tests indices one by one, as for a set with no closed
-    form for its next member."""
+    ``next_member`` and ``next_gap`` test indices one by one, as for a set
+    with no closed form for either. A cofinite set states its last gap (0
+    when it has none), since a search one index at a time past it would not
+    end; a set given no last gap is not cofinite."""
 
     is_finite = False
 
-    def __init__(self, pred, is_cofinite: bool = False, name: str = "opaque"):
+    def __init__(self, pred, name: str = "opaque", last_gap: int | None = None):
         self._pred = pred
-        self.is_cofinite = is_cofinite
+        self._last_gap = last_gap
+        self.is_cofinite = last_gap is not None
         self.name = name
 
     def next_member(self, n):
         return next(j for j in count(n) if self._pred(j))
+
+    def next_gap(self, n):
+        if self.is_cofinite and n > self._last_gap:
+            return None
+        return next(j for j in count(n) if not self._pred(j))
 
 
 class AlternatingGaps(NatSet):

@@ -309,6 +309,24 @@ def test_seq_stops_at_the_first_value_too_long_to_print(monkeypatch):
     assert max(calls) == 14285
 
 
+def test_seq_count_past_its_budget_exits_4(capsys, monkeypatch):
+    # seq lists at most 100,000 values; one more is refused before any term
+    # is read
+    doc = run_config({"subcommand": "seq",
+                      "params": {"spec": "const:2", "kind": "b", "count": 100000}})[1]
+    assert doc["values"] == [2] * 100000
+    calls = []
+    ratio = ArithSeq.ratio
+    monkeypatch.setattr(ArithSeq, "ratio",
+                        lambda self, n: calls.append(n) or ratio(self, n))
+    for kind in "abdn":
+        out = capture(capsys, "seq", "--spec", "const:2", "--kind", kind,
+                      "--count", "100001", expect=4)
+        assert out.out == ""
+        assert "error: --count must be <= 100000, got 100001" in out.err
+    assert calls == []
+
+
 def test_scan_past_the_int_text_limit_reads_the_support_end():
     # the scan reads where the support ends from the rule and never prints
     # the cutoff, so a point whose cutoff has too many digits still scans

@@ -74,8 +74,8 @@ def test_finite_equals_interval_form():
     # equal sets hash alike, so a set of NatSets keeps one of them
     assert len({elem_set([1, 2, 3]), IntervalNatSet([(1, 3)])}) == 1
     assert len({elem_set([1, 3]), IntervalNatSet([(1, 3)])}) == 2
-    lazy = cube_gap_blocks()
-    assert len({lazy, lazy, IntervalNatSet([(1, 3)])}) == 2
+    rule = cube_gap_blocks()
+    assert len({rule, rule, IntervalNatSet([(1, 3)])}) == 2
     assert elem_set([1, 3]) != IntervalNatSet([(1, 3)])
 
 
@@ -286,7 +286,7 @@ def test_lift_and_shift_of_unbounded_runs():
     def block_of(n):
         return d.decompose(n)[0] + 1
 
-    tail = OpaqueSet(lambda n: n >= 4, True, name="from-4")
+    tail = OpaqueSet(lambda n: n >= 4, name="from-4", last_gap=3)
     cases = [
         (lift(full_set(), d), lambda n: True),
         (lift(tail, d), lambda n: block_of(n) >= 4),
@@ -298,12 +298,6 @@ def test_lift_and_shift_of_unbounded_runs():
         assert _count(s, 150) == sum(member(n) for n in range(1, 151))
         assert (s.is_finite, s.is_cofinite) == (False, True)
     assert list(parse_set_expr("lift(all)", LINEAR1).iter_upto(5)) == [1, 2, 3, 4, 5]
-    # a source read ahead between two pulls of its lift loses no interval
-    src, ref = cube_gap_blocks(), cube_gap_blocks()
-    lifted = lift(src, d)
-    for n in range(1, 400, 7):
-        assert (n in lifted) == (block_of(n) in ref)
-        3 * n in src
 
 
 # Set expressions of depth <= 2 whose finite members all lie below W1: with
@@ -383,16 +377,29 @@ def _member(expr: str, seq, n: int) -> bool:
             "all": True, "thirds": n % 3 == 1}[expr]
 
 
+def _runs(members, N: int) -> list[tuple[int, int]]:
+    """The maximal runs of the sorted members <= N."""
+    runs = []
+    for n in members:
+        if n > N:
+            break
+        if runs and runs[-1][1] == n - 1:
+            runs[-1] = (runs[-1][0], n)
+        else:
+            runs.append((n, n))
+    return runs
+
+
 @given(expr=_exprs | st.sampled_from(sorted(_THIRDS)),
        seq=st.sampled_from((LINEAR1, ArithSeq(RatioSpec.parse("const:3")))),
        starts=st.lists(st.integers(1, _W1), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_next_member_matches_brute_force(expr, seq, starts):
-    # next_member, membership and iter_upto against the definition of the
-    # expression, tested index by index
+    # next_member, next_gap, membership, runs_upto and iter_upto against the
+    # definition of the expression, tested index by index
     s = _THIRDS[expr](seq) if expr in _THIRDS else parse_set_expr(expr, seq)
     members = [n for n in range(1, _W2 + 1) if _member(expr, seq, n)]
-    assert list(s.iter_upto(_W2)) == members
+    gaps = sorted(set(range(1, _W2 + 1)) - set(members))
     assert [n in s for n in range(-2, 200)] == [n >= 1 and _member(expr, seq, n)
                                                 for n in range(-2, 200)]
     for n in sorted(starts) + sorted(starts, reverse=True):
@@ -402,42 +409,64 @@ def test_next_member_matches_brute_force(expr, seq, starts):
             assert got == want
         else:  # the next member lies past W2
             assert got > _W2 and _member(expr, seq, got)
+        want = next((m for m in gaps if m >= n), None)
+        got = s.next_gap(n)
+        if want is not None or s.is_cofinite:  # a cofinite set has no gap past W1
+            assert got == want
+        else:  # the next gap lies past W2
+            assert got > _W2 and not _member(expr, seq, got)
+    # the runs read both rules in turn; one item past the expected ones is
+    # read, so that a rule that does not advance fails instead of looping
+    for N in [_W2] + starts:
+        want = _runs(members, N)
+        assert list(islice(s.runs_upto(N), len(want) + 1)) == want
+        want = [n for n in members if n <= N]
+        assert list(islice(s.iter_upto(N), len(want) + 1)) == want
 
 
 def test_next_member_of_opaque_sets():
-    # an opaque set answers its least member by testing indices one by
-    # one, its shift through it, and its lift by materializing blocks
+    # an opaque set answers its least member and gap by testing indices one
+    # by one, its shift through it, and its lift through the block of the index
     thirds = OpaqueSet(lambda n: n % 3 == 0)
     assert thirds.next_member(4) == 6 and thirds.next_member(6) == 6
+    assert thirds.next_gap(6) == 7 and thirds.next_gap(7) == 7
     assert translate(thirds, 2).next_member(1) == 1
     assert translate(thirds, 2).next_member(2) == 4
+    assert translate(thirds, 2).next_gap(1) == 2
     lifted = lift(thirds, LINEAR1.derived)  # blocks 3, 6, ...: [4, 6], [16, 21], ...
     assert [lifted.next_member(n) for n in (1, 5, 7, 16, 22)] == [4, 5, 16, 16, 37]
+    assert [lifted.next_gap(n) for n in (1, 5, 7, 16, 22)] == [1, 7, 7, 22, 22]
+    # a cofinite one past its last gap has none
+    tail = OpaqueSet(lambda n: n >= 4, last_gap=3)
+    assert [tail.next_gap(n) for n in (2, 3, 4)] == [2, 3, None]
+    lifted = lift(tail, LINEAR1.derived)  # blocks 4, 5, ...: [7, ...)
+    assert [lifted.next_gap(n) for n in (3, 6, 7)] == [3, 6, None]
+    assert translate(tail, 2).next_gap(2) is None
     # a finite set has no member past its end
     assert elem_set([3, 9]).next_member(10) is None
     assert IntervalNatSet().next_member(1) is None
 
 
 def test_no_index_below_one_is_a_member():
-    # every set form, lazy ones included, answers False below 1
+    # every set form, rule sets included, answers False below 1
     sets = [elem_set([1, 2]), full_set(), evens(), squares(), cube_gap_blocks(),
             lift(full_set(), LINEAR1.derived), translate(cube_gap_blocks(), 2),
-            translate(full_set(), 3), OpaqueSet(lambda n: True, True)]
+            translate(full_set(), 3), OpaqueSet(lambda n: True, last_gap=0)]
     for s in sets:
         assert [n in s for n in (-5, -1, 0)] == [False, False, False]
 
 
-def test_walk_yields_increasing_pieces():
-    # the cursor lift and translate read: increasing disjoint pieces whose
-    # union is the set, also while the trailing run keeps growing
-    pieces = list(islice(cube_gap_blocks().walk(), 30))
-    assert all(hi < lo for (_, hi), (lo, _) in zip(pieces, pieces[1:]))
-    top = pieces[-1][1]
-    assert ({n for lo, hi in pieces for n in range(lo, hi + 1)}
-            == set(cube_gap_blocks().iter_upto(top)))
-    run = list(islice(lift(full_set(), LINEAR1.derived).walk(), 4))  # one endless interval
-    assert run[0][0] == 1
-    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(run, run[1:]))
+def test_runs_upto_yields_maximal_runs():
+    # increasing, non-adjacent runs that hold exactly the members up to N
+    s = translate(lift(cube_gap_blocks(), LINEAR1.derived), 3)
+    runs = list(s.runs_upto(5000))
+    assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
+    assert ({n for lo, hi in runs for n in range(lo, hi + 1)}
+            == {n for n in range(1, 5001) if n in s})
+    # an endless run is one run [1, N], however far N lies
+    for N in (1, 7, 10 ** 12):
+        assert list(lift(full_set(), LINEAR1.derived).runs_upto(N)) == [(1, N)]
+        assert list(translate(full_set(), 3).runs_upto(N)) == [(1, N)]
 
 
 # ----- densities -------------------------------------------------------------
@@ -473,6 +502,15 @@ def test_cube_gap_density_climbs_to_one():
         assert _count(s, h) == cnt
     assert all(a < b for a, b in zip(minima, minima[1:]))
     assert minima[-1] > Fraction(99, 100)
+
+
+def test_cube_gap_runs_are_the_blocks():
+    # the closed-form rules give the blocks of cube_block_edges as runs,
+    # blocks 1 and 2 joined into one, over the first 60 blocks
+    edges = list(islice(cube_block_edges(), 60))
+    top = edges[-1][1]
+    assert list(cube_gap_blocks().runs_upto(top)) == [(1, 11)] + edges[2:]
+    assert cube_gap_blocks().next_gap(1) == 12
 
 
 # ----- expression language ---------------------------------------------------

@@ -11,7 +11,13 @@ from circlelab.circle import parse_point
 from circlelab.density import parse_set_expr
 from circlelab.errors import PreconditionError, SpecParseError
 from circlelab.membership import statistical_scan
-from circlelab.sequences import ArithSeq, DerivedSeq, RatioSpec, cube_block_edges
+from circlelab.sequences import (
+    ArithSeq,
+    DerivedSeq,
+    RatioSpec,
+    cube_block_edges,
+    cube_block_of,
+)
 from conftest import MemoDerived
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
@@ -361,6 +367,18 @@ def test_block_spec_boundaries_enumerate_cube_gap_set():
         assert d.boundary(k) == e
     # past the enumerated blocks the tail ratio 2 steps the boundary by 1
     assert d.boundary(len(elems)) == elems[-1] + 1
+
+
+def test_cube_block_closed_form_matches_the_edges():
+    # every index from 1 to the end of block 60 lies at or past the start of
+    # the block cube_block_of names and before the next start, block 1 and
+    # its join to block 2 included
+    edges = list(itertools.islice(cube_block_edges(), 61))
+    for j, ((g, h), (g_next, _)) in enumerate(zip(edges, edges[1:]), 1):
+        assert cube_block_of(g) == cube_block_of(g_next - 1) == (j, h)
+        assert cube_block_of(h) == (j, h)
+    assert [cube_block_of(n) for n in (1, 2, 3, 11, 12, 13)] == [
+        (1, 2), (1, 2), (2, 11), (2, 11), (2, 11), (3, 40)]
 
 
 def test_derived_seq_caches_per_base():
