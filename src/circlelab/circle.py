@@ -345,6 +345,11 @@ class EnclosureCache:
         self._win: tuple[int, int, int, int] = (-1, 0, 0, 1)
         # blocks are skipped only for a rule that declares its support
         self._skips = x.rule.support is not None
+        # (z, nz): the digits z .. nz - 1 are 0 by the rule; the last zero
+        # read z of a slide and the next index that may be nonzero
+        self._zeros = (0, 0)
+        # (band, g): the gap width from which ``count_rows`` counts, per band
+        self._gap: tuple = (None, 0)
 
     def _exact_value(self, k: int) -> tuple[int, int]:
         """Unreduced (num, den) of the exact {a_k x}: (s_k, q) for a rational
@@ -437,6 +442,44 @@ class EnclosureCache:
                 b = ratio(last + 1)
                 P *= b
         return last if k <= last else k - 1
+
+    def _stable_gap(self, b: int, D: int, band: tuple[int, int, int, int]) -> int:
+        """G*: the least G in 2 .. cap + 1 at which every row of the blocks
+        J - d, d = 1 .. D - 1, before a support member J of an indicator
+        point under ``const:b`` is stable, or cap + 2 when there is none;
+        needs cap >= D.
+
+        With the next member at least G past J, {a_{J-d} x} = b^-d (1 + rho),
+        0 <= rho <= 1/E, E = b^(G-1) (b - 1), so row r has the value
+        u (1 + rho), u = r b^-d, with no wrap, and every window up to the cap
+        lies in [u, U], U = u (1 + 1/E) + w, w = r b^-(cap+1). The row is
+        stable when that interval decides it: in, when ln/ld <= u and
+        U <= hn/hd; out, when U < ln/ld, or hn/hd < u and U <= 1. Then the
+        cap's window decides it on that side in every such block. Each row
+        faces one edge: ln/ld below the band, hn/hd inside it, 1 above it.
+        U - u < 2 b^-(d+1) <= b^-d, as u rho <= b^-(d+G-1) and w < b^-cap
+        with d < D <= cap, so a row at least b^-d below its edge is stable.
+        Every row lies that far below 1, so only two rows of a block can
+        fail: the nearest row at or below each band edge (r = 0 is no row,
+        and passes). Over T E with T = b^(cap+1), U is
+        V = r (e (E + 1) + E), e = b^(cap+1-d); V / E falls as G grows, so
+        each row moves G up until it is stable.
+        """
+        ln, ld, hn, hd = band
+        cap = self.cap
+        T = b ** (cap + 1)
+        G, E = 2, b * (b - 1)
+        for d in range(1, D):
+            bd = b ** d
+            e = T // bd
+            for r in (min(ln * bd // ld, b - 1), min(hn * bd // hd, b - 1)):
+                # below the band it must stay strictly below ln/ld
+                n, m, strict = (ln, ld, 1) if r * e * ld < ln * T else (hn, hd, 0)
+                while r * (e * (E + 1) + E) * m + strict > n * T * E:
+                    if G > cap:
+                        return cap + 2
+                    G, E = G + 1, E * b
+        return G
 
     def judge(self, k: int, r: int, band: tuple[int, int, int, int] | None = None,
               start: int = 0) -> tuple[tuple[int, int, int] | None, str]:
@@ -577,8 +620,9 @@ class EnclosureCache:
         one division and one new digit, read through ``CirclePoint.digit``
         unless the rule says it is 0: for a rule that declares its support
         (infinite here, as a finite one makes the point exact), a zero read
-        at j moves nz to ``next_nonzero(j + 1)``, and the digits below nz
-        enter by their ratio alone. Each slid window is handed to the cache
+        at j tells the cache that the digits j .. nz - 1 are 0, with nz =
+        ``next_nonzero(j + 1)``, and those enter by their ratio alone, in
+        this walk and the later ones. Each slid window is handed to the cache
         as its latest window, so edge rows and the next restart slide from
         it. ``_window_at`` serves the first block and a block the base window
         cannot slide to (blocks were skipped). An exact point is judged on
@@ -588,15 +632,21 @@ class EnclosureCache:
         Under ``const:b`` block k's windows read the digits k+1 .. k+1+cap,
         and ``_out_to`` counts block J - d out for all d >= D, the least
         d >= 3 with (b - 1) * ld <= ln * b^(d-1). So the blocks J' .. J - 1
-        of a support member J that lies at least g = max(D, cap + 1) past
-        the member J' before it, with the next member at least g past J,
-        hold the same in and undecided rows for every such J. When the
-        support names where such gaps start (``spread_from``), the kernel
-        walks through one of them past k; the later ones that end before
-        N's block K add its counts times their number (``count_upto``), and
-        the walk resumes at the last member <= K. It multiplies only when
-        the gap held no undecided row or ``undecided`` holds ``keep`` rows;
-        otherwise it walks the next gap and tries again.
+        of a support member J that lies at least g past the member J' before
+        it, with the next member at least g past J, hold the same in and
+        undecided rows for every such J when g = max(D, cap + 1), as their
+        windows read the same digits. For an indicator point, once cap >= D,
+        ``_stable_gap`` certifies that from gaps of G* on every row of the
+        blocks J - d, d < D, is decided on a side that does not depend on
+        the gaps: such stretches hold the same in rows and no undecided row,
+        so the width is g = max(D, min(G*, cap + 1)), computed once per
+        band. When the support names where gaps of g start (``spread_from``),
+        the kernel walks through one of them past k; the later ones that end
+        before N's block K add its counts times their number
+        (``count_upto``), and the walk resumes at the last member <= K. It
+        multiplies when the gap held no undecided row, or when ``undecided``
+        holds ``keep`` rows and g > cap, so that the windows repeat the
+        undecided rows too; otherwise it walks the next gap and tries again.
         """
         if undecided is None:
             undecided = []
@@ -604,10 +654,15 @@ class EnclosureCache:
         ln, ld = band[0], band[1]
         first = None
         if b is not None and self._skips and 0 < 2 * ln < ld:
-            d, P = 3, b * b  # P = b^(d-1)
-            while (b - 1) * ld > ln * P:
-                d, P = d + 1, P * b
-            first = support.spread_from(max(d, self.cap + 1))
+            if self._gap[0] != band:
+                D, P = 3, b * b  # P = b^(D-1)
+                while (b - 1) * ld > ln * P:
+                    D, P = D + 1, P * b
+                cap = self.cap
+                g = D if cap < D else max(D, min(self._stable_gap(b, D, band), cap + 1))
+                self._gap = (band, g)
+            g = self._gap[1]
+            first = support.spread_from(g)
         if first is None or i > N:
             return self._walk(k, r, i, N, band, undecided, keep)
         derived = self.x.seq.derived
@@ -622,7 +677,7 @@ class EnclosureCache:
             end = derived.boundary(nxt) - 1  # the blocks J .. nxt - 1
             k, r, gap_in, gap_und = self._walk(k, r, i, end, band, undecided, keep)
             n_in, n_und, i, J = n_in + gap_in, n_und + gap_und, end + 1, nxt
-            if gap_und == 0 or len(undecided) >= keep:
+            if gap_und == 0 or (len(undecided) >= keep and g > self.cap):
                 count = support.count_upto
                 top = count(K)
                 gaps = top - count(J)
@@ -657,7 +712,7 @@ class EnclosureCache:
         n_in = n_und = 0
         at = i - r  # row e of block k is derived index at + e
         held = False  # the locals hold block k - 1's base window, to slide
-        nz = 0  # the digits from the last zero read up to nz are 0 by the rule
+        z, nz = self._zeros
         band_den = None
         while True:
             if held:  # slide block k - 1's window to block k
@@ -665,13 +720,13 @@ class EnclosureCache:
                 den //= b
                 num %= den
                 bj = ratio(j)
-                if j < nz:  # a 0 the rule promises
+                if z <= j < nz:  # a 0 the rule promises
                     num *= bj
                 else:
                     c = digit(j)
                     num = num * bj + c
                     if not c and self._skips:
-                        nz = self.x.rule.next_nonzero(j + 1)
+                        z, nz = self._zeros = j, self.x.rule.next_nonzero(j + 1)
                 den *= bj
                 b = ratio(k + 1)
                 self._win = (k, base, num, den)

@@ -71,21 +71,30 @@ class ClassVerdict(Record):
 
 
 def check_b_bounded(seq: ArithSeq, s: NatSet, bound: int, horizon: int) -> ClassVerdict:
-    """Is b_n <= bound for every n in S up to the horizon?"""
+    """Is b_n <= bound for every n in S up to the horizon?
+
+    Under ``const:b`` every b_n is b: when b <= bound the members are
+    counted from the runs of S, with no ratio read; otherwise the member
+    loop fails at the first member.
+    """
     if bound < 2:
         raise PreconditionError("ratio bound must be >= 2")
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
-    checked = 0
-    for n in s.iter_upto(horizon):
-        b = seq.ratio(n)
-        checked += 1
-        if b > bound:
-            return ClassVerdict(
-                "b-bounded", horizon, FAILS,
-                witness={"n": n, "b_n": b, "bound": bound},
-                notes=[f"checked {checked} indices before the witness"],
-            )
+    b = seq.spec.constant_ratio
+    if b is not None and b <= bound:
+        checked = sum(hi - lo + 1 for lo, hi in s.runs_upto(horizon))
+    else:
+        checked = 0
+        for n in s.iter_upto(horizon):
+            b = seq.ratio(n)
+            checked += 1
+            if b > bound:
+                return ClassVerdict(
+                    "b-bounded", horizon, FAILS,
+                    witness={"n": n, "b_n": b, "bound": bound},
+                    notes=[f"checked {checked} indices before the witness"],
+                )
     return ClassVerdict("b-bounded", horizon, HOLDS,
                         notes=[f"checked {checked} indices"])
 

@@ -73,11 +73,6 @@ def _least(p: dict, key: str, low: int) -> int:
     return value
 
 
-def _draw(rng: random.Random, p: dict, key: str, low: int) -> int:
-    """rng.randint(low, p[key]); PreconditionError when p[key] < low."""
-    return rng.randint(low, _least(p, key, low))
-
-
 def _sample(rng: random.Random, population: range, k: int) -> list[int]:
     """rng.sample; PreconditionError when k values cannot be drawn."""
     if k > len(population):
@@ -92,6 +87,7 @@ def lift_algebra(params: dict | None = None) -> dict:
                      params, "suite lift-algebra")
     rng = random.Random(int_param(p, "seed"))
     lo, hi = int_param(p, "lo"), int_param(p, "hi")
+    max_size = _least(p, "max_size", 0)
     identities = 0
     counterexample = None
     for spec_text in _spec_list(p["specs"]):
@@ -106,8 +102,8 @@ def lift_algebra(params: dict | None = None) -> dict:
         if counterexample:
             break
         for _ in range(int_param(p, "pairs")):
-            a = sorted(_sample(rng, range(lo, hi + 1), _draw(rng, p, "max_size", 0)))
-            b = sorted(_sample(rng, range(lo, hi + 1), _draw(rng, p, "max_size", 0)))
+            a = sorted(_sample(rng, range(lo, hi + 1), rng.randint(0, max_size)))
+            b = sorted(_sample(rng, range(lo, hi + 1), rng.randint(0, max_size)))
             sa, sb = (IntervalNatSet((v, v) for v in e) for e in (a, b))
             la, lb = lift(sa, seq.derived), lift(sb, seq.derived)
             for op in ("union", "intersect", "difference"):
@@ -142,6 +138,7 @@ def tail_bound(params: dict | None = None) -> dict:
     p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
                       "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
     trials, jmax = _least(p, "trials", 1), _least(p, "jmax", 1)
+    qmax = _least(p, "qmax", 2)
     rng = random.Random(int_param(p, "seed"))
     mu, md = 0, 1  # max_ratio = mu/md
     rows = 0
@@ -149,7 +146,7 @@ def tail_bound(params: dict | None = None) -> dict:
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
         for _ in range(trials):
-            q = _draw(rng, p, "qmax", 2)
+            q = rng.randint(2, qmax)
             value = Fraction(rng.randint(1, q - 1), q)
             vp, vq = value.numerator, value.denominator
             cache = EnclosureCache(digits_from_rational(value, seq), 0)

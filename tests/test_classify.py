@@ -14,7 +14,7 @@ from circlelab.classify import (
     weakly_dli_witness_set,
     witness_recursion,
 )
-from circlelab.density import evens
+from circlelab.density import evens, parse_set_expr
 from circlelab.errors import HorizonError, PreconditionError
 from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
 from conftest import elem_set
@@ -32,6 +32,36 @@ def test_b_bounded_verdicts():
     w = check_b_bounded(LINEAR1, evens(), 10, 100)
     assert w.verdict == FAILS
     assert w.witness == {"n": 10, "b_n": 11, "bound": 10}
+
+
+def b_bounded_by_members(seq, s, bound, horizon):
+    """The b-bounded verdict from one ratio read per member, as a report."""
+    checked = 0
+    for n in s.iter_upto(horizon):
+        checked += 1
+        if seq.ratio(n) > bound:
+            return {"prop": "b-bounded", "horizon": horizon, "verdict": FAILS,
+                    "notes": [f"checked {checked} indices before the witness"],
+                    "witness": {"n": str(n), "b_n": str(seq.ratio(n)),
+                                "bound": str(bound)}}
+    return {"prop": "b-bounded", "horizon": horizon, "verdict": HOLDS,
+            "notes": [f"checked {checked} indices"]}
+
+
+@pytest.mark.parametrize("spec", ["const:2", "const:3", "const:5"])
+@pytest.mark.parametrize("expr", ["evens", "squares", "all", "lift(all)", "lift(squares)",
+                                  "shift(squares,2)", "blocks:cube-gap", "fin:{3,9,10}",
+                                  "ivl:[4,6]+[20,25]", "fin:{}"])
+def test_b_bounded_under_a_constant_ratio_matches_the_member_loop(spec, expr):
+    # under const:b a bound >= b holds from the runs alone, with no ratio
+    # read, and a smaller one fails at the first member; the verdict,
+    # witness and notes are those of the loop over every member
+    seq = ArithSeq(RatioSpec.parse(spec))
+    s = parse_set_expr(expr, seq)
+    for bound in (2, 3, 4, 6):
+        for horizon in (1, 9, 100, 2000):
+            want = b_bounded_by_members(seq, s, bound, horizon)
+            assert check_b_bounded(seq, s, bound, horizon).to_report() == want
 
 
 def test_b_bounded_validation():

@@ -415,6 +415,8 @@ def test_bad_config_files_exit_2(capsys, tmp_path, text):
 @pytest.mark.parametrize("argv", [
     ("verify", "recursion", "--param", "max_len=0"),
     ("verify", "lift-algebra", "--param", "max_size=-1"),
+    # max_size is read once, before the pairs, so no pair is needed to refuse it
+    ("verify", "lift-algebra", "--param", "pairs=0", "--param", "max_size=-1"),
     ("verify", "lift-algebra", "--param", "lo=5", "--param", "hi=1"),
     ("verify", "tail-bound", "--param", "qmax=1"),
     ("verify", "snd-density", "--param", "kmax=3"),

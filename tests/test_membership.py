@@ -472,11 +472,11 @@ def test_sparse_scan_reaches_ten_to_the_ten():
 
 # ----- counted gaps under const:b against the walk -------------------------------
 
-def count_scan(support, b, q, depth, cap, horizons, keep=SHOWN_UNDECIDED):
-    """``count_rows`` over ones-on:<support> under const:b and eps = 1/q,
-    one call per horizon from row 1 as ``statistical_scan`` makes them.
-    Returns ([(N, in, undecided)], the kept undecided rows, the rows the
-    kernel walked)."""
+def count_scan(support, b, q, depth, cap, horizons, keep=SHOWN_UNDECIDED, band=None):
+    """``count_rows`` over ones-on:<support> under const:b and eps = 1/q
+    (or the band (lo, hi) given), one call per horizon from row 1 as
+    ``statistical_scan`` makes them. Returns ([(N, in, undecided)], the kept
+    undecided rows, the rows the kernel walked)."""
     x = CirclePoint(ArithSeq(RatioSpec.constant(b)), IndicatorDigits(support))
     cache = EnclosureCache(x, depth, cap)
     walked, walk = [0], cache._walk
@@ -486,7 +486,7 @@ def count_scan(support, b, q, depth, cap, horizons, keep=SHOWN_UNDECIDED):
         return walk(k, r, i, N, *rest)
 
     cache._walk = counted_walk
-    band = int_band(Fraction(1, q), 1 - Fraction(1, q))
+    band = int_band(*(band or (Fraction(1, q), 1 - Fraction(1, q))))
     rows, kept = [], []
     k, r, i, n_in, n_und = 0, 1, 1, 0, 0
     for N in sorted(set(horizons)):
@@ -533,12 +533,16 @@ def test_counted_gaps_multiply_only_once_the_kept_list_is_full():
 @pytest.mark.parametrize("b", [2, 3, 4, 5])
 @pytest.mark.parametrize("cap", [3, 4, 5, 6, 7, 8])
 def test_counted_gap_width_is_cap_plus_one(b, cap):
-    # gaps that alternate cap and cap + 1 blocks: a gap of cap blocks is
-    # narrower than g = max(D, cap + 1), so the set names no member to count
-    # from and the scan walks, as over WalkedSet. At eps 1/max(b, 3), D = 3,
-    # and counting from gaps of cap blocks would differ from the walk under
-    # const:3, 4 and 5. With gaps of cap + 1 and cap + 2 the count
-    # multiplies (at once when no undecided row is kept) and still agrees
+    # gaps that alternate h and h + 1 blocks, at eps 1/max(b, 3), where D = 3.
+    # Under const:3, 4 and 5, row b - 1 of the block before a member sits on
+    # the band's upper edge 1 - 1/b, so no gap width makes it stable and
+    # g = max(D, cap + 1): a gap of cap blocks is too narrow, the set names
+    # no member to count from, and the scan walks, as over WalkedSet;
+    # counting from gaps of cap blocks would differ from the walk there.
+    # Under const:2 every row is stable from gaps of 4 on once cap >= 4, so
+    # gaps of cap blocks count too. With gaps of cap + 1 and cap + 2 the
+    # count multiplies (at once when no undecided row is kept); every count
+    # agrees with the walk
     q = max(b, 3)
     for h in (cap, cap + 1):
         for keep in (0, SHOWN_UNDECIDED):
@@ -546,7 +550,7 @@ def test_counted_gap_width_is_cap_plus_one(b, cap):
             walked = count_scan(WalkedSet(AlternatingGaps(h)), b, q, 0, cap, [2000], keep)
             assert counted[:2] == walked[:2] and walked[2] == 2000
             if keep == 0:
-                assert (counted[2] < 2000) == (h > cap)
+                assert (counted[2] < 2000) == (h > cap or (b == 2 and cap >= 4))
 
 
 @given(b=st.integers(2, 5), q=st.integers(3, 40), cap=st.integers(3, 8),
@@ -562,6 +566,117 @@ def test_counted_gaps_of_alternating_width_match_the_walk(b, q, cap, data):
     counted = count_scan(AlternatingGaps(h), b, q, depth, cap, horizons)
     walked = count_scan(WalkedSet(AlternatingGaps(h)), b, q, depth, cap, horizons)
     assert counted[:2] == walked[:2]
+
+
+def least_out_block(b, lo):
+    """D: the least d >= 3 with (b - 1) * lo <= b^(d-1) under const:b, from
+    which on the tail bound puts block J - d out."""
+    d = 3
+    while (b - 1) > lo * b ** (d - 1):
+        d += 1
+    return d
+
+
+def stable_gap_oracle(b, D, cap, lo, hi):
+    """G* from its definition on Fractions, over every row r of the blocks
+    d = 1 .. D - 1: the least G in 2 .. cap + 1 at which each interval
+    [u, U], u = r b^-d, U = u (1 + 1/E) + r b^-(cap+1), E = b^(G-1) (b - 1),
+    lies inside [lo, hi], below lo, or above hi and within 1; else cap + 2."""
+    for G in range(2, cap + 2):
+        E = b ** (G - 1) * (b - 1)
+        stable = []
+        for d in range(1, D):
+            for r in range(1, b):
+                u = Fraction(r, b ** d)
+                U = u * (1 + Fraction(1, E)) + Fraction(r, b ** (cap + 1))
+                stable.append(lo <= u and U <= hi or U < lo or hi < u and U <= 1)
+        if all(stable):
+            return G
+    return cap + 2
+
+
+@st.composite
+def count_bands(draw, b):
+    """Bands [lo, hi] with 0 < lo < 1/2 and lo < hi < 1: the scan band of
+    eps = 1/q, edges a/q for q in 3 .. 40, and edges on the grid r b^-d on
+    which the rows' leading values u sit."""
+    q = draw(st.integers(3, 40))
+    grid = st.builds(lambda r, d: Fraction(r, b ** d), st.integers(1, b - 1),
+                     st.integers(1, 4))
+    lo = draw(st.just(Fraction(1, q))
+              | st.integers(1, (q - 1) // 2).map(lambda a: Fraction(a, q)) | grid)
+    assume(2 * lo < 1)
+    hi = draw(st.just(1 - lo) | st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+              | grid)
+    assume(lo < hi < 1)
+    return lo, hi
+
+
+@given(b=st.integers(2, 7), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_stable_gap_matches_a_fraction_oracle(b, data):
+    # the kernel checks two rows per block in integers; the oracle checks
+    # every row on Fractions
+    lo, hi = data.draw(count_bands(b))
+    D = least_out_block(b, lo)
+    cap = data.draw(st.integers(D, 70))
+    x = CirclePoint(ArithSeq(RatioSpec.constant(b)), IndicatorDigits(squares()))
+    got = EnclosureCache(x, 0, cap)._stable_gap(b, D, int_band(lo, hi))
+    assert got == stable_gap_oracle(b, D, cap, lo, hi)
+
+
+@given(b=st.integers(2, 12), depth=st.integers(0, 70), cap=st.integers(0, 70),
+       keep=st.sampled_from((0, 3, SHOWN_UNDECIDED)), h=st.integers(2, 12),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_counted_stable_gaps_match_the_walk(b, depth, cap, keep, h, data):
+    # any band, the certified width or cap + 1, counted over squares (to
+    # 10^6) and over gaps of h and h + 1 (to 3000); counts and kept rows
+    # agree with the walk at every horizon
+    band = data.draw(count_bands(b))
+    for support, horizons in (
+            (squares(), data.draw(gap_horizons(b))),
+            (AlternatingGaps(h), data.draw(st.lists(st.integers(1, 3000), min_size=1,
+                                                    max_size=3)))):
+        counted = count_scan(support, b, None, depth, cap, horizons, keep, band)
+        walked = count_scan(WalkedSet(support), b, None, depth, cap, horizons, keep, band)
+        assert counted[:2] == walked[:2]
+
+
+@given(h=st.integers(2, 6), cap=st.integers(0, 70), depth=st.integers(0, 8),
+       keep=st.sampled_from((0, 3, SHOWN_UNDECIDED)), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_counted_stable_gaps_match_the_walk_under_a_large_ratio(h, cap, depth,
+                                                                keep, data):
+    # const:1000: 999 rows per block, of which the certificate checks two;
+    # the walk sorts them all
+    band = data.draw(count_bands(1000))
+    horizons = data.draw(st.lists(st.integers(1, 30000), min_size=1, max_size=3))
+    for support in (squares(), AlternatingGaps(h)):
+        counted = count_scan(support, 1000, None, depth, cap, horizons, keep, band)
+        walked = count_scan(WalkedSet(support), 1000, None, depth, cap, horizons,
+                            keep, band)
+        assert counted[:2] == walked[:2]
+
+
+def test_counted_gaps_start_at_the_certified_width():
+    # const:3, band [3/8, 11/16], cap 10: D = 3 and every row is stable from
+    # gaps of G* = 4 on, so gaps of 4 and 5 count at once. Over gaps of 3
+    # and 4 the blocks before each member alternate 0 and 1 rows in, so a
+    # count from gaps one narrower than certified would differ from the walk
+    lo, hi, cap = Fraction(3, 8), Fraction(11, 16), 10
+    x = CirclePoint(ArithSeq(RatioSpec.constant(3)), IndicatorDigits(squares()))
+    assert EnclosureCache(x, 0, cap)._stable_gap(3, 3, int_band(lo, hi)) == 4
+    for h, rows, stretch in ((3, 2000, {0, 1}), (4, 20, {1})):
+        members = [m for m in range(1, 100) if m in AlternatingGaps(h)]
+        # the rows before member m end at derived index 2m under const:3
+        ends = count_scan(WalkedSet(AlternatingGaps(h)), 3, None, 0, cap,
+                          [2 * m for m in members], 0, (lo, hi))[0]
+        assert {n[1] - p[1] for p, n in zip(ends[1:], ends[2:])} == stretch
+        counted = count_scan(AlternatingGaps(h), 3, None, 0, cap, [2000], 0, (lo, hi))
+        walked = count_scan(WalkedSet(AlternatingGaps(h)), 3, None, 0, cap, [2000], 0,
+                            (lo, hi))
+        assert counted[:2] == walked[:2] and counted[2] == rows
 
 
 def fraction_verdict(x, k, r, eps, depth, cap):
@@ -771,12 +886,14 @@ def test_scan_restarts_read_only_supported_digits(monkeypatch):
     # restarts from the support's members and ratio products, so a restart
     # reads no zero digit. A slid block reads its one new digit only where
     # the rule may put a nonzero one: after a zero read, the slide asks the
-    # rule for the next square and reads nothing before it. So the slides
-    # read at most one zero per restart, and no digit is read twice.
+    # rule for the next square and reads nothing before it, in this walk or
+    # a later one, as the cache keeps the zero run. So the slides read at
+    # most one zero per restart and per gap, and no digit is read twice.
     # Walking every gap, restarts that read every digit made 9,727 reads
-    # here, and slides that read every new digit 472 slid reads. Counting
-    # the gaps from the square 33^2 on (g = 65 at cap 64) walks the gaps up
-    # to 33^2 and, per horizon, one gap it measures and the gaps around N.
+    # here, and slides that read every new digit 472 slid reads. Every row
+    # is stable from gaps of 3 on and D = 4, so the count runs from the
+    # square 3^2 on (g = 4, not cap + 1 = 65): it walks the gaps up to 3^2
+    # and, per horizon, one gap it measures and the gaps around N.
     seq = ArithSeq(RatioSpec.constant(3))
     reads, restart = [], []
     digit, slide = CirclePoint.digit, circle._slide
@@ -794,7 +911,7 @@ def test_scan_restarts_read_only_supported_digits(monkeypatch):
     monkeypatch.setattr(circle, "_slide", counted_slide)
     horizons = [10 ** 4, 5 * 10 ** 4]
     for support, pins in ((WalkedSet(squares()), ((157, 152), (6, 151))),
-                          (squares(), ((35, 30), (6, 29)))):
+                          (squares(), ((3, 10), (0, 3)))):
         reads.clear()
         x = CirclePoint(seq, IndicatorDigits(support))
         scan = statistical_scan(x, Fraction(1, 8), horizons, 64)

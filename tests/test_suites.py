@@ -33,6 +33,7 @@ def reference_tail_bound(params=None) -> dict:
     p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
                       "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
     trials, jmax = suites._least(p, "trials", 1), suites._least(p, "jmax", 1)
+    qmax = suites._least(p, "qmax", 2)
     rng = random.Random(int_param(p, "seed"))
     max_ratio = Fraction(0)
     rows = 0
@@ -40,7 +41,7 @@ def reference_tail_bound(params=None) -> dict:
     for spec_text in suites._spec_list(p["specs"]):
         seq = suites._seq(spec_text)
         for _ in range(trials):
-            q = suites._draw(rng, p, "qmax", 2)
+            q = rng.randint(2, qmax)
             value = Fraction(rng.randint(1, q - 1), q)
             cache = suites.EnclosureCache(suites.digits_from_rational(value, seq), 0)
             for j in range(1, jmax + 1):
@@ -69,13 +70,14 @@ def reference_recursion(params=None) -> dict:
     p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
                       "max_len": 10, "seed": 97}, params, "suite recursion")
     trials, tmax = suites._least(p, "trials", 1), suites._least(p, "tmax", 0)
+    max_len = suites._least(p, "max_len", 1)
     rng = random.Random(int_param(p, "seed"))
     checks = 0
     counterexample = None
     for spec_text in suites._spec_list(p["specs"]):
         seq = suites._seq(spec_text)
         for _ in range(trials):
-            length = suites._draw(rng, p, "max_len", 1)
+            length = rng.randint(1, max_len)
             digits = [rng.randint(0, seq.ratio(n) - 1) for n in range(1, length + 1)]
             cache = suites.EnclosureCache(CirclePoint(seq, FiniteDigits(digits)), 0)
             for n in range(1, length + 3):
