@@ -73,28 +73,43 @@ class ClassVerdict(Record):
 def check_b_bounded(seq: ArithSeq, s: NatSet, bound: int, horizon: int) -> ClassVerdict:
     """Is b_n <= bound for every n in S up to the horizon?
 
-    Under ``const:b`` every b_n is b: when b <= bound the members are
-    counted from the runs of S, with no ratio read; otherwise the member
-    loop fails at the first member.
+    Under a spec with closed forms the ratios never decrease, so each run
+    lo..hi of S is decided by a few ratio reads: the first failing member
+    of a run is found by doubling steps from lo, then by bisection. Under
+    every other spec each member is read, one run per member.
     """
     if bound < 2:
         raise PreconditionError("ratio bound must be >= 2")
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
-    b = seq.spec.constant_ratio
-    if b is not None and b <= bound:
-        checked = sum(hi - lo + 1 for lo, hi in s.runs_upto(horizon))
+    ratio = seq.ratio
+    if seq.spec.forms:
+        runs = s.runs_upto(horizon)
     else:
-        checked = 0
-        for n in s.iter_upto(horizon):
-            b = seq.ratio(n)
-            checked += 1
-            if b > bound:
-                return ClassVerdict(
-                    "b-bounded", horizon, FAILS,
-                    witness={"n": n, "b_n": b, "bound": bound},
-                    notes=[f"checked {checked} indices before the witness"],
-                )
+        runs = ((n, n) for n in s.iter_upto(horizon))
+    checked = 0
+    for lo, hi in runs:
+        # ok: the last member read within the bound, n: the next one read.
+        # The steps double, so under pow: no ratio far past the first
+        # failing member is built; then bisection finds that member
+        ok, n, step = lo - 1, lo, 1
+        while n < hi and ratio(n) <= bound:
+            ok, n, step = n, min(n + step, hi), 2 * step
+        if ratio(n) <= bound:  # n = hi
+            checked += hi - lo + 1
+            continue
+        while n - ok > 1:
+            mid = (ok + n) // 2
+            if ratio(mid) > bound:
+                n = mid
+            else:
+                ok = mid
+        checked += n - lo + 1
+        return ClassVerdict(
+            "b-bounded", horizon, FAILS,
+            witness={"n": n, "b_n": ratio(n), "bound": bound},
+            notes=[f"checked {checked} indices before the witness"],
+        )
     return ClassVerdict("b-bounded", horizon, HOLDS,
                         notes=[f"checked {checked} indices"])
 

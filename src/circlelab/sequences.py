@@ -131,6 +131,9 @@ class RatioSpec:
     Construct through the classmethods (constant, linear, power, explicit,
     blocks) or by parsing a spec string such as ``linear:1`` or ``pow:2``.
     ``constant_ratio`` is b for a ``const:b`` spec and None for every other.
+    Under a spec with closed forms (``forms``: ``const``, ``linear`` and
+    ``pow``) the ratios never decrease, b_n <= b_(n+1) for every n;
+    ``check_b_bounded`` relies on it.
     """
 
     constant_ratio: int | None = None

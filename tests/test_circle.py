@@ -172,8 +172,9 @@ def test_digits_on_demand_match_eager_expansion(case, data):
 
 
 def test_tail_bounds_compute_only_the_digits_they_read():
-    # a window at j <= 30 and depth 8 reads the digits up to 38, so no ratio
-    # past b_38 is read, and s_n moves forward to s_37 at most
+    # a rational window at j <= 30 is floor(den * s_(j-1) / q) / den, with den
+    # and s_(j-1) in closed form under pow:2: the only ratio reads are those
+    # of the terms a_(j-1), and s_n moves forward to s_29 at most
     seq = ArithSeq(RatioSpec.power(2))
     x = digits_from_rational(Fraction(1, 3), seq)
     cache = EnclosureCache(x, 0)
@@ -182,7 +183,7 @@ def test_tail_bounds_compute_only_the_digits_they_read():
     seq.ratio = lambda n: reads.append(n) or ratio(n)
     for j in range(1, 31):
         cache.tail_upper_bound(j)
-    assert max(reads) == 38 and x.rule._n == 37
+    assert reads == list(range(1, 30)) and x.rule._n == 29
 
 
 def test_expansion_horizon_budget():

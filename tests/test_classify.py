@@ -16,7 +16,7 @@ from circlelab.classify import (
 )
 from circlelab.density import evens, parse_set_expr
 from circlelab.errors import HorizonError, PreconditionError
-from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
+from circlelab.sequences import _INT_KINDS, ArithSeq, RatioSpec, cube_block_edges
 from conftest import elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
@@ -48,20 +48,67 @@ def b_bounded_by_members(seq, s, bound, horizon):
             "notes": [f"checked {checked} indices"]}
 
 
+_B_BOUNDED_SETS = ["evens", "squares", "all", "lift(all)", "lift(squares)",
+                   "shift(squares,2)", "blocks:cube-gap", "fin:{3,9,10}",
+                   "ivl:[4,6]+[20,25]", "fin:{}"]
+
+
 @pytest.mark.parametrize("spec", ["const:2", "const:3", "const:5"])
-@pytest.mark.parametrize("expr", ["evens", "squares", "all", "lift(all)", "lift(squares)",
-                                  "shift(squares,2)", "blocks:cube-gap", "fin:{3,9,10}",
-                                  "ivl:[4,6]+[20,25]", "fin:{}"])
+@pytest.mark.parametrize("expr", _B_BOUNDED_SETS)
 def test_b_bounded_under_a_constant_ratio_matches_the_member_loop(spec, expr):
-    # under const:b a bound >= b holds from the runs alone, with no ratio
-    # read, and a smaller one fails at the first member; the verdict,
-    # witness and notes are those of the loop over every member
+    # under const:b a bound >= b holds from one ratio read per run, and a
+    # smaller one fails at the first member; the verdict, witness and notes
+    # are those of the loop over every member
     seq = ArithSeq(RatioSpec.parse(spec))
     s = parse_set_expr(expr, seq)
     for bound in (2, 3, 4, 6):
         for horizon in (1, 9, 100, 2000):
             want = b_bounded_by_members(seq, s, bound, horizon)
             assert check_b_bounded(seq, s, bound, horizon).to_report() == want
+
+
+@pytest.mark.parametrize("spec", ["linear:1", "linear:4", "pow:2", "pow:3", "dlictrex:3"])
+@pytest.mark.parametrize("expr", _B_BOUNDED_SETS)
+def test_b_bounded_by_runs_matches_the_member_loop(spec, expr):
+    # under linear: and pow: each run of the set is decided by a few ratio
+    # reads, also when the bound fails inside a run (linear:1 at bound 6
+    # fails at n = 6 of all, pow:2 at bound 10 at n = 4); dlictrex:3 has no
+    # closed forms and reads every member. The verdict, witness and notes
+    # are those of the loop over every member
+    seq = ArithSeq(RatioSpec.parse(spec))
+    s = parse_set_expr(expr, seq)
+    for bound in (2, 3, 4, 6, 10, 23, 100, 1000):
+        for horizon in (1, 9, 100, 2000):
+            want = b_bounded_by_members(seq, s, bound, horizon)
+            assert check_b_bounded(seq, s, bound, horizon).to_report() == want
+
+
+@pytest.mark.parametrize("kind", sorted(_INT_KINDS))
+@pytest.mark.parametrize("param", [1, 2, 3, 7])
+def test_ratios_with_closed_forms_never_decrease(kind, param):
+    # check_b_bounded reads a run's ratios as non-decreasing under every
+    # kind with closed forms, so every such kind must keep b_n <= b_(n+1)
+    try:
+        spec = _INT_KINDS[kind](param)
+    except PreconditionError:
+        return
+    if spec.forms:
+        ratios = [spec.term(n) for n in range(1, 400)]
+        assert ratios == sorted(ratios)
+
+
+def test_b_bounded_reads_a_few_ratios_per_run():
+    # lift(all) is one run to 10^12: b_n = n + 1 under linear:1 first passes
+    # 10^8 at n = 10^8, found by doubling steps and bisection
+    seq = ArithSeq(RatioSpec.linear(1))
+    reads = []
+    ratio = seq.ratio
+    seq.ratio = lambda n: reads.append(n) or ratio(n)
+    v = check_b_bounded(seq, parse_set_expr("lift(all)", seq), 10 ** 8, 10 ** 12)
+    assert v.verdict == FAILS and v.witness == {"n": 10 ** 8, "b_n": 10 ** 8 + 1,
+                                                "bound": 10 ** 8}
+    assert v.notes == [f"checked {10 ** 8} indices before the witness"]
+    assert len(reads) < 64
 
 
 def test_b_bounded_validation():

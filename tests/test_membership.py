@@ -17,6 +17,8 @@ from circlelab.circle import (
     _floor_sum,
     _hits,
     _least_hit,
+    _sort_few,
+    _sort_many,
     int_band,
     parse_point,
 )
@@ -957,6 +959,85 @@ def test_exact_scan_slides_its_window(monkeypatch):
 @settings(max_examples=300, deadline=None)
 def test_floor_sum_matches_brute_force(n, m, a, b):
     assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@st.composite
+def wrap_segments(draw):
+    """(num, den, r0, r1, A, B, w, wraps): a segment whose values lo_r = r *
+    num mod den wrap the circle ``wraps`` times, 1 to ``_FEW_WRAPS`` + 1,
+    with windows of up to 1,500 bits. Its ends may sit exactly on a wrap
+    boundary; num may be 0 and w at least num; the band [A, B] may be
+    [1, den - 1] or empty (B = A - 1)."""
+    den = draw(st.integers(1, 2 ** draw(st.sampled_from((4, 64, 1500)))))
+    wraps = draw(st.integers(1, circle._FEW_WRAPS + 1))
+    r0 = draw(st.integers(0, 300))
+    if den == 1 or draw(st.integers(0, 9)) == 0:
+        num, r1 = 0, r0 + draw(st.integers(0, 60))
+    else:
+        # at most 64 rows per wrap, so _sort_few stays a cheap oracle
+        num = draw(st.integers(max(1, den // 64), den - 1))
+        if draw(st.booleans()):  # r0 is the first row of its wrap
+            r0 = max(-(-(r0 * num // den) * den // num), 1)
+        W = r0 * num // den + wraps - 1
+        first, last = -(-W * den // num), ((W + 1) * den - 1) // num
+        first = max(first, r0)
+        r1 = draw(st.sampled_from((first, last)) | st.integers(first, last))
+    A = draw(st.integers(0, den))
+    B = draw(st.integers(A, den - 1)) if A < den else den - 1
+    form = draw(st.sampled_from(("band", "wide", "empty")))
+    if form == "wide" and den > 1:
+        A, B = 1, den - 1
+    elif form == "empty" and A > 0:
+        B = A - 1
+    w = draw(st.sampled_from((0, r1)) | st.integers(num, den + 5) | st.integers(0, 40))
+    return num, den, r0, r1, A, B, w, wraps
+
+
+@given(seg=wrap_segments())
+@settings(max_examples=600, deadline=None)
+def test_sort_by_wrap_ranges_matches_the_row_by_row_sort(seg):
+    # both branches of _sort_many (wrap ranges up to _FEW_WRAPS wraps, floor
+    # sums past it) give the counts and edge rows, in order, of _sort_few
+    num, den, r0, r1, A, B, w, wraps = seg
+    if num:
+        assert r1 * num // den - r0 * num // den + 1 == wraps
+    assert _sort_many(num, den, r0, r1, A, B, w) == _sort_few(num, den, r0, r1, A, B, w)
+
+
+def test_long_edge_segments_are_sorted_again_at_deeper_windows(monkeypatch):
+    # at depth 0 nearly every row of a long pow:2 block is an edge row of the
+    # base window; the bulk pass sorts them again at judge's deeper windows,
+    # so few reach band_verdict, and the counts are unchanged
+    calls = []
+    verdict = EnclosureCache.band_verdict
+    monkeypatch.setattr(EnclosureCache, "band_verdict",
+                        lambda self, k, r, band: calls.append(r) or verdict(self, k, r, band))
+    x = parse_point("ones-on:all", POW2)
+    scan = statistical_scan(x, Fraction(1, 3), [1000, 100000], depth=0)
+    assert [(e.in_count, e.undecided_count) for e in scan.estimates] == [(341, 0),
+                                                                         (34481, 0)]
+    assert len(calls) < 100
+    del calls[:]
+    x = parse_point("ones-on:squares", LINEAR1)
+    scan = statistical_scan(x, Fraction(1, 10), [1000, 100000], depth=0)
+    assert [(e.in_count, e.undecided_count) for e in scan.estimates] == [(80, 0),
+                                                                         (2665, 0)]
+    assert len(calls) < 200
+
+
+@pytest.mark.parametrize("spec, point, q, depth, cap", [
+    ("pow:2", "ones-on:all", 3, 0, 64), ("pow:2", "ones-on:all", 5, 1, 3),
+    ("pow:3", "ones-on:squares", 7, 0, 64), ("linear:1", "ones-on:squares", 10, 0, 64),
+    ("pow:2", "ones-on:evens", 4, 2, 64), ("const:18", "ones-on:all", 3, 0, 1),
+    ("const:40", "ones-on:squares", 5, 0, 2), ("pow:2", "ones-on:all", 3, 0, 2)])
+def test_bulk_edge_pass_matches_per_row_scan(spec, point, q, depth, cap):
+    # the rows the base window leaves at the band edges are sorted again in
+    # runs as wide as their last row; each equals the row-by-row verdict, also
+    # under a small cap, where the deepest window is still wide
+    x = parse_point(point, ArithSeq(RatioSpec.parse(spec)))
+    eps, horizons = Fraction(1, q), [300, 3000]
+    scan = statistical_scan(x, eps, horizons, depth, cap)
+    assert_matches_per_row(x, eps, scan, horizons, depth, cap)
 
 
 @given(m=st.integers(1, 80), a=st.integers(0, 200), lo=st.integers(0, 79),
