@@ -47,15 +47,9 @@ DEPTH_CAP = 64
 EXPAND_CAP = 4096
 
 # a segment of at most this many rows is sorted row by row (``_sort_few``); on
-# 65-digit windows that beats the six floor sums up to about 24 rows (CPython
-# 3.11)
+# 100- to 1,200-bit windows that wrap once, that beats the wrap ranges of
+# ``_sort_many`` up to about 20 rows (CPython 3.11)
 _FEW_ROWS = 16
-
-# a longer segment whose values wrap the circle at most this many times is
-# sorted by wrap ranges in ``_sort_many``, not by floor sums; on 65- to
-# 1,200-bit windows that takes 0.6-0.75 of their time at 3-4 wraps and about
-# as long at 6-8 (CPython 3.11)
-_FEW_WRAPS = 4
 
 
 # ===== Digit rules ===========================================================
@@ -279,8 +273,9 @@ def _slide(x: CirclePoint, start: int, end: int, num: int, den: int,
     Floor divisions nest, so one product gives the integers of dividing by
     one ratio at a time. Otherwise the window is built from scratch. A digit
     j is added as num * b_j + c_j over den * b_j, read through
-    ``CirclePoint.digit`` when ``DigitRule.next_nonzero(j)`` is j. Otherwise the digits j .. m - 1 are 0, with m the next index that
-    may be nonzero (target + 1 when that lies past target or there is none),
+    ``CirclePoint.digit`` when ``DigitRule.next_nonzero(j)`` is j.
+    Otherwise the digits j .. m - 1 are 0, with m the next index that may
+    be nonzero (target + 1 when that lies past target or there is none),
     and enter at once through their ratio product b_j ... b_{m-1}. The sum
     is the same integer either way.
     """
@@ -611,14 +606,13 @@ class EnclosureCache:
         hn/hd], a row is in when lo_r lies in [A, B - w] and out when it
         lies in [0, A - 1 - w] or [B + 1, den - w]; enclosures nest under
         refinement, so these verdicts are final. ``_sort_few`` sorts a
-        segment of at most ``_FEW_ROWS`` rows one by one, ``_sort_many``
-        a longer one by its wrap ranges, or with floor sums when its values
-        wrap the circle more than ``_FEW_WRAPS`` times. When more than
-        ``_FEW_ROWS`` edge rows are left at a window below the cap, they
-        are sorted again at judge's next depth, each maximal run p..q of
-        consecutive rows as wide as w = q: a wider w only defers a row, so
-        the verdicts are unchanged. Only the edge rows left over go to
-        ``band_verdict``.
+        segment of at most ``_FEW_ROWS`` rows one by one; ``_sort_many``
+        counts a longer exact one by two floor sums and sorts any other by
+        its wrap ranges. Both hand back the edge rows as increasing runs
+        p..q. When more than ``_FEW_ROWS`` edge rows are left at a window
+        below the cap, they are sorted again at judge's next depth, each
+        run as wide as w = q: a wider w only defers a row, so the verdicts
+        are unchanged. Only the edge rows left over go to ``band_verdict``.
 
         For a point whose rule declares its support and 0 < ln/ld < 1/2
         (an indicator, floor-div or finite point, whose support holds only
@@ -770,44 +764,33 @@ class EnclosureCache:
                 band_den = den
                 A = -(-ln * den // ld)
                 B = hn * den // hd
-            if r1 - r < _FEW_ROWS:
-                seg_in, edge = _sort_few(num, den, r, r1, A, B, 0 if exact else r1)
-            else:
-                seg_in, edge = _sort_many(num, den, r, r1, A, B, 0 if exact else r1)
+            sort = _sort_few if r1 - r < _FEW_ROWS else _sort_many
+            seg_in, runs = sort(num, den, r, r1, A, B, 0 if exact else r1)
             n_in += seg_in
             depth = base
-            while len(edge) > _FEW_ROWS and depth < self.cap and not exact:
-                # sort the edge rows again at judge's next depth, each
-                # maximal run of consecutive rows as wide as its last row
+            while (runs and depth < self.cap
+                   and sum(q - p + 1 for p, q in runs) > _FEW_ROWS):
+                # sort the edge rows again at judge's next depth, each run
+                # as wide as its last row
                 depth = min(max(2 * depth, 1), self.cap)
                 dnum, dden = self._window_at(k, depth)
                 dA, dB = -(-ln * dden // ld), hn * dden // hd
-                rest, s, n = [], 0, len(edge)
-                while s < n:
-                    # the rows are increasing, so the run from edge[s] ends
-                    # at the last t with edge[t] - edge[s] = t - s: bisect
-                    t, top = s, n - 1
-                    while t < top:
-                        mid = (t + top + 1) // 2
-                        if edge[mid] - edge[s] == mid - s:
-                            t = mid
-                        else:
-                            top = mid - 1
-                    p, q = edge[s], edge[t]
+                rest = []
+                for p, q in runs:
                     sort = _sort_few if q - p < _FEW_ROWS else _sort_many
-                    seg_in, seg_edge = sort(dnum, dden, p, q, dA, dB, q)
+                    seg_in, seg_runs = sort(dnum, dden, p, q, dA, dB, q)
                     n_in += seg_in
-                    rest += seg_edge
-                    s = t + 1
-                edge = rest
-            for e in edge:
-                side = self.band_verdict(k, e, band)
-                if side == "in":
-                    n_in += 1
-                elif side == "undecided":
-                    n_und += 1
-                    if len(undecided) < keep:
-                        undecided.append(at + e)
+                    rest += seg_runs
+                runs = rest
+            for p, q in runs:
+                for e in range(p, q + 1):
+                    side = self.band_verdict(k, e, band)
+                    if side == "in":
+                        n_in += 1
+                    elif side == "undecided":
+                        n_und += 1
+                        if len(undecided) < keep:
+                            undecided.append(at + e)
             at += r1
             if at >= N:
                 break
@@ -826,71 +809,72 @@ def int_band(band_lo: Fraction, band_hi: Fraction) -> tuple[int, int, int, int]:
 
 
 def _sort_few(num: int, den: int, r0: int, r1: int, A: int, B: int,
-              w: int) -> tuple[int, list[int]]:
-    """(n_in, edge rows) of rows r0..r1 sorted one by one by lo_r = r * num
+              w: int) -> tuple[int, list[tuple[int, int]]]:
+    """(n_in, edge runs) of rows r0..r1 sorted one by one by lo_r = r * num
     mod den: in when lo_r lies in [A, B - w], out when it lies in
-    [0, A - 1 - w] or [B + 1, den - w], an edge row otherwise."""
-    n_in, edge = 0, []
+    [0, A - 1 - w] or [B + 1, den - w], an edge row otherwise. The edge rows
+    come as increasing runs (p, q) of the rows p..q."""
+    n_in, runs = 0, []
     top_in, top_out = B - w, den - w
     for r in range(r0, r1 + 1):
         lo = r * num % den
         if A <= lo <= top_in:
             n_in += 1
         elif lo + w >= A and not B < lo <= top_out:
-            edge.append(r)
-    return n_in, edge
+            if runs and runs[-1][1] == r - 1:
+                runs[-1] = (runs[-1][0], r)
+            else:
+                runs.append((r, r))
+    return n_in, runs
 
 
 def _sort_many(num: int, den: int, r0: int, r1: int, A: int, B: int,
-               w: int) -> tuple[int, list[int]]:
-    """``_sort_few`` by wrap ranges or by floor sums.
+               w: int) -> tuple[int, list[tuple[int, int]]]:
+    """``_sort_few`` by floor sums or by wrap ranges.
 
-    The rows r with W = floor(r * num / den) form one run ra..rb, on which
+    For w = 0 (an exact value) no row is an edge row, and two floor sums
+    count the rows with lo_r in [A, B]. Otherwise the rows r with
+    W = floor(r * num / den) form one run ra..rb, on which
     lo_r = r * num - W * den rises by num per row: so the first row of the
     run at or above a cut c is ceil((c + W * den) / num), clipped to
-    ra..rb + 1, and each class is a range of rows. A segment whose values
-    wrap the circle at most ``_FEW_WRAPS`` times is sorted so, with six
-    divisions per wrap. Otherwise floor sums take O(log den) steps to count
-    each class, and ``_hits`` lists the edge rows in increasing order."""
+    ra..rb + 1, and each class is a range of rows, found with six
+    divisions per wrap. For num = 0 every row sits at lo = 0, as row r0
+    does."""
+    if not w:
+        # _floor_sum(..., base - c) sums floor((r * num - c) / den) over the
+        # rows, so a difference of two counts the rows with A <= lo_r <= B
+        n, base = r1 - r0 + 1, num * r0
+        return (_floor_sum(n, den, num, base - A)
+                - _floor_sum(n, den, num, base - max(B + 1, A))), []
+    if not num:
+        n_in, runs = _sort_few(0, den, r0, r0, A, B, w)
+        return n_in * (r1 - r0 + 1), [(r0, r1)] if runs else []
     # cuts of [0, den]: out | edge | in | edge | out | edge
     cuts = (max(A - w, 0), A, max(B - w + 1, A), B + 1,
-            min(max(den - w + 1, B + 1), den), den)
-    if num:
-        W = r0 * num // den
-        top = r1 * num // den
-        if top - W < _FEW_WRAPS:
-            n_in, edge, ra = 0, [], r0
-            while W <= top:
-                Wd = W * den
-                end = (Wd + den - 1) // num + 1  # past the run's last row
-                if end > r1:
-                    end = r1 + 1
-                f = []  # the first row at or above each cut, in ra..end
-                for c in cuts[:5]:
-                    t = -(-(c + Wd) // num)
-                    f.append(ra if t < ra else t if t < end else end)
-                n_in += f[2] - f[1]
-                edge += range(f[0], f[1])
-                edge += range(f[2], f[3])
-                edge += range(f[4], end)
-                ra, W = end, W + 1
-            return n_in, edge
-    # g[j] = sum over the rows of floor((r * num - cuts[j]) / den), so
-    # g[j] - g[j + 1] counts the rows with cuts[j] <= lo_r < cuts[j + 1]
-    base = num * r0
-    g = [_floor_sum(r1 - r0 + 1, den, num, base - c) for c in cuts]
-    edge = []
-    for j in (0, 2, 4):
-        if g[j] > g[j + 1]:
-            edge += _hits(num, den, cuts[j], cuts[j + 1] - 1, r0, g[j] - g[j + 1])
-    edge.sort()
-    return g[1] - g[2], edge
+            min(max(den - w + 1, B + 1), den))
+    n_in, runs, ra = 0, [], r0
+    W, top = r0 * num // den, r1 * num // den
+    while W <= top:
+        Wd = W * den
+        end = (Wd + den - 1) // num + 1  # past the run's last row
+        if end > r1:
+            end = r1 + 1
+        f = []  # the first row at or above each cut, in ra..end
+        for c in cuts:
+            t = -(-(c + Wd) // num)
+            f.append(ra if t < ra else t if t < end else end)
+        n_in += f[2] - f[1]
+        for p, q in ((f[0], f[1]), (f[2], f[3]), (f[4], end)):
+            if p < q:
+                runs.append((p, q - 1))
+        ra, W = end, W + 1
+    return n_in, runs
 
 
 # ===== Lattice points of r * a mod m ==========================================
-# The batched scan counts and lists the rows r with a * r mod m in an interval.
-# Counting uses the Euclid-style floor sum of the AtCoder Library
-# (atcoder/math.hpp, floor_sum_unsigned); each routine takes O(log m) steps.
+# The batched scan counts the rows r with a * r mod m in an interval by the
+# Euclid-style floor sum of the AtCoder Library (atcoder/math.hpp,
+# floor_sum_unsigned), in O(log m) steps.
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -911,49 +895,6 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def _least_hit(a: int, m: int, lo: int, hi: int) -> int | None:
-    """Least x >= 0 with lo <= a*x mod m <= hi (0 <= lo <= hi < m), or None.
-
-    Unless a multiple of a lands in [lo, hi], the interval lies strictly
-    between two multiples of a. Then a*x - m*y lands in it exactly for the
-    least y >= 0 with (m*y mod a) in [-hi mod a, -lo mod a], and x is
-    ceil((lo + m*y) / a): the same problem for the pair (a, m mod a).
-    """
-    frames = []
-    while True:
-        a %= m
-        if lo == 0:
-            x = 0
-            break
-        if a == 0:
-            return None
-        x = -(-lo // a)
-        if a * x <= hi:
-            break
-        frames.append((a, m, lo))
-        a, m, lo, hi = m, a, -hi % a, -lo % a
-    for a, m, lo in reversed(frames):
-        x = -(-(lo + m * x) // a)
-    return x
-
-
-def _hits(a: int, m: int, lo: int, hi: int, r: int, count: int) -> list[int]:
-    """The first ``count`` r' >= r with lo <= a*r' mod m <= hi, increasing.
-
-    Needs 0 <= lo <= hi < m and at least ``count`` such r'; with the count
-    known in advance, no search runs past the last hit.
-    """
-    out = []
-    for _ in range(count):
-        s = a * r % m
-        if not lo <= s <= hi:
-            # s lies outside [lo, hi], so the interval shifted by -s does not wrap
-            r += _least_hit(a, m, (lo - s) % m, (hi - s) % m)
-        out.append(r)
-        r += 1
-    return out
-
-
 # ===== Digit-rule parsing ====================================================
 
 
@@ -966,7 +907,8 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
     horizon), ``finite:[c1,c2,...]``, ``ones-on:<set-expr>``, and
     ``floor-div:m={n1:m1,n2:m2,...}``. A typed ``finite:`` digit or
     ``floor-div:`` divisor outside its range under ``seq`` fails here: the
-    point checks its digits when built, and each divisor is read once.
+    point checks its digits when built, and each divisor is read once. A
+    ``floor-div:`` index listed twice is a ``SpecParseError``.
     """
     text = text.strip()
     if text.startswith("rat:") or text.startswith("exact:"):
@@ -994,7 +936,10 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
                 key, sep, val = pair.partition(":")
                 if not sep:
                     raise SpecParseError(f"divisor entry {pair!r} must be n:m")
-                divisors[integer(key, "a divisor index")] = integer(val, "a divisor")
+                n = integer(key, "a divisor index")
+                if n in divisors:
+                    raise SpecParseError(f"divisor index {n} is repeated")
+                divisors[n] = integer(val, "a divisor")
         x = CirclePoint(seq, FloorDivDigits(divisors))
         for n in divisors:  # check each typed divisor against b_n
             x.digit(n)

@@ -238,6 +238,13 @@ def test_typed_digit_out_of_range_exits_3(capsys, command, x, message):
     assert message in out.err
 
 
+def test_repeated_floor_div_index_exits_2(capsys):
+    # an index listed twice is refused, not settled by its last divisor
+    out = capture(capsys, "scan", "--spec", "const:7", "--x", "floor-div:m={2:3,2:5}",
+                  "--horizons", "100", expect=2)
+    assert "divisor index 2 is repeated" in out.err
+
+
 def test_expand_over_budget_exits_4(capsys):
     out = capture(capsys, "scan", "--spec", "pow:2", "--x", "rat:1/3", "--expand",
                   str(EXPAND_CAP + 1), "--horizons", "100", expect=4)

@@ -15,8 +15,6 @@ from circlelab.circle import (
     FiniteDigits,
     IndicatorDigits,
     _floor_sum,
-    _hits,
-    _least_hit,
     _sort_few,
     _sort_many,
     int_band,
@@ -964,12 +962,12 @@ def test_floor_sum_matches_brute_force(n, m, a, b):
 @st.composite
 def wrap_segments(draw):
     """(num, den, r0, r1, A, B, w, wraps): a segment whose values lo_r = r *
-    num mod den wrap the circle ``wraps`` times, 1 to ``_FEW_WRAPS`` + 1,
-    with windows of up to 1,500 bits. Its ends may sit exactly on a wrap
-    boundary; num may be 0 and w at least num; the band [A, B] may be
-    [1, den - 1] or empty (B = A - 1)."""
+    num mod den wrap the circle ``wraps`` times, 1 to 10, with windows of up
+    to 1,500 bits. Its ends may sit exactly on a wrap boundary; num may be 0
+    and w 0 or at least num; the band [A, B] may be [1, den - 1] or empty
+    (B = A - 1), and at w = 0 also B < A - 1."""
     den = draw(st.integers(1, 2 ** draw(st.sampled_from((4, 64, 1500)))))
-    wraps = draw(st.integers(1, circle._FEW_WRAPS + 1))
+    wraps = draw(st.integers(1, 10))
     r0 = draw(st.integers(0, 300))
     if den == 1 or draw(st.integers(0, 9)) == 0:
         num, r1 = 0, r0 + draw(st.integers(0, 60))
@@ -984,24 +982,40 @@ def wrap_segments(draw):
         r1 = draw(st.sampled_from((first, last)) | st.integers(first, last))
     A = draw(st.integers(0, den))
     B = draw(st.integers(A, den - 1)) if A < den else den - 1
+    w = draw(st.sampled_from((0, r1)) | st.integers(num, den + 5) | st.integers(0, 40))
     form = draw(st.sampled_from(("band", "wide", "empty")))
     if form == "wide" and den > 1:
         A, B = 1, den - 1
     elif form == "empty" and A > 0:
-        B = A - 1
-    w = draw(st.sampled_from((0, r1)) | st.integers(num, den + 5) | st.integers(0, 40))
+        B = A - 1 - (draw(st.integers(0, A)) if w == 0 else 0)
     return num, den, r0, r1, A, B, w, wraps
 
 
+def covered(runs, r0, r1):
+    """The rows of increasing, disjoint runs (p, q) inside r0..r1."""
+    rows, last = [], r0 - 1
+    for p, q in runs:
+        assert last < p <= q <= r1
+        rows += range(p, q + 1)
+        last = q
+    return rows
+
+
 @given(seg=wrap_segments())
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=800, deadline=None)
 def test_sort_by_wrap_ranges_matches_the_row_by_row_sort(seg):
-    # both branches of _sort_many (wrap ranges up to _FEW_WRAPS wraps, floor
-    # sums past it) give the counts and edge rows, in order, of _sort_few
+    # _sort_many (floor sums at w = 0, wrap ranges at any wrap count
+    # otherwise) gives the count and the edge rows of _sort_few, as
+    # increasing runs, and none at w = 0
     num, den, r0, r1, A, B, w, wraps = seg
     if num:
         assert r1 * num // den - r0 * num // den + 1 == wraps
-    assert _sort_many(num, den, r0, r1, A, B, w) == _sort_few(num, den, r0, r1, A, B, w)
+    n_in, runs = _sort_many(num, den, r0, r1, A, B, w)
+    want_in, want_runs = _sort_few(num, den, r0, r1, A, B, w)
+    assert n_in == want_in
+    assert covered(runs, r0, r1) == covered(want_runs, r0, r1)
+    if not w:
+        assert runs == []
 
 
 def test_long_edge_segments_are_sorted_again_at_deeper_windows(monkeypatch):
@@ -1025,6 +1039,20 @@ def test_long_edge_segments_are_sorted_again_at_deeper_windows(monkeypatch):
     assert len(calls) < 200
 
 
+def test_long_edge_segments_keep_memory_flat():
+    # the edge rows of a long block travel as runs (p, q), never row by row,
+    # so a depth-0 scan over blocks of up to 2^19 rows stays small
+    x = parse_point("ones-on:all", POW2)
+    tracemalloc.start()
+    try:
+        scan = statistical_scan(x, Fraction(1, 3), [10 ** 6], depth=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.estimates[-1].lo == scan.estimates[-1].hi == Fraction(13981, 40000)
+    assert peak < 2 * 2 ** 20
+
+
 @pytest.mark.parametrize("spec, point, q, depth, cap", [
     ("pow:2", "ones-on:all", 3, 0, 64), ("pow:2", "ones-on:all", 5, 1, 3),
     ("pow:3", "ones-on:squares", 7, 0, 64), ("linear:1", "ones-on:squares", 10, 0, 64),
@@ -1038,18 +1066,6 @@ def test_bulk_edge_pass_matches_per_row_scan(spec, point, q, depth, cap):
     eps, horizons = Fraction(1, q), [300, 3000]
     scan = statistical_scan(x, eps, horizons, depth, cap)
     assert_matches_per_row(x, eps, scan, horizons, depth, cap)
-
-
-@given(m=st.integers(1, 80), a=st.integers(0, 200), lo=st.integers(0, 79),
-       width=st.integers(0, 79), r=st.integers(0, 100))
-@settings(max_examples=300, deadline=None)
-def test_hit_search_matches_brute_force(m, a, lo, width, r):
-    lo = lo % m
-    hi = min(lo + width, m - 1)
-    hits = [x for x in range(2 * m) if lo <= a * x % m <= hi]
-    assert _least_hit(a, m, lo, hi) == (hits[0] if hits else None)
-    want = [x for x in range(r, r + 2 * m) if lo <= a * x % m <= hi]
-    assert _hits(a, m, lo, hi, r, len(want)) == want
 
 
 # ----- convergence heuristics --------------------------------------------------

@@ -160,8 +160,7 @@ def test_digit_rules_are_only_constructed_outside_circle():
 
 
 # the integer kernel: the enclosure cache and the lattice helpers of the scan
-INTEGER_KERNEL = {"EnclosureCache", "_sort_few", "_sort_many", "_floor_sum",
-                  "_least_hit", "_hits"}
+INTEGER_KERNEL = {"EnclosureCache", "_sort_few", "_sort_many", "_floor_sum"}
 
 
 def test_the_kernel_builds_no_fraction():
