@@ -28,7 +28,7 @@ __all__ = [
     "FiniteDigits",
     "RationalDigits",
     "IndicatorDigits",
-    "FloorDivDigits",
+    "floor_div_digits",
     "CirclePoint",
     "digits_from_rational",
     "EnclosureCache",
@@ -62,9 +62,9 @@ class DigitRule:
     ``support`` is a set holding every index whose digit may be nonzero, or
     None when the rule declares none (a non-terminating rational
     expansion); its ``is_finite`` and ``is_cofinite`` are exact, and the
-    membership and witness code rely on them. ``FiniteDigits`` declares its
-    nonzero digits, which ``CirclePoint`` checks when it is built, and
-    ``FloorDivDigits`` its keys: every other digit is 0.
+    membership and witness code rely on them. ``FiniteDigits`` (``finite:``
+    or ``floor-div:``) declares its nonzero digits, which ``CirclePoint``
+    checks when it is built: every other digit is 0.
     """
 
     support: NatSet | None = None
@@ -91,21 +91,42 @@ class DigitRule:
 
 
 class FiniteDigits(DigitRule):
-    """An explicit digit prefix with a declared all-zero tail."""
+    """Finitely many nonzero digits, kept as ``digits`` = {n: c_n}, and the
+    ``text`` that ``describe`` returns: given with a map n -> c_n, or
+    ``finite:[...]`` of a list c_1, c_2, ..., its zeros included."""
 
-    def __init__(self, digits: Iterable[int]):
-        self.digits = tuple(digits)
-        if any(c < 0 for c in self.digits):
+    def __init__(self, digits: Iterable[int] | Mapping[int, int], text: str | None = None):
+        if text is None:
+            digits = tuple(digits)
+            text = "finite:[" + ",".join(str(c) for c in digits) + "]"
+            digits = dict(enumerate(digits, 1))
+        if any(c < 0 for c in digits.values()):
             raise PreconditionError("digits must be non-negative")
-        self.support = IntervalNatSet((n, n) for n, c in enumerate(self.digits, 1) if c)
+        self.digits = {n: c for n, c in digits.items() if c}
+        self.text = text
+        self.support = IntervalNatSet((n, n) for n in self.digits)
 
     def digit(self, n, seq):
-        if n <= len(self.digits):
-            return self.digits[n - 1]
-        return 0
+        return self.digits.get(n, 0)
 
     def describe(self):
-        return "finite:[" + ",".join(str(c) for c in self.digits) + "]"
+        return self.text
+
+
+def floor_div_digits(divisors: Mapping[int, int], seq: ArithSeq) -> FiniteDigits:
+    """c_n = floor(b_n / m_n) on the keys of a divisor map, 0 elsewhere, as
+    ``floor-div:m={...}`` with sorted keys. Each b_n is read once; a divisor
+    outside 1 < m_n <= b_n is reported in the map's order, not clamped."""
+    if any(n < 1 for n in divisors):
+        raise PreconditionError("divisor positions must be >= 1")
+    digits = {}
+    for n, m in divisors.items():
+        b = seq.ratio(n)
+        if not 1 < m <= b:
+            raise PreconditionError(f"divisor m_{n} = {m} violates 1 < m <= b_{n} = {b}")
+        digits[n] = b // m
+    inner = ",".join(f"{n}:{divisors[n]}" for n in sorted(divisors))
+    return FiniteDigits(digits, "floor-div:m={" + inner + "}")
 
 
 class RationalDigits(DigitRule):
@@ -152,35 +173,6 @@ class IndicatorDigits(DigitRule):
         return f"ones-on:{getattr(self.support, 'name', repr(self.support))}"
 
 
-class FloorDivDigits(DigitRule):
-    """c_n = floor(b_n / m_n) on the keys of a finite divisor map, 0 elsewhere.
-
-    Every divisor must satisfy 1 < m_n <= b_n; a violation is reported, not
-    clamped.
-    """
-
-    def __init__(self, divisors: Mapping[int, int]):
-        self.divisors = dict(sorted(divisors.items()))
-        if any(n < 1 for n in self.divisors):
-            raise PreconditionError("divisor positions must be >= 1")
-        self.support = IntervalNatSet((n, n) for n in self.divisors)
-
-    def digit(self, n, seq):
-        m = self.divisors.get(n)
-        if m is None:
-            return 0
-        b = seq.ratio(n)
-        if not 1 < m <= b:
-            raise PreconditionError(
-                f"divisor m_{n} = {m} violates 1 < m <= b_{n} = {b}"
-            )
-        return b // m
-
-    def describe(self):
-        inner = ",".join(f"{n}:{m}" for n, m in self.divisors.items())
-        return "floor-div:m={" + inner + "}"
-
-
 # ===== Points ================================================================
 
 
@@ -189,15 +181,15 @@ class CirclePoint:
 
     Construction rejects rules that are detectably non-canonical (a digit
     tail that is eventually always b_n - 1 collapses the point onto 0), and
-    checks each typed ``FiniteDigits`` digit against its b_n, so a window
-    that spans a zero run by its ratio product reads no digit to check.
+    checks each digit a ``FiniteDigits`` declares against its b_n, so a
+    window that spans a zero run by its ratio product reads no digit to check.
     """
 
     def __init__(self, seq: ArithSeq, rule: DigitRule):
         self.seq = seq
         self.rule = rule
         if isinstance(rule, FiniteDigits):
-            for n, c in enumerate(rule.digits, 1):
+            for n, c in rule.digits.items():
                 if c > 1:  # 0 and 1 are digits under every b_n >= 2
                     self.digit(n)
         if (isinstance(rule, IndicatorDigits)
@@ -903,25 +895,16 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
 
     Forms: ``rat:P/Q`` (greedy expansion: ``finite:`` digits when it
     terminates within ``horizon``, an exact ``RationalDigits`` otherwise),
-    ``exact:P/Q`` (like rat: but the expansion must terminate within the
-    horizon), ``finite:[c1,c2,...]``, ``ones-on:<set-expr>``, and
-    ``floor-div:m={n1:m1,n2:m2,...}``. A typed ``finite:`` digit or
-    ``floor-div:`` divisor outside its range under ``seq`` fails here: the
-    point checks its digits when built, and each divisor is read once. A
-    ``floor-div:`` index listed twice is a ``SpecParseError``.
+    ``finite:[c1,c2,...]``, ``ones-on:<set-expr>``, and
+    ``floor-div:m={n1:m1,n2:m2,...}``, whose digits are computed here. A
+    typed ``finite:`` digit or ``floor-div:`` divisor outside its range
+    under ``seq`` fails here, and an index listed twice is a
+    ``SpecParseError``.
     """
     text = text.strip()
-    if text.startswith("rat:") or text.startswith("exact:"):
-        strict = text.startswith("exact:")
-        value = fraction(text.partition(":")[2], "a rational point")
-        x = digits_from_rational(value, seq, horizon)
-        if strict and x.rule.finite_support_max() is None:
-            raise HorizonError(
-                f"expansion of {value} did not terminate within {horizon} "
-                "digits; raise the expansion horizon or use rat: for an "
-                "exact non-terminating point"
-            )
-        return x
+    if text.startswith("rat:"):
+        value = fraction(text[4:], "a rational point")
+        return digits_from_rational(value, seq, horizon)
     if text.startswith("finite:"):
         digits = integers(enclosed(text[7:], "[]", "finite digits"), "finite digits")
         return CirclePoint(seq, FiniteDigits(digits))
@@ -940,8 +923,5 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
                 if n in divisors:
                     raise SpecParseError(f"divisor index {n} is repeated")
                 divisors[n] = integer(val, "a divisor")
-        x = CirclePoint(seq, FloorDivDigits(divisors))
-        for n in divisors:  # check each typed divisor against b_n
-            x.digit(n)
-        return x
+        return CirclePoint(seq, floor_div_digits(divisors, seq))
     raise SpecParseError(f"unrecognized digit rule {text!r}")

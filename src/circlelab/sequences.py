@@ -19,62 +19,34 @@ from pathlib import Path
 from .errors import PreconditionError, SpecParseError
 from .parse import enclosed, integer, integers
 
-__all__ = ["RatioSpec", "ArithSeq", "DerivedSeq", "cube_block_edges", "cube_block_of"]
-
-
-def cube_block_edges():
-    """Yield the closed blocks [g_j, h_j] with g_1 = 1, h_j - g_j = j^3, g_{j+1} - h_j = j."""
-    g, j = 1, 1
-    while True:
-        h = g + j**3
-        yield g, h
-        g = h + j
-        j += 1
+__all__ = ["RatioSpec", "ArithSeq", "DerivedSeq", "cube_block_of"]
 
 
 def cube_block_of(n: int) -> tuple[int, int]:
-    """(j, h_j) for the block of ``cube_block_edges`` with the last start
-    g_j <= n (n >= 1), in closed form: g_j = 1 + t^2 + t with
-    t = j(j - 1)/2, the sum of i^3 + i over i < j, and h_j = g_j + j^3."""
+    """(j, h_j) for the cube-gap block [g_j, h_j] (g_1 = 1, h_j = g_j + j^3,
+    g_(j+1) = h_j + j) with the last start g_j <= n, n >= 1, in closed form:
+    g_j = 1 + t^2 + t with t = j(j - 1)/2, the sum of i^3 + i over i < j."""
     T = (isqrt(4 * n - 3) - 1) >> 1  # the largest T with T(T + 1) <= n - 1
     j = (isqrt(8 * T + 1) + 1) >> 1  # the largest j with j(j - 1)/2 <= T
     t = j * (j - 1) >> 1
     return j, 1 + t * (t + 1) + j * j * j
 
 
-def _cube_block_elements(jmax):
-    edges = cube_block_edges()
-    for _ in range(jmax):
-        g, h = next(edges)
-        yield from range(g, h + 1)
+def _block_ratios(jmax: int):
+    """m -> b_m of ``dlictrex:jmax``: j + 1 at the join m = S_j = T_j^2 + j
+    (T_j = j(j + 1)/2, 1 <= j < jmax), the index of block j + 1's start,
+    and 2 elsewhere. T_j^2 <= S_j < (T_j + 1)^2, so isqrt(m) names one j."""
+    t_last = jmax * (jmax - 1) >> 1
+    last = t_last * t_last + jmax - 1
 
+    def ratio(m: int) -> int:
+        if m > last:
+            return 2
+        t = isqrt(m)
+        j = (isqrt(8 * t + 1) - 1) >> 1
+        return j + 1 if m == t * t + j and j * (j + 1) >> 1 == t else 2
 
-class _BlockRatios:
-    """Ratios read off consecutive elements of the cube-gap block set, tail 2.
-
-    With the first jmax blocks enumerated as 1 = e_0 < e_1 < ..., the ratio at
-    position m is e_m - e_{m-1} + 1 (2 inside a block, gap + 1 at a join);
-    past the enumerated elements every ratio is 2.
-    """
-
-    def __init__(self, jmax: int):
-        self.jmax = jmax
-        self._vals: list[int] = []
-        self._elems = _cube_block_elements(jmax)
-        self._prev = next(self._elems)
-        self._done = False
-
-    def term(self, n: int) -> int:
-        while not self._done and n > len(self._vals):
-            e = next(self._elems, None)
-            if e is None:
-                self._done = True
-                break
-            self._vals.append(e - self._prev + 1)
-            self._prev = e
-        if n <= len(self._vals):
-            return self._vals[n - 1]
-        return 2
+    return ratio
 
 
 def _prod_mod(values, q: int | None) -> int:
@@ -198,7 +170,7 @@ class RatioSpec:
         """
         if jmax < 2:
             raise PreconditionError("block construction needs jmax >= 2")
-        return cls(f"dlictrex:{jmax}", _BlockRatios(jmax).term, True)
+        return cls(f"dlictrex:{jmax}", _block_ratios(jmax), True)
 
     def term(self, n: int) -> int:
         if n < 1:

@@ -18,7 +18,7 @@ from .circle import (
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
-    FloorDivDigits,
+    floor_div_digits,
     int_band,
 )
 from .density import IntervalNatSet, NatSet
@@ -427,7 +427,7 @@ def arbault_witness(seq: ArithSeq, u_list: Sequence[int], rows: int = 20,
     if not picks:
         raise PreconditionError("no multiplier admitted a usable digit alignment")
     divisors = {k + 1: m for (k, v, b, l, m, e) in alignments}
-    x = CirclePoint(seq, FloorDivDigits(divisors))
+    x = CirclePoint(seq, floor_div_digits(divisors, seq))
     band_lo, band_hi = Fraction(1, 4), Fraction(7, 8)
     band = int_band(band_lo, band_hi)
     cache = EnclosureCache(x, depth=depth)

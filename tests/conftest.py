@@ -30,6 +30,18 @@ def _subprocess_pythonpath():
 
 # ----- reference code the tests compare the library with --------------------
 
+def cube_block_edges():
+    """Yield the closed cube-gap blocks [g_j, h_j] with g_1 = 1,
+    h_j - g_j = j^3 and g_{j+1} - h_j = j, one after another: the reference
+    for ``cube_block_of`` and the ``dlictrex`` ratios."""
+    g, j = 1, 1
+    while True:
+        h = g + j**3
+        yield g, h
+        g = h + j
+        j += 1
+
+
 def window_from_scratch(x: CirclePoint, n: int, t: int) -> tuple[int, int]:
     """Unreduced (num, den) with S = num/den, den = b_n * ... * b_{n+t}."""
     num = 0

@@ -12,11 +12,11 @@ from circlelab.circle import (
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
-    FloorDivDigits,
     IndicatorDigits,
     RationalDigits,
     _slide,
     digits_from_rational,
+    floor_div_digits,
     int_band,
     parse_point,
 )
@@ -44,6 +44,7 @@ from conftest import (
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
+POW3 = ArithSeq(RatioSpec.power(3))
 CONST2 = ArithSeq(RatioSpec.constant(2))
 
 
@@ -157,7 +158,8 @@ def test_digits_on_demand_match_eager_expansion(case, data):
     x = digits_from_rational(value, seq, H)
     if terminates:
         assert type(x.rule) is FiniteDigits
-        assert x.rule.digits == tuple(digits)
+        assert x.rule.digits == {n: c for n, c in enumerate(digits, 1) if c}
+        assert x.describe() == "finite:[" + ",".join(map(str, digits)) + "]"
         return
     assert type(x.rule) is RationalDigits
     assert x.describe() == f"rat:{value.numerator}/{q}"
@@ -236,6 +238,9 @@ def test_support_and_quasi_support():
     assert x.rule.finite_support_max() == 4
     assert [FiniteDigits(c).finite_support_max()
             for c in ([], [0, 0], [0, 2, 0, 0])] == [0, 0, 2]
+    # only the nonzero digits are kept; the text keeps every typed digit
+    y = FiniteDigits([0, 2, 0, 0])
+    assert y.digits == {2: 2} and y.describe() == "finite:[0,2,0,0]"
 
 
 # ----- window enclosures -----------------------------------------------------
@@ -490,15 +495,16 @@ def test_cache_band_verdict_agrees_with_truth(spec, q, p_seed, horizon, rows,
 
 @st.composite
 def order_points(draw, seq):
-    """A non-terminating rat: or an exact: point, or an indicator point, on ``seq``."""
-    form = draw(st.sampled_from(("rat", "exact", "ones-on")))
+    """A non-terminating rat: point, a rat: point that terminates, or an
+    indicator point, on ``seq``."""
+    form = draw(st.sampled_from(("rat", "terminating", "ones-on")))
     if form == "rat":
         q = draw(st.integers(2, 400))
         return parse_point(f"rat:{draw(st.integers(1, q - 1))}/{q}", seq,
                            draw(st.integers(1, 48)))
-    if form == "exact":
+    if form == "terminating":
         q = seq.term(draw(st.integers(1, 5)))
-        return parse_point(f"exact:{draw(st.integers(0, q - 1))}/{q}", seq)
+        return parse_point(f"rat:{draw(st.integers(0, q - 1))}/{q}", seq)
     return parse_point("ones-on:" + draw(st.sampled_from(("all", "squares", "evens"))
                                          | sparse_supports()), seq)
 
@@ -555,7 +561,7 @@ def window_points(draw, seq):
     form = draw(st.sampled_from(("ones-on", "opaque", "floor-div", "rat")))
     if form == "floor-div":
         keys = draw(st.sets(st.integers(1, 60), max_size=12))
-        return CirclePoint(seq, FloorDivDigits({n: 2 for n in keys}))
+        return CirclePoint(seq, floor_div_digits({n: 2 for n in keys}, seq))
     if form == "rat":
         # 97 divides no a_n, so the point is a non-terminating RationalDigits
         p, horizon = draw(st.integers(1, 96)), draw(st.integers(1, 48))
@@ -901,7 +907,6 @@ def test_window_walk_reads_each_step_once(monkeypatch):
 
 def test_parse_point_forms():
     assert as_fraction(parse_point("rat:5/24", LINEAR1)) == Fraction(5, 24)
-    assert as_fraction(parse_point("exact:5/24", LINEAR1)) == Fraction(5, 24)
     assert as_fraction(parse_point("finite:[0,1,1]", LINEAR1)) == Fraction(5, 24)
     x = parse_point("ones-on:fin:{2,4}", LINEAR1)
     assert [x.digit(n) for n in range(1, 6)] == [0, 1, 0, 1, 0]
@@ -910,15 +915,16 @@ def test_parse_point_forms():
     assert as_fraction(parse_point("rat:0", LINEAR1)) == 0
 
 
-def test_parse_point_exact_requires_termination():
-    with pytest.raises(HorizonError):
-        parse_point("exact:1/3", POW2)
-    with pytest.raises(HorizonError, match="use rat: for an exact non-terminating point"):
-        parse_point("exact:1/7", POW2, 40)
+def test_parse_point_rat_is_the_one_rational_form():
+    # exact: is an unknown rule: rat: gives the same point, terminating or not
+    for text in ("exact:1/3", "exact:3/8"):
+        with pytest.raises(SpecParseError, match="unrecognized digit rule"):
+            parse_point(text, POW2)
     x = parse_point("rat:1/3", POW2)
     assert type(x.rule) is RationalDigits and x.describe() == "rat:1/3"
-    # a rat: point that terminates within the horizon is expanded as exact: is
-    assert parse_point("rat:3/8", POW2, 2).describe() == parse_point("exact:3/8", POW2, 2).describe()
+    # a rat: point that terminates within the horizon is expanded into digits
+    y = parse_point("rat:3/8", POW2, 2)
+    assert type(y.rule) is FiniteDigits and y.describe() == "finite:[0,3]"
 
 
 def test_parse_point_errors():
@@ -930,12 +936,38 @@ def test_parse_point_errors():
             parse_point(bad, LINEAR1)
 
 
-def test_floor_div_validation_on_access():
-    y = CirclePoint(LINEAR1, FloorDivDigits({2: 5}))  # b_2 = 3 < 5
-    with pytest.raises(PreconditionError):
-        y.digit(2)
-    with pytest.raises(PreconditionError):
-        FloorDivDigits({0: 2})
+def test_floor_div_validation_at_construction():
+    # each divisor is checked against its b_n when the digits are computed,
+    # in the map's order and after every position, with today's messages
+    with pytest.raises(PreconditionError, match=r"^divisor m_2 = 5 violates 1 < m <= b_2 = 3$"):
+        floor_div_digits({2: 5}, LINEAR1)  # b_2 = 3 < 5
+    with pytest.raises(PreconditionError, match=r"^divisor m_4 = 1 violates 1 < m <= b_4 = 5$"):
+        floor_div_digits({4: 1, 2: 5}, LINEAR1)
+    for bad in ({0: 2}, {3: 9, -1: 2}):
+        with pytest.raises(PreconditionError, match="^divisor positions must be >= 1$"):
+            floor_div_digits(bad, LINEAR1)
+    # each b_n is read once, there; a digit read afterwards reads no ratio
+    seq, reads = ArithSeq(RatioSpec.linear(1)), []
+    ratio = seq.ratio
+    seq.ratio = lambda n: reads.append(n) or ratio(n)
+    rule = floor_div_digits({9: 4, 2: 3, 5: 2}, seq)
+    assert reads == [9, 2, 5]
+    assert [rule.digit(n, seq) for n in range(1, 11)] == [0, 1, 0, 0, 3, 0, 0, 0, 2, 0]
+    assert reads == [9, 2, 5]
+
+
+def test_floor_div_digits_and_text():
+    # the text lists the keys sorted; the digits b_n // m_n, the support
+    # (the keys) and its end are those the map names
+    x = parse_point("floor-div:m={9:4,2:3,5:7}", POW3)
+    assert x.describe() == "floor-div:m={2:3,5:7,9:4}"
+    assert x.rule.digits == {2: 9 // 3, 5: 3 ** 5 // 7, 9: 3 ** 9 // 4}
+    assert [n for n in range(1, 12) if x.digit(n)] == [2, 5, 9]
+    assert x.rule.support.intervals == ((2, 2), (5, 5), (9, 9))
+    assert x.rule.finite_support_max() == 9
+    empty = parse_point("floor-div:m={}", POW3)
+    assert empty.describe() == "floor-div:m={}" and empty.rule.digits == {}
+    assert empty.rule.finite_support_max() == 0
 
 
 def test_indicator_point_digits():

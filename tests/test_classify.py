@@ -16,8 +16,8 @@ from circlelab.classify import (
 )
 from circlelab.density import evens, parse_set_expr
 from circlelab.errors import HorizonError, PreconditionError
-from circlelab.sequences import _INT_KINDS, ArithSeq, RatioSpec, cube_block_edges
-from conftest import elem_set
+from circlelab.sequences import _INT_KINDS, ArithSeq, RatioSpec
+from conftest import cube_block_edges, elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))

@@ -216,14 +216,16 @@ def test_exit_precondition_error():
 
 
 def test_exit_horizon_error():
-    proc = run_cli("scan", "--spec", "pow:2", "--x", "exact:1/3",
-                   "--horizons", "100", expect=4)
-    assert "did not terminate" in proc.stderr
+    proc = run_cli("scan", "--spec", "pow:2", "--x", "rat:1/3", "--expand",
+                   str(EXPAND_CAP + 1), "--horizons", "100", expect=4)
+    assert "exceeds the budget" in proc.stderr
 
 
 @pytest.mark.parametrize("x, message", [
     ("finite:[5]", "digit c_1 = 5 outside [0, 1]"),
     ("floor-div:m={3:5}", "divisor m_3 = 5 violates 1 < m <= b_3 = 2"),
+    ("floor-div:m={2:1}", "divisor m_2 = 1 violates 1 < m <= b_2 = 2"),
+    ("floor-div:m={3:2,0:2}", "divisor positions must be >= 1"),
 ])
 @pytest.mark.parametrize("command", [
     ("scan",),
@@ -236,6 +238,15 @@ def test_typed_digit_out_of_range_exits_3(capsys, command, x, message):
     # witnesses refuse an out-of-range one as the scan does
     out = capture(capsys, *command, "--spec", "const:2", "--x", x, expect=3)
     assert message in out.err
+
+
+def test_far_floor_div_key_is_a_member(capsys):
+    # the digits are stored sparsely: one key at 10^9 is one entry, so the
+    # point is a member at once, from the cutoff n_(10^9) = 2 * 10^9 + 1
+    out = capture(capsys, "classify", "--check", "member", "--spec", "const:3",
+                  "--x", "floor-div:m={1000000000:3}", "--format", "json")
+    report = json.loads(out.out)["report"]
+    assert (report["status"], report["cutoff"]) == ("member", 2000000001)
 
 
 def test_repeated_floor_div_index_exits_2(capsys):

@@ -21,8 +21,8 @@ from circlelab.density import (
     translate,
 )
 from circlelab.errors import PreconditionError, SpecParseError
-from circlelab.sequences import ArithSeq, RatioSpec, cube_block_edges
-from conftest import MemoDerived, OpaqueSet, elem_set
+from circlelab.sequences import ArithSeq, RatioSpec
+from conftest import MemoDerived, OpaqueSet, cube_block_edges, elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))

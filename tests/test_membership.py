@@ -305,14 +305,14 @@ def scan_points(draw):
     infinite supports check the held slide."""
     seq = ArithSeq(RatioSpec.parse(draw(st.sampled_from(_SCAN_SPECS))))
     form = draw(st.sampled_from(("ones-on:all", "ones-on:squares", "rat",
-                                 "exact", "finite", "floor-div", "sparse")))
+                                 "terminating", "finite", "floor-div", "sparse")))
     if form == "rat":  # exact, and non-terminating unless q | a_n early
         q = draw(st.integers(2, 400))
         p = draw(st.integers(1, q - 1))
         return parse_point(f"rat:{p}/{q}", seq, draw(st.integers(1, 24)))
-    if form == "exact":
+    if form == "terminating":  # q = a_n, so it terminates within the horizon
         q = seq.term(draw(st.integers(1, 4)))
-        return parse_point(f"exact:{draw(st.integers(0, q - 1))}/{q}", seq)
+        return parse_point(f"rat:{draw(st.integers(0, q - 1))}/{q}", seq)
     if form == "finite":  # often with inner zeros
         digits = [draw(st.integers(0, seq.ratio(n) - 1) | st.just(0))
                   for n in range(1, draw(st.integers(0, 12)) + 1)]

@@ -142,7 +142,7 @@ def test_private_attributes_stay_with_their_owner():
     assert reached == []
 
 
-DIGIT_RULES = {"FiniteDigits", "RationalDigits", "IndicatorDigits", "FloorDivDigits"}
+DIGIT_RULES = {"FiniteDigits", "RationalDigits", "IndicatorDigits"}
 
 
 def test_digit_rules_are_only_constructed_outside_circle():

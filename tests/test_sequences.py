@@ -15,10 +15,9 @@ from circlelab.sequences import (
     ArithSeq,
     DerivedSeq,
     RatioSpec,
-    cube_block_edges,
     cube_block_of,
 )
-from conftest import MemoDerived
+from conftest import MemoDerived, cube_block_edges
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -367,6 +366,25 @@ def test_block_spec_boundaries_enumerate_cube_gap_set():
         assert d.boundary(k) == e
     # past the enumerated blocks the tail ratio 2 steps the boundary by 1
     assert d.boundary(len(elems)) == elems[-1] + 1
+
+
+@pytest.mark.parametrize("text", [f"dlictrex:{j}" for j in range(2, 41)] + ["dlictrex"])
+def test_block_spec_closed_form_matches_the_enumerated_blocks(text):
+    """Every b_m and n_k up to 50 past the last join S_(J-1) = T^2 + J - 1,
+    T = J(J - 1)/2, against the elements e_0 < e_1 < ... of the first J
+    blocks of ``cube_block_edges``, after which each step is 1 (ratio 2)."""
+    spec = RatioSpec.parse(text)
+    jmax = int(text.partition(":")[2] or 20)
+    t = jmax * (jmax - 1) // 2
+    last = t * t + jmax - 1
+    elems = [e for g, h in itertools.islice(cube_block_edges(), jmax)
+             for e in range(g, h + 1)][:last + 51]
+    elems += range(elems[-1] + 1, elems[-1] + 1 + last + 51 - len(elems))
+    ratios = [e - p + 1 for p, e in zip(elems, elems[1:])]
+    assert list(map(spec.term, range(1, last + 51))) == ratios
+    assert list(map(ArithSeq(spec).derived.boundary, range(last + 51))) == elems
+    # the last join reads J = b_(S_(J-1)), and both its neighbours read 2
+    assert [spec.term(m) for m in (last - 1, last, last + 1)] == [2, jmax, 2]
 
 
 def test_cube_block_closed_form_matches_the_edges():
