@@ -35,6 +35,7 @@ __all__ = [
     "int_band",
     "DEPTH_CAP",
     "EXPAND_CAP",
+    "POSITION_CAP",
     "parse_point",
 ]
 
@@ -45,6 +46,10 @@ DEPTH_CAP = 64
 # terminate into finite: digits; under pow:2 those digits then hold about
 # 1 MB
 EXPAND_CAP = 4096
+
+# the largest floor-div position read under a spec without small ratios:
+# under pow:2 its b_n has 65,536 bits, and a memo keeps as many ratios
+POSITION_CAP = 2 ** 16
 
 # a segment of at most this many rows is sorted row by row (``_sort_few``); on
 # 100- to 1,200-bit windows that wrap once, that beats the wrap ranges of
@@ -116,9 +121,13 @@ class FiniteDigits(DigitRule):
 def floor_div_digits(divisors: Mapping[int, int], seq: ArithSeq) -> FiniteDigits:
     """c_n = floor(b_n / m_n) on the keys of a divisor map, 0 elsewhere, as
     ``floor-div:m={...}`` with sorted keys. Each b_n is read once; a divisor
-    outside 1 < m_n <= b_n is reported in the map's order, not clamped."""
+    outside 1 < m_n <= b_n is reported in the map's order, not clamped, and
+    first a key above ``POSITION_CAP`` under a spec without small ratios."""
     if any(n < 1 for n in divisors):
         raise PreconditionError("divisor positions must be >= 1")
+    if max(divisors, default=0) > POSITION_CAP and not seq.spec.small_ratios:
+        raise HorizonError(f"floor-div position {max(divisors)} exceeds the budget "
+                           f"of {POSITION_CAP} under {seq.describe()}")
     digits = {}
     for n, m in divisors.items():
         b = seq.ratio(n)
@@ -480,25 +489,26 @@ class EnclosureCache:
                     G, E = G + 1, E * b
         return G
 
-    def judge(self, k: int, r: int, band: tuple[int, int, int, int] | None = None,
+    def judge(self, k: int, r: int, band: tuple[int, int, int, int],
               start: int = 0) -> tuple[tuple[int, int, int] | None, str]:
         """Pin {r * a_k * x}; the one refinement loop behind every enclosure.
 
         Returns (window, side). ``window`` is (lo, hi, den) with the value in
         [lo, hi] / den: hi = lo for an exact point, hi = lo + r for a digit
         window. The digit windows deepen from the base depth (or from
-        ``start``, if deeper), doubling up to the cap; ``window`` is the first
-        that fits one unit interval, and None (the undecided [0, 1]) when
-        none within the cap does. Given ``band`` = (ln, ld, hn, hd), the
-        closed band [ln/ld, hn/hd], the window deepens until it lies inside
-        the band (side "in") or is clear of it ("out"). A row the cap leaves
-        open is still "out" when ``_out_to`` puts its block below ln/ld by
-        the tail bound, as ``count_rows`` counts it, although its window
-        reaches ln/ld (at the default cap it ends there). Otherwise side is
-        "undecided". Enclosures nest under refinement, so the side is the
-        same from any start depth; from the base depth, the window does not
-        depend on the rows judged before. ``judge_run`` replays rows a block
-        at a time, and hands here only the rows its base window leaves open.
+        ``start``, if deeper), doubling up to the cap, until one fits one
+        unit interval and lies inside the closed band [ln/ld, hn/hd] of
+        ``band`` = (ln, ld, hn, hd) (side "in") or is clear of it ("out");
+        ``window`` is None (the undecided [0, 1]) when none fits. A row the
+        cap leaves open is still "out" when ``_out_to`` puts its block below
+        ln/ld by the tail bound, as ``count_rows`` counts it, although its
+        window reaches ln/ld (at the default cap it ends there). Otherwise
+        side is "undecided". Against the unit band (0, 1, 1, 1) the first
+        window that fits is "in". Enclosures nest under refinement, so the
+        side is the same from any start depth; from the base depth, the
+        window does not depend on the rows judged before. ``judge_run``
+        replays rows a block at a time, and hands here only the rows its
+        base window leaves open.
         """
         if self.exact_mode:
             num, den = self._exact_value(k)
@@ -518,16 +528,14 @@ class EnclosureCache:
             # still fits below the next integer
             window = (lo, hi, den) if hi <= den else None
             if window is not None:
-                if band is None:
-                    return window, "undecided"
                 ln, ld, hn, hd = band
                 if lo * ld >= ln * den and hi * hd <= hn * den:
                     return window, "in"
                 if hi * ld < ln * den or lo * hd > hn * den:
                     return window, "out"
             if depth >= cap:
-                if (band is not None and self._skips
-                        and 0 < 2 * band[0] < band[1] and r < self.x.seq.ratio(k + 1)
+                if (self._skips and 0 < 2 * band[0] < band[1]
+                        and r < self.x.seq.ratio(k + 1)
                         and self._out_to(k, band[0], band[1]) >= k):
                     return window, "out"
                 return window, "undecided"
@@ -560,10 +568,10 @@ class EnclosureCache:
             k, r = k + 1, 1
 
     def interval(self, k: int, r: int) -> tuple[int, int, int] | None:
-        """Enclosure (lo, hi, den) of {r * a_k * x}: the first window from
-        the base depth on that fits inside one unit interval, or None (the
-        undecided [0, 1]) when none within the cap does."""
-        return self.judge(k, r)[0]
+        """Enclosure (lo, hi, den) of {r * a_k * x}: ``judge`` against the
+        unit band, so the first window from the base depth on that fits one
+        unit interval, or None (the undecided [0, 1]) when none does."""
+        return self.judge(k, r, (0, 1, 1, 1))[0]
 
     def band_verdict(self, k: int, r: int, band: tuple[int, int, int, int]) -> str:
         """Classify {r * a_k * x} against the closed band [ln/ld, hn/hd],
@@ -643,19 +651,20 @@ class EnclosureCache:
         blocks J - d, d < D, is decided on a side that does not depend on
         the gaps: such stretches hold the same in rows and no undecided row,
         so the width is g = max(D, min(G*, cap + 1)), computed once per
-        band. When the support names where gaps of g start (``spread_from``),
-        the kernel walks through one of them past k; the later ones that end
-        before N's block K add its counts times their number
-        (``count_upto``), and the walk resumes at the last member <= K. It
-        multiplies when the gap held no undecided row, or when ``undecided``
-        holds ``keep`` rows and g > cap, so that the windows repeat the
-        undecided rows too; otherwise it walks the next gap and tries again.
+        band. When the support answers ``repeats(g)`` with (count, end), the
+        kernel walks to its first repeat point past k, end(c) for c =
+        count(k) + 1, and through the gap up to end(c + 1); the count(K) - c
+        - 1 later gaps that end before N's block K add its counts each, and
+        the walk resumes at end(count(K)). It multiplies when the gap held no
+        undecided row, or when ``undecided`` holds ``keep`` rows and g > cap,
+        so that the windows repeat the undecided rows too; otherwise it walks
+        the next gap and tries again.
         """
         if undecided is None:
             undecided = []
-        b, support = self.x.seq.spec.constant_ratio, self.x.rule.support
+        b = self.x.seq.spec.constant_ratio
         ln, ld = band[0], band[1]
-        first = None
+        repeats = None
         if b is not None and self._skips and 0 < 2 * ln < ld:
             if self._gap[0] != band:
                 D, P = 3, b * b  # P = b^(D-1)
@@ -665,37 +674,25 @@ class EnclosureCache:
                 g = D if cap < D else max(D, min(self._stable_gap(b, D, band), cap + 1))
                 self._gap = (band, g)
             g = self._gap[1]
-            first = support.spread_from(g)
-        if first is None or i > N:
+            repeats = self.x.rule.support.repeats(g)
+        if repeats is None or i > N:
             return self._walk(k, r, i, N, band, undecided, keep)
-        derived = self.x.seq.derived
+        count, end = repeats
+        boundary = self.x.seq.derived.boundary
         K = (N - 1) // (b - 1)  # N's block
         n_in = n_und = 0
-        J = support.next_member(max(first, k + 1))
-        if J <= K:  # walk up to block J
-            end = derived.boundary(J) - 1
-            k, r, n_in, n_und = self._walk(k, r, i, end, band, undecided, keep)
-            i = end + 1
-        while (nxt := support.next_member(J + 1)) <= K:
-            end = derived.boundary(nxt) - 1  # the blocks J .. nxt - 1
-            k, r, gap_in, gap_und = self._walk(k, r, i, end, band, undecided, keep)
-            n_in, n_und, i, J = n_in + gap_in, n_und + gap_und, end + 1, nxt
-            if gap_und == 0 or (len(undecided) >= keep and g > self.cap):
-                count = support.count_upto
-                top = count(K)
-                gaps = top - count(J)
-                if gaps:
-                    # the last member <= K: the least n with count(n) = top
-                    lo, hi = J + 1, K
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if count(mid) < top:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    n_in += gaps * gap_in
-                    n_und += gaps * gap_und
-                    k, r, i = lo, 1, derived.boundary(lo)
+        c = first = count(k)  # the repeat points end(1) .. end(c) lie <= k
+        while (J := end(c + 1)) <= K:
+            last = boundary(J) - 1  # walk up to block J
+            k, r, gap_in, gap_und = self._walk(k, r, i, last, band, undecided, keep)
+            n_in, n_und, i, c = n_in + gap_in, n_und + gap_und, last + 1, c + 1
+            # a walk after the first went through the gap end(c - 1) .. J - 1
+            if c > first + 1 and (gap_und == 0 or (len(undecided) >= keep and g > self.cap)):
+                gaps = count(K) - c
+                n_in += gaps * gap_in
+                n_und += gaps * gap_und
+                k, r = end(c + gaps), 1
+                i = boundary(k)
                 break
         k, r, gap_in, gap_und = self._walk(k, r, i, N, band, undecided, keep)
         return k, r, n_in + gap_in, n_und + gap_und

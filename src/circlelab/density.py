@@ -8,8 +8,10 @@ query by a rule of its own in closed form or through the rules of the set
 it is built from. Only the first is finite; a rule set states whether it is
 cofinite. Membership comes from ``next_member`` alone, and no n < 1 is a
 member; the maximal runs up to N, and so the members, come from the two
-queries in turn. Prefix counting follows the convention that the naturals
-start at 1, so the density estimate at N uses the window [1, N].
+queries in turn. A rule set may also answer ``repeats(g)`` by a third rule
+in closed form (``squares`` does); every other set answers None. Prefix
+counting follows the convention that the naturals start at 1, so the
+density estimate at N uses the window [1, N].
 
 The lifting map sends a set A of block indices to
 L(A) = union over k in A of [n_{k-1}, n_k - 1] in derived-index space.
@@ -67,10 +69,11 @@ class NatSet:
         """The least non-member >= n (n >= 1), or None when there is none."""
         raise NotImplementedError
 
-    def spread_from(self, g: int) -> int | None:
-        """The least member that lies at least g past the member before it
-        (or 0), as every later member does; None when the set cannot say.
-        A set that answers also answers ``count_upto``."""
+    def repeats(self, g: int) -> tuple[Callable[[int], int], Callable[[int], int]] | None:
+        """None, or (count, end) in closed form: end(c) is the c-th repeat
+        point J_c (c >= 1), the members from some J_1 on, each at least g
+        past the member before it (or 0), and count(n) how many repeat
+        points lie at or below n (n >= 0)."""
         return None
 
     def runs_upto(self, N: int) -> Iterator[tuple[int, int]]:
@@ -172,19 +175,20 @@ class IntervalNatSet(NatSet):
 class RuleNatSet(NatSet):
     """An infinite set given by two rules, each taking n >= 1: ``next_member``,
     the least member >= n, and ``next_gap``, the least non-member >= n or
-    None. Both are bound as instance attributes, so a query calls its rule
-    directly. ``is_cofinite`` says whether the set misses only finitely
-    many n."""
+    None; and a third, ``repeats``, None for every g unless given. Each is
+    bound as an instance attribute, so a query calls its rule directly.
+    ``is_cofinite`` says whether the set misses only finitely many n."""
 
     is_finite = False
 
     def __init__(self, next_member: Callable[[int], int],
                  next_gap: Callable[[int], int | None], is_cofinite: bool,
-                 name: str = "rule"):
+                 name: str = "rule", repeats: Callable = lambda g: None):
         self.next_member = next_member
         self.next_gap = next_gap
         self.is_cofinite = is_cofinite
         self.name = name
+        self.repeats = repeats
 
     def __repr__(self):
         return f"RuleNatSet({self.name})"
@@ -354,23 +358,18 @@ def evens() -> RuleNatSet:
                       name="evens")
 
 
-class _Squares(RuleNatSet):
-    """The squares, counted by ``math.isqrt``; the gap before m^2 is 2m - 1."""
-
-    def __init__(self):
-        super().__init__(lambda n: (math.isqrt(n - 1) + 1) ** 2,
-                         lambda n: n + (math.isqrt(n) ** 2 == n), False, name="squares")
-
-    def count_upto(self, n):
-        return math.isqrt(n)
-
-    def spread_from(self, g):
-        m = (g + 2) // 2  # the least m with 2m - 1 >= g
-        return m * m
-
-
 def squares() -> RuleNatSet:
-    return _Squares()
+    """The squares; the gap before m^2 is 2m - 1, so the repeat points of
+    width g are the squares from m0^2 on."""
+
+    def repeats(g):
+        m0 = (g + 2) // 2  # the least m with 2m - 1 >= g
+        return (lambda n: max(math.isqrt(n) - m0 + 1, 0),
+                lambda c: (m0 + c - 1) ** 2)
+
+    return RuleNatSet(lambda n: (math.isqrt(n - 1) + 1) ** 2,
+                      lambda n: n + (math.isqrt(n) ** 2 == n), False,
+                      name="squares", repeats=repeats)
 
 
 def full_set() -> RuleNatSet:

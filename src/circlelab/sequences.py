@@ -103,12 +103,15 @@ class RatioSpec:
     Construct through the classmethods (constant, linear, power, explicit,
     blocks) or by parsing a spec string such as ``linear:1`` or ``pow:2``.
     ``constant_ratio`` is b for a ``const:b`` spec and None for every other.
+    ``small_ratios`` is True for ``const`` and ``linear``, which read any b_n
+    at once: under ``pow`` it has about n digits, and a memo reads b_1 .. b_n.
     Under a spec with closed forms (``forms``: ``const``, ``linear`` and
     ``pow``) the ratios never decrease, b_n <= b_(n+1) for every n;
     ``check_b_bounded`` relies on it.
     """
 
     constant_ratio: int | None = None
+    small_ratios = False
 
     def __init__(self, text: str, rule, eventually_two: bool, forms=None):
         """The spec string ``describe`` returns, the rule n -> b_n, whether
@@ -129,6 +132,7 @@ class RatioSpec:
             raise PreconditionError("constant ratio must be >= 2")
         spec = cls(f"const:{value}", lambda n: value, value == 2, _const_forms(value))
         spec.constant_ratio = value
+        spec.small_ratios = True
         return spec
 
     @classmethod
@@ -136,8 +140,9 @@ class RatioSpec:
         """b_n = n + offset."""
         if offset < 1:
             raise PreconditionError("linear offset must be >= 1 so that b_1 >= 2")
-        return cls(f"linear:{offset}", lambda n: n + offset, False,
-                   _linear_forms(offset))
+        spec = cls(f"linear:{offset}", lambda n: n + offset, False, _linear_forms(offset))
+        spec.small_ratios = True
+        return spec
 
     @classmethod
     def power(cls, base: int) -> "RatioSpec":
@@ -318,10 +323,10 @@ class ArithSeq:
 class DerivedSeq:
     """The increasing enumeration d_1 < d_2 < ... of {r*a_k : k >= 0, 1 <= r < b_{k+1}}.
 
-    Block boundaries are memoized as n_0 .. n_j, and a derived index is
-    placed by bisection over them. Under a spec with closed forms, a
-    boundary read more than one index past the memo, and the block of any
-    index, come from the closed forms instead and are not kept.
+    Under a spec with closed forms, every boundary and the block of every
+    index come from the closed forms, and nothing is kept. Under any other,
+    block boundaries are memoized as n_0 .. n_j, and a derived index is
+    placed by bisection over them.
     """
 
     def __init__(self, base: ArithSeq):
@@ -338,11 +343,9 @@ class DerivedSeq:
         """n_k, the derived index of a_k itself (n_0 = 1)."""
         if k < 0:
             raise PreconditionError(f"boundary index must be >= 0, got {k}")
-        bounds = self._bounds
-        if k < len(bounds):
-            return bounds[k]
-        if k > len(bounds) and self._forms:
+        if self._forms:
             return self._forms[0](k)
+        bounds = self._bounds
         while k >= len(bounds):
             self._grow()
         return bounds[k]

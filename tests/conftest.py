@@ -159,8 +159,9 @@ class OpaqueSet(NatSet):
 
 class AlternatingGaps(NatSet):
     """The members h, 2h + 1, 3h + 1, 4h + 2, ...: the gaps from 0 alternate
-    h and h + 1, so two gaps span p = 2h + 1. It answers ``count_upto`` and
-    ``spread_from`` (h when h >= g), so a scan over it counts its gaps."""
+    h and h + 1, so two gaps span p = 2h + 1. When h >= g every member is a
+    repeat point of ``repeats(g)``, end(c) = (c // 2) p + h (c % 2), so a
+    scan over it counts its gaps."""
 
     is_finite = is_cofinite = False
 
@@ -176,11 +177,12 @@ class AlternatingGaps(NatSet):
         return next(m for m in (base, base + self.h, base + self.p)
                      if m >= max(n, 1) and m in self)
 
-    def count_upto(self, n):
-        return n // self.p + (n - self.h) // self.p + 1
-
-    def spread_from(self, g):
-        return self.h if self.h >= g else None
+    def repeats(self, g):
+        if self.h < g:
+            return None
+        h, p = self.h, self.p
+        return (lambda n: n // p + (n - h) // p + 1,
+                lambda c: c // 2 * p + h * (c % 2))
 
 
 def elem_set(elems) -> IntervalNatSet:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from circlelab.circle import (
     DEPTH_CAP,
     EXPAND_CAP,
+    POSITION_CAP,
     CirclePoint,
     EnclosureCache,
     FiniteDigits,
@@ -954,6 +955,25 @@ def test_floor_div_validation_at_construction():
     assert reads == [9, 2, 5]
     assert [rule.digit(n, seq) for n in range(1, 11)] == [0, 1, 0, 0, 3, 0, 0, 0, 2, 0]
     assert reads == [9, 2, 5]
+
+
+def test_floor_div_keys_past_the_budget():
+    # a key above POSITION_CAP is refused before any ratio is read, unless
+    # the spec reads any b_n at once (const: and linear:); a key at the
+    # budget is read as before
+    for text in ("pow:3", "dlictrex", "dlictrex:3", "explicit:[5,2,7];tail=const:3"):
+        seq, reads = ArithSeq(RatioSpec.parse(text)), []
+        ratio = seq.ratio
+        seq.ratio = lambda n: reads.append(n) or ratio(n)
+        with pytest.raises(HorizonError, match=f"^floor-div position {POSITION_CAP + 1} "
+                                               f"exceeds the budget of {POSITION_CAP}"):
+            floor_div_digits({3: 2, POSITION_CAP + 1: 2}, seq)
+        assert reads == []
+        assert floor_div_digits({POSITION_CAP: 2}, seq).digits == {
+            POSITION_CAP: ratio(POSITION_CAP) // 2}
+    for text, b in (("const:3", 3), ("linear:1", 10 ** 9 + 1)):
+        seq = ArithSeq(RatioSpec.parse(text))
+        assert floor_div_digits({10 ** 9: 2}, seq).digits == {10 ** 9: b // 2}
 
 
 def test_floor_div_digits_and_text():

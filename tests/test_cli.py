@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from circlelab import suites
-from circlelab.circle import EXPAND_CAP
+from circlelab.circle import EXPAND_CAP, POSITION_CAP
 from circlelab.cli import (OPS, SUBCOMMANDS, canonical_json, envelope_bytes, main,
                            run_config)
 from circlelab.errors import HorizonError
@@ -247,6 +247,25 @@ def test_far_floor_div_key_is_a_member(capsys):
                   "--x", "floor-div:m={1000000000:3}", "--format", "json")
     report = json.loads(out.out)["report"]
     assert (report["status"], report["cutoff"]) == ("member", 2000000001)
+
+
+@pytest.mark.parametrize("spec", ["pow:3", "dlictrex"])
+def test_far_floor_div_key_exits_4_before_any_ratio_read(capsys, monkeypatch, spec):
+    # b_(10^9) under pow:3 has about 5 * 10^8 digits, and under dlictrex
+    # it would grow the ratio memo to 10^9 entries: the key is refused first
+    reads, ratio = [], ArithSeq.ratio
+    monkeypatch.setattr(ArithSeq, "ratio", lambda self, n: reads.append(n) or ratio(self, n))
+    out = capture(capsys, "classify", "--check", "member", "--spec", spec,
+                  "--x", "floor-div:m={1000000000:2}", expect=4)
+    assert f"exceeds the budget of {POSITION_CAP}" in out.err
+    assert reads == []
+
+
+def test_far_floor_div_key_under_linear_is_a_member(capsys):
+    # b_n = n + 1 is read at once at any n, so the key keeps no budget
+    out = capture(capsys, "classify", "--check", "member", "--spec", "linear:1",
+                  "--x", "floor-div:m={1000000000:2}")
+    assert out.out == "member\n"
 
 
 def test_repeated_floor_div_index_exits_2(capsys):

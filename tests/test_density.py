@@ -2,6 +2,7 @@
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 
@@ -22,7 +23,7 @@ from circlelab.density import (
 )
 from circlelab.errors import PreconditionError, SpecParseError
 from circlelab.sequences import ArithSeq, RatioSpec
-from conftest import MemoDerived, OpaqueSet, cube_block_edges, elem_set
+from conftest import AlternatingGaps, MemoDerived, OpaqueSet, cube_block_edges, elem_set
 
 LINEAR1 = ArithSeq(RatioSpec.linear(1))
 POW2 = ArithSeq(RatioSpec.power(2))
@@ -445,6 +446,76 @@ def test_next_member_of_opaque_sets():
     # a finite set has no member past its end
     assert elem_set([3, 9]).next_member(10) is None
     assert IntervalNatSet().next_member(1) is None
+
+
+def repeat_points(members, g):
+    """The members from the least J on from which every member is at least
+    g past the member before it (or 0), within a finite increasing list:
+    the reference for ``repeats(g)``, whose end(c) is the c-th of them."""
+    start = len(members)
+    while start and members[start - 1] - (members[start - 2] if start > 1 else 0) >= g:
+        start -= 1
+    return members[start:]
+
+
+def check_repeats_against_members(s, g, members, top):
+    """``s.repeats(g)`` against ``repeat_points`` over the members <= top:
+    end(c) is the c-th repeat point and count(n) counts them up to n."""
+    count, end = s.repeats(g)
+    points = repeat_points(members, g)
+    assert [end(c) for c in range(1, len(points) + 1)] == points
+    assert end(len(points) + 1) > top
+    for n in {0, top} | {p + d for p in points for d in (-1, 0, 1)}:
+        if 0 <= n <= top:
+            assert count(n) == bisect_right(points, n)
+
+
+def test_squares_repeats_match_the_members():
+    # every width g in 1..200, against the squares up to 10^6
+    top = 10 ** 6
+    members = [m * m for m in range(1, math.isqrt(top) + 1)]
+    for g in range(1, 201):
+        check_repeats_against_members(squares(), g, members, top)
+
+
+@given(g=st.integers(1, 200), n=st.integers(0, 10 ** 6) | st.integers(0, 10 ** 60))
+@settings(max_examples=300, deadline=None)
+def test_squares_repeats_bracket_any_n(g, n):
+    # end rises strictly, each repeat point lies at least g past the square
+    # before it, and end(count(n)) <= n < end(count(n) + 1); the first
+    # repeat point is m0^2, m0 = (g + 2) // 2, where counting started before
+    count, end = squares().repeats(g)
+    m0 = (g + 2) // 2
+    assert end(1) == m0 * m0
+    assert m0 == 1 or (m0 - 1) ** 2 - (m0 - 2) ** 2 < g
+    c = count(n)
+    assert (c == 0 or end(c) <= n) and n < end(c + 1)
+    for c in {1, 2, max(c, 1), c + 1, c + 2}:
+        J = end(c)
+        assert math.isqrt(J) ** 2 == J and end(c + 1) > J
+        assert J - math.isqrt(J - 1) ** 2 >= g
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 7, 12])
+def test_alternating_gaps_repeats_match_the_members(h):
+    # the test set answers the same query: every member repeats when h >= g
+    s = AlternatingGaps(h)
+    top = 3000
+    members = [m for m in range(1, top + 1) if m in s]
+    for g in range(1, h + 3):
+        if g > h:
+            assert s.repeats(g) is None
+        else:
+            check_repeats_against_members(s, g, members, top)
+            assert [s.repeats(g)[1](c) for c in range(1, 6)] == [
+                c // 2 * s.p + h * (c % 2) for c in range(1, 6)]
+
+
+def test_only_squares_answer_repeats():
+    # every other stock set, and a shift or lift of squares, is walked
+    for s in (evens(), full_set(), cube_gap_blocks(), elem_set([4, 9]),
+              translate(squares(), 3), lift(squares(), LINEAR1.derived)):
+        assert s.repeats(1) is None
 
 
 def test_no_index_below_one_is_a_member():

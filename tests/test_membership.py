@@ -509,7 +509,7 @@ def gap_horizons(draw, b):
        cap=st.integers(0, 4) | st.integers(5, 70), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_counted_gaps_match_the_walk(b, q, depth, cap, data):
-    # the same point over a set that names no spread-out member is walked
+    # the same point over a set that answers no repeat query is walked
     # gap by gap; counts and kept rows agree at every horizon
     horizons = data.draw(gap_horizons(b))
     counted = count_scan(squares(), b, q, depth, cap, horizons)

@@ -105,6 +105,19 @@ def test_closed_boundaries_match_memo(text):
     assert ahead._ratios == [] and ahead.derived._bounds == [1]
 
 
+@pytest.mark.parametrize("text", _CLOSED)
+def test_closed_boundaries_read_no_ratio(text):
+    # every boundary, from 0 on in order or far ahead, comes from the closed
+    # form: no ratio is read and nothing is kept
+    seq, reads = ArithSeq(RatioSpec.parse(text)), []
+    ratio = seq.ratio
+    seq.ratio = lambda n: reads.append(n) or ratio(n)
+    want = MemoDerived(ArithSeq(RatioSpec.parse(text)))
+    for k in list(range(30)) + [10 ** 3, 5, 10 ** 3 + 1]:
+        assert seq.derived.boundary(k) == want.boundary(k)
+    assert reads == [] and seq.derived._bounds == [1]
+
+
 _MEMOS = {text: MemoDerived(ArithSeq(RatioSpec.parse(text))) for text in _CLOSED}
 
 
