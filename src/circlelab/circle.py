@@ -68,8 +68,9 @@ class DigitRule:
     None when the rule declares none (a non-terminating rational
     expansion); its ``is_finite`` and ``is_cofinite`` are exact, and the
     membership and witness code rely on them. ``FiniteDigits`` (``finite:``
-    or ``floor-div:``) declares its nonzero digits, which ``CirclePoint``
-    checks when it is built: every other digit is 0.
+    or ``floor-div:``) declares its nonzero digits: every other digit is 0.
+    ``parse_point`` checks each typed ``finite:`` digit against its b_n,
+    and ``CirclePoint.digit`` checks every digit it reads.
     """
 
     support: NatSet | None = None
@@ -189,18 +190,14 @@ class CirclePoint:
     """A digit expansion bound to its arithmetic sequence.
 
     Construction rejects rules that are detectably non-canonical (a digit
-    tail that is eventually always b_n - 1 collapses the point onto 0), and
-    checks each digit a ``FiniteDigits`` declares against its b_n, so a
-    window that spans a zero run by its ratio product reads no digit to check.
+    tail that is eventually always b_n - 1 collapses the point onto 0).
+    Digits are checked against their b_n when they are read, and typed
+    ``finite:`` digits when ``parse_point`` parses them.
     """
 
     def __init__(self, seq: ArithSeq, rule: DigitRule):
         self.seq = seq
         self.rule = rule
-        if isinstance(rule, FiniteDigits):
-            for n, c in rule.digits.items():
-                if c > 1:  # 0 and 1 are digits under every b_n >= 2
-                    self.digit(n)
         if (isinstance(rule, IndicatorDigits)
                 and rule.support.is_cofinite
                 and seq.spec.eventually_two()):
@@ -904,7 +901,11 @@ def parse_point(text: str, seq: ArithSeq, horizon: int = 256) -> CirclePoint:
         return digits_from_rational(value, seq, horizon)
     if text.startswith("finite:"):
         digits = integers(enclosed(text[7:], "[]", "finite digits"), "finite digits")
-        return CirclePoint(seq, FiniteDigits(digits))
+        x = CirclePoint(seq, FiniteDigits(digits))
+        for n, c in x.rule.digits.items():
+            if c > 1:  # 0 and 1 are digits under every b_n >= 2
+                x.digit(n)
+        return x
     if text.startswith("ones-on:"):
         support = parse_set_expr(text[8:], seq)
         return CirclePoint(seq, IndicatorDigits(support))

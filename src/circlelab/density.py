@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError, SpecParseError
@@ -115,7 +114,7 @@ def _merge_intervals(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int],
 
 class IntervalNatSet(NatSet):
     """A bounded union of closed intervals, kept sorted, disjoint and
-    non-adjacent; the prefix counts are built on the first ``count_upto``."""
+    non-adjacent."""
 
     is_finite = True
     is_cofinite = False
@@ -125,7 +124,6 @@ class IntervalNatSet(NatSet):
         if ivals and ivals[0][0] < 1:
             raise PreconditionError("intervals must lie inside the positive integers")
         self.intervals = ivals
-        self._cum: list[int] | None = None
 
     @classmethod
     def of_canonical(cls, intervals: tuple[tuple[int, int], ...]) -> "IntervalNatSet":
@@ -133,7 +131,6 @@ class IntervalNatSet(NatSet):
         non-adjacent and inside the positive integers, taken as they are."""
         self = cls.__new__(cls)
         self.intervals = intervals
-        self._cum = None
         return self
 
     def next_member(self, n):
@@ -152,13 +149,7 @@ class IntervalNatSet(NatSet):
         if N < 1:
             raise PreconditionError(f"prefix bound must be >= 1, got {N}")
         i = bisect_right(self.intervals, (N, math.inf))  # intervals starting <= N
-        if i == 0:
-            return 0
-        if self._cum is None:
-            self._cum = list(accumulate((hi - lo + 1 for lo, hi in self.intervals),
-                                        initial=0))
-        lo, hi = self.intervals[i - 1]
-        return self._cum[i - 1] + min(hi, N) - lo + 1
+        return sum(min(hi, N) - lo + 1 for lo, hi in self.intervals[:i])
 
     def __eq__(self, other):
         if isinstance(other, IntervalNatSet):

@@ -80,27 +80,46 @@ def _sample(rng: random.Random, population: range, k: int) -> list[int]:
     return rng.sample(population, k)
 
 
-def lift_algebra(params: dict | None = None) -> dict:
+def _suite(name: str, defaults: dict):
+    """The report skeleton around ``check(p, out)``: the suite merges its
+    params over ``defaults``, runs the check on them and reports the fields
+    it wrote to ``out``, then whether it passed and its first
+    counterexample, which the check returns (None when it finds none)."""
+    def wrap(check):
+        def suite(params: dict | None = None) -> dict:
+            p = merge_params(defaults, params, f"suite {name}")
+            out = {}
+            counterexample = check(p, out)
+            return {"suite": name, "params": plainify(p), **out,
+                    "pass": counterexample is None, "counterexample": counterexample}
+        suite.__name__, suite.__doc__ = check.__name__, check.__doc__
+        return suite
+    return wrap
+
+
+def _scan_fields(scan) -> dict:
+    """The bounds of a scan at each horizon, and the verdict read from them."""
+    return {"bounds": [{"N": e.N, "lo": str(e.lo), "hi": str(e.hi),
+                        "undecided": e.undecided_count} for e in scan.estimates],
+            "verdict": convergence_verdict(scan)}
+
+
+@_suite("lift-algebra", {"specs": "linear:1,pow:2,const:2", "pairs": 200,
+                         "lo": 1, "hi": 50, "max_size": 10, "seed": 1789})
+def lift_algebra(p, out):
     """Exact commutation of lifting with union/intersection/difference."""
-    p = merge_params({"specs": "linear:1,pow:2,const:2", "pairs": 200,
-                      "lo": 1, "hi": 50, "max_size": 10, "seed": 1789},
-                     params, "suite lift-algebra")
     rng = random.Random(int_param(p, "seed"))
     lo, hi = int_param(p, "lo"), int_param(p, "hi")
     max_size = _least(p, "max_size", 0)
-    identities = 0
-    counterexample = None
+    out["identities"] = 0
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
         for k in range(1, 26):
             block = lift(IntervalNatSet([(k, k)]), seq.derived).intervals
             want = ((seq.derived.boundary(k - 1), seq.derived.boundary(k) - 1),)
             if block != want or block[0][1] - block[0][0] + 1 != seq.ratio(k) - 1:
-                counterexample = {"spec": spec_text, "kind": "block-size", "k": k}
-                break
-            identities += 1
-        if counterexample:
-            break
+                return {"spec": spec_text, "kind": "block-size", "k": k}
+            out["identities"] += 1
         for _ in range(int_param(p, "pairs")):
             a = sorted(_sample(rng, range(lo, hi + 1), rng.randint(0, max_size)))
             b = sorted(_sample(rng, range(lo, hi + 1), rng.randint(0, max_size)))
@@ -110,39 +129,29 @@ def lift_algebra(params: dict | None = None) -> dict:
                 left = lift(set_algebra(op, sa, sb), seq.derived).intervals
                 right = set_algebra(op, la, lb).intervals
                 if left != right:
-                    counterexample = {"spec": spec_text, "kind": op,
-                                      "a": a, "b": b,
-                                      "lift_of_op": str(left), "op_of_lifts": str(right)}
-                    break
-                identities += 1
-            if counterexample:
-                break
+                    return {"spec": spec_text, "kind": op, "a": a, "b": b,
+                            "lift_of_op": str(left), "op_of_lifts": str(right)}
+                out["identities"] += 1
             if a != b and la.intervals == lb.intervals:
-                counterexample = {"spec": spec_text, "kind": "injectivity",
-                                  "a": a, "b": b}
-                break
-            identities += 1
-        if counterexample:
-            break
-    return {"suite": "lift-algebra", "params": plainify(p), "identities": identities,
-            "pass": counterexample is None, "counterexample": counterexample}
+                return {"spec": spec_text, "kind": "injectivity", "a": a, "b": b}
+            out["identities"] += 1
+    return None
 
 
-def tail_bound(params: dict | None = None) -> dict:
+@_suite("tail-bound", {"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
+                       "qmax": 10 ** 6, "seed": 421})
+def tail_bound(p, out):
     """Window tail bound never exceeds 1/a_{j-1} and dominates the true tail.
 
     With ub = un/ud read from the point's cache, x = p/q and a = a_{j-1}, a
     row fails when un * a > ud or (a p mod q) * ud > un * a * q; Fractions
     are built only for the maximal ratio and a counterexample.
     """
-    p = merge_params({"specs": "linear:1,pow:2", "trials": 100, "jmax": 30,
-                      "qmax": 10 ** 6, "seed": 421}, params, "suite tail-bound")
     trials, jmax = _least(p, "trials", 1), _least(p, "jmax", 1)
     qmax = _least(p, "qmax", 2)
     rng = random.Random(int_param(p, "seed"))
-    mu, md = 0, 1  # max_ratio = mu/md
-    rows = 0
-    counterexample = None
+    mu, md = 0, 1  # max_ratio = mu/md, over every row read, the failing one too
+    out["rows"] = 0
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
         for _ in range(trials):
@@ -158,34 +167,28 @@ def tail_bound(params: dict | None = None) -> dict:
                     mu, md = ua, ud
                 rem = a * vp % vq
                 if ua > ud or rem * ud > ua * vq:
-                    counterexample = {"spec": spec_text, "x": str(value), "j": j,
-                                      "upper_bound": str(Fraction(un, ud)),
-                                      "true_tail": str(Fraction(rem, vq * a))}
-                    break
-                rows += 1
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return {"suite": "tail-bound", "params": plainify(p), "rows": rows,
-            "max_ratio": str(Fraction(mu, md)), "pass": counterexample is None,
-            "counterexample": counterexample}
+                    out["max_ratio"] = str(Fraction(mu, md))
+                    return {"spec": spec_text, "x": str(value), "j": j,
+                            "upper_bound": str(Fraction(un, ud)),
+                            "true_tail": str(Fraction(rem, vq * a))}
+                out["rows"] += 1
+    out["max_ratio"] = str(Fraction(mu, md))
+    return None
 
 
-def recursion(params: dict | None = None) -> dict:
+@_suite("recursion", {"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
+                      "max_len": 10, "seed": 97})
+def recursion(p, out):
     """Window identity: exact value inside every enclosure, exact widths, nesting.
 
     Each row reads the unreduced integers (lo, hi, den) of the enclosure and
     (en, ed) of the exact value from the point's cache and is checked on
     their cross-products; Fractions are built only for a counterexample.
     """
-    p = merge_params({"specs": "linear:1,pow:2", "trials": 40, "tmax": 8,
-                      "max_len": 10, "seed": 97}, params, "suite recursion")
     trials, tmax = _least(p, "trials", 1), _least(p, "tmax", 0)
     max_len = _least(p, "max_len", 1)
     rng = random.Random(int_param(p, "seed"))
-    checks = 0
-    counterexample = None
+    out["checks"] = 0
     for spec_text in _spec_list(p["specs"]):
         seq = _seq(spec_text)
         for _ in range(trials):
@@ -205,43 +208,32 @@ def recursion(params: dict | None = None) -> dict:
                     nested = prev is None or (prev[0] * den <= lo * prev[2]
                                               and hi * prev[2] <= prev[1] * den)
                     if (hi - lo) * w != den or not inside or not nested:
-                        counterexample = {"spec": spec_text, "digits": digits,
-                                          "n": n, "t": t,
-                                          "exact": str(Fraction(en, ed)),
-                                          "lo": str(Fraction(lo, den)),
-                                          "hi": str(Fraction(hi, den))}
-                        break
+                        return {"spec": spec_text, "digits": digits, "n": n, "t": t,
+                                "exact": str(Fraction(en, ed)),
+                                "lo": str(Fraction(lo, den)),
+                                "hi": str(Fraction(hi, den))}
                     prev = lo, hi, den
-                    checks += 1
-                if counterexample:
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return {"suite": "recursion", "params": plainify(p), "checks": checks,
-            "pass": counterexample is None, "counterexample": counterexample}
+                    out["checks"] += 1
+    return None
 
 
-def snd_density(params: dict | None = None) -> dict:
+@_suite("snd-density", {"spec": "pow:2", "alpha": 1, "horizon": 30, "trials": 20,
+                        "kmax": 12, "floor": "45/100", "seed": 3571})
+def snd_density(p, out):
     """Density floor for lifted finite sets under the growth condition."""
-    p = merge_params({"spec": "pow:2", "alpha": 1, "horizon": 30, "trials": 20,
-                      "kmax": 12, "floor": "45/100", "seed": 3571},
-                     params, "suite snd-density")
     trials = _least(p, "trials", 1)
     seq = _seq(str(p["spec"]))
     alpha = frac_param(p, "alpha")
     verdict = check_strongly_non_dli(seq, alpha, int_param(p, "horizon"))
     if not verdict.holds:
-        return {"suite": "snd-density", "params": plainify(p), "pass": False,
-                "counterexample": {"kind": "growth-condition",
-                                   "verdict": verdict.verdict,
-                                   "witness": plainify(verdict.witness)}}
+        return {"kind": "growth-condition", "verdict": verdict.verdict,
+                "witness": plainify(verdict.witness)}
     rng = random.Random(int_param(p, "seed"))
     floor = frac_param(p, "floor")
-    min_density = None
-    counterexample = None
     densities = []
+    min_density = None
+    out.update(density_floor=str(alpha / (alpha + 1)), densities=densities,
+               min_density=None)
     for _ in range(trials):
         size = rng.randint(1, 6)
         elems = sorted(_sample(rng, range(1, int_param(p, "kmax") + 1), size))
@@ -251,23 +243,18 @@ def snd_density(params: dict | None = None) -> dict:
         densities.append(str(dens))
         if min_density is None or dens < min_density:
             min_density = dens
+            out["min_density"] = densities[-1]
         if dens < floor:
-            counterexample = {"kind": "density", "a": elems, "N": horizon,
-                              "density": str(dens), "floor": str(floor)}
-            break
-    return {"suite": "snd-density", "params": plainify(p),
-            "density_floor": str(alpha / (alpha + 1)),
-            "densities": densities,
-            "min_density": str(min_density) if min_density is not None else None,
-            "pass": counterexample is None, "counterexample": counterexample}
+            return {"kind": "density", "a": elems, "N": horizon,
+                    "density": str(dens), "floor": str(floor)}
+    return None
 
 
-def wdli_shrink(params: dict | None = None) -> dict:
+@_suite("wdli-shrink", {"spec": "linear:1", "jmax": 8, "zeta": "0,1,0", "eps": "1/10",
+                        "horizons": "1000,10000,100000", "depth": 8,
+                        "last_bound": "1/20", "scan_limit": 10 ** 6})
+def wdli_shrink(p, out):
     """Escape-set upper bounds shrink along horizons for a family point."""
-    p = merge_params({"spec": "linear:1", "jmax": 8, "zeta": "0,1,0", "eps": "1/10",
-                      "horizons": "1000,10000,100000", "depth": 8,
-                      "last_bound": "1/20", "scan_limit": 10 ** 6},
-                     params, "suite wdli-shrink")
     seq = _seq(str(p["spec"]))
     a_set = weakly_dli_witness_set(seq, int_param(p, "jmax"), int_param(p, "scan_limit"))
     zeta = tuple(ints_param(p, "zeta"))
@@ -275,29 +262,20 @@ def wdli_shrink(params: dict | None = None) -> dict:
     scan = statistical_scan(x, frac_param(p, "eps"), ints_param(p, "horizons"),
                             int_param(p, "depth"))
     his = [e.hi for e in scan.estimates]
-    strict = all(u > v for u, v in zip(his, his[1:]))
-    last_ok = his[-1] <= frac_param(p, "last_bound")
-    counterexample = None
-    if not strict:
-        counterexample = {"kind": "not-strictly-decreasing",
-                          "bounds": [str(h) for h in his]}
-    elif not last_ok:
-        counterexample = {"kind": "last-bound", "hi": str(his[-1]),
-                          "bound": str(p["last_bound"])}
-    return {"suite": "wdli-shrink", "params": plainify(p),
-            "witness_set": list(a_set.iter_upto(a_set.intervals[-1][1])),
-            "support": x.rule.describe(),
-            "bounds": [{"N": e.N, "lo": str(e.lo), "hi": str(e.hi),
-                        "undecided": e.undecided_count} for e in scan.estimates],
-            "verdict": convergence_verdict(scan),
-            "pass": counterexample is None, "counterexample": counterexample}
+    last_bound = frac_param(p, "last_bound")
+    out.update(witness_set=list(a_set.iter_upto(a_set.intervals[-1][1])),
+               support=x.rule.describe(), **_scan_fields(scan))
+    if not all(u > v for u, v in zip(his, his[1:])):
+        return {"kind": "not-strictly-decreasing", "bounds": [str(h) for h in his]}
+    if his[-1] > last_bound:
+        return {"kind": "last-bound", "hi": str(his[-1]), "bound": str(p["last_bound"])}
+    return None
 
 
-def coincidence(params: dict | None = None) -> dict:
+@_suite("coincidence", {"spec": "pow:2", "eps": "1/8", "horizons": "1000,10000,100000",
+                        "depth": 32, "floor": None, "max_undecided": "1/20"})
+def coincidence(p, out):
     """Scan of the all-ones point: positive escape floor that persists."""
-    p = merge_params({"spec": "pow:2", "eps": "1/8", "horizons": "1000,10000,100000",
-                      "depth": 32, "floor": None, "max_undecided": "1/20"},
-                     params, "suite coincidence")
     seq = _seq(str(p["spec"]))
     x = CirclePoint(seq, IndicatorDigits(full_set()))
     scan = statistical_scan(x, frac_param(p, "eps"), ints_param(p, "horizons"),
@@ -305,45 +283,36 @@ def coincidence(params: dict | None = None) -> dict:
     los = [e.lo for e in scan.estimates]
     und = [Fraction(e.undecided_count, e.N) for e in scan.estimates]
     max_und = frac_param(p, "max_undecided")
-    counterexample = None
+    out.update(floor=str(los[0]), **_scan_fields(scan))
     if los[0] == 0:
-        counterexample = {"kind": "zero-floor"}
-    elif any(u > max_und for u in und):
-        counterexample = {"kind": "undecided", "fractions": [str(u) for u in und]}
-    elif p["floor"] is not None:
-        floor = frac_param(p, "floor")
-        if los[0] != floor:
-            counterexample = {"kind": "floor-drift", "measured": str(los[0]),
-                              "frozen": str(floor)}
-        elif any(v < floor / 2 for v in los[1:]):
-            counterexample = {"kind": "floor-decay",
-                              "bounds": [str(v) for v in los]}
-    return {"suite": "coincidence", "params": plainify(p),
-            "floor": str(los[0]),
-            "bounds": [{"N": e.N, "lo": str(e.lo), "hi": str(e.hi),
-                        "undecided": e.undecided_count} for e in scan.estimates],
-            "verdict": convergence_verdict(scan),
-            "pass": counterexample is None, "counterexample": counterexample}
+        return {"kind": "zero-floor"}
+    if any(u > max_und for u in und):
+        return {"kind": "undecided", "fractions": [str(u) for u in und]}
+    if p["floor"] is None:
+        return None
+    floor = frac_param(p, "floor")
+    if los[0] != floor:
+        return {"kind": "floor-drift", "measured": str(los[0]), "frozen": str(floor)}
+    if any(v < floor / 2 for v in los[1:]):
+        return {"kind": "floor-decay", "bounds": [str(v) for v in los]}
+    return None
 
 
-def arbault(params: dict | None = None) -> dict:
+@_suite("arbault", {"spec": "linear:1", "count": 60, "rows": 20, "depth": 8})
+def arbault(p, out):
     """Aligned-digit witness rows certified inside [1/4, 7/8], no failures."""
-    p = merge_params({"spec": "linear:1", "count": 60, "rows": 20, "depth": 8},
-                     params, "suite arbault")
     seq = _seq(str(p["spec"]))
     u_list = [seq.term(n) + seq.term(n - 1) for n in range(1, int_param(p, "count") + 1)]
     rep = arbault_witness(seq, u_list, rows=int_param(p, "rows"), depth=int_param(p, "depth"))
-    counterexample = None
     bad = rep.rows.failures()
+    out["report"] = rep.to_report()
     if len(rep.rows) < int_param(p, "rows"):
-        counterexample = {"kind": "too-few-rows", "got": len(rep.rows)}
-    elif bad:
-        counterexample = {"kind": bad[0]["verdict"], "row": bad[0]}
-    elif rep.extras.get("existence_failures"):
-        counterexample = {"kind": "existence-failure",
-                          "count": rep.extras["existence_failures"]}
-    return {"suite": "arbault", "params": plainify(p), "report": rep.to_report(),
-            "pass": counterexample is None, "counterexample": counterexample}
+        return {"kind": "too-few-rows", "got": len(rep.rows)}
+    if bad:
+        return {"kind": bad[0]["verdict"], "row": bad[0]}
+    if rep.extras.get("existence_failures"):
+        return {"kind": "existence-failure", "count": rep.extras["existence_failures"]}
+    return None
 
 
 SUITES = {

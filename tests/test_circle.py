@@ -211,10 +211,13 @@ def test_expansion_domain():
 
 
 def test_digit_validation_on_access():
-    # a typed digit is checked when the point is built, and a rule swapped
-    # in afterwards is still checked on access
-    with pytest.raises(PreconditionError, match="c_1 = 3"):
-        CirclePoint(CONST2, FiniteDigits([3]))
+    # a typed digit is checked when it is parsed; a point built directly from
+    # a rule, or a rule swapped in afterwards, is checked on access
+    with pytest.raises(PreconditionError, match=r"^digit c_1 = 3 outside \[0, 1\]$"):
+        parse_point("finite:[3]", CONST2)
+    x = CirclePoint(CONST2, FiniteDigits([3]))
+    with pytest.raises(PreconditionError, match=r"^digit c_1 = 3 outside \[0, 1\]$"):
+        x.digit(1)
     x = CirclePoint(CONST2, FiniteDigits([1]))
     x.rule = FiniteDigits([3])
     with pytest.raises(PreconditionError):
@@ -955,6 +958,14 @@ def test_floor_div_validation_at_construction():
     assert reads == [9, 2, 5]
     assert [rule.digit(n, seq) for n in range(1, 11)] == [0, 1, 0, 0, 3, 0, 0, 0, 2, 0]
     assert reads == [9, 2, 5]
+    # parsed into a point, too: the point checks none of the computed digits
+    # again, although each is above 1
+    seq, reads = ArithSeq(RatioSpec.power(3)), []
+    ratio = seq.ratio
+    seq.ratio = lambda n: reads.append(n) or ratio(n)
+    x = parse_point("floor-div:m={9:4,2:3,5:7}", seq)
+    assert reads == [9, 2, 5]
+    assert x.rule.digits == {9: 3 ** 9 // 4, 2: 3, 5: 3 ** 5 // 7}
 
 
 def test_floor_div_keys_past_the_budget():

@@ -102,10 +102,15 @@ def test_member_cutoff_respects_the_int_text_limit(monkeypatch, limit):
 
 def test_exact_scan_reads_every_digit_of_its_prefix():
     # a finite rule declares only its nonzero digit {20}, so a scan skips
-    # blocks 0..16 and spans the zeros by one ratio product; the point
-    # checks c_20, which is out of range, when it is built
-    with pytest.raises(PreconditionError, match="c_20"):
-        CirclePoint(ArithSeq(RatioSpec.constant(2)), FiniteDigits([0] * 19 + [5]))
+    # blocks 0..16 and spans the zeros by one ratio product; c_20 is out of
+    # range, which parsing refuses, and a scan of the point built directly
+    # refuses when it first reads c_20
+    seq = ArithSeq(RatioSpec.constant(2))
+    with pytest.raises(PreconditionError, match="^digit c_20 = 5 outside"):
+        parse_point("finite:[" + "0," * 19 + "5]", seq)
+    x = CirclePoint(seq, FiniteDigits([0] * 19 + [5]))
+    with pytest.raises(PreconditionError, match="^digit c_20 = 5 outside"):
+        statistical_scan(x, Fraction(1, 8), [100])
 
 
 def test_scan_sixth_at_hundred():

@@ -330,6 +330,21 @@ def test_suites_build_no_fraction_per_row(tag, points, rows_key):
     assert _fractions_built(tag, {rows_key: 1 if rows_key == "jmax" else 0}) == built
 
 
+@pytest.mark.parametrize("tag", list(suites.SUITES))
+def test_every_suite_shares_the_report_skeleton(tag):
+    # each suite refuses a param it does not read before it runs, and
+    # reports suite and params first, then pass and the first counterexample;
+    # the reported params are every param it read, so they replay the report
+    with pytest.raises(PreconditionError, match=f"^suite {tag} does not read 'nope'$"):
+        run_suite(tag, {"nope": 1})
+    report = run_suite(tag)
+    assert list(report)[:2] == ["suite", "params"]
+    assert list(report)[-2:] == ["pass", "counterexample"]
+    assert report["suite"] == tag
+    assert report["pass"] == (report["counterexample"] is None)
+    assert run_suite(tag, report["params"]) == report
+
+
 # ----- golden envelopes -------------------------------------------------------
 
 # SHA-256 of the canonical envelope bytes (``envelope_bytes``) of every verify
